@@ -62,9 +62,6 @@ class AttenuationTable:
     def span_ghz(self) -> tuple[float, float]:
         return (self.rows[0][0], self.rows[-1][0])
 
-    def frequencies_ghz(self) -> tuple[float, ...]:
-        return tuple(f for f, _ in self.rows)
-
 
 def parse_table(lines: Iterable[str], source: str = "") -> AttenuationTable:
     """Parse CSV text lines into a validated table.
@@ -144,11 +141,11 @@ def gamma_at(table: AttenuationTable, f_hz: float) -> float:
             f"frequency {f_ghz!r} GHz outside table span [{lo_ghz!r}, {hi_ghz!r}] GHz",
             span_ghz=(lo_ghz, hi_ghz),
         )
-    freqs = [f for f, _ in table.rows]
-    idx = bisect_right(freqs, f_ghz)
-    if idx == len(freqs):  # exactly the last knot
+    # first knot above f_ghz; (f_ghz, inf) sorts after a knot at f_ghz itself
+    idx = bisect_right(table.rows, (f_ghz, math.inf))
+    if idx == len(table.rows):  # exactly the last knot
         return table.rows[-1][1]
-    f0, g0 = table.rows[idx - 1] if idx > 0 else table.rows[0]
+    f0, g0 = table.rows[idx - 1]
     f1, g1 = table.rows[idx]
     if f_ghz == f0:
         return g0

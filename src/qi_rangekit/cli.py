@@ -13,6 +13,7 @@ range exists for the requested scenario.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -32,7 +33,7 @@ from .quantum_states import (
     tmsv_covariance,
     tmsv_covariance_oracle,
 )
-from .range_solver import Illumination, r_max
+from .range_solver import Illumination, r_max, sweep_range, sweep_ratio
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -241,28 +242,20 @@ def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     grid = _log_grid(args.ns_min, args.ns_max, args.points)
     path = Path(args.output) if args.output else Path(f"figure{args.figure}.csv")
 
-    lines: list[str] = []
     if args.figure == 1:
-        lines.append("n_s,ratio")
-        for n_s in grid:
-            lines.append(f"{n_s!r},{correlation_ratio(n_s)!r}")
+        lines = ["n_s,ratio"]
+        lines.extend(f"{n_s!r},{ratio!r}" for n_s, ratio in sweep_ratio(grid))
     else:
-        table = config.load_attenuation_table()
-        lines.append("n_s,frequency_hz,mode,r_max_m,converged")
-        for f_hz in config.frequencies_hz:
-            for mode in (Illumination.CI, Illumination.QI):
-                for n_s in grid:
-                    problem = config.make_problem(
-                        n_s, f_hz, mode, table=table, constants=constants
-                    )
-                    try:
-                        solution = r_max(problem)
-                        r_field = repr(solution.r_max_m)
-                        converged = "true" if solution.converged else "false"
-                    except NoDetectionError:
-                        r_field = ""
-                        converged = "false"
-                    lines.append(f"{n_s!r},{float(f_hz)!r},{mode.value},{r_field},{converged}")
+        make_problem = functools.partial(
+            config.make_problem, table=config.load_attenuation_table(), constants=constants
+        )
+        rows = sweep_range(make_problem, grid, config.frequencies_hz,
+                           (Illumination.CI, Illumination.QI))
+        lines = ["n_s,frequency_hz,mode,r_max_m,converged"]
+        for n_s, f_hz, mode, solution in rows:
+            r_field = "" if solution is None else repr(solution.r_max_m)
+            converged = "true" if solution is not None and solution.converged else "false"
+            lines.append(f"{n_s!r},{f_hz!r},{mode.value},{r_field},{converged}")
 
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines) - 1} rows to {path}", file=out)

@@ -25,15 +25,9 @@ from dataclasses import dataclass
 
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, UnphysicalGeometryError
+from .radiometry import _require_positive
 
 _FOUR_PI = 4.0 * math.pi
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

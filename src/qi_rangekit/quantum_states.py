@@ -192,7 +192,8 @@ def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarray:
             f">= {TAIL_TOLERANCE:g} for n_s={n_s!r}"
         )
     ns = np.arange(n_max + 1)
-    coeffs = np.sqrt(n_s**ns / (n_s + 1.0) ** (ns + 1))
+    # sqrt(n_s^n / (n_s + 1)^(n+1)) in log space; the powers overflow past n ~ 300.
+    coeffs = np.exp(0.5 * (ns * math.log(n_s) - (ns + 1) * math.log1p(n_s)))
     psi = np.diag(coeffs)
     return _second_moments(psi)
 

@@ -6,10 +6,14 @@ With no atmospheric loss the range equation closes in a fourth root,
 
 and the quantum transmitter extends it by (1 + 1/N_s)^(1/4), implemented as
 a threshold rescaling SNR_min -> SNR_min / (1 + 1/N_s) so the range ratio
-holds by construction.  With absorption the form factor F depends on R and
-the equation becomes implicit; SNR_eff(R) is strictly decreasing in R
-(R^-4 times F(R)^2), so the unique crossing of the threshold is bracketed
-by [epsilon, R_max_free] and found by bisection.
+holds by construction.  With absorption the round-trip form factor is
+F(R)^2 = exp(-2aR), a = gamma * ln(10) / 10^4 (gamma in dB/km, R in m), and
+the threshold crossing solves R^4 * exp(2aR) = R_free^4.  That equation has
+a closed form via Lambert W0, the principal branch of w * e^w = x,
+
+    R_max = (2/a) * W0(a * R_free / 2) = R_free * exp(-W0(a * R_free / 2)),
+
+with W0 evaluated by Halley's method in plain floating point.
 
 Note the (4*pi) exponent: back-substituting the transmissivity into the
 effective SNR gives (4*pi)^2 in the denominator, and that convention also
@@ -18,8 +22,8 @@ in print is available behind ``four_pi_exponent=4`` for comparison runs.
 
 Inside the solver the SNR chain is evaluated from the raw far-field
 formula without the eta <= 1 guard of the public link-budget operation:
-bracket endpoints necessarily probe the near field, and the monotone
-root-find only ever reports the crossing itself.
+the no-detection probe at near-zero range necessarily lies in the near
+field, and the residual check only ever evaluates the root itself.
 """
 
 from __future__ import annotations
@@ -27,20 +31,24 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, NoDetectionError
 from .link_budget import DetectionSpec, IntegrationSpec, RadarParams
 from .quantum_states import correlation_ratio
+from .radiometry import _require_positive
 
 _FOUR_PI = 4.0 * math.pi
+# a [1/m] per gamma [dB/km], where F(R)^2 = exp(-2aR).
+_A_PER_GAMMA = math.log(10.0) / 1e4
 
-# Lower bracket edge [m]; "near-zero range" for the no-detection test.
-_BRACKET_LO_M = 1e-6
-_RELATIVE_WIDTH_TOL = 1e-9
-_MAX_ITERATIONS = 200
+# "Near-zero range" [m] for the no-detection test.
+_NEAR_ZERO_RANGE_M = 1e-6
 _RESIDUAL_TOL_DB = 1e-6
+# Halley's method from w = log1p(x) takes at most 6 steps for x in [1e-15, 1e10].
+_HALLEY_REL_TOL = 1e-15
+_HALLEY_MAX_STEPS = 16
 
 
 class Illumination(enum.Enum):
@@ -66,13 +74,9 @@ class RangeProblem:
     constants: PhysicalConstants = TEXTBOOK
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("n_s", self.n_s),
-            ("f_hz", self.f_hz),
-            ("n_b", self.n_b),
-        ):
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        _require_positive("n_s", self.n_s)
+        _require_positive("f_hz", self.f_hz)
+        _require_positive("n_b", self.n_b)
         if not (math.isfinite(self.gamma_db_per_km) and self.gamma_db_per_km >= 0.0):
             raise DomainError(
                 f"gamma must be non-negative and finite, got {self.gamma_db_per_km!r}"
@@ -85,41 +89,24 @@ class RangeProblem:
 
 @dataclass(frozen=True)
 class RangeSolution:
-    """Solved maximum range with solver diagnostics."""
+    """Solved maximum range with solver diagnostics; ``iterations`` counts
+    the Halley steps of the Lambert-W evaluation (0 when lossless)."""
 
     r_max_m: float
     residual_db: float
     iterations: int
-    bracket: tuple[float, float]
     converged: bool
-
-
-@dataclass(frozen=True)
-class SweepSeries:
-    """One curve of a sweep; ``None`` marks a point that failed to solve."""
-
-    frequency_hz: float | None
-    mode: Illumination | None
-    values: tuple[float | None, ...]
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    axis: tuple[float, ...]
-    series: tuple[SweepSeries, ...]
 
 
 def quantum_advantage_factor(n_s: float) -> float:
     """Range-domain quantum gain (1 + 1/n_s)^(1/4); approaches 1 as n_s grows."""
-    if not (math.isfinite(n_s) and n_s > 0.0):
-        raise DomainError(f"n_s must be positive and finite, got {n_s!r}")
+    n_s = _require_positive("n_s", n_s)
     return (1.0 + 1.0 / n_s) ** 0.25
 
 
 def sensitivity_gain(n_s: float) -> float:
     """SNR-domain quantum gain 1 + 1/n_s used to rescale the threshold."""
-    if not (math.isfinite(n_s) and n_s > 0.0):
-        raise DomainError(f"n_s must be positive and finite, got {n_s!r}")
+    n_s = _require_positive("n_s", n_s)
     return 1.0 + 1.0 / n_s
 
 
@@ -144,10 +131,24 @@ def _chain_constant(problem: RangeProblem) -> float:
     ) / (_FOUR_PI**problem.four_pi_exponent * problem.n_b)
 
 
-def _snr_eff_at(problem: RangeProblem, r_m: float) -> float:
+def _snr_eff_at(chain_constant: float, gamma_db_per_km: float, r_m: float) -> float:
     # Raw far-field evaluation; see module docstring.
-    f_form = 10.0 ** (-problem.gamma_db_per_km * (r_m / 1000.0) / 10.0)
-    return _chain_constant(problem) * f_form**2 / r_m**4
+    f_form = 10.0 ** (-gamma_db_per_km * (r_m / 1000.0) / 10.0)
+    return chain_constant * f_form**2 / r_m**4
+
+
+def _lambert_w0(x: float) -> tuple[float, int]:
+    """Principal-branch Lambert W of ``x >= 0`` (w * e^w = x) and the number
+    of Halley steps taken from the start w = log1p(x)."""
+    w = math.log1p(x)
+    for steps in range(1, _HALLEY_MAX_STEPS + 1):
+        e_w = math.exp(w)
+        f = w * e_w - x
+        step = f / (e_w * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= _HALLEY_REL_TOL * w:
+            break
+    return w, steps
 
 
 def r_max_free(problem: RangeProblem) -> float:
@@ -163,52 +164,33 @@ def r_max(problem: RangeProblem) -> RangeSolution:
     """Maximum range with absorption: the unique R where SNR_eff(R) crosses
     the mode-adjusted threshold.
 
-    Solved by bisection on [epsilon, r_max_free]; the free-space range is a
-    guaranteed upper bound because F <= 1.  With gamma = 0 the closed form
-    is returned directly.  Raises :class:`NoDetectionError` when the target
-    is already below threshold at near-zero range.
+    Closed form R_free * exp(-W0(a * R_free / 2)); see the module docstring.
+    With gamma = 0 that is R_free itself.  ``converged`` reports the closure
+    of the forward SNR chain at the root.  Raises :class:`NoDetectionError`
+    when the target is already below threshold at near-zero range.
     """
+    chain_constant = _chain_constant(problem)
     threshold = threshold_linear(problem)
-    r_free = r_max_free(problem)
+    gamma = problem.gamma_db_per_km
 
-    lo = _BRACKET_LO_M
-    if _snr_eff_at(problem, lo) < threshold:
+    if _snr_eff_at(chain_constant, gamma, _NEAR_ZERO_RANGE_M) < threshold:
         raise NoDetectionError(
-            f"SNR_eff at {lo} m is already below threshold; no detection range exists"
+            f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
+            "no detection range exists"
         )
 
-    if problem.gamma_db_per_km == 0.0:
-        residual = abs(10.0 * math.log10(_snr_eff_at(problem, r_free) / threshold))
-        return RangeSolution(
-            r_max_m=r_free,
-            residual_db=residual,
-            iterations=0,
-            bracket=(r_free, r_free),
-            converged=residual < _RESIDUAL_TOL_DB,
-        )
+    r_free = (chain_constant / threshold) ** 0.25
+    root, iterations = r_free, 0
+    if gamma > 0.0:
+        w, iterations = _lambert_w0(0.5 * gamma * _A_PER_GAMMA * r_free)
+        root = r_free * math.exp(-w)
 
-    hi = r_free
-    iterations = 0
-    while iterations < _MAX_ITERATIONS:
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= _RELATIVE_WIDTH_TOL * mid:
-            break
-        if _snr_eff_at(problem, mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    root = 0.5 * (lo + hi)
-    residual = abs(10.0 * math.log10(_snr_eff_at(problem, root) / threshold))
-    width_converged = (hi - lo) <= _RELATIVE_WIDTH_TOL * root
-    converged = width_converged and residual < _RESIDUAL_TOL_DB
+    residual = abs(10.0 * math.log10(_snr_eff_at(chain_constant, gamma, root) / threshold))
     return RangeSolution(
         r_max_m=root,
         residual_db=residual,
         iterations=iterations,
-        bracket=(lo, hi),
-        converged=converged,
+        converged=residual < _RESIDUAL_TOL_DB,
     )
 
 
@@ -218,8 +200,7 @@ def _validated_grid(n_s_grid: Sequence[float]) -> tuple[float, ...]:
         raise DomainError("grid must not be empty")
     previous = None
     for value in grid:
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"grid values must be positive and finite, got {value!r}")
+        _require_positive("grid values", value)
         if previous is not None and value <= previous:
             raise DomainError("grid must be strictly increasing")
         previous = value
@@ -231,34 +212,31 @@ def sweep_range(
     n_s_grid: Sequence[float],
     frequencies_hz: Iterable[float],
     modes: Iterable[Illumination],
-) -> SweepResult:
+) -> Iterator[tuple[float, float, Illumination, RangeSolution | None]]:
     """Solve r_max over the (N_s, frequency, mode) product grid.
 
-    ``make_problem`` builds the point problem; points where no detection
-    range exists are recorded as ``None``, never as zero.  Series order is
-    frequency-major, then mode, then N_s.
+    Yields ``(n_s, frequency_hz, mode, solution)`` rows lazily, frequency-major,
+    then mode, then N_s; ``solution`` is ``None`` where no detection range
+    exists, never a zero range.  The grid is validated on the call.
     """
     grid = _validated_grid(n_s_grid)
-    series: list[SweepSeries] = []
-    for f_hz in frequencies_hz:
-        for mode in modes:
-            values: list[float | None] = []
-            for n_s in grid:
-                try:
-                    values.append(r_max(make_problem(n_s, f_hz, mode)).r_max_m)
-                except NoDetectionError:
-                    values.append(None)
-            series.append(
-                SweepSeries(frequency_hz=float(f_hz), mode=mode, values=tuple(values))
-            )
-    return SweepResult(axis=grid, series=tuple(series))
+    modes = tuple(modes)
+
+    def rows() -> Iterator[tuple[float, float, Illumination, RangeSolution | None]]:
+        for f_hz in frequencies_hz:
+            for mode in modes:
+                for n_s in grid:
+                    try:
+                        solution = r_max(make_problem(n_s, f_hz, mode))
+                    except NoDetectionError:
+                        solution = None
+                    yield n_s, float(f_hz), mode, solution
+
+    return rows()
 
 
-def sweep_ratio(n_s_grid: Sequence[float]) -> SweepResult:
-    """Classical/quantum correlation ratio over an N_s grid (single series)."""
+def sweep_ratio(n_s_grid: Sequence[float]) -> Iterator[tuple[float, float]]:
+    """Classical/quantum correlation ratio over an N_s grid, as lazy
+    ``(n_s, ratio)`` rows.  The grid is validated on the call."""
     grid = _validated_grid(n_s_grid)
-    values = tuple(correlation_ratio(n_s) for n_s in grid)
-    return SweepResult(
-        axis=grid,
-        series=(SweepSeries(frequency_hz=None, mode=None, values=values),),
-    )
+    return ((n_s, correlation_ratio(n_s)) for n_s in grid)

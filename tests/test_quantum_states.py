@@ -100,6 +100,15 @@ def test_oracle_equivalence(n_s):
     assert np.abs(oracle - tmsv_covariance(n_s)).max() < 1e-9
 
 
+@pytest.mark.parametrize("n_s", [20.0, 50.0])
+def test_oracle_finite_at_large_photon_number(n_s):
+    # the state coefficients overflow unless built in log space (n_max >= 566)
+    closed = tmsv_covariance(n_s)
+    oracle = tmsv_covariance_oracle(n_s)
+    assert np.isfinite(oracle).all()
+    assert np.abs(oracle - closed).max() <= 1e-8 * np.abs(closed).max()
+
+
 def test_oracle_small_photon_number():
     oracle = tmsv_covariance_oracle(0.01, 40)
     assert oracle[SIGNAL_I, SIGNAL_I] == pytest.approx(1.02, abs=1e-9)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qi_rangekit.atmosphere import form_factor
+from qi_rangekit.atmosphere import bundled_table, form_factor
 from qi_rangekit.errors import DomainError, NoDetectionError
 from qi_rangekit.link_budget import (
     DetectionSpec,
@@ -63,6 +63,38 @@ def independent_snr_eff(problem: RangeProblem, r_m: float) -> float:
     return snr_eff(eta, problem.integration.pulse_count, problem.n_s, problem.n_b)
 
 
+def raw_snr_eff(problem: RangeProblem, r_m: float) -> float:
+    """SNR_eff from the far-field formula without the eta <= 1 guard, so the
+    reference bisection may probe the near field."""
+    gain = antenna_gain(problem.radar.aperture_m2, problem.f_hz, problem.constants)
+    chain = (
+        problem.radar.sigma_m2
+        * gain
+        * problem.radar.aperture_m2
+        * problem.integration.pulse_count
+        * problem.n_s
+    ) / ((4.0 * math.pi) ** problem.four_pi_exponent * problem.n_b)
+    return chain * form_factor(problem.gamma_db_per_km, r_m) ** 2 / r_m**4
+
+
+def bisection_root(problem: RangeProblem) -> float | None:
+    """Reference solve: bisect [1e-6 m, r_max_free] to a relative width of
+    1e-9; None when SNR_eff is below threshold already at 1e-6 m."""
+    threshold = threshold_linear(problem)
+    lo, hi = 1e-6, r_max_free(problem)
+    if raw_snr_eff(problem, lo) < threshold:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (hi - lo) <= 1e-9 * mid:
+            break
+        if raw_snr_eff(problem, mid) >= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_advantage_factor_values():
     assert quantum_advantage_factor(1e-2) == pytest.approx(101.0**0.25, rel=1e-15)
     assert quantum_advantage_factor(1e-2) == pytest.approx(3.1702, abs=1e-4)
@@ -117,16 +149,42 @@ def test_attenuated_solution_below_free_space_and_closed():
     achieved = independent_snr_eff(problem, solution.r_max_m)
     residual_db = abs(10.0 * math.log10(achieved / threshold_linear(problem)))
     assert residual_db < 1e-6
-    assert solution.bracket[0] <= solution.r_max_m <= solution.bracket[1]
+    assert 1 <= solution.iterations <= 6  # Halley steps of the Lambert-W root
 
 
-def test_bracket_straddles_threshold():
+def test_root_straddles_threshold():
     problem = benchmark_problem(gamma=5.0)
-    solution = r_max(problem)
+    root = r_max(problem).r_max_m
     threshold = threshold_linear(problem)
-    lo, hi = solution.bracket
-    assert independent_snr_eff(problem, lo) >= threshold
-    assert independent_snr_eff(problem, hi) <= threshold
+    assert independent_snr_eff(problem, root * (1.0 - 1e-9)) >= threshold
+    assert independent_snr_eff(problem, root * (1.0 + 1e-9)) <= threshold
+
+
+def test_lambert_w_root_matches_bisection():
+    problems = [
+        benchmark_problem(n_s=n_s, f_hz=f_ghz * 1e9, mode=mode, gamma=gamma)
+        for f_ghz, gamma in bundled_table().rows
+        for n_s in (1e-3, 1e-2, 1.0, 10.0)
+        for mode in Illumination
+    ]
+    problems += [
+        benchmark_problem(n_s=n_s, mode=mode, gamma=gamma)
+        for gamma in (1e-6, 1e6)
+        for n_s in (1e-3, 1e-2, 1.0, 10.0)
+        for mode in Illumination
+    ]
+    solved = 0
+    for problem in problems:
+        expected = bisection_root(problem)
+        if expected is None:
+            with pytest.raises(NoDetectionError):
+                r_max(problem)
+            continue
+        solution = r_max(problem)
+        assert solution.converged
+        assert solution.r_max_m == pytest.approx(expected, rel=1e-9, abs=0.0)
+        solved += 1
+    assert solved > 0.9 * len(problems)
 
 
 def test_extreme_attenuation_still_solves():
@@ -209,29 +267,49 @@ def make_benchmark(n_s, f_hz, mode):
 
 
 def test_sweep_range_single_point():
-    result = sweep_range(make_benchmark, [1e-2], [1e12], [Illumination.CI, Illumination.QI])
-    assert result.axis == (1e-2,)
-    assert [s.mode for s in result.series] == [Illumination.CI, Illumination.QI]
-    assert result.series[0].values[0] == pytest.approx(137.088, abs=0.01)
-    assert result.series[1].values[0] == pytest.approx(434.591, abs=0.01)
+    rows = list(
+        sweep_range(make_benchmark, [1e-2], [1e12], [Illumination.CI, Illumination.QI])
+    )
+    assert [(n_s, f_hz) for n_s, f_hz, _, _ in rows] == [(1e-2, 1e12)] * 2
+    assert [mode for _, _, mode, _ in rows] == [Illumination.CI, Illumination.QI]
+    assert rows[0][3].r_max_m == pytest.approx(137.088, abs=0.01)
+    assert rows[1][3].r_max_m == pytest.approx(434.591, abs=0.01)
 
 
 def test_sweep_range_ordering_and_monotonicity():
     grid = list(np.logspace(-3, 0, 7))
-    result = sweep_range(
-        make_benchmark, grid, [7e9, 1e12], [Illumination.CI, Illumination.QI]
+    rows = list(
+        sweep_range(make_benchmark, grid, [7e9, 1e12], [Illumination.CI, Illumination.QI])
     )
-    keys = [(s.frequency_hz, s.mode) for s in result.series]
+    keys = list(dict.fromkeys((f_hz, mode) for _, f_hz, mode, _ in rows))
     assert keys == [
         (7e9, Illumination.CI),
         (7e9, Illumination.QI),
         (1e12, Illumination.CI),
         (1e12, Illumination.QI),
     ]
-    for ci, qi in zip(result.series[::2], result.series[1::2]):
-        assert all(q >= c for c, q in zip(ci.values, qi.values))
-        for series in (ci, qi):
-            assert all(b > a for a, b in zip(series.values, series.values[1:]))
+    assert [n_s for n_s, _, _, _ in rows] == grid * len(keys)
+    curves = [
+        [solution.r_max_m for _, _, _, solution in rows[start:start + len(grid)]]
+        for start in range(0, len(rows), len(grid))
+    ]
+    for ci, qi in zip(curves[::2], curves[1::2]):
+        assert all(q >= c for c, q in zip(ci, qi))
+        for curve in (ci, qi):
+            assert all(b > a for a, b in zip(curve, curve[1:]))
+
+
+def test_sweep_range_is_lazy():
+    calls = []
+
+    def factory(n_s, f_hz, mode):
+        calls.append(n_s)
+        return make_benchmark(n_s, f_hz, mode)
+
+    rows = sweep_range(factory, [1e-3, 1e-2, 1e-1], [1e12], [Illumination.CI])
+    assert calls == []
+    next(rows)
+    assert calls == [1e-3]
 
 
 def test_sweep_range_marks_failures_as_absent():
@@ -247,12 +325,13 @@ def test_sweep_range_marks_failures_as_absent():
             )
         return make_benchmark(n_s, f_hz, mode)
 
-    result = sweep_range(factory, [1e-3, 1e-2], [1e12], [Illumination.CI])
-    assert result.series[0].values[0] is None
-    assert result.series[0].values[1] is not None
+    rows = list(sweep_range(factory, [1e-3, 1e-2], [1e12], [Illumination.CI]))
+    assert rows[0][3] is None
+    assert rows[1][3] is not None
 
 
 def test_sweep_grid_validation():
+    # raised by the call itself, before any row is drawn
     with pytest.raises(DomainError):
         sweep_range(make_benchmark, [1e-2, 1e-3], [1e12], [Illumination.CI])
     with pytest.raises(DomainError):
@@ -262,7 +341,9 @@ def test_sweep_grid_validation():
 
 
 def test_sweep_ratio_values():
-    assert sweep_ratio([0.5]).series[0].values[0] == pytest.approx(0.57735, abs=1e-5)
-    assert sweep_ratio([1e-4]).series[0].values[0] == pytest.approx(9.9995e-3, rel=1e-4)
-    values = sweep_ratio(list(np.logspace(-3, 2, 50))).series[0].values
+    [(_, at_half)] = sweep_ratio([0.5])
+    [(_, at_small)] = sweep_ratio([1e-4])
+    assert at_half == pytest.approx(0.57735, abs=1e-5)
+    assert at_small == pytest.approx(9.9995e-3, rel=1e-4)
+    values = [ratio for _, ratio in sweep_ratio(list(np.logspace(-3, 2, 50)))]
     assert all(b > a for a, b in zip(values, values[1:]))
