@@ -180,21 +180,6 @@ def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     return EXIT_OK
 
 
-def _solve_one(config: ScenarioConfig, n_s: float, f_hz: float,
-               mode: Illumination, table, constants) -> tuple:
-    problem = config.make_problem(n_s, f_hz, mode, table=table, constants=constants)
-    solution = r_max(problem)
-    f_form = atmosphere.form_factor(problem.gamma_db_per_km, solution.r_max_m)
-    eta = link_budget.channel_transmissivity(
-        problem.radar.sigma_m2,
-        problem.radar.gain(f_hz, constants),
-        problem.radar.aperture_m2,
-        f_form,
-        solution.r_max_m,
-    )
-    return problem, solution, f_form, eta
-
-
 def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     constants = CODATA if args.codata else TEXTBOOK
     table = config.load_attenuation_table()
@@ -208,8 +193,19 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     )
     modes = (Illumination(args.mode),) if args.mode else (Illumination.CI, Illumination.QI)
     for mode in modes:
-        problem, solution, f_form, eta = _solve_one(
-            config, args.ns, args.freq, mode, table, constants
+        problem = config.make_problem(args.ns, args.freq, mode, table=table, constants=constants)
+        solution = r_max(problem)
+        budget = link_budget.evaluate_link(
+            sigma_m2=config.sigma_m2,
+            aperture_m2=config.aperture_m2,
+            f_hz=args.freq,
+            b_hz=config.bandwidth_hz,
+            n_s=args.ns,
+            n_b=problem.n_b,
+            m=config.integration.pulse_count,
+            r_m=solution.r_max_m,
+            gamma_db_per_km=problem.gamma_db_per_km,
+            constants=constants,
         )
         status = "converged" if solution.converged else "NOT converged"
         print(
@@ -220,7 +216,7 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
         )
         print(
             f"    gamma = {problem.gamma_db_per_km:.6g} dB/km, "
-            f"F = {f_form:.6g}, eta = {eta:.6g}",
+            f"F = {budget.f_form:.6g}, eta = {budget.eta:.6g}",
             file=out,
         )
     return EXIT_OK

@@ -29,8 +29,22 @@ from .range_solver import Illumination, RangeProblem
 CONFIG_ENV_VAR = "QI_RANGEKIT_CONFIG"
 
 
+_NUMBER_FIELDS = (
+    "sigma_m2", "aperture_m2", "bandwidth_hz", "tau_s",
+    "noise_power_dbm", "snr_min_db", "p_d", "p_fa",
+)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """The scenario, checked once on construction, which also builds the
+    parts every range problem shares as plain (non-field) attributes:
+    ``radar``, ``detection``, ``integration`` and ``noise_power_watts``."""
+
     sigma_m2: float = 1.0
     aperture_m2: float = 0.5
     bandwidth_hz: float = 1e9
@@ -44,53 +58,45 @@ class ScenarioConfig:
     four_pi_exponent: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("sigma_m2", "aperture_m2", "bandwidth_hz", "tau_s"):
+        for name in _NUMBER_FIELDS:
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-        if not math.isfinite(self.noise_power_dbm):
-            raise ConfigError(f"noise_power_dbm must be finite, got {self.noise_power_dbm!r}")
-        if not (0.0 < self.p_fa < self.p_d < 1.0):
-            raise ConfigError(
-                f"need 0 < p_fa < p_d < 1, got p_fa={self.p_fa!r}, p_d={self.p_d!r}"
-            )
-        if not math.isfinite(self.snr_min_db):
-            raise ConfigError(f"snr_min_db must be finite, got {self.snr_min_db!r}")
-        frequencies = tuple(float(f) for f in self.frequencies_hz)
+            if not _is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        frequencies = tuple(self.frequencies_hz)
         if not frequencies:
             raise ConfigError("frequencies_hz must not be empty")
         for f_hz in frequencies:
-            if not (math.isfinite(f_hz) and f_hz > 0):
-                raise ConfigError(f"frequencies must be positive and finite, got {f_hz!r}")
-        object.__setattr__(self, "frequencies_hz", frequencies)
+            if not (_is_number(f_hz) and math.isfinite(f_hz) and f_hz > 0):
+                raise ConfigError(f"frequencies_hz must be positive and finite, got {f_hz!r}")
+        object.__setattr__(self, "frequencies_hz", tuple(float(f) for f in frequencies))
+        path = self.attenuation_table_path
+        if not (path is None or isinstance(path, str)):
+            raise ConfigError(f"attenuation_table_path must be a string or null, got {path!r}")
         if self.four_pi_exponent not in (2, 4):
             raise ConfigError(
                 f"four_pi_exponent must be 2 or 4, got {self.four_pi_exponent!r}"
             )
+        try:
+            self.__dict__.update(
+                radar=RadarParams(sigma_m2=self.sigma_m2, aperture_m2=self.aperture_m2),
+                detection=DetectionSpec(p_d=self.p_d, p_fa=self.p_fa, snr_min_db=self.snr_min_db),
+                integration=IntegrationSpec(tau_s=self.tau_s, bandwidth_hz=self.bandwidth_hz),
+                noise_power_watts=radiometry.dbm_to_watts(self.noise_power_dbm),
+            )
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # Derived scenario quantities -------------------------------------------
-
-    def noise_power_watts(self) -> float:
-        return radiometry.dbm_to_watts(self.noise_power_dbm)
 
     def t_eff_kelvin(self, constants: PhysicalConstants = TEXTBOOK) -> float:
         """Effective noise temperature implied by the configured noise power."""
         return radiometry.t_eff_from_noise_power(
-            self.noise_power_watts(), self.bandwidth_hz, constants
+            self.noise_power_watts, self.bandwidth_hz, constants
         )
 
     def noise_occupancy(self, f_hz: float, constants: PhysicalConstants = TEXTBOOK) -> float:
         """Thermal photons per mode at a frequency; frequency dependent."""
         return radiometry.thermal_occupancy(self.t_eff_kelvin(constants), f_hz, constants)
-
-    def radar_params(self) -> RadarParams:
-        return RadarParams(sigma_m2=self.sigma_m2, aperture_m2=self.aperture_m2)
-
-    def detection_spec(self) -> DetectionSpec:
-        return DetectionSpec(p_d=self.p_d, p_fa=self.p_fa, snr_min_db=self.snr_min_db)
-
-    def integration_spec(self) -> IntegrationSpec:
-        return IntegrationSpec(tau_s=self.tau_s, bandwidth_hz=self.bandwidth_hz)
 
     def load_attenuation_table(self) -> atmosphere.AttenuationTable | None:
         if self.attenuation_table_path is None:
@@ -114,9 +120,9 @@ class ScenarioConfig:
         if table is not None:
             gamma = atmosphere.gamma_at(table, f_hz)
         return RangeProblem(
-            radar=self.radar_params(),
-            detection=self.detection_spec(),
-            integration=self.integration_spec(),
+            radar=self.radar,
+            detection=self.detection,
+            integration=self.integration,
             n_s=n_s,
             f_hz=f_hz,
             n_b=self.noise_occupancy(f_hz, constants),
@@ -145,15 +151,9 @@ def parse_config(text: str) -> ScenarioConfig:
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if "frequencies_hz" in payload:
-        value = payload["frequencies_hz"]
-        if not isinstance(value, list):
-            raise ConfigError("frequencies_hz must be a JSON array")
-        payload["frequencies_hz"] = tuple(value)
-    try:
-        return ScenarioConfig(**payload)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not isinstance(payload.get("frequencies_hz", []), list):
+        raise ConfigError("frequencies_hz must be a JSON array")
+    return ScenarioConfig(**payload)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

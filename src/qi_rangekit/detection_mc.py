@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CovarianceNotPSDError, DomainError, InsufficientTrialsError
+from .radiometry import _require_positive
 
 _PSD_TOLERANCE = -1e-9
 
@@ -194,10 +195,8 @@ def detector_gain_experiment(
     trials = int(trials)
     if trials < 10_000:
         raise DomainError(f"need at least 1e4 trials, got {trials!r}")
-    if not (math.isfinite(n_s) and n_s > 0.0):
-        raise DomainError(f"n_s must be positive and finite, got {n_s!r}")
-    if not (math.isfinite(n_b) and n_b > 0.0):
-        raise DomainError(f"n_b must be positive and finite, got {n_b!r}")
+    n_s = _require_positive("n_s", n_s)
+    n_b = _require_positive("n_b", n_b)
 
     streams = np.random.SeedSequence(_validate_seed(seed)).spawn(4)
     statistics: dict[str, tuple[np.ndarray, np.ndarray]] = {}

@@ -33,7 +33,10 @@ def dbm_to_watts(dbm: float) -> float:
     dbm = float(dbm)
     if not math.isfinite(dbm):
         raise DomainError(f"power in dBm must be finite, got {dbm!r}")
-    return 1e-3 * 10.0 ** (dbm / 10.0)
+    try:
+        return 1e-3 * 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        raise DomainError(f"power in dBm is too large, got {dbm!r}") from None
 
 
 def transmit_power(

@@ -162,6 +162,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_wrong_config_type_exits_2(tmp_path, capsys):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps({"p_fa": "x"}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "--config", str(config), "ratio", "--ns", "1")
+    assert code == 2
+    assert "p_fa" in err
+
+
 def test_env_var_config_fallback(tmp_path, capsys, monkeypatch):
     config = tmp_path / "env.json"
     config.write_text(json.dumps({"snr_min_db": 13.0}), encoding="utf-8")

@@ -1,12 +1,15 @@
 """Scenario config: benchmark defaults, JSON round trip, derived quantities."""
 
 import dataclasses
+import json
 
 import pytest
 
 from qi_rangekit.atmosphere import AttenuationTable
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_config
 from qi_rangekit.errors import ConfigError
+from qi_rangekit.link_budget import RadarParams
+from qi_rangekit.radiometry import dbm_to_watts
 from qi_rangekit.range_solver import Illumination
 
 
@@ -59,6 +62,37 @@ def test_invalid_values_rejected():
         parse_config('{"four_pi_exponent": 3}')
     with pytest.raises(ConfigError):
         parse_config('{"frequencies_hz": []}')
+    # value checks made by the link-budget specs and radiometry
+    with pytest.raises(ConfigError, match="bandwidth"):
+        parse_config('{"bandwidth_hz": 0}')
+    with pytest.raises(ConfigError, match="antenna aperture"):
+        parse_config('{"aperture_m2": -0.5}')
+    with pytest.raises(ConfigError, match="snr_min_db"):
+        parse_config('{"snr_min_db": Infinity}')
+    with pytest.raises(ConfigError, match="dBm"):
+        parse_config('{"noise_power_dbm": NaN}')
+    with pytest.raises(ConfigError, match="dBm"):
+        parse_config('{"noise_power_dbm": 1e4}')
+    # tau * B = 0.4 rounds to zero measurements: rejected at load
+    with pytest.raises(ConfigError, match="rounds below 1 measurement"):
+        parse_config('{"tau_s": 4e-10}')
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"noise_power_dbm": "x"}', "noise_power_dbm"),
+        ('{"frequencies_hz": ["a"]}', "frequencies_hz"),
+        ('{"attenuation_table_path": 5}', "attenuation_table_path"),
+        ('{"p_fa": "x"}', "p_fa"),
+        ('{"snr_min_db": null}', "snr_min_db"),
+        ('{"tau_s": true}', "tau_s"),
+        ('{"frequencies_hz": [7e9, false]}', "frequencies_hz"),
+    ],
+)
+def test_wrong_json_types_rejected(text, field):
+    with pytest.raises(ConfigError, match=field):
+        parse_config(text)
 
 
 def test_missing_file_rejected(tmp_path):
@@ -86,6 +120,20 @@ def test_make_problem_wires_scenario():
     table = AttenuationTable(rows=((1.0, 0.5), (2000.0, 0.5)))
     attenuated = cfg.make_problem(1e-2, 1e12, Illumination.CI, table=table)
     assert attenuated.gamma_db_per_km == pytest.approx(0.5, rel=1e-12)
+
+
+def test_make_problem_reuses_the_scenario_specs():
+    cfg = ScenarioConfig()
+    first = cfg.make_problem(1e-2, 1e12, Illumination.QI)
+    second = cfg.make_problem(1.0, 7e9, Illumination.CI)
+    assert first.radar is second.radar is cfg.radar
+    assert first.detection is second.detection is cfg.detection
+    assert first.integration is second.integration is cfg.integration
+    assert cfg.radar == RadarParams(sigma_m2=1.0, aperture_m2=0.5)
+    assert cfg.noise_power_watts == dbm_to_watts(-63.82)
+    # the built parts are not fields: equality and JSON see the 11 fields only
+    assert len(dataclasses.fields(cfg)) == 11
+    assert "radar" not in json.loads(dump_config(cfg))
 
 
 def test_four_pi_exponent_passes_through():

@@ -172,6 +172,10 @@ def test_gain_experiment_validation():
         detector_gain_experiment(n_s=0.1, eta=0.1, n_b=1.0, trials=100, seed=0)
     with pytest.raises(DomainError):
         detector_gain_experiment(n_s=0.1, eta=1.5, n_b=1.0, trials=10**4, seed=0)
+    with pytest.raises(DomainError, match=r"n_s must be positive and finite, got 0\.0"):
+        detector_gain_experiment(n_s=0.0, eta=0.1, n_b=1.0, trials=10**4, seed=0)
+    with pytest.raises(DomainError, match=r"n_b must be positive and finite, got nan"):
+        detector_gain_experiment(n_s=0.1, eta=0.1, n_b=math.nan, trials=10**4, seed=0)
 
 
 def test_roc_null_case_diagonal():

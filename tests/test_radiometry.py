@@ -119,6 +119,7 @@ def test_noise_power_identity_frequency_cancels():
         lambda: t_eff_from_noise_power(0.0, 1e9),
         lambda: watts_to_dbm(0.0),
         lambda: dbm_to_watts(math.inf),
+        lambda: dbm_to_watts(1e4),
     ],
 )
 def test_domain_errors(call):
