@@ -99,10 +99,17 @@ def parse_table(lines: Iterable[str], source: str = "") -> AttenuationTable:
 
 
 def load_table(source: str | Path | IO[str]) -> AttenuationTable:
-    """Load a table from a file path or an open text stream."""
+    """Load a table from a file path or an open text stream.
+
+    A relative path is resolved against the working directory.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        with path.open("r", encoding="utf-8") as handle:
+        try:
+            handle = path.open("r", encoding="utf-8")
+        except OSError as exc:
+            raise TableParseError(f"cannot read attenuation table {path}: {exc}") from exc
+        with handle:
             return parse_table(handle, source=str(path))
     name = getattr(source, "name", "<stream>")
     return parse_table(source, source=str(name))

@@ -269,6 +269,9 @@ def _cmd_mc(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
         f"{result.trials} trials, seed {args.seed})",
         file=out,
     )
+    analytic = 1.0 + 1.0 / args.ns
+    z = (result.ratio - analytic) / result.standard_error
+    print(f"analytic 1 + 1/N_s = {analytic:.6g}, z = {z:+.3g}", file=out)
     return EXIT_OK
 
 

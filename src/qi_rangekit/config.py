@@ -35,8 +35,14 @@ _NUMBER_FIELDS = (
 )
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _as_float(name: str, value: object) -> float:
+    """``value`` as a float; JSON gives ints of any size, so check it fits."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -59,16 +65,14 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in _NUMBER_FIELDS:
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        frequencies = tuple(self.frequencies_hz)
+            _as_float(name, getattr(self, name))
+        frequencies = tuple(_as_float("frequencies_hz", f) for f in self.frequencies_hz)
         if not frequencies:
             raise ConfigError("frequencies_hz must not be empty")
         for f_hz in frequencies:
-            if not (_is_number(f_hz) and math.isfinite(f_hz) and f_hz > 0):
+            if not (math.isfinite(f_hz) and f_hz > 0):
                 raise ConfigError(f"frequencies_hz must be positive and finite, got {f_hz!r}")
-        object.__setattr__(self, "frequencies_hz", tuple(float(f) for f in frequencies))
+        object.__setattr__(self, "frequencies_hz", frequencies)
         path = self.attenuation_table_path
         if not (path is None or isinstance(path, str)):
             raise ConfigError(f"attenuation_table_path must be a string or null, got {path!r}")
@@ -143,7 +147,7 @@ def dump_config(config: ScenarioConfig) -> str:
 def parse_config(text: str) -> ScenarioConfig:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")

@@ -20,7 +20,7 @@ class CutoffError(RangeKitError, ValueError):
 
 
 class TableParseError(RangeKitError, ValueError):
-    """An attenuation CSV is malformed (bad header, unparsable row)."""
+    """An attenuation CSV is unreadable or malformed (bad header, unparsable row)."""
 
 
 class TableValidationError(RangeKitError, ValueError):

@@ -134,14 +134,6 @@ def _poisson_tail(lam: float, n_max: int) -> float:
     return total
 
 
-def _lowering_operator(dim: int) -> np.ndarray:
-    """Truncated single-mode annihilation operator a with a[n-1, n] = sqrt(n)."""
-    a = np.zeros((dim, dim))
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
-
-
 def _second_moments(psi: np.ndarray) -> np.ndarray:
     """4x4 matrix of 2x symmetrized non-central quadrature moments for a
     two-mode state given by its Fock coefficient matrix ``psi[n_S, n_I]``.
@@ -149,16 +141,23 @@ def _second_moments(psi: np.ndarray) -> np.ndarray:
     Quadrature operators are applied directly to the coefficient matrix
     (signal operators act on rows, idler operators on columns), so no
     analytic moment formulas enter: the result is a pure truncated sum.
+    The truncated ladder operators only shift coefficients by one Fock
+    level with a sqrt(n) weight (a|n> = sqrt(n)|n-1>, with a^dag|n_max>
+    dropped), so they are applied as shifted slices, not as matrices.
     """
-    dim = psi.shape[0]
-    a = _lowering_operator(dim)
     psi_c = psi.astype(complex)
+    root = np.sqrt(np.arange(psi.shape[0]))[1:]
+    lower_s, raise_s, lower_i, raise_i = (np.zeros_like(psi_c) for _ in range(4))
+    lower_s[:-1] = root[:, None] * psi_c[1:]
+    raise_s[1:] = root[:, None] * psi_c[:-1]
+    lower_i[:, :-1] = psi_c[:, 1:] * root
+    raise_i[:, 1:] = psi_c[:, :-1] * root
 
     applied = [
-        (a @ psi_c + a.T @ psi_c) / _SQRT2,          # I_S
-        (a @ psi_c - a.T @ psi_c) / (1j * _SQRT2),   # Q_S
-        (psi_c @ a.T + psi_c @ a) / _SQRT2,          # I_I
-        (psi_c @ a.T - psi_c @ a) / (1j * _SQRT2),   # Q_I
+        (lower_s + raise_s) / _SQRT2,          # I_S
+        (lower_s - raise_s) / (1j * _SQRT2),   # Q_S
+        (lower_i + raise_i) / _SQRT2,          # I_I
+        (lower_i - raise_i) / (1j * _SQRT2),   # Q_I
     ]
 
     cov = np.zeros((4, 4))

@@ -65,6 +65,22 @@ def test_negative_gamma_rejected():
         parse_table(["frequency_ghz,gamma_db_per_km", "10,-1", "100,2"])
 
 
+def test_unreadable_path_rejected_with_its_name(tmp_path):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(TableParseError, match="missing.csv"):
+        load_table(missing)
+    with pytest.raises(TableParseError, match="cannot read"):
+        load_table(tmp_path)  # a directory
+
+
+def test_relative_path_resolves_against_working_directory(tmp_path, monkeypatch):
+    (tmp_path / "sample.csv").write_text(SAMPLE_CSV, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    table = load_table("sample.csv")
+    assert table.rows == ((7.0, 0.01), (95.0, 0.5), (1000.0, 100.0))
+    assert table.source == "sample.csv"
+
+
 def test_too_few_rows_rejected():
     with pytest.raises(TableValidationError):
         parse_table(["frequency_ghz,gamma_db_per_km", "10,1"])

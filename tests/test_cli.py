@@ -142,6 +142,34 @@ def test_range_with_narrow_table_span_exits_2(tmp_path, capsys):
     assert "span" in err
 
 
+def test_atten_missing_table_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code, _, err = run_cli(capsys, "atten", "--freq", "60e9", "--table", str(missing))
+    assert code == 2
+    assert "missing.csv" in err
+
+
+def test_range_with_missing_config_table_exits_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({"attenuation_table_path": str(tmp_path / "missing.csv")}),
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(
+        capsys, "--config", str(config), "range", "--ns", "1", "--freq", "1e12"
+    )
+    assert code == 2
+    assert "missing.csv" in err
+
+
+def test_oversized_config_number_exits_2(tmp_path, capsys):
+    config = tmp_path / "big.json"
+    config.write_text('{"sigma_m2": 1%s}' % ("0" * 400), encoding="utf-8")
+    code, _, err = run_cli(capsys, "--config", str(config), "ratio", "--ns", "1")
+    assert code == 2
+    assert "sigma_m2" in err
+
+
 def test_range_with_zero_gamma_table_matches_lossless(tmp_path, capsys):
     table = tmp_path / "zero.csv"
     table.write_text("frequency_ghz,gamma_db_per_km\n1,0\n2000,0\n", encoding="utf-8")
@@ -259,6 +287,24 @@ def test_mc_low_photon_advantage(capsys):
     match = re.search(r"= (\S+) \+/- (\S+) ", out)
     ratio, se = float(match.group(1)), float(match.group(2))
     assert ratio - 1.0 >= 3.0 * se
+
+
+def test_mc_prints_analytic_ratio_and_z(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1",
+        "--trials", "100000", "--seed", "1",
+    )
+    assert code == 0
+    first, second = out.splitlines()
+    match = re.search(r"gain \(QI/CI\) = (\S+) \+/- (\S+) ", first)
+    ratio, se = float(match.group(1)), float(match.group(2))
+    match = re.fullmatch(r"analytic 1 \+ 1/N_s = (\S+), z = (\S+)", second)
+    assert float(match.group(1)) == 11.0
+    z = float(match.group(2))
+    # the printed ratio and error are rounded; z is computed before rounding
+    assert z == pytest.approx((ratio - 11.0) / se, rel=0.02, abs=0.01)
+    assert abs(z) <= 6.0
 
 
 def test_no_command_exits_2(capsys):

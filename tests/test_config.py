@@ -95,6 +95,22 @@ def test_wrong_json_types_rejected(text, field):
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"sigma_m2": 1%s}' % ("0" * 400), "sigma_m2"),
+        ('{"noise_power_dbm": -1%s}' % ("0" * 400), "noise_power_dbm"),
+        ('{"frequencies_hz": [7e9, 1%s]}' % ("0" * 400), "frequencies_hz"),
+        # past Python's int-parsing digit limit: json.loads itself refuses it
+        ('{"tau_s": 1%s}' % ("0" * 5000), "not valid JSON"),
+    ],
+    ids=["sigma_m2", "noise_power_dbm", "frequencies_hz", "past_int_digit_limit"],
+)
+def test_integers_too_large_for_a_float_rejected(text, field):
+    with pytest.raises(ConfigError, match=field):
+        parse_config(text)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qi_rangekit import detection_mc
 from qi_rangekit.detection_mc import (
     GainExperimentResult,
     ReturnChannelModel,
+    _draw_statistic,
     detector_gain_experiment,
     estimate_covariance,
     roc_estimate,
@@ -165,6 +167,79 @@ def test_gain_experiment_trend_over_decade():
     ratios = [r.ratio for r in results]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))  # shrinks as n_s grows
     assert all(r.ratio >= 1.0 - 3.0 * r.standard_error for r in results)
+
+
+@pytest.mark.parametrize("transmitter", [tmsv_covariance, coherent_covariance])
+@pytest.mark.parametrize("hypothesis", ["present_covariance", "absent_covariance"])
+def test_draw_statistic_moments(transmitter, hypothesis):
+    # D = a*E1 + b*E2 with a, b = r +/- sqrt(pq): cumulants k_n = (n-1)!(a^n + b^n),
+    # so E[D] = 2r, Var[D] = 2(r^2 + pq) and Var[s^2] ~ (k4 + 2*k2^2) / n.
+    cov = getattr(ReturnChannelModel(eta=0.3, n_b=2.0, base=transmitter(0.2)), hypothesis)()
+    p, q, r = cov[0, 0] / 2, cov[2, 2] / 2, cov[0, 2] / 2
+    a, b = r + math.sqrt(p * q), r - math.sqrt(p * q)
+    k2, k4 = a**2 + b**2, 6.0 * (a**4 + b**4)
+    n = 10**6
+    d = _draw_statistic(cov, n, np.random.Generator(np.random.PCG64(17)))
+    assert d.shape == (n,)
+    assert k2 == pytest.approx(2.0 * (r**2 + p * q), rel=1e-12)
+    assert abs(d.mean() - 2.0 * r) <= 5.0 * math.sqrt(k2 / n)
+    assert abs(d.var() - k2) <= 5.0 * math.sqrt((k4 + 2.0 * k2**2) / n)
+
+
+def test_draw_statistic_matches_quadrature_product_moments():
+    # The two-exponential draw and the product of four drawn quadratures
+    # estimate the same mean and variance.
+    cov = ReturnChannelModel(eta=0.5, n_b=1.0, base=tmsv_covariance(0.1)).present_covariance()
+    n = 10**6
+    exact = _draw_statistic(cov, n, np.random.Generator(np.random.PCG64(3)))
+    samples = sample_quadratures(cov, n, seed=4)
+    product = samples[:, 0] * samples[:, 2] - samples[:, 1] * samples[:, 3]
+    variance = product.var()
+    fourth = float(np.mean((product - product.mean()) ** 4))
+    assert abs(exact.mean() - product.mean()) <= 5.0 * math.sqrt(2.0 * variance / n)
+    assert abs(exact.var() - variance) <= 5.0 * math.sqrt(2.0 * (fourth - variance**2) / n)
+
+
+def test_draw_statistic_rejects_other_covariances():
+    rng = np.random.Generator(np.random.PCG64(0))
+    base = tmsv_covariance(0.5)
+    correlated = base.copy()
+    correlated[0, 1] = correlated[1, 0] = 0.1  # I and Q sectors correlated
+    unequal = base.copy()
+    unequal[1, 1] = 3.0  # Q variance differs from I variance
+    same_sign = base.copy()
+    same_sign[1, 3] = same_sign[3, 1] = base[0, 2]  # not phase-conjugate
+    for cov in (correlated, unequal, same_sign, np.eye(3), base + np.triu(np.ones((4, 4)))):
+        with pytest.raises(DomainError):
+            _draw_statistic(cov, 10, rng)
+    not_psd = base.copy()
+    not_psd[0, 2] = not_psd[2, 0] = 5.0  # |cross| above the variances
+    not_psd[1, 3] = not_psd[3, 1] = -5.0
+    with pytest.raises(CovarianceNotPSDError) as info:
+        _draw_statistic(not_psd, 10, rng)
+    assert info.value.eigenvalue == pytest.approx(2.0 - 5.0)
+
+
+def test_gain_experiment_draws_the_statistic_directly(monkeypatch):
+    def no_quadratures(*args):
+        raise AssertionError("detector_gain_experiment drew quadrature vectors")
+
+    monkeypatch.setattr(detection_mc, "_draw", no_quadratures)
+    result = detector_gain_experiment(n_s=0.1, eta=0.5, n_b=1.0, trials=10**4, seed=0)
+    assert math.isfinite(result.ratio)
+
+
+@pytest.mark.parametrize(
+    "n_s, eta, n_b",
+    [(0.01, 0.5, 1.0), (0.1, 0.5, 1.0), (1.0, 0.5, 1.0), (0.1, 1.0, 1e-3)],
+)
+def test_gain_experiment_matches_analytic_ratio(n_s, eta, n_b):
+    # The QI/CI deflection ratio of D is exactly 1 + 1/N_s.  The first-order
+    # error holds where the classical shift is resolved (these points);
+    # in the buried-shift regime (N_s 0.01, eta 0.01, N_B 100) it breaks down.
+    result = detector_gain_experiment(n_s=n_s, eta=eta, n_b=n_b, trials=10**6, seed=41)
+    z = (result.ratio - (1.0 + 1.0 / n_s)) / result.standard_error
+    assert abs(z) <= 6.0
 
 
 def test_gain_experiment_validation():

@@ -11,6 +11,7 @@ from qi_rangekit.quantum_states import (
     IDLER_Q,
     SIGNAL_I,
     SIGNAL_Q,
+    _second_moments,
     coherent_covariance,
     coherent_covariance_oracle,
     correlation_ratio,
@@ -177,3 +178,30 @@ def test_coherent_rejects_negative():
         coherent_covariance(-0.1)
     with pytest.raises(DomainError):
         coherent_covariance_oracle(-0.1)
+
+
+def dense_second_moments(psi: np.ndarray) -> np.ndarray:
+    """Reference: the ladder operators as dense matrices, a[n-1, n] = sqrt(n)."""
+    dim = psi.shape[0]
+    a = np.zeros((dim, dim))
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    psi_c = psi.astype(complex)
+    applied = [
+        (a @ psi_c + a.T @ psi_c) / math.sqrt(2.0),
+        (a @ psi_c - a.T @ psi_c) / (1j * math.sqrt(2.0)),
+        (psi_c @ a.T + psi_c @ a) / math.sqrt(2.0),
+        (psi_c @ a.T - psi_c @ a) / (1j * math.sqrt(2.0)),
+    ]
+    return np.array([[2.0 * np.vdot(x, y).real for y in applied] for x in applied])
+
+
+@pytest.mark.parametrize("dim", [2, 5, 40])
+def test_second_moments_match_dense_ladder_operators(dim):
+    # Applying a and a^dag by index shift only drops products with zero, so
+    # the result is bit-identical to the dense matrix products.
+    rng = np.random.Generator(np.random.PCG64(dim))
+    thermal = np.diag(np.exp(-0.3 * np.arange(dim)))
+    for psi in (thermal, rng.standard_normal((dim, dim))):
+        psi = psi / np.linalg.norm(psi)
+        assert np.array_equal(_second_moments(psi), dense_second_moments(psi))
