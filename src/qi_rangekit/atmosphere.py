@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .errors import DomainError, FrequencySpanError, TableParseError, TableValidationError
+from .radiometry import _require_non_negative
 
 CSV_HEADER = "frequency_ghz,gamma_db_per_km"
 
@@ -167,12 +168,6 @@ def form_factor(gamma_db_per_km: float, r_m: float) -> float:
 
     Equals 1 at zero range and decreases strictly with range when gamma > 0.
     """
-    gamma_db_per_km = float(gamma_db_per_km)
-    if not (math.isfinite(gamma_db_per_km) and gamma_db_per_km >= 0.0):
-        raise DomainError(
-            f"gamma must be non-negative and finite, got {gamma_db_per_km!r}"
-        )
-    r_m = float(r_m)
-    if not (math.isfinite(r_m) and r_m >= 0.0):
-        raise DomainError(f"range must be non-negative and finite, got {r_m!r}")
+    gamma_db_per_km = _require_non_negative("gamma", gamma_db_per_km)
+    r_m = _require_non_negative("range", r_m)
     return 10.0 ** (-gamma_db_per_km * (r_m / 1000.0) / 10.0)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, atmosphere, link_budget, radiometry
+from . import __version__, atmosphere, radiometry
 from .config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
 from .constants import CODATA, TEXTBOOK
 from .detection_mc import detector_gain_experiment
@@ -33,7 +33,7 @@ from .quantum_states import (
     tmsv_covariance,
     tmsv_covariance_oracle,
 )
-from .range_solver import Illumination, r_max, sweep_range, sweep_ratio
+from .range_solver import Illumination, link_at, r_max, sweep_range, sweep_ratio
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -195,18 +195,7 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     for mode in modes:
         problem = config.make_problem(args.ns, args.freq, mode, table=table, constants=constants)
         solution = r_max(problem)
-        budget = link_budget.evaluate_link(
-            sigma_m2=config.sigma_m2,
-            aperture_m2=config.aperture_m2,
-            f_hz=args.freq,
-            b_hz=config.bandwidth_hz,
-            n_s=args.ns,
-            n_b=problem.n_b,
-            m=config.integration.pulse_count,
-            r_m=solution.r_max_m,
-            gamma_db_per_km=problem.gamma_db_per_km,
-            constants=constants,
-        )
+        f_form, eta = link_at(problem, solution.r_max_m)
         status = "converged" if solution.converged else "NOT converged"
         print(
             f"{mode.value}: r_max = {solution.r_max_m:.6g} m  "
@@ -216,7 +205,7 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
         )
         print(
             f"    gamma = {problem.gamma_db_per_km:.6g} dB/km, "
-            f"F = {budget.f_form:.6g}, eta = {budget.eta:.6g}",
+            f"F = {f_form:.6g}, eta = {eta:.6g}",
             file=out,
         )
     return EXIT_OK

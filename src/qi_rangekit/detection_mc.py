@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CovarianceNotPSDError, DomainError, InsufficientTrialsError
-from .radiometry import _require_positive
+from .radiometry import _require_non_negative, _require_positive
 
 _PSD_TOLERANCE = -1e-9
 
@@ -125,8 +125,7 @@ class ReturnChannelModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
             raise DomainError(f"eta must be in (0, 1], got {self.eta!r}")
-        if not (math.isfinite(self.n_b) and self.n_b >= 0.0):
-            raise DomainError(f"n_b must be non-negative and finite, got {self.n_b!r}")
+        _require_non_negative("n_b", self.n_b)
         base = np.asarray(self.base, dtype=float)
         if base.shape != (4, 4) or not np.allclose(base, base.T, rtol=0.0, atol=1e-12):
             raise DomainError("base covariance must be a symmetric 4x4 matrix")

@@ -10,7 +10,12 @@ The chain is the standard radar one specialized to a photon-counting view:
 
 A computed eta > 1 is rejected, not clamped: it means the far-field model
 was applied inside the near field and any downstream range solution would
-be silently wrong.
+be silently wrong.  :func:`_require_far_field` is that guard, shared with
+the range solver's ``link_at``.
+
+These functions are the (4*pi)^2 reference chain the solver's closure tests
+check against; the solver folds the chain into one constant that honours its
+configured (4*pi) exponent.
 
 The detection threshold SNR_min is a configured input.  The Albersheim
 closed-form estimator is provided as an advisory cross-check only; for
@@ -34,7 +39,7 @@ _FOUR_PI = 4.0 * math.pi
 class RadarParams:
     """Target cross section and effective antenna aperture, both in m^2.
 
-    Gain and wavelength are derived on demand from frequency, never stored.
+    The gain depends on frequency and is never stored; see :func:`antenna_gain`.
     """
 
     sigma_m2: float
@@ -43,9 +48,6 @@ class RadarParams:
     def __post_init__(self) -> None:
         _require_positive("target cross section", self.sigma_m2)
         _require_positive("antenna aperture", self.aperture_m2)
-
-    def gain(self, f_hz: float, constants: PhysicalConstants = TEXTBOOK) -> float:
-        return antenna_gain(self.aperture_m2, f_hz, constants)
 
 
 @dataclass(frozen=True)
@@ -89,17 +91,6 @@ class IntegrationSpec:
         return round(self.tau_s * self.bandwidth_hz)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Derived link quantities at one (range, N_s, frequency) point."""
-
-    eta: float
-    f_form: float
-    snr: float
-    snr_eff: float
-    p_r_watts: float
-
-
 def antenna_gain(
     aperture_m2: float, f_hz: float, constants: PhysicalConstants = TEXTBOOK
 ) -> float:
@@ -130,6 +121,11 @@ def channel_transmissivity(
         raise DomainError(f"form factor must be in (0, 1], got {f_form!r}")
     r_m = _require_positive("range", r_m)
     eta = sigma_m2 * gain * aperture_m2 * f_form**2 / (_FOUR_PI**2 * r_m**4)
+    return _require_far_field(eta, r_m)
+
+
+def _require_far_field(eta: float, r_m: float) -> float:
+    """Return ``eta``, or raise :class:`UnphysicalGeometryError` if it exceeds 1."""
     if eta > 1.0:
         raise UnphysicalGeometryError(
             f"computed transmissivity {eta!r} > 1 at range {r_m!r} m; "
@@ -163,35 +159,6 @@ def snr_eff(eta: float, m: int, n_s: float, n_b: float) -> float:
     if m < 1:
         raise DomainError(f"measurement count must be >= 1, got {m!r}")
     return m * snr(eta, n_s, n_b)
-
-
-def evaluate_link(
-    *,
-    sigma_m2: float,
-    aperture_m2: float,
-    f_hz: float,
-    b_hz: float,
-    n_s: float,
-    n_b: float,
-    m: int,
-    r_m: float,
-    gamma_db_per_km: float = 0.0,
-    constants: PhysicalConstants = TEXTBOOK,
-) -> LinkBudget:
-    """Assemble the full budget at one point: eta, F, SNR, SNR_eff, P_r."""
-    from . import atmosphere, radiometry  # local to avoid a cycle at import time
-
-    f_form = atmosphere.form_factor(gamma_db_per_km, r_m)
-    gain = antenna_gain(aperture_m2, f_hz, constants)
-    eta = channel_transmissivity(sigma_m2, gain, aperture_m2, f_form, r_m)
-    p_t = radiometry.transmit_power(n_s, f_hz, b_hz, constants)
-    return LinkBudget(
-        eta=eta,
-        f_form=f_form,
-        snr=snr(eta, n_s, n_b),
-        snr_eff=snr_eff(eta, m, n_s, n_b),
-        p_r_watts=received_power(p_t, eta),
-    )
 
 
 def albersheim_snr_min(p_d: float, p_fa: float, m: int) -> float:

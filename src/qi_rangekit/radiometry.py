@@ -22,6 +22,13 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _require_non_negative(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise DomainError(f"{name} must be non-negative and finite, got {value!r}")
+    return value
+
+
 def watts_to_dbm(watts: float) -> float:
     """Power in dB relative to 1 mW.  Defined only for positive power."""
     watts = _require_positive("power in watts", watts)

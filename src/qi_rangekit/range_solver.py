@@ -20,10 +20,11 @@ effective SNR gives (4*pi)^2 in the denominator, and that convention also
 reproduces the expected range magnitudes.  The fourth power sometimes seen
 in print is available behind ``four_pi_exponent=4`` for comparison runs.
 
-Inside the solver the SNR chain is evaluated from the raw far-field
-formula without the eta <= 1 guard of the public link-budget operation:
-the no-detection probe at near-zero range necessarily lies in the near
-field, and the residual check only ever evaluates the root itself.
+:func:`r_max` evaluates the SNR chain from the raw far-field formula
+without the eta <= 1 guard: the no-detection probe at near-zero range
+necessarily lies in the near field, and the residual check only ever
+evaluates the root itself.  The guard applies in :func:`link_at`, which
+reports F and eta at a range from the same chain, (4*pi) exponent included.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, NoDetectionError
-from .link_budget import DetectionSpec, IntegrationSpec, RadarParams
+from .link_budget import (
+    _FOUR_PI, DetectionSpec, IntegrationSpec, RadarParams, _require_far_field, antenna_gain,
+)
 from .quantum_states import correlation_ratio
-from .radiometry import _require_positive
+from .radiometry import _require_non_negative, _require_positive
 
-_FOUR_PI = 4.0 * math.pi
 # a [1/m] per gamma [dB/km], where F(R)^2 = exp(-2aR).
 _A_PER_GAMMA = math.log(10.0) / 1e4
 
@@ -77,10 +79,7 @@ class RangeProblem:
         _require_positive("n_s", self.n_s)
         _require_positive("f_hz", self.f_hz)
         _require_positive("n_b", self.n_b)
-        if not (math.isfinite(self.gamma_db_per_km) and self.gamma_db_per_km >= 0.0):
-            raise DomainError(
-                f"gamma must be non-negative and finite, got {self.gamma_db_per_km!r}"
-            )
+        _require_non_negative("gamma", self.gamma_db_per_km)
         if self.four_pi_exponent not in (2, 4):
             raise DomainError(
                 f"four_pi_exponent must be 2 or 4, got {self.four_pi_exponent!r}"
@@ -121,7 +120,7 @@ def threshold_linear(problem: RangeProblem) -> float:
 
 def _chain_constant(problem: RangeProblem) -> float:
     """sigma*G*A*M*N_s / ((4*pi)^k * N_B): SNR_eff(R) = const * F(R)^2 / R^4."""
-    gain = problem.radar.gain(problem.f_hz, problem.constants)
+    gain = antenna_gain(problem.radar.aperture_m2, problem.f_hz, problem.constants)
     return (
         problem.radar.sigma_m2
         * gain
@@ -131,10 +130,27 @@ def _chain_constant(problem: RangeProblem) -> float:
     ) / (_FOUR_PI**problem.four_pi_exponent * problem.n_b)
 
 
-def _snr_eff_at(chain_constant: float, gamma_db_per_km: float, r_m: float) -> float:
+def _form_factor(gamma_db_per_km: float, r_m: float) -> float:
     # Raw far-field evaluation; see module docstring.
-    f_form = 10.0 ** (-gamma_db_per_km * (r_m / 1000.0) / 10.0)
-    return chain_constant * f_form**2 / r_m**4
+    return 10.0 ** (-gamma_db_per_km * (r_m / 1000.0) / 10.0)
+
+
+def _snr_eff_at(chain_constant: float, gamma_db_per_km: float, r_m: float) -> float:
+    return chain_constant * _form_factor(gamma_db_per_km, r_m) ** 2 / r_m**4
+
+
+def link_at(problem: RangeProblem, r_m: float) -> tuple[float, float]:
+    """One-way form factor F and transmissivity eta at range ``r_m``, from
+    the chain :func:`r_max` solves (its ``four_pi_exponent`` included).
+
+    At the root, eta * M * N_s / N_B is the mode-adjusted threshold.  Raises
+    :class:`UnphysicalGeometryError` where eta > 1 (near field).
+    """
+    r_m = _require_positive("range", r_m)
+    f_form = _form_factor(problem.gamma_db_per_km, r_m)
+    snr_per_eta = problem.integration.pulse_count * problem.n_s / problem.n_b
+    eta = _chain_constant(problem) * f_form**2 / r_m**4 / snr_per_eta
+    return f_form, _require_far_field(eta, r_m)
 
 
 def _lambert_w0(x: float) -> tuple[float, int]:

@@ -128,6 +128,27 @@ def test_range_no_detection_exits_3(tmp_path, capsys):
     assert "no detection" in err
 
 
+def test_range_eta_comes_from_the_solved_chain(tmp_path, capsys):
+    # At the root eta = threshold * N_B / (M * N_s) whatever the (4*pi)
+    # exponent, so both conventions print the same eta at this point.
+    config = tmp_path / "fourth_power.json"
+    config.write_text(json.dumps({"four_pi_exponent": 4}), encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "--config", str(config), "range", "--ns", "1e-2", "--freq", "1e12"
+    )
+    assert code == 0
+    assert re.findall(r"eta = (\S+)", out) == ["0.000625873", "6.19677e-06"]
+    _, default_out, _ = run_cli(capsys, "range", "--ns", "1e-2", "--freq", "1e12")
+    assert re.findall(r"eta = (\S+)", default_out) == ["0.000625873", "6.19677e-06"]
+
+
+def test_range_in_near_field_exits_2(capsys):
+    code, out, err = run_cli(capsys, "range", "--ns", "1e-4", "--freq", "7e9", "--mode", "ci")
+    assert code == 2
+    assert "ci:" not in out
+    assert re.search(r"computed transmissivity \S+ > 1 at range \S+ m", err)
+
+
 def test_range_with_narrow_table_span_exits_2(tmp_path, capsys):
     table = tmp_path / "narrow.csv"
     table.write_text("frequency_ghz,gamma_db_per_km\n10,0.1\n100,1\n", encoding="utf-8")

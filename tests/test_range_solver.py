@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qi_rangekit.atmosphere import bundled_table, form_factor
-from qi_rangekit.errors import DomainError, NoDetectionError
+from qi_rangekit.errors import DomainError, NoDetectionError, UnphysicalGeometryError
 from qi_rangekit.link_budget import (
     DetectionSpec,
     IntegrationSpec,
@@ -20,6 +20,7 @@ from qi_rangekit.radiometry import dbm_to_watts, t_eff_from_noise_power, thermal
 from qi_rangekit.range_solver import (
     Illumination,
     RangeProblem,
+    link_at,
     quantum_advantage_factor,
     r_max,
     r_max_free,
@@ -185,6 +186,52 @@ def test_lambert_w_root_matches_bisection():
         assert solution.r_max_m == pytest.approx(expected, rel=1e-9, abs=0.0)
         solved += 1
     assert solved > 0.9 * len(problems)
+
+
+def random_problem(rng, mode, four_pi_exponent):
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    return RangeProblem(
+        radar=RadarParams(sigma_m2=log_uniform(1e-2, 1e2), aperture_m2=log_uniform(1e-2, 2.0)),
+        detection=DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=float(rng.uniform(3.0, 20.0))),
+        integration=IntegrationSpec(
+            tau_s=log_uniform(0.01, 2.0), bandwidth_hz=log_uniform(1e8, 2e9)
+        ),
+        n_s=log_uniform(1e-3, 10.0),
+        f_hz=log_uniform(5e9, 1e12),
+        n_b=log_uniform(10.0, 1e5),
+        gamma_db_per_km=0.0 if rng.uniform() < 0.2 else log_uniform(0.01, 30.0),
+        mode=mode,
+        four_pi_exponent=four_pi_exponent,
+    )
+
+
+@pytest.mark.parametrize("mode", list(Illumination))
+@pytest.mark.parametrize("four_pi_exponent", [2, 4])
+def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
+    rng = np.random.default_rng(1000 + four_pi_exponent)
+    far = 0
+    for _ in range(200):
+        problem = random_problem(rng, mode, four_pi_exponent)
+        root = r_max(problem).r_max_m
+        threshold = threshold_linear(problem)
+        snr_per_eta = problem.integration.pulse_count * problem.n_s / problem.n_b
+        if threshold / snr_per_eta > 1.0:
+            with pytest.raises(UnphysicalGeometryError, match="> 1 at range"):
+                link_at(problem, root)
+            continue
+        f_form, eta = link_at(problem, root)
+        assert eta * snr_per_eta == pytest.approx(threshold, rel=1e-12)
+        if four_pi_exponent == 2:
+            assert f_form == form_factor(problem.gamma_db_per_km, root)
+            gain = antenna_gain(problem.radar.aperture_m2, problem.f_hz, problem.constants)
+            reference = channel_transmissivity(
+                problem.radar.sigma_m2, gain, problem.radar.aperture_m2, f_form, root
+            )
+            assert abs(eta - reference) <= 1e-15 * reference
+        far += 1
+    assert far > 150
 
 
 def test_extreme_attenuation_still_solves():
