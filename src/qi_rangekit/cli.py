@@ -13,7 +13,6 @@ range exists for the requested scenario.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -231,16 +230,19 @@ def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
         lines = ["n_s,ratio"]
         lines.extend(f"{n_s!r},{ratio!r}" for n_s, ratio in sweep_ratio(grid))
     else:
-        make_problem = functools.partial(
-            config.make_problem, table=config.load_attenuation_table(), constants=constants
-        )
-        rows = sweep_range(make_problem, grid, config.frequencies_hz,
-                           (Illumination.CI, Illumination.QI))
+        rows = sweep_range(config, grid, config.frequencies_hz,
+                           (Illumination.CI, Illumination.QI),
+                           table=config.load_attenuation_table(), constants=constants)
         lines = ["n_s,frequency_hz,mode,r_max_m,converged"]
+        # each N_s and each row's ",f,mode," are formatted once, not per line
+        n_s_text = {n_s: repr(n_s) for n_s in grid}
+        row_key = None
         for n_s, f_hz, mode, solution in rows:
+            if (f_hz, mode) != row_key:
+                row_key, middle = (f_hz, mode), f",{f_hz!r},{mode.value},"
             r_field = "" if solution is None else repr(solution.r_max_m)
             converged = "true" if solution is not None and solution.converged else "false"
-            lines.append(f"{n_s!r},{f_hz!r},{mode.value},{r_field},{converged}")
+            lines.append(f"{n_s_text[n_s]}{middle}{r_field},{converged}")
 
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines) - 1} rows to {path}", file=out)

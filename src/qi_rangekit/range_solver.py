@@ -25,6 +25,15 @@ without the eta <= 1 guard: the no-detection probe at near-zero range
 necessarily lies in the near field, and the residual check only ever
 evaluates the root itself.  The guard applies in :func:`link_at`, which
 reports F and eta at a range from the same chain, (4*pi) exponent included.
+
+One solve step, ``_solve``, serves both entry points, and :func:`r_max` is
+its one-point case.  :func:`sweep_range` builds what does not depend on N_s
+once per frequency and shares it between that frequency's (frequency, mode)
+rows: the head sigma*G*A*M, the denominator (4*pi)^k * N_B, gamma and the
+configured SNR_min.  Per N_s it forms only the chain constant
+head * N_s / denominator, the mode threshold, the fourth root and W0.  The
+multiplication order is the one :func:`r_max` uses, so every sweep row equals
+the one-point solution bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +41,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from . import atmosphere
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, NoDetectionError
 from .link_budget import (
@@ -41,6 +51,9 @@ from .link_budget import (
 )
 from .quantum_states import correlation_ratio
 from .radiometry import _require_non_negative, _require_positive
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 # a [1/m] per gamma [dB/km], where F(R)^2 = exp(-2aR).
 _A_PER_GAMMA = math.log(10.0) / 1e4
@@ -118,16 +131,18 @@ def threshold_linear(problem: RangeProblem) -> float:
     return threshold
 
 
+def _chain_head(
+    radar: RadarParams, integration: IntegrationSpec, f_hz: float, constants: PhysicalConstants
+) -> float:
+    """sigma*G*A*M, the part of the chain constant before N_s."""
+    gain = antenna_gain(radar.aperture_m2, f_hz, constants)
+    return radar.sigma_m2 * gain * radar.aperture_m2 * integration.pulse_count
+
+
 def _chain_constant(problem: RangeProblem) -> float:
     """sigma*G*A*M*N_s / ((4*pi)^k * N_B): SNR_eff(R) = const * F(R)^2 / R^4."""
-    gain = antenna_gain(problem.radar.aperture_m2, problem.f_hz, problem.constants)
-    return (
-        problem.radar.sigma_m2
-        * gain
-        * problem.radar.aperture_m2
-        * problem.integration.pulse_count
-        * problem.n_s
-    ) / (_FOUR_PI**problem.four_pi_exponent * problem.n_b)
+    head = _chain_head(problem.radar, problem.integration, problem.f_hz, problem.constants)
+    return head * problem.n_s / (_FOUR_PI**problem.four_pi_exponent * problem.n_b)
 
 
 def _form_factor(gamma_db_per_km: float, r_m: float) -> float:
@@ -185,10 +200,11 @@ def r_max(problem: RangeProblem) -> RangeSolution:
     of the forward SNR chain at the root.  Raises :class:`NoDetectionError`
     when the target is already below threshold at near-zero range.
     """
-    chain_constant = _chain_constant(problem)
-    threshold = threshold_linear(problem)
-    gamma = problem.gamma_db_per_km
+    return _solve(_chain_constant(problem), threshold_linear(problem), problem.gamma_db_per_km)
 
+
+def _solve(chain_constant: float, threshold: float, gamma: float) -> RangeSolution:
+    """The solve step of :func:`r_max` and :func:`sweep_range`."""
     if _snr_eff_at(chain_constant, gamma, _NEAR_ZERO_RANGE_M) < threshold:
         raise NoDetectionError(
             f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
@@ -224,29 +240,51 @@ def _validated_grid(n_s_grid: Sequence[float]) -> tuple[float, ...]:
 
 
 def sweep_range(
-    make_problem: Callable[[float, float, Illumination], RangeProblem],
+    config: ScenarioConfig,
     n_s_grid: Sequence[float],
     frequencies_hz: Iterable[float],
     modes: Iterable[Illumination],
+    *,
+    table: atmosphere.AttenuationTable | None = None,
+    constants: PhysicalConstants = TEXTBOOK,
 ) -> Iterator[tuple[float, float, Illumination, RangeSolution | None]]:
-    """Solve r_max over the (N_s, frequency, mode) product grid.
+    """Solve r_max over the (N_s, frequency, mode) product grid of a scenario.
 
     Yields ``(n_s, frequency_hz, mode, solution)`` rows lazily, frequency-major,
     then mode, then N_s; ``solution`` is ``None`` where no detection range
-    exists, never a zero range.  The grid is validated on the call.
+    exists, never a zero range.  Each row equals
+    ``r_max(config.make_problem(n_s, f, mode, table=table, constants=constants))``:
+    ``table`` gives gamma (lossless without one), as in ``make_problem``.
+
+    Gamma, N_B, the chain head sigma*G*A*M and the denominator
+    (4*pi)^k * N_B are built and checked once per frequency and shared by
+    that frequency's (frequency, mode) rows; per point only the chain
+    constant, the mode threshold and the solve remain.  The grid is
+    validated on the call.
     """
     grid = _validated_grid(n_s_grid)
     modes = tuple(modes)
+    snr_min = config.detection.snr_min_linear
+    four_pi_k = _FOUR_PI**config.four_pi_exponent
 
     def rows() -> Iterator[tuple[float, float, Illumination, RangeSolution | None]]:
         for f_hz in frequencies_hz:
+            f_hz = float(f_hz)
+            gamma = 0.0
+            if table is not None:
+                gamma = _require_non_negative("gamma", atmosphere.gamma_at(table, f_hz))
+            n_b = _require_positive("n_b", config.noise_occupancy(f_hz, constants))
+            head = _chain_head(config.radar, config.integration, f_hz, constants)
+            denominator = four_pi_k * n_b
             for mode in modes:
+                quantum = mode is Illumination.QI
                 for n_s in grid:
+                    threshold = snr_min / (1.0 + 1.0 / n_s) if quantum else snr_min
                     try:
-                        solution = r_max(make_problem(n_s, f_hz, mode))
+                        solution = _solve(head * n_s / denominator, threshold, gamma)
                     except NoDetectionError:
                         solution = None
-                    yield n_s, float(f_hz), mode, solution
+                    yield n_s, f_hz, mode, solution
 
     return rows()
 

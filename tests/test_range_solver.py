@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from qi_rangekit import atmosphere, range_solver
 from qi_rangekit.atmosphere import bundled_table, form_factor
+from qi_rangekit.config import ScenarioConfig
+from qi_rangekit.constants import CODATA, TEXTBOOK
 from qi_rangekit.errors import DomainError, NoDetectionError, UnphysicalGeometryError
 from qi_rangekit.link_budget import (
     DetectionSpec,
@@ -309,13 +312,15 @@ def test_problem_validation():
         benchmark_problem(four_pi_exponent=3)
 
 
-def make_benchmark(n_s, f_hz, mode):
-    return benchmark_problem(n_s=n_s, f_hz=f_hz, mode=mode)
+BENCHMARK = ScenarioConfig()
+# sigma 1e-12 m^2, A 1e-6 m^2: the classical 7 GHz points below N_s ~ 3e-5
+# have no detection range, every other point of the default grid has one.
+FAINT = ScenarioConfig(sigma_m2=1e-12, aperture_m2=1e-6)
 
 
 def test_sweep_range_single_point():
     rows = list(
-        sweep_range(make_benchmark, [1e-2], [1e12], [Illumination.CI, Illumination.QI])
+        sweep_range(BENCHMARK, [1e-2], [1e12], [Illumination.CI, Illumination.QI])
     )
     assert [(n_s, f_hz) for n_s, f_hz, _, _ in rows] == [(1e-2, 1e12)] * 2
     assert [mode for _, _, mode, _ in rows] == [Illumination.CI, Illumination.QI]
@@ -326,7 +331,7 @@ def test_sweep_range_single_point():
 def test_sweep_range_ordering_and_monotonicity():
     grid = list(np.logspace(-3, 0, 7))
     rows = list(
-        sweep_range(make_benchmark, grid, [7e9, 1e12], [Illumination.CI, Illumination.QI])
+        sweep_range(BENCHMARK, grid, [7e9, 1e12], [Illumination.CI, Illumination.QI])
     )
     keys = list(dict.fromkeys((f_hz, mode) for _, f_hz, mode, _ in rows))
     assert keys == [
@@ -346,33 +351,23 @@ def test_sweep_range_ordering_and_monotonicity():
             assert all(b > a for a, b in zip(curve, curve[1:]))
 
 
-def test_sweep_range_is_lazy():
+def test_sweep_range_is_lazy(monkeypatch):
     calls = []
+    solve = range_solver._solve
 
-    def factory(n_s, f_hz, mode):
-        calls.append(n_s)
-        return make_benchmark(n_s, f_hz, mode)
+    def counting_solve(chain_constant, threshold, gamma):
+        calls.append(chain_constant)
+        return solve(chain_constant, threshold, gamma)
 
-    rows = sweep_range(factory, [1e-3, 1e-2, 1e-1], [1e12], [Illumination.CI])
+    monkeypatch.setattr(range_solver, "_solve", counting_solve)
+    rows = sweep_range(BENCHMARK, [1e-3, 1e-2, 1e-1], [1e12], [Illumination.CI])
     assert calls == []
     next(rows)
-    assert calls == [1e-3]
+    assert len(calls) == 1
 
 
 def test_sweep_range_marks_failures_as_absent():
-    def factory(n_s, f_hz, mode):
-        if n_s < 2e-3:
-            return RangeProblem(
-                radar=RadarParams(sigma_m2=1e-12, aperture_m2=1e-6),
-                detection=DETECTION,
-                integration=IntegrationSpec(tau_s=1.0, bandwidth_hz=1.0),
-                n_s=n_s,
-                f_hz=1.0,
-                n_b=1e6,
-            )
-        return make_benchmark(n_s, f_hz, mode)
-
-    rows = list(sweep_range(factory, [1e-3, 1e-2], [1e12], [Illumination.CI]))
+    rows = list(sweep_range(FAINT, [1e-6, 1e-3], [7e9], [Illumination.CI]))
     assert rows[0][3] is None
     assert rows[1][3] is not None
 
@@ -380,11 +375,72 @@ def test_sweep_range_marks_failures_as_absent():
 def test_sweep_grid_validation():
     # raised by the call itself, before any row is drawn
     with pytest.raises(DomainError):
-        sweep_range(make_benchmark, [1e-2, 1e-3], [1e12], [Illumination.CI])
+        sweep_range(BENCHMARK, [1e-2, 1e-3], [1e12], [Illumination.CI])
     with pytest.raises(DomainError):
-        sweep_range(make_benchmark, [], [1e12], [Illumination.CI])
+        sweep_range(BENCHMARK, [], [1e12], [Illumination.CI])
     with pytest.raises(DomainError):
         sweep_ratio([0.0, 1.0])
+
+
+@pytest.mark.parametrize("constants", [TEXTBOOK, CODATA], ids=["textbook", "codata"])
+@pytest.mark.parametrize("four_pi_exponent", [2, 4])
+@pytest.mark.parametrize("scenario", ["default", "bundled_table", "faint"])
+def test_sweep_rows_equal_one_point_solutions(scenario, four_pi_exponent, constants):
+    if scenario == "faint":
+        config = dataclasses.replace(FAINT, four_pi_exponent=four_pi_exponent)
+    else:
+        config = ScenarioConfig(four_pi_exponent=four_pi_exponent)
+    table = bundled_table() if scenario == "bundled_table" else None
+    frequencies = (
+        [f_ghz * 1e9 for f_ghz, _ in table.rows] if table else list(config.frequencies_hz)
+    )
+    grid = [float(v) for v in np.logspace(-6, 3, 60)]
+    rows = sweep_range(
+        config, grid, frequencies, list(Illumination), table=table, constants=constants
+    )
+    expected_keys = [(n_s, f, mode) for f in frequencies for mode in Illumination for n_s in grid]
+    absent = 0
+    for (n_s, f_hz, mode, solution), key in zip(rows, expected_keys, strict=True):
+        assert (n_s, f_hz, mode) == key
+        problem = config.make_problem(n_s, f_hz, mode, table=table, constants=constants)
+        if solution is None:
+            with pytest.raises(NoDetectionError):
+                r_max(problem)
+            absent += 1
+        else:
+            assert solution == r_max(problem)
+    assert (absent > 0) == (scenario == "faint")
+
+
+def test_sweep_builds_the_chain_once_per_frequency(monkeypatch):
+    counts = {"antenna_gain": 0, "noise_occupancy": 0, "gamma_at": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        range_solver, "antenna_gain", counted("antenna_gain", range_solver.antenna_gain)
+    )
+    monkeypatch.setattr(
+        ScenarioConfig,
+        "noise_occupancy",
+        counted("noise_occupancy", ScenarioConfig.noise_occupancy),
+    )
+    monkeypatch.setattr(atmosphere, "gamma_at", counted("gamma_at", atmosphere.gamma_at))
+
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a sweep builds no RangeProblem")
+
+    monkeypatch.setattr(RangeProblem, "__init__", no_problem)
+    table = bundled_table()
+    frequencies = [f_ghz * 1e9 for f_ghz, _ in table.rows][:5]
+    grid = list(np.logspace(-3, 1, 40))
+    rows = list(sweep_range(BENCHMARK, grid, frequencies, list(Illumination), table=table))
+    assert len(rows) == len(frequencies) * 2 * len(grid)
+    assert counts == dict.fromkeys(counts, len(frequencies))
 
 
 def test_sweep_ratio_values():
