@@ -6,8 +6,12 @@ omitted fields) is taken from ``--config`` or the ``QI_RANGEKIT_CONFIG``
 environment variable.  All flags use SI base units (hertz, meters,
 seconds); dBm appears only where power is conventionally quoted in dBm.
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 no detection
-range exists for the requested scenario.
+Only the handlers that build arrays (``covariance``, ``mc``, ``ratio`` and
+the ``sweep`` grid) import numpy-backed modules, inside the handler, so that
+``power``, ``atten``, ``range`` and ``--dump-config`` start without numpy.
+
+Exit codes: 0 success, 2 invalid input, configuration or unwritable output
+path, 3 no detection range exists for the requested scenario.
 """
 
 from __future__ import annotations
@@ -17,22 +21,16 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__, atmosphere, radiometry
 from .config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
 from .constants import CODATA, TEXTBOOK
-from .detection_mc import detector_gain_experiment
 from .errors import NoDetectionError, RangeKitError
-from .quantum_states import (
-    coherent_covariance,
-    coherent_covariance_oracle,
-    correlation_ratio,
-    tmsv_covariance,
-    tmsv_covariance_oracle,
-)
 from .range_solver import Illumination, link_at, r_max, sweep_range, sweep_ratio
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -123,6 +121,13 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig()
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise RangeKitError(f"cannot write {path}: {exc}") from exc
+
+
 def _format_matrix(matrix: np.ndarray) -> str:
     labels = ("I_S", "Q_S", "I_I", "Q_I")
     header = "        " + "".join(f"{label:>14}" for label in labels)
@@ -142,6 +147,15 @@ def _cmd_power(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
 
 
 def _cmd_covariance(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+    import numpy as np
+
+    from .quantum_states import (
+        coherent_covariance,
+        coherent_covariance_oracle,
+        tmsv_covariance,
+        tmsv_covariance_oracle,
+    )
+
     if args.mode == "qi":
         closed, oracle_fn = tmsv_covariance, tmsv_covariance_oracle
     else:
@@ -160,6 +174,8 @@ def _cmd_covariance(args: argparse.Namespace, config: ScenarioConfig, out) -> in
 
 
 def _cmd_ratio(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+    from .quantum_states import correlation_ratio
+
     print(f"C_c/C_q = {correlation_ratio(args.ns):.9g} at N_s = {args.ns!r}", file=out)
     return EXIT_OK
 
@@ -217,6 +233,8 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
         raise RangeKitError(f"--ns-max must exceed --ns-min, got {ns_max!r}")
     if points < 2:
         raise RangeKitError(f"--points must be >= 2, got {points!r}")
+    import numpy as np
+
     grid = np.logspace(math.log10(ns_min), math.log10(ns_max), points)
     return [float(v) for v in grid]
 
@@ -244,12 +262,14 @@ def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
             converged = "true" if solution is not None and solution.converged else "false"
             lines.append(f"{n_s_text[n_s]}{middle}{r_field},{converged}")
 
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {path}", file=out)
     return EXIT_OK
 
 
 def _cmd_mc(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+    from .detection_mc import detector_gain_experiment
+
     result = detector_gain_experiment(
         n_s=args.ns, eta=args.eta, n_b=args.nb, trials=args.trials, seed=args.seed
     )
@@ -288,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.dump_config == "-":
                 out.write(text)
             else:
-                Path(args.dump_config).write_text(text, encoding="utf-8")
+                _write_text(Path(args.dump_config), text)
             return EXIT_OK
         if args.command is None:
             parser.error("a command is required (see --help)")

@@ -31,7 +31,8 @@ import math
 
 import numpy as np
 
-from .errors import CutoffError, DomainError
+from .errors import CutoffError
+from .radiometry import _require_non_negative, _require_positive
 
 # Index order of the quadrature basis.
 SIGNAL_I, SIGNAL_Q, IDLER_I, IDLER_Q = 0, 1, 2, 3
@@ -40,16 +41,6 @@ SIGNAL_I, SIGNAL_Q, IDLER_I, IDLER_Q = 0, 1, 2, 3
 TAIL_TOLERANCE = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _require_mean_photons(n_s: float, allow_zero: bool = False) -> float:
-    n_s = float(n_s)
-    if not math.isfinite(n_s):
-        raise DomainError(f"mean photon number must be finite, got {n_s!r}")
-    if n_s < 0.0 or (n_s == 0.0 and not allow_zero):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise DomainError(f"mean photon number must be {bound}, got {n_s!r}")
-    return n_s
 
 
 def _block_covariance(s: float, c: float) -> np.ndarray:
@@ -69,7 +60,7 @@ def tmsv_covariance(n_s: float) -> np.ndarray:
     Diagonal S = 2*n_s + 1, cross entries +/- C_q = 2*sqrt(n_s*(n_s + 1)).
     ``n_s = 0`` is admitted as the documented vacuum limit (S = 1, C_q = 0).
     """
-    n_s = _require_mean_photons(n_s, allow_zero=True)
+    n_s = _require_non_negative("n_s", n_s)
     s = 2.0 * n_s + 1.0
     c_q = 2.0 * math.sqrt(n_s * (n_s + 1.0))
     return _block_covariance(s, c_q)
@@ -82,7 +73,7 @@ def coherent_covariance(n_s: float) -> np.ndarray:
     model matrix used downstream; see the module docstring for how it
     differs from the literal product coherent state in the Q sector.
     """
-    n_s = _require_mean_photons(n_s, allow_zero=True)
+    n_s = _require_non_negative("n_s", n_s)
     return _block_covariance(2.0 * n_s + 1.0, 2.0 * n_s)
 
 
@@ -92,7 +83,7 @@ def correlation_ratio(n_s: float) -> float:
     Equals (1 + 1/n_s)^(-1/2): strictly inside (0, 1) and monotone
     increasing in n_s, approaching 1 from below as n_s grows.
     """
-    n_s = _require_mean_photons(n_s)
+    n_s = _require_positive("n_s", n_s)
     return (1.0 + 1.0 / n_s) ** -0.5
 
 
@@ -102,7 +93,7 @@ def min_fock_cutoff(n_s: float, tail_tolerance: float = TAIL_TOLERANCE) -> int:
 
     The tail is geometric: (n_s/(n_s + 1))^(n_max + 1).
     """
-    n_s = _require_mean_photons(n_s)
+    n_s = _require_positive("n_s", n_s)
     ratio = n_s / (n_s + 1.0)
     # math.log(ratio) < 0, so the bound flips.
     needed = math.ceil(math.log(tail_tolerance) / math.log(ratio)) - 1
@@ -178,7 +169,7 @@ def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarray:
     are then evaluated numerically.  ``n_max`` defaults to the smallest
     cutoff satisfying the tail rule and is rejected if it violates it.
     """
-    n_s = _require_mean_photons(n_s)
+    n_s = _require_positive("n_s", n_s)
     if n_max is None:
         n_max = min_fock_cutoff(n_s)
     n_max = int(n_max)
@@ -207,7 +198,7 @@ def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarr
     zero cross correlation), which is the documented deviation from the
     model's -C_c entry.
     """
-    n_s = _require_mean_photons(n_s, allow_zero=True)
+    n_s = _require_non_negative("n_s", n_s)
     lam = n_s / 2.0  # photons per mode, |alpha|^2
     if n_max is None:
         n_max = 1

@@ -1,14 +1,20 @@
 """CLI contract: commands, exit codes, config plumbing, CSV determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qi_rangekit
 from qi_rangekit.cli import main
 from qi_rangekit.config import CONFIG_ENV_VAR, dump_config, load_config
 
 QI_ADVANTAGE_AT_1E2 = 101.0**0.25  # range gain at N_s = 1e-2
+SRC = Path(qi_rangekit.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +244,14 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert dump_config(load_config(dumped)) == dumped.read_text(encoding="utf-8")
 
 
+def test_dump_config_to_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run_cli(capsys, "--dump-config", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_sweep_figure1(tmp_path, capsys):
     out_csv = tmp_path / "fig1.csv"
     code, out, _ = run_cli(
@@ -280,6 +294,15 @@ def test_sweep_outputs_are_byte_identical(tmp_path, capsys):
         run_cli(capsys, "sweep", "--figure", figure, "--output", str(first))
         run_cli(capsys, "sweep", "--figure", figure, "--output", str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_sweep_to_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.csv"
+    code, out, err = run_cli(capsys, "sweep", "--figure", "3", "--points", "5",
+                             "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_sweep_grid_validation(capsys):
@@ -326,6 +349,47 @@ def test_mc_prints_analytic_ratio_and_z(capsys):
     # the printed ratio and error are rounded; z is computed before rounding
     assert z == pytest.approx((ratio - 11.0) / se, rel=0.02, abs=0.01)
     assert abs(z) <= 6.0
+
+
+def test_zero_photons_reads_the_same_in_ratio_and_mc(capsys):
+    _, _, ratio_err = run_cli(capsys, "ratio", "--ns", "0")
+    _, _, mc_err = run_cli(capsys, "mc", "--ns", "0", "--eta", "0.5", "--nb", "1")
+    assert ratio_err == mc_err == "error: n_s must be positive and finite, got 0.0\n"
+
+
+def _numpy_loaded_after(tmp_path, statement: str) -> bool:
+    """Run ``statement`` in a fresh interpreter (numpy is already loaded in
+    this one) and report whether it left numpy in ``sys.modules``."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop(CONFIG_ENV_VAR, None)
+    script = f"import sys\n{statement}\nprint('numpy' in sys.modules, file=sys.stderr)"
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return {"True": True, "False": False}[result.stderr.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dump-config", "-"],
+    ["range", "--ns", "1e-2", "--freq", "1e12"],
+    ["power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"],
+    ["atten", "--freq", "60e9"],
+])
+def test_scalar_commands_start_without_numpy(tmp_path, argv):
+    statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
+    assert not _numpy_loaded_after(tmp_path, statement)
+
+
+def test_scalar_modules_import_without_numpy(tmp_path):
+    assert not _numpy_loaded_after(tmp_path, "import qi_rangekit.config, qi_rangekit.range_solver")
+
+
+def test_sweep_loads_numpy(tmp_path):
+    # positive control: the probe does see numpy where the grid needs it
+    statement = ("from qi_rangekit.cli import main\n"
+                 "assert main(['sweep', '--figure', '3', '--points', '3']) == 0")
+    assert _numpy_loaded_after(tmp_path, statement)
 
 
 def test_no_command_exits_2(capsys):
