@@ -12,12 +12,13 @@ analytic chain stops at the SNR ratio): a lossy thermal channel mixes the
 signal mode with the background, and the receiver correlates the returned
 mode against the retained idler through the statistic
 D = I_R*I_I - Q_R*Q_I.  Both transmitters keep the I and Q sectors
-uncorrelated, so :func:`detector_gain_experiment` draws D itself, exactly,
-as a weighted sum of two independent Exp(1) variables instead of drawing
-four Gaussian quadratures per mode.  The absent-hypothesis variance of D
-is the same for both transmitters, so the quantum/classical deflection-SNR
-ratio is exactly C_q^2/C_c^2 = 1 + 1/N_s for any eta and N_B; the
-experiment's estimate is checked against that value with a z-score.
+uncorrelated, so :func:`detector_gain_experiment` and :func:`roc_estimate`
+draw D itself, exactly, as a weighted sum of two independent Exp(1)
+variables instead of drawing four Gaussian quadratures per mode.  The
+absent-hypothesis variance of D is the same for both transmitters, so the
+quantum/classical deflection-SNR ratio is exactly C_q^2/C_c^2 = 1 + 1/N_s
+for any eta and N_B; the experiment's estimate is checked against that
+value with a z-score.
 
 Randomness is pinned to NumPy's PCG64 generator; fixed seeds reproduce
 bit-identical streams, and internal sub-streams are split with
@@ -49,15 +50,20 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
+def _symmetric_4x4(matrix: np.ndarray, name: str) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (4, 4) or not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12):
+        raise DomainError(f"{name} must be a symmetric 4x4 matrix")
+    return matrix
+
+
 def _checked_eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cov, eigenvalues, eigenvectors) of a symmetric PSD 4x4 covariance.
 
     Eigenvalues below -1e-9 mean the matrix is genuinely not a covariance
     and raise with the offending value.
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (4, 4) or not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
-        raise DomainError("covariance must be a symmetric 4x4 matrix")
+    cov = _symmetric_4x4(cov, "covariance")
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     smallest = float(eigenvalues.min())
     if smallest < _PSD_TOLERANCE:
@@ -75,12 +81,6 @@ def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
     return eigenvectors * np.sqrt(clamped / 2.0)
 
 
-def _draw(cov: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    factor = _gaussian_factor(cov)
-    z = rng.standard_normal(size=(n, 4))
-    return z @ factor.T
-
-
 def sample_quadratures(cov: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` zero-mean Gaussian quadrature vectors consistent with ``cov``.
 
@@ -90,7 +90,8 @@ def sample_quadratures(cov: np.ndarray, n: int, seed: int) -> np.ndarray:
     n = int(n)
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n!r}")
-    return _draw(cov, n, _rng(_validate_seed(seed)))
+    factor = _gaussian_factor(cov)
+    return _rng(_validate_seed(seed)).standard_normal(size=(n, 4)) @ factor.T
 
 
 def estimate_covariance(samples: np.ndarray) -> np.ndarray:
@@ -126,10 +127,7 @@ class ReturnChannelModel:
         if not (math.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
             raise DomainError(f"eta must be in (0, 1], got {self.eta!r}")
         _require_non_negative("n_b", self.n_b)
-        base = np.asarray(self.base, dtype=float)
-        if base.shape != (4, 4) or not np.allclose(base, base.T, rtol=0.0, atol=1e-12):
-            raise DomainError("base covariance must be a symmetric 4x4 matrix")
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base", _symmetric_4x4(self.base, "base covariance"))
 
     def _signal_photons(self) -> float:
         # Mean photon number encoded in the signal diagonal block.
@@ -151,11 +149,6 @@ class ReturnChannelModel:
         out[0:2, 2:4] = 0.0
         out[2:4, 0:2] = 0.0
         return out
-
-
-def _detector_statistic(samples: np.ndarray) -> np.ndarray:
-    """Per-mode correlation statistic d = I_R*I_I - Q_R*Q_I."""
-    return samples[:, 0] * samples[:, 2] - samples[:, 1] * samples[:, 3]
 
 
 def _draw_statistic(cov: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -278,10 +271,11 @@ def roc_estimate(
 ) -> RocEstimate:
     """Empirical ROC of the correlation detector between two hypotheses.
 
-    Present/absent trial batches are drawn independently (split seed
-    streams); each threshold yields the exceedance fractions of the
-    per-mode statistic.  A probed false-alarm probability below 10/trials
-    cannot be resolved and raises :class:`InsufficientTrialsError`.
+    Present/absent batches of D are drawn exactly and independently (split
+    seed streams), which needs both covariances in the phase-conjugate block
+    form (else DomainError); each threshold yields their exceedance
+    fractions.  A p_fa probed below 10/trials cannot be resolved and raises
+    :class:`InsufficientTrialsError`.
     """
     trials = int(trials)
     if trials < 1:
@@ -291,8 +285,8 @@ def roc_estimate(
         raise DomainError("thresholds must not be empty")
 
     stream_present, stream_absent = np.random.SeedSequence(_validate_seed(seed)).spawn(2)
-    d_present = _detector_statistic(_draw(cov_present, trials, _rng(stream_present)))
-    d_absent = _detector_statistic(_draw(cov_absent, trials, _rng(stream_absent)))
+    d_present = _draw_statistic(cov_present, trials, _rng(stream_present))
+    d_absent = _draw_statistic(cov_absent, trials, _rng(stream_absent))
 
     p_d = tuple(float(np.mean(d_present > t)) for t in thresholds)
     p_fa = tuple(float(np.mean(d_absent > t)) for t in thresholds)

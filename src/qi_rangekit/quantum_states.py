@@ -28,6 +28,8 @@ moments as computed so the difference stays visible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +41,10 @@ SIGNAL_I, SIGNAL_Q, IDLER_I, IDLER_Q = 0, 1, 2, 3
 
 #: Maximum probability mass the truncated state expansion may discard.
 TAIL_TOLERANCE = 1e-12
+
+#: Largest Fock dimension n_max + 1 an oracle may use.  An oracle holds
+#: about 150 * (n_max + 1)^2 bytes, so the bound keeps it under ~650 MB.
+MAX_FOCK_STATES = 2048
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -87,18 +93,22 @@ def correlation_ratio(n_s: float) -> float:
     return (1.0 + 1.0 / n_s) ** -0.5
 
 
-def min_fock_cutoff(n_s: float, tail_tolerance: float = TAIL_TOLERANCE) -> int:
+def min_fock_cutoff(n_s: float) -> int:
     """Smallest truncation index n_max whose discarded thermal-weight tail
-    sum_{n > n_max} n_s^n / (n_s + 1)^(n+1) stays below ``tail_tolerance``.
+    sum_{n > n_max} n_s^n / (n_s + 1)^(n+1) stays below ``TAIL_TOLERANCE``.
 
-    The tail is geometric: (n_s/(n_s + 1))^(n_max + 1).
+    The tail is geometric: (n_s/(n_s + 1))^(n_max + 1).  Raises
+    :class:`CutoffError` where n_s/(n_s + 1) rounds to 1 (n_s above ~1e16),
+    so that no finite cutoff bounds the tail.
     """
     n_s = _require_positive("n_s", n_s)
     ratio = n_s / (n_s + 1.0)
+    if ratio == 1.0:
+        raise CutoffError(f"n_s={n_s!r} is too large for a finite Fock cutoff")
     # math.log(ratio) < 0, so the bound flips.
-    needed = math.ceil(math.log(tail_tolerance) / math.log(ratio)) - 1
+    needed = math.ceil(math.log(TAIL_TOLERANCE) / math.log(ratio)) - 1
     n_max = max(1, needed)
-    while _tmsv_tail(n_s, n_max) >= tail_tolerance:  # guard against rounding
+    while _tmsv_tail(n_s, n_max) >= TAIL_TOLERANCE:  # guard against rounding
         n_max += 1
     return n_max
 
@@ -108,21 +118,56 @@ def _tmsv_tail(n_s: float, n_max: int) -> float:
 
 
 def _poisson_tail(lam: float, n_max: int) -> float:
-    """Upper-tail Poisson mass P[N > n_max] for mean ``lam``, summed directly
-    from the (n_max + 1)-th term in log space to avoid cancellation."""
+    """Upper-tail Poisson mass P[N > n_max] for mean ``lam``, non-increasing
+    in ``n_max``.
+
+    Summed from the term next to the cut away from the mean, where the terms
+    only fall: upward from n_max + 1 at or above the mean (no cancellation
+    in the small tails the cutoff rule tests), else downward from n_max as
+    1 - P[N <= n_max].  A first term that underflows counts as 0.
+    """
     if lam == 0.0:
         return 0.0
-    log_term = -lam + (n_max + 1) * math.log(lam) - math.lgamma(n_max + 2)
-    if log_term < -745.0:  # below exp underflow
-        return 0.0
-    term = math.exp(log_term)
+    upper = n_max + 1 >= lam
+    k = n_max + 1 if upper else n_max
+    term = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
     total = 0.0
-    k = n_max + 1
     while term > total * 1e-18 + 1e-300:
         total += term
-        k += 1
-        term *= lam / k
-    return total
+        term *= lam / (k + 1) if upper else k / lam
+        k += 1 if upper else -1
+    return total if upper else 1.0 - total
+
+
+def _smallest_cutoff(tail) -> int:
+    """Smallest n_max < MAX_FOCK_STATES with a non-increasing tail(n_max) < TAIL_TOLERANCE."""
+    cutoffs = range(1, MAX_FOCK_STATES)
+    index = bisect_left(cutoffs, True, key=lambda n: tail(n) < TAIL_TOLERANCE)
+    if index == len(cutoffs):
+        raise CutoffError(
+            f"the tail rule needs more than the oracle bound of {MAX_FOCK_STATES} Fock states"
+        )
+    return cutoffs[index]
+
+
+def _checked_cutoff(n_s: float, n_max: int | None, tail, default) -> int:
+    """The caller's ``n_max``, or ``default()`` if it is None, checked before any
+    array is built: within the state bound, >= 1, and tail(n_max) < TAIL_TOLERANCE."""
+    n_max = int(default() if n_max is None else n_max)
+    if n_max >= MAX_FOCK_STATES:
+        raise CutoffError(
+            f"cutoff n_max={n_max} at n_s={n_s!r} needs {n_max + 1} Fock states, "
+            f"above the oracle bound of {MAX_FOCK_STATES}"
+        )
+    if n_max < 1:
+        raise CutoffError(f"cutoff must be >= 1, got {n_max}")
+    mass = tail(n_max)
+    if mass >= TAIL_TOLERANCE:
+        raise CutoffError(
+            f"cutoff n_max={n_max} leaves tail mass {mass:.3e} "
+            f">= {TAIL_TOLERANCE:g} for n_s={n_s!r}"
+        )
+    return n_max
 
 
 def _second_moments(psi: np.ndarray) -> np.ndarray:
@@ -166,21 +211,12 @@ def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarray:
 
     The state coefficients c_n = sqrt(n_s^n / (n_s + 1)^(n+1)) populate the
     diagonal of the two-mode coefficient matrix; all sixteen second moments
-    are then evaluated numerically.  ``n_max`` defaults to the smallest
-    cutoff satisfying the tail rule and is rejected if it violates it.
+    are then evaluated numerically.  ``n_max`` defaults to
+    :func:`min_fock_cutoff` and is rejected if it violates the tail rule or
+    needs more than MAX_FOCK_STATES states.
     """
     n_s = _require_positive("n_s", n_s)
-    if n_max is None:
-        n_max = min_fock_cutoff(n_s)
-    n_max = int(n_max)
-    if n_max < 1:
-        raise CutoffError(f"cutoff must be >= 1, got {n_max}")
-    tail = _tmsv_tail(n_s, n_max)
-    if tail >= TAIL_TOLERANCE:
-        raise CutoffError(
-            f"cutoff n_max={n_max} leaves tail probability {tail:.3e} "
-            f">= {TAIL_TOLERANCE:g} for n_s={n_s!r}"
-        )
+    n_max = _checked_cutoff(n_s, n_max, partial(_tmsv_tail, n_s), partial(min_fock_cutoff, n_s))
     ns = np.arange(n_max + 1)
     # sqrt(n_s^n / (n_s + 1)^(n+1)) in log space; the powers overflow past n ~ 300.
     coeffs = np.exp(0.5 * (ns * math.log(n_s) - (ns + 1) * math.log1p(n_s)))
@@ -196,23 +232,14 @@ def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarr
     reproduce the model matrix (2*n_s + 1 diagonal, 2*n_s cross); the
     Q-sector comes out as the product state actually gives it (variance 1,
     zero cross correlation), which is the documented deviation from the
-    model's -C_c entry.
+    model's -C_c entry.  ``n_max`` defaults to the smallest cutoff below
+    MAX_FOCK_STATES that satisfies the tail rule, found by bisection over
+    the Poisson tail; a cutoff that needs more states raises CutoffError.
     """
     n_s = _require_non_negative("n_s", n_s)
     lam = n_s / 2.0  # photons per mode, |alpha|^2
-    if n_max is None:
-        n_max = 1
-        while _poisson_tail(lam, n_max) >= TAIL_TOLERANCE:
-            n_max += 1
-    n_max = int(n_max)
-    if n_max < 1:
-        raise CutoffError(f"cutoff must be >= 1, got {n_max}")
-    tail = _poisson_tail(lam, n_max)
-    if tail >= TAIL_TOLERANCE:
-        raise CutoffError(
-            f"cutoff n_max={n_max} leaves Poisson tail mass {tail:.3e} "
-            f">= {TAIL_TOLERANCE:g} for n_s={n_s!r}"
-        )
+    tail = partial(_poisson_tail, lam)
+    n_max = _checked_cutoff(n_s, n_max, tail, partial(_smallest_cutoff, tail))
     ns = np.arange(n_max + 1)
     # exp(-lam/2) * alpha^n / sqrt(n!) in log space; alpha = sqrt(lam).
     if lam > 0.0:

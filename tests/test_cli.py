@@ -71,6 +71,20 @@ def test_covariance_oracle_deviation(capsys):
     assert deviation < 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--ns", "0.5", "--mode", "qi", "--cutoff", "1000000"),  # cutoff above the state bound
+        ("--ns", "5000", "--mode", "ci"),  # default cutoff above the state bound
+        ("--ns", "1e17", "--mode", "qi"),  # n_s / (n_s + 1) rounds to 1
+    ],
+)
+def test_covariance_oracle_rejected_before_any_array(capsys, argv):
+    code, _, err = run_cli(capsys, "covariance", "--oracle", *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_ratio_command(capsys):
     code, out, _ = run_cli(capsys, "ratio", "--ns", "0.5")
     assert code == 0

@@ -222,11 +222,16 @@ def test_draw_statistic_rejects_other_covariances():
 
 def test_gain_experiment_draws_the_statistic_directly(monkeypatch):
     def no_quadratures(*args):
-        raise AssertionError("detector_gain_experiment drew quadrature vectors")
+        raise AssertionError("drew quadrature vectors")
 
-    monkeypatch.setattr(detection_mc, "_draw", no_quadratures)
+    monkeypatch.setattr(detection_mc, "_gaussian_factor", no_quadratures)
     result = detector_gain_experiment(n_s=0.1, eta=0.5, n_b=1.0, trials=10**4, seed=0)
     assert math.isfinite(result.ratio)
+    model = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2))
+    roc = roc_estimate(
+        model.present_covariance(), model.absent_covariance(), [0.0], trials=10**4, seed=0
+    )
+    assert roc.p_d[0] > roc.p_fa[0]
 
 
 @pytest.mark.parametrize(
@@ -317,6 +322,14 @@ def test_roc_insufficient_trials():
             trials=1000,
             seed=6,
         )
+
+
+def test_roc_rejects_covariance_without_block_form():
+    absent = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2)).absent_covariance()
+    correlated = absent.copy()
+    correlated[0, 1] = correlated[1, 0] = 0.1
+    with pytest.raises(DomainError):
+        roc_estimate(correlated, absent, [0.0], trials=1000, seed=0)
 
 
 def test_roc_deterministic():

@@ -1,6 +1,7 @@
 """Closed-form transmitter covariances against the truncated Fock oracle."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from qi_rangekit.quantum_states import (
     IDLER_Q,
     SIGNAL_I,
     SIGNAL_Q,
+    TAIL_TOLERANCE,
+    _poisson_tail,
     _second_moments,
+    _smallest_cutoff,
     coherent_covariance,
     coherent_covariance_oracle,
     correlation_ratio,
@@ -156,6 +160,44 @@ def test_min_fock_cutoff_tail_rule():
         ratio = n_s / (n_s + 1.0)
         assert ratio ** (n_max + 1) < 1e-12
         assert ratio**n_max >= 1e-12 or n_max == 1
+
+
+def test_coherent_oracle_i_sector_at_large_photon_number():
+    # Past N_s ~1500 the first Poisson tail term underflows below the mean;
+    # the tail must still read ~1 there, not 0, or n_max = 1 passes.
+    closed = coherent_covariance(2000.0)
+    oracle = coherent_covariance_oracle(2000.0)
+    i_sector = np.ix_([SIGNAL_I, IDLER_I], [SIGNAL_I, IDLER_I])
+    assert np.abs(oracle[i_sector] - closed[i_sector]).max() <= 1e-8 * np.abs(closed).max()
+
+
+def test_coherent_cutoff_below_the_mean_rejected():
+    with pytest.raises(CutoffError):
+        coherent_covariance_oracle(2000.0, 1)
+
+
+def test_bisected_coherent_cutoff_matches_a_plain_scan():
+    for n_s in np.logspace(-2, 3, 26):
+        tail = partial(_poisson_tail, n_s / 2.0)
+        n_max = 1
+        while tail(n_max) >= TAIL_TOLERANCE:
+            n_max += 1
+        assert _smallest_cutoff(tail) == n_max
+    assert _smallest_cutoff(partial(_poisson_tail, 500.0)) == 665  # ci N_s 1000: dim 666
+
+
+def test_oracle_size_bounded_before_any_array():
+    # Inputs that fail fast even without the bound, so no multi-GB oracle is built.
+    with pytest.raises(CutoffError, match="above the oracle bound of 2048"):
+        tmsv_covariance_oracle(0.5, 10**6)
+    with pytest.raises(CutoffError, match="oracle bound of 2048"):
+        coherent_covariance_oracle(5000.0)
+
+
+def test_min_fock_cutoff_rejects_unbounded_tail():
+    # n_s / (n_s + 1) rounds to 1.0: no finite cutoff, not a ZeroDivisionError.
+    with pytest.raises(CutoffError):
+        min_fock_cutoff(1e17)
 
 
 def test_cutoff_too_small_rejected():
