@@ -130,10 +130,10 @@ def _write_text(path: Path, text: str) -> None:
 
 def _format_matrix(matrix: np.ndarray) -> str:
     labels = ("I_S", "Q_S", "I_I", "Q_I")
-    header = "        " + "".join(f"{label:>14}" for label in labels)
+    header = "        " + "".join(f" {label:>14}" for label in labels)
     lines = [header]
     for label, row in zip(labels, matrix):
-        cells = "".join(f"{float(v):>14.9g}" for v in row)
+        cells = "".join(f" {float(v):>14.9g}" for v in row)
         lines.append(f"{label:>8}{cells}")
     return "\n".join(lines)
 
@@ -184,7 +184,7 @@ def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     if args.table is not None:
         table = atmosphere.load_table(args.table)
     else:
-        table = config.load_attenuation_table() or atmosphere.bundled_table()
+        table = config.attenuation_table or atmosphere.bundled_table()
     gamma = atmosphere.gamma_at(table, args.freq)
     lo, hi = table.span_ghz
     print(f"gamma({args.freq:.6g} Hz) = {gamma:.6g} dB/km "
@@ -197,7 +197,6 @@ def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
 
 def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     constants = CODATA if args.codata else TEXTBOOK
-    table = config.load_attenuation_table()
     # noise budget is configured as a power; the implied temperature and
     # occupancy are derived, so show them
     print(
@@ -208,7 +207,7 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     )
     modes = (Illumination(args.mode),) if args.mode else (Illumination.CI, Illumination.QI)
     for mode in modes:
-        problem = config.make_problem(args.ns, args.freq, mode, table=table, constants=constants)
+        problem = config.make_problem(args.ns, args.freq, mode, constants)
         solution = r_max(problem)
         f_form, eta = link_at(problem, solution.r_max_m)
         status = "converged" if solution.converged else "NOT converged"
@@ -248,9 +247,7 @@ def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
         lines = ["n_s,ratio"]
         lines.extend(f"{n_s!r},{ratio!r}" for n_s, ratio in sweep_ratio(grid))
     else:
-        rows = sweep_range(config, grid, config.frequencies_hz,
-                           (Illumination.CI, Illumination.QI),
-                           table=config.load_attenuation_table(), constants=constants)
+        rows = sweep_range(config, grid, constants=constants)
         lines = ["n_s,frequency_hz,mode,r_max_m,converged"]
         # each N_s and each row's ",f,mode," are formatted once, not per line
         n_s_text = {n_s: repr(n_s) for n_s in grid}

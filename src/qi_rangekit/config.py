@@ -7,6 +7,9 @@ frequency set {7 GHz, 95 GHz, 1 THz}.  Configs persist as a flat JSON
 object using the field names below; omitted fields fall back to these
 defaults, unknown fields are rejected.
 
+The table named by ``attenuation_table_path`` is loaded and checked once,
+when the config is built; every range problem takes gamma from it.
+
 The noise budget is specified as a noise *power*, so the effective
 temperature and the per-frequency occupancy N_B are always derived, never
 configured directly.
@@ -49,7 +52,8 @@ def _as_float(name: str, value: object) -> float:
 class ScenarioConfig:
     """The scenario, checked once on construction, which also builds the
     parts every range problem shares as plain (non-field) attributes:
-    ``radar``, ``detection``, ``integration`` and ``noise_power_watts``."""
+    ``radar``, ``detection``, ``integration``, ``noise_power_watts`` and
+    ``attenuation_table`` (``None`` when the path is lossless)."""
 
     sigma_m2: float = 1.0
     aperture_m2: float = 0.5
@@ -86,6 +90,7 @@ class ScenarioConfig:
                 detection=DetectionSpec(p_d=self.p_d, p_fa=self.p_fa, snr_min_db=self.snr_min_db),
                 integration=IntegrationSpec(tau_s=self.tau_s, bandwidth_hz=self.bandwidth_hz),
                 noise_power_watts=radiometry.dbm_to_watts(self.noise_power_dbm),
+                attenuation_table=None if path is None else atmosphere.load_table(path),
             )
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
@@ -102,27 +107,20 @@ class ScenarioConfig:
         """Thermal photons per mode at a frequency; frequency dependent."""
         return radiometry.thermal_occupancy(self.t_eff_kelvin(constants), f_hz, constants)
 
-    def load_attenuation_table(self) -> atmosphere.AttenuationTable | None:
-        if self.attenuation_table_path is None:
-            return None
-        return atmosphere.load_table(self.attenuation_table_path)
-
     def make_problem(
         self,
         n_s: float,
         f_hz: float,
         mode: Illumination,
-        table: atmosphere.AttenuationTable | None = None,
         constants: PhysicalConstants = TEXTBOOK,
     ) -> RangeProblem:
         """Assemble the range problem for one (N_s, frequency, mode) point.
 
-        ``table`` overrides the configured attenuation table; with neither,
-        the path is lossless (gamma = 0).
+        Gamma comes from the configured attenuation table; without one the
+        path is lossless (gamma = 0).
         """
-        gamma = 0.0
-        if table is not None:
-            gamma = atmosphere.gamma_at(table, f_hz)
+        table = self.attenuation_table
+        gamma = 0.0 if table is None else atmosphere.gamma_at(table, f_hz)
         return RangeProblem(
             radar=self.radar,
             detection=self.detection,

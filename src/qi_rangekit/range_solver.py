@@ -21,19 +21,21 @@ reproduces the expected range magnitudes.  The fourth power sometimes seen
 in print is available behind ``four_pi_exponent=4`` for comparison runs.
 
 :func:`r_max` evaluates the SNR chain from the raw far-field formula
-without the eta <= 1 guard: the no-detection probe at near-zero range
-necessarily lies in the near field, and the residual check only ever
-evaluates the root itself.  The guard applies in :func:`link_at`, which
-reports F and eta at a range from the same chain, (4*pi) exponent included.
+without the eta <= 1 guard, and only at the root, for the residual.  As
+SNR_eff(R) strictly decreases, "below threshold at near-zero range" is
+"root below near-zero range", so no-detection is read off the root.  The
+guard applies in :func:`link_at`, which reports F and eta at a range from
+the same chain, (4*pi) exponent included.
 
 One solve step, ``_solve``, serves both entry points, and :func:`r_max` is
-its one-point case.  :func:`sweep_range` builds what does not depend on N_s
-once per frequency and shares it between that frequency's (frequency, mode)
-rows: the head sigma*G*A*M, the denominator (4*pi)^k * N_B, gamma and the
-configured SNR_min.  Per N_s it forms only the chain constant
-head * N_s / denominator, the mode threshold, the fourth root and W0.  The
-multiplication order is the one :func:`r_max` uses, so every sweep row equals
-the one-point solution bit for bit.
+its one-point case.  :func:`sweep_range` solves a config at its frequencies
+with gamma from its table.  It builds what does not depend on N_s once per
+frequency and shares it between that frequency's (frequency, mode) rows:
+the head sigma*G*A*M, the denominator (4*pi)^k * N_B, gamma and SNR_min.
+Per N_s it forms only the chain constant head * N_s / denominator, the mode
+threshold, the fourth root and W0.  The multiplication order is the one
+:func:`r_max` uses, so every sweep row equals the one-point solution bit
+for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import atmosphere
 from .constants import TEXTBOOK, PhysicalConstants
@@ -204,17 +206,16 @@ def r_max(problem: RangeProblem) -> RangeSolution:
 
 def _solve(chain_constant: float, threshold: float, gamma: float) -> RangeSolution:
     """The solve step of :func:`r_max` and :func:`sweep_range`."""
-    if _snr_eff_at(chain_constant, gamma, _NEAR_ZERO_RANGE_M) < threshold:
-        raise NoDetectionError(
-            f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
-            "no detection range exists"
-        )
-
     r_free = (chain_constant / threshold) ** 0.25
     root, iterations = r_free, 0
     if gamma > 0.0:
         w, iterations = _lambert_w0(0.5 * gamma * _A_PER_GAMMA * r_free)
         root = r_free * math.exp(-w)
+    if root < _NEAR_ZERO_RANGE_M:
+        raise NoDetectionError(
+            f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
+            "no detection range exists"
+        )
 
     residual = abs(10.0 * math.log10(_snr_eff_at(chain_constant, gamma, root) / threshold))
     return RangeSolution(
@@ -241,19 +242,16 @@ def _validated_grid(n_s_grid: Sequence[float]) -> tuple[float, ...]:
 def sweep_range(
     config: ScenarioConfig,
     n_s_grid: Sequence[float],
-    frequencies_hz: Iterable[float],
-    modes: Iterable[Illumination],
     *,
-    table: atmosphere.AttenuationTable | None = None,
     constants: PhysicalConstants = TEXTBOOK,
 ) -> Iterator[tuple[float, float, Illumination, RangeSolution | None]]:
-    """Solve r_max over the (N_s, frequency, mode) product grid of a scenario.
+    """Solve r_max over the (N_s, frequency, mode) product grid of a scenario:
+    the grid, the configured frequencies and the modes CI, QI.
 
     Yields ``(n_s, frequency_hz, mode, solution)`` rows lazily, frequency-major,
     then mode, then N_s; ``solution`` is ``None`` where no detection range
     exists, never a zero range.  Each row equals
-    ``r_max(config.make_problem(n_s, f, mode, table=table, constants=constants))``:
-    ``table`` gives gamma (lossless without one), as in ``make_problem``.
+    ``r_max(config.make_problem(n_s, f, mode, constants))``, gamma included.
 
     Gamma, N_B, the chain head sigma*G*A*M and the denominator
     (4*pi)^k * N_B are built and checked once per frequency and shared by
@@ -262,20 +260,17 @@ def sweep_range(
     validated on the call.
     """
     grid = _validated_grid(n_s_grid)
-    modes = tuple(modes)
+    table = config.attenuation_table
     snr_min = config.detection.snr_min_linear
     four_pi_k = _FOUR_PI**config.four_pi_exponent
 
     def rows() -> Iterator[tuple[float, float, Illumination, RangeSolution | None]]:
-        for f_hz in frequencies_hz:
-            f_hz = float(f_hz)
-            gamma = 0.0
-            if table is not None:
-                gamma = _require_non_negative("gamma", atmosphere.gamma_at(table, f_hz))
+        for f_hz in config.frequencies_hz:
+            gamma = 0.0 if table is None else atmosphere.gamma_at(table, f_hz)
             n_b = _require_positive("n_b", config.noise_occupancy(f_hz, constants))
             head = _chain_head(config.radar, config.integration, f_hz, constants)
             denominator = four_pi_k * n_b
-            for mode in modes:
+            for mode in Illumination:
                 quantum = mode is Illumination.QI
                 for n_s in grid:
                     threshold = snr_min / (1.0 + 1.0 / n_s) if quantum else snr_min

@@ -12,6 +12,7 @@ import pytest
 import qi_rangekit
 from qi_rangekit.cli import main
 from qi_rangekit.config import CONFIG_ENV_VAR, dump_config, load_config
+from qi_rangekit.range_solver import Illumination, r_max
 
 QI_ADVANTAGE_AT_1E2 = 101.0**0.25  # range gain at N_s = 1e-2
 SRC = Path(qi_rangekit.__file__).resolve().parents[1]
@@ -69,6 +70,19 @@ def test_covariance_oracle_deviation(capsys):
     assert code == 0
     deviation = float(re.search(r"max abs deviation: (\S+)", out).group(1))
     assert deviation < 1e-9
+
+
+def test_covariance_cells_are_separated(capsys):
+    # the oracle's -2.96586716e-17 is 15 characters, wider than a cell
+    code, out, _ = run_cli(capsys, "covariance", "--ns", "1000", "--mode", "ci", "--oracle")
+    assert code == 0
+    rows = [line for line in out.splitlines() if line[:8].strip() in ("I_S", "Q_S", "I_I", "Q_I")]
+    assert len(rows) == 8
+    for row in rows:
+        label, *cells = row.split()
+        assert label == row[:8].strip()
+        assert len(cells) == 4
+        [float(cell) for cell in cells]
 
 
 @pytest.mark.parametrize(
@@ -201,6 +215,42 @@ def test_range_with_missing_config_table_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "missing.csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"), ("--dump-config",)],
+    ids=["power", "dump_config"],
+)
+def test_missing_config_table_exits_2_for_every_command(tmp_path, capsys, argv):
+    # the table is read when the config is loaded, whatever the command
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({"attenuation_table_path": str(tmp_path / "missing.csv")}),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "--config", str(config), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read attenuation table ")
+
+
+def test_library_range_and_sweep_agree_on_the_attenuated_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    config_path = "perfbench/configs/sweep_attenuated.json"
+    expected = r_max(load_config(config_path).make_problem(1e-2, 1e12, Illumination.CI))
+    code, out, _ = run_cli(
+        capsys, "--config", config_path, "range", "--ns", "1e-2", "--freq", "1e12", "--mode", "ci"
+    )
+    assert code == 0
+    assert f"ci: r_max = {expected.r_max_m:.6g} m" in out
+    assert "gamma = 450 dB/km" in out
+    out_csv = tmp_path / "fig3.csv"
+    code, _, _ = run_cli(capsys, "--config", config_path, "sweep", "--figure", "3",
+                         "--ns-min", "1e-2", "--ns-max", "1", "--points", "2",
+                         "--output", str(out_csv))
+    assert code == 0
+    assert f"0.01,1000000000000.0,ci,{expected.r_max_m!r},true" in out_csv.read_text()
 
 
 def test_oversized_config_number_exits_2(tmp_path, capsys):

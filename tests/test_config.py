@@ -2,15 +2,26 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from qi_rangekit.atmosphere import AttenuationTable
+from qi_rangekit.atmosphere import AttenuationTable, serialize_table
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_config
-from qi_rangekit.errors import ConfigError
+from qi_rangekit.errors import ConfigError, TableParseError
 from qi_rangekit.link_budget import RadarParams
 from qi_rangekit.radiometry import dbm_to_watts
-from qi_rangekit.range_solver import Illumination
+from qi_rangekit.range_solver import Illumination, r_max, sweep_range
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def flat_table(tmp_path):
+    """A 0.5 dB/km table over 1-2000 GHz, written as CSV under ``tmp_path``."""
+    path = tmp_path / "flat.csv"
+    table = AttenuationTable(rows=((1.0, 0.5), (2000.0, 0.5)))
+    path.write_text(serialize_table(table), encoding="utf-8")
+    return path
 
 
 def test_defaults_are_the_benchmark_scenario():
@@ -123,7 +134,7 @@ def test_derived_noise_quantities():
     assert cfg.noise_occupancy(7e9) == pytest.approx(8.941e4, rel=1e-3)
 
 
-def test_make_problem_wires_scenario():
+def test_make_problem_wires_scenario(tmp_path):
     cfg = ScenarioConfig()
     problem = cfg.make_problem(1e-2, 1e12, Illumination.QI)
     assert problem.n_s == 1e-2
@@ -133,8 +144,10 @@ def test_make_problem_wires_scenario():
     assert problem.n_b == pytest.approx(625.87, rel=1e-3)
     assert problem.integration.pulse_count == 10**9
 
-    table = AttenuationTable(rows=((1.0, 0.5), (2000.0, 0.5)))
-    attenuated = cfg.make_problem(1e-2, 1e12, Illumination.CI, table=table)
+    table = flat_table(tmp_path)
+    attenuated = ScenarioConfig(attenuation_table_path=str(table)).make_problem(
+        1e-2, 1e12, Illumination.CI
+    )
     assert attenuated.gamma_db_per_km == pytest.approx(0.5, rel=1e-12)
 
 
@@ -150,6 +163,31 @@ def test_make_problem_reuses_the_scenario_specs():
     # the built parts are not fields: equality and JSON see the 11 fields only
     assert len(dataclasses.fields(cfg)) == 11
     assert "radar" not in json.loads(dump_config(cfg))
+
+
+def test_table_is_loaded_at_construction(tmp_path):
+    assert ScenarioConfig().attenuation_table is None
+    table = flat_table(tmp_path)
+    cfg = ScenarioConfig(attenuation_table_path=str(table))
+    assert cfg.attenuation_table.rows == ((1.0, 0.5), (2000.0, 0.5))
+    # the loaded table is not a field either
+    assert cfg == ScenarioConfig(attenuation_table_path=str(table))
+    assert "attenuation_table" not in json.loads(dump_config(cfg))
+    with pytest.raises(TableParseError, match="cannot read attenuation table"):
+        ScenarioConfig(attenuation_table_path=str(tmp_path / "missing.csv"))
+
+
+def test_attenuated_config_reaches_the_solve(monkeypatch):
+    # the table path in the config is relative to the repository root
+    monkeypatch.chdir(REPO)
+    cfg = load_config(REPO / "perfbench" / "configs" / "sweep_attenuated.json")
+    solution = r_max(cfg.make_problem(1e-2, 1e12, Illumination.CI))
+    assert float(f"{solution.r_max_m:.5g}") == 29.592
+    [row] = [
+        row for row in sweep_range(cfg, [1e-2])
+        if row[1] == 1e12 and row[2] is Illumination.CI
+    ]
+    assert row[3] == solution
 
 
 def test_four_pi_exponent_passes_through():

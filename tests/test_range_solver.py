@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,15 +314,14 @@ def test_problem_validation():
 
 
 BENCHMARK = ScenarioConfig()
+BUNDLED_CSV = str(Path(atmosphere.__file__).parent / "data" / atmosphere._BUNDLED_NAME)
 # sigma 1e-12 m^2, A 1e-6 m^2: the classical 7 GHz points below N_s ~ 3e-5
 # have no detection range, every other point of the default grid has one.
 FAINT = ScenarioConfig(sigma_m2=1e-12, aperture_m2=1e-6)
 
 
 def test_sweep_range_single_point():
-    rows = list(
-        sweep_range(BENCHMARK, [1e-2], [1e12], [Illumination.CI, Illumination.QI])
-    )
+    rows = list(sweep_range(ScenarioConfig(frequencies_hz=(1e12,)), [1e-2]))
     assert [(n_s, f_hz) for n_s, f_hz, _, _ in rows] == [(1e-2, 1e12)] * 2
     assert [mode for _, _, mode, _ in rows] == [Illumination.CI, Illumination.QI]
     assert rows[0][3].r_max_m == pytest.approx(137.088, abs=0.01)
@@ -330,9 +330,7 @@ def test_sweep_range_single_point():
 
 def test_sweep_range_ordering_and_monotonicity():
     grid = list(np.logspace(-3, 0, 7))
-    rows = list(
-        sweep_range(BENCHMARK, grid, [7e9, 1e12], [Illumination.CI, Illumination.QI])
-    )
+    rows = list(sweep_range(ScenarioConfig(frequencies_hz=(7e9, 1e12)), grid))
     keys = list(dict.fromkeys((f_hz, mode) for _, f_hz, mode, _ in rows))
     assert keys == [
         (7e9, Illumination.CI),
@@ -360,14 +358,14 @@ def test_sweep_range_is_lazy(monkeypatch):
         return solve(chain_constant, threshold, gamma)
 
     monkeypatch.setattr(range_solver, "_solve", counting_solve)
-    rows = sweep_range(BENCHMARK, [1e-3, 1e-2, 1e-1], [1e12], [Illumination.CI])
+    rows = sweep_range(BENCHMARK, [1e-3, 1e-2, 1e-1])
     assert calls == []
     next(rows)
     assert len(calls) == 1
 
 
 def test_sweep_range_marks_failures_as_absent():
-    rows = list(sweep_range(FAINT, [1e-6, 1e-3], [7e9], [Illumination.CI]))
+    rows = list(sweep_range(FAINT, [1e-6, 1e-3]))
     assert rows[0][3] is None
     assert rows[1][3] is not None
 
@@ -375,9 +373,9 @@ def test_sweep_range_marks_failures_as_absent():
 def test_sweep_grid_validation():
     # raised by the call itself, before any row is drawn
     with pytest.raises(DomainError):
-        sweep_range(BENCHMARK, [1e-2, 1e-3], [1e12], [Illumination.CI])
+        sweep_range(BENCHMARK, [1e-2, 1e-3])
     with pytest.raises(DomainError):
-        sweep_range(BENCHMARK, [], [1e12], [Illumination.CI])
+        sweep_range(BENCHMARK, [])
     with pytest.raises(DomainError):
         sweep_ratio([0.0, 1.0])
 
@@ -388,21 +386,22 @@ def test_sweep_grid_validation():
 def test_sweep_rows_equal_one_point_solutions(scenario, four_pi_exponent, constants):
     if scenario == "faint":
         config = dataclasses.replace(FAINT, four_pi_exponent=four_pi_exponent)
+    elif scenario == "bundled_table":
+        config = ScenarioConfig(
+            frequencies_hz=tuple(f_ghz * 1e9 for f_ghz, _ in bundled_table().rows),
+            attenuation_table_path=BUNDLED_CSV,
+            four_pi_exponent=four_pi_exponent,
+        )
     else:
         config = ScenarioConfig(four_pi_exponent=four_pi_exponent)
-    table = bundled_table() if scenario == "bundled_table" else None
-    frequencies = (
-        [f_ghz * 1e9 for f_ghz, _ in table.rows] if table else list(config.frequencies_hz)
-    )
+    frequencies = list(config.frequencies_hz)
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
-    rows = sweep_range(
-        config, grid, frequencies, list(Illumination), table=table, constants=constants
-    )
+    rows = sweep_range(config, grid, constants=constants)
     expected_keys = [(n_s, f, mode) for f in frequencies for mode in Illumination for n_s in grid]
     absent = 0
     for (n_s, f_hz, mode, solution), key in zip(rows, expected_keys, strict=True):
         assert (n_s, f_hz, mode) == key
-        problem = config.make_problem(n_s, f_hz, mode, table=table, constants=constants)
+        problem = config.make_problem(n_s, f_hz, mode, constants)
         if solution is None:
             with pytest.raises(NoDetectionError):
                 r_max(problem)
@@ -435,12 +434,29 @@ def test_sweep_builds_the_chain_once_per_frequency(monkeypatch):
         raise AssertionError("a sweep builds no RangeProblem")
 
     monkeypatch.setattr(RangeProblem, "__init__", no_problem)
-    table = bundled_table()
-    frequencies = [f_ghz * 1e9 for f_ghz, _ in table.rows][:5]
+    frequencies = [f_ghz * 1e9 for f_ghz, _ in bundled_table().rows][:5]
+    config = ScenarioConfig(frequencies_hz=tuple(frequencies), attenuation_table_path=BUNDLED_CSV)
     grid = list(np.logspace(-3, 1, 40))
-    rows = list(sweep_range(BENCHMARK, grid, frequencies, list(Illumination), table=table))
+    rows = list(sweep_range(config, grid))
     assert len(rows) == len(frequencies) * 2 * len(grid)
     assert counts == dict.fromkeys(counts, len(frequencies))
+
+
+@pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
+def test_no_detection_is_read_off_the_root(table_path):
+    # SNR_eff(R) strictly decreases, so "below threshold at 1 um" and
+    # "root below 1 um" select the same points
+    config = dataclasses.replace(FAINT, attenuation_table_path=table_path)
+    grid = [float(v) for v in np.logspace(-6, 3, 60)]
+    absent = 0
+    for n_s, f_hz, mode, solution in sweep_range(config, grid):
+        problem = config.make_problem(n_s, f_hz, mode)
+        snr_at_near_zero = range_solver._snr_eff_at(
+            range_solver._chain_constant(problem), problem.gamma_db_per_km, 1e-6
+        )
+        assert (solution is None) == (snr_at_near_zero < threshold_linear(problem))
+        absent += solution is None
+    assert absent > 0
 
 
 def test_sweep_ratio_values():
