@@ -175,20 +175,28 @@ def _draw_statistic(cov: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
         )
     p, q, r = s_i / 2.0, s_q / 2.0, c / 2.0
     root = math.sqrt(max(p * q, 0.0))
-    return np.array([r + root, r - root]) @ rng.standard_exponential(size=(2, n))
+    try:
+        exponentials = rng.standard_exponential(size=(2, n))
+    except MemoryError:
+        raise DomainError(f"{n} trials do not fit in memory") from None
+    return np.array([r + root, r - root]) @ exponentials
+
+
+def _mean_and_variance(d: np.ndarray) -> tuple[float, float]:
+    return float(d.mean()), float(d.var())
 
 
 def _deflection_with_noise(
-    d_present: np.ndarray, d_absent: np.ndarray
+    present: tuple[float, float], absent: tuple[float, float], n: int
 ) -> tuple[float, float]:
     """Deflection SNR (E[D|p] - E[D|a])^2 / Var[D|a] and the first-order
     relative variance of its estimate (mean-shift noise dominates; the
-    variance-estimate contribution is higher order and ignored)."""
-    n = d_present.size
-    shift = float(d_present.mean() - d_absent.mean())
-    var_absent = float(d_absent.var())
+    variance-estimate contribution is higher order and ignored), from the
+    (mean, variance) of ``n`` draws under each hypothesis."""
+    (mean_present, var_present), (mean_absent, var_absent) = present, absent
+    shift = mean_present - mean_absent
     deflection = shift**2 / var_absent
-    relative_variance = 4.0 * (float(d_present.var()) + var_absent) / (n * shift**2)
+    relative_variance = 4.0 * (var_present + var_absent) / (n * shift**2)
     return deflection, relative_variance
 
 
@@ -228,18 +236,18 @@ def detector_gain_experiment(
     n_s = _require_positive("n_s", n_s)
     n_b = _require_positive("n_b", n_b)
 
-    streams = np.random.SeedSequence(_validate_seed(seed)).spawn(4)
-    statistics: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for index, (label, base) in enumerate(
-        (("quantum", tmsv_covariance(n_s)), ("classical", coherent_covariance(n_s)))
-    ):
+    streams = iter(np.random.SeedSequence(_validate_seed(seed)).spawn(4))
+    deflections = []
+    for base in (tmsv_covariance(n_s), coherent_covariance(n_s)):
         model = ReturnChannelModel(eta=eta, n_b=n_b, base=base)
-        d_present = _draw_statistic(model.present_covariance(), trials, _rng(streams[2 * index]))
-        d_absent = _draw_statistic(model.absent_covariance(), trials, _rng(streams[2 * index + 1]))
-        statistics[label] = (d_present, d_absent)
+        # Each batch of draws is reduced before the next one is made.
+        present, absent = (
+            _mean_and_variance(_draw_statistic(cov, trials, _rng(next(streams))))
+            for cov in (model.present_covariance(), model.absent_covariance())
+        )
+        deflections.append(_deflection_with_noise(present, absent, trials))
 
-    deflection_q, rel_var_q = _deflection_with_noise(*statistics["quantum"])
-    deflection_c, rel_var_c = _deflection_with_noise(*statistics["classical"])
+    (deflection_q, rel_var_q), (deflection_c, rel_var_c) = deflections
     ratio = deflection_q / deflection_c
     standard_error = ratio * math.sqrt(rel_var_q + rel_var_c)
 

@@ -4,8 +4,13 @@ Two transmitters are modeled: a two-mode squeezed vacuum (entangled
 signal/idler pair from CW parametric down-conversion) and a pair of
 correlated coherent states obtained by splitting one coherent field.  For
 each, this module provides the closed-form 4x4 quadrature covariance matrix
-and an independent oracle that recomputes the same matrix by brute-force
-expectation values in a truncated Fock space.
+and an independent oracle that recomputes the same matrix as expectation
+values in a truncated Fock space.  The oracles apply the truncated ladder
+operators to the state's Fock coefficients and sum the products; no
+closed-form moment enters.  They follow each state's structure: the TMSV
+is diagonal, sum_n c_n |n, n>, so every quadrature applied to it lies on
+two off-diagonals, and the coherent pair is a product, so every moment
+factorises into two single-mode sums.  Both hold O(n_max) numbers.
 
 Matrix convention
 -----------------
@@ -42,8 +47,9 @@ SIGNAL_I, SIGNAL_Q, IDLER_I, IDLER_Q = 0, 1, 2, 3
 #: Maximum probability mass the truncated state expansion may discard.
 TAIL_TOLERANCE = 1e-12
 
-#: Largest Fock dimension n_max + 1 an oracle may use.  An oracle holds
-#: about 150 * (n_max + 1)^2 bytes, so the bound keeps it under ~650 MB.
+#: Largest Fock dimension n_max + 1 an oracle may use.  The oracles hold
+#: O(n_max) numbers, so the bound limits the cutoff search and the run
+#: time, not memory.
 MAX_FOCK_STATES = 2048
 
 _SQRT2 = math.sqrt(2.0)
@@ -170,48 +176,76 @@ def _checked_cutoff(n_s: float, n_max: int | None, tail, default) -> int:
     return n_max
 
 
-def _second_moments(psi: np.ndarray) -> np.ndarray:
-    """4x4 matrix of 2x symmetrized non-central quadrature moments for a
-    two-mode state given by its Fock coefficient matrix ``psi[n_S, n_I]``.
+def _ladder_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a v, a^dag v) for one mode's Fock coefficients ``v[n]``, truncated.
 
-    Quadrature operators are applied directly to the coefficient matrix
-    (signal operators act on rows, idler operators on columns), so no
-    analytic moment formulas enter: the result is a pure truncated sum.
-    The truncated ladder operators only shift coefficients by one Fock
-    level with a sqrt(n) weight (a|n> = sqrt(n)|n-1>, with a^dag|n_max>
-    dropped), so they are applied as shifted slices, not as matrices.
+    a|n> = sqrt(n)|n-1> and a^dag|n> = sqrt(n+1)|n+1> shift the coefficients
+    by one level with a sqrt(n) weight, with a^dag|n_max> dropped, so they
+    are applied as shifted slices, not as matrices.
     """
-    psi_c = psi.astype(complex)
-    root = np.sqrt(np.arange(psi.shape[0]))[1:]
-    lower_s, raise_s, lower_i, raise_i = (np.zeros_like(psi_c) for _ in range(4))
-    lower_s[:-1] = root[:, None] * psi_c[1:]
-    raise_s[1:] = root[:, None] * psi_c[:-1]
-    lower_i[:, :-1] = psi_c[:, 1:] * root
-    raise_i[:, 1:] = psi_c[:, :-1] * root
+    root = np.sqrt(np.arange(1, v.size))
+    lowered, raised = np.zeros_like(v), np.zeros_like(v)
+    lowered[:-1] = root * v[1:]
+    raised[1:] = root * v[:-1]
+    return lowered, raised
 
-    applied = [
-        (lower_s + raise_s) / _SQRT2,          # I_S
-        (lower_s - raise_s) / (1j * _SQRT2),   # Q_S
-        (lower_i + raise_i) / _SQRT2,          # I_I
-        (lower_i - raise_i) / (1j * _SQRT2),   # Q_I
-    ]
 
+def _quadratures(lowered: np.ndarray, raised: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I v, Q v) from a v and a^dag v: I = (a + a^dag)/sqrt(2), Q = (a - a^dag)/(i sqrt(2))."""
+    return (lowered + raised) / _SQRT2, (lowered - raised) / (1j * _SQRT2)
+
+
+def _moment_matrix(applied, inner) -> np.ndarray:
+    """4x4 matrix of 2x symmetrized moments from the four states R_j|psi>.
+
+    <psi| R_j R_k |psi> = <R_j psi | R_k psi> = ``inner(applied[j],
+    applied[k])``; its real part is the symmetrized moment since swapping
+    j, k conjugates the product.
+    """
     cov = np.zeros((4, 4))
     for j in range(4):
         for k in range(j, 4):
-            # <psi| R_j R_k |psi> = <R_j psi | R_k psi>; the real part is the
-            # symmetrized moment since swapping j,k conjugates the product.
-            moment = np.vdot(applied[j], applied[k]).real
-            cov[j, k] = cov[k, j] = 2.0 * moment
+            cov[j, k] = cov[k, j] = 2.0 * inner(applied[j], applied[k]).real
     return cov
+
+
+def _diagonal_moments(coeffs: np.ndarray) -> np.ndarray:
+    """Moment matrix of the two-mode state sum_n c_n |n, n>.
+
+    A ladder operator on either mode moves every coefficient of the diagonal
+    state one step off the diagonal, so each R_j|psi> lives on the two
+    off-diagonals (n, n+1) and (n+1, n) of the coefficient matrix and is
+    stored as those two length-n_max vectors, concatenated; a^dag|n_max>
+    is dropped as in :func:`_ladder_pair`.  The inner product of two such
+    states is the plain dot product of the vectors.
+    """
+    root = np.sqrt(np.arange(1, coeffs.size))
+    upper, lower = root * coeffs[1:], root * coeffs[:-1]  # sqrt(n+1) c_{n+1}, sqrt(n+1) c_n
+    zero = np.zeros_like(upper)
+    # (above, below) the diagonal for a_S, a_S^dag, a_I, a_I^dag.
+    i_s, q_s = _quadratures(np.concatenate((upper, zero)), np.concatenate((zero, lower)))
+    i_i, q_i = _quadratures(np.concatenate((zero, upper)), np.concatenate((lower, zero)))
+    return _moment_matrix((i_s, q_s, i_i, q_i), np.vdot)
+
+
+def _product_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Moment matrix of the product state (sum_m a_m|m>) x (sum_n b_n|n>).
+
+    Signal operators act on ``a`` and idler operators on ``b`` alone, so each
+    R_j|psi> is kept as its two single-mode factors and every moment is the
+    product of two single-mode inner products.
+    """
+    applied = [(r_a, b) for r_a in _quadratures(*_ladder_pair(a))]
+    applied += [(a, r_b) for r_b in _quadratures(*_ladder_pair(b))]
+    return _moment_matrix(applied, lambda x, y: np.vdot(x[0], y[0]) * np.vdot(x[1], y[1]))
 
 
 def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarray:
     """Recompute the entangled-pair covariance by truncated Fock sums.
 
-    The state coefficients c_n = sqrt(n_s^n / (n_s + 1)^(n+1)) populate the
-    diagonal of the two-mode coefficient matrix; all sixteen second moments
-    are then evaluated numerically.  ``n_max`` defaults to
+    The state is sum_n c_n |n, n> with c_n = sqrt(n_s^n / (n_s + 1)^(n+1));
+    all sixteen second moments are summed from its n_max + 1 coefficients
+    (see :func:`_diagonal_moments`).  ``n_max`` defaults to
     :func:`min_fock_cutoff` and is rejected if it violates the tail rule or
     needs more than MAX_FOCK_STATES states.
     """
@@ -220,15 +254,15 @@ def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarray:
     ns = np.arange(n_max + 1)
     # sqrt(n_s^n / (n_s + 1)^(n+1)) in log space; the powers overflow past n ~ 300.
     coeffs = np.exp(0.5 * (ns * math.log(n_s) - (ns + 1) * math.log1p(n_s)))
-    psi = np.diag(coeffs)
-    return _second_moments(psi)
+    return _diagonal_moments(coeffs)
 
 
 def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarray:
     """Second-moment matrix of the literal product coherent state.
 
-    Uses alpha = sqrt(n_s/2), real and positive, for both modes, and the
-    same truncated-sum machinery as the TMSV oracle.  The I-sector entries
+    Uses alpha = sqrt(n_s/2), real and positive, for both modes; each
+    moment is a product of two single-mode truncated sums over the Poisson
+    amplitudes (see :func:`_product_moments`).  The I-sector entries
     reproduce the model matrix (2*n_s + 1 diagonal, 2*n_s cross); the
     Q-sector comes out as the product state actually gives it (variance 1,
     zero cross correlation), which is the documented deviation from the
@@ -250,5 +284,4 @@ def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarr
     else:
         amplitudes = np.zeros(n_max + 1)
         amplitudes[0] = 1.0
-    psi = np.outer(amplitudes, amplitudes)
-    return _second_moments(psi)
+    return _product_moments(amplitudes, amplitudes)

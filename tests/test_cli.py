@@ -397,6 +397,19 @@ def test_mc_low_photon_advantage(capsys):
     assert ratio - 1.0 >= 3.0 * se
 
 
+def test_mc_with_more_trials_than_memory_exits_2(capsys):
+    # 2e12 exponentials (16 TB): the allocation is refused at once, before
+    # any page is touched.
+    code, out, err = run_cli(
+        capsys,
+        "mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1",
+        "--trials", "1000000000000", "--seed", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: 1000000000000 trials do not fit in memory\n"
+
+
 def test_mc_prints_analytic_ratio_and_z(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,6 +1,7 @@
 """Closed-form transmitter covariances against the truncated Fock oracle."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -13,8 +14,9 @@ from qi_rangekit.quantum_states import (
     SIGNAL_I,
     SIGNAL_Q,
     TAIL_TOLERANCE,
+    _diagonal_moments,
     _poisson_tail,
-    _second_moments,
+    _product_moments,
     _smallest_cutoff,
     coherent_covariance,
     coherent_covariance_oracle,
@@ -238,12 +240,36 @@ def dense_second_moments(psi: np.ndarray) -> np.ndarray:
     return np.array([[2.0 * np.vdot(x, y).real for y in applied] for x in applied])
 
 
+def assert_close_to_dense(moments: np.ndarray, psi: np.ndarray) -> None:
+    reference = dense_second_moments(psi)
+    assert np.abs(moments - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
 @pytest.mark.parametrize("dim", [2, 5, 40])
 def test_second_moments_match_dense_ladder_operators(dim):
-    # Applying a and a^dag by index shift only drops products with zero, so
-    # the result is bit-identical to the dense matrix products.
+    # The structured kernels add the same non-zero products as the dense
+    # matrices, in another order, so they agree to rounding, not bit for bit.
     rng = np.random.Generator(np.random.PCG64(dim))
-    thermal = np.diag(np.exp(-0.3 * np.arange(dim)))
-    for psi in (thermal, rng.standard_normal((dim, dim))):
-        psi = psi / np.linalg.norm(psi)
-        assert np.array_equal(_second_moments(psi), dense_second_moments(psi))
+    for coeffs in (np.exp(-0.3 * np.arange(dim)), rng.standard_normal(dim)):
+        coeffs = coeffs / np.linalg.norm(coeffs)
+        assert_close_to_dense(_diagonal_moments(coeffs), np.diag(coeffs))
+    a, b = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2))
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    assert_close_to_dense(_product_moments(a, b), np.outer(a, b))
+
+
+def traced_peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "oracle, n_s", [(coherent_covariance_oracle, 1000.0), (tmsv_covariance_oracle, 50.0)]
+)
+def test_oracle_memory_grows_with_the_cutoff_not_its_square(oracle, n_s):
+    # dim 666 and 1396: a dense dim x dim complex array alone would take 7 and 31 MB.
+    assert traced_peak_bytes(oracle, n_s) < 1_000_000
