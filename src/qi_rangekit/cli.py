@@ -6,9 +6,8 @@ omitted fields) is taken from ``--config`` or the ``QI_RANGEKIT_CONFIG``
 environment variable.  All flags use SI base units (hertz, meters,
 seconds); dBm appears only where power is conventionally quoted in dBm.
 
-Only the handlers that build arrays (``covariance``, ``mc``, ``ratio`` and
-the ``sweep`` grid) import numpy-backed modules, inside the handler, so that
-``power``, ``atten``, ``range`` and ``--dump-config`` start without numpy.
+Only ``mc`` and the ``sweep`` grid use numpy, and they import it inside the
+handler, so that every other command and ``--dump-config`` start without it.
 
 Exit codes: 0 success, 2 invalid input, configuration or unwritable output
 path, 3 no detection range exists for the requested scenario.
@@ -21,16 +20,20 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__, atmosphere, radiometry
 from .config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
 from .constants import CODATA, TEXTBOOK
 from .errors import NoDetectionError, RangeKitError
+from .quantum_states import (
+    Matrix,
+    coherent_covariance,
+    coherent_covariance_oracle,
+    correlation_ratio,
+    tmsv_covariance,
+    tmsv_covariance_oracle,
+)
 from .range_solver import Illumination, link_at, r_max, sweep_range, sweep_ratio
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -128,12 +131,12 @@ def _write_text(path: Path, text: str) -> None:
         raise RangeKitError(f"cannot write {path}: {exc}") from exc
 
 
-def _format_matrix(matrix: np.ndarray) -> str:
+def _format_matrix(matrix: Matrix) -> str:
     labels = ("I_S", "Q_S", "I_I", "Q_I")
     header = "        " + "".join(f" {label:>14}" for label in labels)
     lines = [header]
     for label, row in zip(labels, matrix):
-        cells = "".join(f" {float(v):>14.9g}" for v in row)
+        cells = "".join(f" {v:>14.9g}" for v in row)
         lines.append(f"{label:>8}{cells}")
     return "\n".join(lines)
 
@@ -147,35 +150,26 @@ def _cmd_power(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
 
 
 def _cmd_covariance(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
-    import numpy as np
-
-    from .quantum_states import (
-        coherent_covariance,
-        coherent_covariance_oracle,
-        tmsv_covariance,
-        tmsv_covariance_oracle,
-    )
-
     if args.mode == "qi":
         closed, oracle_fn = tmsv_covariance, tmsv_covariance_oracle
     else:
         closed, oracle_fn = coherent_covariance, coherent_covariance_oracle
     cov = closed(args.ns)
+    # the oracle runs before anything is printed, so its error leaves stdout empty
+    oracle = oracle_fn(args.ns, args.cutoff) if args.oracle else None
     print(f"{args.mode} covariance (2x symmetrized second moments) at N_s = {args.ns!r}:",
           file=out)
     print(_format_matrix(cov), file=out)
-    if args.oracle:
-        oracle = oracle_fn(args.ns, args.cutoff)
+    if oracle is not None:
         print("truncated Fock-space oracle:", file=out)
         print(_format_matrix(oracle), file=out)
-        deviation = float(np.abs(oracle - cov).max())
+        deviation = max(abs(o - c) for o_row, c_row in zip(oracle, cov)
+                        for o, c in zip(o_row, c_row))
         print(f"max abs deviation: {deviation:.3e}", file=out)
     return EXIT_OK
 
 
 def _cmd_ratio(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
-    from .quantum_states import correlation_ratio
-
     print(f"C_c/C_q = {correlation_ratio(args.ns):.9g} at N_s = {args.ns!r}", file=out)
     return EXIT_OK
 

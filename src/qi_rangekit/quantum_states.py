@@ -10,7 +10,11 @@ operators to the state's Fock coefficients and sum the products; no
 closed-form moment enters.  They follow each state's structure: the TMSV
 is diagonal, sum_n c_n |n, n>, so every quadrature applied to it lies on
 two off-diagonals, and the coherent pair is a product, so every moment
-factorises into two single-mode sums.  Both hold O(n_max) numbers.
+factorises into two single-mode sums.  Both hold O(n_max) numbers, in plain
+Python lists, so the module does not load numpy.
+
+Every function that returns a matrix returns it as a tuple of four row
+tuples of floats, ``cov[j][k]``; ``numpy.asarray`` turns it into a 4x4 array.
 
 Matrix convention
 -----------------
@@ -34,9 +38,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from functools import partial
-
-import numpy as np
 
 from .errors import CutoffError
 from .radiometry import _require_non_negative, _require_positive
@@ -52,21 +55,25 @@ TAIL_TOLERANCE = 1e-12
 #: time, not memory.
 MAX_FOCK_STATES = 2048
 
+#: A 4x4 matrix as four row tuples, indexed ``cov[j][k]``.
+Matrix = tuple[tuple[float, ...], ...]
+
 _SQRT2 = math.sqrt(2.0)
+_I_SQRT2 = 1j * _SQRT2
 
 
-def _block_covariance(s: float, c: float) -> np.ndarray:
-    """Assemble the 4x4 matrix with diagonal blocks diag(s, s) and
-    signal/idler cross blocks diag(c, -c)."""
-    cov = np.zeros((4, 4))
-    cov[SIGNAL_I, SIGNAL_I] = cov[SIGNAL_Q, SIGNAL_Q] = s
-    cov[IDLER_I, IDLER_I] = cov[IDLER_Q, IDLER_Q] = s
-    cov[SIGNAL_I, IDLER_I] = cov[IDLER_I, SIGNAL_I] = c
-    cov[SIGNAL_Q, IDLER_Q] = cov[IDLER_Q, SIGNAL_Q] = -c
-    return cov
+def _block_covariance(s: float, c: float) -> Matrix:
+    """The 4x4 matrix with diagonal blocks diag(s, s) and signal/idler
+    cross blocks diag(c, -c), in the order (I_S, Q_S, I_I, Q_I)."""
+    return (
+        (s, 0.0, c, 0.0),
+        (0.0, s, 0.0, -c),
+        (c, 0.0, s, 0.0),
+        (0.0, -c, 0.0, s),
+    )
 
 
-def tmsv_covariance(n_s: float) -> np.ndarray:
+def tmsv_covariance(n_s: float) -> Matrix:
     """Covariance matrix of the entangled (two-mode squeezed vacuum) pair.
 
     Diagonal S = 2*n_s + 1, cross entries +/- C_q = 2*sqrt(n_s*(n_s + 1)).
@@ -78,7 +85,7 @@ def tmsv_covariance(n_s: float) -> np.ndarray:
     return _block_covariance(s, c_q)
 
 
-def coherent_covariance(n_s: float) -> np.ndarray:
+def coherent_covariance(n_s: float) -> Matrix:
     """Model covariance matrix of the correlated coherent-state pair.
 
     Diagonal S = 2*n_s + 1, cross entries +/- C_c = 2*n_s.  This is the
@@ -103,11 +110,14 @@ def min_fock_cutoff(n_s: float) -> int:
     """Smallest truncation index n_max whose discarded thermal-weight tail
     sum_{n > n_max} n_s^n / (n_s + 1)^(n+1) stays below ``TAIL_TOLERANCE``.
 
-    The tail is geometric: (n_s/(n_s + 1))^(n_max + 1).  Raises
+    The tail is geometric: (n_s/(n_s + 1))^(n_max + 1); the vacuum,
+    ``n_s = 0``, has none and takes the smallest cutoff, 1.  Raises
     :class:`CutoffError` where n_s/(n_s + 1) rounds to 1 (n_s above ~1e16),
     so that no finite cutoff bounds the tail.
     """
-    n_s = _require_positive("n_s", n_s)
+    n_s = _require_non_negative("n_s", n_s)
+    if n_s == 0.0:
+        return 1
     ratio = n_s / (n_s + 1.0)
     if ratio == 1.0:
         raise CutoffError(f"n_s={n_s!r} is too large for a finite Fock cutoff")
@@ -158,7 +168,7 @@ def _smallest_cutoff(tail) -> int:
 
 def _checked_cutoff(n_s: float, n_max: int | None, tail, default) -> int:
     """The caller's ``n_max``, or ``default()`` if it is None, checked before any
-    array is built: within the state bound, >= 1, and tail(n_max) < TAIL_TOLERANCE."""
+    list is built: within the state bound, >= 1, and tail(n_max) < TAIL_TOLERANCE."""
     n_max = int(default() if n_max is None else n_max)
     if n_max >= MAX_FOCK_STATES:
         raise CutoffError(
@@ -176,59 +186,67 @@ def _checked_cutoff(n_s: float, n_max: int | None, tail, default) -> int:
     return n_max
 
 
-def _ladder_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ladder_pair(v: Sequence[complex]) -> tuple[list[complex], list[complex]]:
     """(a v, a^dag v) for one mode's Fock coefficients ``v[n]``, truncated.
 
     a|n> = sqrt(n)|n-1> and a^dag|n> = sqrt(n+1)|n+1> shift the coefficients
     by one level with a sqrt(n) weight, with a^dag|n_max> dropped, so they
-    are applied as shifted slices, not as matrices.
+    are applied as shifted lists, not as matrices.
     """
-    root = np.sqrt(np.arange(1, v.size))
-    lowered, raised = np.zeros_like(v), np.zeros_like(v)
-    lowered[:-1] = root * v[1:]
-    raised[1:] = root * v[:-1]
+    root = [math.sqrt(n) for n in range(1, len(v))]
+    lowered = [r * x for r, x in zip(root, v[1:])] + [0.0]
+    raised = [0.0] + [r * x for r, x in zip(root, v)]
     return lowered, raised
 
 
-def _quadratures(lowered: np.ndarray, raised: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _quadratures(
+    lowered: Sequence[complex], raised: Sequence[complex]
+) -> tuple[list[complex], list[complex]]:
     """(I v, Q v) from a v and a^dag v: I = (a + a^dag)/sqrt(2), Q = (a - a^dag)/(i sqrt(2))."""
-    return (lowered + raised) / _SQRT2, (lowered - raised) / (1j * _SQRT2)
+    return ([(x + y) / _SQRT2 for x, y in zip(lowered, raised)],
+            [(x - y) / _I_SQRT2 for x, y in zip(lowered, raised)])
 
 
-def _moment_matrix(applied, inner) -> np.ndarray:
+def _vdot(x: Sequence[complex], y: Sequence[complex]) -> complex:
+    """<x|y> = sum_n conj(x_n) y_n."""
+    return sum(a.conjugate() * b for a, b in zip(x, y))
+
+
+def _moment_matrix(applied, inner) -> Matrix:
     """4x4 matrix of 2x symmetrized moments from the four states R_j|psi>.
 
     <psi| R_j R_k |psi> = <R_j psi | R_k psi> = ``inner(applied[j],
     applied[k])``; its real part is the symmetrized moment since swapping
     j, k conjugates the product.
     """
-    cov = np.zeros((4, 4))
+    cov = [[0.0] * 4 for _ in range(4)]
     for j in range(4):
         for k in range(j, 4):
-            cov[j, k] = cov[k, j] = 2.0 * inner(applied[j], applied[k]).real
-    return cov
+            cov[j][k] = cov[k][j] = 2.0 * inner(applied[j], applied[k]).real
+    return tuple(tuple(row) for row in cov)
 
 
-def _diagonal_moments(coeffs: np.ndarray) -> np.ndarray:
+def _diagonal_moments(coeffs: Sequence[float]) -> Matrix:
     """Moment matrix of the two-mode state sum_n c_n |n, n>.
 
     A ladder operator on either mode moves every coefficient of the diagonal
     state one step off the diagonal, so each R_j|psi> lives on the two
     off-diagonals (n, n+1) and (n+1, n) of the coefficient matrix and is
-    stored as those two length-n_max vectors, concatenated; a^dag|n_max>
+    stored as those two length-n_max lists, concatenated; a^dag|n_max>
     is dropped as in :func:`_ladder_pair`.  The inner product of two such
-    states is the plain dot product of the vectors.
+    states is the plain dot product of the lists.
     """
-    root = np.sqrt(np.arange(1, coeffs.size))
-    upper, lower = root * coeffs[1:], root * coeffs[:-1]  # sqrt(n+1) c_{n+1}, sqrt(n+1) c_n
-    zero = np.zeros_like(upper)
+    root = [math.sqrt(n) for n in range(1, len(coeffs))]
+    upper = [r * c for r, c in zip(root, coeffs[1:])]  # sqrt(n+1) c_{n+1}
+    lower = [r * c for r, c in zip(root, coeffs)]  # sqrt(n+1) c_n
+    zero = [0.0] * len(upper)
     # (above, below) the diagonal for a_S, a_S^dag, a_I, a_I^dag.
-    i_s, q_s = _quadratures(np.concatenate((upper, zero)), np.concatenate((zero, lower)))
-    i_i, q_i = _quadratures(np.concatenate((zero, upper)), np.concatenate((lower, zero)))
-    return _moment_matrix((i_s, q_s, i_i, q_i), np.vdot)
+    i_s, q_s = _quadratures(upper + zero, zero + lower)
+    i_i, q_i = _quadratures(zero + upper, lower + zero)
+    return _moment_matrix((i_s, q_s, i_i, q_i), _vdot)
 
 
-def _product_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product_moments(a: Sequence[complex], b: Sequence[complex]) -> Matrix:
     """Moment matrix of the product state (sum_m a_m|m>) x (sum_n b_n|n>).
 
     Signal operators act on ``a`` and idler operators on ``b`` alone, so each
@@ -237,27 +255,30 @@ def _product_moments(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     applied = [(r_a, b) for r_a in _quadratures(*_ladder_pair(a))]
     applied += [(a, r_b) for r_b in _quadratures(*_ladder_pair(b))]
-    return _moment_matrix(applied, lambda x, y: np.vdot(x[0], y[0]) * np.vdot(x[1], y[1]))
+    return _moment_matrix(applied, lambda x, y: _vdot(x[0], y[0]) * _vdot(x[1], y[1]))
 
 
-def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarray:
+def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> Matrix:
     """Recompute the entangled-pair covariance by truncated Fock sums.
 
     The state is sum_n c_n |n, n> with c_n = sqrt(n_s^n / (n_s + 1)^(n+1));
     all sixteen second moments are summed from its n_max + 1 coefficients
-    (see :func:`_diagonal_moments`).  ``n_max`` defaults to
-    :func:`min_fock_cutoff` and is rejected if it violates the tail rule or
-    needs more than MAX_FOCK_STATES states.
+    (see :func:`_diagonal_moments`).  ``n_s = 0`` is the vacuum, c = [1, 0, ...].
+    ``n_max`` defaults to :func:`min_fock_cutoff` and is rejected if it
+    violates the tail rule or needs more than MAX_FOCK_STATES states.
     """
-    n_s = _require_positive("n_s", n_s)
+    n_s = _require_non_negative("n_s", n_s)
     n_max = _checked_cutoff(n_s, n_max, partial(_tmsv_tail, n_s), partial(min_fock_cutoff, n_s))
-    ns = np.arange(n_max + 1)
-    # sqrt(n_s^n / (n_s + 1)^(n+1)) in log space; the powers overflow past n ~ 300.
-    coeffs = np.exp(0.5 * (ns * math.log(n_s) - (ns + 1) * math.log1p(n_s)))
+    if n_s > 0.0:
+        # sqrt(n_s^n / (n_s + 1)^(n+1)) in log space; the powers overflow past n ~ 300.
+        log_n_s, log1p_n_s = math.log(n_s), math.log1p(n_s)
+        coeffs = [math.exp(0.5 * (n * log_n_s - (n + 1) * log1p_n_s)) for n in range(n_max + 1)]
+    else:
+        coeffs = [1.0] + [0.0] * n_max
     return _diagonal_moments(coeffs)
 
 
-def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarray:
+def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> Matrix:
     """Second-moment matrix of the literal product coherent state.
 
     Uses alpha = sqrt(n_s/2), real and positive, for both modes; each
@@ -274,14 +295,11 @@ def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> np.ndarr
     lam = n_s / 2.0  # photons per mode, |alpha|^2
     tail = partial(_poisson_tail, lam)
     n_max = _checked_cutoff(n_s, n_max, tail, partial(_smallest_cutoff, tail))
-    ns = np.arange(n_max + 1)
-    # exp(-lam/2) * alpha^n / sqrt(n!) in log space; alpha = sqrt(lam).
     if lam > 0.0:
-        log_amp = -lam / 2.0 + 0.5 * ns * math.log(lam) - 0.5 * np.array(
-            [math.lgamma(n + 1) for n in range(n_max + 1)]
-        )
-        amplitudes = np.exp(log_amp)
+        # exp(-lam/2) * alpha^n / sqrt(n!) in log space; alpha = sqrt(lam).
+        log_lam = math.log(lam)
+        amplitudes = [math.exp(-lam / 2.0 + 0.5 * n * log_lam - 0.5 * math.lgamma(n + 1))
+                      for n in range(n_max + 1)]
     else:
-        amplitudes = np.zeros(n_max + 1)
-        amplitudes[0] = 1.0
+        amplitudes = [1.0] + [0.0] * n_max
     return _product_moments(amplitudes, amplitudes)

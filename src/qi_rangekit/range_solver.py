@@ -51,6 +51,7 @@ from .errors import DomainError, NoDetectionError
 from .link_budget import (
     _FOUR_PI, DetectionSpec, IntegrationSpec, RadarParams, _require_far_field, antenna_gain,
 )
+from .quantum_states import correlation_ratio
 from .radiometry import _require_non_negative, _require_positive
 
 if TYPE_CHECKING:
@@ -286,8 +287,5 @@ def sweep_range(
 def sweep_ratio(n_s_grid: Sequence[float]) -> Iterator[tuple[float, float]]:
     """Classical/quantum correlation ratio over an N_s grid, as lazy
     ``(n_s, ratio)`` rows.  The grid is validated on the call."""
-    # imported here, not at the top: quantum_states loads numpy
-    from .quantum_states import correlation_ratio
-
     grid = _validated_grid(n_s_grid)
     return ((n_s, correlation_ratio(n_s)) for n_s in grid)

@@ -67,8 +67,8 @@ def test_criterion_2_covariance_oracle():
     worst_entry = 0.0
     worst_identity = 0.0
     for n_s in (0.01, 0.1, 0.5, 1.0, 5.0):
-        closed = tmsv_covariance(n_s)
-        oracle = tmsv_covariance_oracle(n_s)
+        closed = np.asarray(tmsv_covariance(n_s))
+        oracle = np.asarray(tmsv_covariance_oracle(n_s))
         worst_entry = max(worst_entry, float(np.abs(oracle - closed).max()))
         s, c = closed[0, 0], closed[0, 2]
         worst_identity = max(worst_identity, abs(s**2 - c**2 - 1.0))
@@ -208,7 +208,7 @@ def test_criterion_7_albersheim_estimator():
 
 def test_criterion_8_monte_carlo_suite():
     n = 10**6
-    cov = tmsv_covariance(0.5)
+    cov = np.asarray(tmsv_covariance(0.5))
     samples = sample_quadratures(cov, n, seed=2024)
     estimate = estimate_covariance(samples)
     se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)

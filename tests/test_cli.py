@@ -16,6 +16,7 @@ from qi_rangekit.range_solver import Illumination, r_max
 
 QI_ADVANTAGE_AT_1E2 = 101.0**0.25  # range gain at N_s = 1e-2
 SRC = Path(qi_rangekit.__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -73,7 +74,7 @@ def test_covariance_oracle_deviation(capsys):
 
 
 def test_covariance_cells_are_separated(capsys):
-    # the oracle's -2.96586716e-17 is 15 characters, wider than a cell
+    # a round-off cross entry such as -2.96586716e-17 is 15 characters, wider than a cell
     code, out, _ = run_cli(capsys, "covariance", "--ns", "1000", "--mode", "ci", "--oracle")
     assert code == 0
     rows = [line for line in out.splitlines() if line[:8].strip() in ("I_S", "Q_S", "I_I", "Q_I")]
@@ -91,12 +92,48 @@ def test_covariance_cells_are_separated(capsys):
         ("--ns", "0.5", "--mode", "qi", "--cutoff", "1000000"),  # cutoff above the state bound
         ("--ns", "5000", "--mode", "ci"),  # default cutoff above the state bound
         ("--ns", "1e17", "--mode", "qi"),  # n_s / (n_s + 1) rounds to 1
+        ("--ns", "0.5", "--mode", "qi", "--cutoff", "3000"),
     ],
 )
 def test_covariance_oracle_rejected_before_any_array(capsys, argv):
-    code, _, err = run_cli(capsys, "covariance", "--oracle", *argv)
+    code, out, err = run_cli(capsys, "covariance", "--oracle", *argv)
     assert code == 2
+    assert out == ""  # not the closed-form half of the answer
     assert err.startswith("error: ")
+
+
+def test_covariance_oracle_at_zero_photons(capsys):
+    code, out, _ = run_cli(capsys, "covariance", "--ns", "0", "--mode", "qi", "--oracle")
+    assert code == 0
+    deviation = float(re.search(r"max abs deviation: (\S+)", out).group(1))
+    assert deviation < 1e-12
+
+
+def _mask_round_off(mode: str, text: str) -> str:
+    """Mask the parts of ``covariance --oracle`` stdout that hold round-off:
+    the last digit of the deviation (qi), and the oracle's Q_S/Q_I cross
+    cells (ci), which are 0 in exact arithmetic and must stay below 1e-30."""
+    if mode == "qi":
+        return re.sub(r"(max abs deviation: \d\.\d\d)\d(e[-+]\d+)", r"\1#\2", text)
+    lines = text.split("\n")
+    oracle_start = lines.index("truncated Fock-space oracle:")
+    width = 15  # one space and a 14-character cell
+    for label, column in (("Q_S", 3), ("Q_I", 1)):
+        row = next(i for i in range(oracle_start, len(lines)) if lines[i][:8].strip() == label)
+        start = 8 + width * column
+        cell = lines[row][start:start + width]
+        assert abs(float(cell)) < 1e-30
+        lines[row] = lines[row][:start] + " " * (width - 1) + "#" + lines[row][start + width:]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("mode, n_s", [("qi", "10"), ("qi", "20"), ("ci", "10"), ("ci", "1000")])
+def test_covariance_oracle_output_is_pinned(capsys, mode, n_s):
+    # the four oracle commands of the benchmark's verify workload
+    code, out, _ = run_cli(capsys, "covariance", "--ns", n_s, "--mode", mode, "--oracle")
+    assert code == 0
+    expected = (GOLDEN / f"covariance_oracle_{mode}_{n_s}.txt").read_text(encoding="utf-8")
+    assert _mask_round_off(mode, out) == _mask_round_off(mode, expected)
 
 
 def test_ratio_command(capsys):
@@ -452,6 +489,9 @@ def _numpy_loaded_after(tmp_path, statement: str) -> bool:
     ["range", "--ns", "1e-2", "--freq", "1e12"],
     ["power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"],
     ["atten", "--freq", "60e9"],
+    ["covariance", "--ns", "20", "--mode", "qi", "--oracle"],
+    ["covariance", "--ns", "1000", "--mode", "ci", "--oracle"],
+    ["ratio", "--ns", "0.5"],
 ])
 def test_scalar_commands_start_without_numpy(tmp_path, argv):
     statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
@@ -459,7 +499,9 @@ def test_scalar_commands_start_without_numpy(tmp_path, argv):
 
 
 def test_scalar_modules_import_without_numpy(tmp_path):
-    assert not _numpy_loaded_after(tmp_path, "import qi_rangekit.config, qi_rangekit.range_solver")
+    assert not _numpy_loaded_after(
+        tmp_path, "import qi_rangekit.config, qi_rangekit.quantum_states, qi_rangekit.range_solver"
+    )
 
 
 def test_sweep_loads_numpy(tmp_path):

@@ -26,7 +26,7 @@ def entrywise_standard_error(cov: np.ndarray, n: int) -> np.ndarray:
 
 
 def test_sampling_is_deterministic():
-    cov = tmsv_covariance(0.5)
+    cov = np.asarray(tmsv_covariance(0.5))
     a = sample_quadratures(cov, 1000, seed=42)
     b = sample_quadratures(cov, 1000, seed=42)
     assert np.array_equal(a, b)
@@ -43,7 +43,7 @@ def test_identity_covariance_recovery():
 
 def test_tmsv_cross_moment_recovery():
     n = 10**6
-    cov = tmsv_covariance(0.5)
+    cov = np.asarray(tmsv_covariance(0.5))
     samples = sample_quadratures(cov, n, seed=11)
     # E[I_S * I_I] = C_q / 2 under the 2x-moment convention
     cross = float(np.mean(samples[:, 0] * samples[:, 2]))
@@ -55,14 +55,14 @@ def test_tmsv_cross_moment_recovery():
 @pytest.mark.parametrize("n_s", [0.5, 0.05])
 def test_estimate_covariance_recovers_tmsv(n_s):
     n = 10**6
-    cov = tmsv_covariance(n_s)
+    cov = np.asarray(tmsv_covariance(n_s))
     estimate = estimate_covariance(sample_quadratures(cov, n, seed=5))
     assert np.all(np.abs(estimate - cov) <= 5.0 * entrywise_standard_error(cov, n))
 
 
 def test_estimate_covariance_recovers_coherent_cross_entry():
     n = 10**6
-    cov = coherent_covariance(0.5)
+    cov = np.asarray(coherent_covariance(0.5))
     estimate = estimate_covariance(sample_quadratures(cov, n, seed=6))
     se = entrywise_standard_error(cov, n)
     assert abs(estimate[0, 2] - 1.0) <= 5.0 * se[0, 2]
@@ -99,7 +99,7 @@ def test_seed_validation():
 
 
 def test_return_channel_covariances():
-    base = tmsv_covariance(0.5)
+    base = np.asarray(tmsv_covariance(0.5))
     model = ReturnChannelModel(eta=0.25, n_b=2.0, base=base)
     present = model.present_covariance()
     # returned-signal diagonal: 2*(eta*N_s + (1-eta)*N_B) + 1
@@ -203,7 +203,7 @@ def test_draw_statistic_matches_quadrature_product_moments():
 
 def test_draw_statistic_rejects_other_covariances():
     rng = np.random.Generator(np.random.PCG64(0))
-    base = tmsv_covariance(0.5)
+    base = np.asarray(tmsv_covariance(0.5))
     correlated = base.copy()
     correlated[0, 1] = correlated[1, 0] = 0.1  # I and Q sectors correlated
     unequal = base.copy()

@@ -28,12 +28,12 @@ from qi_rangekit.quantum_states import (
 
 
 def test_tmsv_vacuum_limit():
-    cov = tmsv_covariance(0.0)
+    cov = np.asarray(tmsv_covariance(0.0))
     assert np.array_equal(cov, np.eye(4))
 
 
 def test_tmsv_at_half_photon():
-    cov = tmsv_covariance(0.5)
+    cov = np.asarray(tmsv_covariance(0.5))
     c_q = 2.0 * math.sqrt(0.75)
     assert cov[SIGNAL_I, SIGNAL_I] == 2.0
     assert cov[IDLER_Q, IDLER_Q] == 2.0
@@ -44,20 +44,20 @@ def test_tmsv_at_half_photon():
 
 
 def test_tmsv_matches_oracle_at_half_photon():
-    oracle = tmsv_covariance_oracle(0.5, min_fock_cutoff(0.5))
-    assert np.abs(oracle - tmsv_covariance(0.5)).max() < 1e-9
+    oracle = np.asarray(tmsv_covariance_oracle(0.5, min_fock_cutoff(0.5)))
+    assert np.abs(oracle - np.asarray(tmsv_covariance(0.5))).max() < 1e-9
 
 
 def test_coherent_model_matrix():
     assert np.array_equal(coherent_covariance(0.0), np.eye(4))
-    cov = coherent_covariance(0.5)
+    cov = np.asarray(coherent_covariance(0.5))
     assert cov[SIGNAL_I, SIGNAL_I] == 2.0
     assert cov[SIGNAL_I, IDLER_I] == 1.0
     assert cov[SIGNAL_Q, IDLER_Q] == -1.0
 
 
 def test_coherent_hyperbola_identity():
-    cov = coherent_covariance(2.0)
+    cov = np.asarray(coherent_covariance(2.0))
     s = cov[SIGNAL_I, SIGNAL_I]
     c = cov[SIGNAL_I, IDLER_I]
     assert s**2 - c**2 == pytest.approx(4.0 * 2.0 + 1.0, rel=1e-15)
@@ -71,8 +71,8 @@ def test_correlation_ratio_values():
 
 def test_correlation_ratio_cross_checks_covariances():
     for n_s in (0.03, 0.5, 2.0, 40.0):
-        c_q = tmsv_covariance(n_s)[SIGNAL_I, IDLER_I]
-        c_c = coherent_covariance(n_s)[SIGNAL_I, IDLER_I]
+        c_q = np.asarray(tmsv_covariance(n_s))[SIGNAL_I, IDLER_I]
+        c_c = np.asarray(coherent_covariance(n_s))[SIGNAL_I, IDLER_I]
         assert correlation_ratio(n_s) == pytest.approx(c_c / c_q, rel=1e-14)
         assert c_q > c_c
 
@@ -90,12 +90,12 @@ def test_tmsv_hyperbola_identity_over_grid():
     # relative to that scale.  For s^2 <= ~1e6 this is as strict as 1e-9
     # against the unit identity value itself.
     for n_s in np.logspace(-4, 4, 60):
-        cov = tmsv_covariance(n_s)
+        cov = np.asarray(tmsv_covariance(n_s))
         s = cov[SIGNAL_I, SIGNAL_I]
         c = cov[SIGNAL_I, IDLER_I]
         assert abs(s**2 - c**2 - 1.0) <= 1e-9 * max(1.0, s**2)
     for n_s in np.logspace(-4, 2, 40):
-        cov = tmsv_covariance(n_s)
+        cov = np.asarray(tmsv_covariance(n_s))
         s = cov[SIGNAL_I, SIGNAL_I]
         c = cov[SIGNAL_I, IDLER_I]
         assert s**2 - c**2 == pytest.approx(1.0, abs=1e-9)
@@ -103,28 +103,28 @@ def test_tmsv_hyperbola_identity_over_grid():
 
 @pytest.mark.parametrize("n_s", [0.01, 0.1, 0.5, 1.0, 5.0])
 def test_oracle_equivalence(n_s):
-    oracle = tmsv_covariance_oracle(n_s)  # rule-compliant default cutoff
-    assert np.abs(oracle - tmsv_covariance(n_s)).max() < 1e-9
+    oracle = np.asarray(tmsv_covariance_oracle(n_s))  # rule-compliant default cutoff
+    assert np.abs(oracle - np.asarray(tmsv_covariance(n_s))).max() < 1e-9
 
 
 @pytest.mark.parametrize("n_s", [20.0, 50.0])
 def test_oracle_finite_at_large_photon_number(n_s):
     # the state coefficients overflow unless built in log space (n_max >= 566)
-    closed = tmsv_covariance(n_s)
-    oracle = tmsv_covariance_oracle(n_s)
+    closed = np.asarray(tmsv_covariance(n_s))
+    oracle = np.asarray(tmsv_covariance_oracle(n_s))
     assert np.isfinite(oracle).all()
     assert np.abs(oracle - closed).max() <= 1e-8 * np.abs(closed).max()
 
 
 def test_oracle_small_photon_number():
-    oracle = tmsv_covariance_oracle(0.01, 40)
+    oracle = np.asarray(tmsv_covariance_oracle(0.01, 40))
     assert oracle[SIGNAL_I, SIGNAL_I] == pytest.approx(1.02, abs=1e-9)
     assert oracle[SIGNAL_I, IDLER_I] == pytest.approx(2.0 * math.sqrt(0.01 * 1.01), abs=1e-9)
 
 
 def test_oracle_recovers_mean_photon_number():
     # <n> = (<I^2> + <Q^2> - 1)/2 per mode; entries are 2x the moments.
-    cov = tmsv_covariance_oracle(0.5, 80)
+    cov = np.asarray(tmsv_covariance_oracle(0.5, 80))
     recovered = (cov[SIGNAL_I, SIGNAL_I] + cov[SIGNAL_Q, SIGNAL_Q] - 2.0) / 4.0
     assert recovered == pytest.approx(0.5, abs=1e-10)
 
@@ -136,22 +136,41 @@ def test_covariances_exactly_symmetric():
         tmsv_covariance_oracle(0.7),
         coherent_covariance_oracle(0.7),
     ):
+        cov = np.asarray(cov)
         assert np.array_equal(cov, cov.T)
 
 
 def test_coherent_oracle_vacuum():
-    assert np.abs(coherent_covariance_oracle(0.0) - np.eye(4)).max() < 1e-12
+    assert np.abs(np.asarray(coherent_covariance_oracle(0.0)) - np.eye(4)).max() < 1e-12
+
+
+def test_tmsv_oracle_vacuum():
+    # like the coherent pair, n_s = 0 is the vacuum: c = [1, 0], n_max = 1
+    assert min_fock_cutoff(0.0) == 1
+    assert np.abs(np.asarray(tmsv_covariance_oracle(0.0)) - np.eye(4)).max() < 1e-12
+    assert np.abs(np.asarray(tmsv_covariance_oracle(0.0, 30)) - np.eye(4)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "fn", [tmsv_covariance, coherent_covariance, tmsv_covariance_oracle, coherent_covariance_oracle]
+)
+def test_matrices_are_tuples_of_four_float_rows(fn):
+    matrix = fn(0.7)
+    assert type(matrix) is tuple and len(matrix) == 4
+    for row in matrix:
+        assert type(row) is tuple and len(row) == 4
+        assert all(type(v) is float for v in row)
 
 
 def test_coherent_oracle_i_sector_matches_model():
-    oracle = coherent_covariance_oracle(0.5)
+    oracle = np.asarray(coherent_covariance_oracle(0.5))
     assert oracle[SIGNAL_I, SIGNAL_I] == pytest.approx(2.0, abs=1e-9)
     assert oracle[SIGNAL_I, IDLER_I] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_coherent_oracle_q_sector_deviates_from_model():
     # Real-amplitude product state: unit Q variance, no Q-sector correlation.
-    oracle = coherent_covariance_oracle(0.5)
+    oracle = np.asarray(coherent_covariance_oracle(0.5))
     assert oracle[SIGNAL_Q, IDLER_Q] == pytest.approx(0.0, abs=1e-9)
     assert oracle[SIGNAL_Q, SIGNAL_Q] == pytest.approx(1.0, abs=1e-9)
 
@@ -167,8 +186,8 @@ def test_min_fock_cutoff_tail_rule():
 def test_coherent_oracle_i_sector_at_large_photon_number():
     # Past N_s ~1500 the first Poisson tail term underflows below the mean;
     # the tail must still read ~1 there, not 0, or n_max = 1 passes.
-    closed = coherent_covariance(2000.0)
-    oracle = coherent_covariance_oracle(2000.0)
+    closed = np.asarray(coherent_covariance(2000.0))
+    oracle = np.asarray(coherent_covariance_oracle(2000.0))
     i_sector = np.ix_([SIGNAL_I, IDLER_I], [SIGNAL_I, IDLER_I])
     assert np.abs(oracle[i_sector] - closed[i_sector]).max() <= 1e-8 * np.abs(closed).max()
 
@@ -240,9 +259,9 @@ def dense_second_moments(psi: np.ndarray) -> np.ndarray:
     return np.array([[2.0 * np.vdot(x, y).real for y in applied] for x in applied])
 
 
-def assert_close_to_dense(moments: np.ndarray, psi: np.ndarray) -> None:
+def assert_close_to_dense(moments, psi: np.ndarray) -> None:
     reference = dense_second_moments(psi)
-    assert np.abs(moments - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert np.abs(np.asarray(moments) - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("dim", [2, 5, 40])
@@ -252,10 +271,10 @@ def test_second_moments_match_dense_ladder_operators(dim):
     rng = np.random.Generator(np.random.PCG64(dim))
     for coeffs in (np.exp(-0.3 * np.arange(dim)), rng.standard_normal(dim)):
         coeffs = coeffs / np.linalg.norm(coeffs)
-        assert_close_to_dense(_diagonal_moments(coeffs), np.diag(coeffs))
+        assert_close_to_dense(_diagonal_moments(coeffs.tolist()), np.diag(coeffs))
     a, b = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2))
     a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    assert_close_to_dense(_product_moments(a, b), np.outer(a, b))
+    assert_close_to_dense(_product_moments(a.tolist(), b.tolist()), np.outer(a, b))
 
 
 def traced_peak_bytes(fn, *args) -> int:
