@@ -33,7 +33,7 @@ from .quantum_states import (
     tmsv_covariance,
     tmsv_covariance_oracle,
 )
-from .range_solver import Illumination, link_at, r_max, sweep_range, sweep_ratio
+from .range_solver import Illumination, range_chain, sweep_range, sweep_ratio
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -191,19 +191,23 @@ def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
 
 def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     constants = CODATA if args.codata else TEXTBOOK
+    chain = range_chain(config, args.freq, constants)
+    modes = (Illumination(args.mode),) if args.mode else (Illumination.CI, Illumination.QI)
+    # every mode is solved and its link evaluated before anything is printed,
+    # so an error leaves stdout empty
+    results = []
+    for mode in modes:
+        solution = chain.solve(args.ns, mode)
+        results.append((mode, solution, chain.link_at(args.ns, solution.r_max_m)))
     # noise budget is configured as a power; the implied temperature and
     # occupancy are derived, so show them
     print(
         f"noise: P_B = {config.noise_power_dbm:g} dBm -> implied T_eff = "
         f"{config.t_eff_kelvin(constants):.6g} K, N_B({args.freq:.6g} Hz) = "
-        f"{config.noise_occupancy(args.freq, constants):.6g}",
+        f"{chain.n_b:.6g}",
         file=out,
     )
-    modes = (Illumination(args.mode),) if args.mode else (Illumination.CI, Illumination.QI)
-    for mode in modes:
-        problem = config.make_problem(args.ns, args.freq, mode, constants)
-        solution = r_max(problem)
-        f_form, eta = link_at(problem, solution.r_max_m)
+    for mode, solution, (f_form, eta) in results:
         status = "converged" if solution.converged else "NOT converged"
         print(
             f"{mode.value}: r_max = {solution.r_max_m:.6g} m  "
@@ -212,7 +216,7 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
             file=out,
         )
         print(
-            f"    gamma = {problem.gamma_db_per_km:.6g} dB/km, "
+            f"    gamma = {chain.gamma_db_per_km:.6g} dB/km, "
             f"F = {f_form:.6g}, eta = {eta:.6g}",
             file=out,
         )

@@ -8,7 +8,7 @@ object using the field names below; omitted fields fall back to these
 defaults, unknown fields are rejected.
 
 The table named by ``attenuation_table_path`` is loaded and checked once,
-when the config is built; every range problem takes gamma from it.
+when the config is built; every range chain takes gamma from it.
 
 The noise budget is specified as a noise *power*, so the effective
 temperature and the per-frequency occupancy N_B are always derived, never
@@ -26,7 +26,6 @@ from . import atmosphere, radiometry
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import ConfigError, DomainError
 from .link_budget import DetectionSpec, IntegrationSpec, RadarParams
-from .range_solver import Illumination, RangeProblem
 
 #: Environment variable consulted for a config path when none is given.
 CONFIG_ENV_VAR = "QI_RANGEKIT_CONFIG"
@@ -51,7 +50,7 @@ def _as_float(name: str, value: object) -> float:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """The scenario, checked once on construction, which also builds the
-    parts every range problem shares as plain (non-field) attributes:
+    parts every range chain shares as plain (non-field) attributes:
     ``radar``, ``detection``, ``integration``, ``noise_power_watts`` and
     ``attenuation_table`` (``None`` when the path is lossless)."""
 
@@ -106,33 +105,6 @@ class ScenarioConfig:
     def noise_occupancy(self, f_hz: float, constants: PhysicalConstants = TEXTBOOK) -> float:
         """Thermal photons per mode at a frequency; frequency dependent."""
         return radiometry.thermal_occupancy(self.t_eff_kelvin(constants), f_hz, constants)
-
-    def make_problem(
-        self,
-        n_s: float,
-        f_hz: float,
-        mode: Illumination,
-        constants: PhysicalConstants = TEXTBOOK,
-    ) -> RangeProblem:
-        """Assemble the range problem for one (N_s, frequency, mode) point.
-
-        Gamma comes from the configured attenuation table; without one the
-        path is lossless (gamma = 0).
-        """
-        table = self.attenuation_table
-        gamma = 0.0 if table is None else atmosphere.gamma_at(table, f_hz)
-        return RangeProblem(
-            radar=self.radar,
-            detection=self.detection,
-            integration=self.integration,
-            n_s=n_s,
-            f_hz=f_hz,
-            n_b=self.noise_occupancy(f_hz, constants),
-            gamma_db_per_km=gamma,
-            mode=mode,
-            four_pi_exponent=self.four_pi_exponent,
-            constants=constants,
-        )
 
 
 def dump_config(config: ScenarioConfig) -> str:

@@ -11,11 +11,12 @@ The chain is the standard radar one specialized to a photon-counting view:
 A computed eta > 1 is rejected, not clamped: it means the far-field model
 was applied inside the near field and any downstream range solution would
 be silently wrong.  :func:`_require_far_field` is that guard, shared with
-the range solver's ``link_at``.
+the range solver's ``RangeChain.link_at``.
 
 These functions are the (4*pi)^2 reference chain the solver's closure tests
-check against; the solver folds the chain into one constant that honours its
-configured (4*pi) exponent.
+check against; the solver's ``RangeChain`` holds the same chain as a head
+sigma*G*A*M and a denominator (4*pi)^k * N_B that honours the configured
+(4*pi) exponent.
 
 The detection threshold SNR_min is a configured input.  The Albersheim
 closed-form estimator is provided as an advisory cross-check only; for

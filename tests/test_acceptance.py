@@ -36,11 +36,9 @@ from qi_rangekit.quantum_states import (
 from qi_rangekit.radiometry import transmit_power, watts_to_dbm
 from qi_rangekit.range_solver import (
     Illumination,
-    RangeProblem,
-    r_max,
-    r_max_free,
+    RangeChain,
+    range_chain,
     sweep_ratio,
-    threshold_linear,
 )
 
 BENCHMARK = ScenarioConfig()
@@ -97,9 +95,10 @@ def test_criterion_3_correlation_ratio():
 
 def test_criterion_4_range_ratio_law():
     worst = 0.0
+    chain = range_chain(BENCHMARK, 1e12)
     for n_s in np.logspace(-3, 1, 20):
-        ci = r_max(BENCHMARK.make_problem(n_s, 1e12, Illumination.CI)).r_max_m
-        qi = r_max(BENCHMARK.make_problem(n_s, 1e12, Illumination.QI)).r_max_m
+        ci = chain.solve(n_s, Illumination.CI).r_max_m
+        qi = chain.solve(n_s, Illumination.QI).r_max_m
         expected = (1.0 + 1.0 / n_s) ** 0.25
         worst = max(worst, abs(qi / ci - expected) / expected)
     ok = worst < 1e-9
@@ -107,12 +106,12 @@ def test_criterion_4_range_ratio_law():
 
 
 def test_criterion_5_figure_3_consistency():
-    ci = r_max_free(BENCHMARK.make_problem(1e-2, 1e12, Illumination.CI))
-    qi = r_max_free(BENCHMARK.make_problem(1e-2, 1e12, Illumination.QI))
-    literal = dataclasses.replace(
-        BENCHMARK.make_problem(1e-2, 1e12, Illumination.CI), four_pi_exponent=4
-    )
-    ci_literal = r_max_free(literal)
+    # the benchmark path is lossless, so each solve is the free-space range
+    chain = range_chain(BENCHMARK, 1e12)
+    ci = chain.solve(1e-2, Illumination.CI).r_max_m
+    qi = chain.solve(1e-2, Illumination.QI).r_max_m
+    literal = range_chain(dataclasses.replace(BENCHMARK, four_pi_exponent=4), 1e12)
+    ci_literal = literal.solve(1e-2, Illumination.CI).r_max_m
     ok = (
         abs(ci - 137.0) <= 2.0
         and abs(qi - 435.0) <= 5.0
@@ -128,26 +127,32 @@ def test_criterion_5_figure_3_consistency():
     )
 
 
-def _random_problem(rng: np.random.Generator) -> RangeProblem:
+def _random_point(rng: np.random.Generator):
+    """A random scenario as (chain, N_s, mode, radar, frequency)."""
     def log_uniform(lo, hi):
         return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
-    return RangeProblem(
-        radar=RadarParams(
-            sigma_m2=log_uniform(0.1, 10.0), aperture_m2=log_uniform(0.05, 2.0)
-        ),
-        detection=DetectionSpec(
-            p_d=0.7, p_fa=1e-6, snr_min_db=float(rng.uniform(3.0, 20.0))
-        ),
-        integration=IntegrationSpec(
-            tau_s=log_uniform(0.01, 2.0), bandwidth_hz=log_uniform(1e8, 2e9)
-        ),
-        n_s=log_uniform(1e-3, 10.0),
-        f_hz=log_uniform(5e9, 1e12),
-        n_b=log_uniform(10.0, 1e5),
-        gamma_db_per_km=log_uniform(0.01, 30.0),
-        mode=Illumination.QI if rng.uniform() < 0.5 else Illumination.CI,
+    radar = RadarParams(sigma_m2=log_uniform(0.1, 10.0), aperture_m2=log_uniform(0.05, 2.0))
+    detection = DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=float(rng.uniform(3.0, 20.0)))
+    integration = IntegrationSpec(
+        tau_s=log_uniform(0.01, 2.0), bandwidth_hz=log_uniform(1e8, 2e9)
     )
+    n_s = log_uniform(1e-3, 10.0)
+    f_hz = log_uniform(5e9, 1e12)
+    n_b = log_uniform(10.0, 1e5)
+    gamma = log_uniform(0.01, 30.0)
+    mode = Illumination.QI if rng.uniform() < 0.5 else Illumination.CI
+    pulse_count = integration.pulse_count
+    chain = RangeChain(
+        gamma_db_per_km=gamma,
+        n_b=n_b,
+        head=radar.sigma_m2 * antenna_gain(radar.aperture_m2, f_hz) * radar.aperture_m2
+        * pulse_count,
+        denominator=(4.0 * math.pi) ** 2 * n_b,
+        snr_min=detection.snr_min_linear,
+        pulse_count=pulse_count,
+    )
+    return chain, n_s, mode, radar, f_hz
 
 
 def test_criterion_6_solver_closure():
@@ -158,34 +163,39 @@ def test_criterion_6_solver_closure():
     while accepted < 100:
         attempts += 1
         assert attempts < 2000, "scenario generator failed to produce valid cases"
-        problem = _random_problem(rng)
+        chain, n_s, mode, radar, f_hz = _random_point(rng)
+        case = f"{chain} at N_s = {n_s!r}, {mode.value}"
         try:
-            solution = r_max(problem)
+            solution = chain.solve(n_s, mode)
         except NoDetectionError:
             continue
         if not solution.converged:
-            report(6, False, f"non-converged solve for {problem}")
+            report(6, False, f"non-converged solve for {case}")
         # independent closure through the public link-budget chain
-        gain = antenna_gain(problem.radar.aperture_m2, problem.f_hz)
+        gain = antenna_gain(radar.aperture_m2, f_hz)
         try:
             eta = channel_transmissivity(
-                problem.radar.sigma_m2,
+                radar.sigma_m2,
                 gain,
-                problem.radar.aperture_m2,
-                form_factor(problem.gamma_db_per_km, solution.r_max_m),
+                radar.aperture_m2,
+                form_factor(chain.gamma_db_per_km, solution.r_max_m),
                 solution.r_max_m,
             )
         except UnphysicalGeometryError:
             continue  # solution fell in the near field; not a valid far-field case
-        achieved = snr_eff(
-            eta, problem.integration.pulse_count, problem.n_s, problem.n_b
-        )
-        residual_db = abs(10.0 * math.log10(achieved / threshold_linear(problem)))
+        achieved = snr_eff(eta, chain.pulse_count, n_s, chain.n_b)
+        threshold = chain.threshold(n_s, mode)
+        residual_db = abs(10.0 * math.log10(achieved / threshold))
         worst_residual = max(worst_residual, residual_db)
         if residual_db >= 1e-6:
-            report(6, False, f"closure residual {residual_db:.2e} dB for {problem}")
-        if solution.r_max_m >= r_max_free(problem):
-            report(6, False, f"attenuated solution not below free-space bound: {problem}")
+            report(6, False, f"closure residual {residual_db:.2e} dB for {case}")
+        # closed-form free-space range: SNR_eff(R) = threshold at F = 1
+        free_space = (
+            radar.sigma_m2 * gain * radar.aperture_m2 * chain.pulse_count * n_s
+            / ((4.0 * math.pi) ** 2 * chain.n_b) / threshold
+        ) ** 0.25
+        if solution.r_max_m >= free_space:
+            report(6, False, f"attenuated solution not below free-space bound: {case}")
         accepted += 1
     report(
         6,

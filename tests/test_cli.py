@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import qi_rangekit
+from qi_rangekit import atmosphere
 from qi_rangekit.cli import main
-from qi_rangekit.config import CONFIG_ENV_VAR, dump_config, load_config
-from qi_rangekit.range_solver import Illumination, r_max
+from qi_rangekit.config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
+from qi_rangekit.range_solver import Illumination, range_chain
 
 QI_ADVANTAGE_AT_1E2 = 101.0**0.25  # range gain at N_s = 1e-2
 SRC = Path(qi_rangekit.__file__).resolve().parents[1]
@@ -174,9 +175,10 @@ def test_range_single_mode(capsys):
 
 
 def test_range_zero_photons_exits_2(capsys):
-    code, _, err = run_cli(capsys, "range", "--ns", "0", "--freq", "1e12")
+    code, out, err = run_cli(capsys, "range", "--ns", "0", "--freq", "1e12")
     assert code == 2
     assert "error" in err
+    assert out == ""
 
 
 def test_range_no_detection_exits_3(tmp_path, capsys):
@@ -218,6 +220,43 @@ def test_range_in_near_field_exits_2(capsys):
     assert code == 2
     assert "ci:" not in out
     assert re.search(r"computed transmissivity \S+ > 1 at range \S+ m", err)
+    # every mode is solved before anything is printed
+    assert out == ""
+
+
+def test_range_out_of_table_span_exits_2_with_empty_stdout(capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    code, out, err = run_cli(
+        capsys, "--config", "perfbench/configs/sweep_attenuated.json",
+        "range", "--ns", "1e-2", "--freq", "2e12",
+    )
+    assert code == 2
+    assert "outside table span" in err
+    assert out == ""
+
+
+def test_range_builds_its_chain_once(capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    counts = {"gamma_at": 0, "noise_occupancy": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(atmosphere, "gamma_at", counted("gamma_at", atmosphere.gamma_at))
+    monkeypatch.setattr(
+        ScenarioConfig, "noise_occupancy",
+        counted("noise_occupancy", ScenarioConfig.noise_occupancy),
+    )
+    code, out, _ = run_cli(
+        capsys, "--config", "perfbench/configs/sweep_attenuated.json",
+        "range", "--ns", "1e-2", "--freq", "1e12",
+    )
+    assert code == 0
+    assert "ci: r_max" in out and "qi: r_max" in out
+    assert counts == {"gamma_at": 1, "noise_occupancy": 1}
 
 
 def test_range_with_narrow_table_span_exits_2(tmp_path, capsys):
@@ -275,7 +314,7 @@ def test_missing_config_table_exits_2_for_every_command(tmp_path, capsys, argv):
 def test_library_range_and_sweep_agree_on_the_attenuated_config(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
     config_path = "perfbench/configs/sweep_attenuated.json"
-    expected = r_max(load_config(config_path).make_problem(1e-2, 1e12, Illumination.CI))
+    expected = range_chain(load_config(config_path), 1e12).solve(1e-2, Illumination.CI)
     code, out, _ = run_cli(
         capsys, "--config", config_path, "range", "--ns", "1e-2", "--freq", "1e12", "--mode", "ci"
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,9 @@ import pytest
 from qi_rangekit.atmosphere import AttenuationTable, serialize_table
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_config
 from qi_rangekit.errors import ConfigError, TableParseError
-from qi_rangekit.link_budget import RadarParams
+from qi_rangekit.link_budget import RadarParams, antenna_gain
 from qi_rangekit.radiometry import dbm_to_watts
-from qi_rangekit.range_solver import Illumination, r_max, sweep_range
+from qi_rangekit.range_solver import Illumination, range_chain, sweep_range
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -134,30 +135,26 @@ def test_derived_noise_quantities():
     assert cfg.noise_occupancy(7e9) == pytest.approx(8.941e4, rel=1e-3)
 
 
-def test_make_problem_wires_scenario(tmp_path):
+def test_range_chain_wires_scenario(tmp_path):
     cfg = ScenarioConfig()
-    problem = cfg.make_problem(1e-2, 1e12, Illumination.QI)
-    assert problem.n_s == 1e-2
-    assert problem.f_hz == 1e12
-    assert problem.mode is Illumination.QI
-    assert problem.gamma_db_per_km == 0.0
-    assert problem.n_b == pytest.approx(625.87, rel=1e-3)
-    assert problem.integration.pulse_count == 10**9
+    chain = range_chain(cfg, 1e12)
+    assert chain.threshold(1e-2, Illumination.QI) == 10.0 / (1.0 + 1.0 / 1e-2)
+    assert chain.gamma_db_per_km == 0.0
+    assert chain.n_b == pytest.approx(625.87, rel=1e-3)
+    assert chain.pulse_count == 10**9
 
     table = flat_table(tmp_path)
-    attenuated = ScenarioConfig(attenuation_table_path=str(table)).make_problem(
-        1e-2, 1e12, Illumination.CI
-    )
+    attenuated = range_chain(ScenarioConfig(attenuation_table_path=str(table)), 1e12)
     assert attenuated.gamma_db_per_km == pytest.approx(0.5, rel=1e-12)
 
 
-def test_make_problem_reuses_the_scenario_specs():
+def test_range_chain_reads_the_scenario_specs():
     cfg = ScenarioConfig()
-    first = cfg.make_problem(1e-2, 1e12, Illumination.QI)
-    second = cfg.make_problem(1.0, 7e9, Illumination.CI)
-    assert first.radar is second.radar is cfg.radar
-    assert first.detection is second.detection is cfg.detection
-    assert first.integration is second.integration is cfg.integration
+    chain = range_chain(cfg, 1e12)
+    gain = antenna_gain(cfg.radar.aperture_m2, 1e12)
+    assert chain.head == cfg.radar.sigma_m2 * gain * cfg.radar.aperture_m2 * 10**9
+    assert chain.snr_min == cfg.detection.snr_min_linear
+    assert chain.pulse_count == cfg.integration.pulse_count
     assert cfg.radar == RadarParams(sigma_m2=1.0, aperture_m2=0.5)
     assert cfg.noise_power_watts == dbm_to_watts(-63.82)
     # the built parts are not fields: equality and JSON see the 11 fields only
@@ -181,7 +178,7 @@ def test_attenuated_config_reaches_the_solve(monkeypatch):
     # the table path in the config is relative to the repository root
     monkeypatch.chdir(REPO)
     cfg = load_config(REPO / "perfbench" / "configs" / "sweep_attenuated.json")
-    solution = r_max(cfg.make_problem(1e-2, 1e12, Illumination.CI))
+    solution = range_chain(cfg, 1e12).solve(1e-2, Illumination.CI)
     assert float(f"{solution.r_max_m:.5g}") == 29.592
     [row] = [
         row for row in sweep_range(cfg, [1e-2])
@@ -192,8 +189,8 @@ def test_attenuated_config_reaches_the_solve(monkeypatch):
 
 def test_four_pi_exponent_passes_through():
     cfg = ScenarioConfig(four_pi_exponent=4)
-    problem = cfg.make_problem(1e-2, 1e12, Illumination.CI)
-    assert problem.four_pi_exponent == 4
+    chain = range_chain(cfg, 1e12)
+    assert chain.denominator == (4.0 * math.pi) ** 4 * chain.n_b
 
 
 def test_config_is_frozen():

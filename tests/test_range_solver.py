@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from qi_rangekit import atmosphere, range_solver
 from qi_rangekit.atmosphere import bundled_table, form_factor
 from qi_rangekit.config import ScenarioConfig
-from qi_rangekit.constants import CODATA, TEXTBOOK
-from qi_rangekit.errors import DomainError, NoDetectionError, UnphysicalGeometryError
+from qi_rangekit.constants import CODATA, TEXTBOOK, PhysicalConstants
+from qi_rangekit.errors import ConfigError, DomainError, NoDetectionError, UnphysicalGeometryError
 from qi_rangekit.link_budget import (
     DetectionSpec,
     IntegrationSpec,
@@ -20,80 +21,110 @@ from qi_rangekit.link_budget import (
     channel_transmissivity,
     snr_eff,
 )
-from qi_rangekit.radiometry import dbm_to_watts, t_eff_from_noise_power, thermal_occupancy
 from qi_rangekit.range_solver import (
     Illumination,
-    RangeProblem,
-    link_at,
-    quantum_advantage_factor,
-    r_max,
-    r_max_free,
-    sensitivity_gain,
+    RangeChain,
+    range_chain,
     sweep_range,
     sweep_ratio,
-    threshold_linear,
 )
 
-# Benchmark scenario pieces (the package's default scenario).
-RADAR = RadarParams(sigma_m2=1.0, aperture_m2=0.5)
-DETECTION = DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=10.0)
-INTEGRATION = IntegrationSpec(tau_s=1.0, bandwidth_hz=1e9)
-T_EFF = t_eff_from_noise_power(dbm_to_watts(-63.82), 1e9)
+BENCHMARK = ScenarioConfig()
 
 
-def benchmark_problem(n_s=1e-2, f_hz=1e12, mode=Illumination.CI, gamma=0.0, **overrides):
-    problem = RangeProblem(
-        radar=RADAR,
-        detection=DETECTION,
-        integration=INTEGRATION,
-        n_s=n_s,
-        f_hz=f_hz,
-        n_b=thermal_occupancy(T_EFF, f_hz),
+class Point(NamedTuple):
+    """One range question in the scenario's own terms.  The references below
+    recompute its chain from these fields, without :func:`range_chain`."""
+
+    config: ScenarioConfig
+    n_s: float
+    f_hz: float
+    mode: Illumination = Illumination.CI
+    gamma: float = 0.0
+    constants: PhysicalConstants = TEXTBOOK
+
+    @property
+    def chain(self) -> RangeChain:
+        """The package's chain for this point, gamma set directly."""
+        chain = range_chain(self.config, self.f_hz, self.constants)
+        return dataclasses.replace(chain, gamma_db_per_km=self.gamma)
+
+    def solve(self):
+        return self.chain.solve(self.n_s, self.mode)
+
+    @property
+    def threshold(self) -> float:
+        """SNR_min, divided by 1 + 1/N_s for the quantum transmitter."""
+        snr_min = self.config.detection.snr_min_linear
+        return snr_min / (1.0 + 1.0 / self.n_s) if self.mode is Illumination.QI else snr_min
+
+
+def benchmark_point(n_s=1e-2, f_hz=1e12, mode=Illumination.CI, gamma=0.0, **fields):
+    """A point of the benchmark scenario, config fields overridden by ``fields``."""
+    return Point(ScenarioConfig(**fields), n_s, f_hz, mode, gamma)
+
+
+def make_chain(radar, detection, integration, f_hz, n_b, gamma=0.0, four_pi_exponent=2):
+    """A chain built directly from scenario parts, so that N_B is free."""
+    gain = antenna_gain(radar.aperture_m2, f_hz)
+    pulse_count = integration.pulse_count
+    return RangeChain(
         gamma_db_per_km=gamma,
-        mode=mode,
+        n_b=n_b,
+        head=radar.sigma_m2 * gain * radar.aperture_m2 * pulse_count,
+        denominator=(4.0 * math.pi) ** four_pi_exponent * n_b,
+        snr_min=detection.snr_min_linear,
+        pulse_count=pulse_count,
     )
-    return dataclasses.replace(problem, **overrides) if overrides else problem
 
 
-def independent_snr_eff(problem: RangeProblem, r_m: float) -> float:
+def independent_snr_eff(point: Point, r_m: float) -> float:
     """Recompute SNR_eff through the public link-budget chain."""
-    gain = antenna_gain(problem.radar.aperture_m2, problem.f_hz, problem.constants)
+    config = point.config
+    gain = antenna_gain(config.aperture_m2, point.f_hz, point.constants)
     eta = channel_transmissivity(
-        problem.radar.sigma_m2,
-        gain,
-        problem.radar.aperture_m2,
-        form_factor(problem.gamma_db_per_km, r_m),
-        r_m,
+        config.sigma_m2, gain, config.aperture_m2, form_factor(point.gamma, r_m), r_m
     )
-    return snr_eff(eta, problem.integration.pulse_count, problem.n_s, problem.n_b)
+    n_b = config.noise_occupancy(point.f_hz, point.constants)
+    return snr_eff(eta, config.integration.pulse_count, point.n_s, n_b)
 
 
-def raw_snr_eff(problem: RangeProblem, r_m: float) -> float:
+def raw_snr_eff(point: Point, r_m: float) -> float:
     """SNR_eff from the far-field formula without the eta <= 1 guard, so the
     reference bisection may probe the near field."""
-    gain = antenna_gain(problem.radar.aperture_m2, problem.f_hz, problem.constants)
+    config = point.config
+    gain = antenna_gain(config.aperture_m2, point.f_hz, point.constants)
     chain = (
-        problem.radar.sigma_m2
-        * gain
-        * problem.radar.aperture_m2
-        * problem.integration.pulse_count
-        * problem.n_s
-    ) / ((4.0 * math.pi) ** problem.four_pi_exponent * problem.n_b)
-    return chain * form_factor(problem.gamma_db_per_km, r_m) ** 2 / r_m**4
+        config.sigma_m2 * gain * config.aperture_m2 * config.integration.pulse_count * point.n_s
+    ) / (
+        (4.0 * math.pi) ** config.four_pi_exponent
+        * config.noise_occupancy(point.f_hz, point.constants)
+    )
+    return chain * form_factor(point.gamma, r_m) ** 2 / r_m**4
 
 
-def bisection_root(problem: RangeProblem) -> float | None:
-    """Reference solve: bisect [1e-6 m, r_max_free] to a relative width of
-    1e-9; None when SNR_eff is below threshold already at 1e-6 m."""
-    threshold = threshold_linear(problem)
-    lo, hi = 1e-6, r_max_free(problem)
-    if raw_snr_eff(problem, lo) < threshold:
+def free_space_range(point: Point) -> float:
+    """Closed-form range with absorption ignored: SNR_eff(R) = threshold at F = 1."""
+    return (raw_snr_eff(point._replace(gamma=0.0), 1.0) / point.threshold) ** 0.25
+
+
+def bisection_root(point: Point) -> float | None:
+    """Reference solve: bisect [1e-6 m, free_space_range] to a relative width
+    of 1e-9; None when SNR_eff is below threshold already at 1e-6 m."""
+    threshold = point.threshold
+    chain = raw_snr_eff(point._replace(gamma=0.0), 1.0)
+
+    def snr(r_m):
+        return chain * form_factor(point.gamma, r_m) ** 2 / r_m**4
+
+    lo, hi = 1e-6, (chain / threshold) ** 0.25
+    if snr(lo) < threshold:
         return None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if (hi - lo) <= 1e-9 * mid:
             break
-        if raw_snr_eff(problem, mid) >= threshold:
+        if snr(mid) >= threshold:
             lo = mid
         else:
             hi = mid
@@ -101,114 +132,120 @@ def bisection_root(problem: RangeProblem) -> float | None:
 
 
 def test_advantage_factor_values():
-    assert quantum_advantage_factor(1e-2) == pytest.approx(101.0**0.25, rel=1e-15)
-    assert quantum_advantage_factor(1e-2) == pytest.approx(3.1702, abs=1e-4)
-    assert quantum_advantage_factor(1.0) == pytest.approx(2.0**0.25, rel=1e-15)
-    assert quantum_advantage_factor(1e12) == pytest.approx(1.0, rel=1e-9)
+    chain = range_chain(BENCHMARK, 1e12)
+
+    def sensitivity_gain(n_s):
+        """SNR-domain quantum gain: the classical over the quantum threshold."""
+        return chain.threshold(n_s, Illumination.CI) / chain.threshold(n_s, Illumination.QI)
+
+    def advantage_factor(n_s):
+        return sensitivity_gain(n_s) ** 0.25
+
+    assert advantage_factor(1e-2) == pytest.approx(101.0**0.25, rel=1e-15)
+    assert advantage_factor(1e-2) == pytest.approx(3.1702, abs=1e-4)
+    assert advantage_factor(1.0) == pytest.approx(2.0**0.25, rel=1e-15)
+    assert advantage_factor(1e12) == pytest.approx(1.0, rel=1e-9)
     assert sensitivity_gain(1e-2) == pytest.approx(101.0, rel=1e-15)
     with pytest.raises(DomainError):
-        quantum_advantage_factor(0.0)
+        advantage_factor(0.0)
 
 
 def test_free_space_benchmark_ranges():
-    assert r_max_free(benchmark_problem()) == pytest.approx(137.088, abs=0.01)
-    assert r_max_free(benchmark_problem(mode=Illumination.QI)) == pytest.approx(
+    assert benchmark_point().solve().r_max_m == pytest.approx(137.088, abs=0.01)
+    assert benchmark_point(mode=Illumination.QI).solve().r_max_m == pytest.approx(
         434.591, abs=0.01
     )
 
 
 def test_four_pi_fourth_power_variant():
-    literal = benchmark_problem(four_pi_exponent=4)
-    assert r_max_free(literal) == pytest.approx(38.672, abs=0.01)
+    literal = benchmark_point(four_pi_exponent=4).solve().r_max_m
+    assert literal == pytest.approx(38.672, abs=0.01)
     # the two conventions differ by exactly (4*pi)^(1/2) in range
-    assert r_max_free(benchmark_problem()) / r_max_free(literal) == pytest.approx(
+    assert benchmark_point().solve().r_max_m / literal == pytest.approx(
         math.sqrt(4.0 * math.pi), rel=1e-12
     )
 
 
 def test_threshold_doubling_scales_range():
-    base = r_max_free(benchmark_problem())
-    doubled = benchmark_problem(
-        detection=DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=10.0 + 10.0 * math.log10(2.0))
-    )
-    assert r_max_free(doubled) == pytest.approx(base / 2.0**0.25, rel=1e-12)
+    base = benchmark_point().solve().r_max_m
+    doubled = benchmark_point(snr_min_db=10.0 + 10.0 * math.log10(2.0))
+    assert doubled.solve().r_max_m == pytest.approx(base / 2.0**0.25, rel=1e-12)
 
 
 def test_lossless_solution_equals_closed_form():
     for f_hz in (7e9, 95e9, 1e12):
         for n_s in (1e-3, 1e-2, 1e-1, 1.0):
             for mode in Illumination:
-                problem = benchmark_problem(n_s=n_s, f_hz=f_hz, mode=mode)
-                solution = r_max(problem)
+                point = benchmark_point(n_s=n_s, f_hz=f_hz, mode=mode)
+                solution = point.solve()
                 assert solution.converged
-                assert solution.r_max_m == pytest.approx(r_max_free(problem), rel=1e-9)
+                assert solution.r_max_m == pytest.approx(free_space_range(point), rel=1e-9)
 
 
 def test_attenuated_solution_below_free_space_and_closed():
-    problem = benchmark_problem(mode=Illumination.QI, gamma=3.0)
-    solution = r_max(problem)
+    point = benchmark_point(mode=Illumination.QI, gamma=3.0)
+    solution = point.solve()
     assert solution.converged
-    assert solution.r_max_m < r_max_free(problem)
+    assert solution.r_max_m < free_space_range(point)
     assert solution.r_max_m < 435.0
     # closure through the public chain, in dB against the mode threshold
-    achieved = independent_snr_eff(problem, solution.r_max_m)
-    residual_db = abs(10.0 * math.log10(achieved / threshold_linear(problem)))
+    achieved = independent_snr_eff(point, solution.r_max_m)
+    residual_db = abs(10.0 * math.log10(achieved / point.threshold))
     assert residual_db < 1e-6
     assert 1 <= solution.iterations <= 6  # Halley steps of the Lambert-W root
 
 
 def test_root_straddles_threshold():
-    problem = benchmark_problem(gamma=5.0)
-    root = r_max(problem).r_max_m
-    threshold = threshold_linear(problem)
-    assert independent_snr_eff(problem, root * (1.0 - 1e-9)) >= threshold
-    assert independent_snr_eff(problem, root * (1.0 + 1e-9)) <= threshold
+    point = benchmark_point(gamma=5.0)
+    root = point.solve().r_max_m
+    threshold = point.threshold
+    assert independent_snr_eff(point, root * (1.0 - 1e-9)) >= threshold
+    assert independent_snr_eff(point, root * (1.0 + 1e-9)) <= threshold
 
 
 def test_lambert_w_root_matches_bisection():
-    problems = [
-        benchmark_problem(n_s=n_s, f_hz=f_ghz * 1e9, mode=mode, gamma=gamma)
+    points = [
+        benchmark_point(n_s=n_s, f_hz=f_ghz * 1e9, mode=mode, gamma=gamma)
         for f_ghz, gamma in bundled_table().rows
         for n_s in (1e-3, 1e-2, 1.0, 10.0)
         for mode in Illumination
     ]
-    problems += [
-        benchmark_problem(n_s=n_s, mode=mode, gamma=gamma)
+    points += [
+        benchmark_point(n_s=n_s, mode=mode, gamma=gamma)
         for gamma in (1e-6, 1e6)
         for n_s in (1e-3, 1e-2, 1.0, 10.0)
         for mode in Illumination
     ]
     solved = 0
-    for problem in problems:
-        expected = bisection_root(problem)
+    for point in points:
+        expected = bisection_root(point)
         if expected is None:
             with pytest.raises(NoDetectionError):
-                r_max(problem)
+                point.solve()
             continue
-        solution = r_max(problem)
+        solution = point.solve()
         assert solution.converged
         assert solution.r_max_m == pytest.approx(expected, rel=1e-9, abs=0.0)
         solved += 1
-    assert solved > 0.9 * len(problems)
+    assert solved > 0.9 * len(points)
 
 
-def random_problem(rng, mode, four_pi_exponent):
+def random_chain(rng, four_pi_exponent):
+    """A chain of random scenario parts, with its N_s, radar and frequency."""
     def log_uniform(lo, hi):
         return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
 
-    return RangeProblem(
-        radar=RadarParams(sigma_m2=log_uniform(1e-2, 1e2), aperture_m2=log_uniform(1e-2, 2.0)),
-        detection=DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=float(rng.uniform(3.0, 20.0))),
-        integration=IntegrationSpec(
-            tau_s=log_uniform(0.01, 2.0), bandwidth_hz=log_uniform(1e8, 2e9)
-        ),
-        n_s=log_uniform(1e-3, 10.0),
-        f_hz=log_uniform(5e9, 1e12),
-        n_b=log_uniform(10.0, 1e5),
-        gamma_db_per_km=0.0 if rng.uniform() < 0.2 else log_uniform(0.01, 30.0),
-        mode=mode,
-        four_pi_exponent=four_pi_exponent,
+    radar = RadarParams(sigma_m2=log_uniform(1e-2, 1e2), aperture_m2=log_uniform(1e-2, 2.0))
+    detection = DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=float(rng.uniform(3.0, 20.0)))
+    integration = IntegrationSpec(
+        tau_s=log_uniform(0.01, 2.0), bandwidth_hz=log_uniform(1e8, 2e9)
     )
+    n_s = log_uniform(1e-3, 10.0)
+    f_hz = log_uniform(5e9, 1e12)
+    n_b = log_uniform(10.0, 1e5)
+    gamma = 0.0 if rng.uniform() < 0.2 else log_uniform(0.01, 30.0)
+    chain = make_chain(radar, detection, integration, f_hz, n_b, gamma, four_pi_exponent)
+    return chain, n_s, radar, f_hz
 
 
 @pytest.mark.parametrize("mode", list(Illumination))
@@ -217,21 +254,21 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
     rng = np.random.default_rng(1000 + four_pi_exponent)
     far = 0
     for _ in range(200):
-        problem = random_problem(rng, mode, four_pi_exponent)
-        root = r_max(problem).r_max_m
-        threshold = threshold_linear(problem)
-        snr_per_eta = problem.integration.pulse_count * problem.n_s / problem.n_b
+        chain, n_s, radar, f_hz = random_chain(rng, four_pi_exponent)
+        root = chain.solve(n_s, mode).r_max_m
+        threshold = chain.threshold(n_s, mode)
+        snr_per_eta = chain.pulse_count * n_s / chain.n_b
         if threshold / snr_per_eta > 1.0:
             with pytest.raises(UnphysicalGeometryError, match="> 1 at range"):
-                link_at(problem, root)
+                chain.link_at(n_s, root)
             continue
-        f_form, eta = link_at(problem, root)
+        f_form, eta = chain.link_at(n_s, root)
         assert eta * snr_per_eta == pytest.approx(threshold, rel=1e-12)
         if four_pi_exponent == 2:
-            assert f_form == form_factor(problem.gamma_db_per_km, root)
-            gain = antenna_gain(problem.radar.aperture_m2, problem.f_hz, problem.constants)
+            assert f_form == form_factor(chain.gamma_db_per_km, root)
+            gain = antenna_gain(radar.aperture_m2, f_hz)
             reference = channel_transmissivity(
-                problem.radar.sigma_m2, gain, problem.radar.aperture_m2, f_form, root
+                radar.sigma_m2, gain, radar.aperture_m2, f_form, root
             )
             assert abs(eta - reference) <= 1e-15 * reference
         far += 1
@@ -239,81 +276,54 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
 
 
 def test_extreme_attenuation_still_solves():
-    mild = r_max(benchmark_problem(gamma=0.0)).r_max_m
-    harsh = r_max(benchmark_problem(gamma=1e6)).r_max_m
+    mild = benchmark_point(gamma=0.0).solve().r_max_m
+    harsh = benchmark_point(gamma=1e6).solve().r_max_m
     assert 0.0 < harsh < mild
 
 
 def test_no_detection_error():
-    hopeless = RangeProblem(
+    hopeless = make_chain(
         radar=RadarParams(sigma_m2=1e-12, aperture_m2=1e-6),
-        detection=DETECTION,
+        detection=DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=10.0),
         integration=IntegrationSpec(tau_s=1.0, bandwidth_hz=1.0),
-        n_s=1e-3,
         f_hz=1.0,
         n_b=1e6,
     )
     with pytest.raises(NoDetectionError):
-        r_max(hopeless)
+        hopeless.solve(1e-3, Illumination.CI)
 
 
 def test_quantum_classical_ratio_law():
     for n_s in np.logspace(-3, 1, 20):
-        ci = r_max(benchmark_problem(n_s=n_s, mode=Illumination.CI)).r_max_m
-        qi = r_max(benchmark_problem(n_s=n_s, mode=Illumination.QI)).r_max_m
-        assert qi / ci == pytest.approx(quantum_advantage_factor(n_s), rel=1e-9)
+        ci = benchmark_point(n_s=n_s, mode=Illumination.CI).solve().r_max_m
+        qi = benchmark_point(n_s=n_s, mode=Illumination.QI).solve().r_max_m
+        assert qi / ci == pytest.approx((1.0 + 1.0 / n_s) ** 0.25, rel=1e-9)
     # with attenuation the longer quantum path pays more, so the ratio shrinks
     for n_s in (1e-3, 1e-1):
-        ci = r_max(benchmark_problem(n_s=n_s, gamma=4.0, mode=Illumination.CI)).r_max_m
-        qi = r_max(benchmark_problem(n_s=n_s, gamma=4.0, mode=Illumination.QI)).r_max_m
-        assert qi / ci < quantum_advantage_factor(n_s)
+        ci = benchmark_point(n_s=n_s, gamma=4.0, mode=Illumination.CI).solve().r_max_m
+        qi = benchmark_point(n_s=n_s, gamma=4.0, mode=Illumination.QI).solve().r_max_m
+        assert qi / ci < (1.0 + 1.0 / n_s) ** 0.25
 
 
 def test_monotonicity_in_scenario_knobs():
-    base = benchmark_problem(gamma=1.0)
-    r_base = r_max(base).r_max_m
-    assert r_max(benchmark_problem(n_s=2e-2, gamma=1.0)).r_max_m > r_base
-    assert (
-        r_max(
-            benchmark_problem(gamma=1.0, radar=RadarParams(sigma_m2=2.0, aperture_m2=0.5))
-        ).r_max_m
-        > r_base
-    )
-    assert (
-        r_max(
-            benchmark_problem(gamma=1.0, radar=RadarParams(sigma_m2=1.0, aperture_m2=1.0))
-        ).r_max_m
-        > r_base
-    )
-    assert (
-        r_max(
-            benchmark_problem(
-                gamma=1.0, integration=IntegrationSpec(tau_s=2.0, bandwidth_hz=1e9)
-            )
-        ).r_max_m
-        > r_base
-    )
-    assert r_max(benchmark_problem(gamma=2.0)).r_max_m < r_base
-    assert (
-        r_max(
-            benchmark_problem(
-                gamma=1.0, detection=DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=13.0)
-            )
-        ).r_max_m
-        < r_base
-    )
+    r_base = benchmark_point(gamma=1.0).solve().r_max_m
+    assert benchmark_point(n_s=2e-2, gamma=1.0).solve().r_max_m > r_base
+    assert benchmark_point(gamma=1.0, sigma_m2=2.0).solve().r_max_m > r_base
+    assert benchmark_point(gamma=1.0, aperture_m2=1.0).solve().r_max_m > r_base
+    assert benchmark_point(gamma=1.0, tau_s=2.0).solve().r_max_m > r_base
+    assert benchmark_point(gamma=2.0).solve().r_max_m < r_base
+    assert benchmark_point(gamma=1.0, snr_min_db=13.0).solve().r_max_m < r_base
 
 
 def test_problem_validation():
     with pytest.raises(DomainError):
-        benchmark_problem(n_s=0.0)
+        benchmark_point(n_s=0.0).solve()
     with pytest.raises(DomainError):
-        benchmark_problem(gamma=-1.0)
-    with pytest.raises(DomainError):
-        benchmark_problem(four_pi_exponent=3)
+        benchmark_point(gamma=-1.0).chain
+    with pytest.raises(ConfigError):
+        benchmark_point(four_pi_exponent=3)
 
 
-BENCHMARK = ScenarioConfig()
 BUNDLED_CSV = str(Path(atmosphere.__file__).parent / "data" / atmosphere._BUNDLED_NAME)
 # sigma 1e-12 m^2, A 1e-6 m^2: the classical 7 GHz points below N_s ~ 3e-5
 # have no detection range, every other point of the default grid has one.
@@ -398,16 +408,17 @@ def test_sweep_rows_equal_one_point_solutions(scenario, four_pi_exponent, consta
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
     rows = sweep_range(config, grid, constants=constants)
     expected_keys = [(n_s, f, mode) for f in frequencies for mode in Illumination for n_s in grid]
+    table = config.attenuation_table
     absent = 0
     for (n_s, f_hz, mode, solution), key in zip(rows, expected_keys, strict=True):
         assert (n_s, f_hz, mode) == key
-        problem = config.make_problem(n_s, f_hz, mode, constants)
+        gamma = 0.0 if table is None else atmosphere.gamma_at(table, f_hz)
+        expected = bisection_root(Point(config, n_s, f_hz, mode, gamma, constants))
         if solution is None:
-            with pytest.raises(NoDetectionError):
-                r_max(problem)
+            assert expected is None
             absent += 1
         else:
-            assert solution == r_max(problem)
+            assert solution.r_max_m == pytest.approx(expected, rel=1e-9, abs=0.0)
     assert (absent > 0) == (scenario == "faint")
 
 
@@ -429,11 +440,6 @@ def test_sweep_builds_the_chain_once_per_frequency(monkeypatch):
         counted("noise_occupancy", ScenarioConfig.noise_occupancy),
     )
     monkeypatch.setattr(atmosphere, "gamma_at", counted("gamma_at", atmosphere.gamma_at))
-
-    def no_problem(*args, **kwargs):
-        raise AssertionError("a sweep builds no RangeProblem")
-
-    monkeypatch.setattr(RangeProblem, "__init__", no_problem)
     frequencies = [f_ghz * 1e9 for f_ghz, _ in bundled_table().rows][:5]
     config = ScenarioConfig(frequencies_hz=tuple(frequencies), attenuation_table_path=BUNDLED_CSV)
     grid = list(np.logspace(-3, 1, 40))
@@ -450,11 +456,11 @@ def test_no_detection_is_read_off_the_root(table_path):
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
     absent = 0
     for n_s, f_hz, mode, solution in sweep_range(config, grid):
-        problem = config.make_problem(n_s, f_hz, mode)
+        chain = range_chain(config, f_hz)
         snr_at_near_zero = range_solver._snr_eff_at(
-            range_solver._chain_constant(problem), problem.gamma_db_per_km, 1e-6
+            chain.head * n_s / chain.denominator, chain.gamma_db_per_km, 1e-6
         )
-        assert (solution is None) == (snr_at_near_zero < threshold_linear(problem))
+        assert (solution is None) == (snr_at_near_zero < chain.threshold(n_s, mode))
         absent += solution is None
     assert absent > 0
 
