@@ -66,6 +66,11 @@ class DetectionSpec:
             )
         if not math.isfinite(self.snr_min_db):
             raise DomainError(f"snr_min_db must be finite, got {self.snr_min_db!r}")
+        try:
+            linear = self.snr_min_linear
+        except OverflowError:
+            linear = math.inf
+        _require_positive(f"linear SNR_min from snr_min_db = {self.snr_min_db!r}", linear)
 
     @property
     def snr_min_linear(self) -> float:

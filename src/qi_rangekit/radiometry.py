@@ -82,10 +82,14 @@ def thermal_occupancy(
     f_hz: float,
     constants: PhysicalConstants = TEXTBOOK,
 ) -> float:
-    """Thermal photons per mode N_B = k_B * T / (h * f) (Rayleigh-Jeans)."""
+    """Thermal photons per mode N_B = k_B * T / (h * f) (Rayleigh-Jeans).
+    Raises :class:`DomainError` where h * f underflows to 0."""
     t_kelvin = _require_positive("temperature", t_kelvin)
     f_hz = _require_positive("frequency", f_hz)
-    return constants.k_b * t_kelvin / (constants.h * f_hz)
+    photon_energy = constants.h * f_hz
+    if photon_energy == 0.0:
+        raise DomainError(f"frequency {f_hz!r} Hz is too small: h * f underflows to 0")
+    return constants.k_b * t_kelvin / photon_energy
 
 
 def noise_power(

@@ -21,17 +21,20 @@ reproduces the expected range magnitudes.  The fourth power sometimes seen
 in print is available behind ``four_pi_exponent=4`` for comparison runs.
 
 The range chain of a scenario at one frequency is one object,
-:class:`RangeChain`, built by :func:`range_chain`.  ``range`` solves one
-chain; :func:`sweep_range` builds one per configured frequency and solves
-it for each (mode, N_s), so a sweep row and the one-point solution are the
-same computation.
+:class:`RangeChain`, built by :func:`range_chain`.  Its solve kernel,
+:meth:`RangeChain.solutions`, solves one column: one mode across a grid of
+N_s values, with the chain's fields and the mode test read once per column.
+``range`` solves a one-point column through :meth:`RangeChain.solve`;
+:func:`sweep_range` builds one chain per configured frequency and solves one
+column per mode, so a sweep row and the one-point solution are the same
+computation.
 
-:meth:`RangeChain.solve` evaluates the SNR chain from the raw far-field
-formula without the eta <= 1 guard, and only at the root, for the
-residual.  As SNR_eff(R) strictly decreases, "below threshold at near-zero
-range" is "root below near-zero range", so no-detection is read off the
-root.  The guard applies in :meth:`RangeChain.link_at`, which reports F and
-eta at a range from the same chain, (4*pi) exponent included.
+The kernel evaluates the SNR chain from the raw far-field formula without
+the eta <= 1 guard, and only at the root, for the residual.  As SNR_eff(R)
+strictly decreases, "below threshold at near-zero range" is "root below
+near-zero range", so no-detection is read off the root.  The guard applies
+in :meth:`RangeChain.link_at`, which reports F and eta at a range from the
+same chain, (4*pi) exponent included.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import atmosphere
 from .constants import TEXTBOOK, PhysicalConstants
@@ -69,8 +73,7 @@ class Illumination(enum.Enum):
     QI = "qi"
 
 
-@dataclass(frozen=True)
-class RangeSolution:
+class RangeSolution(NamedTuple):
     """Solved maximum range with solver diagnostics; ``iterations`` counts
     the Halley steps of the Lambert-W evaluation (0 when lossless)."""
 
@@ -87,6 +90,11 @@ def _form_factor(gamma_db_per_km: float, r_m: float) -> float:
 
 def _snr_eff_at(chain_constant: float, gamma_db_per_km: float, r_m: float) -> float:
     return chain_constant * _form_factor(gamma_db_per_km, r_m) ** 2 / r_m**4
+
+
+def _quantum_threshold(snr_min: float, n_s: float) -> float:
+    # The quantum transmitter's threshold rescaling; see module docstring.
+    return snr_min / (1.0 + 1.0 / n_s)
 
 
 @dataclass(frozen=True)
@@ -116,21 +124,56 @@ class RangeChain:
         1 + 1/N_s for the quantum transmitter."""
         n_s = _require_positive("n_s", n_s)
         if mode is Illumination.QI:
-            return self.snr_min / (1.0 + 1.0 / n_s)
+            return _quantum_threshold(self.snr_min, n_s)
         return self.snr_min
 
     def solve(self, n_s: float, mode: Illumination) -> RangeSolution:
         """Maximum range with absorption: the unique R where SNR_eff(R)
         crosses the mode-adjusted threshold.
 
-        Closed form R_free * exp(-W0(a * R_free / 2)); see the module
-        docstring.  With gamma = 0 that is R_free itself.  ``converged``
-        reports the closure of the forward SNR chain at the root.  Raises
+        The one-point column of :meth:`solutions`, with N_s checked.  Raises
         :class:`NoDetectionError` when the target is already below threshold
         at near-zero range.
         """
-        threshold = self.threshold(n_s, mode)
-        return _solve(self.head * n_s / self.denominator, threshold, self.gamma_db_per_km)
+        [solution] = self.solutions((_require_positive("n_s", n_s),), mode)
+        if solution is None:
+            raise NoDetectionError(
+                f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
+                "no detection range exists"
+            )
+        return solution
+
+    def solutions(
+        self, n_s_grid: Iterable[float], mode: Illumination
+    ) -> Iterator[RangeSolution | None]:
+        """Solve one column lazily: a :class:`RangeSolution` per N_s of
+        ``n_s_grid`` in ``mode``, or ``None`` where no detection range exists
+        (the target is already below threshold at near-zero range).
+
+        Closed form R_free * exp(-W0(a * R_free / 2)); see the module
+        docstring.  With gamma = 0 that is R_free itself.  ``converged``
+        reports the closure of the forward SNR chain at the root.  The grid
+        is not checked: every value must be positive and finite, as
+        :meth:`solve` and :func:`sweep_range` ensure.
+        """
+        head, denominator, snr_min = self.head, self.denominator, self.snr_min
+        gamma = self.gamma_db_per_km
+        half_a = 0.5 * gamma * _A_PER_GAMMA
+        quantum = mode is Illumination.QI
+        for n_s in n_s_grid:
+            threshold = _quantum_threshold(snr_min, n_s) if quantum else snr_min
+            chain_constant = head * n_s / denominator
+            r_free = (chain_constant / threshold) ** 0.25
+            root, iterations = r_free, 0
+            if gamma > 0.0:
+                w, iterations = _lambert_w0(half_a * r_free)
+                root = r_free * math.exp(-w)
+            if root < _NEAR_ZERO_RANGE_M:
+                yield None
+                continue
+            snr_at_root = _snr_eff_at(chain_constant, gamma, root)
+            residual = abs(10.0 * math.log10(snr_at_root / threshold))
+            yield RangeSolution(root, residual, iterations, residual < _RESIDUAL_TOL_DB)
 
     def link_at(self, n_s: float, r_m: float) -> tuple[float, float]:
         """One-way form factor F and transmissivity eta at range ``r_m``,
@@ -183,28 +226,6 @@ def _lambert_w0(x: float) -> tuple[float, int]:
     return w, steps
 
 
-def _solve(chain_constant: float, threshold: float, gamma: float) -> RangeSolution:
-    """The solve step of :meth:`RangeChain.solve`."""
-    r_free = (chain_constant / threshold) ** 0.25
-    root, iterations = r_free, 0
-    if gamma > 0.0:
-        w, iterations = _lambert_w0(0.5 * gamma * _A_PER_GAMMA * r_free)
-        root = r_free * math.exp(-w)
-    if root < _NEAR_ZERO_RANGE_M:
-        raise NoDetectionError(
-            f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
-            "no detection range exists"
-        )
-
-    residual = abs(10.0 * math.log10(_snr_eff_at(chain_constant, gamma, root) / threshold))
-    return RangeSolution(
-        r_max_m=root,
-        residual_db=residual,
-        iterations=iterations,
-        converged=residual < _RESIDUAL_TOL_DB,
-    )
-
-
 def _validated_grid(n_s_grid: Sequence[float]) -> tuple[float, ...]:
     grid = tuple(float(v) for v in n_s_grid)
     if not grid:
@@ -229,10 +250,10 @@ def sweep_range(
 
     Yields ``(n_s, frequency_hz, mode, solution)`` rows lazily, frequency-major,
     then mode, then N_s; ``solution`` is ``None`` where no detection range
-    exists, never a zero range.  Each row is
-    ``range_chain(config, f, constants).solve(n_s, mode)``: one chain is built
-    per frequency and solved for that frequency's (mode, N_s) points.  The
-    grid is validated on the call.
+    exists, never a zero range.  One chain ``range_chain(config, f, constants)``
+    is built per frequency, and each (frequency, mode) is one column of
+    :meth:`RangeChain.solutions` over the grid, so each row equals
+    ``chain.solve(n_s, mode)``.  The grid is validated on the call.
     """
     grid = _validated_grid(n_s_grid)
 
@@ -240,12 +261,7 @@ def sweep_range(
         for f_hz in config.frequencies_hz:
             chain = range_chain(config, f_hz, constants)
             for mode in Illumination:
-                for n_s in grid:
-                    try:
-                        solution = chain.solve(n_s, mode)
-                    except NoDetectionError:
-                        solution = None
-                    yield n_s, f_hz, mode, solution
+                yield from zip(grid, repeat(f_hz), repeat(mode), chain.solutions(grid, mode))
 
     return rows()
 

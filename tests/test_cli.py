@@ -349,6 +349,33 @@ def test_range_with_zero_gamma_table_matches_lossless(tmp_path, capsys):
     assert out_zero_table == out_lossless
 
 
+def test_range_at_a_frequency_where_h_f_underflows_exits_2(capsys):
+    code, out, err = run_cli(capsys, "range", "--ns", "1", "--freq", "1e-320")
+    assert (code, out) == (2, "")
+    assert "h * f underflows" in err
+
+
+def test_sweep_at_a_frequency_where_h_f_underflows_exits_2(tmp_path, capsys):
+    config = tmp_path / "tiny_frequency.json"
+    config.write_text(json.dumps({"frequencies_hz": [1e-320]}), encoding="utf-8")
+    output = tmp_path / "f3.csv"
+    code, out, err = run_cli(
+        capsys, "--config", str(config), "sweep", "--figure", "3", "--output", str(output)
+    )
+    assert (code, out) == (2, "")
+    assert "h * f underflows" in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("snr_min_db", [4000, -4000], ids=["overflows", "underflows"])
+def test_snr_min_db_out_of_float_range_exits_2(tmp_path, capsys, snr_min_db):
+    config = tmp_path / "snr.json"
+    config.write_text(json.dumps({"snr_min_db": snr_min_db}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config), "range", "--ns", "1", "--freq", "1e12")
+    assert (code, out) == (2, "")
+    assert "snr_min_db" in err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text("{not json", encoding="utf-8")

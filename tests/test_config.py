@@ -90,6 +90,13 @@ def test_invalid_values_rejected():
         parse_config('{"tau_s": 4e-10}')
 
 
+@pytest.mark.parametrize("snr_min_db", [4000, -4000], ids=["overflows", "underflows"])
+def test_snr_min_db_without_a_finite_positive_linear_value_rejected(snr_min_db):
+    # 10^400 overflows the float range and 10^-400 rounds to 0
+    with pytest.raises(ConfigError, match="snr_min_db"):
+        parse_config(json.dumps({"snr_min_db": snr_min_db}))
+
+
 @pytest.mark.parametrize(
     "text, field",
     [

@@ -120,6 +120,7 @@ def test_noise_power_identity_frequency_cancels():
         lambda: watts_to_dbm(0.0),
         lambda: dbm_to_watts(math.inf),
         lambda: dbm_to_watts(1e4),
+        lambda: thermal_occupancy(300.0, 1e-320),  # h * f underflows to 0
     ],
 )
 def test_domain_errors(call):

@@ -360,18 +360,89 @@ def test_sweep_range_ordering_and_monotonicity():
 
 
 def test_sweep_range_is_lazy(monkeypatch):
-    calls = []
-    solve = range_solver._solve
+    # with a table every solved row takes one Lambert-W evaluation
+    chains, roots = [], []
+    build, lambert_w0 = range_solver.range_chain, range_solver._lambert_w0
 
-    def counting_solve(chain_constant, threshold, gamma):
-        calls.append(chain_constant)
-        return solve(chain_constant, threshold, gamma)
+    def counting_chain(*args):
+        chains.append(args[1])
+        return build(*args)
 
-    monkeypatch.setattr(range_solver, "_solve", counting_solve)
-    rows = sweep_range(BENCHMARK, [1e-3, 1e-2, 1e-1])
-    assert calls == []
+    def counting_w0(x):
+        roots.append(x)
+        return lambert_w0(x)
+
+    monkeypatch.setattr(range_solver, "range_chain", counting_chain)
+    monkeypatch.setattr(range_solver, "_lambert_w0", counting_w0)
+    config = ScenarioConfig(attenuation_table_path=BUNDLED_CSV)
+    rows = sweep_range(config, [1e-3, 1e-2, 1e-1])
+    assert (chains, roots) == ([], [])
     next(rows)
-    assert len(calls) == 1
+    assert (chains, len(roots)) == ([config.frequencies_hz[0]], 1)
+
+
+# repr(r_max_m) and converged of the solve, recorded before the column
+# kernel replaced the per-point solve; literal N_s values, so no grid
+# arithmetic enters the comparison.
+PINNED_SOLUTIONS = {
+    ("lossless", 7e9, "ci"): [
+        ("1.865622715108297", True), ("5.899617034289644", True), ("18.65622715108297", True),
+    ],
+    ("lossless", 7e9, "qi"): [
+        ("10.493789308093355", True), ("10.744148250400524", True), ("19.106097612092967", True),
+    ],
+    ("lossless", 1e12, "ci"): [
+        ("77.09039854395384", True), ("243.78124512902218", True), ("770.9039854395384", True),
+    ],
+    ("lossless", 1e12, "qi"): [
+        ("433.6195059408025", True), ("443.96472230486364", True), ("789.4933244583871", True),
+    ],
+    ("bundled_table", 60e9, "ci"): [
+        ("9.19845498686768", True), ("28.151411190277383", True), ("81.22586253315237", True),
+    ],
+    ("bundled_table", 60e9, "qi"): [
+        ("48.35650139545868", True), ("49.419387591042266", True), ("82.93880876952923", True),
+    ],
+    ("bundled_table", 1e12, "ci"): [
+        ("23.18816976326561", True), ("36.60055885401665", True), ("52.03231677100318", True),
+    ],
+    ("bundled_table", 1e12, "qi"): [
+        ("44.112991230654664", True), ("44.429911663391415", True), ("52.368080350072105", True),
+    ],
+}
+PINNED_N_S = (1e-3, 1e-1, 10.0)
+PINNED_CONFIGS = {
+    "lossless": ScenarioConfig(),
+    "bundled_table": ScenarioConfig(attenuation_table_path=BUNDLED_CSV),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(PINNED_SOLUTIONS), ids=lambda key: "{}-{:g}-{}".format(*key)
+)
+def test_solutions_are_bit_identical_to_the_recorded_solve(key):
+    scenario, f_hz, mode = key
+    chain = range_chain(PINNED_CONFIGS[scenario], f_hz)
+    column = chain.solutions(PINNED_N_S, Illumination(mode))
+    assert [(repr(s.r_max_m), s.converged) for s in column] == PINNED_SOLUTIONS[key]
+
+
+@pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
+@pytest.mark.parametrize("config", [BENCHMARK, FAINT], ids=["default", "faint"])
+def test_solutions_equal_one_point_solves(config, table_path, mode):
+    config = dataclasses.replace(config, attenuation_table_path=table_path)
+    grid = [float(v) for v in np.logspace(-6, 3, 60)]
+
+    def one_point(chain, n_s):
+        try:
+            return chain.solve(n_s, mode)
+        except NoDetectionError:
+            return None
+
+    for f_hz in config.frequencies_hz:
+        chain = range_chain(config, f_hz)
+        assert list(chain.solutions(grid, mode)) == [one_point(chain, n_s) for n_s in grid]
 
 
 def test_sweep_range_marks_failures_as_absent():
