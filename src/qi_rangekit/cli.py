@@ -39,6 +39,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NO_DETECTION = 3
 
+# Largest ``mc --trials``: memory stays bounded at any count, so this bounds
+# the run time; four hypotheses of 1e9 draws take under a minute.
+MAX_TRIALS = 10**9
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -111,7 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=float, required=True, help="mean photons per mode")
     p.add_argument("--eta", type=float, required=True, help="channel transmissivity")
     p.add_argument("--nb", type=float, required=True, help="background photons per mode")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=100_000,
+                   help=f"draws per hypothesis, at most {MAX_TRIALS} (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -263,6 +268,8 @@ def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+    if args.trials > MAX_TRIALS:
+        raise RangeKitError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     from .detection_mc import detector_gain_experiment
 
     result = detector_gain_experiment(

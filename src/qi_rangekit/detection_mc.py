@@ -12,9 +12,16 @@ analytic chain stops at the SNR ratio): a lossy thermal channel mixes the
 signal mode with the background, and the receiver correlates the returned
 mode against the retained idler through the statistic
 D = I_R*I_I - Q_R*Q_I.  Both transmitters keep the I and Q sectors
-uncorrelated, so :func:`detector_gain_experiment` and :func:`roc_estimate`
-draw D itself, exactly, as a weighted sum of two independent Exp(1)
-variables instead of drawing four Gaussian quadratures per mode.  The
+uncorrelated, so D = a*E1 + b*E2 exactly, with a >= 0 >= b and E1, E2
+independent Exp(1) variables.  That is an asymmetric Laplace law: D equals
+a*E with probability a/(a - b) and b*E otherwise, for one Exp(1) variable
+E, and :func:`exact_exceedance` gives its tails in closed form.
+:func:`detector_gain_experiment` and :func:`roc_estimate` draw D through
+that mixture, one exponential per mode instead of four Gaussian
+quadratures, in blocks of a fixed size: each block is reduced to its
+shifted sums (moments) or its exceedance counts before the next is drawn,
+so memory does not grow with the trial count; the ``mc`` command bounds
+the trial count up front (``cli.MAX_TRIALS``) to bound its run time.  The
 absent-hypothesis variance of D is the same for both transmitters, so the
 quantum/classical deflection-SNR ratio is exactly C_q^2/C_c^2 = 1 + 1/N_s
 for any eta and N_B; the experiment's estimate is checked against that
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +44,8 @@ from .errors import CovarianceNotPSDError, DomainError, InsufficientTrialsError
 from .radiometry import _require_non_negative, _require_positive
 
 _PSD_TOLERANCE = -1e-9
+# Draws of the detector statistic held at once: a 512 kB buffer.
+_BLOCK_TRIALS = 1 << 16
 
 
 def _rng(seed_or_sequence) -> np.random.Generator:
@@ -151,8 +160,9 @@ class ReturnChannelModel:
         return out
 
 
-def _draw_statistic(cov: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` exact draws of d = I_R*I_I - Q_R*Q_I from a block covariance.
+def _statistic_scales(cov: np.ndarray) -> tuple[float, float]:
+    """Scales (a, b), a >= 0 >= b, with d = I_R*I_I - Q_R*Q_I = a*E1 + b*E2
+    for independent Exp(1) variables E1, E2.
 
     ``cov`` must have uncorrelated I and Q sectors, with I block
     [[2p, 2r], [2r, 2q]] and Q block [[2p, -2r], [-2r, 2q]], as both
@@ -161,7 +171,7 @@ def _draw_statistic(cov: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
     covariance [[p, r], [r, q]].  Diagonalising one copy gives
     ((r + sqrt(pq))*z1^2 + (r - sqrt(pq))*z2^2) / 2, and two halved
     chi-square(1) variables add up to one Exp(1) variable, so
-    d = (r + sqrt(pq))*E1 + (r - sqrt(pq))*E2 with E1, E2 independent.
+    a = r + sqrt(pq) and b = r - sqrt(pq); |r| <= sqrt(pq) as cov is PSD.
     """
     cov, _, _ = _checked_eigh(cov)
     s_i, s_q, c = cov[0, 0], cov[2, 2], cov[0, 2]
@@ -173,17 +183,85 @@ def _draw_statistic(cov: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
             "covariance must have uncorrelated I and Q sectors with equal "
             "variances and opposite cross entries"
         )
-    p, q, r = s_i / 2.0, s_q / 2.0, c / 2.0
+    p, q, r = float(s_i) / 2.0, float(s_q) / 2.0, float(c) / 2.0
     root = math.sqrt(max(p * q, 0.0))
-    try:
-        exponentials = rng.standard_exponential(size=(2, n))
-    except MemoryError:
-        raise DomainError(f"{n} trials do not fit in memory") from None
-    return np.array([r + root, r - root]) @ exponentials
+    return max(r + root, 0.0), min(r - root, 0.0)
 
 
-def _mean_and_variance(d: np.ndarray) -> tuple[float, float]:
-    return float(d.mean()), float(d.var())
+def _positive_weight(a: float, b: float) -> float:
+    # P(D = a*E) in the mixture form of D = a*E1 + b*E2; see _statistic_blocks.
+    return a / (a - b) if a > 0.0 else 0.0
+
+
+def _statistic_blocks(
+    a: float, b: float, n: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """``n`` exact draws of D = a*E1 + b*E2 (a >= 0 >= b), in blocks of at
+    most ``_BLOCK_TRIALS``.
+
+    D is asymmetric Laplace: its moment generating function
+    1/((1 - a*s)(1 - b*s)) splits into a/(a - b) / (1 - a*s) plus
+    (-b)/(a - b) / (1 - b*s), so D equals a*E with probability a/(a - b)
+    and b*E otherwise, for one Exp(1) variable E.  So a block of k draws takes
+    K ~ Binomial(k, a/(a - b)) and k exponentials, and scales the first K by
+    a and the rest by b.  The block is not in draw order, but its multiset
+    has the law of k independent draws, which is all that order-free
+    reductions (moments, exceedance counts) see.
+
+    Every block is a view of one reused buffer, valid until the next one
+    is drawn; the caller may overwrite it.
+    """
+    weight = _positive_weight(a, b)
+    buffer = np.empty(min(n, _BLOCK_TRIALS))
+    for start in range(0, n, _BLOCK_TRIALS):
+        block = buffer[: min(_BLOCK_TRIALS, n - start)]
+        positive = int(rng.binomial(block.size, weight))
+        rng.standard_exponential(out=block)
+        block[:positive] *= a
+        block[positive:] *= b
+        yield block
+
+
+def _statistic_moments(cov: np.ndarray, n: int, rng: np.random.Generator) -> tuple[float, float]:
+    """(mean, variance) of ``n`` exact draws of D under ``cov``, reduced a
+    block at a time about the exact mean a + b, so that the shifted sums
+    stay small and the variance needs no second pass."""
+    a, b = _statistic_scales(cov)
+    mean = a + b
+    total = total_square = 0.0
+    for block in _statistic_blocks(a, b, n, rng):
+        block -= mean
+        total += float(block.sum())
+        total_square += float(block @ block)
+    shift = total / n
+    return mean + shift, total_square / n - shift * shift
+
+
+def _exceedance_fractions(
+    cov: np.ndarray, thresholds: Sequence[float], n: int, rng: np.random.Generator
+) -> tuple[float, ...]:
+    """Fraction of ``n`` exact draws of D under ``cov`` above each threshold."""
+    a, b = _statistic_scales(cov)
+    counts = [0] * len(thresholds)
+    for block in _statistic_blocks(a, b, n, rng):
+        for i, t in enumerate(thresholds):
+            counts[i] += int(np.count_nonzero(block > t))
+    return tuple(count / n for count in counts)
+
+
+def exact_exceedance(cov: np.ndarray, t: float) -> float:
+    """Exact P(D > t) of the correlation statistic under ``cov`` (block form
+    as for :func:`roc_estimate`, else DomainError).
+
+    With D = a*E1 + b*E2, a >= 0 >= b, the asymmetric Laplace tails are
+    a/(a - b) * exp(-t/a) for t >= 0 and 1 - (-b)/(a - b) * exp(-t/b) for
+    t < 0.
+    """
+    a, b = _statistic_scales(cov)
+    t = float(t)
+    if t >= 0.0:
+        return _positive_weight(a, b) * math.exp(-t / a) if a > 0.0 else 0.0
+    return 1.0 - (1.0 - _positive_weight(a, b)) * math.exp(-t / b) if b < 0.0 else 1.0
 
 
 def _deflection_with_noise(
@@ -240,9 +318,8 @@ def detector_gain_experiment(
     deflections = []
     for base in (tmsv_covariance(n_s), coherent_covariance(n_s)):
         model = ReturnChannelModel(eta=eta, n_b=n_b, base=base)
-        # Each batch of draws is reduced before the next one is made.
         present, absent = (
-            _mean_and_variance(_draw_statistic(cov, trials, _rng(next(streams))))
+            _statistic_moments(cov, trials, _rng(next(streams)))
             for cov in (model.present_covariance(), model.absent_covariance())
         )
         deflections.append(_deflection_with_noise(present, absent, trials))
@@ -279,11 +356,12 @@ def roc_estimate(
 ) -> RocEstimate:
     """Empirical ROC of the correlation detector between two hypotheses.
 
-    Present/absent batches of D are drawn exactly and independently (split
+    Present/absent draws of D are made exactly and independently (split
     seed streams), which needs both covariances in the phase-conjugate block
     form (else DomainError); each threshold yields their exceedance
-    fractions.  A p_fa probed below 10/trials cannot be resolved and raises
-    :class:`InsufficientTrialsError`.
+    fractions, counted a block of draws at a time.  :func:`exact_exceedance`
+    gives the values they estimate.  A p_fa probed below 10/trials cannot be
+    resolved and raises :class:`InsufficientTrialsError`.
     """
     trials = int(trials)
     if trials < 1:
@@ -293,11 +371,8 @@ def roc_estimate(
         raise DomainError("thresholds must not be empty")
 
     stream_present, stream_absent = np.random.SeedSequence(_validate_seed(seed)).spawn(2)
-    d_present = _draw_statistic(cov_present, trials, _rng(stream_present))
-    d_absent = _draw_statistic(cov_absent, trials, _rng(stream_absent))
-
-    p_d = tuple(float(np.mean(d_present > t)) for t in thresholds)
-    p_fa = tuple(float(np.mean(d_absent > t)) for t in thresholds)
+    p_d = _exceedance_fractions(cov_present, thresholds, trials, _rng(stream_present))
+    p_fa = _exceedance_fractions(cov_absent, thresholds, trials, _rng(stream_absent))
 
     floor = 10.0 / trials
     smallest = min(p_fa)

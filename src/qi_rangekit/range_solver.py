@@ -133,13 +133,20 @@ class RangeChain:
 
         The one-point column of :meth:`solutions`, with N_s checked.  Raises
         :class:`NoDetectionError` when the target is already below threshold
-        at near-zero range.
+        at near-zero range, and :class:`DomainError` when N_s is so large
+        that the chain overflows and no finite range comes out.
         """
-        [solution] = self.solutions((_require_positive("n_s", n_s),), mode)
+        n_s = _require_positive("n_s", n_s)
+        [solution] = self.solutions((n_s,), mode)
         if solution is None:
             raise NoDetectionError(
                 f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
                 "no detection range exists"
+            )
+        if not math.isfinite(solution.r_max_m):
+            raise DomainError(
+                f"n_s = {n_s!r} overflows the range chain: head * N_s / "
+                "((4*pi)^k * N_B * threshold) exceeds the float range"
             )
         return solution
 

@@ -11,7 +11,7 @@ import pytest
 
 import qi_rangekit
 from qi_rangekit import atmosphere
-from qi_rangekit.cli import main
+from qi_rangekit.cli import MAX_TRIALS, main
 from qi_rangekit.config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
 from qi_rangekit.range_solver import Illumination, range_chain
 
@@ -179,6 +179,13 @@ def test_range_zero_photons_exits_2(capsys):
     assert code == 2
     assert "error" in err
     assert out == ""
+
+
+def test_range_with_overflowing_chain_exits_2(capsys):
+    code, out, err = run_cli(capsys, "range", "--ns", "1e300", "--freq", "1e12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: n_s = 1e+300 overflows the range chain: ")
 
 
 def test_range_no_detection_exits_3(tmp_path, capsys):
@@ -501,8 +508,8 @@ def test_mc_low_photon_advantage(capsys):
 
 
 def test_mc_with_more_trials_than_memory_exits_2(capsys):
-    # 2e12 exponentials (16 TB): the allocation is refused at once, before
-    # any page is touched.
+    # Drawn in blocks, 1e12 trials would fit in memory but run for hours:
+    # the trial bound refuses them before any draw.
     code, out, err = run_cli(
         capsys,
         "mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1",
@@ -510,7 +517,20 @@ def test_mc_with_more_trials_than_memory_exits_2(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err == "error: 1000000000000 trials do not fit in memory\n"
+    assert err == "error: --trials must be at most 1000000000, got 1000000000000\n"
+
+
+def test_mc_trial_bound_is_in_help_and_exact(capsys):
+    with pytest.raises(SystemExit):
+        main(["mc", "--help"])
+    assert f"at most {MAX_TRIALS}" in capsys.readouterr().out
+    code, out, err = run_cli(
+        capsys,
+        "mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1",
+        "--trials", str(MAX_TRIALS + 1),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}\n"
 
 
 def test_mc_prints_analytic_ratio_and_z(capsys):

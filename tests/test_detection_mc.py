@@ -10,9 +10,13 @@ from qi_rangekit import detection_mc
 from qi_rangekit.detection_mc import (
     GainExperimentResult,
     ReturnChannelModel,
-    _draw_statistic,
+    _BLOCK_TRIALS,
+    _statistic_blocks,
+    _statistic_moments,
+    _statistic_scales,
     detector_gain_experiment,
     estimate_covariance,
+    exact_exceedance,
     roc_estimate,
     sample_quadratures,
 )
@@ -180,25 +184,38 @@ def test_draw_statistic_moments(transmitter, hypothesis):
     a, b = r + math.sqrt(p * q), r - math.sqrt(p * q)
     k2, k4 = a**2 + b**2, 6.0 * (a**4 + b**4)
     n = 10**6
-    d = _draw_statistic(cov, n, np.random.Generator(np.random.PCG64(17)))
-    assert d.shape == (n,)
+    mean, var = _statistic_moments(cov, n, np.random.Generator(np.random.PCG64(17)))
     assert k2 == pytest.approx(2.0 * (r**2 + p * q), rel=1e-12)
-    assert abs(d.mean() - 2.0 * r) <= 5.0 * math.sqrt(k2 / n)
-    assert abs(d.var() - k2) <= 5.0 * math.sqrt((k4 + 2.0 * k2**2) / n)
+    assert abs(mean - 2.0 * r) <= 5.0 * math.sqrt(k2 / n)
+    assert abs(var - k2) <= 5.0 * math.sqrt((k4 + 2.0 * k2**2) / n)
 
 
 def test_draw_statistic_matches_quadrature_product_moments():
-    # The two-exponential draw and the product of four drawn quadratures
-    # estimate the same mean and variance.
+    # The one-exponential mixture draw and the product of four drawn
+    # quadratures estimate the same mean and variance.
     cov = ReturnChannelModel(eta=0.5, n_b=1.0, base=tmsv_covariance(0.1)).present_covariance()
     n = 10**6
-    exact = _draw_statistic(cov, n, np.random.Generator(np.random.PCG64(3)))
+    mean, var = _statistic_moments(cov, n, np.random.Generator(np.random.PCG64(3)))
     samples = sample_quadratures(cov, n, seed=4)
     product = samples[:, 0] * samples[:, 2] - samples[:, 1] * samples[:, 3]
     variance = product.var()
     fourth = float(np.mean((product - product.mean()) ** 4))
-    assert abs(exact.mean() - product.mean()) <= 5.0 * math.sqrt(2.0 * variance / n)
-    assert abs(exact.var() - variance) <= 5.0 * math.sqrt(2.0 * (fourth - variance**2) / n)
+    assert abs(mean - product.mean()) <= 5.0 * math.sqrt(2.0 * variance / n)
+    assert abs(var - variance) <= 5.0 * math.sqrt(2.0 * (fourth - variance**2) / n)
+
+
+def test_streamed_moments_equal_those_of_the_concatenated_blocks():
+    # Three full blocks and a partial one.
+    cov = ReturnChannelModel(eta=0.3, n_b=2.0, base=tmsv_covariance(0.2)).present_covariance()
+    n = 3 * _BLOCK_TRIALS + 12_345
+    a, b = _statistic_scales(cov)
+    rng = np.random.Generator(np.random.PCG64(5))
+    blocks = [block.copy() for block in _statistic_blocks(a, b, n, rng)]
+    assert [block.size for block in blocks] == [_BLOCK_TRIALS] * 3 + [12_345]
+    draws = np.concatenate(blocks)
+    mean, var = _statistic_moments(cov, n, np.random.Generator(np.random.PCG64(5)))
+    assert mean == pytest.approx(float(np.mean(draws)), rel=1e-12)
+    assert var == pytest.approx(float(np.var(draws)), rel=1e-12)
 
 
 def test_draw_statistic_rejects_other_covariances():
@@ -212,12 +229,12 @@ def test_draw_statistic_rejects_other_covariances():
     same_sign[1, 3] = same_sign[3, 1] = base[0, 2]  # not phase-conjugate
     for cov in (correlated, unequal, same_sign, np.eye(3), base + np.triu(np.ones((4, 4)))):
         with pytest.raises(DomainError):
-            _draw_statistic(cov, 10, rng)
+            _statistic_moments(cov, 10, rng)
     not_psd = base.copy()
     not_psd[0, 2] = not_psd[2, 0] = 5.0  # |cross| above the variances
     not_psd[1, 3] = not_psd[3, 1] = -5.0
     with pytest.raises(CovarianceNotPSDError) as info:
-        _draw_statistic(not_psd, 10, rng)
+        _statistic_moments(not_psd, 10, rng)
     assert info.value.eigenvalue == pytest.approx(2.0 - 5.0)
 
 
@@ -251,20 +268,21 @@ def test_gain_experiment_matches_analytic_ratio(n_s, eta, n_b):
 def test_gain_experiment_output_is_pinned():
     # Exact reprs, so that any change in how the draws are reduced shows.
     result = detector_gain_experiment(n_s=0.1, eta=0.5, n_b=1.0, trials=10**6, seed=41)
-    assert repr(result.ratio) == "10.929394090802282"
-    assert repr(result.standard_error) == "0.28197925730632317"
+    assert repr(result.ratio) == "10.85743044889375"
+    assert repr(result.standard_error) == "0.2797219714479854"
 
 
 def test_gain_experiment_holds_one_batch_of_draws_at_a_time():
-    # One batch of 1e6 draws of D takes 8 MB and its exponentials 16 MB;
-    # keeping all four batches until the end peaked at 46.5 MB.
-    tracemalloc.start()
-    try:
-        detector_gain_experiment(n_s=0.1, eta=0.5, n_b=1.0, trials=10**6, seed=41)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32_000_000
+    # One block buffer of 2**16 draws takes 0.5 MB at any trial count; one
+    # whole batch of 1e7 draws and its exponentials would take 240 MB.
+    for trials in (10**5, 10**7):
+        tracemalloc.start()
+        try:
+            detector_gain_experiment(n_s=0.1, eta=0.5, n_b=1.0, trials=trials, seed=41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, trials
 
 
 def test_gain_experiment_validation():
@@ -350,6 +368,49 @@ def test_roc_rejects_covariance_without_block_form():
     correlated[0, 1] = correlated[1, 0] = 0.1
     with pytest.raises(DomainError):
         roc_estimate(correlated, absent, [0.0], trials=1000, seed=0)
+
+
+@pytest.mark.parametrize("transmitter", [tmsv_covariance, coherent_covariance])
+def test_roc_matches_exact_exceedance(transmitter):
+    # Binomial z-scores of the estimated p_d and p_fa against the exact
+    # asymmetric Laplace tails, at thresholds on both sides of 0.
+    model = ReturnChannelModel(eta=0.3, n_b=2.0, base=transmitter(0.5))
+    present, absent = model.present_covariance(), model.absent_covariance()
+    thresholds = [-6.0, -1.5, 0.0, 1.5, 6.0]
+    trials = 2 * 10**5
+    roc = roc_estimate(present, absent, thresholds, trials, seed=12)
+    for cov, estimates in ((present, roc.p_d), (absent, roc.p_fa)):
+        for t, estimate in zip(thresholds, estimates):
+            exact = exact_exceedance(cov, t)
+            assert 0.0 < exact < 1.0
+            z = (estimate - exact) / math.sqrt(exact * (1.0 - exact) / trials)
+            assert abs(z) <= 5.0, (t, estimate, exact)
+
+
+def test_exact_exceedance_tails():
+    cov = ReturnChannelModel(eta=0.3, n_b=2.0, base=tmsv_covariance(0.5)).present_covariance()
+    a, b = _statistic_scales(cov)
+    assert a > 0.0 > b
+    # continuous at 0, where P(D > 0) = a/(a - b)
+    assert exact_exceedance(cov, 0.0) == pytest.approx(a / (a - b), rel=1e-15)
+    assert exact_exceedance(cov, -1e-300) == pytest.approx(a / (a - b), rel=1e-15)
+    assert exact_exceedance(cov, 2.0 * a) == pytest.approx(a / (a - b) * math.exp(-2.0), rel=1e-15)
+    assert exact_exceedance(cov, 2.0 * b) == pytest.approx(1.0 + b / (a - b) * math.exp(-2.0))
+    assert exact_exceedance(cov, math.inf) == 0.0
+    assert exact_exceedance(cov, -math.inf) == 1.0
+    # absent hypothesis: no correlation, so D is symmetric
+    absent = ReturnChannelModel(eta=0.3, n_b=2.0, base=tmsv_covariance(0.5)).absent_covariance()
+    assert exact_exceedance(absent, 0.0) == 0.5
+    assert exact_exceedance(absent, 1.0) == pytest.approx(1.0 - exact_exceedance(absent, -1.0))
+    # a perfectly correlated pair (b = 0) never draws a negative D
+    pure = np.diag([1.0, 1.0, 1.0, 1.0])
+    pure[0, 2] = pure[2, 0] = 1.0
+    pure[1, 3] = pure[3, 1] = -1.0
+    assert _statistic_scales(pure) == (1.0, 0.0)
+    assert exact_exceedance(pure, -0.5) == 1.0
+    assert exact_exceedance(pure, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    with pytest.raises(DomainError):
+        exact_exceedance(np.eye(3), 0.0)
 
 
 def test_roc_deterministic():

@@ -445,6 +445,17 @@ def test_solutions_equal_one_point_solves(config, table_path, mode):
         assert list(chain.solutions(grid, mode)) == [one_point(chain, n_s) for n_s in grid]
 
 
+@pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
+@pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
+def test_overflowing_chain_names_n_s(table_path, mode):
+    # head * N_s / denominator overflows; the lossless root is then inf and
+    # the attenuated one NaN, and neither is a range.
+    chain = range_chain(dataclasses.replace(BENCHMARK, attenuation_table_path=table_path), 1e12)
+    with pytest.raises(DomainError, match=r"n_s = 1e\+300 overflows the range chain"):
+        chain.solve(1e300, mode)
+    assert math.isfinite(chain.solve(1e290, mode).r_max_m)
+
+
 def test_sweep_range_marks_failures_as_absent():
     rows = list(sweep_range(FAINT, [1e-6, 1e-3]))
     assert rows[0][3] is None
