@@ -13,42 +13,66 @@ signal mode with the background, and the receiver correlates the returned
 mode against the retained idler through the statistic
 D = I_R*I_I - Q_R*Q_I.  Both transmitters keep the I and Q sectors
 uncorrelated, so D = a*E1 + b*E2 exactly, with a >= 0 >= b and E1, E2
-independent Exp(1) variables.  That is an asymmetric Laplace law: D equals
-a*E with probability a/(a - b) and b*E otherwise, for one Exp(1) variable
-E, and :func:`exact_exceedance` gives its tails in closed form.
-:func:`detector_gain_experiment` and :func:`roc_estimate` draw D through
-that mixture, one exponential per mode instead of four Gaussian
-quadratures, in blocks of a fixed size: each block is reduced to its
-shifted sums (moments) or its exceedance counts before the next is drawn,
-so memory does not grow with the trial count; the ``mc`` command bounds
-the trial count up front (``cli.MAX_TRIALS``) to bound its run time.  The
-absent-hypothesis variance of D is the same for both transmitters, so the
-quantum/classical deflection-SNR ratio is exactly C_q^2/C_c^2 = 1 + 1/N_s
-for any eta and N_B; the experiment's estimate is checked against that
-value with a z-score.
+independent Exp(1) variables.  That is an asymmetric Laplace law, and
+:func:`exact_exceedance` gives its tails in closed form.
 
-Randomness is pinned to NumPy's PCG64 generator; fixed seeds reproduce
-bit-identical streams, and internal sub-streams are split with
-``SeedSequence.spawn`` so concurrent batches stay reproducible.
+:func:`detector_gain_experiment` needs only the sample mean of D under each
+hypothesis.  The sum of n independent draws of D is exactly a*G1 + b*G2,
+with G1, G2 independent Gamma(n, 1) variables, so each hypothesis takes two
+gamma draws at any trial count, and its variance a^2 + b^2 is known
+exactly.  The absent-hypothesis variance is the same for both transmitters,
+so the quantum/classical deflection-SNR ratio is exactly
+C_q^2/C_c^2 = 1 + 1/N_s for any eta and N_B; the experiment's estimate is
+checked against that value with a z-score wherever the classical shift is
+resolved at the trial count (:data:`MIN_RESOLUTION`).
+
+The gamma variables are drawn by Marsaglia and Tsang's method (ACM Trans.
+Math. Softw. 26, 363, 2000) over Box-Muller normals, from nothing but
+``random.Random(seed).random()``: that stream is the one Python promises to
+keep across versions (``gammavariate`` and ``gauss`` carry no such promise),
+so a fixed seed gives bit-identical output wherever libm's ``log``, ``cos``
+and ``sqrt`` agree.  Nothing on this path loads numpy.
+
+:func:`sample_quadratures`, :func:`estimate_covariance` and
+:func:`roc_estimate` work on arrays and import numpy when called.  Their
+draws come from NumPy's PCG64 generator (fixed seeds reproduce
+bit-identically; :func:`roc_estimate` splits its streams with
+``SeedSequence.spawn``).  :func:`roc_estimate` draws D as a one-exponential
+mixture in blocks of a fixed size and counts each block's exceedances before
+the next is drawn, so its memory does not grow with the trial count.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import CovarianceNotPSDError, DomainError, InsufficientTrialsError
+from .quantum_states import Matrix, coherent_covariance, tmsv_covariance
 from .radiometry import _require_non_negative, _require_positive
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _PSD_TOLERANCE = -1e-9
-# Draws of the detector statistic held at once: a 512 kB buffer.
+_SYMMETRY_TOLERANCE = 1e-12
+# Draws of the detector statistic held at once by roc_estimate: a 512 kB buffer.
 _BLOCK_TRIALS = 1 << 16
+# (row, column) of the signal/idler cross block; (column, row) mirrors it.
+_CROSS_BLOCK = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+#: Smallest classical mean shift, in standard errors of the shift at the
+#: trial count, at which the gain experiment's ratio and first-order error
+#: describe the gain.  Below it the shift is buried in noise and ``mc``
+#: reports the point as unresolved.
+MIN_RESOLUTION = 5.0
 
 
 def _rng(seed_or_sequence) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(seed_or_sequence))
 
 
@@ -59,38 +83,47 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
-def _symmetric_4x4(matrix: np.ndarray, name: str) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (4, 4) or not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12):
-        raise DomainError(f"{name} must be a symmetric 4x4 matrix")
-    return matrix
-
-
-def _checked_eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cov, eigenvalues, eigenvectors) of a symmetric PSD 4x4 covariance.
-
-    Eigenvalues below -1e-9 mean the matrix is genuinely not a covariance
-    and raise with the offending value.
-    """
-    cov = _symmetric_4x4(cov, "covariance")
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    smallest = float(eigenvalues.min())
-    if smallest < _PSD_TOLERANCE:
-        raise CovarianceNotPSDError(
-            f"covariance has eigenvalue {smallest!r} below the PSD tolerance",
-            eigenvalue=smallest,
+def _symmetric_4x4(matrix, name: str) -> Matrix:
+    """``matrix`` (any 4x4 nested sequence of numbers, numpy arrays
+    included) as a :data:`Matrix`, if it is finite and symmetric to 1e-12."""
+    try:
+        rows = tuple(tuple(float(v) for v in row) for row in matrix)
+    except (TypeError, ValueError):
+        rows = ()
+    if (
+        len(rows) != 4
+        or any(len(row) != 4 for row in rows)
+        # also false for nan and inf entries
+        or not all(
+            abs(rows[j][k] - rows[k][j]) <= _SYMMETRY_TOLERANCE
+            for j in range(4)
+            for k in range(j + 1)
         )
-    return cov, eigenvalues, eigenvectors
+    ):
+        raise DomainError(f"{name} must be a symmetric 4x4 matrix")
+    return rows
 
 
-def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor L with L @ L.T = cov / 2, clamping round-off negatives."""
-    _, eigenvalues, eigenvectors = _checked_eigh(cov)
-    clamped = np.clip(eigenvalues, 0.0, None)
-    return eigenvectors * np.sqrt(clamped / 2.0)
+def _require_psd(smallest_eigenvalue: float) -> None:
+    # Below -1e-9 the matrix is genuinely not a covariance, not round-off.
+    if smallest_eigenvalue < _PSD_TOLERANCE:
+        raise CovarianceNotPSDError(
+            f"covariance has eigenvalue {smallest_eigenvalue!r} below the PSD tolerance",
+            eigenvalue=smallest_eigenvalue,
+        )
 
 
-def sample_quadratures(cov: np.ndarray, n: int, seed: int) -> np.ndarray:
+def _gaussian_factor(cov) -> np.ndarray:
+    """Factor L with L @ L.T = cov / 2 of a symmetric PSD 4x4 covariance,
+    clamping round-off negatives."""
+    import numpy as np
+
+    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(_symmetric_4x4(cov, "covariance")))
+    _require_psd(float(eigenvalues.min()))
+    return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None) / 2.0)
+
+
+def sample_quadratures(cov, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` zero-mean Gaussian quadrature vectors consistent with ``cov``.
 
     Returns an (n, 4) array whose 2x sample second moments estimate ``cov``.
@@ -103,8 +136,10 @@ def sample_quadratures(cov: np.ndarray, n: int, seed: int) -> np.ndarray:
     return _rng(_validate_seed(seed)).standard_normal(size=(n, 4)) @ factor.T
 
 
-def estimate_covariance(samples: np.ndarray) -> np.ndarray:
+def estimate_covariance(samples) -> np.ndarray:
     """2x the sample non-central second-moment matrix (exactly symmetric)."""
+    import numpy as np
+
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
         raise DomainError(f"samples must be (n, 4), got shape {samples.shape}")
@@ -120,8 +155,10 @@ def estimate_covariance(samples: np.ndarray) -> np.ndarray:
 class ReturnChannelModel:
     """Lossy thermal return channel applied to a transmitter covariance.
 
-    ``base`` is the 4x4 signal/idler covariance at the transmitter.  Under
-    the target-present hypothesis the signal mode returns with transmissivity
+    ``base`` is the 4x4 signal/idler covariance at the transmitter, any
+    symmetric 4x4 nested sequence (numpy arrays included); it is kept, and
+    the covariances are returned, as :data:`Matrix` tuples.  Under the
+    target-present hypothesis the signal mode returns with transmissivity
     ``eta`` mixed into a background of ``n_b`` photons per mode: its diagonal
     becomes 2*(eta*N_s + (1 - eta)*N_B) + 1 and the signal/idler cross block
     scales by sqrt(eta).  Under target-absent the returned mode is pure
@@ -130,7 +167,7 @@ class ReturnChannelModel:
 
     eta: float
     n_b: float
-    base: np.ndarray
+    base: Matrix
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
@@ -140,27 +177,31 @@ class ReturnChannelModel:
 
     def _signal_photons(self) -> float:
         # Mean photon number encoded in the signal diagonal block.
-        return (self.base[0, 0] + self.base[1, 1] - 2.0) / 4.0
+        return (self.base[0][0] + self.base[1][1] - 2.0) / 4.0
 
-    def present_covariance(self) -> np.ndarray:
-        out = self.base.copy()
+    def _with_signal_diagonal(self, s: float) -> list[list[float]]:
+        # base with its signal block set to diag(s, s)
+        out = [list(row) for row in self.base]
+        out[0][0:2], out[1][0:2] = [s, 0.0], [0.0, s]
+        return out
+
+    def present_covariance(self) -> Matrix:
         s_return = 2.0 * (self.eta * self._signal_photons() + (1.0 - self.eta) * self.n_b) + 1.0
-        out[0, 0] = out[1, 1] = s_return
-        out[0, 1] = out[1, 0] = 0.0
+        out = self._with_signal_diagonal(s_return)
         root_eta = math.sqrt(self.eta)
-        out[0:2, 2:4] *= root_eta
-        out[2:4, 0:2] *= root_eta
-        return out
+        for j, k in _CROSS_BLOCK:
+            out[j][k] *= root_eta
+            out[k][j] *= root_eta
+        return tuple(map(tuple, out))
 
-    def absent_covariance(self) -> np.ndarray:
-        out = self.base.copy()
-        out[0:2, 0:2] = (2.0 * self.n_b + 1.0) * np.eye(2)
-        out[0:2, 2:4] = 0.0
-        out[2:4, 0:2] = 0.0
-        return out
+    def absent_covariance(self) -> Matrix:
+        out = self._with_signal_diagonal(2.0 * self.n_b + 1.0)
+        for j, k in _CROSS_BLOCK:
+            out[j][k] = out[k][j] = 0.0
+        return tuple(map(tuple, out))
 
 
-def _statistic_scales(cov: np.ndarray) -> tuple[float, float]:
+def _statistic_scales(cov) -> tuple[float, float]:
     """Scales (a, b), a >= 0 >= b, with d = I_R*I_I - Q_R*Q_I = a*E1 + b*E2
     for independent Exp(1) variables E1, E2.
 
@@ -172,20 +213,57 @@ def _statistic_scales(cov: np.ndarray) -> tuple[float, float]:
     ((r + sqrt(pq))*z1^2 + (r - sqrt(pq))*z2^2) / 2, and two halved
     chi-square(1) variables add up to one Exp(1) variable, so
     a = r + sqrt(pq) and b = r - sqrt(pq); |r| <= sqrt(pq) as cov is PSD.
+    Both blocks have the eigenvalues of [[2p, 2r], [2r, 2q]], the smallest
+    being p + q - sqrt((p - q)^2 + 4r^2), which the PSD check reads.
     """
-    cov, _, _ = _checked_eigh(cov)
-    s_i, s_q, c = cov[0, 0], cov[2, 2], cov[0, 2]
-    block = np.array(
-        [[s_i, 0.0, c, 0.0], [0.0, s_i, 0.0, -c], [c, 0.0, s_q, 0.0], [0.0, -c, 0.0, s_q]]
-    )
-    if not np.array_equal(cov, block):
+    cov = _symmetric_4x4(cov, "covariance")
+    s_i, s_q, c = cov[0][0], cov[2][2], cov[0][2]
+    block = ((s_i, 0.0, c, 0.0), (0.0, s_i, 0.0, -c), (c, 0.0, s_q, 0.0), (0.0, -c, 0.0, s_q))
+    if cov != block:
         raise DomainError(
             "covariance must have uncorrelated I and Q sectors with equal "
             "variances and opposite cross entries"
         )
-    p, q, r = float(s_i) / 2.0, float(s_q) / 2.0, float(c) / 2.0
+    _require_psd((s_i + s_q - math.hypot(s_i - s_q, 2.0 * c)) / 2.0)
+    p, q, r = s_i / 2.0, s_q / 2.0, c / 2.0
     root = math.sqrt(max(p * q, 0.0))
     return max(r + root, 0.0), min(r - root, 0.0)
+
+
+def _standard_normal(rng: random.Random) -> float:
+    """One N(0, 1) draw by Box-Muller (the cosine branch) from two
+    ``random()`` draws."""
+    radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))  # 1 - random() is in (0, 1]
+    return radius * math.cos(2.0 * math.pi * rng.random())
+
+
+def _gamma(shape: float, rng: random.Random) -> float:
+    """One Gamma(shape, 1) draw, shape >= 1, by Marsaglia and Tsang's method.
+
+    With d = shape - 1/3, c = 1/sqrt(9d), a standard normal x and
+    v = (1 + c*x)^3 > 0, d*v has the Gamma(shape, 1) law once accepted with
+    probability exp(x^2/2 + d - d*v + d*ln v); the squeeze
+    u < 1 - 0.0331*x^4 accepts most proposals without a logarithm.  The
+    acceptance rate is above 0.95 for every shape >= 1.
+    """
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = _standard_normal(rng)
+        v = 1.0 + c * x
+        if v <= 0.0:
+            continue
+        v = v * v * v
+        u = 1.0 - rng.random()
+        x2 = x * x
+        if u < 1.0 - 0.0331 * x2 * x2 or math.log(u) < 0.5 * x2 + d * (1.0 - v + math.log(v)):
+            return d * v
+
+
+def _sample_mean(a: float, b: float, n: int, rng: random.Random) -> float:
+    """Mean of ``n`` independent draws of D = a*E1 + b*E2, drawn as their
+    exact sum a*G1 + b*G2 with G1, G2 independent Gamma(n, 1)."""
+    return (a * _gamma(n, rng) + b * _gamma(n, rng)) / n
 
 
 def _positive_weight(a: float, b: float) -> float:
@@ -206,11 +284,13 @@ def _statistic_blocks(
     K ~ Binomial(k, a/(a - b)) and k exponentials, and scales the first K by
     a and the rest by b.  The block is not in draw order, but its multiset
     has the law of k independent draws, which is all that order-free
-    reductions (moments, exceedance counts) see.
+    reductions (exceedance counts) see.
 
     Every block is a view of one reused buffer, valid until the next one
     is drawn; the caller may overwrite it.
     """
+    import numpy as np
+
     weight = _positive_weight(a, b)
     buffer = np.empty(min(n, _BLOCK_TRIALS))
     for start in range(0, n, _BLOCK_TRIALS):
@@ -222,25 +302,12 @@ def _statistic_blocks(
         yield block
 
 
-def _statistic_moments(cov: np.ndarray, n: int, rng: np.random.Generator) -> tuple[float, float]:
-    """(mean, variance) of ``n`` exact draws of D under ``cov``, reduced a
-    block at a time about the exact mean a + b, so that the shifted sums
-    stay small and the variance needs no second pass."""
-    a, b = _statistic_scales(cov)
-    mean = a + b
-    total = total_square = 0.0
-    for block in _statistic_blocks(a, b, n, rng):
-        block -= mean
-        total += float(block.sum())
-        total_square += float(block @ block)
-    shift = total / n
-    return mean + shift, total_square / n - shift * shift
-
-
 def _exceedance_fractions(
-    cov: np.ndarray, thresholds: Sequence[float], n: int, rng: np.random.Generator
+    cov, thresholds: Sequence[float], n: int, rng: np.random.Generator
 ) -> tuple[float, ...]:
     """Fraction of ``n`` exact draws of D under ``cov`` above each threshold."""
+    import numpy as np
+
     a, b = _statistic_scales(cov)
     counts = [0] * len(thresholds)
     for block in _statistic_blocks(a, b, n, rng):
@@ -249,7 +316,7 @@ def _exceedance_fractions(
     return tuple(count / n for count in counts)
 
 
-def exact_exceedance(cov: np.ndarray, t: float) -> float:
+def exact_exceedance(cov, t: float) -> float:
     """Exact P(D > t) of the correlation statistic under ``cov`` (block form
     as for :func:`roc_estimate`, else DomainError).
 
@@ -268,9 +335,9 @@ def _deflection_with_noise(
     present: tuple[float, float], absent: tuple[float, float], n: int
 ) -> tuple[float, float]:
     """Deflection SNR (E[D|p] - E[D|a])^2 / Var[D|a] and the first-order
-    relative variance of its estimate (mean-shift noise dominates; the
-    variance-estimate contribution is higher order and ignored), from the
-    (mean, variance) of ``n`` draws under each hypothesis."""
+    (delta-method) relative variance of its estimate, from the (sample
+    mean, exact variance) of ``n`` draws under each hypothesis.  The
+    variances are exact, so only the mean shift carries noise."""
     (mean_present, var_present), (mean_absent, var_absent) = present, absent
     shift = mean_present - mean_absent
     deflection = shift**2 / var_absent
@@ -280,13 +347,23 @@ def _deflection_with_noise(
 
 @dataclass(frozen=True)
 class GainExperimentResult:
-    """Measured quantum-over-classical deflection-SNR ratio with its error."""
+    """Measured quantum-over-classical deflection-SNR ratio with its error.
+
+    ``resolution`` is the exact classical mean shift in standard errors of
+    its estimate at ``trials``; where it is below :data:`MIN_RESOLUTION`
+    (``resolved`` is false), ratio and error describe noise, not the gain.
+    """
 
     ratio: float
     standard_error: float
     deflection_quantum: float
     deflection_classical: float
     trials: int
+    resolution: float
+
+    @property
+    def resolved(self) -> bool:
+        return self.resolution >= MIN_RESOLUTION
 
 
 def detector_gain_experiment(
@@ -299,28 +376,43 @@ def detector_gain_experiment(
     """Estimate the detector's quantum/classical SNR-gain ratio empirically.
 
     Builds present/absent return channels for both transmitters at the same
-    (n_s, eta, n_b), draws D exactly for ``trials`` modes through each, and
-    forms the deflection SNR (E[D|present] - E[D|absent])^2 / Var[D|absent]
-    per transmitter.  The reported standard error of the ratio propagates
-    the mean-shift estimation noise of both deflections (first order).  It
-    holds where the classical shift is resolved; where the shifts are buried
-    in noise it is large but no longer describes the ratio's spread.
-    """
-    from .quantum_states import coherent_covariance, tmsv_covariance
+    (n_s, eta, n_b) and, for each of the four, draws the mean of D over
+    ``trials`` modes from its exact sum: two gamma draws, taken in a fixed
+    order (quantum then classical, present then absent) from one
+    ``random.Random(seed)``.  The deflection SNR
+    (E[D|present] - E[D|absent])^2 / Var[D|absent] of each transmitter uses
+    the exact variances a^2 + b^2, and the reported standard error of the
+    ratio propagates the mean-shift noise of both deflections (first order).
 
+    Before drawing, the exact moments give the classical shift in standard
+    errors, sqrt((Var[D|present] + Var[D|absent]) / trials), as
+    ``resolution``.  The first-order error holds where it is well above 1;
+    below :data:`MIN_RESOLUTION` the result is reported as unresolved.
+    """
     trials = int(trials)
     if trials < 10_000:
         raise DomainError(f"need at least 1e4 trials, got {trials!r}")
     n_s = _require_positive("n_s", n_s)
     n_b = _require_positive("n_b", n_b)
+    rng = random.Random(_validate_seed(seed))
 
-    streams = iter(np.random.SeedSequence(_validate_seed(seed)).spawn(4))
-    deflections = []
+    # ((a, b) present, (a, b) absent) of the quantum, then the classical transmitter
+    scales = []
     for base in (tmsv_covariance(n_s), coherent_covariance(n_s)):
         model = ReturnChannelModel(eta=eta, n_b=n_b, base=base)
+        scales.append(
+            tuple(_statistic_scales(cov) for cov in (model.present_covariance(),
+                                                     model.absent_covariance()))
+        )
+    (mean_present, var_present), (mean_absent, var_absent) = (
+        (a + b, a * a + b * b) for a, b in scales[1]
+    )
+    resolution = (mean_present - mean_absent) / math.sqrt((var_present + var_absent) / trials)
+
+    deflections = []
+    for hypotheses in scales:
         present, absent = (
-            _statistic_moments(cov, trials, _rng(next(streams)))
-            for cov in (model.present_covariance(), model.absent_covariance())
+            (_sample_mean(a, b, trials, rng), a * a + b * b) for a, b in hypotheses
         )
         deflections.append(_deflection_with_noise(present, absent, trials))
 
@@ -334,6 +426,7 @@ def detector_gain_experiment(
         deflection_quantum=deflection_q,
         deflection_classical=deflection_c,
         trials=trials,
+        resolution=resolution,
     )
 
 
@@ -348,8 +441,8 @@ class RocEstimate:
 
 
 def roc_estimate(
-    cov_present: np.ndarray,
-    cov_absent: np.ndarray,
+    cov_present,
+    cov_absent,
     thresholds: Sequence[float],
     trials: int,
     seed: int,
@@ -363,6 +456,8 @@ def roc_estimate(
     gives the values they estimate.  A p_fa probed below 10/trials cannot be
     resolved and raises :class:`InsufficientTrialsError`.
     """
+    import numpy as np
+
     trials = int(trials)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")

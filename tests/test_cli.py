@@ -508,8 +508,9 @@ def test_mc_low_photon_advantage(capsys):
 
 
 def test_mc_with_more_trials_than_memory_exits_2(capsys):
-    # Drawn in blocks, 1e12 trials would fit in memory but run for hours:
-    # the trial bound refuses them before any draw.
+    # From exact sums, 1e12 trials would take no more time or memory than
+    # 1e4: the trial bound still refuses them, before any draw, to keep mc
+    # inside the range its tests check.
     code, out, err = run_cli(
         capsys,
         "mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1",
@@ -551,6 +552,25 @@ def test_mc_prints_analytic_ratio_and_z(capsys):
     assert abs(z) <= 6.0
 
 
+@pytest.mark.parametrize("point, trials, resolved", [
+    # 0.14 standard errors: the classical shift is buried in noise
+    (("--ns", "0.01", "--eta", "0.01", "--nb", "100"), "1000000", False),
+    # one point on both sides of the cut at 5 standard errors (4.85 and 5.23)
+    (("--ns", "0.01", "--eta", "0.5", "--nb", "1"), "300000", False),
+    (("--ns", "0.01", "--eta", "0.5", "--nb", "1"), "350000", True),
+])
+def test_mc_prints_no_ratio_where_the_shift_is_unresolved(capsys, point, trials, resolved):
+    code, out, err = run_cli(capsys, "mc", *point, "--trials", trials, "--seed", "1")
+    assert (code, err) == (0, "")
+    assert ("deflection-SNR gain" in out and ", z = " in out) == resolved
+    if not resolved:
+        assert re.fullmatch(
+            r"unresolved: the classical shift is \S+ standard errors at "
+            + trials + r" trials, below 5; no gain is estimated \(seed 1\)\n",
+            out,
+        )
+
+
 def test_zero_photons_reads_the_same_in_ratio_and_mc(capsys):
     _, _, ratio_err = run_cli(capsys, "ratio", "--ns", "0")
     _, _, mc_err = run_cli(capsys, "mc", "--ns", "0", "--eta", "0.5", "--nb", "1")
@@ -578,6 +598,7 @@ def _numpy_loaded_after(tmp_path, statement: str) -> bool:
     ["covariance", "--ns", "20", "--mode", "qi", "--oracle"],
     ["covariance", "--ns", "1000", "--mode", "ci", "--oracle"],
     ["ratio", "--ns", "0.5"],
+    ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "1000000"],
 ])
 def test_scalar_commands_start_without_numpy(tmp_path, argv):
     statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
@@ -586,7 +607,9 @@ def test_scalar_commands_start_without_numpy(tmp_path, argv):
 
 def test_scalar_modules_import_without_numpy(tmp_path):
     assert not _numpy_loaded_after(
-        tmp_path, "import qi_rangekit.config, qi_rangekit.quantum_states, qi_rangekit.range_solver"
+        tmp_path,
+        "import qi_rangekit.config, qi_rangekit.detection_mc, qi_rangekit.quantum_states, "
+        "qi_rangekit.range_solver",
     )
 
 

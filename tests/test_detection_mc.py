@@ -1,18 +1,23 @@
 """Monte Carlo layer: sampling, covariance recovery, detector experiments."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qi_rangekit import detection_mc
+from qi_rangekit.cli import MAX_TRIALS
 from qi_rangekit.detection_mc import (
+    MIN_RESOLUTION,
     GainExperimentResult,
     ReturnChannelModel,
     _BLOCK_TRIALS,
+    _exceedance_fractions,
+    _gamma,
+    _sample_mean,
     _statistic_blocks,
-    _statistic_moments,
     _statistic_scales,
     detector_gain_experiment,
     estimate_covariance,
@@ -105,7 +110,7 @@ def test_seed_validation():
 def test_return_channel_covariances():
     base = np.asarray(tmsv_covariance(0.5))
     model = ReturnChannelModel(eta=0.25, n_b=2.0, base=base)
-    present = model.present_covariance()
+    present = np.asarray(model.present_covariance())
     # returned-signal diagonal: 2*(eta*N_s + (1-eta)*N_B) + 1
     assert present[0, 0] == pytest.approx(2.0 * (0.25 * 0.5 + 0.75 * 2.0) + 1.0, rel=1e-15)
     assert present[1, 1] == present[0, 0]
@@ -114,7 +119,7 @@ def test_return_channel_covariances():
     assert present[1, 3] == pytest.approx(0.5 * base[1, 3], rel=1e-15)
     assert np.array_equal(present[2:, 2:], base[2:, 2:])
 
-    absent = model.absent_covariance()
+    absent = np.asarray(model.absent_covariance())
     assert absent[0, 0] == absent[1, 1] == 5.0
     assert np.all(absent[0:2, 2:4] == 0.0)
     assert np.array_equal(absent[2:, 2:], base[2:, 2:])
@@ -148,6 +153,7 @@ def test_gain_experiment_weak_signal_point_reports_its_noise():
     # reported error must be honest (huge) and the >= 1 invariant holds only
     # in the statistical sense.
     result = detector_gain_experiment(n_s=0.01, eta=0.01, n_b=100.0, trials=10**6, seed=21)
+    assert result.resolution < MIN_RESOLUTION and not result.resolved
     assert result.standard_error > 1.0
     assert result.ratio >= 1.0 - 3.0 * result.standard_error
 
@@ -178,33 +184,39 @@ def test_gain_experiment_trend_over_decade():
 @pytest.mark.parametrize("hypothesis", ["present_covariance", "absent_covariance"])
 def test_draw_statistic_moments(transmitter, hypothesis):
     # D = a*E1 + b*E2 with a, b = r +/- sqrt(pq): cumulants k_n = (n-1)!(a^n + b^n),
-    # so E[D] = 2r, Var[D] = 2(r^2 + pq) and Var[s^2] ~ (k4 + 2*k2^2) / n.
+    # so E[D] = 2r and Var[D] = 2(r^2 + pq).  The mean of n draws, taken from
+    # the exact sum, has mean 2r, variance k2/n and fourth cumulant k4/n^3.
     cov = getattr(ReturnChannelModel(eta=0.3, n_b=2.0, base=transmitter(0.2)), hypothesis)()
-    p, q, r = cov[0, 0] / 2, cov[2, 2] / 2, cov[0, 2] / 2
-    a, b = r + math.sqrt(p * q), r - math.sqrt(p * q)
+    p, q, r = cov[0][0] / 2, cov[2][2] / 2, cov[0][2] / 2
+    a, b = _statistic_scales(cov)
+    assert (a, b) == pytest.approx((r + math.sqrt(p * q), r - math.sqrt(p * q)), rel=1e-15)
     k2, k4 = a**2 + b**2, 6.0 * (a**4 + b**4)
-    n = 10**6
-    mean, var = _statistic_moments(cov, n, np.random.Generator(np.random.PCG64(17)))
     assert k2 == pytest.approx(2.0 * (r**2 + p * q), rel=1e-12)
-    assert abs(mean - 2.0 * r) <= 5.0 * math.sqrt(k2 / n)
-    assert abs(var - k2) <= 5.0 * math.sqrt((k4 + 2.0 * k2**2) / n)
+    n, repeats = 10**4, 4000
+    rng = random.Random(17)
+    means = [_sample_mean(a, b, n, rng) for _ in range(repeats)]
+    mean = math.fsum(means) / repeats
+    var = n * math.fsum((m - 2.0 * r) ** 2 for m in means) / repeats
+    assert abs(mean - 2.0 * r) <= 5.0 * math.sqrt(k2 / (n * repeats))
+    assert abs(var - k2) <= 5.0 * math.sqrt((2.0 * k2**2 + k4 / n) / repeats)
 
 
 def test_draw_statistic_matches_quadrature_product_moments():
-    # The one-exponential mixture draw and the product of four drawn
-    # quadratures estimate the same mean and variance.
+    # The exact mean and variance of D = a*E1 + b*E2, which the gain
+    # experiment uses, match those of the product of four drawn quadratures.
     cov = ReturnChannelModel(eta=0.5, n_b=1.0, base=tmsv_covariance(0.1)).present_covariance()
     n = 10**6
-    mean, var = _statistic_moments(cov, n, np.random.Generator(np.random.PCG64(3)))
+    a, b = _statistic_scales(cov)
+    mean, var = a + b, a * a + b * b
     samples = sample_quadratures(cov, n, seed=4)
     product = samples[:, 0] * samples[:, 2] - samples[:, 1] * samples[:, 3]
     variance = product.var()
     fourth = float(np.mean((product - product.mean()) ** 4))
-    assert abs(mean - product.mean()) <= 5.0 * math.sqrt(2.0 * variance / n)
-    assert abs(var - variance) <= 5.0 * math.sqrt(2.0 * (fourth - variance**2) / n)
+    assert abs(mean - product.mean()) <= 5.0 * math.sqrt(variance / n)
+    assert abs(var - variance) <= 5.0 * math.sqrt((fourth - variance**2) / n)
 
 
-def test_streamed_moments_equal_those_of_the_concatenated_blocks():
+def test_streamed_exceedance_counts_equal_those_of_the_concatenated_blocks():
     # Three full blocks and a partial one.
     cov = ReturnChannelModel(eta=0.3, n_b=2.0, base=tmsv_covariance(0.2)).present_covariance()
     n = 3 * _BLOCK_TRIALS + 12_345
@@ -213,13 +225,12 @@ def test_streamed_moments_equal_those_of_the_concatenated_blocks():
     blocks = [block.copy() for block in _statistic_blocks(a, b, n, rng)]
     assert [block.size for block in blocks] == [_BLOCK_TRIALS] * 3 + [12_345]
     draws = np.concatenate(blocks)
-    mean, var = _statistic_moments(cov, n, np.random.Generator(np.random.PCG64(5)))
-    assert mean == pytest.approx(float(np.mean(draws)), rel=1e-12)
-    assert var == pytest.approx(float(np.var(draws)), rel=1e-12)
+    thresholds = [-1.5, 0.0, 1.5]
+    fractions = _exceedance_fractions(cov, thresholds, n, np.random.Generator(np.random.PCG64(5)))
+    assert fractions == tuple(np.count_nonzero(draws > t) / n for t in thresholds)
 
 
 def test_draw_statistic_rejects_other_covariances():
-    rng = np.random.Generator(np.random.PCG64(0))
     base = np.asarray(tmsv_covariance(0.5))
     correlated = base.copy()
     correlated[0, 1] = correlated[1, 0] = 0.1  # I and Q sectors correlated
@@ -229,12 +240,12 @@ def test_draw_statistic_rejects_other_covariances():
     same_sign[1, 3] = same_sign[3, 1] = base[0, 2]  # not phase-conjugate
     for cov in (correlated, unequal, same_sign, np.eye(3), base + np.triu(np.ones((4, 4)))):
         with pytest.raises(DomainError):
-            _statistic_moments(cov, 10, rng)
+            _statistic_scales(cov)
     not_psd = base.copy()
     not_psd[0, 2] = not_psd[2, 0] = 5.0  # |cross| above the variances
     not_psd[1, 3] = not_psd[3, 1] = -5.0
     with pytest.raises(CovarianceNotPSDError) as info:
-        _statistic_moments(not_psd, 10, rng)
+        _statistic_scales(not_psd)
     assert info.value.eigenvalue == pytest.approx(2.0 - 5.0)
 
 
@@ -268,21 +279,101 @@ def test_gain_experiment_matches_analytic_ratio(n_s, eta, n_b):
 def test_gain_experiment_output_is_pinned():
     # Exact reprs, so that any change in how the draws are reduced shows.
     result = detector_gain_experiment(n_s=0.1, eta=0.5, n_b=1.0, trials=10**6, seed=41)
-    assert repr(result.ratio) == "10.85743044889375"
-    assert repr(result.standard_error) == "0.2797219714479854"
+    assert repr(result.ratio) == "10.929613931210369"
+    assert repr(result.standard_error) == "0.28101287713189793"
 
 
-def test_gain_experiment_holds_one_batch_of_draws_at_a_time():
-    # One block buffer of 2**16 draws takes 0.5 MB at any trial count; one
-    # whole batch of 1e7 draws and its exponentials would take 240 MB.
-    for trials in (10**5, 10**7):
+def test_gamma_draws_are_pinned():
+    # The stream rests on random() and libm only, so it must not move
+    # between Python versions.
+    rng = random.Random(2024)
+    draws = [repr(_gamma(shape, rng)) for shape in (1.0, 10.0, 1e4, 1e9)]
+    assert draws == [
+        "0.5490718175145922", "5.152278440805712", "10002.050686884833", "999967927.4032274"
+    ]
+
+
+@pytest.mark.parametrize("shape", [1.0, 10.0, 1e4])
+def test_gamma_sampler_moments(shape):
+    # Gamma(k, 1) central moments: mu2 = k, mu3 = 2k, mu4 = 3k^2 + 6k,
+    # mu6 = 15k^3 + 130k^2 + 120k.  Moments are taken about the exact mean,
+    # so each estimate is a plain average with a known standard error.
+    k, m = shape, 40_000
+    rng = random.Random(7)
+    deviations = [_gamma(k, rng) - k for _ in range(m)]
+    mean = math.fsum(deviations) / m
+    variance = math.fsum(d * d for d in deviations) / m
+    skewness = math.fsum(d**3 for d in deviations) / m / k**1.5
+    assert abs(mean) <= 5.0 * math.sqrt(k / m)
+    assert abs(variance - k) <= 5.0 * math.sqrt((2.0 * k**2 + 6.0 * k) / m)
+    sd_skewness = math.sqrt((15.0 * k**3 + 126.0 * k**2 + 120.0 * k) / m) / k**1.5
+    assert abs(skewness - 2.0 / math.sqrt(k)) <= 5.0 * sd_skewness
+
+
+def test_gamma_sampler_shape_one_is_exponential():
+    # Kolmogorov-Smirnov against Exp(1): sqrt(m)*D above 1.95 has p < 0.001.
+    m = 20_000
+    rng = random.Random(8)
+    draws = sorted(_gamma(1.0, rng) for _ in range(m))
+    distance = max(
+        max((i + 1) / m - cdf, cdf - i / m)
+        for i, cdf in enumerate(-math.expm1(-x) for x in draws)
+    )
+    assert math.sqrt(m) * distance <= 1.95
+
+
+@pytest.mark.parametrize("n_s", [0.1, 1.0])
+def test_gain_experiment_z_is_calibrated(n_s):
+    # With exact variances the first-order error is the delta-method error
+    # of the ratio, so z is close to a unit normal at resolved points.
+    analytic = 1.0 + 1.0 / n_s
+    zs = []
+    for seed in range(400):
+        result = detector_gain_experiment(n_s=n_s, eta=0.5, n_b=1.0, trials=10**6, seed=seed)
+        zs.append((result.ratio - analytic) / result.standard_error)
+    mean = math.fsum(zs) / len(zs)
+    sd = math.sqrt(math.fsum((z - mean) ** 2 for z in zs) / (len(zs) - 1))
+    assert abs(mean) <= 0.25
+    assert 0.85 <= sd <= 1.15
+
+
+@pytest.mark.parametrize(
+    "n_s, eta, n_b, trials, resolution",
+    [
+        # the three benchmark points, resolved
+        (0.01, 0.5, 1.0, 10**6, 8.85),
+        (0.1, 0.5, 1.0, 10**6, 80.7),
+        (1.0, 0.5, 1.0, 10**6, 447.2),
+        # one point on both sides of the cut: 5 standard errors near 3.2e5 trials
+        (0.01, 0.5, 1.0, 300_000, 4.846),
+        (0.01, 0.5, 1.0, 350_000, 5.234),
+        # the buried-shift point
+        (0.01, 0.01, 100.0, 10**6, 0.140),
+    ],
+)
+def test_gain_experiment_resolution(n_s, eta, n_b, trials, resolution):
+    # The classical present mean is sqrt(eta)*C_c, the absent mean 0, and
+    # Var[D] = (c^2 + s_returned*s_idler)/2 under either hypothesis.
+    result = detector_gain_experiment(n_s=n_s, eta=eta, n_b=n_b, trials=trials, seed=1)
+    s_idler, c = 2.0 * n_s + 1.0, math.sqrt(eta) * 2.0 * n_s
+    var_present = (c**2 + (2.0 * (eta * n_s + (1.0 - eta) * n_b) + 1.0) * s_idler) / 2.0
+    var_absent = (2.0 * n_b + 1.0) * s_idler / 2.0
+    expected = c / math.sqrt((var_present + var_absent) / trials)
+    assert result.resolution == pytest.approx(expected, rel=1e-12)
+    assert result.resolution == pytest.approx(resolution, rel=2e-3)
+    assert result.resolved == (resolution >= MIN_RESOLUTION)
+
+
+def test_gain_experiment_memory_does_not_grow_with_trials():
+    # Each hypothesis is two gamma draws, so nothing is held per trial.
+    for trials in (10**5, MAX_TRIALS):
         tracemalloc.start()
         try:
             detector_gain_experiment(n_s=0.1, eta=0.5, n_b=1.0, trials=trials, seed=41)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000, trials
+        assert peak < 100_000, trials
 
 
 def test_gain_experiment_validation():
@@ -364,7 +455,7 @@ def test_roc_insufficient_trials():
 
 def test_roc_rejects_covariance_without_block_form():
     absent = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2)).absent_covariance()
-    correlated = absent.copy()
+    correlated = np.array(absent)
     correlated[0, 1] = correlated[1, 0] = 0.1
     with pytest.raises(DomainError):
         roc_estimate(correlated, absent, [0.0], trials=1000, seed=0)
