@@ -1,0 +1,68 @@
+"""Base class of the package's checked, immutable records.
+
+A record lists its fields in ``_fields`` (which are also its ``__slots__``)
+and their defaults in ``_field_defaults``, as a ``typing.NamedTuple`` does,
+and checks itself in :meth:`Record._check`.  It is built by position or by
+keyword, cannot be assigned to, compares and hashes by its fields, and
+:meth:`Record.replace` builds a changed copy through the same checks.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _field_defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name}() takes {len(self._fields)} arguments, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        for field, value in kwargs.items():
+            if field not in self._fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            values[field] = value
+        for field in self._fields:
+            if field in values:
+                value = values[field]
+            elif field in self._field_defaults:
+                value = self._field_defaults[field]
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+            object.__setattr__(self, field, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Validate the fields; may normalise them with ``object.__setattr__``."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def replace(self, **changes: object):
+        """A copy with ``changes`` applied, checked as on construction."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable
 
+from ._record import Record
 from .errors import DomainError, FrequencySpanError, TableParseError, TableValidationError
 from .radiometry import _require_non_negative
 
@@ -30,14 +29,14 @@ CSV_HEADER = "frequency_ghz,gamma_db_per_km"
 _BUNDLED_NAME = "gaseous_attenuation_sea_level.csv"
 
 
-@dataclass(frozen=True)
-class AttenuationTable:
-    """Sorted (frequency [GHz], gamma [dB/km]) knots with provenance string."""
+class AttenuationTable(Record):
+    """Sorted (frequency [GHz], gamma [dB/km]) knots, ``rows``, with a
+    provenance string, ``source``."""
 
-    rows: tuple[tuple[float, float], ...]
-    source: str = ""
+    __slots__ = _fields = ("rows", "source")
+    _field_defaults = {"source": ""}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.rows) < 2:
             raise TableValidationError(
                 f"attenuation table needs at least 2 rows, got {len(self.rows)}"
@@ -128,6 +127,8 @@ def serialize_table(table: AttenuationTable) -> str:
 
 def bundled_table() -> AttenuationTable:
     """The packaged sea-level gaseous-attenuation reference table."""
+    from importlib import resources
+
     text = (resources.files(__package__) / "data" / _BUNDLED_NAME).read_text("utf-8")
     return parse_table(text.splitlines(), source=f"bundled:{_BUNDLED_NAME}")
 

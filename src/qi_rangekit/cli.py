@@ -6,6 +6,14 @@ omitted fields) is taken from ``--config`` or the ``QI_RANGEKIT_CONFIG``
 environment variable.  All flags use SI base units (hertz, meters,
 seconds); dBm appears only where power is conventionally quoted in dBm.
 
+Start-up is most of what a scalar command costs, so this module imports at
+its top only what every command needs (``argparse``, the config, constants,
+errors and radiometry), and each handler imports the modules its command
+runs: ``quantum_states`` for ``covariance`` and ``ratio``, ``atmosphere`` for
+``atten``, ``range_solver`` for ``range`` and ``sweep``, ``detection_mc`` for
+``mc``.  Nothing on the start-up path loads the standard dataclass module,
+which imports ``inspect``: the package's records are NamedTuples or slotted
+classes.
 Only the ``sweep`` grid uses numpy, and it imports it inside the handler, so
 that every other command (``mc`` included) and ``--dump-config`` start
 without it.
@@ -21,20 +29,15 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, atmosphere, radiometry
+from . import __version__, radiometry
 from .config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
 from .constants import CODATA, TEXTBOOK
 from .errors import NoDetectionError, RangeKitError
-from .quantum_states import (
-    Matrix,
-    coherent_covariance,
-    coherent_covariance_oracle,
-    correlation_ratio,
-    tmsv_covariance,
-    tmsv_covariance_oracle,
-)
-from .range_solver import Illumination, range_chain, sweep_range, sweep_ratio
+
+if TYPE_CHECKING:
+    from .quantum_states import Matrix
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -45,6 +48,10 @@ EXIT_NO_DETECTION = 3
 # inside the range its tests check, where float64 resolves the gamma sums'
 # spread to better than 1e-11.
 MAX_TRIALS = 10**9
+
+# Largest ``sweep --points``.  The grid and the CSV rows are held in memory:
+# a figure-3 sweep of this many points takes ~190 MB and a few seconds.
+MAX_SWEEP_POINTS = 10**5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="1: correlation-ratio sweep, 3: range sweep")
     p.add_argument("--ns-min", type=float, default=1e-3)
     p.add_argument("--ns-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--points", type=int, default=25,
+                   help=f"grid points, at most {MAX_SWEEP_POINTS} (default: %(default)s)")
     p.add_argument("--output", metavar="PATH", default=None,
                    help="CSV path (default: figure<N>.csv)")
 
@@ -158,6 +166,13 @@ def _cmd_power(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
 
 
 def _cmd_covariance(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+    from .quantum_states import (
+        coherent_covariance,
+        coherent_covariance_oracle,
+        tmsv_covariance,
+        tmsv_covariance_oracle,
+    )
+
     if args.mode == "qi":
         closed, oracle_fn = tmsv_covariance, tmsv_covariance_oracle
     else:
@@ -178,11 +193,15 @@ def _cmd_covariance(args: argparse.Namespace, config: ScenarioConfig, out) -> in
 
 
 def _cmd_ratio(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+    from .quantum_states import correlation_ratio
+
     print(f"C_c/C_q = {correlation_ratio(args.ns):.9g} at N_s = {args.ns!r}", file=out)
     return EXIT_OK
 
 
 def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+    from . import atmosphere
+
     if args.table is not None:
         table = atmosphere.load_table(args.table)
     else:
@@ -198,6 +217,8 @@ def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
 
 
 def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+    from .range_solver import Illumination, range_chain
+
     constants = CODATA if args.codata else TEXTBOOK
     chain = range_chain(config, args.freq, constants)
     modes = (Illumination(args.mode),) if args.mode else (Illumination.CI, Illumination.QI)
@@ -238,6 +259,8 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
         raise RangeKitError(f"--ns-max must exceed --ns-min, got {ns_max!r}")
     if points < 2:
         raise RangeKitError(f"--points must be >= 2, got {points!r}")
+    if points > MAX_SWEEP_POINTS:
+        raise RangeKitError(f"--points must be at most {MAX_SWEEP_POINTS}, got {points!r}")
     import numpy as np
 
     grid = np.logspace(math.log10(ns_min), math.log10(ns_max), points)
@@ -245,6 +268,8 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+    from .range_solver import sweep_range, sweep_ratio
+
     constants = CODATA if args.codata else TEXTBOOK
     grid = _log_grid(args.ns_min, args.ns_max, args.points)
     path = Path(args.output) if args.output else Path(f"figure{args.figure}.csv")

@@ -17,12 +17,11 @@ configured directly.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import atmosphere, radiometry
+from . import radiometry
+from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import ConfigError, DomainError
 from .link_budget import DetectionSpec, IntegrationSpec, RadarParams
@@ -47,26 +46,32 @@ def _as_float(name: str, value: object) -> float:
         raise ConfigError(f"{name} is an integer too large for a float") from None
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """The scenario, checked once on construction, which also builds the
-    parts every range chain shares as plain (non-field) attributes:
+    parts every range chain shares as derived (non-field) attributes:
     ``radar``, ``detection``, ``integration``, ``noise_power_watts`` and
-    ``attenuation_table`` (``None`` when the path is lossless)."""
+    ``attenuation_table`` (``None`` when the path is lossless).  The
+    fields, in order, and their defaults are those of ``_field_defaults``."""
 
-    sigma_m2: float = 1.0
-    aperture_m2: float = 0.5
-    bandwidth_hz: float = 1e9
-    tau_s: float = 1.0
-    noise_power_dbm: float = -63.82
-    snr_min_db: float = 10.0
-    p_d: float = 0.7
-    p_fa: float = 1e-6
-    frequencies_hz: tuple[float, ...] = (7e9, 95e9, 1e12)
-    attenuation_table_path: str | None = None
-    four_pi_exponent: int = 2
+    _field_defaults = {
+        "sigma_m2": 1.0,
+        "aperture_m2": 0.5,
+        "bandwidth_hz": 1e9,
+        "tau_s": 1.0,
+        "noise_power_dbm": -63.82,
+        "snr_min_db": 10.0,
+        "p_d": 0.7,
+        "p_fa": 1e-6,
+        "frequencies_hz": (7e9, 95e9, 1e12),
+        "attenuation_table_path": None,
+        "four_pi_exponent": 2,
+    }
+    _fields = tuple(_field_defaults)
+    __slots__ = _fields + (
+        "radar", "detection", "integration", "noise_power_watts", "attenuation_table",
+    )
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in _NUMBER_FIELDS:
             _as_float(name, getattr(self, name))
         frequencies = tuple(_as_float("frequencies_hz", f) for f in self.frequencies_hz)
@@ -84,15 +89,23 @@ class ScenarioConfig:
                 f"four_pi_exponent must be 2 or 4, got {self.four_pi_exponent!r}"
             )
         try:
-            self.__dict__.update(
-                radar=RadarParams(sigma_m2=self.sigma_m2, aperture_m2=self.aperture_m2),
-                detection=DetectionSpec(p_d=self.p_d, p_fa=self.p_fa, snr_min_db=self.snr_min_db),
-                integration=IntegrationSpec(tau_s=self.tau_s, bandwidth_hz=self.bandwidth_hz),
-                noise_power_watts=radiometry.dbm_to_watts(self.noise_power_dbm),
-                attenuation_table=None if path is None else atmosphere.load_table(path),
-            )
+            derived = {
+                "radar": RadarParams(sigma_m2=self.sigma_m2, aperture_m2=self.aperture_m2),
+                "detection": DetectionSpec(
+                    p_d=self.p_d, p_fa=self.p_fa, snr_min_db=self.snr_min_db
+                ),
+                "integration": IntegrationSpec(tau_s=self.tau_s, bandwidth_hz=self.bandwidth_hz),
+                "noise_power_watts": radiometry.dbm_to_watts(self.noise_power_dbm),
+            }
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
+        derived["attenuation_table"] = None
+        if path is not None:
+            from .atmosphere import load_table
+
+            derived["attenuation_table"] = load_table(path)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     # Derived scenario quantities -------------------------------------------
 
@@ -109,19 +122,23 @@ class ScenarioConfig:
 
 def dump_config(config: ScenarioConfig) -> str:
     """Serialize to JSON that :func:`parse_config` reloads identically."""
-    payload = asdict(config)
+    import json
+
+    payload = {name: getattr(config, name) for name in ScenarioConfig._fields}
     payload["frequencies_hz"] = list(config.frequencies_hz)
     return json.dumps(payload, indent=2) + "\n"
 
 
 def parse_config(text: str) -> ScenarioConfig:
+    import json
+
     try:
         payload = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
-    known = set(ScenarioConfig.__dataclass_fields__)
+    known = set(ScenarioConfig._fields)
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")

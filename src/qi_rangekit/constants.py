@@ -10,11 +10,10 @@ argument and defaults to :data:`TEXTBOOK`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """Planck constant [J s], Boltzmann constant [J/K], speed of light [m/s]."""
 
     h: float

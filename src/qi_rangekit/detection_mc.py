@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
+from ._record import Record
 from .errors import CovarianceNotPSDError, DomainError, InsufficientTrialsError
 from .quantum_states import Matrix, coherent_covariance, tmsv_covariance
 from .radiometry import _require_non_negative, _require_positive
@@ -104,9 +104,11 @@ def _symmetric_4x4(matrix, name: str) -> Matrix:
     return rows
 
 
-def _require_psd(smallest_eigenvalue: float) -> None:
-    # Below -1e-9 the matrix is genuinely not a covariance, not round-off.
-    if smallest_eigenvalue < _PSD_TOLERANCE:
+def _require_psd(smallest_eigenvalue: float, largest_entry: float) -> None:
+    # Round-off in the smallest eigenvalue grows with the entries, so the
+    # tolerance scales with the largest |entry| (and is -1e-9 up to 1):
+    # below it the matrix is genuinely not a covariance.
+    if smallest_eigenvalue < _PSD_TOLERANCE * max(1.0, largest_entry):
         raise CovarianceNotPSDError(
             f"covariance has eigenvalue {smallest_eigenvalue!r} below the PSD tolerance",
             eigenvalue=smallest_eigenvalue,
@@ -118,8 +120,9 @@ def _gaussian_factor(cov) -> np.ndarray:
     clamping round-off negatives."""
     import numpy as np
 
-    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(_symmetric_4x4(cov, "covariance")))
-    _require_psd(float(eigenvalues.min()))
+    matrix = _symmetric_4x4(cov, "covariance")
+    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(matrix))
+    _require_psd(float(eigenvalues.min()), max(abs(v) for row in matrix for v in row))
     return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None) / 2.0)
 
 
@@ -151,8 +154,7 @@ def estimate_covariance(samples) -> np.ndarray:
     return 2.0 * moment / n
 
 
-@dataclass(frozen=True)
-class ReturnChannelModel:
+class ReturnChannelModel(Record):
     """Lossy thermal return channel applied to a transmitter covariance.
 
     ``base`` is the 4x4 signal/idler covariance at the transmitter, any
@@ -165,11 +167,9 @@ class ReturnChannelModel:
     thermal (diagonal 2*N_B + 1) with no idler correlation.
     """
 
-    eta: float
-    n_b: float
-    base: Matrix
+    __slots__ = _fields = ("eta", "n_b", "base")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (math.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
             raise DomainError(f"eta must be in (0, 1], got {self.eta!r}")
         _require_non_negative("n_b", self.n_b)
@@ -224,9 +224,14 @@ def _statistic_scales(cov) -> tuple[float, float]:
             "covariance must have uncorrelated I and Q sectors with equal "
             "variances and opposite cross entries"
         )
-    _require_psd((s_i + s_q - math.hypot(s_i - s_q, 2.0 * c)) / 2.0)
+    _require_psd((s_i + s_q - math.hypot(s_i - s_q, 2.0 * c)) / 2.0,
+                 max(abs(s_i), abs(s_q), abs(c)))
     p, q, r = s_i / 2.0, s_q / 2.0, c / 2.0
-    root = math.sqrt(max(p * q, 0.0))
+    product = p * q
+    if product == math.inf:  # p and q above ~1.3e154
+        root = math.sqrt(p) * math.sqrt(q)
+    else:
+        root = math.sqrt(max(product, 0.0))
     return max(r + root, 0.0), min(r - root, 0.0)
 
 
@@ -345,8 +350,7 @@ def _deflection_with_noise(
     return deflection, relative_variance
 
 
-@dataclass(frozen=True)
-class GainExperimentResult:
+class GainExperimentResult(NamedTuple):
     """Measured quantum-over-classical deflection-SNR ratio with its error.
 
     ``resolution`` is the exact classical mean shift in standard errors of
@@ -400,10 +404,21 @@ def detector_gain_experiment(
     scales = []
     for base in (tmsv_covariance(n_s), coherent_covariance(n_s)):
         model = ReturnChannelModel(eta=eta, n_b=n_b, base=base)
-        scales.append(
-            tuple(_statistic_scales(cov) for cov in (model.present_covariance(),
-                                                     model.absent_covariance()))
-        )
+        covariances = (model.present_covariance(), model.absent_covariance())
+        if not all(math.isfinite(v) for cov in covariances for row in cov for v in row):
+            raise DomainError(
+                f"n_s = {n_s!r} with n_b = {n_b!r} overflows the return-channel covariance"
+            )
+        scales.append(tuple(_statistic_scales(cov) for cov in covariances))
+    # No reported quantity changes when all eight scales are multiplied by
+    # one factor, so they are divided by the power of two that brings the
+    # largest into [0.5, 1): exactly, and so that the squares below cannot
+    # overflow at any N_s.
+    exponent = math.frexp(max(abs(x) for pairs in scales for pair in pairs for x in pair))[1]
+    scales = [
+        tuple((math.ldexp(a, -exponent), math.ldexp(b, -exponent)) for a, b in pairs)
+        for pairs in scales
+    ]
     (mean_present, var_present), (mean_absent, var_absent) = (
         (a + b, a * a + b * b) for a, b in scales[1]
     )
@@ -430,8 +445,7 @@ def detector_gain_experiment(
     )
 
 
-@dataclass(frozen=True)
-class RocEstimate:
+class RocEstimate(NamedTuple):
     """Empirical operating points: (p_fa, p_d) per threshold."""
 
     thresholds: tuple[float, ...]

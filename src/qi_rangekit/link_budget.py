@@ -27,8 +27,8 @@ default is 10 dB, and it never silently substitutes the configured value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, UnphysicalGeometryError
 from .radiometry import _require_positive
@@ -36,30 +36,27 @@ from .radiometry import _require_positive
 _FOUR_PI = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class RadarParams:
-    """Target cross section and effective antenna aperture, both in m^2.
+class RadarParams(Record):
+    """Target cross section ``sigma_m2`` and effective antenna aperture
+    ``aperture_m2``, both in m^2.
 
     The gain depends on frequency and is never stored; see :func:`antenna_gain`.
     """
 
-    sigma_m2: float
-    aperture_m2: float
+    __slots__ = _fields = ("sigma_m2", "aperture_m2")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require_positive("target cross section", self.sigma_m2)
         _require_positive("antenna aperture", self.aperture_m2)
 
 
-@dataclass(frozen=True)
-class DetectionSpec:
-    """Detection operating point: P_d, P_fa, and the configured SNR_min [dB]."""
+class DetectionSpec(Record):
+    """Detection operating point: ``p_d``, ``p_fa``, and the configured
+    SNR_min ``snr_min_db`` [dB]."""
 
-    p_d: float
-    p_fa: float
-    snr_min_db: float
+    __slots__ = _fields = ("p_d", "p_fa", "snr_min_db")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (0.0 < self.p_fa < self.p_d < 1.0):
             raise DomainError(
                 f"need 0 < p_fa < p_d < 1, got p_fa={self.p_fa!r}, p_d={self.p_d!r}"
@@ -77,14 +74,13 @@ class DetectionSpec:
         return 10.0 ** (self.snr_min_db / 10.0)
 
 
-@dataclass(frozen=True)
-class IntegrationSpec:
-    """Integration time and bandwidth; the measurement count M = round(tau*B)."""
+class IntegrationSpec(Record):
+    """Integration time ``tau_s`` and bandwidth ``bandwidth_hz``; the
+    measurement count M = round(tau*B)."""
 
-    tau_s: float
-    bandwidth_hz: float
+    __slots__ = _fields = ("tau_s", "bandwidth_hz")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require_positive("integration time", self.tau_s)
         _require_positive("bandwidth", self.bandwidth_hz)
         if self.pulse_count < 1:

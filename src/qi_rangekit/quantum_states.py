@@ -41,7 +41,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from functools import partial
 
-from .errors import CutoffError
+from .errors import CutoffError, DomainError
 from .radiometry import _require_non_negative, _require_positive
 
 # Index order of the quadrature basis.
@@ -73,15 +73,29 @@ def _block_covariance(s: float, c: float) -> Matrix:
     )
 
 
+def _diagonal(n_s: float) -> float:
+    """S = 2*n_s + 1 for a checked n_s >= 0; DomainError where it overflows
+    (n_s above ~9e307), as no covariance matrix of that state is finite."""
+    s = 2.0 * n_s + 1.0
+    if s == math.inf:
+        raise DomainError(f"n_s = {n_s!r} is too large: the diagonal 2*n_s + 1 overflows")
+    return s
+
+
 def tmsv_covariance(n_s: float) -> Matrix:
     """Covariance matrix of the entangled (two-mode squeezed vacuum) pair.
 
     Diagonal S = 2*n_s + 1, cross entries +/- C_q = 2*sqrt(n_s*(n_s + 1)).
     ``n_s = 0`` is admitted as the documented vacuum limit (S = 1, C_q = 0).
+    Raises :class:`DomainError` where S overflows.
     """
     n_s = _require_non_negative("n_s", n_s)
-    s = 2.0 * n_s + 1.0
-    c_q = 2.0 * math.sqrt(n_s * (n_s + 1.0))
+    s = _diagonal(n_s)
+    product = n_s * (n_s + 1.0)
+    if product == math.inf:  # n_s above ~1.3e154
+        c_q = 2.0 * math.sqrt(n_s) * math.sqrt(n_s + 1.0)
+    else:
+        c_q = 2.0 * math.sqrt(product)
     return _block_covariance(s, c_q)
 
 
@@ -91,19 +105,24 @@ def coherent_covariance(n_s: float) -> Matrix:
     Diagonal S = 2*n_s + 1, cross entries +/- C_c = 2*n_s.  This is the
     model matrix used downstream; see the module docstring for how it
     differs from the literal product coherent state in the Q sector.
+    Raises :class:`DomainError` where S overflows.
     """
     n_s = _require_non_negative("n_s", n_s)
-    return _block_covariance(2.0 * n_s + 1.0, 2.0 * n_s)
+    return _block_covariance(_diagonal(n_s), 2.0 * n_s)
 
 
 def correlation_ratio(n_s: float) -> float:
     """Classical-to-quantum cross-correlation ratio C_c/C_q.
 
     Equals (1 + 1/n_s)^(-1/2): strictly inside (0, 1) and monotone
-    increasing in n_s, approaching 1 from below as n_s grows.
+    increasing in n_s, approaching 1 from below as n_s grows.  Where 1/n_s
+    overflows (n_s below ~5.6e-309) it is sqrt(n_s), as 1 + n_s is 1.
     """
     n_s = _require_positive("n_s", n_s)
-    return (1.0 + 1.0 / n_s) ** -0.5
+    inverse = 1.0 / n_s
+    if inverse == math.inf:
+        return math.sqrt(n_s)
+    return (1.0 + inverse) ** -0.5
 
 
 def min_fock_cutoff(n_s: float) -> int:

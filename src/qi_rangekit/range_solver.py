@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import atmosphere
+from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, NoDetectionError
 from .link_budget import _FOUR_PI, _require_far_field, antenna_gain
@@ -94,11 +94,13 @@ def _snr_eff_at(chain_constant: float, gamma_db_per_km: float, r_m: float) -> fl
 
 def _quantum_threshold(snr_min: float, n_s: float) -> float:
     # The quantum transmitter's threshold rescaling; see module docstring.
-    return snr_min / (1.0 + 1.0 / n_s)
+    inverse = 1.0 / n_s
+    if inverse == math.inf:  # N_s below ~5.6e-309, where 1 + N_s is 1
+        return snr_min * n_s
+    return snr_min / (1.0 + inverse)
 
 
-@dataclass(frozen=True)
-class RangeChain:
+class RangeChain(Record):
     """The range chain of a scenario at one frequency,
     SNR_eff(R) = head * N_s / denominator * F(R)^2 / R^4, with
     ``head`` = sigma*G*A*M, ``denominator`` = (4*pi)^k * N_B, ``snr_min``
@@ -108,14 +110,11 @@ class RangeChain:
     :meth:`threshold`, so one chain serves both modes at every N_s.
     """
 
-    gamma_db_per_km: float
-    n_b: float
-    head: float
-    denominator: float
-    snr_min: float
-    pulse_count: int
+    __slots__ = _fields = (
+        "gamma_db_per_km", "n_b", "head", "denominator", "snr_min", "pulse_count",
+    )
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         _require_positive("n_b", self.n_b)
         _require_non_negative("gamma", self.gamma_db_per_km)
 

@@ -11,7 +11,7 @@ import pytest
 
 import qi_rangekit
 from qi_rangekit import atmosphere
-from qi_rangekit.cli import MAX_TRIALS, main
+from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS, main
 from qi_rangekit.config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
 from qi_rangekit.range_solver import Illumination, range_chain
 
@@ -486,6 +486,25 @@ def test_sweep_grid_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10**13])
+def test_sweep_point_bound_exits_2_before_any_grid(tmp_path, capsys, monkeypatch, points):
+    # numpy cannot be imported here, so the bound must be checked before the
+    # grid, or any array, is built
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    target = tmp_path / "f.csv"
+    code, out, err = run_cli(capsys, "sweep", "--figure", "1", "--points", str(points),
+                             "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: --points must be at most {MAX_SWEEP_POINTS}, got {points}\n"
+    assert not target.exists()
+
+
+def test_sweep_point_bound_is_in_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert f"at most {MAX_SWEEP_POINTS}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_mc_deterministic_output(capsys):
     argv = ["mc", "--ns", "100", "--eta", "0.5", "--nb", "1", "--trials", "20000", "--seed", "9"]
     code, first, _ = run_cli(capsys, *argv)
@@ -577,17 +596,18 @@ def test_zero_photons_reads_the_same_in_ratio_and_mc(capsys):
     assert ratio_err == mc_err == "error: n_s must be positive and finite, got 0.0\n"
 
 
-def _numpy_loaded_after(tmp_path, statement: str) -> bool:
-    """Run ``statement`` in a fresh interpreter (numpy is already loaded in
-    this one) and report whether it left numpy in ``sys.modules``."""
+def _loaded_after(tmp_path, statement: str, modules: list[str]) -> list[str]:
+    """Run ``statement`` in a fresh interpreter (this one has loaded numpy
+    and more) and report which of ``modules`` it left in ``sys.modules``."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     env.pop(CONFIG_ENV_VAR, None)
-    script = f"import sys\n{statement}\nprint('numpy' in sys.modules, file=sys.stderr)"
+    script = (f"import sys\n{statement}\n"
+              f"print(','.join(m for m in {modules!r} if m in sys.modules), file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    return {"True": True, "False": False}[result.stderr.splitlines()[-1]]
+    return list(filter(None, result.stderr.splitlines()[-1].split(",")))
 
 
 @pytest.mark.parametrize("argv", [
@@ -601,23 +621,45 @@ def _numpy_loaded_after(tmp_path, statement: str) -> bool:
     ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "1000000"],
 ])
 def test_scalar_commands_start_without_numpy(tmp_path, argv):
+    # dataclasses loads inspect, ast, dis and tokenize: ~10 ms of start-up
     statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
-    assert not _numpy_loaded_after(tmp_path, statement)
+    assert _loaded_after(tmp_path, statement, ["numpy", "dataclasses", "inspect"]) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "1000000"],
+    ["covariance", "--ns", "20", "--mode", "qi", "--oracle"],
+    ["ratio", "--ns", "0.5"],
+    ["power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"],
+])
+def test_commands_import_only_the_modules_they_run(tmp_path, argv):
+    statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
+    unused = ["qi_rangekit.range_solver", "qi_rangekit.atmosphere", "json"]
+    assert _loaded_after(tmp_path, statement, unused) == []
+
+
+def test_module_probe_sees_dataclasses(tmp_path):
+    # positive control for the probe above
+    statement = "import dataclasses\nimport qi_rangekit.cli"
+    assert _loaded_after(tmp_path, statement, ["numpy", "dataclasses", "inspect"]) == [
+        "dataclasses", "inspect",
+    ]
 
 
 def test_scalar_modules_import_without_numpy(tmp_path):
-    assert not _numpy_loaded_after(
+    assert _loaded_after(
         tmp_path,
         "import qi_rangekit.config, qi_rangekit.detection_mc, qi_rangekit.quantum_states, "
         "qi_rangekit.range_solver",
-    )
+        ["numpy"],
+    ) == []
 
 
 def test_sweep_loads_numpy(tmp_path):
     # positive control: the probe does see numpy where the grid needs it
     statement = ("from qi_rangekit.cli import main\n"
                  "assert main(['sweep', '--figure', '3', '--points', '3']) == 0")
-    assert _numpy_loaded_after(tmp_path, statement)
+    assert _loaded_after(tmp_path, statement, ["numpy"]) == ["numpy"]
 
 
 def test_no_command_exits_2(capsys):
@@ -630,3 +672,30 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["mc", "--ns", "1e16", "--eta", "0.5", "--nb", "1"], "analytic 1 + 1/N_s = 1, z = "),
+    (["mc", "--ns", "1e150", "--eta", "0.5", "--nb", "1"], "analytic 1 + 1/N_s = 1, z = "),
+    (["mc", "--ns", "1e200", "--eta", "0.5", "--nb", "1"], "analytic 1 + 1/N_s = 1, z = "),
+    (["covariance", "--ns", "1e200", "--mode", "qi"], "     I_S         2e+200"),
+    (["ratio", "--ns", "1e-310"], "C_c/C_q = 1e-155 at N_s = 1e-310"),
+    (["range", "--ns", "1e-310", "--freq", "1e12", "--mode", "qi"], "qi: r_max = 433.511 m"),
+])
+def test_extreme_n_s_gives_a_finite_answer(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert expected in out
+    assert "inf" not in out and "nan" not in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["covariance", "--ns", "1e308", "--mode", "qi"],
+     "error: n_s = 1e+308 is too large: the diagonal 2*n_s + 1 overflows\n"),
+    (["mc", "--ns", "1e308", "--eta", "0.5", "--nb", "1"],
+     "error: n_s = 1e+308 is too large: the diagonal 2*n_s + 1 overflows\n"),
+    (["mc", "--ns", "8e307", "--eta", "0.5", "--nb", "1"],
+     "error: n_s = 8e+307 with n_b = 1.0 overflows the return-channel covariance\n"),
+])
+def test_extreme_n_s_without_a_finite_answer_exits_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message)

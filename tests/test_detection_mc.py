@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -508,3 +509,38 @@ def test_roc_deterministic():
     model = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2))
     args = (model.present_covariance(), model.absent_covariance(), [0.0, 1.0], 10**4, 8)
     assert roc_estimate(*args) == roc_estimate(*args)
+
+
+def test_psd_tolerance_scales_with_the_entries():
+    # At N_s = 1e16 the entries are ~1e16 and the smallest eigenvalue of a
+    # valid TMSV return computes as -2.0: round-off, not a non-PSD matrix.
+    present = ReturnChannelModel(eta=0.5, n_b=1.0, base=tmsv_covariance(1e16)).present_covariance()
+    a, b = _statistic_scales(present)
+    assert a > 0.0 >= b
+    # a genuine violation at that scale is still caught
+    s, c = 1e16, 1.01e16
+    not_psd = ((s, 0.0, c, 0.0), (0.0, s, 0.0, -c), (c, 0.0, s, 0.0), (0.0, -c, 0.0, s))
+    with pytest.raises(CovarianceNotPSDError):
+        _statistic_scales(not_psd)
+    # below unit entries the tolerance is the absolute -1e-9
+    with pytest.raises(CovarianceNotPSDError):
+        sample_quadratures(np.diag([1.0, 1.0, 1.0, -2e-9]), 10, seed=0)
+    sample_quadratures(np.diag([1.0, 1.0, 1.0, -0.5e-9]), 10, seed=0)
+
+
+@pytest.mark.parametrize("n_s", [1e16, 1e150, 1e200, 1e307])
+def test_gain_experiment_at_extreme_n_s(n_s):
+    # the squares of D's scales overflow past ~1e154 unless rescaled; the
+    # rescaling is exact, so the pinned ordinary-N_s output does not move
+    result = detector_gain_experiment(n_s=n_s, eta=0.5, n_b=1.0, trials=10**6, seed=5)
+    assert result.resolved
+    assert all(math.isfinite(v) for v in result)
+    z = (result.ratio - (1.0 + 1.0 / n_s)) / result.standard_error
+    assert abs(z) < 5.0
+
+
+@pytest.mark.parametrize("n_s, n_b", [(8e307, 1.0), (1.0, 1e308)])
+def test_gain_experiment_overflowing_covariance_names_n_s(n_s, n_b):
+    message = re.escape(f"n_s = {n_s!r} with n_b = {n_b!r} overflows")
+    with pytest.raises(DomainError, match=message):
+        detector_gain_experiment(n_s=n_s, eta=0.5, n_b=n_b, trials=10**4, seed=1)

@@ -292,3 +292,39 @@ def traced_peak_bytes(fn, *args) -> int:
 def test_oracle_memory_grows_with_the_cutoff_not_its_square(oracle, n_s):
     # dim 666 and 1396: a dense dim x dim complex array alone would take 7 and 31 MB.
     assert traced_peak_bytes(oracle, n_s) < 1_000_000
+
+
+@pytest.mark.parametrize("n_s", [1e154, 1.5e154, 1e200, 1e300, 8.9e307])
+def test_tmsv_cross_entry_past_the_product_overflow(n_s):
+    # n_s * (n_s + 1) overflows above ~1.3e154; C_q = 2*sqrt(n_s*(n_s + 1))
+    # is still finite, and equals 2*n_s to double precision there
+    cov = tmsv_covariance(n_s)
+    assert cov[SIGNAL_I][IDLER_I] == pytest.approx(2.0 * n_s, rel=1e-15)
+    assert cov[SIGNAL_Q][IDLER_Q] == -cov[SIGNAL_I][IDLER_I]
+
+
+def test_tmsv_cross_entry_unchanged_below_the_product_overflow():
+    for n_s in (1e-3, 0.5, 20.0, 1e150):
+        assert tmsv_covariance(n_s)[SIGNAL_I][IDLER_I] == 2.0 * math.sqrt(n_s * (n_s + 1.0))
+
+
+@pytest.mark.parametrize("covariance", [tmsv_covariance, coherent_covariance])
+def test_overflowing_diagonal_names_n_s(covariance):
+    # 2*n_s + 1 overflows just above 8.98e307
+    assert math.isfinite(covariance(8.98e307)[SIGNAL_I][SIGNAL_I])
+    with pytest.raises(DomainError, match=r"n_s = 1e\+308 is too large"):
+        covariance(1e308)
+
+
+@pytest.mark.parametrize("n_s", [1e-310, 5e-324, 5.5e-309])
+def test_correlation_ratio_where_the_inverse_overflows(n_s):
+    # 1/n_s overflows below ~5.6e-309; the ratio is then sqrt(n_s), not 0
+    assert correlation_ratio(n_s) == pytest.approx(math.sqrt(n_s / (1.0 + n_s)), rel=1e-12)
+    assert correlation_ratio(n_s) > 0.0
+
+
+def test_correlation_ratio_is_continuous_across_the_inverse_overflow():
+    below, above = 5.56e-309, 5.57e-309  # 1/below overflows, 1/above does not
+    assert 1.0 / below == math.inf and 1.0 / above < math.inf
+    assert correlation_ratio(below) < correlation_ratio(above)
+    assert correlation_ratio(below) == pytest.approx(correlation_ratio(above), rel=1e-2)

@@ -1,6 +1,5 @@
 """Closed-form and implicit maximum-range solutions."""
 
-import dataclasses
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -47,7 +46,7 @@ class Point(NamedTuple):
     def chain(self) -> RangeChain:
         """The package's chain for this point, gamma set directly."""
         chain = range_chain(self.config, self.f_hz, self.constants)
-        return dataclasses.replace(chain, gamma_db_per_km=self.gamma)
+        return chain.replace(gamma_db_per_km=self.gamma)
 
     def solve(self):
         return self.chain.solve(self.n_s, self.mode)
@@ -431,7 +430,7 @@ def test_solutions_are_bit_identical_to_the_recorded_solve(key):
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
 @pytest.mark.parametrize("config", [BENCHMARK, FAINT], ids=["default", "faint"])
 def test_solutions_equal_one_point_solves(config, table_path, mode):
-    config = dataclasses.replace(config, attenuation_table_path=table_path)
+    config = config.replace(attenuation_table_path=table_path)
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
 
     def one_point(chain, n_s):
@@ -450,7 +449,7 @@ def test_solutions_equal_one_point_solves(config, table_path, mode):
 def test_overflowing_chain_names_n_s(table_path, mode):
     # head * N_s / denominator overflows; the lossless root is then inf and
     # the attenuated one NaN, and neither is a range.
-    chain = range_chain(dataclasses.replace(BENCHMARK, attenuation_table_path=table_path), 1e12)
+    chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), 1e12)
     with pytest.raises(DomainError, match=r"n_s = 1e\+300 overflows the range chain"):
         chain.solve(1e300, mode)
     assert math.isfinite(chain.solve(1e290, mode).r_max_m)
@@ -477,7 +476,7 @@ def test_sweep_grid_validation():
 @pytest.mark.parametrize("scenario", ["default", "bundled_table", "faint"])
 def test_sweep_rows_equal_one_point_solutions(scenario, four_pi_exponent, constants):
     if scenario == "faint":
-        config = dataclasses.replace(FAINT, four_pi_exponent=four_pi_exponent)
+        config = FAINT.replace(four_pi_exponent=four_pi_exponent)
     elif scenario == "bundled_table":
         config = ScenarioConfig(
             frequencies_hz=tuple(f_ghz * 1e9 for f_ghz, _ in bundled_table().rows),
@@ -534,7 +533,7 @@ def test_sweep_builds_the_chain_once_per_frequency(monkeypatch):
 def test_no_detection_is_read_off_the_root(table_path):
     # SNR_eff(R) strictly decreases, so "below threshold at 1 um" and
     # "root below 1 um" select the same points
-    config = dataclasses.replace(FAINT, attenuation_table_path=table_path)
+    config = FAINT.replace(attenuation_table_path=table_path)
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
     absent = 0
     for n_s, f_hz, mode, solution in sweep_range(config, grid):
@@ -554,3 +553,18 @@ def test_sweep_ratio_values():
     assert at_small == pytest.approx(9.9995e-3, rel=1e-4)
     values = [ratio for _, ratio in sweep_ratio(list(np.logspace(-3, 2, 50)))]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("n_s", [1e-310, 5e-324])
+def test_quantum_range_where_the_inverse_of_n_s_overflows(n_s):
+    # The QI threshold SNR_min / (1 + 1/N_s) tends to SNR_min * N_s, so the
+    # quantum range tends to a finite limit as N_s -> 0; below ~5.6e-309,
+    # where 1/N_s overflows, it is that limit, not a division by zero.
+    chain = range_chain(BENCHMARK, 1e12)
+    limit = chain.solve(1e-300, Illumination.QI)
+    solution = chain.solve(n_s, Illumination.QI)
+    assert solution.r_max_m == pytest.approx(limit.r_max_m, rel=1e-6)
+    with pytest.raises(NoDetectionError):
+        chain.solve(n_s, Illumination.CI)
+    rows = list(sweep_range(BENCHMARK, [n_s, 1e-300]))
+    assert all((row[3] is None) == (row[2] is Illumination.CI) for row in rows)
