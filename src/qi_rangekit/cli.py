@@ -16,7 +16,11 @@ which imports ``inspect``: the package's records are NamedTuples or slotted
 classes.
 Only the ``sweep`` grid uses numpy, and it imports it inside the handler, so
 that every other command (``mc`` included) and ``--dump-config`` start
-without it.
+without it.  A figure-3 sweep writes its CSV a column at a time: one string
+per (frequency, mode) column of :func:`~qi_rangekit.range_solver.sweep_range`,
+joined at C level from the column's lists and written with one ``write``, so
+no per-row line list or whole-file copy is held.  The file is opened only
+after every chain is built, so an invalid scenario leaves no file.
 
 Exit codes: 0 success, 2 invalid input, configuration or unwritable output
 path, 3 no detection range exists for the requested scenario.
@@ -28,8 +32,9 @@ import argparse
 import math
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import __version__, radiometry
 from .config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
@@ -38,6 +43,7 @@ from .errors import NoDetectionError, RangeKitError
 
 if TYPE_CHECKING:
     from .quantum_states import Matrix
+    from .range_solver import Illumination, RangeColumn
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -49,8 +55,9 @@ EXIT_NO_DETECTION = 3
 # spread to better than 1e-11.
 MAX_TRIALS = 10**9
 
-# Largest ``sweep --points``.  The grid and the CSV rows are held in memory:
-# a figure-3 sweep of this many points takes ~190 MB and a few seconds.
+# Largest ``sweep --points``.  The grid and one solved column with its CSV
+# text are held in memory: a figure-3 sweep of this many points peaks at
+# ~83 MB max RSS and takes ~1.6 s (2-vCPU x86-64 host, Python 3.11).
 MAX_SWEEP_POINTS = 10**5
 
 
@@ -140,9 +147,11 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig()
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write the strings of ``chunks`` to ``path``, one ``write`` each."""
     try:
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
     except OSError as exc:
         raise RangeKitError(f"cannot write {path}: {exc}") from exc
 
@@ -263,35 +272,49 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
         raise RangeKitError(f"--points must be at most {MAX_SWEEP_POINTS}, got {points!r}")
     import numpy as np
 
-    grid = np.logspace(math.log10(ns_min), math.log10(ns_max), points)
-    return [float(v) for v in grid]
+    return np.logspace(math.log10(ns_min), math.log10(ns_max), points).tolist()
+
+
+_CONVERGED_FIELD = {True: ",true\n", False: ",false\n"}
+
+
+def _range_csv(
+    grid: list[float], columns: Iterable[tuple[float, Illumination, RangeColumn]]
+) -> Iterator[str]:
+    """The figure-3 CSV as its header and one string per solved column, each
+    joined at C level: N_s formatted once, f and mode once per column, and
+    an empty range where no detection range exists."""
+    yield "n_s,frequency_hz,mode,r_max_m,converged\n"
+    n_s_text = [repr(n_s) for n_s in grid]
+    for f_hz, mode, column in columns:
+        r_text = ["" if r is None else repr(r) for r in column.r_max_m]
+        flags = map(_CONVERGED_FIELD.__getitem__, column.converged)
+        middle = repeat(f",{f_hz!r},{mode.value},")
+        yield "".join(map("".join, zip(n_s_text, middle, r_text, flags)))
 
 
 def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
-    from .range_solver import sweep_range, sweep_ratio
-
     constants = CODATA if args.codata else TEXTBOOK
     grid = _log_grid(args.ns_min, args.ns_max, args.points)
     path = Path(args.output) if args.output else Path(f"figure{args.figure}.csv")
 
     if args.figure == 1:
+        from .range_solver import sweep_ratio
+
         lines = ["n_s,ratio"]
         lines.extend(f"{n_s!r},{ratio!r}" for n_s, ratio in sweep_ratio(grid))
+        rows = len(lines) - 1
+        chunks: Iterable[str] = ("\n".join(lines) + "\n",)
     else:
-        rows = sweep_range(config, grid, constants=constants)
-        lines = ["n_s,frequency_hz,mode,r_max_m,converged"]
-        # each N_s and each row's ",f,mode," are formatted once, not per line
-        n_s_text = {n_s: repr(n_s) for n_s in grid}
-        row_key = None
-        for n_s, f_hz, mode, solution in rows:
-            if (f_hz, mode) != row_key:
-                row_key, middle = (f_hz, mode), f",{f_hz!r},{mode.value},"
-            r_field = "" if solution is None else repr(solution.r_max_m)
-            converged = "true" if solution is not None and solution.converged else "false"
-            lines.append(f"{n_s_text[n_s]}{middle}{r_field},{converged}")
+        from .range_solver import Illumination, sweep_range
 
-    _write_text(path, "\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} rows to {path}", file=out)
+        # validates the grid and builds every chain, so an error leaves no file
+        columns = sweep_range(config, grid, constants=constants)
+        rows = len(grid) * len(Illumination) * len(config.frequencies_hz)
+        chunks = _range_csv(grid, columns)
+
+    _write_text(path, chunks)
+    print(f"wrote {rows} rows to {path}", file=out)
     return EXIT_OK
 
 
@@ -346,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.dump_config == "-":
                 out.write(text)
             else:
-                _write_text(Path(args.dump_config), text)
+                _write_text(Path(args.dump_config), (text,))
             return EXIT_OK
         if args.command is None:
             parser.error("a command is required (see --help)")

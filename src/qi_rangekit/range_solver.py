@@ -23,11 +23,20 @@ in print is available behind ``four_pi_exponent=4`` for comparison runs.
 The range chain of a scenario at one frequency is one object,
 :class:`RangeChain`, built by :func:`range_chain`.  Its solve kernel,
 :meth:`RangeChain.solutions`, solves one column: one mode across a grid of
-N_s values, with the chain's fields and the mode test read once per column.
-``range`` solves a one-point column through :meth:`RangeChain.solve`;
-:func:`sweep_range` builds one chain per configured frequency and solves one
-column per mode, so a sweep row and the one-point solution are the same
-computation.
+N_s values, in one loop that fills the plain lists of a :class:`RangeColumn`
+(no object per point), with the chain's fields and the mode test read once
+per column.  ``range`` solves a one-point column through
+:meth:`RangeChain.solve`; :func:`sweep_range` builds one chain per configured
+frequency when called and solves its columns lazily, one per (frequency,
+mode), so a sweep row and the one-point solution are the same computation.
+
+Where the closed form leaves the float range -- the QI threshold
+SNR_min / (1 + 1/N_s) underflows to 0, or R_free^4 = head * N_s /
+(denominator * threshold) overflows -- the kernel takes the same closed form
+in another arrangement: with (1 + 1/N_s) / SNR_min for 1/threshold, and, with
+absorption, with W0 taken from ln x = ln(a/2) + ln R_free, so a root that is
+a float comes out as one.  The lossless root R_free itself is then beyond the
+float range, and the point has no finite range.
 
 The kernel evaluates the SNR chain from the raw far-field formula without
 the eta <= 1 guard, and only at the root, for the residual.  As SNR_eff(R)
@@ -41,15 +50,12 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from . import atmosphere
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, NoDetectionError
 from .link_budget import _FOUR_PI, _require_far_field, antenna_gain
-from .quantum_states import correlation_ratio
 from .radiometry import _require_non_negative, _require_positive
 
 if TYPE_CHECKING:
@@ -64,6 +70,11 @@ _RESIDUAL_TOL_DB = 1e-6
 # Halley's method from w = log1p(x) takes at most 6 steps for x in [1e-15, 1e10].
 _HALLEY_REL_TOL = 1e-15
 _HALLEY_MAX_STEPS = 16
+# _lambert_w0 takes x = e^ln_x up to this ln x; its Halley step forms
+# w * e^w, which overflows for x above ~1e305.
+_LN_X_HALLEY_MAX = 500.0
+# 10 * log10(x) = _DB_PER_LN * ln(x)
+_DB_PER_LN = 10.0 / math.log(10.0)
 
 
 class Illumination(enum.Enum):
@@ -81,6 +92,22 @@ class RangeSolution(NamedTuple):
     residual_db: float
     iterations: int
     converged: bool
+
+
+class RangeColumn(Record):
+    """One solved column, as four lists with one entry per N_s of the grid:
+    ``r_max_m`` (``None`` where no detection range exists), ``residual_db``
+    (``None`` there too), ``iterations`` and ``converged`` (``False`` there).
+
+    Iterating it yields a :class:`RangeSolution` per point, or ``None`` where
+    no detection range exists, built on demand.
+    """
+
+    __slots__ = _fields = ("r_max_m", "residual_db", "iterations", "converged")
+
+    def __iter__(self) -> Iterator[RangeSolution | None]:
+        for solution in zip(self.r_max_m, self.residual_db, self.iterations, self.converged):
+            yield None if solution[0] is None else RangeSolution._make(solution)
 
 
 def _form_factor(gamma_db_per_km: float, r_m: float) -> float:
@@ -149,37 +176,91 @@ class RangeChain(Record):
             )
         return solution
 
-    def solutions(
-        self, n_s_grid: Iterable[float], mode: Illumination
-    ) -> Iterator[RangeSolution | None]:
-        """Solve one column lazily: a :class:`RangeSolution` per N_s of
-        ``n_s_grid`` in ``mode``, or ``None`` where no detection range exists
-        (the target is already below threshold at near-zero range).
+    def solutions(self, n_s_grid: Iterable[float], mode: Illumination) -> RangeColumn:
+        """Solve one column: the maximum range at each N_s of ``n_s_grid`` in
+        ``mode``, as a :class:`RangeColumn`; no detection range exists where
+        the target is already below threshold at near-zero range.
 
         Closed form R_free * exp(-W0(a * R_free / 2)); see the module
-        docstring.  With gamma = 0 that is R_free itself.  ``converged``
-        reports the closure of the forward SNR chain at the root.  The grid
-        is not checked: every value must be positive and finite, as
-        :meth:`solve` and :func:`sweep_range` ensure.
+        docstring.  With gamma = 0 that is R_free itself, and the form factor
+        at the root is 1.  ``converged`` reports the closure of the forward
+        SNR chain at the root.  The grid is not checked: every value must be
+        positive and finite, as :meth:`solve` and :func:`sweep_range` ensure.
         """
         head, denominator, snr_min = self.head, self.denominator, self.snr_min
         gamma = self.gamma_db_per_km
+        lossless = gamma == 0.0
         half_a = 0.5 * gamma * _A_PER_GAMMA
         quantum = mode is Illumination.QI
+        threshold = snr_min
+        column = RangeColumn([], [], [], [])
+        add_r, add_residual, add_steps, add_converged = (
+            column.r_max_m.append, column.residual_db.append,
+            column.iterations.append, column.converged.append,
+        )
+        log10, exp, inf = math.log10, math.exp, math.inf
+        near_zero, tolerance = _NEAR_ZERO_RANGE_M, _RESIDUAL_TOL_DB
         for n_s in n_s_grid:
-            threshold = _quantum_threshold(snr_min, n_s) if quantum else snr_min
+            if quantum:  # _quantum_threshold, inline
+                inverse = 1.0 / n_s
+                threshold = snr_min * n_s if inverse == inf else snr_min / (1.0 + inverse)
             chain_constant = head * n_s / denominator
-            r_free = (chain_constant / threshold) ** 0.25
-            root, iterations = r_free, 0
-            if gamma > 0.0:
-                w, iterations = _lambert_w0(half_a * r_free)
-                root = r_free * math.exp(-w)
-            if root < _NEAR_ZERO_RANGE_M:
-                yield None
-                continue
-            snr_at_root = _snr_eff_at(chain_constant, gamma, root)
-            residual = abs(10.0 * math.log10(snr_at_root / threshold))
-            yield RangeSolution(root, residual, iterations, residual < _RESIDUAL_TOL_DB)
+            if threshold == 0.0 or (ratio := chain_constant / threshold) == inf:
+                root, residual, steps = self._beyond_float_range(n_s, mode, chain_constant)
+                converged = residual is not None and residual < tolerance
+            else:
+                r_free = ratio**0.25
+                if lossless:
+                    root, steps = r_free, 0
+                else:
+                    w, steps = _lambert_w0(half_a * r_free)
+                    root = r_free * exp(-w)
+                # the residual only after this test: root**4 may be ~0 below it
+                if root < near_zero:
+                    root = residual = None
+                    converged = False
+                else:
+                    if lossless:
+                        snr_at_root = chain_constant / root**4
+                    else:
+                        snr_at_root = _snr_eff_at(chain_constant, gamma, root)
+                    residual = abs(10.0 * log10(snr_at_root / threshold))
+                    converged = residual < tolerance
+            add_r(root)
+            add_residual(residual)
+            add_steps(steps)
+            add_converged(converged)
+        return column
+
+    def _beyond_float_range(
+        self, n_s: float, mode: Illumination, chain_constant: float
+    ) -> tuple[float | None, float | None, int]:
+        """``(root, residual_db, iterations)`` of a point where the QI
+        threshold underflows to 0 or R_free^4 overflows; see the module
+        docstring.  The root is ``None`` below near-zero range, and inf where
+        the lossless R_free^4 overflows."""
+        snr_min = self.snr_min
+        half_a = 0.5 * self.gamma_db_per_km * _A_PER_GAMMA
+        # advantage / SNR_min stands for 1 / threshold, which may not be a float
+        if mode is Illumination.QI:
+            advantage = 1.0 + 1.0 / n_s
+            ln_threshold = math.log(snr_min) + math.log(n_s) - math.log1p(n_s)
+        else:
+            advantage = 1.0
+            ln_threshold = math.log(snr_min)
+        ln_r_free = 0.25 * (
+            math.log(self.head) + math.log(n_s) - math.log(self.denominator) - ln_threshold
+        )
+        if half_a == 0.0:
+            root, steps = (chain_constant * advantage / snr_min) ** 0.25, 0
+        else:
+            w, steps = _lambert_w0_of_log(math.log(half_a) + ln_r_free)
+            root = w / half_a
+        if root < _NEAR_ZERO_RANGE_M:
+            return None, None, steps
+        # ln(SNR_eff(R) / threshold) = 4 ln R_free - 2aR - 4 ln R
+        residual = abs(4.0 * _DB_PER_LN * (ln_r_free - half_a * root - math.log(root)))
+        return root, residual, steps
 
     def link_at(self, n_s: float, r_m: float) -> tuple[float, float]:
         """One-way form factor F and transmissivity eta at range ``r_m``,
@@ -193,6 +274,8 @@ class RangeChain(Record):
         f_form = _form_factor(self.gamma_db_per_km, r_m)
         snr_per_eta = self.pulse_count * n_s / self.n_b
         eta = self.head * n_s / self.denominator * f_form**2 / r_m**4 / snr_per_eta
+        if not eta > 0.0:  # a product with N_s over- or underflowed; N_s cancels
+            eta = self.head / self.denominator * f_form**2 / r_m**4 / (self.pulse_count / self.n_b)
         return f_form, _require_far_field(eta, r_m)
 
 
@@ -204,7 +287,12 @@ def range_chain(
     its noise power.  Raises :class:`FrequencySpanError` outside the table
     span."""
     table = config.attenuation_table
-    gamma = 0.0 if table is None else atmosphere.gamma_at(table, f_hz)
+    if table is None:
+        gamma = 0.0
+    else:
+        from . import atmosphere
+
+        gamma = atmosphere.gamma_at(table, f_hz)
     n_b = config.noise_occupancy(f_hz, constants)
     radar, pulse_count = config.radar, config.integration.pulse_count
     gain = antenna_gain(radar.aperture_m2, f_hz, constants)
@@ -232,6 +320,21 @@ def _lambert_w0(x: float) -> tuple[float, int]:
     return w, steps
 
 
+def _lambert_w0_of_log(ln_x: float) -> tuple[float, int]:
+    """Principal-branch Lambert W of x = e^``ln_x``, also where x exceeds the
+    float range, and the number of iteration steps taken.  Large x solves
+    w + ln w = ln x by Newton's method from w = ln x - ln ln x."""
+    if ln_x <= _LN_X_HALLEY_MAX:
+        return _lambert_w0(math.exp(ln_x))
+    w = ln_x - math.log(ln_x)
+    for steps in range(1, _HALLEY_MAX_STEPS + 1):
+        step = (w + math.log(w) - ln_x) / (1.0 + 1.0 / w)
+        w -= step
+        if abs(step) <= _HALLEY_REL_TOL * w:
+            break
+    return w, steps
+
+
 def _validated_grid(n_s_grid: Sequence[float]) -> tuple[float, ...]:
     grid = tuple(float(v) for v in n_s_grid)
     if not grid:
@@ -250,30 +353,31 @@ def sweep_range(
     n_s_grid: Sequence[float],
     *,
     constants: PhysicalConstants = TEXTBOOK,
-) -> Iterator[tuple[float, float, Illumination, RangeSolution | None]]:
+) -> Iterator[tuple[float, Illumination, RangeColumn]]:
     """Solve the range over the (N_s, frequency, mode) product grid of a
     scenario: the grid, the configured frequencies and the modes CI, QI.
 
-    Yields ``(n_s, frequency_hz, mode, solution)`` rows lazily, frequency-major,
-    then mode, then N_s; ``solution`` is ``None`` where no detection range
-    exists, never a zero range.  One chain ``range_chain(config, f, constants)``
-    is built per frequency, and each (frequency, mode) is one column of
-    :meth:`RangeChain.solutions` over the grid, so each row equals
-    ``chain.solve(n_s, mode)``.  The grid is validated on the call.
+    Yields one ``(frequency_hz, mode, column)`` per (frequency, mode),
+    frequency first, then CI before QI; ``column`` is the
+    :class:`RangeColumn` of :meth:`RangeChain.solutions` over the grid, so
+    each of its points equals ``chain.solve(n_s, mode)``, and its range is
+    ``None`` where no detection range exists, never a zero range.  The call
+    validates the grid and builds one chain ``range_chain(config, f,
+    constants)`` per frequency, so an invalid grid, a frequency outside the
+    table span or an unusable frequency raises before any column; the
+    columns are solved lazily.
     """
     grid = _validated_grid(n_s_grid)
-
-    def rows() -> Iterator[tuple[float, float, Illumination, RangeSolution | None]]:
-        for f_hz in config.frequencies_hz:
-            chain = range_chain(config, f_hz, constants)
-            for mode in Illumination:
-                yield from zip(grid, repeat(f_hz), repeat(mode), chain.solutions(grid, mode))
-
-    return rows()
+    chains = [(f_hz, range_chain(config, f_hz, constants)) for f_hz in config.frequencies_hz]
+    return (
+        (f_hz, mode, chain.solutions(grid, mode)) for f_hz, chain in chains for mode in Illumination
+    )
 
 
 def sweep_ratio(n_s_grid: Sequence[float]) -> Iterator[tuple[float, float]]:
     """Classical/quantum correlation ratio over an N_s grid, as lazy
     ``(n_s, ratio)`` rows.  The grid is validated on the call."""
+    from .quantum_states import correlation_ratio
+
     grid = _validated_grid(n_s_grid)
     return ((n_s, correlation_ratio(n_s)) for n_s in grid)

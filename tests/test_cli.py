@@ -374,6 +374,58 @@ def test_sweep_at_a_frequency_where_h_f_underflows_exits_2(tmp_path, capsys):
     assert not output.exists()
 
 
+@pytest.mark.parametrize("snr_min_db", [-2950, -3000])
+def test_range_where_the_quantum_threshold_underflows(tmp_path, capsys, snr_min_db):
+    # SNR_min / (1 + 1/N_s) underflows to 0 at N_s 1e-30; the range is the
+    # finite N_s -> 0 limit, or, where R_free^4 overflows, an error naming n_s
+    config = tmp_path / "snr.json"
+    config.write_text(json.dumps({"snr_min_db": snr_min_db}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config),
+                             "range", "--ns", "1e-30", "--freq", "1e12", "--mode", "qi")
+    if snr_min_db == -2950:
+        assert (code, err) == (0, "")
+        assert "qi: r_max = 4.33511e+76 m  (residual " in out
+        assert " dB, converged, 0 iterations)" in out
+        # eta = SNR_min * N_B / ((1 + 1/N_s) * M * N_s) at the root
+        assert "eta = 6.25873e-302" in out
+        return
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n_s = 1e-30 overflows the range chain")
+    output = tmp_path / "f3.csv"
+    code, _, _ = run_cli(capsys, "--config", str(config), "sweep", "--figure", "3",
+                         "--ns-min", "1e-30", "--ns-max", "1e-29", "--points", "2",
+                         "--output", str(output))
+    assert code == 0
+    rows = [line.split(",") for line in output.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [row[3:] for row in rows if row[1:3] == ["1000000000000.0", "qi"]] == [
+        ["inf", "false"], ["inf", "false"],
+    ]
+
+
+def test_attenuated_range_where_the_free_space_range_overflows(tmp_path, capsys, monkeypatch):
+    # head * N_s / (denominator * threshold) overflows, but the attenuated
+    # root is a float
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    config_path = "perfbench/configs/sweep_attenuated.json"
+    code, out, err = run_cli(capsys, "--config", config_path,
+                             "range", "--ns", "1e300", "--freq", "1e12")
+    assert (code, err) == (0, "")
+    assert "ci: r_max = 3294.19 m  (residual 6.172e-14 dB, converged, 7 iterations)" in out
+    assert "eta = 6.25873e-306" in out
+    assert "nan" not in out and "inf" not in out
+    output = tmp_path / "f3.csv"
+    code, _, _ = run_cli(capsys, "--config", config_path, "sweep", "--figure", "3",
+                         "--ns-min", "1e290", "--ns-max", "1e300", "--points", "3",
+                         "--output", str(output))
+    assert code == 0
+    rows = [line.split(",") for line in output.read_text(encoding="utf-8").splitlines()[1:]]
+    terahertz = [row[3:] for row in rows if row[1] == "1000000000000.0"]
+    assert [flag for _, flag in terahertz] == ["true"] * 6
+    assert [float(r) for r, _ in terahertz[3:]] == [float(r) for r, _ in terahertz[:3]]
+    assert float(terahertz[2][0]) == pytest.approx(3294.19, abs=0.01)
+    assert all(row[4] == "true" for row in rows)
+
+
 @pytest.mark.parametrize("snr_min_db", [4000, -4000], ids=["overflows", "underflows"])
 def test_snr_min_db_out_of_float_range_exits_2(tmp_path, capsys, snr_min_db):
     config = tmp_path / "snr.json"
@@ -477,6 +529,66 @@ def test_sweep_to_unwritable_path_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")
+
+
+# The sweep CSVs below were written by the CLI before the column writer
+# replaced the row-by-row one.  The grid is a literal, so numpy's CPU
+# dispatch in ``_log_grid`` does not enter the pinned bytes.
+GOLDEN_GRID = [1e-06, 3e-05, 0.001, 0.001467799267622069, 0.01, 0.1, 1.0, 10.0, 1000.0]
+BUNDLED_CSV = str(Path(atmosphere.__file__).parent / "data" / atmosphere._BUNDLED_NAME)
+SWEEP_GOLDEN_CASES = {
+    "default": (None, ()),
+    "bundled_table": (
+        {"attenuation_table_path": BUNDLED_CSV, "frequencies_hz": [7e9, 60e9, 557e9, 1e12]}, (),
+    ),
+    # the classical 7 GHz points below N_s ~3e-5 have no detection range
+    "faint": ({"sigma_m2": 1e-12, "aperture_m2": 1e-6}, ()),
+    "four_pi_exponent_4": ({"four_pi_exponent": 4}, ()),
+    "codata": (None, ("--codata",)),
+}
+
+
+def _golden_sweep(tmp_path, monkeypatch, case: str, figure: str = "3"):
+    from qi_rangekit import cli
+
+    config, flags = SWEEP_GOLDEN_CASES[case]
+    argv = list(flags)
+    if config is not None:
+        config_path = tmp_path / f"{case}.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(config_path), *argv]
+    monkeypatch.setattr(cli, "_log_grid", lambda ns_min, ns_max, points: list(GOLDEN_GRID))
+    output = tmp_path / f"{case}_figure{figure}.csv"
+    code = main([*argv, "sweep", "--figure", figure, "--output", str(output)])
+    return code, output
+
+
+@pytest.mark.parametrize("case", list(SWEEP_GOLDEN_CASES))
+def test_sweep_csv_is_pinned(tmp_path, capsys, monkeypatch, case):
+    code, output = _golden_sweep(tmp_path, monkeypatch, case)
+    golden = (GOLDEN / f"sweep_{case}.csv").read_bytes()
+    rows = golden.count(b"\n") - 1
+    assert (code, capsys.readouterr().out) == (0, f"wrote {rows} rows to {output}\n")
+    assert output.read_bytes() == golden
+
+
+def test_sweep_figure1_csv_is_pinned(tmp_path, capsys, monkeypatch):
+    code, output = _golden_sweep(tmp_path, monkeypatch, "default", figure="1")
+    assert code == 0
+    assert output.read_bytes() == (GOLDEN / "sweep_figure1.csv").read_bytes()
+
+
+def test_sweep_out_of_table_span_exits_2_without_a_file(tmp_path, capsys):
+    # 2 THz lies past the bundled table; the sweep fails before any output
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"attenuation_table_path": BUNDLED_CSV,
+                                  "frequencies_hz": [7e9, 2e12]}), encoding="utf-8")
+    output = tmp_path / "f3.csv"
+    code, out, err = run_cli(capsys, "--config", str(config), "sweep", "--figure", "3",
+                             "--output", str(output))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not output.exists()
 
 
 def test_sweep_grid_validation(capsys):
@@ -626,15 +738,26 @@ def test_scalar_commands_start_without_numpy(tmp_path, argv):
     assert _loaded_after(tmp_path, statement, ["numpy", "dataclasses", "inspect"]) == []
 
 
+# the modules each command leaves unloaded (the default config has no table)
+UNUSED_MODULES = {
+    "sweep": ["qi_rangekit.quantum_states", "qi_rangekit.atmosphere"],
+    "range": ["qi_rangekit.quantum_states"],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "1000000"],
     ["covariance", "--ns", "20", "--mode", "qi", "--oracle"],
     ["ratio", "--ns", "0.5"],
     ["power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"],
+    ["sweep", "--figure", "3", "--points", "5"],
+    ["range", "--ns", "1e-2", "--freq", "1e12"],
 ])
 def test_commands_import_only_the_modules_they_run(tmp_path, argv):
     statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
-    unused = ["qi_rangekit.range_solver", "qi_rangekit.atmosphere", "json"]
+    unused = UNUSED_MODULES.get(
+        argv[0], ["qi_rangekit.range_solver", "qi_rangekit.atmosphere", "json"]
+    )
     assert _loaded_after(tmp_path, statement, unused) == []
 
 

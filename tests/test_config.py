@@ -191,10 +191,10 @@ def test_attenuated_config_reaches_the_solve(monkeypatch):
     solution = range_chain(cfg, 1e12).solve(1e-2, Illumination.CI)
     assert float(f"{solution.r_max_m:.5g}") == 29.592
     [row] = [
-        row for row in sweep_range(cfg, [1e-2])
-        if row[1] == 1e12 and row[2] is Illumination.CI
+        (f_hz, mode, point) for f_hz, mode, column in sweep_range(cfg, [1e-2])
+        for point in column if f_hz == 1e12 and mode is Illumination.CI
     ]
-    assert row[3] == solution
+    assert row[2] == solution
 
 
 def test_four_pi_exponent_passes_through():

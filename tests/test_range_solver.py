@@ -329,8 +329,17 @@ BUNDLED_CSV = str(Path(atmosphere.__file__).parent / "data" / atmosphere._BUNDLE
 FAINT = ScenarioConfig(sigma_m2=1e-12, aperture_m2=1e-6)
 
 
+def sweep_rows(config, grid, **kwargs):
+    """The sweep's columns as ``(n_s, frequency_hz, mode, solution)`` rows."""
+    return [
+        (n_s, f_hz, mode, solution)
+        for f_hz, mode, column in sweep_range(config, grid, **kwargs)
+        for n_s, solution in zip(grid, column, strict=True)
+    ]
+
+
 def test_sweep_range_single_point():
-    rows = list(sweep_range(ScenarioConfig(frequencies_hz=(1e12,)), [1e-2]))
+    rows = sweep_rows(ScenarioConfig(frequencies_hz=(1e12,)), [1e-2])
     assert [(n_s, f_hz) for n_s, f_hz, _, _ in rows] == [(1e-2, 1e12)] * 2
     assert [mode for _, _, mode, _ in rows] == [Illumination.CI, Illumination.QI]
     assert rows[0][3].r_max_m == pytest.approx(137.088, abs=0.01)
@@ -339,7 +348,7 @@ def test_sweep_range_single_point():
 
 def test_sweep_range_ordering_and_monotonicity():
     grid = list(np.logspace(-3, 0, 7))
-    rows = list(sweep_range(ScenarioConfig(frequencies_hz=(7e9, 1e12)), grid))
+    rows = sweep_rows(ScenarioConfig(frequencies_hz=(7e9, 1e12)), grid)
     keys = list(dict.fromkeys((f_hz, mode) for _, f_hz, mode, _ in rows))
     assert keys == [
         (7e9, Illumination.CI),
@@ -359,7 +368,8 @@ def test_sweep_range_ordering_and_monotonicity():
 
 
 def test_sweep_range_is_lazy(monkeypatch):
-    # with a table every solved row takes one Lambert-W evaluation
+    # the call builds every chain; with a table every solved point of a
+    # column takes one Lambert-W evaluation when the column is drawn
     chains, roots = [], []
     build, lambert_w0 = range_solver.range_chain, range_solver._lambert_w0
 
@@ -374,10 +384,10 @@ def test_sweep_range_is_lazy(monkeypatch):
     monkeypatch.setattr(range_solver, "range_chain", counting_chain)
     monkeypatch.setattr(range_solver, "_lambert_w0", counting_w0)
     config = ScenarioConfig(attenuation_table_path=BUNDLED_CSV)
-    rows = sweep_range(config, [1e-3, 1e-2, 1e-1])
-    assert (chains, roots) == ([], [])
-    next(rows)
-    assert (chains, len(roots)) == ([config.frequencies_hz[0]], 1)
+    columns = sweep_range(config, [1e-3, 1e-2, 1e-1])
+    assert (chains, roots) == (list(config.frequencies_hz), [])
+    next(columns)
+    assert (chains, len(roots)) == (list(config.frequencies_hz), 3)
 
 
 # repr(r_max_m) and converged of the solve, recorded before the column
@@ -447,16 +457,54 @@ def test_solutions_equal_one_point_solves(config, table_path, mode):
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
 @pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
 def test_overflowing_chain_names_n_s(table_path, mode):
-    # head * N_s / denominator overflows; the lossless root is then inf and
-    # the attenuated one NaN, and neither is a range.
+    # head * N_s / (denominator * threshold) overflows.  The lossless root
+    # R_free is then no float range; the attenuated root 2 W0(a R_free / 2) / a
+    # is one, taken with W0 from ln x.
     chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), 1e12)
-    with pytest.raises(DomainError, match=r"n_s = 1e\+300 overflows the range chain"):
-        chain.solve(1e300, mode)
+    if table_path is None:
+        with pytest.raises(DomainError, match=r"n_s = 1e\+300 overflows the range chain"):
+            chain.solve(1e300, mode)
+    else:
+        below, beyond = chain.solve(1e290, mode), chain.solve(1e300, mode)
+        assert beyond.converged
+        # R^4 exp(2aR) is proportional to N_s / threshold, and the threshold
+        # is SNR_min at both points to within 1e-290
+        a = chain.gamma_db_per_km * range_solver._A_PER_GAMMA
+        growth = 4.0 * math.log(beyond.r_max_m / below.r_max_m) + 2.0 * a * (
+            beyond.r_max_m - below.r_max_m
+        )
+        assert growth == pytest.approx(math.log(1e10), rel=1e-9)
     assert math.isfinite(chain.solve(1e290, mode).r_max_m)
 
 
+@pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
+def test_quantum_threshold_underflow_solves_the_same_ratio(table_path):
+    # SNR_min / (1 + 1/N_s) underflows to 0 at SNR_min 1e-295 and N_s 1e-30;
+    # scaling head and SNR_min by 1e100 keeps head * N_s / (denominator *
+    # threshold) and leaves the threshold a float
+    chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), 1e12)
+    underflowing = chain.replace(snr_min=1e-295)
+    scaled = chain.replace(snr_min=1e-195, head=chain.head * 1e100)
+    assert underflowing.threshold(1e-30, Illumination.QI) == 0.0
+    solution = underflowing.solve(1e-30, Illumination.QI)
+    reference = scaled.solve(1e-30, Illumination.QI)
+    assert solution.r_max_m == pytest.approx(reference.r_max_m, rel=1e-14)
+    assert solution.converged
+    [column_point] = underflowing.solutions([1e-30], Illumination.QI)
+    assert column_point == solution
+    # at SNR_min 1e-300 the lossless R_free^4 overflows: no range, named
+    deeper = chain.replace(snr_min=1e-300)
+    if table_path is None:
+        with pytest.raises(DomainError, match=r"n_s = 1e-30 overflows the range chain"):
+            deeper.solve(1e-30, Illumination.QI)
+        [overflowing] = deeper.solutions([1e-30], Illumination.QI).r_max_m
+        assert overflowing == math.inf
+    else:
+        assert deeper.solve(1e-30, Illumination.QI).converged
+
+
 def test_sweep_range_marks_failures_as_absent():
-    rows = list(sweep_range(FAINT, [1e-6, 1e-3]))
+    rows = sweep_rows(FAINT, [1e-6, 1e-3])
     assert rows[0][3] is None
     assert rows[1][3] is not None
 
@@ -487,7 +535,7 @@ def test_sweep_rows_equal_one_point_solutions(scenario, four_pi_exponent, consta
         config = ScenarioConfig(four_pi_exponent=four_pi_exponent)
     frequencies = list(config.frequencies_hz)
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
-    rows = sweep_range(config, grid, constants=constants)
+    rows = sweep_rows(config, grid, constants=constants)
     expected_keys = [(n_s, f, mode) for f in frequencies for mode in Illumination for n_s in grid]
     table = config.attenuation_table
     absent = 0
@@ -524,7 +572,7 @@ def test_sweep_builds_the_chain_once_per_frequency(monkeypatch):
     frequencies = [f_ghz * 1e9 for f_ghz, _ in bundled_table().rows][:5]
     config = ScenarioConfig(frequencies_hz=tuple(frequencies), attenuation_table_path=BUNDLED_CSV)
     grid = list(np.logspace(-3, 1, 40))
-    rows = list(sweep_range(config, grid))
+    rows = sweep_rows(config, grid)
     assert len(rows) == len(frequencies) * 2 * len(grid)
     assert counts == dict.fromkeys(counts, len(frequencies))
 
@@ -536,7 +584,7 @@ def test_no_detection_is_read_off_the_root(table_path):
     config = FAINT.replace(attenuation_table_path=table_path)
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
     absent = 0
-    for n_s, f_hz, mode, solution in sweep_range(config, grid):
+    for n_s, f_hz, mode, solution in sweep_rows(config, grid):
         chain = range_chain(config, f_hz)
         snr_at_near_zero = range_solver._snr_eff_at(
             chain.head * n_s / chain.denominator, chain.gamma_db_per_km, 1e-6
@@ -566,5 +614,5 @@ def test_quantum_range_where_the_inverse_of_n_s_overflows(n_s):
     assert solution.r_max_m == pytest.approx(limit.r_max_m, rel=1e-6)
     with pytest.raises(NoDetectionError):
         chain.solve(n_s, Illumination.CI)
-    rows = list(sweep_range(BENCHMARK, [n_s, 1e-300]))
+    rows = sweep_rows(BENCHMARK, [n_s, 1e-300])
     assert all((row[3] is None) == (row[2] is Illumination.CI) for row in rows)
