@@ -33,10 +33,13 @@ mode), so a sweep row and the one-point solution are the same computation.
 Where the closed form leaves the float range -- the QI threshold
 SNR_min / (1 + 1/N_s) underflows to 0, or R_free^4 = head * N_s /
 (denominator * threshold) overflows -- the kernel takes the same closed form
-in another arrangement: with (1 + 1/N_s) / SNR_min for 1/threshold, and, with
-absorption, with W0 taken from ln x = ln(a/2) + ln R_free, so a root that is
-a float comes out as one.  The lossless root R_free itself is then beyond the
-float range, and the point has no finite range.
+in another arrangement: the lossless R_free^4 as head / denominator *
+(1 + N_s) / SNR_min for QI, with N_s cancelled, and, with absorption, W0
+taken from ln x = ln(a/2) + ln R_free, so an attenuated root that is a float
+comes out as one.  Where the lossless R_free^4 is still beyond the float
+range (R_free above ~1.3e77 m, although R_free itself may be a float), the
+root reads inf and the point has no finite range: the residual, and eta in
+:meth:`RangeChain.link_at`, take R^4.
 
 The kernel evaluates the SNR chain from the raw far-field formula without
 the eta <= 1 guard, and only at the root, for the residual.  As SNR_eff(R)
@@ -182,17 +185,15 @@ class RangeChain(Record):
         the target is already below threshold at near-zero range.
 
         Closed form R_free * exp(-W0(a * R_free / 2)); see the module
-        docstring.  With gamma = 0 that is R_free itself, and the form factor
-        at the root is 1.  ``converged`` reports the closure of the forward
-        SNR chain at the root.  The grid is not checked: every value must be
-        positive and finite, as :meth:`solve` and :func:`sweep_range` ensure.
+        docstring.  With gamma = 0 that is R_free itself.  ``converged``
+        reports the closure of the forward SNR chain at the root.  The grid
+        is not checked: every value must be positive and finite, as
+        :meth:`solve` and :func:`sweep_range` ensure.
         """
         head, denominator, snr_min = self.head, self.denominator, self.snr_min
         gamma = self.gamma_db_per_km
-        lossless = gamma == 0.0
         half_a = 0.5 * gamma * _A_PER_GAMMA
         quantum = mode is Illumination.QI
-        threshold = snr_min
         column = RangeColumn([], [], [], [])
         add_r, add_residual, add_steps, add_converged = (
             column.r_max_m.append, column.residual_db.append,
@@ -201,18 +202,15 @@ class RangeChain(Record):
         log10, exp, inf = math.log10, math.exp, math.inf
         near_zero, tolerance = _NEAR_ZERO_RANGE_M, _RESIDUAL_TOL_DB
         for n_s in n_s_grid:
-            if quantum:  # _quantum_threshold, inline
-                inverse = 1.0 / n_s
-                threshold = snr_min * n_s if inverse == inf else snr_min / (1.0 + inverse)
+            threshold = _quantum_threshold(snr_min, n_s) if quantum else snr_min
             chain_constant = head * n_s / denominator
             if threshold == 0.0 or (ratio := chain_constant / threshold) == inf:
-                root, residual, steps = self._beyond_float_range(n_s, mode, chain_constant)
+                root, residual, steps = self._beyond_float_range(n_s, mode)
                 converged = residual is not None and residual < tolerance
             else:
-                r_free = ratio**0.25
-                if lossless:
-                    root, steps = r_free, 0
-                else:
+                root = r_free = ratio**0.25
+                steps = 0
+                if gamma > 0.0:
                     w, steps = _lambert_w0(half_a * r_free)
                     root = r_free * exp(-w)
                 # the residual only after this test: root**4 may be ~0 below it
@@ -220,10 +218,7 @@ class RangeChain(Record):
                     root = residual = None
                     converged = False
                 else:
-                    if lossless:
-                        snr_at_root = chain_constant / root**4
-                    else:
-                        snr_at_root = _snr_eff_at(chain_constant, gamma, root)
+                    snr_at_root = _snr_eff_at(chain_constant, gamma, root)
                     residual = abs(10.0 * log10(snr_at_root / threshold))
                     converged = residual < tolerance
             add_r(root)
@@ -233,26 +228,24 @@ class RangeChain(Record):
         return column
 
     def _beyond_float_range(
-        self, n_s: float, mode: Illumination, chain_constant: float
+        self, n_s: float, mode: Illumination
     ) -> tuple[float | None, float | None, int]:
         """``(root, residual_db, iterations)`` of a point where the QI
         threshold underflows to 0 or R_free^4 overflows; see the module
         docstring.  The root is ``None`` below near-zero range, and inf where
         the lossless R_free^4 overflows."""
-        snr_min = self.snr_min
+        head, denominator, snr_min = self.head, self.denominator, self.snr_min
         half_a = 0.5 * self.gamma_db_per_km * _A_PER_GAMMA
-        # advantage / SNR_min stands for 1 / threshold, which may not be a float
+        # N_s / threshold, which may not be a float: (1 + N_s) / SNR_min for QI
         if mode is Illumination.QI:
-            advantage = 1.0 + 1.0 / n_s
+            n_s_per_snr = 1.0 + n_s
             ln_threshold = math.log(snr_min) + math.log(n_s) - math.log1p(n_s)
         else:
-            advantage = 1.0
+            n_s_per_snr = n_s
             ln_threshold = math.log(snr_min)
-        ln_r_free = 0.25 * (
-            math.log(self.head) + math.log(n_s) - math.log(self.denominator) - ln_threshold
-        )
+        ln_r_free = 0.25 * (math.log(head) + math.log(n_s) - math.log(denominator) - ln_threshold)
         if half_a == 0.0:
-            root, steps = (chain_constant * advantage / snr_min) ** 0.25, 0
+            root, steps = (head / denominator * n_s_per_snr / snr_min) ** 0.25, 0
         else:
             w, steps = _lambert_w0_of_log(math.log(half_a) + ln_r_free)
             root = w / half_a
@@ -266,16 +259,15 @@ class RangeChain(Record):
         """One-way form factor F and transmissivity eta at range ``r_m``,
         from the chain :meth:`solve` solves.
 
-        At the root, eta * M * N_s / N_B is the mode-adjusted threshold.
-        Raises :class:`UnphysicalGeometryError` where eta > 1 (near field).
+        At the root, eta * M * N_s / N_B is the mode-adjusted threshold;
+        eta itself, SNR_eff(R) * N_B / (M * N_s), does not depend on N_s,
+        which is only checked.  Raises :class:`UnphysicalGeometryError`
+        where eta > 1 (near field).
         """
-        n_s = _require_positive("n_s", n_s)
+        _require_positive("n_s", n_s)
         r_m = _require_positive("range", r_m)
         f_form = _form_factor(self.gamma_db_per_km, r_m)
-        snr_per_eta = self.pulse_count * n_s / self.n_b
-        eta = self.head * n_s / self.denominator * f_form**2 / r_m**4 / snr_per_eta
-        if not eta > 0.0:  # a product with N_s over- or underflowed; N_s cancels
-            eta = self.head / self.denominator * f_form**2 / r_m**4 / (self.pulse_count / self.n_b)
+        eta = self.head / self.denominator * f_form**2 / r_m**4 * self.n_b / self.pulse_count
         return f_form, _require_far_field(eta, r_m)
 
 

@@ -457,9 +457,9 @@ def test_solutions_equal_one_point_solves(config, table_path, mode):
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
 @pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
 def test_overflowing_chain_names_n_s(table_path, mode):
-    # head * N_s / (denominator * threshold) overflows.  The lossless root
-    # R_free is then no float range; the attenuated root 2 W0(a R_free / 2) / a
-    # is one, taken with W0 from ln x.
+    # head * N_s / (denominator * threshold) overflows.  The lossless R_free^4
+    # is then no float, so there is no range; the attenuated root
+    # 2 W0(a R_free / 2) / a is one, taken with W0 from ln x.
     chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), 1e12)
     if table_path is None:
         with pytest.raises(DomainError, match=r"n_s = 1e\+300 overflows the range chain"):
@@ -492,6 +492,10 @@ def test_quantum_threshold_underflow_solves_the_same_ratio(table_path):
     assert solution.converged
     [column_point] = underflowing.solutions([1e-30], Illumination.QI)
     assert column_point == solution
+    # below N_s ~5.6e-309 1/N_s overflows too; the range is the same N_s -> 0 limit
+    tiniest = underflowing.solve(1e-310, Illumination.QI)
+    assert tiniest.converged
+    assert tiniest.r_max_m == pytest.approx(solution.r_max_m, rel=1e-14)
     # at SNR_min 1e-300 the lossless R_free^4 overflows: no range, named
     deeper = chain.replace(snr_min=1e-300)
     if table_path is None:
