@@ -23,7 +23,6 @@ from .errors import (
     CutoffError,
     DomainError,
     FrequencySpanError,
-    InsufficientTrialsError,
     NoDetectionError,
     RangeKitError,
     TableParseError,
@@ -40,7 +39,6 @@ __all__ = [
     "CutoffError",
     "DomainError",
     "FrequencySpanError",
-    "InsufficientTrialsError",
     "NoDetectionError",
     "RangeKitError",
     "TableParseError",

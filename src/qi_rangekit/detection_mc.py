@@ -1,20 +1,17 @@
-"""Monte Carlo verification of the covariance synthesis and SNR chain.
-
-Quadrature statistics of both transmitter states are exactly Gaussian, so
-sampling the 4x4 covariance is an exact simulation.  Under the package-wide
-"2x symmetrized second moment" convention, a covariance matrix ``cov``
-corresponds to Gaussian vectors with ``E[x x^T] = cov / 2``;
-:func:`sample_quadratures` and :func:`estimate_covariance` are inverse to
-each other around that convention.
+"""Monte Carlo verification of the detector's SNR gain, and its exact tails.
 
 The return channel and receiver are this package's own constructions (the
 analytic chain stops at the SNR ratio): a lossy thermal channel mixes the
 signal mode with the background, and the receiver correlates the returned
 mode against the retained idler through the statistic
-D = I_R*I_I - Q_R*Q_I.  Both transmitters keep the I and Q sectors
-uncorrelated, so D = a*E1 + b*E2 exactly, with a >= 0 >= b and E1, E2
-independent Exp(1) variables.  That is an asymmetric Laplace law, and
-:func:`exact_exceedance` gives its tails in closed form.
+D = I_R*I_I - Q_R*Q_I.  Under the package-wide "2x symmetrized second
+moment" convention, a covariance matrix ``cov`` describes Gaussian
+quadrature vectors with ``E[x x^T] = cov / 2``.  Both transmitters keep the
+I and Q sectors uncorrelated, so D = a*E1 + b*E2 exactly, with a >= 0 >= b
+and E1, E2 independent Exp(1) variables.  That is an asymmetric Laplace
+law, and :func:`exact_exceedance` gives its tails in closed form: the
+detector's ROC point at threshold t is
+(exact_exceedance(present, t), exact_exceedance(absent, t)).
 
 :func:`detector_gain_experiment` needs only the sample mean of D under each
 hypothesis.  The sum of n independent draws of D is exactly a*G1 + b*G2,
@@ -31,35 +28,22 @@ Math. Softw. 26, 363, 2000) over Box-Muller normals, from nothing but
 ``random.Random(seed).random()``: that stream is the one Python promises to
 keep across versions (``gammavariate`` and ``gauss`` carry no such promise),
 so a fixed seed gives bit-identical output wherever libm's ``log``, ``cos``
-and ``sqrt`` agree.  Nothing on this path loads numpy.
-
-:func:`sample_quadratures`, :func:`estimate_covariance` and
-:func:`roc_estimate` work on arrays and import numpy when called.  Their
-draws come from NumPy's PCG64 generator (fixed seeds reproduce
-bit-identically; :func:`roc_estimate` splits its streams with
-``SeedSequence.spawn``).  :func:`roc_estimate` draws D as a one-exponential
-mixture in blocks of a fixed size and counts each block's exceedances before
-the next is drawn, so its memory does not grow with the trial count.
+and ``sqrt`` agree.  The module needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from ._record import Record
-from .errors import CovarianceNotPSDError, DomainError, InsufficientTrialsError
+from .errors import CovarianceNotPSDError, DomainError
 from .quantum_states import Matrix, coherent_covariance, tmsv_covariance
 from .radiometry import _require_non_negative, _require_positive
 
-if TYPE_CHECKING:
-    import numpy as np
-
 _PSD_TOLERANCE = -1e-9
 _SYMMETRY_TOLERANCE = 1e-12
-# Draws of the detector statistic held at once by roc_estimate: a 512 kB buffer.
-_BLOCK_TRIALS = 1 << 16
 # (row, column) of the signal/idler cross block; (column, row) mirrors it.
 _CROSS_BLOCK = ((0, 2), (0, 3), (1, 2), (1, 3))
 
@@ -70,12 +54,6 @@ _CROSS_BLOCK = ((0, 2), (0, 3), (1, 2), (1, 3))
 MIN_RESOLUTION = 5.0
 
 
-def _rng(seed_or_sequence) -> np.random.Generator:
-    import numpy as np
-
-    return np.random.Generator(np.random.PCG64(seed_or_sequence))
-
-
 def _validate_seed(seed: int) -> int:
     seed = int(seed)
     if not (0 <= seed < 2**64):
@@ -84,8 +62,8 @@ def _validate_seed(seed: int) -> int:
 
 
 def _symmetric_4x4(matrix, name: str) -> Matrix:
-    """``matrix`` (any 4x4 nested sequence of numbers, numpy arrays
-    included) as a :data:`Matrix`, if it is finite and symmetric to 1e-12."""
+    """``matrix`` (any 4x4 nested sequence of numbers, arrays included) as
+    a :data:`Matrix`, if it is finite and symmetric to 1e-12."""
     try:
         rows = tuple(tuple(float(v) for v in row) for row in matrix)
     except (TypeError, ValueError):
@@ -115,50 +93,11 @@ def _require_psd(smallest_eigenvalue: float, largest_entry: float) -> None:
         )
 
 
-def _gaussian_factor(cov) -> np.ndarray:
-    """Factor L with L @ L.T = cov / 2 of a symmetric PSD 4x4 covariance,
-    clamping round-off negatives."""
-    import numpy as np
-
-    matrix = _symmetric_4x4(cov, "covariance")
-    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(matrix))
-    _require_psd(float(eigenvalues.min()), max(abs(v) for row in matrix for v in row))
-    return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None) / 2.0)
-
-
-def sample_quadratures(cov, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` zero-mean Gaussian quadrature vectors consistent with ``cov``.
-
-    Returns an (n, 4) array whose 2x sample second moments estimate ``cov``.
-    Deterministic: the same seed yields bit-identical output.
-    """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n!r}")
-    factor = _gaussian_factor(cov)
-    return _rng(_validate_seed(seed)).standard_normal(size=(n, 4)) @ factor.T
-
-
-def estimate_covariance(samples) -> np.ndarray:
-    """2x the sample non-central second-moment matrix (exactly symmetric)."""
-    import numpy as np
-
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 4:
-        raise DomainError(f"samples must be (n, 4), got shape {samples.shape}")
-    n = samples.shape[0]
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    moment = samples.T @ samples
-    moment = (moment + moment.T) / 2.0
-    return 2.0 * moment / n
-
-
 class ReturnChannelModel(Record):
     """Lossy thermal return channel applied to a transmitter covariance.
 
     ``base`` is the 4x4 signal/idler covariance at the transmitter, any
-    symmetric 4x4 nested sequence (numpy arrays included); it is kept, and
+    symmetric 4x4 nested sequence (arrays included); it is kept, and
     the covariances are returned, as :data:`Matrix` tuples.  Under the
     target-present hypothesis the signal mode returns with transmissivity
     ``eta`` mixed into a background of ``n_b`` photons per mode: its diagonal
@@ -176,8 +115,9 @@ class ReturnChannelModel(Record):
         object.__setattr__(self, "base", _symmetric_4x4(self.base, "base covariance"))
 
     def _signal_photons(self) -> float:
-        # Mean photon number encoded in the signal diagonal block.
-        return (self.base[0][0] + self.base[1][1] - 2.0) / 4.0
+        # Mean photon number encoded in the signal diagonal block.  Quartering
+        # first keeps the sum finite above N_s ~4.5e307 and is exact.
+        return self.base[0][0] / 4.0 + self.base[1][1] / 4.0 - 0.5
 
     def _with_signal_diagonal(self, s: float) -> list[list[float]]:
         # base with its signal block set to diag(s, s)
@@ -214,7 +154,8 @@ def _statistic_scales(cov) -> tuple[float, float]:
     chi-square(1) variables add up to one Exp(1) variable, so
     a = r + sqrt(pq) and b = r - sqrt(pq); |r| <= sqrt(pq) as cov is PSD.
     Both blocks have the eigenvalues of [[2p, 2r], [2r, 2q]], the smallest
-    being p + q - sqrt((p - q)^2 + 4r^2), which the PSD check reads.
+    being p + q - sqrt((p - q)^2 + 4r^2), which the PSD check reads from
+    the halved entries, so that it cannot overflow for finite entries.
     """
     cov = _symmetric_4x4(cov, "covariance")
     s_i, s_q, c = cov[0][0], cov[2][2], cov[0][2]
@@ -224,9 +165,8 @@ def _statistic_scales(cov) -> tuple[float, float]:
             "covariance must have uncorrelated I and Q sectors with equal "
             "variances and opposite cross entries"
         )
-    _require_psd((s_i + s_q - math.hypot(s_i - s_q, 2.0 * c)) / 2.0,
-                 max(abs(s_i), abs(s_q), abs(c)))
     p, q, r = s_i / 2.0, s_q / 2.0, c / 2.0
+    _require_psd(p + q - math.hypot(p - q, 2.0 * r), max(abs(s_i), abs(s_q), abs(c)))
     product = p * q
     if product == math.inf:  # p and q above ~1.3e154
         root = math.sqrt(p) * math.sqrt(q)
@@ -271,69 +211,24 @@ def _sample_mean(a: float, b: float, n: int, rng: random.Random) -> float:
     return (a * _gamma(n, rng) + b * _gamma(n, rng)) / n
 
 
-def _positive_weight(a: float, b: float) -> float:
-    # P(D = a*E) in the mixture form of D = a*E1 + b*E2; see _statistic_blocks.
-    return a / (a - b) if a > 0.0 else 0.0
-
-
-def _statistic_blocks(
-    a: float, b: float, n: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """``n`` exact draws of D = a*E1 + b*E2 (a >= 0 >= b), in blocks of at
-    most ``_BLOCK_TRIALS``.
-
-    D is asymmetric Laplace: its moment generating function
-    1/((1 - a*s)(1 - b*s)) splits into a/(a - b) / (1 - a*s) plus
-    (-b)/(a - b) / (1 - b*s), so D equals a*E with probability a/(a - b)
-    and b*E otherwise, for one Exp(1) variable E.  So a block of k draws takes
-    K ~ Binomial(k, a/(a - b)) and k exponentials, and scales the first K by
-    a and the rest by b.  The block is not in draw order, but its multiset
-    has the law of k independent draws, which is all that order-free
-    reductions (exceedance counts) see.
-
-    Every block is a view of one reused buffer, valid until the next one
-    is drawn; the caller may overwrite it.
-    """
-    import numpy as np
-
-    weight = _positive_weight(a, b)
-    buffer = np.empty(min(n, _BLOCK_TRIALS))
-    for start in range(0, n, _BLOCK_TRIALS):
-        block = buffer[: min(_BLOCK_TRIALS, n - start)]
-        positive = int(rng.binomial(block.size, weight))
-        rng.standard_exponential(out=block)
-        block[:positive] *= a
-        block[positive:] *= b
-        yield block
-
-
-def _exceedance_fractions(
-    cov, thresholds: Sequence[float], n: int, rng: np.random.Generator
-) -> tuple[float, ...]:
-    """Fraction of ``n`` exact draws of D under ``cov`` above each threshold."""
-    import numpy as np
-
-    a, b = _statistic_scales(cov)
-    counts = [0] * len(thresholds)
-    for block in _statistic_blocks(a, b, n, rng):
-        for i, t in enumerate(thresholds):
-            counts[i] += int(np.count_nonzero(block > t))
-    return tuple(count / n for count in counts)
-
-
 def exact_exceedance(cov, t: float) -> float:
-    """Exact P(D > t) of the correlation statistic under ``cov`` (block form
-    as for :func:`roc_estimate`, else DomainError).
+    """Exact P(D > t) of the correlation statistic under ``cov``, which must
+    be in the block form :func:`_statistic_scales` reads (else DomainError).
 
-    With D = a*E1 + b*E2, a >= 0 >= b, the asymmetric Laplace tails are
-    a/(a - b) * exp(-t/a) for t >= 0 and 1 - (-b)/(a - b) * exp(-t/b) for
-    t < 0.
+    D = a*E1 + b*E2 (a >= 0 >= b) is asymmetric Laplace: its moment
+    generating function 1/((1 - a*s)(1 - b*s)) splits into
+    a/(a - b) / (1 - a*s) plus (-b)/(a - b) / (1 - b*s), so D equals a*E
+    with probability a/(a - b) and b*E otherwise, for one Exp(1) variable
+    E.  Its tails are a/(a - b) * exp(-t/a) for t >= 0 and
+    1 - (-b)/(a - b) * exp(-t/b) for t < 0.  The detector's ROC point at
+    threshold t is (exact_exceedance(present, t), exact_exceedance(absent, t)).
     """
     a, b = _statistic_scales(cov)
+    weight = a / (a - b) if a > 0.0 else 0.0
     t = float(t)
     if t >= 0.0:
-        return _positive_weight(a, b) * math.exp(-t / a) if a > 0.0 else 0.0
-    return 1.0 - (1.0 - _positive_weight(a, b)) * math.exp(-t / b) if b < 0.0 else 1.0
+        return weight * math.exp(-t / a) if a > 0.0 else 0.0
+    return 1.0 - (1.0 - weight) * math.exp(-t / b) if b < 0.0 else 1.0
 
 
 def _deflection_with_noise(
@@ -443,51 +338,3 @@ def detector_gain_experiment(
         trials=trials,
         resolution=resolution,
     )
-
-
-class RocEstimate(NamedTuple):
-    """Empirical operating points: (p_fa, p_d) per threshold."""
-
-    thresholds: tuple[float, ...]
-    p_d: tuple[float, ...]
-    p_fa: tuple[float, ...]
-    trials: int
-
-
-def roc_estimate(
-    cov_present,
-    cov_absent,
-    thresholds: Sequence[float],
-    trials: int,
-    seed: int,
-) -> RocEstimate:
-    """Empirical ROC of the correlation detector between two hypotheses.
-
-    Present/absent draws of D are made exactly and independently (split
-    seed streams), which needs both covariances in the phase-conjugate block
-    form (else DomainError); each threshold yields their exceedance
-    fractions, counted a block of draws at a time.  :func:`exact_exceedance`
-    gives the values they estimate.  A p_fa probed below 10/trials cannot be
-    resolved and raises :class:`InsufficientTrialsError`.
-    """
-    import numpy as np
-
-    trials = int(trials)
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials!r}")
-    thresholds = tuple(float(t) for t in thresholds)
-    if not thresholds:
-        raise DomainError("thresholds must not be empty")
-
-    stream_present, stream_absent = np.random.SeedSequence(_validate_seed(seed)).spawn(2)
-    p_d = _exceedance_fractions(cov_present, thresholds, trials, _rng(stream_present))
-    p_fa = _exceedance_fractions(cov_absent, thresholds, trials, _rng(stream_absent))
-
-    floor = 10.0 / trials
-    smallest = min(p_fa)
-    if smallest < floor:
-        raise InsufficientTrialsError(
-            f"smallest probed p_fa {smallest!r} is below the 10/trials floor "
-            f"{floor!r}; increase trials or relax the threshold"
-        )
-    return RocEstimate(thresholds=thresholds, p_d=p_d, p_fa=p_fa, trials=trials)

@@ -53,10 +53,6 @@ class CovarianceNotPSDError(RangeKitError, ValueError):
         self.eigenvalue = eigenvalue
 
 
-class InsufficientTrialsError(RangeKitError, ValueError):
-    """Too few Monte Carlo trials to resolve the requested probability."""
-
-
 class NoDetectionError(RangeKitError):
     """The target is undetectable even at near-zero range."""
 

@@ -12,11 +12,7 @@ import pytest
 from qi_rangekit.atmosphere import form_factor
 from qi_rangekit.cli import main as cli_main
 from qi_rangekit.config import ScenarioConfig
-from qi_rangekit.detection_mc import (
-    detector_gain_experiment,
-    estimate_covariance,
-    sample_quadratures,
-)
+from qi_rangekit.detection_mc import detector_gain_experiment
 from qi_rangekit.errors import NoDetectionError, UnphysicalGeometryError
 from qi_rangekit.link_budget import (
     DetectionSpec,
@@ -39,6 +35,7 @@ from qi_rangekit.range_solver import (
     range_chain,
     sweep_ratio,
 )
+from reference_sampler import estimate_covariance, sample_quadratures
 
 BENCHMARK = ScenarioConfig()
 

@@ -804,6 +804,8 @@ def test_version_flag(capsys):
     (["covariance", "--ns", "1e200", "--mode", "qi"], "     I_S         2e+200"),
     (["ratio", "--ns", "1e-310"], "C_c/C_q = 1e-155 at N_s = 1e-310"),
     (["range", "--ns", "1e-310", "--freq", "1e12", "--mode", "qi"], "qi: r_max = 433.511 m"),
+    # the signal diagonal's sum overflows here, its entries do not
+    (["mc", "--ns", "8e307", "--eta", "0.5", "--nb", "1"], "analytic 1 + 1/N_s = 1, z = "),
 ])
 def test_extreme_n_s_gives_a_finite_answer(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
@@ -817,8 +819,8 @@ def test_extreme_n_s_gives_a_finite_answer(capsys, argv, expected):
      "error: n_s = 1e+308 is too large: the diagonal 2*n_s + 1 overflows\n"),
     (["mc", "--ns", "1e308", "--eta", "0.5", "--nb", "1"],
      "error: n_s = 1e+308 is too large: the diagonal 2*n_s + 1 overflows\n"),
-    (["mc", "--ns", "8e307", "--eta", "0.5", "--nb", "1"],
-     "error: n_s = 8e+307 with n_b = 1.0 overflows the return-channel covariance\n"),
+    (["mc", "--ns", "8e307", "--eta", "0.5", "--nb", "1e308"],
+     "error: n_s = 8e+307 with n_b = 1e+308 overflows the return-channel covariance\n"),
 ])
 def test_extreme_n_s_without_a_finite_answer_exits_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message)

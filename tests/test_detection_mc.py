@@ -1,33 +1,29 @@
-"""Monte Carlo layer: sampling, covariance recovery, detector experiments."""
+"""Monte Carlo layer: the reference sampler, the exact detector tails and
+the gain experiment."""
 
 import math
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qi_rangekit import detection_mc
 from qi_rangekit.cli import MAX_TRIALS
 from qi_rangekit.detection_mc import (
     MIN_RESOLUTION,
     GainExperimentResult,
     ReturnChannelModel,
-    _BLOCK_TRIALS,
-    _exceedance_fractions,
     _gamma,
     _sample_mean,
-    _statistic_blocks,
     _statistic_scales,
     detector_gain_experiment,
-    estimate_covariance,
     exact_exceedance,
-    roc_estimate,
-    sample_quadratures,
 )
-from qi_rangekit.errors import CovarianceNotPSDError, DomainError, InsufficientTrialsError
+from qi_rangekit.errors import CovarianceNotPSDError, DomainError
 from qi_rangekit.quantum_states import coherent_covariance, tmsv_covariance
+from reference_sampler import estimate_covariance, sample_quadratures
 
 
 def entrywise_standard_error(cov: np.ndarray, n: int) -> np.ndarray:
@@ -217,20 +213,6 @@ def test_draw_statistic_matches_quadrature_product_moments():
     assert abs(var - variance) <= 5.0 * math.sqrt((fourth - variance**2) / n)
 
 
-def test_streamed_exceedance_counts_equal_those_of_the_concatenated_blocks():
-    # Three full blocks and a partial one.
-    cov = ReturnChannelModel(eta=0.3, n_b=2.0, base=tmsv_covariance(0.2)).present_covariance()
-    n = 3 * _BLOCK_TRIALS + 12_345
-    a, b = _statistic_scales(cov)
-    rng = np.random.Generator(np.random.PCG64(5))
-    blocks = [block.copy() for block in _statistic_blocks(a, b, n, rng)]
-    assert [block.size for block in blocks] == [_BLOCK_TRIALS] * 3 + [12_345]
-    draws = np.concatenate(blocks)
-    thresholds = [-1.5, 0.0, 1.5]
-    fractions = _exceedance_fractions(cov, thresholds, n, np.random.Generator(np.random.PCG64(5)))
-    assert fractions == tuple(np.count_nonzero(draws > t) / n for t in thresholds)
-
-
 def test_draw_statistic_rejects_other_covariances():
     base = np.asarray(tmsv_covariance(0.5))
     correlated = base.copy()
@@ -251,17 +233,11 @@ def test_draw_statistic_rejects_other_covariances():
 
 
 def test_gain_experiment_draws_the_statistic_directly(monkeypatch):
-    def no_quadratures(*args):
-        raise AssertionError("drew quadrature vectors")
-
-    monkeypatch.setattr(detection_mc, "_gaussian_factor", no_quadratures)
+    # no quadrature vectors and no arrays: the experiment runs where numpy
+    # cannot be imported
+    monkeypatch.setitem(sys.modules, "numpy", None)
     result = detector_gain_experiment(n_s=0.1, eta=0.5, n_b=1.0, trials=10**4, seed=0)
     assert math.isfinite(result.ratio)
-    model = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2))
-    roc = roc_estimate(
-        model.present_covariance(), model.absent_covariance(), [0.0], trials=10**4, seed=0
-    )
-    assert roc.p_d[0] > roc.p_fa[0]
 
 
 @pytest.mark.parametrize(
@@ -388,91 +364,28 @@ def test_gain_experiment_validation():
         detector_gain_experiment(n_s=0.1, eta=0.1, n_b=math.nan, trials=10**4, seed=0)
 
 
-def test_roc_null_case_diagonal():
-    cov = tmsv_covariance(0.2)
-    model = ReturnChannelModel(eta=0.3, n_b=5.0, base=cov)
-    absent = model.absent_covariance()
-    trials = 10**5
-    roc = roc_estimate(absent, absent, thresholds=[-2.0, 0.0, 2.0], trials=trials, seed=3)
-    for p_d, p_fa in zip(roc.p_d, roc.p_fa):
-        se = math.sqrt(2.0 * max(p_fa * (1 - p_fa), 1.0 / trials) / trials)
-        assert abs(p_d - p_fa) <= 5.0 * se
-
-
-def test_roc_low_threshold_limit():
-    model = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2))
-    roc = roc_estimate(
-        model.present_covariance(),
-        model.absent_covariance(),
-        thresholds=[-1e12],
-        trials=1000,
-        seed=4,
-    )
-    assert roc.p_d == (1.0,)
-    assert roc.p_fa == (1.0,)
-
-
-def test_roc_monotone_in_threshold():
-    model = ReturnChannelModel(eta=0.5, n_b=3.0, base=tmsv_covariance(0.3))
-    roc = roc_estimate(
-        model.present_covariance(),
-        model.absent_covariance(),
-        thresholds=[-5.0, -1.0, 0.0, 1.0, 5.0],
-        trials=10**5,
-        seed=5,
-    )
-    assert all(b <= a for a, b in zip(roc.p_d, roc.p_d[1:]))
-    assert all(b <= a for a, b in zip(roc.p_fa, roc.p_fa[1:]))
-
-
-def test_roc_higher_snr_dominates():
-    base = tmsv_covariance(0.3)
-    strong = ReturnChannelModel(eta=0.5, n_b=3.0, base=base)
-    weak = ReturnChannelModel(eta=0.05, n_b=3.0, base=base)
-    thresholds = [0.5, 1.0, 2.0]
-    trials = 2 * 10**5
-    # same absent-hypothesis stream (same seed): matched p_fa per threshold
-    roc_strong = roc_estimate(
-        strong.present_covariance(), strong.absent_covariance(), thresholds, trials, seed=9
-    )
-    roc_weak = roc_estimate(
-        weak.present_covariance(), weak.absent_covariance(), thresholds, trials, seed=9
-    )
-    assert roc_strong.p_fa == roc_weak.p_fa
-    assert all(s > w for s, w in zip(roc_strong.p_d, roc_weak.p_d))
-
-
-def test_roc_insufficient_trials():
-    model = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2))
-    with pytest.raises(InsufficientTrialsError):
-        roc_estimate(
-            model.present_covariance(),
-            model.absent_covariance(),
-            thresholds=[1e9],
-            trials=1000,
-            seed=6,
-        )
-
-
 def test_roc_rejects_covariance_without_block_form():
     absent = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2)).absent_covariance()
     correlated = np.array(absent)
     correlated[0, 1] = correlated[1, 0] = 0.1
     with pytest.raises(DomainError):
-        roc_estimate(correlated, absent, [0.0], trials=1000, seed=0)
+        exact_exceedance(correlated, 0.0)
 
 
 @pytest.mark.parametrize("transmitter", [tmsv_covariance, coherent_covariance])
 def test_roc_matches_exact_exceedance(transmitter):
-    # Binomial z-scores of the estimated p_d and p_fa against the exact
-    # asymmetric Laplace tails, at thresholds on both sides of 0.
+    # The ROC point at threshold t is (exact_exceedance(present, t),
+    # exact_exceedance(absent, t)).  Binomial z-scores of the exact tails
+    # against D = I_R*I_I - Q_R*Q_I of sampled quadratures, which share no
+    # formula with _statistic_scales, at thresholds on both sides of 0.
     model = ReturnChannelModel(eta=0.3, n_b=2.0, base=transmitter(0.5))
-    present, absent = model.present_covariance(), model.absent_covariance()
     thresholds = [-6.0, -1.5, 0.0, 1.5, 6.0]
     trials = 2 * 10**5
-    roc = roc_estimate(present, absent, thresholds, trials, seed=12)
-    for cov, estimates in ((present, roc.p_d), (absent, roc.p_fa)):
-        for t, estimate in zip(thresholds, estimates):
+    for seed, cov in enumerate((model.present_covariance(), model.absent_covariance()), 12):
+        x = sample_quadratures(cov, trials, seed=seed)
+        d = x[:, 0] * x[:, 2] - x[:, 1] * x[:, 3]
+        for t in thresholds:
+            estimate = np.count_nonzero(d > t) / trials
             exact = exact_exceedance(cov, t)
             assert 0.0 < exact < 1.0
             z = (estimate - exact) / math.sqrt(exact * (1.0 - exact) / trials)
@@ -503,12 +416,20 @@ def test_exact_exceedance_tails():
     assert exact_exceedance(pure, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
     with pytest.raises(DomainError):
         exact_exceedance(np.eye(3), 0.0)
-
-
-def test_roc_deterministic():
-    model = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2))
-    args = (model.present_covariance(), model.absent_covariance(), [0.0, 1.0], 10**4, 8)
-    assert roc_estimate(*args) == roc_estimate(*args)
+    # p_d and p_fa fall strictly as the threshold rises
+    strong = ReturnChannelModel(eta=0.5, n_b=3.0, base=tmsv_covariance(0.3))
+    thresholds = [-5.0, -1.0, 0.0, 1.0, 5.0]
+    for cov in (strong.present_covariance(), strong.absent_covariance()):
+        tails = [exact_exceedance(cov, t) for t in thresholds]
+        assert all(b < a for a, b in zip(tails, tails[1:]))
+    # a stronger return has the same p_fa and a higher p_d at these
+    # thresholds (past t ~ 24 the weak return's wider tail overtakes it)
+    weak = ReturnChannelModel(eta=0.05, n_b=3.0, base=tmsv_covariance(0.3))
+    assert strong.absent_covariance() == weak.absent_covariance()
+    for t in (0.5, 1.0, 2.0):
+        assert exact_exceedance(strong.present_covariance(), t) > exact_exceedance(
+            weak.present_covariance(), t
+        )
 
 
 def test_psd_tolerance_scales_with_the_entries():
@@ -522,16 +443,23 @@ def test_psd_tolerance_scales_with_the_entries():
     not_psd = ((s, 0.0, c, 0.0), (0.0, s, 0.0, -c), (c, 0.0, s, 0.0), (0.0, -c, 0.0, s))
     with pytest.raises(CovarianceNotPSDError):
         _statistic_scales(not_psd)
+    # and at the edge of the float range, where s_i + s_q overflows
+    s, c = 1e308, 1.01e308
+    not_psd = ((s, 0.0, c, 0.0), (0.0, s, 0.0, -c), (c, 0.0, s, 0.0), (0.0, -c, 0.0, s))
+    with pytest.raises(CovarianceNotPSDError):
+        _statistic_scales(not_psd)
     # below unit entries the tolerance is the absolute -1e-9
     with pytest.raises(CovarianceNotPSDError):
         sample_quadratures(np.diag([1.0, 1.0, 1.0, -2e-9]), 10, seed=0)
     sample_quadratures(np.diag([1.0, 1.0, 1.0, -0.5e-9]), 10, seed=0)
 
 
-@pytest.mark.parametrize("n_s", [1e16, 1e150, 1e200, 1e307])
+@pytest.mark.parametrize("n_s", [1e16, 1e150, 1e200, 1e307, 8e307])
 def test_gain_experiment_at_extreme_n_s(n_s):
-    # the squares of D's scales overflow past ~1e154 unless rescaled; the
-    # rescaling is exact, so the pinned ordinary-N_s output does not move
+    # the squares of D's scales overflow past ~1e154 unless rescaled, and
+    # the signal diagonal's sum past ~4.5e307 unless quartered first; both
+    # are exact or kept to where they overflow, so the pinned ordinary-N_s
+    # output does not move
     result = detector_gain_experiment(n_s=n_s, eta=0.5, n_b=1.0, trials=10**6, seed=5)
     assert result.resolved
     assert all(math.isfinite(v) for v in result)
@@ -539,7 +467,7 @@ def test_gain_experiment_at_extreme_n_s(n_s):
     assert abs(z) < 5.0
 
 
-@pytest.mark.parametrize("n_s, n_b", [(8e307, 1.0), (1.0, 1e308)])
+@pytest.mark.parametrize("n_s, n_b", [(1.0, 1e308)])
 def test_gain_experiment_overflowing_covariance_names_n_s(n_s, n_b):
     message = re.escape(f"n_s = {n_s!r} with n_b = {n_b!r} overflows")
     with pytest.raises(DomainError, match=message):
