@@ -5,7 +5,9 @@ package reproduces: sigma = 1 m^2, A = 0.5 m^2, B = 1 GHz, tau = 1 s,
 P_B = -63.82 dBm, SNR_min = 10 dB, P_d = 0.7, P_fa = 1e-6, and the
 frequency set {7 GHz, 95 GHz, 1 THz}.  Configs persist as a flat JSON
 object using the field names below; omitted fields fall back to these
-defaults, unknown fields are rejected.
+defaults, unknown fields are rejected.  :class:`ScenarioConfig` is the one
+scenario record: it checks the type and the domain of every field, and the
+range chain reads sigma, A, SNR_min and M = round(tau*B) from it directly.
 
 The table named by ``attenuation_table_path`` is loaded and checked once,
 when the config is built; every range chain takes gamma from it.
@@ -24,7 +26,7 @@ from . import radiometry
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import ConfigError, DomainError
-from .link_budget import DetectionSpec, IntegrationSpec, RadarParams
+from .radiometry import _require_positive
 
 #: Environment variable consulted for a config path when none is given.
 CONFIG_ENV_VAR = "QI_RANGEKIT_CONFIG"
@@ -49,9 +51,10 @@ def _as_float(name: str, value: object) -> float:
 class ScenarioConfig(Record):
     """The scenario, checked once on construction, which also builds the
     parts every range chain shares as derived (non-field) attributes:
-    ``radar``, ``detection``, ``integration``, ``noise_power_watts`` and
-    ``attenuation_table`` (``None`` when the path is lossless).  The
-    fields, in order, and their defaults are those of ``_field_defaults``."""
+    ``noise_power_watts`` and ``attenuation_table`` (``None`` when the path
+    is lossless).  The fields, in order, and their defaults are those of
+    ``_field_defaults``; :attr:`snr_min_linear` and :attr:`pulse_count` are
+    computed from them."""
 
     _field_defaults = {
         "sigma_m2": 1.0,
@@ -67,13 +70,13 @@ class ScenarioConfig(Record):
         "four_pi_exponent": 2,
     }
     _fields = tuple(_field_defaults)
-    __slots__ = _fields + (
-        "radar", "detection", "integration", "noise_power_watts", "attenuation_table",
-    )
+    __slots__ = _fields + ("noise_power_watts", "attenuation_table")
 
     def _check(self) -> None:
         for name in _NUMBER_FIELDS:
             _as_float(name, getattr(self, name))
+        if not isinstance(self.frequencies_hz, (list, tuple)):
+            raise ConfigError(f"frequencies_hz must be a list, got {self.frequencies_hz!r}")
         frequencies = tuple(_as_float("frequencies_hz", f) for f in self.frequencies_hz)
         if not frequencies:
             raise ConfigError("frequencies_hz must not be empty")
@@ -88,26 +91,47 @@ class ScenarioConfig(Record):
             raise ConfigError(
                 f"four_pi_exponent must be 2 or 4, got {self.four_pi_exponent!r}"
             )
+        if not (0.0 < self.p_fa < self.p_d < 1.0):
+            raise ConfigError(f"need 0 < p_fa < p_d < 1, got p_fa={self.p_fa!r}, p_d={self.p_d!r}")
+        if not math.isfinite(self.snr_min_db):
+            raise ConfigError(f"snr_min_db must be finite, got {self.snr_min_db!r}")
+        measurements = float(self.tau_s) * self.bandwidth_hz
         try:
-            derived = {
-                "radar": RadarParams(sigma_m2=self.sigma_m2, aperture_m2=self.aperture_m2),
-                "detection": DetectionSpec(
-                    p_d=self.p_d, p_fa=self.p_fa, snr_min_db=self.snr_min_db
-                ),
-                "integration": IntegrationSpec(tau_s=self.tau_s, bandwidth_hz=self.bandwidth_hz),
-                "noise_power_watts": radiometry.dbm_to_watts(self.noise_power_dbm),
-            }
+            _require_positive("target cross section", self.sigma_m2)
+            _require_positive("antenna aperture", self.aperture_m2)
+            try:
+                linear = self.snr_min_linear
+            except OverflowError:
+                linear = math.inf
+            _require_positive(f"linear SNR_min from snr_min_db = {self.snr_min_db!r}", linear)
+            _require_positive("integration time", self.tau_s)
+            _require_positive("bandwidth", self.bandwidth_hz)
+            _require_positive("tau * B", measurements)
+            watts = radiometry.dbm_to_watts(self.noise_power_dbm)
+            _require_positive(f"noise_power_dbm = {self.noise_power_dbm!r} in watts", watts)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        derived["attenuation_table"] = None
+        if self.pulse_count < 1:
+            raise ConfigError(f"tau * B = {measurements!r} rounds below 1 measurement")
+        object.__setattr__(self, "noise_power_watts", watts)
+        table = None
         if path is not None:
             from .atmosphere import load_table
 
-            derived["attenuation_table"] = load_table(path)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+            table = load_table(path)
+        object.__setattr__(self, "attenuation_table", table)
 
     # Derived scenario quantities -------------------------------------------
+
+    @property
+    def snr_min_linear(self) -> float:
+        """The configured threshold SNR_min as a linear ratio."""
+        return 10.0 ** (self.snr_min_db / 10.0)
+
+    @property
+    def pulse_count(self) -> int:
+        """The measurement count M = round(tau * B)."""
+        return round(self.tau_s * self.bandwidth_hz)
 
     def t_eff_kelvin(self, constants: PhysicalConstants = TEXTBOOK) -> float:
         """Effective noise temperature implied by the configured noise power."""
@@ -142,8 +166,6 @@ def parse_config(text: str) -> ScenarioConfig:
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if not isinstance(payload.get("frequencies_hz", []), list):
-        raise ConfigError("frequencies_hz must be a JSON array")
     return ScenarioConfig(**payload)
 
 

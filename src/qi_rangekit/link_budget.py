@@ -18,79 +18,23 @@ check against; the solver's ``RangeChain`` holds the same chain as a head
 sigma*G*A*M and a denominator (4*pi)^k * N_B that honours the configured
 (4*pi) exponent.
 
-The detection threshold SNR_min is a configured input.  The Albersheim
-closed-form estimator is provided as an advisory cross-check only; for
-P_d = 0.7, P_fa = 1e-6, M = 1 it returns ~12.1 dB where the configured
-default is 10 dB, and it never silently substitutes the configured value.
+This module holds only formulas; the scenario they take is checked by
+:class:`~qi_rangekit.config.ScenarioConfig`.  The detection threshold
+SNR_min is a configured input.  The Albersheim closed-form estimator is
+provided as an advisory cross-check only; for P_d = 0.7, P_fa = 1e-6, M = 1
+it returns ~12.1 dB where the configured default is 10 dB, and it never
+silently substitutes the configured value.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, UnphysicalGeometryError
 from .radiometry import _require_positive
 
 _FOUR_PI = 4.0 * math.pi
-
-
-class RadarParams(Record):
-    """Target cross section ``sigma_m2`` and effective antenna aperture
-    ``aperture_m2``, both in m^2.
-
-    The gain depends on frequency and is never stored; see :func:`antenna_gain`.
-    """
-
-    __slots__ = _fields = ("sigma_m2", "aperture_m2")
-
-    def _check(self) -> None:
-        _require_positive("target cross section", self.sigma_m2)
-        _require_positive("antenna aperture", self.aperture_m2)
-
-
-class DetectionSpec(Record):
-    """Detection operating point: ``p_d``, ``p_fa``, and the configured
-    SNR_min ``snr_min_db`` [dB]."""
-
-    __slots__ = _fields = ("p_d", "p_fa", "snr_min_db")
-
-    def _check(self) -> None:
-        if not (0.0 < self.p_fa < self.p_d < 1.0):
-            raise DomainError(
-                f"need 0 < p_fa < p_d < 1, got p_fa={self.p_fa!r}, p_d={self.p_d!r}"
-            )
-        if not math.isfinite(self.snr_min_db):
-            raise DomainError(f"snr_min_db must be finite, got {self.snr_min_db!r}")
-        try:
-            linear = self.snr_min_linear
-        except OverflowError:
-            linear = math.inf
-        _require_positive(f"linear SNR_min from snr_min_db = {self.snr_min_db!r}", linear)
-
-    @property
-    def snr_min_linear(self) -> float:
-        return 10.0 ** (self.snr_min_db / 10.0)
-
-
-class IntegrationSpec(Record):
-    """Integration time ``tau_s`` and bandwidth ``bandwidth_hz``; the
-    measurement count M = round(tau*B)."""
-
-    __slots__ = _fields = ("tau_s", "bandwidth_hz")
-
-    def _check(self) -> None:
-        _require_positive("integration time", self.tau_s)
-        _require_positive("bandwidth", self.bandwidth_hz)
-        if self.pulse_count < 1:
-            raise DomainError(
-                f"tau * B = {self.tau_s * self.bandwidth_hz!r} rounds below 1 measurement"
-            )
-
-    @property
-    def pulse_count(self) -> int:
-        return round(self.tau_s * self.bandwidth_hz)
 
 
 def antenna_gain(

@@ -286,14 +286,14 @@ def range_chain(
 
         gamma = atmosphere.gamma_at(table, f_hz)
     n_b = config.noise_occupancy(f_hz, constants)
-    radar, pulse_count = config.radar, config.integration.pulse_count
-    gain = antenna_gain(radar.aperture_m2, f_hz, constants)
+    pulse_count = config.pulse_count
+    gain = antenna_gain(config.aperture_m2, f_hz, constants)
     return RangeChain(
         gamma_db_per_km=gamma,
         n_b=n_b,
-        head=radar.sigma_m2 * gain * radar.aperture_m2 * pulse_count,
+        head=config.sigma_m2 * gain * config.aperture_m2 * pulse_count,
         denominator=_FOUR_PI**config.four_pi_exponent * n_b,
-        snr_min=config.detection.snr_min_linear,
+        snr_min=config.snr_min_linear,
         pulse_count=pulse_count,
     )
 

@@ -15,9 +15,6 @@ from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.detection_mc import detector_gain_experiment
 from qi_rangekit.errors import NoDetectionError, UnphysicalGeometryError
 from qi_rangekit.link_budget import (
-    DetectionSpec,
-    IntegrationSpec,
-    RadarParams,
     albersheim_snr_min,
     antenna_gain,
     channel_transmissivity,
@@ -124,31 +121,33 @@ def test_criterion_5_figure_3_consistency():
 
 
 def _random_point(rng: np.random.Generator):
-    """A random scenario as (chain, N_s, mode, radar, frequency)."""
+    """A random scenario as (chain, N_s, mode, config, frequency)."""
     def log_uniform(lo, hi):
         return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
-    radar = RadarParams(sigma_m2=log_uniform(0.1, 10.0), aperture_m2=log_uniform(0.05, 2.0))
-    detection = DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=float(rng.uniform(3.0, 20.0)))
-    integration = IntegrationSpec(
-        tau_s=log_uniform(0.01, 2.0), bandwidth_hz=log_uniform(1e8, 2e9)
+    config = ScenarioConfig(
+        sigma_m2=log_uniform(0.1, 10.0),
+        aperture_m2=log_uniform(0.05, 2.0),
+        snr_min_db=float(rng.uniform(3.0, 20.0)),
+        tau_s=log_uniform(0.01, 2.0),
+        bandwidth_hz=log_uniform(1e8, 2e9),
     )
     n_s = log_uniform(1e-3, 10.0)
     f_hz = log_uniform(5e9, 1e12)
     n_b = log_uniform(10.0, 1e5)
     gamma = log_uniform(0.01, 30.0)
     mode = Illumination.QI if rng.uniform() < 0.5 else Illumination.CI
-    pulse_count = integration.pulse_count
+    pulse_count = config.pulse_count
     chain = RangeChain(
         gamma_db_per_km=gamma,
         n_b=n_b,
-        head=radar.sigma_m2 * antenna_gain(radar.aperture_m2, f_hz) * radar.aperture_m2
+        head=config.sigma_m2 * antenna_gain(config.aperture_m2, f_hz) * config.aperture_m2
         * pulse_count,
         denominator=(4.0 * math.pi) ** 2 * n_b,
-        snr_min=detection.snr_min_linear,
+        snr_min=config.snr_min_linear,
         pulse_count=pulse_count,
     )
-    return chain, n_s, mode, radar, f_hz
+    return chain, n_s, mode, config, f_hz
 
 
 def test_criterion_6_solver_closure():
@@ -159,7 +158,7 @@ def test_criterion_6_solver_closure():
     while accepted < 100:
         attempts += 1
         assert attempts < 2000, "scenario generator failed to produce valid cases"
-        chain, n_s, mode, radar, f_hz = _random_point(rng)
+        chain, n_s, mode, config, f_hz = _random_point(rng)
         case = f"{chain} at N_s = {n_s!r}, {mode.value}"
         try:
             solution = chain.solve(n_s, mode)
@@ -168,12 +167,12 @@ def test_criterion_6_solver_closure():
         if not solution.converged:
             report(6, False, f"non-converged solve for {case}")
         # independent closure through the public link-budget chain
-        gain = antenna_gain(radar.aperture_m2, f_hz)
+        gain = antenna_gain(config.aperture_m2, f_hz)
         try:
             eta = channel_transmissivity(
-                radar.sigma_m2,
+                config.sigma_m2,
                 gain,
-                radar.aperture_m2,
+                config.aperture_m2,
                 form_factor(chain.gamma_db_per_km, solution.r_max_m),
                 solution.r_max_m,
             )
@@ -187,7 +186,7 @@ def test_criterion_6_solver_closure():
             report(6, False, f"closure residual {residual_db:.2e} dB for {case}")
         # closed-form free-space range: SNR_eff(R) = threshold at F = 1
         free_space = (
-            radar.sigma_m2 * gain * radar.aperture_m2 * chain.pulse_count * n_s
+            config.sigma_m2 * gain * config.aperture_m2 * chain.pulse_count * n_s
             / ((4.0 * math.pi) ** 2 * chain.n_b) / threshold
         ) ** 0.25
         if solution.r_max_m >= free_space:

@@ -435,6 +435,20 @@ def test_snr_min_db_out_of_float_range_exits_2(tmp_path, capsys, snr_min_db):
     assert "snr_min_db" in err
 
 
+@pytest.mark.parametrize("fields, field", [
+    ({"tau_s": 1e200, "bandwidth_hz": 1e200}, "tau * B"),
+    ({"noise_power_dbm": -4000}, "noise_power_dbm"),
+], ids=["tau_times_b_overflows", "noise_power_underflows"])
+@pytest.mark.parametrize("argv", [["--dump-config"], ["range", "--ns", "1", "--freq", "1e12"]],
+                         ids=["dump_config", "range"])
+def test_config_out_of_float_range_exits_2(tmp_path, capsys, fields, field, argv):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(fields), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config), *argv)
+    assert (code, out) == (2, "")
+    assert field in err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text("{not json", encoding="utf-8")
@@ -742,6 +756,9 @@ def test_scalar_commands_start_without_numpy(tmp_path, argv):
 UNUSED_MODULES = {
     "sweep": ["qi_rangekit.quantum_states", "qi_rangekit.atmosphere"],
     "range": ["qi_rangekit.quantum_states"],
+    "atten": ["qi_rangekit.link_budget", "qi_rangekit.range_solver", "qi_rangekit.quantum_states"],
+    "--dump-config": ["qi_rangekit.link_budget", "qi_rangekit.range_solver",
+                      "qi_rangekit.atmosphere"],
 }
 
 
@@ -752,12 +769,14 @@ UNUSED_MODULES = {
     ["power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"],
     ["sweep", "--figure", "3", "--points", "5"],
     ["range", "--ns", "1e-2", "--freq", "1e12"],
+    ["atten", "--freq", "60e9"],
+    ["--dump-config", "-"],
 ])
 def test_commands_import_only_the_modules_they_run(tmp_path, argv):
     statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
-    unused = UNUSED_MODULES.get(
-        argv[0], ["qi_rangekit.range_solver", "qi_rangekit.atmosphere", "json"]
-    )
+    unused = UNUSED_MODULES.get(argv[0], [
+        "qi_rangekit.range_solver", "qi_rangekit.atmosphere", "qi_rangekit.link_budget", "json",
+    ])
     assert _loaded_after(tmp_path, statement, unused) == []
 
 

@@ -9,7 +9,7 @@ import pytest
 from qi_rangekit.atmosphere import AttenuationTable, serialize_table
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_config
 from qi_rangekit.errors import ConfigError, TableParseError
-from qi_rangekit.link_budget import RadarParams, antenna_gain
+from qi_rangekit.link_budget import antenna_gain
 from qi_rangekit.radiometry import dbm_to_watts
 from qi_rangekit.range_solver import Illumination, range_chain, sweep_range
 
@@ -67,13 +67,17 @@ def test_invalid_json_rejected():
 def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         parse_config('{"sigma_m2": -1.0}')
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="target cross section"):
+        parse_config('{"sigma_m2": 0}')
+    with pytest.raises(ConfigError, match="p_fa"):
         parse_config('{"p_fa": 0.9, "p_d": 0.5}')
+    with pytest.raises(ConfigError, match="p_d=1.0"):
+        parse_config('{"p_d": 1.0}')
     with pytest.raises(ConfigError):
         parse_config('{"four_pi_exponent": 3}')
     with pytest.raises(ConfigError):
         parse_config('{"frequencies_hz": []}')
-    # value checks made by the link-budget specs and radiometry
+    # value checks made with radiometry's _require_positive and dbm_to_watts
     with pytest.raises(ConfigError, match="bandwidth"):
         parse_config('{"bandwidth_hz": 0}')
     with pytest.raises(ConfigError, match="antenna aperture"):
@@ -89,11 +93,29 @@ def test_invalid_values_rejected():
         parse_config('{"tau_s": 4e-10}')
 
 
-@pytest.mark.parametrize("snr_min_db", [4000, -4000], ids=["overflows", "underflows"])
-def test_snr_min_db_without_a_finite_positive_linear_value_rejected(snr_min_db):
-    # 10^400 overflows the float range and 10^-400 rounds to 0
-    with pytest.raises(ConfigError, match="snr_min_db"):
-        parse_config(json.dumps({"snr_min_db": snr_min_db}))
+def test_pulse_count_and_linear_snr_min():
+    cfg = ScenarioConfig()
+    assert cfg.pulse_count == 10**9
+    assert ScenarioConfig(tau_s=2.6, bandwidth_hz=1.0).pulse_count == 3
+    assert cfg.snr_min_linear == pytest.approx(10.0, rel=1e-15)
+
+
+def test_overflowing_tau_times_b_rejected():
+    # checked before rounding: round(inf) would raise OverflowError
+    with pytest.raises(ConfigError, match=r"tau \* B"):
+        parse_config('{"tau_s": 1e200, "bandwidth_hz": 1e200}')
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("snr_min_db", 4000), ("snr_min_db", -4000), ("noise_power_dbm", -4000)],
+    ids=["overflows", "underflows", "noise_power_underflows"],
+)
+def test_snr_min_db_without_a_finite_positive_linear_value_rejected(field, value):
+    # 10^400 overflows the float range and 10^-400 rounds to 0; the noise
+    # power, the other field given in dB, is checked the same way
+    with pytest.raises(ConfigError, match=field):
+        parse_config(json.dumps({field: value}))
 
 
 @pytest.mark.parametrize(
@@ -106,11 +128,18 @@ def test_snr_min_db_without_a_finite_positive_linear_value_rejected(snr_min_db):
         ('{"snr_min_db": null}', "snr_min_db"),
         ('{"tau_s": true}', "tau_s"),
         ('{"frequencies_hz": [7e9, false]}', "frequencies_hz"),
+        ('{"frequencies_hz": 7e9}', "frequencies_hz"),
     ],
 )
 def test_wrong_json_types_rejected(text, field):
     with pytest.raises(ConfigError, match=field):
         parse_config(text)
+
+
+@pytest.mark.parametrize("frequencies_hz", [7e9, "7e9", None])
+def test_frequencies_must_be_a_list(frequencies_hz):
+    with pytest.raises(ConfigError, match="frequencies_hz must be a list"):
+        ScenarioConfig(frequencies_hz=frequencies_hz)
 
 
 @pytest.mark.parametrize(
@@ -155,13 +184,13 @@ def test_range_chain_wires_scenario(tmp_path):
 
 
 def test_range_chain_reads_the_scenario_specs():
-    cfg = ScenarioConfig()
+    cfg = ScenarioConfig(sigma_m2=2.0, aperture_m2=0.25, tau_s=2.6, bandwidth_hz=1.0,
+                         snr_min_db=13.0)
     chain = range_chain(cfg, 1e12)
-    gain = antenna_gain(cfg.radar.aperture_m2, 1e12)
-    assert chain.head == cfg.radar.sigma_m2 * gain * cfg.radar.aperture_m2 * 10**9
-    assert chain.snr_min == cfg.detection.snr_min_linear
-    assert chain.pulse_count == cfg.integration.pulse_count
-    assert cfg.radar == RadarParams(sigma_m2=1.0, aperture_m2=0.5)
+    gain = antenna_gain(0.25, 1e12)
+    assert chain.head == 2.0 * gain * 0.25 * 3
+    assert chain.snr_min == cfg.snr_min_linear == 10.0**1.3
+    assert chain.pulse_count == cfg.pulse_count == 3
     assert cfg.noise_power_watts == dbm_to_watts(-63.82)
     # the built parts are not fields: equality and JSON see the 11 fields only
     assert ScenarioConfig._fields == (
@@ -169,7 +198,7 @@ def test_range_chain_reads_the_scenario_specs():
         "snr_min_db", "p_d", "p_fa", "frequencies_hz", "attenuation_table_path",
         "four_pi_exponent",
     )
-    assert "radar" not in json.loads(dump_config(cfg))
+    assert "pulse_count" not in json.loads(dump_config(cfg))
 
 
 def test_table_is_loaded_at_construction(tmp_path):

@@ -12,14 +12,7 @@ from qi_rangekit.atmosphere import bundled_table, form_factor
 from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.constants import CODATA, TEXTBOOK, PhysicalConstants
 from qi_rangekit.errors import ConfigError, DomainError, NoDetectionError, UnphysicalGeometryError
-from qi_rangekit.link_budget import (
-    DetectionSpec,
-    IntegrationSpec,
-    RadarParams,
-    antenna_gain,
-    channel_transmissivity,
-    snr_eff,
-)
+from qi_rangekit.link_budget import antenna_gain, channel_transmissivity, snr_eff
 from qi_rangekit.range_solver import (
     Illumination,
     RangeChain,
@@ -54,7 +47,7 @@ class Point(NamedTuple):
     @property
     def threshold(self) -> float:
         """SNR_min, divided by 1 + 1/N_s for the quantum transmitter."""
-        snr_min = self.config.detection.snr_min_linear
+        snr_min = self.config.snr_min_linear
         return snr_min / (1.0 + 1.0 / self.n_s) if self.mode is Illumination.QI else snr_min
 
 
@@ -63,16 +56,16 @@ def benchmark_point(n_s=1e-2, f_hz=1e12, mode=Illumination.CI, gamma=0.0, **fiel
     return Point(ScenarioConfig(**fields), n_s, f_hz, mode, gamma)
 
 
-def make_chain(radar, detection, integration, f_hz, n_b, gamma=0.0, four_pi_exponent=2):
-    """A chain built directly from scenario parts, so that N_B is free."""
-    gain = antenna_gain(radar.aperture_m2, f_hz)
-    pulse_count = integration.pulse_count
+def make_chain(config, f_hz, n_b, gamma=0.0):
+    """A chain built directly from a scenario, so that N_B is free."""
+    gain = antenna_gain(config.aperture_m2, f_hz)
+    pulse_count = config.pulse_count
     return RangeChain(
         gamma_db_per_km=gamma,
         n_b=n_b,
-        head=radar.sigma_m2 * gain * radar.aperture_m2 * pulse_count,
-        denominator=(4.0 * math.pi) ** four_pi_exponent * n_b,
-        snr_min=detection.snr_min_linear,
+        head=config.sigma_m2 * gain * config.aperture_m2 * pulse_count,
+        denominator=(4.0 * math.pi) ** config.four_pi_exponent * n_b,
+        snr_min=config.snr_min_linear,
         pulse_count=pulse_count,
     )
 
@@ -85,7 +78,7 @@ def independent_snr_eff(point: Point, r_m: float) -> float:
         config.sigma_m2, gain, config.aperture_m2, form_factor(point.gamma, r_m), r_m
     )
     n_b = config.noise_occupancy(point.f_hz, point.constants)
-    return snr_eff(eta, config.integration.pulse_count, point.n_s, n_b)
+    return snr_eff(eta, config.pulse_count, point.n_s, n_b)
 
 
 def raw_snr_eff(point: Point, r_m: float) -> float:
@@ -94,7 +87,7 @@ def raw_snr_eff(point: Point, r_m: float) -> float:
     config = point.config
     gain = antenna_gain(config.aperture_m2, point.f_hz, point.constants)
     chain = (
-        config.sigma_m2 * gain * config.aperture_m2 * config.integration.pulse_count * point.n_s
+        config.sigma_m2 * gain * config.aperture_m2 * config.pulse_count * point.n_s
     ) / (
         (4.0 * math.pi) ** config.four_pi_exponent
         * config.noise_occupancy(point.f_hz, point.constants)
@@ -230,21 +223,23 @@ def test_lambert_w_root_matches_bisection():
 
 
 def random_chain(rng, four_pi_exponent):
-    """A chain of random scenario parts, with its N_s, radar and frequency."""
+    """A chain of a random scenario, with its N_s, scenario and frequency."""
     def log_uniform(lo, hi):
         return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
 
-    radar = RadarParams(sigma_m2=log_uniform(1e-2, 1e2), aperture_m2=log_uniform(1e-2, 2.0))
-    detection = DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=float(rng.uniform(3.0, 20.0)))
-    integration = IntegrationSpec(
-        tau_s=log_uniform(0.01, 2.0), bandwidth_hz=log_uniform(1e8, 2e9)
+    config = ScenarioConfig(
+        sigma_m2=log_uniform(1e-2, 1e2),
+        aperture_m2=log_uniform(1e-2, 2.0),
+        snr_min_db=float(rng.uniform(3.0, 20.0)),
+        tau_s=log_uniform(0.01, 2.0),
+        bandwidth_hz=log_uniform(1e8, 2e9),
+        four_pi_exponent=four_pi_exponent,
     )
     n_s = log_uniform(1e-3, 10.0)
     f_hz = log_uniform(5e9, 1e12)
     n_b = log_uniform(10.0, 1e5)
     gamma = 0.0 if rng.uniform() < 0.2 else log_uniform(0.01, 30.0)
-    chain = make_chain(radar, detection, integration, f_hz, n_b, gamma, four_pi_exponent)
-    return chain, n_s, radar, f_hz
+    return make_chain(config, f_hz, n_b, gamma), n_s, config, f_hz
 
 
 @pytest.mark.parametrize("mode", list(Illumination))
@@ -253,7 +248,7 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
     rng = np.random.default_rng(1000 + four_pi_exponent)
     far = 0
     for _ in range(200):
-        chain, n_s, radar, f_hz = random_chain(rng, four_pi_exponent)
+        chain, n_s, config, f_hz = random_chain(rng, four_pi_exponent)
         root = chain.solve(n_s, mode).r_max_m
         threshold = chain.threshold(n_s, mode)
         snr_per_eta = chain.pulse_count * n_s / chain.n_b
@@ -265,9 +260,9 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
         assert eta * snr_per_eta == pytest.approx(threshold, rel=1e-12)
         if four_pi_exponent == 2:
             assert f_form == form_factor(chain.gamma_db_per_km, root)
-            gain = antenna_gain(radar.aperture_m2, f_hz)
+            gain = antenna_gain(config.aperture_m2, f_hz)
             reference = channel_transmissivity(
-                radar.sigma_m2, gain, radar.aperture_m2, f_form, root
+                config.sigma_m2, gain, config.aperture_m2, f_form, root
             )
             assert abs(eta - reference) <= 1e-15 * reference
         far += 1
@@ -282,9 +277,7 @@ def test_extreme_attenuation_still_solves():
 
 def test_no_detection_error():
     hopeless = make_chain(
-        radar=RadarParams(sigma_m2=1e-12, aperture_m2=1e-6),
-        detection=DetectionSpec(p_d=0.7, p_fa=1e-6, snr_min_db=10.0),
-        integration=IntegrationSpec(tau_s=1.0, bandwidth_hz=1.0),
+        ScenarioConfig(sigma_m2=1e-12, aperture_m2=1e-6, tau_s=1.0, bandwidth_hz=1.0),
         f_hz=1.0,
         n_b=1e6,
     )

@@ -9,8 +9,8 @@ from qi_rangekit.atmosphere import AttenuationTable
 from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.detection_mc import ReturnChannelModel
 from qi_rangekit.errors import ConfigError, DomainError, TableValidationError
-from qi_rangekit.link_budget import DetectionSpec, IntegrationSpec, RadarParams
 from qi_rangekit.quantum_states import tmsv_covariance
+from qi_rangekit.radiometry import dbm_to_watts
 from qi_rangekit.range_solver import RangeChain
 
 CHAIN = RangeChain(gamma_db_per_km=0.5, n_b=2.0, head=3.0, denominator=4.0, snr_min=10.0,
@@ -19,7 +19,7 @@ CHAIN = RangeChain(gamma_db_per_km=0.5, n_b=2.0, head=3.0, denominator=4.0, snr_
 
 def test_positional_and_keyword_construction_agree():
     assert RangeChain(0.5, 2.0, 3.0, 4.0, 10.0, 1) == CHAIN
-    assert RadarParams(1.0, 0.5) == RadarParams(aperture_m2=0.5, sigma_m2=1.0)
+    assert RangeChain(0.5, 2.0, 3.0, 4.0, pulse_count=1, snr_min=10.0) == CHAIN
     assert AttenuationTable(((1.0, 0.0), (2.0, 1.0))).source == ""
     assert ScenarioConfig(2.0).sigma_m2 == 2.0
     assert ScenarioConfig(2.0) == ScenarioConfig(sigma_m2=2.0)
@@ -27,20 +27,21 @@ def test_positional_and_keyword_construction_agree():
 
 def test_construction_rejects_wrong_arguments():
     with pytest.raises(TypeError, match="unexpected keyword argument 'sigma'"):
-        RadarParams(sigma=1.0, aperture_m2=0.5)
+        ScenarioConfig(sigma=1.0, aperture_m2=0.5)
     with pytest.raises(TypeError, match="unexpected keyword argument 'p_d_typo'"):
         ScenarioConfig(p_d_typo=0.8)
     with pytest.raises(TypeError, match="multiple values for argument 'sigma_m2'"):
-        RadarParams(1.0, sigma_m2=1.0)
-    with pytest.raises(TypeError, match="missing argument 'aperture_m2'"):
-        RadarParams(1.0)
+        ScenarioConfig(1.0, sigma_m2=1.0)
+    with pytest.raises(TypeError, match="missing argument 'rows'"):
+        AttenuationTable()
     with pytest.raises(TypeError):
-        RadarParams(1.0, 0.5, 3.0)
+        RangeChain(0.5, 2.0, 3.0, 4.0, 10.0, 1, 7.0)
 
 
 def test_records_cannot_be_assigned_to():
     for record, field in ((CHAIN, "n_b"), (ScenarioConfig(), "sigma_m2"),
-                          (ScenarioConfig(), "radar"), (IntegrationSpec(1.0, 1e9), "tau_s")):
+                          (ScenarioConfig(), "noise_power_watts"),
+                          (AttenuationTable(((1.0, 0.0), (2.0, 1.0))), "rows")):
         with pytest.raises(AttributeError):
             setattr(record, field, 1.0)
         with pytest.raises(AttributeError):
@@ -53,11 +54,15 @@ def test_equal_records_hash_equal():
     assert CHAIN == CHAIN.replace() and CHAIN is not CHAIN.replace()
     assert hash(CHAIN) == hash(CHAIN.replace())
     assert hash(ScenarioConfig()) == hash(ScenarioConfig(frequencies_hz=[7e9, 95e9, 1e12]))
-    assert len({DetectionSpec(0.7, 1e-6, 10.0), DetectionSpec(0.7, 1e-6, 10.0)}) == 1
+    assert len({ScenarioConfig(p_d=0.9), ScenarioConfig(p_d=0.9)}) == 1
     assert CHAIN != CHAIN.replace(n_b=3.0)
     # a record is not equal to a tuple, nor to a record of another type
-    assert RadarParams(1.0, 0.5) != (1.0, 0.5)
-    assert IntegrationSpec(1.0, 0.5e9) != RadarParams(1.0, 0.5e9)
+    class Table(AttenuationTable):
+        __slots__ = ()
+
+    rows = ((1.0, 0.0), (2.0, 1.0))
+    assert CHAIN != (0.5, 2.0, 3.0, 4.0, 10.0, 1)
+    assert Table(rows) != AttenuationTable(rows)
 
 
 def test_replace_runs_the_checks_again():
@@ -73,9 +78,9 @@ def test_replace_runs_the_checks_again():
 
 
 def test_replace_rebuilds_derived_attributes():
-    config = ScenarioConfig().replace(sigma_m2=2.0, p_d=0.9)
-    assert config.radar == RadarParams(2.0, 0.5)
-    assert config.detection.p_d == 0.9
+    config = ScenarioConfig().replace(noise_power_dbm=-60.0, tau_s=2.0)
+    assert config.noise_power_watts == dbm_to_watts(-60.0)
+    assert config.pulse_count == 2 * 10**9
     assert config.replace(frequencies_hz=[1e9]).frequencies_hz == (1e9,)
 
 
@@ -86,16 +91,17 @@ def test_checks_normalise_fields():
 
 
 def test_repr_lists_the_fields():
-    assert repr(RadarParams(1.0, 0.5)) == "RadarParams(sigma_m2=1.0, aperture_m2=0.5)"
+    assert repr(CHAIN) == ("RangeChain(gamma_db_per_km=0.5, n_b=2.0, head=3.0, denominator=4.0, "
+                           "snr_min=10.0, pulse_count=1)")
     assert repr(ScenarioConfig()).startswith("ScenarioConfig(sigma_m2=1.0, aperture_m2=0.5, ")
-    assert "radar" not in repr(ScenarioConfig())
+    assert "noise_power_watts" not in repr(ScenarioConfig())
 
 
 def test_records_pickle_through_their_checks():
     model = ReturnChannelModel(0.5, 1.0, tmsv_covariance(1.0))
     for record in (CHAIN, ScenarioConfig(p_d=0.9), model):
         assert pickle.loads(pickle.dumps(record)) == record
-    assert pickle.loads(pickle.dumps(ScenarioConfig())).radar == RadarParams(1.0, 0.5)
+    assert pickle.loads(pickle.dumps(ScenarioConfig())).noise_power_watts == dbm_to_watts(-63.82)
 
 
 def test_constants_are_a_named_tuple():
