@@ -93,13 +93,6 @@ def test_invalid_values_rejected():
         parse_config('{"tau_s": 4e-10}')
 
 
-def test_pulse_count_and_linear_snr_min():
-    cfg = ScenarioConfig()
-    assert cfg.pulse_count == 10**9
-    assert ScenarioConfig(tau_s=2.6, bandwidth_hz=1.0).pulse_count == 3
-    assert cfg.snr_min_linear == pytest.approx(10.0, rel=1e-15)
-
-
 def test_overflowing_tau_times_b_rejected():
     # checked before rounding: round(inf) would raise OverflowError
     with pytest.raises(ConfigError, match=r"tau \* B"):

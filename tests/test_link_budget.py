@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.constants import TEXTBOOK
-from qi_rangekit.errors import DomainError, UnphysicalGeometryError
+from qi_rangekit.errors import ConfigError, DomainError, UnphysicalGeometryError
 from qi_rangekit.link_budget import (
     albersheim_snr_min,
     antenna_gain,
@@ -38,6 +39,12 @@ def test_antenna_gain_values():
 def test_unit_gain_aperture():
     wavelength = TEXTBOOK.c / 10e9
     assert antenna_gain(wavelength**2 / FOUR_PI, 10e9) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_radar_params_recompute_gain():
+    # the radar inputs of the link budget are checked by ScenarioConfig
+    with pytest.raises(ConfigError, match="target cross section"):
+        ScenarioConfig(sigma_m2=0.0, aperture_m2=0.5)
 
 
 def test_transmissivity_closes_range_equation():
@@ -115,6 +122,22 @@ def test_snr_eff():
         )
     with pytest.raises(DomainError):
         snr_eff(0.5, 0, 0.2, 3.0)
+
+
+def test_integration_spec_pulse_count():
+    assert ScenarioConfig(tau_s=1.0, bandwidth_hz=1e9).pulse_count == 10**9
+    assert ScenarioConfig(tau_s=2.6, bandwidth_hz=1.0).pulse_count == 3
+    with pytest.raises(ConfigError, match=r"tau \* B"):
+        ScenarioConfig(tau_s=0.1, bandwidth_hz=1.0)  # rounds below one measurement
+
+
+def test_detection_spec_validation():
+    cfg = ScenarioConfig(p_d=0.7, p_fa=1e-6, snr_min_db=10.0)
+    assert cfg.snr_min_linear == pytest.approx(10.0, rel=1e-15)
+    with pytest.raises(ConfigError):
+        ScenarioConfig(p_d=0.5, p_fa=0.6, snr_min_db=10.0)
+    with pytest.raises(ConfigError):
+        ScenarioConfig(p_d=1.0, p_fa=1e-6, snr_min_db=10.0)
 
 
 def test_albersheim_reference_point():
