@@ -216,11 +216,12 @@ def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     else:
         table = config.attenuation_table or atmosphere.bundled_table()
     gamma = atmosphere.gamma_at(table, args.freq)
+    # computed before anything is printed, so its error leaves stdout empty
+    f_form = None if args.range_m is None else atmosphere.form_factor(gamma, args.range_m)
     lo, hi = table.span_ghz
     print(f"gamma({args.freq:.6g} Hz) = {gamma:.6g} dB/km "
           f"[table: {table.source or 'inline'}, span {lo:g}-{hi:g} GHz]", file=out)
-    if args.range_m is not None:
-        f_form = atmosphere.form_factor(gamma, args.range_m)
+    if f_form is not None:
         print(f"F({args.range_m:.6g} m) = {f_form:.6g} (one-way)", file=out)
     return EXIT_OK
 

@@ -4,13 +4,15 @@ The return channel and receiver are this package's own constructions (the
 analytic chain stops at the SNR ratio): a lossy thermal channel mixes the
 signal mode with the background, and the receiver correlates the returned
 mode against the retained idler through the statistic
-D = I_R*I_I - Q_R*Q_I.  Under the package-wide "2x symmetrized second
-moment" convention, a covariance matrix ``cov`` describes Gaussian
-quadrature vectors with ``E[x x^T] = cov / 2``.  Both transmitters keep the
-I and Q sectors uncorrelated, so D = a*E1 + b*E2 exactly, with a >= 0 >= b
-and E1, E2 independent Exp(1) variables.  That is an asymmetric Laplace
-law, and :func:`exact_exceedance` gives its tails in closed form: the
-detector's ROC point at threshold t is
+D = I_R*I_I - Q_R*Q_I.  Both transmitters, under both hypotheses, leave
+the returned mode and the idler in a block-form state, which is carried as
+the triple (s_return, s_idler, c): in the package-wide "2x symmetrized
+second moment" convention (``E[x x^T] = cov / 2``) the modes' I and Q
+variances are s_return and s_idler, their I sectors are correlated by c,
+their Q sectors by -c, and I and Q are uncorrelated.  Then
+D = a*E1 + b*E2 exactly, with a >= 0 >= b and E1, E2 independent Exp(1)
+variables.  That is an asymmetric Laplace law, and :func:`exact_exceedance`
+gives its tails in closed form: the detector's ROC point at threshold t is
 (exact_exceedance(present, t), exact_exceedance(absent, t)).
 
 :func:`detector_gain_experiment` needs only the sample mean of D under each
@@ -37,15 +39,14 @@ import math
 import random
 from typing import NamedTuple
 
-from ._record import Record
 from .errors import CovarianceNotPSDError, DomainError
-from .quantum_states import Matrix, coherent_covariance, tmsv_covariance
+from .quantum_states import coherent_block, tmsv_block
 from .radiometry import _require_non_negative, _require_positive
 
 _PSD_TOLERANCE = -1e-9
-_SYMMETRY_TOLERANCE = 1e-12
-# (row, column) of the signal/idler cross block; (column, row) mirrors it.
-_CROSS_BLOCK = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+#: A detector state (s_return, s_idler, c); see the module docstring.
+State = tuple[float, float, float]
 
 #: Smallest classical mean shift, in standard errors of the shift at the
 #: trial count, at which the gain experiment's ratio and first-order error
@@ -61,27 +62,6 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
-def _symmetric_4x4(matrix, name: str) -> Matrix:
-    """``matrix`` (any 4x4 nested sequence of numbers, arrays included) as
-    a :data:`Matrix`, if it is finite and symmetric to 1e-12."""
-    try:
-        rows = tuple(tuple(float(v) for v in row) for row in matrix)
-    except (TypeError, ValueError):
-        rows = ()
-    if (
-        len(rows) != 4
-        or any(len(row) != 4 for row in rows)
-        # also false for nan and inf entries
-        or not all(
-            abs(rows[j][k] - rows[k][j]) <= _SYMMETRY_TOLERANCE
-            for j in range(4)
-            for k in range(j + 1)
-        )
-    ):
-        raise DomainError(f"{name} must be a symmetric 4x4 matrix")
-    return rows
-
-
 def _require_psd(smallest_eigenvalue: float, largest_entry: float) -> None:
     # Round-off in the smallest eigenvalue grows with the entries, so the
     # tolerance scales with the largest |entry| (and is -1e-9 up to 1):
@@ -93,80 +73,43 @@ def _require_psd(smallest_eigenvalue: float, largest_entry: float) -> None:
         )
 
 
-class ReturnChannelModel(Record):
-    """Lossy thermal return channel applied to a transmitter covariance.
+def return_states(eta: float, n_b: float, s: float, c: float) -> tuple[State, State]:
+    """(present, absent) states of a lossy thermal return channel applied to
+    a transmitter of block (s, c), e.g. ``tmsv_block(n_s)``.
 
-    ``base`` is the 4x4 signal/idler covariance at the transmitter, any
-    symmetric 4x4 nested sequence (arrays included); it is kept, and
-    the covariances are returned, as :data:`Matrix` tuples.  Under the
-    target-present hypothesis the signal mode returns with transmissivity
-    ``eta`` mixed into a background of ``n_b`` photons per mode: its diagonal
-    becomes 2*(eta*N_s + (1 - eta)*N_B) + 1 and the signal/idler cross block
-    scales by sqrt(eta).  Under target-absent the returned mode is pure
-    thermal (diagonal 2*N_B + 1) with no idler correlation.
+    Under the target-present hypothesis the signal mode returns with
+    transmissivity ``eta`` mixed into a background of ``n_b`` photons per
+    mode: its diagonal becomes 2*(eta*N_s + (1 - eta)*N_B) + 1 and the
+    cross entry scales by sqrt(eta).  Under target-absent the returned mode
+    is pure thermal (diagonal 2*N_B + 1) with no idler correlation.
     """
-
-    __slots__ = _fields = ("eta", "n_b", "base")
-
-    def _check(self) -> None:
-        if not (math.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
-            raise DomainError(f"eta must be in (0, 1], got {self.eta!r}")
-        _require_non_negative("n_b", self.n_b)
-        object.__setattr__(self, "base", _symmetric_4x4(self.base, "base covariance"))
-
-    def _signal_photons(self) -> float:
-        # Mean photon number encoded in the signal diagonal block.  Quartering
-        # first keeps the sum finite above N_s ~4.5e307 and is exact.
-        return self.base[0][0] / 4.0 + self.base[1][1] / 4.0 - 0.5
-
-    def _with_signal_diagonal(self, s: float) -> list[list[float]]:
-        # base with its signal block set to diag(s, s)
-        out = [list(row) for row in self.base]
-        out[0][0:2], out[1][0:2] = [s, 0.0], [0.0, s]
-        return out
-
-    def present_covariance(self) -> Matrix:
-        s_return = 2.0 * (self.eta * self._signal_photons() + (1.0 - self.eta) * self.n_b) + 1.0
-        out = self._with_signal_diagonal(s_return)
-        root_eta = math.sqrt(self.eta)
-        for j, k in _CROSS_BLOCK:
-            out[j][k] *= root_eta
-            out[k][j] *= root_eta
-        return tuple(map(tuple, out))
-
-    def absent_covariance(self) -> Matrix:
-        out = self._with_signal_diagonal(2.0 * self.n_b + 1.0)
-        for j, k in _CROSS_BLOCK:
-            out[j][k] = out[k][j] = 0.0
-        return tuple(map(tuple, out))
+    if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
+        raise DomainError(f"eta must be in (0, 1], got {eta!r}")
+    n_b = _require_non_negative("n_b", n_b)
+    # Mean photon number encoded in the signal diagonal s = 2*N_s + 1.
+    # Quartering first keeps the sum finite above N_s ~4.5e307 and is exact.
+    n_s = s / 4.0 + s / 4.0 - 0.5
+    present = (2.0 * (eta * n_s + (1.0 - eta) * n_b) + 1.0, s, c * math.sqrt(eta))
+    return present, (2.0 * n_b + 1.0, s, 0.0)
 
 
-def _statistic_scales(cov) -> tuple[float, float]:
+def _statistic_scales(s_r: float, s_i: float, c: float) -> tuple[float, float]:
     """Scales (a, b), a >= 0 >= b, with d = I_R*I_I - Q_R*Q_I = a*E1 + b*E2
-    for independent Exp(1) variables E1, E2.
+    for independent Exp(1) variables E1, E2, in the state (s_r, s_i, c).
 
-    ``cov`` must have uncorrelated I and Q sectors, with I block
-    [[2p, 2r], [2r, 2q]] and Q block [[2p, -2r], [-2r, 2q]], as both
-    transmitters have with the target present or absent.  Then d is the
-    sum of two independent copies of a product x1*x2 of Gaussians with
-    covariance [[p, r], [r, q]].  Diagonalising one copy gives
-    ((r + sqrt(pq))*z1^2 + (r - sqrt(pq))*z2^2) / 2, and two halved
+    With p, q, r = s_r/2, s_i/2, c/2, d is the sum of two independent
+    copies of a product x1*x2 of Gaussians with covariance [[p, r], [r, q]]
+    (the I pair, and the Q pair with r negated).  Diagonalising one copy
+    gives ((r + sqrt(pq))*z1^2 + (r - sqrt(pq))*z2^2) / 2, and two halved
     chi-square(1) variables add up to one Exp(1) variable, so
-    a = r + sqrt(pq) and b = r - sqrt(pq); |r| <= sqrt(pq) as cov is PSD.
-    Both blocks have the eigenvalues of [[2p, 2r], [2r, 2q]], the smallest
-    being p + q - sqrt((p - q)^2 + 4r^2), which the PSD check reads from
-    the halved entries, so that it cannot overflow for finite entries.
+    a = r + sqrt(pq) and b = r - sqrt(pq); |r| <= sqrt(pq) as the state is
+    PSD.  Its smallest eigenvalue is p + q - sqrt((p - q)^2 + 4r^2), which
+    the PSD check reads from the halved entries, so that it cannot overflow.
     """
-    cov = _symmetric_4x4(cov, "covariance")
-    s_i, s_q, c = cov[0][0], cov[2][2], cov[0][2]
-    block = ((s_i, 0.0, c, 0.0), (0.0, s_i, 0.0, -c), (c, 0.0, s_q, 0.0), (0.0, -c, 0.0, s_q))
-    if cov != block:
-        raise DomainError(
-            "covariance must have uncorrelated I and Q sectors with equal "
-            "variances and opposite cross entries"
-        )
-    p, q, r = s_i / 2.0, s_q / 2.0, c / 2.0
-    _require_psd(p + q - math.hypot(p - q, 2.0 * r), max(abs(s_i), abs(s_q), abs(c)))
+    if not (math.isfinite(s_r) and math.isfinite(s_i) and math.isfinite(c)):
+        raise DomainError(f"state must be finite, got {(s_r, s_i, c)!r}")
+    p, q, r = s_r / 2.0, s_i / 2.0, c / 2.0
+    _require_psd(p + q - math.hypot(p - q, 2.0 * r), max(abs(s_r), abs(s_i), abs(c)))
     product = p * q
     if product == math.inf:  # p and q above ~1.3e154
         root = math.sqrt(p) * math.sqrt(q)
@@ -211,9 +154,9 @@ def _sample_mean(a: float, b: float, n: int, rng: random.Random) -> float:
     return (a * _gamma(n, rng) + b * _gamma(n, rng)) / n
 
 
-def exact_exceedance(cov, t: float) -> float:
-    """Exact P(D > t) of the correlation statistic under ``cov``, which must
-    be in the block form :func:`_statistic_scales` reads (else DomainError).
+def exact_exceedance(state: State, t: float) -> float:
+    """Exact P(D > t) of the correlation statistic in ``state``, a
+    (s_return, s_idler, c) triple as :func:`return_states` gives.
 
     D = a*E1 + b*E2 (a >= 0 >= b) is asymmetric Laplace: its moment
     generating function 1/((1 - a*s)(1 - b*s)) splits into
@@ -223,9 +166,11 @@ def exact_exceedance(cov, t: float) -> float:
     1 - (-b)/(a - b) * exp(-t/b) for t < 0.  The detector's ROC point at
     threshold t is (exact_exceedance(present, t), exact_exceedance(absent, t)).
     """
-    a, b = _statistic_scales(cov)
-    weight = a / (a - b) if a > 0.0 else 0.0
+    a, b = _statistic_scales(*state)
     t = float(t)
+    if math.isnan(t):
+        raise DomainError(f"threshold must be a number, got {t!r}")
+    weight = a / (a - b) if a > 0.0 else 0.0
     if t >= 0.0:
         return weight * math.exp(-t / a) if a > 0.0 else 0.0
     return 1.0 - (1.0 - weight) * math.exp(-t / b) if b < 0.0 else 1.0
@@ -274,7 +219,7 @@ def detector_gain_experiment(
 ) -> GainExperimentResult:
     """Estimate the detector's quantum/classical SNR-gain ratio empirically.
 
-    Builds present/absent return channels for both transmitters at the same
+    Builds the present/absent return states of both transmitters at the same
     (n_s, eta, n_b) and, for each of the four, draws the mean of D over
     ``trials`` modes from its exact sum: two gamma draws, taken in a fixed
     order (quantum then classical, present then absent) from one
@@ -297,14 +242,13 @@ def detector_gain_experiment(
 
     # ((a, b) present, (a, b) absent) of the quantum, then the classical transmitter
     scales = []
-    for base in (tmsv_covariance(n_s), coherent_covariance(n_s)):
-        model = ReturnChannelModel(eta=eta, n_b=n_b, base=base)
-        covariances = (model.present_covariance(), model.absent_covariance())
-        if not all(math.isfinite(v) for cov in covariances for row in cov for v in row):
+    for block in (tmsv_block, coherent_block):
+        states = return_states(eta, n_b, *block(n_s))
+        if not all(math.isfinite(v) for state in states for v in state):
             raise DomainError(
                 f"n_s = {n_s!r} with n_b = {n_b!r} overflows the return-channel covariance"
             )
-        scales.append(tuple(_statistic_scales(cov) for cov in covariances))
+        scales.append(tuple(_statistic_scales(*state) for state in states))
     # No reported quantity changes when all eight scales are multiplied by
     # one factor, so they are divided by the power of two that brings the
     # largest into [0.5, 1): exactly, and so that the squares below cannot

@@ -2,16 +2,17 @@
 
 Two transmitters are modeled: a two-mode squeezed vacuum (entangled
 signal/idler pair from CW parametric down-conversion) and a pair of
-correlated coherent states obtained by splitting one coherent field.  For
-each, this module provides the closed-form 4x4 quadrature covariance matrix
-and an independent oracle that recomputes the same matrix as expectation
-values in a truncated Fock space.  The oracles apply the truncated ladder
-operators to the state's Fock coefficients and sum the products; no
-closed-form moment enters.  They follow each state's structure: the TMSV
-is diagonal, sum_n c_n |n, n>, so every quadrature applied to it lies on
-two off-diagonals, and the coherent pair is a product, so every moment
-factorises into two single-mode sums.  Both hold O(n_max) numbers, in plain
-Python lists, so the module does not load numpy.
+correlated coherent states obtained by splitting one coherent field.  Each
+is in block form, fixed by (S, C) (:func:`tmsv_block`, :func:`coherent_block`).
+This module also builds each one's 4x4 quadrature covariance matrix from
+its block, and an independent oracle that recomputes the same matrix as
+expectation values in a truncated Fock space.  The oracles apply the
+truncated ladder operators to the state's Fock coefficients and sum the
+products; no closed-form moment enters.  They follow each state's
+structure: the TMSV is diagonal, sum_n c_n |n, n>, so every quadrature
+applied to it lies on two off-diagonals, and the coherent pair is a
+product, so every moment factorises into two single-mode sums.  Both hold
+O(n_max) numbers, in plain Python lists, so the module does not load numpy.
 
 Every function that returns a matrix returns it as a tuple of four row
 tuples of floats, ``cov[j][k]``; ``numpy.asarray`` turns it into a 4x4 array.
@@ -82,10 +83,10 @@ def _diagonal(n_s: float) -> float:
     return s
 
 
-def tmsv_covariance(n_s: float) -> Matrix:
-    """Covariance matrix of the entangled (two-mode squeezed vacuum) pair.
+def tmsv_block(n_s: float) -> tuple[float, float]:
+    """(S, C_q) of the entangled (two-mode squeezed vacuum) pair: diagonal
+    S = 2*n_s + 1 and cross entries +/- C_q = 2*sqrt(n_s*(n_s + 1)).
 
-    Diagonal S = 2*n_s + 1, cross entries +/- C_q = 2*sqrt(n_s*(n_s + 1)).
     ``n_s = 0`` is admitted as the documented vacuum limit (S = 1, C_q = 0).
     Raises :class:`DomainError` where S overflows.
     """
@@ -93,22 +94,28 @@ def tmsv_covariance(n_s: float) -> Matrix:
     s = _diagonal(n_s)
     product = n_s * (n_s + 1.0)
     if product == math.inf:  # n_s above ~1.3e154
-        c_q = 2.0 * math.sqrt(n_s) * math.sqrt(n_s + 1.0)
-    else:
-        c_q = 2.0 * math.sqrt(product)
-    return _block_covariance(s, c_q)
+        return s, 2.0 * math.sqrt(n_s) * math.sqrt(n_s + 1.0)
+    return s, 2.0 * math.sqrt(product)
+
+
+def coherent_block(n_s: float) -> tuple[float, float]:
+    """(S, C_c) of the correlated coherent-state pair's model matrix:
+    diagonal S = 2*n_s + 1 and cross entries +/- C_c = 2*n_s (see the module
+    docstring for how it differs from the literal product coherent state in
+    the Q sector).  Raises :class:`DomainError` where S overflows.
+    """
+    n_s = _require_non_negative("n_s", n_s)
+    return _diagonal(n_s), 2.0 * n_s
+
+
+def tmsv_covariance(n_s: float) -> Matrix:
+    """Covariance matrix of the entangled pair, built from :func:`tmsv_block`."""
+    return _block_covariance(*tmsv_block(n_s))
 
 
 def coherent_covariance(n_s: float) -> Matrix:
-    """Model covariance matrix of the correlated coherent-state pair.
-
-    Diagonal S = 2*n_s + 1, cross entries +/- C_c = 2*n_s.  This is the
-    model matrix used downstream; see the module docstring for how it
-    differs from the literal product coherent state in the Q sector.
-    Raises :class:`DomainError` where S overflows.
-    """
-    n_s = _require_non_negative("n_s", n_s)
-    return _block_covariance(_diagonal(n_s), 2.0 * n_s)
+    """Model covariance matrix of the coherent pair, built from :func:`coherent_block`."""
+    return _block_covariance(*coherent_block(n_s))
 
 
 def correlation_ratio(n_s: float) -> float:

@@ -55,12 +55,19 @@ def transmit_power(
     """Transmit power P_t = N_s * h * f * B in watts.
 
     A transmitter emitting ``n_s`` photons per mode at frequency ``f_hz``
-    over bandwidth ``b_hz``.  Linear in each argument.
+    over bandwidth ``b_hz``.  Linear in each argument.  Raises
+    :class:`DomainError` where the product overflows or underflows to 0.
     """
     n_s = _require_positive("photons per mode", n_s)
     f_hz = _require_positive("frequency", f_hz)
     b_hz = _require_positive("bandwidth", b_hz)
-    return n_s * constants.h * f_hz * b_hz
+    watts = n_s * constants.h * f_hz * b_hz
+    if watts == math.inf or watts == 0.0:
+        raise DomainError(
+            f"N_s*h*f*B {'overflows' if watts else 'underflows to 0'} at n_s = {n_s!r}, "
+            f"f = {f_hz!r} Hz, B = {b_hz!r} Hz"
+        )
+    return watts
 
 
 def photons_per_mode(

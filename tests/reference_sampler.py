@@ -13,16 +13,29 @@ none of its formulas.
 
 import numpy as np
 
-from qi_rangekit.detection_mc import _require_psd, _symmetric_4x4, _validate_seed
+from qi_rangekit.detection_mc import _require_psd, _validate_seed
 from qi_rangekit.errors import DomainError
 
 
+def state_covariance(state) -> np.ndarray:
+    """The 4x4 covariance, in the order (I_R, Q_R, I_I, Q_I), of a detector
+    state (s_return, s_idler, c): diagonal (s_return, s_return, s_idler,
+    s_idler), I sectors correlated by c, Q sectors by -c."""
+    s_r, s_i, c = state
+    return np.array(
+        [[s_r, 0.0, c, 0.0], [0.0, s_r, 0.0, -c], [c, 0.0, s_i, 0.0], [0.0, -c, 0.0, s_i]]
+    )
+
+
 def _gaussian_factor(cov) -> np.ndarray:
-    """Factor L with L @ L.T = cov / 2 of a symmetric PSD 4x4 covariance,
-    clamping round-off negatives."""
-    matrix = _symmetric_4x4(cov, "covariance")
-    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(matrix))
-    _require_psd(float(eigenvalues.min()), max(abs(v) for row in matrix for v in row))
+    """Factor L with L @ L.T = cov / 2 of a finite, symmetric (to 1e-12) PSD
+    4x4 covariance, clamping round-off negatives."""
+    matrix = np.asarray(cov, dtype=float)
+    # also false for nan and inf entries
+    if matrix.shape != (4, 4) or not np.all(np.abs(matrix - matrix.T) <= 1e-12):
+        raise DomainError("covariance must be a symmetric 4x4 matrix")
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    _require_psd(float(eigenvalues.min()), float(np.abs(matrix).max()))
     return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None) / 2.0)
 
 

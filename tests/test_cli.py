@@ -151,6 +151,13 @@ def test_atten_bundled_lookup(capsys):
     assert "F(" in out
 
 
+@pytest.mark.parametrize("range_m", ["-1", "inf"])
+def test_atten_with_a_bad_range_exits_2_with_empty_stdout(capsys, range_m):
+    code, out, err = run_cli(capsys, "atten", "--freq", "60e9", "--range-m", range_m)
+    assert (code, out) == (2, "")
+    assert err == f"error: range must be non-negative and finite, got {float(range_m)!r}\n"
+
+
 def test_atten_out_of_span_exits_2(capsys):
     code, _, err = run_cli(capsys, "atten", "--freq", "0.1e9")
     assert code == 2
@@ -640,6 +647,25 @@ def test_mc_deterministic_output(capsys):
     assert "deflection-SNR gain" in first
 
 
+@pytest.mark.parametrize("n_s, seed, expected", [
+    # the three benchmark points
+    ("0.01", "1",
+     "deflection-SNR gain (QI/CI) = 98.4056 +/- 22 (QI 0.013303, CI 0.000135185, "
+     "1000000 trials, seed 1)\nanalytic 1 + 1/N_s = 101, z = -0.118\n"),
+    ("0.1", "2",
+     "deflection-SNR gain (QI/CI) = 11.5733 +/- 0.306 (QI 0.123104, CI 0.0106369, "
+     "1000000 trials, seed 2)\nanalytic 1 + 1/N_s = 11, z = +1.87\n"),
+    ("1", "3",
+     "deflection-SNR gain (QI/CI) = 2.00992 +/- 0.0112 (QI 0.8886, CI 0.442107, "
+     "1000000 trials, seed 3)\nanalytic 1 + 1/N_s = 2, z = +0.885\n"),
+])
+def test_mc_output_is_pinned(capsys, n_s, seed, expected):
+    argv = ["mc", "--ns", n_s, "--eta", "0.5", "--nb", "1", "--trials", "1000000", "--seed", seed]
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    argv[argv.index("--eta") + 1] = "1.5"
+    assert run_cli(capsys, *argv) == (2, "", "error: eta must be in (0, 1], got 1.5\n")
+
+
 def test_mc_low_photon_advantage(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -840,6 +866,8 @@ def test_extreme_n_s_gives_a_finite_answer(capsys, argv, expected):
      "error: n_s = 1e+308 is too large: the diagonal 2*n_s + 1 overflows\n"),
     (["mc", "--ns", "8e307", "--eta", "0.5", "--nb", "1e308"],
      "error: n_s = 8e+307 with n_b = 1e+308 overflows the return-channel covariance\n"),
+    (["power", "--ns", "1e308", "--freq", "1e30", "--bw", "1e30"],
+     "error: N_s*h*f*B overflows at n_s = 1e+308, f = 1e+30 Hz, B = 1e+30 Hz\n"),
 ])
 def test_extreme_n_s_without_a_finite_answer_exits_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message)

@@ -14,16 +14,25 @@ from qi_rangekit.cli import MAX_TRIALS
 from qi_rangekit.detection_mc import (
     MIN_RESOLUTION,
     GainExperimentResult,
-    ReturnChannelModel,
     _gamma,
     _sample_mean,
     _statistic_scales,
     detector_gain_experiment,
     exact_exceedance,
+    return_states,
 )
 from qi_rangekit.errors import CovarianceNotPSDError, DomainError
-from qi_rangekit.quantum_states import coherent_covariance, tmsv_covariance
-from reference_sampler import estimate_covariance, sample_quadratures
+from qi_rangekit.quantum_states import (
+    coherent_block,
+    coherent_covariance,
+    tmsv_block,
+    tmsv_covariance,
+)
+from reference_sampler import estimate_covariance, sample_quadratures, state_covariance
+
+TRANSMITTERS = pytest.mark.parametrize(
+    "transmitter", [tmsv_block, coherent_block], ids=["tmsv_covariance", "coherent_covariance"]
+)
 
 
 def entrywise_standard_error(cov: np.ndarray, n: int) -> np.ndarray:
@@ -105,30 +114,32 @@ def test_seed_validation():
 
 
 def test_return_channel_covariances():
+    s, c = tmsv_block(0.5)
+    present, absent = return_states(0.25, 2.0, s, c)
+    # returned-signal diagonal 2*(eta*N_s + (1-eta)*N_B) + 1, cross entry
+    # scaled by sqrt(eta), idler diagonal untouched
+    assert present[0] == pytest.approx(2.0 * (0.25 * 0.5 + 0.75 * 2.0) + 1.0, rel=1e-15)
+    assert present[1] == s
+    assert present[2] == pytest.approx(0.5 * c, rel=1e-15)
+    # target absent: thermal return (2*N_B + 1), no correlation
+    assert absent == (5.0, s, 0.0)
+    # the 4x4 matrices of the triples are symmetric, with the transmitter's
+    # idler block and the cross block diag(c, -c)
     base = np.asarray(tmsv_covariance(0.5))
-    model = ReturnChannelModel(eta=0.25, n_b=2.0, base=base)
-    present = np.asarray(model.present_covariance())
-    # returned-signal diagonal: 2*(eta*N_s + (1-eta)*N_B) + 1
-    assert present[0, 0] == pytest.approx(2.0 * (0.25 * 0.5 + 0.75 * 2.0) + 1.0, rel=1e-15)
-    assert present[1, 1] == present[0, 0]
-    # cross block scaled by sqrt(eta); idler block untouched
-    assert present[0, 2] == pytest.approx(0.5 * base[0, 2], rel=1e-15)
-    assert present[1, 3] == pytest.approx(0.5 * base[1, 3], rel=1e-15)
-    assert np.array_equal(present[2:, 2:], base[2:, 2:])
-
-    absent = np.asarray(model.absent_covariance())
-    assert absent[0, 0] == absent[1, 1] == 5.0
-    assert np.all(absent[0:2, 2:4] == 0.0)
-    assert np.array_equal(absent[2:, 2:], base[2:, 2:])
-    assert np.array_equal(present, present.T)
-    assert np.array_equal(absent, absent.T)
+    for state in (present, absent):
+        cov = state_covariance(state)
+        assert np.array_equal(cov, cov.T)
+        assert np.array_equal(cov[2:, 2:], base[2:, 2:])
+        assert cov[1, 3] == -cov[0, 2] == -state[2]
 
 
 def test_return_channel_validation():
-    with pytest.raises(DomainError):
-        ReturnChannelModel(eta=0.0, n_b=1.0, base=tmsv_covariance(0.5))
-    with pytest.raises(DomainError):
-        ReturnChannelModel(eta=0.5, n_b=-1.0, base=tmsv_covariance(0.5))
+    with pytest.raises(DomainError, match=r"eta must be in \(0, 1\], got 0\.0"):
+        return_states(0.0, 1.0, *tmsv_block(0.5))
+    with pytest.raises(DomainError, match=r"eta must be in \(0, 1\], got nan"):
+        return_states(math.nan, 1.0, *tmsv_block(0.5))
+    with pytest.raises(DomainError, match=r"n_b must be non-negative and finite, got -1\.0"):
+        return_states(0.5, -1.0, *tmsv_block(0.5))
 
 
 def test_gain_experiment_deterministic():
@@ -177,15 +188,15 @@ def test_gain_experiment_trend_over_decade():
     assert all(r.ratio >= 1.0 - 3.0 * r.standard_error for r in results)
 
 
-@pytest.mark.parametrize("transmitter", [tmsv_covariance, coherent_covariance])
-@pytest.mark.parametrize("hypothesis", ["present_covariance", "absent_covariance"])
+@TRANSMITTERS
+@pytest.mark.parametrize("hypothesis", [0, 1], ids=["present_covariance", "absent_covariance"])
 def test_draw_statistic_moments(transmitter, hypothesis):
     # D = a*E1 + b*E2 with a, b = r +/- sqrt(pq): cumulants k_n = (n-1)!(a^n + b^n),
     # so E[D] = 2r and Var[D] = 2(r^2 + pq).  The mean of n draws, taken from
     # the exact sum, has mean 2r, variance k2/n and fourth cumulant k4/n^3.
-    cov = getattr(ReturnChannelModel(eta=0.3, n_b=2.0, base=transmitter(0.2)), hypothesis)()
-    p, q, r = cov[0][0] / 2, cov[2][2] / 2, cov[0][2] / 2
-    a, b = _statistic_scales(cov)
+    state = return_states(0.3, 2.0, *transmitter(0.2))[hypothesis]
+    p, q, r = (x / 2 for x in state)
+    a, b = _statistic_scales(*state)
     assert (a, b) == pytest.approx((r + math.sqrt(p * q), r - math.sqrt(p * q)), rel=1e-15)
     k2, k4 = a**2 + b**2, 6.0 * (a**4 + b**4)
     assert k2 == pytest.approx(2.0 * (r**2 + p * q), rel=1e-12)
@@ -201,11 +212,11 @@ def test_draw_statistic_moments(transmitter, hypothesis):
 def test_draw_statistic_matches_quadrature_product_moments():
     # The exact mean and variance of D = a*E1 + b*E2, which the gain
     # experiment uses, match those of the product of four drawn quadratures.
-    cov = ReturnChannelModel(eta=0.5, n_b=1.0, base=tmsv_covariance(0.1)).present_covariance()
+    state = return_states(0.5, 1.0, *tmsv_block(0.1))[0]
     n = 10**6
-    a, b = _statistic_scales(cov)
+    a, b = _statistic_scales(*state)
     mean, var = a + b, a * a + b * b
-    samples = sample_quadratures(cov, n, seed=4)
+    samples = sample_quadratures(state_covariance(state), n, seed=4)
     product = samples[:, 0] * samples[:, 2] - samples[:, 1] * samples[:, 3]
     variance = product.var()
     fourth = float(np.mean((product - product.mean()) ** 4))
@@ -214,21 +225,12 @@ def test_draw_statistic_matches_quadrature_product_moments():
 
 
 def test_draw_statistic_rejects_other_covariances():
-    base = np.asarray(tmsv_covariance(0.5))
-    correlated = base.copy()
-    correlated[0, 1] = correlated[1, 0] = 0.1  # I and Q sectors correlated
-    unequal = base.copy()
-    unequal[1, 1] = 3.0  # Q variance differs from I variance
-    same_sign = base.copy()
-    same_sign[1, 3] = same_sign[3, 1] = base[0, 2]  # not phase-conjugate
-    for cov in (correlated, unequal, same_sign, np.eye(3), base + np.triu(np.ones((4, 4)))):
-        with pytest.raises(DomainError):
-            _statistic_scales(cov)
-    not_psd = base.copy()
-    not_psd[0, 2] = not_psd[2, 0] = 5.0  # |cross| above the variances
-    not_psd[1, 3] = not_psd[3, 1] = -5.0
+    s, _ = tmsv_block(0.5)
+    for state in ((math.nan, s, 1.0), (s, math.inf, 1.0), (s, s, -math.inf)):
+        with pytest.raises(DomainError, match="state must be finite"):
+            _statistic_scales(*state)
     with pytest.raises(CovarianceNotPSDError) as info:
-        _statistic_scales(not_psd)
+        _statistic_scales(s, s, 5.0)  # |cross| above the variances
     assert info.value.eigenvalue == pytest.approx(2.0 - 5.0)
 
 
@@ -365,36 +367,35 @@ def test_gain_experiment_validation():
 
 
 def test_roc_rejects_covariance_without_block_form():
-    absent = ReturnChannelModel(eta=0.3, n_b=5.0, base=tmsv_covariance(0.2)).absent_covariance()
-    correlated = np.array(absent)
-    correlated[0, 1] = correlated[1, 0] = 0.1
-    with pytest.raises(DomainError):
-        exact_exceedance(correlated, 0.0)
+    # a state whose cross entry exceeds sqrt(s_return*s_idler) is no covariance
+    with pytest.raises(CovarianceNotPSDError) as info:
+        exact_exceedance((1.0, 4.0, 2.5), 0.0)
+    assert info.value.eigenvalue == pytest.approx(2.5 - math.hypot(1.5, 2.5))
 
 
-@pytest.mark.parametrize("transmitter", [tmsv_covariance, coherent_covariance])
+@TRANSMITTERS
 def test_roc_matches_exact_exceedance(transmitter):
     # The ROC point at threshold t is (exact_exceedance(present, t),
     # exact_exceedance(absent, t)).  Binomial z-scores of the exact tails
-    # against D = I_R*I_I - Q_R*Q_I of sampled quadratures, which share no
-    # formula with _statistic_scales, at thresholds on both sides of 0.
-    model = ReturnChannelModel(eta=0.3, n_b=2.0, base=transmitter(0.5))
+    # against D = I_R*I_I - Q_R*Q_I of quadratures sampled from the 4x4
+    # matrices, which share no formula with _statistic_scales, at
+    # thresholds on both sides of 0.
     thresholds = [-6.0, -1.5, 0.0, 1.5, 6.0]
     trials = 2 * 10**5
-    for seed, cov in enumerate((model.present_covariance(), model.absent_covariance()), 12):
-        x = sample_quadratures(cov, trials, seed=seed)
+    for seed, state in enumerate(return_states(0.3, 2.0, *transmitter(0.5)), 12):
+        x = sample_quadratures(state_covariance(state), trials, seed=seed)
         d = x[:, 0] * x[:, 2] - x[:, 1] * x[:, 3]
         for t in thresholds:
             estimate = np.count_nonzero(d > t) / trials
-            exact = exact_exceedance(cov, t)
+            exact = exact_exceedance(state, t)
             assert 0.0 < exact < 1.0
             z = (estimate - exact) / math.sqrt(exact * (1.0 - exact) / trials)
             assert abs(z) <= 5.0, (t, estimate, exact)
 
 
 def test_exact_exceedance_tails():
-    cov = ReturnChannelModel(eta=0.3, n_b=2.0, base=tmsv_covariance(0.5)).present_covariance()
-    a, b = _statistic_scales(cov)
+    cov, absent = return_states(0.3, 2.0, *tmsv_block(0.5))
+    a, b = _statistic_scales(*cov)
     assert a > 0.0 > b
     # continuous at 0, where P(D > 0) = a/(a - b)
     assert exact_exceedance(cov, 0.0) == pytest.approx(a / (a - b), rel=1e-15)
@@ -403,51 +404,44 @@ def test_exact_exceedance_tails():
     assert exact_exceedance(cov, 2.0 * b) == pytest.approx(1.0 + b / (a - b) * math.exp(-2.0))
     assert exact_exceedance(cov, math.inf) == 0.0
     assert exact_exceedance(cov, -math.inf) == 1.0
+    with pytest.raises(DomainError, match="threshold must be a number, got nan"):
+        exact_exceedance(cov, math.nan)
     # absent hypothesis: no correlation, so D is symmetric
-    absent = ReturnChannelModel(eta=0.3, n_b=2.0, base=tmsv_covariance(0.5)).absent_covariance()
     assert exact_exceedance(absent, 0.0) == 0.5
     assert exact_exceedance(absent, 1.0) == pytest.approx(1.0 - exact_exceedance(absent, -1.0))
     # a perfectly correlated pair (b = 0) never draws a negative D
-    pure = np.diag([1.0, 1.0, 1.0, 1.0])
-    pure[0, 2] = pure[2, 0] = 1.0
-    pure[1, 3] = pure[3, 1] = -1.0
-    assert _statistic_scales(pure) == (1.0, 0.0)
+    pure = (1.0, 1.0, 1.0)
+    assert _statistic_scales(*pure) == (1.0, 0.0)
     assert exact_exceedance(pure, -0.5) == 1.0
     assert exact_exceedance(pure, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
     with pytest.raises(DomainError):
-        exact_exceedance(np.eye(3), 0.0)
+        exact_exceedance((math.inf, 1.0, 1.0), 0.0)
     # p_d and p_fa fall strictly as the threshold rises
-    strong = ReturnChannelModel(eta=0.5, n_b=3.0, base=tmsv_covariance(0.3))
+    strong = return_states(0.5, 3.0, *tmsv_block(0.3))
     thresholds = [-5.0, -1.0, 0.0, 1.0, 5.0]
-    for cov in (strong.present_covariance(), strong.absent_covariance()):
-        tails = [exact_exceedance(cov, t) for t in thresholds]
+    for state in strong:
+        tails = [exact_exceedance(state, t) for t in thresholds]
         assert all(b < a for a, b in zip(tails, tails[1:]))
     # a stronger return has the same p_fa and a higher p_d at these
     # thresholds (past t ~ 24 the weak return's wider tail overtakes it)
-    weak = ReturnChannelModel(eta=0.05, n_b=3.0, base=tmsv_covariance(0.3))
-    assert strong.absent_covariance() == weak.absent_covariance()
+    weak = return_states(0.05, 3.0, *tmsv_block(0.3))
+    assert strong[1] == weak[1]
     for t in (0.5, 1.0, 2.0):
-        assert exact_exceedance(strong.present_covariance(), t) > exact_exceedance(
-            weak.present_covariance(), t
-        )
+        assert exact_exceedance(strong[0], t) > exact_exceedance(weak[0], t)
 
 
 def test_psd_tolerance_scales_with_the_entries():
     # At N_s = 1e16 the entries are ~1e16 and the smallest eigenvalue of a
     # valid TMSV return computes as -2.0: round-off, not a non-PSD matrix.
-    present = ReturnChannelModel(eta=0.5, n_b=1.0, base=tmsv_covariance(1e16)).present_covariance()
-    a, b = _statistic_scales(present)
+    present = return_states(0.5, 1.0, *tmsv_block(1e16))[0]
+    a, b = _statistic_scales(*present)
     assert a > 0.0 >= b
     # a genuine violation at that scale is still caught
-    s, c = 1e16, 1.01e16
-    not_psd = ((s, 0.0, c, 0.0), (0.0, s, 0.0, -c), (c, 0.0, s, 0.0), (0.0, -c, 0.0, s))
     with pytest.raises(CovarianceNotPSDError):
-        _statistic_scales(not_psd)
-    # and at the edge of the float range, where s_i + s_q overflows
-    s, c = 1e308, 1.01e308
-    not_psd = ((s, 0.0, c, 0.0), (0.0, s, 0.0, -c), (c, 0.0, s, 0.0), (0.0, -c, 0.0, s))
+        _statistic_scales(1e16, 1e16, 1.01e16)
+    # and at the edge of the float range, where s_return + s_idler overflows
     with pytest.raises(CovarianceNotPSDError):
-        _statistic_scales(not_psd)
+        _statistic_scales(1e308, 1e308, 1.01e308)
     # below unit entries the tolerance is the absolute -1e-9
     with pytest.raises(CovarianceNotPSDError):
         sample_quadratures(np.diag([1.0, 1.0, 1.0, -2e-9]), 10, seed=0)
@@ -472,3 +466,13 @@ def test_gain_experiment_overflowing_covariance_names_n_s(n_s, n_b):
     message = re.escape(f"n_s = {n_s!r} with n_b = {n_b!r} overflows")
     with pytest.raises(DomainError, match=message):
         detector_gain_experiment(n_s=n_s, eta=0.5, n_b=n_b, trials=10**4, seed=1)
+
+
+def test_sampler_rejects_matrices_that_are_not_symmetric_4x4():
+    base = np.asarray(tmsv_covariance(0.5))
+    asymmetric = base + np.triu(np.ones((4, 4)))
+    with_nan = base.copy()
+    with_nan[0, 0] = math.nan
+    for cov in (np.eye(3), asymmetric, with_nan):
+        with pytest.raises(DomainError, match="symmetric 4x4"):
+            sample_quadratures(cov, 10, seed=0)

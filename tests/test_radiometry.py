@@ -1,6 +1,7 @@
 """Radiometry conversions and the quoted transmit-power values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,3 +127,12 @@ def test_noise_power_identity_frequency_cancels():
 def test_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1e308, 1e30, 1e30), "N_s*h*f*B overflows at n_s = 1e+308, f = 1e+30 Hz, B = 1e+30 Hz"),
+    ((5e-324, 1.0, 1.0), "N_s*h*f*B underflows to 0 at n_s = 5e-324, f = 1.0 Hz, B = 1.0 Hz"),
+], ids=["overflow", "underflow"])
+def test_transmit_power_out_of_float_range_names_the_product(args, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        transmit_power(*args)

@@ -7,9 +7,7 @@ import pytest
 from qi_rangekit import TEXTBOOK, PhysicalConstants
 from qi_rangekit.atmosphere import AttenuationTable
 from qi_rangekit.config import ScenarioConfig
-from qi_rangekit.detection_mc import ReturnChannelModel
 from qi_rangekit.errors import ConfigError, DomainError, TableValidationError
-from qi_rangekit.quantum_states import tmsv_covariance
 from qi_rangekit.radiometry import dbm_to_watts
 from qi_rangekit.range_solver import RangeChain
 
@@ -85,9 +83,10 @@ def test_replace_rebuilds_derived_attributes():
 
 
 def test_checks_normalise_fields():
-    model = ReturnChannelModel(0.5, 1.0, [list(row) for row in tmsv_covariance(1.0)])
-    assert model.base == tmsv_covariance(1.0)
-    assert isinstance(model.base, tuple)
+    config = ScenarioConfig(frequencies_hz=[7e9, 95e9, 10**12])
+    assert config.frequencies_hz == (7e9, 95e9, 1e12)
+    assert isinstance(config.frequencies_hz, tuple)
+    assert isinstance(config.frequencies_hz[2], float)
 
 
 def test_repr_lists_the_fields():
@@ -98,8 +97,7 @@ def test_repr_lists_the_fields():
 
 
 def test_records_pickle_through_their_checks():
-    model = ReturnChannelModel(0.5, 1.0, tmsv_covariance(1.0))
-    for record in (CHAIN, ScenarioConfig(p_d=0.9), model):
+    for record in (CHAIN, ScenarioConfig(p_d=0.9), AttenuationTable(((1.0, 0.0), (2.0, 1.0)))):
         assert pickle.loads(pickle.dumps(record)) == record
     assert pickle.loads(pickle.dumps(ScenarioConfig())).noise_power_watts == dbm_to_watts(-63.82)
 
