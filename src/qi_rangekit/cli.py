@@ -19,8 +19,10 @@ that every other command (``mc`` included) and ``--dump-config`` start
 without it.  A figure-3 sweep writes its CSV a column at a time: one string
 per (frequency, mode) column of :func:`~qi_rangekit.range_solver.sweep_range`,
 joined at C level from the column's lists and written with one ``write``, so
-no per-row line list or whole-file copy is held.  The file is opened only
-after every chain is built, so an invalid scenario leaves no file.
+no per-row line list or whole-file copy is held.  Each row ends in its
+point's status.  The file is opened only after every chain is built, so an
+invalid scenario leaves no file; a frequency outside the table span is not
+invalid, and its rows read ``out_of_span``.
 
 Exit codes: 0 success, 2 invalid input, configuration or unwritable output
 path, 3 no detection range exists for the requested scenario.
@@ -236,8 +238,8 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     # so an error leaves stdout empty
     results = []
     for mode in modes:
-        solution = chain.solve(args.ns, mode)
-        results.append((mode, solution, chain.link_at(args.ns, solution.r_max_m)))
+        r_max = chain.solve(args.ns, mode)
+        results.append((mode, r_max, chain.link_at(args.ns, r_max)))
     # noise budget is configured as a power; the implied temperature and
     # occupancy are derived, so show them
     print(
@@ -246,14 +248,14 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
         f"{chain.n_b:.6g}",
         file=out,
     )
-    for mode, solution, (f_form, eta) in results:
-        status = "converged" if solution.converged else "NOT converged"
-        print(
-            f"{mode.value}: r_max = {solution.r_max_m:.6g} m  "
-            f"(residual {solution.residual_db:.3e} dB, {status}, "
-            f"{solution.iterations} iterations)",
-            file=out,
-        )
+    for mode, r_max, (f_form, eta) in results:
+        # |10 log10(eta * M * N_s / (N_B * threshold))|, with N_s / threshold
+        # as (1 + N_s) / SNR_min for QI, a float where the threshold
+        # underflows; inf where eta itself underflows to 0 (N_s near 1e308)
+        n_s_per_snr = (1.0 + args.ns if mode is Illumination.QI else args.ns) / chain.snr_min
+        closure = eta * chain.pulse_count / chain.n_b * n_s_per_snr
+        residual = abs(10.0 * math.log10(closure)) if closure > 0.0 else math.inf
+        print(f"{mode.value}: r_max = {r_max:.6g} m  (residual {residual:.3e} dB)", file=out)
         print(
             f"    gamma = {chain.gamma_db_per_km:.6g} dB/km, "
             f"F = {f_form:.6g}, eta = {eta:.6g}",
@@ -276,22 +278,19 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
     return np.logspace(math.log10(ns_min), math.log10(ns_max), points).tolist()
 
 
-_CONVERGED_FIELD = {True: ",true\n", False: ",false\n"}
-
-
 def _range_csv(
     grid: list[float], columns: Iterable[tuple[float, Illumination, RangeColumn]]
 ) -> Iterator[str]:
     """The figure-3 CSV as its header and one string per solved column, each
     joined at C level: N_s formatted once, f and mode once per column, and
-    an empty range where no detection range exists."""
-    yield "n_s,frequency_hz,mode,r_max_m,converged\n"
+    an empty range where no root exists."""
+    yield "n_s,frequency_hz,mode,r_max_m,status\n"
     n_s_text = [repr(n_s) for n_s in grid]
     for f_hz, mode, column in columns:
         r_text = ["" if r is None else repr(r) for r in column.r_max_m]
-        flags = map(_CONVERGED_FIELD.__getitem__, column.converged)
         middle = repeat(f",{f_hz!r},{mode.value},")
-        yield "".join(map("".join, zip(n_s_text, middle, r_text, flags)))
+        yield "".join(map("".join, zip(n_s_text, middle, r_text, repeat(","), column.status,
+                                       repeat("\n"))))
 
 
 def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:

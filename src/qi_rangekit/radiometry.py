@@ -32,7 +32,8 @@ def _require_non_negative(name: str, value: float) -> float:
 def watts_to_dbm(watts: float) -> float:
     """Power in dB relative to 1 mW.  Defined only for positive power."""
     watts = _require_positive("power in watts", watts)
-    return 10.0 * math.log10(watts / 1e-3)
+    milliwatts = watts / 1e-3  # inf above ~1.8e305 W, where log10(watts) + 3 is not
+    return 10.0 * (math.log10(milliwatts) if milliwatts < math.inf else math.log10(watts) + 3.0)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -62,6 +63,14 @@ def transmit_power(
     f_hz = _require_positive("frequency", f_hz)
     b_hz = _require_positive("bandwidth", b_hz)
     watts = n_s * constants.h * f_hz * b_hz
+    if watts == math.inf or watts == 0.0:
+        # a partial product left the float range, the whole one may not:
+        # multiply the mantissas and add the exponents
+        parts = [math.frexp(v) for v in (n_s, constants.h, f_hz, b_hz)]
+        try:
+            watts = math.ldexp(math.prod(m for m, _ in parts), sum(e for _, e in parts))
+        except OverflowError:
+            watts = math.inf
     if watts == math.inf or watts == 0.0:
         raise DomainError(
             f"N_s*h*f*B {'overflows' if watts else 'underflows to 0'} at n_s = {n_s!r}, "

@@ -11,7 +11,7 @@ F(R)^2 = exp(-2aR), a = gamma * ln(10) / 10^4 (gamma in dB/km, R in m), and
 the threshold crossing solves R^4 * exp(2aR) = R_free^4.  That equation has
 a closed form via Lambert W0, the principal branch of w * e^w = x,
 
-    R_max = (2/a) * W0(a * R_free / 2) = R_free * exp(-W0(a * R_free / 2)),
+    R_max = (2/a) * W0(a * R_free / 2),
 
 with W0 evaluated by Halley's method in plain floating point.
 
@@ -33,31 +33,44 @@ mode), so a sweep row and the one-point solution are the same computation.
 Where the closed form leaves the float range -- the QI threshold
 SNR_min / (1 + 1/N_s) underflows to 0, or R_free^4 = head * N_s /
 (denominator * threshold) overflows -- the kernel takes the same closed form
-in another arrangement: the lossless R_free^4 as head / denominator *
-(1 + N_s) / SNR_min for QI, with N_s cancelled, and, with absorption, W0
-taken from ln x = ln(a/2) + ln R_free, so an attenuated root that is a float
-comes out as one.  Where the lossless R_free^4 is still beyond the float
-range (R_free above ~1.3e77 m, although R_free itself may be a float), the
-root reads inf and the point has no finite range: the residual, and eta in
-:meth:`RangeChain.link_at`, take R^4.
+in another arrangement, with N_s / threshold as (1 + N_s) / SNR_min for QI:
+the lossless R_free^4 as head / denominator * (1 + N_s) / SNR_min, and, with
+absorption, R_free as a quotient of fourth roots that are each a float, so
+an attenuated root that is a float comes out as one.  Every attenuated root
+is W0(x) / (a/2), x = a * R_free / 2, with W0 taken from ln x where x is
+beyond Halley's range, and R_free where x is below the normal floats (there
+W0(x) / x rounds to 1).  Where the lossless R_free^4 is still beyond the
+float range (R_free above ~1.3e77 m, although R_free itself may be a
+float), the root reads inf.
 
-The kernel evaluates the SNR chain from the raw far-field formula without
-the eta <= 1 guard, and only at the root, for the residual.  As SNR_eff(R)
-strictly decreases, "below threshold at near-zero range" is "root below
-near-zero range", so no-detection is read off the root.  The guard applies
-in :meth:`RangeChain.link_at`, which reports F and eta at a range from the
-same chain, (4*pi) exponent included.
+The kernel computes the root and one status per point, and nothing else:
+
+* ``ok`` -- a far-field root;
+* ``no_detection`` -- no root: as SNR_eff(R) strictly decreases, "below
+  threshold at near-zero range" is "root below near-zero range", so this is
+  read off the root;
+* ``near_field`` -- a root where eta > 1.  At the root eta * M * N_s / N_B is
+  the threshold, so that is threshold * N_B > M * N_s, with no range
+  evaluation;
+* ``overflow`` -- the lossless R_free^4 overflows, and the root is inf.
+
+:func:`sweep_range` adds ``out_of_span`` for a frequency outside the table
+span.  The closure of the forward chain at the root is checked once, in the
+tests, against a high-precision reference root.  :meth:`RangeChain.link_at`
+reports F and eta at a range from the same chain, (4*pi) exponent included,
+with the eta <= 1 guard.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+import sys
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
-from .errors import DomainError, NoDetectionError
+from .errors import DomainError, FrequencySpanError, NoDetectionError
 from .link_budget import _FOUR_PI, _require_far_field, antenna_gain
 from .radiometry import _require_non_negative, _require_positive
 
@@ -69,15 +82,14 @@ _A_PER_GAMMA = math.log(10.0) / 1e4
 
 # "Near-zero range" [m] for the no-detection test.
 _NEAR_ZERO_RANGE_M = 1e-6
-_RESIDUAL_TOL_DB = 1e-6
+# The smallest normal float.
+_MIN_NORMAL = sys.float_info.min
 # Halley's method from w = log1p(x) takes at most 6 steps for x in [1e-15, 1e10].
 _HALLEY_REL_TOL = 1e-15
 _HALLEY_MAX_STEPS = 16
-# _lambert_w0 takes x = e^ln_x up to this ln x; its Halley step forms
-# w * e^w, which overflows for x above ~1e305.
-_LN_X_HALLEY_MAX = 500.0
-# 10 * log10(x) = _DB_PER_LN * ln(x)
-_DB_PER_LN = 10.0 / math.log(10.0)
+# _lambert_w0 takes x up to this; its Halley step forms w * e^w, which
+# overflows for x above ~1e305.  Above it W0 comes from ln x.
+_X_HALLEY_MAX = 1e217
 
 
 class Illumination(enum.Enum):
@@ -87,39 +99,20 @@ class Illumination(enum.Enum):
     QI = "qi"
 
 
-class RangeSolution(NamedTuple):
-    """Solved maximum range with solver diagnostics; ``iterations`` counts
-    the Halley steps of the Lambert-W evaluation (0 when lossless)."""
-
-    r_max_m: float
-    residual_db: float
-    iterations: int
-    converged: bool
-
-
 class RangeColumn(Record):
-    """One solved column, as four lists with one entry per N_s of the grid:
-    ``r_max_m`` (``None`` where no detection range exists), ``residual_db``
-    (``None`` there too), ``iterations`` and ``converged`` (``False`` there).
+    """One solved column, as two lists with one entry per N_s of the grid:
+    ``r_max_m``, the closed-form root (``None`` where none exists), and
+    ``status``, the point's outcome as a plain string (see the module
+    docstring): ``"ok"``, ``"no_detection"`` (range ``None``),
+    ``"near_field"``, ``"overflow"`` (range inf) or, from
+    :func:`sweep_range`, ``"out_of_span"`` (range ``None``)."""
 
-    Iterating it yields a :class:`RangeSolution` per point, or ``None`` where
-    no detection range exists, built on demand.
-    """
-
-    __slots__ = _fields = ("r_max_m", "residual_db", "iterations", "converged")
-
-    def __iter__(self) -> Iterator[RangeSolution | None]:
-        for solution in zip(self.r_max_m, self.residual_db, self.iterations, self.converged):
-            yield None if solution[0] is None else RangeSolution._make(solution)
+    __slots__ = _fields = ("r_max_m", "status")
 
 
 def _form_factor(gamma_db_per_km: float, r_m: float) -> float:
     # Raw far-field evaluation; see module docstring.
     return 10.0 ** (-gamma_db_per_km * (r_m / 1000.0) / 10.0)
-
-
-def _snr_eff_at(chain_constant: float, gamma_db_per_km: float, r_m: float) -> float:
-    return chain_constant * _form_factor(gamma_db_per_km, r_m) ** 2 / r_m**4
 
 
 def _quantum_threshold(snr_min: float, n_s: float) -> float:
@@ -156,104 +149,80 @@ class RangeChain(Record):
             return _quantum_threshold(self.snr_min, n_s)
         return self.snr_min
 
-    def solve(self, n_s: float, mode: Illumination) -> RangeSolution:
+    def solve(self, n_s: float, mode: Illumination) -> float:
         """Maximum range with absorption: the unique R where SNR_eff(R)
         crosses the mode-adjusted threshold.
 
         The one-point column of :meth:`solutions`, with N_s checked.  Raises
         :class:`NoDetectionError` when the target is already below threshold
         at near-zero range, and :class:`DomainError` when N_s is so large
-        that the chain overflows and no finite range comes out.
+        that the chain overflows and no finite range comes out.  A root in
+        the near field is returned; :meth:`link_at` refuses it.
         """
         n_s = _require_positive("n_s", n_s)
-        [solution] = self.solutions((n_s,), mode)
-        if solution is None:
+        column = self.solutions((n_s,), mode)
+        [status] = column.status
+        if status == "no_detection":
             raise NoDetectionError(
                 f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
                 "no detection range exists"
             )
-        if not math.isfinite(solution.r_max_m):
+        if status == "overflow":
             raise DomainError(
                 f"n_s = {n_s!r} overflows the range chain: head * N_s / "
                 "((4*pi)^k * N_B * threshold) exceeds the float range"
             )
-        return solution
+        return column.r_max_m[0]
 
     def solutions(self, n_s_grid: Iterable[float], mode: Illumination) -> RangeColumn:
-        """Solve one column: the maximum range at each N_s of ``n_s_grid`` in
-        ``mode``, as a :class:`RangeColumn`; no detection range exists where
-        the target is already below threshold at near-zero range.
+        """Solve one column: the maximum range and the status at each N_s of
+        ``n_s_grid`` in ``mode``, as a :class:`RangeColumn`.
 
-        Closed form R_free * exp(-W0(a * R_free / 2)); see the module
-        docstring.  With gamma = 0 that is R_free itself.  ``converged``
-        reports the closure of the forward SNR chain at the root.  The grid
-        is not checked: every value must be positive and finite, as
-        :meth:`solve` and :func:`sweep_range` ensure.
+        Closed form (2/a) * W0(a * R_free / 2); see the module docstring.
+        With gamma = 0 that is R_free itself.  The grid is not checked: every
+        value must be positive and finite, as :meth:`solve` and
+        :func:`sweep_range` ensure.
         """
         head, denominator, snr_min = self.head, self.denominator, self.snr_min
-        gamma = self.gamma_db_per_km
-        half_a = 0.5 * gamma * _A_PER_GAMMA
+        n_b, pulse_count = self.n_b, self.pulse_count
+        half_a = 0.5 * self.gamma_db_per_km * _A_PER_GAMMA
         quantum = mode is Illumination.QI
-        column = RangeColumn([], [], [], [])
-        add_r, add_residual, add_steps, add_converged = (
-            column.r_max_m.append, column.residual_db.append,
-            column.iterations.append, column.converged.append,
-        )
-        log10, exp, inf = math.log10, math.exp, math.inf
-        near_zero, tolerance = _NEAR_ZERO_RANGE_M, _RESIDUAL_TOL_DB
+        column = RangeColumn([], [])
+        add_r, add_status = column.r_max_m.append, column.status.append
+        inf, near_zero = math.inf, _NEAR_ZERO_RANGE_M
         for n_s in n_s_grid:
             threshold = _quantum_threshold(snr_min, n_s) if quantum else snr_min
-            chain_constant = head * n_s / denominator
-            if threshold == 0.0 or (ratio := chain_constant / threshold) == inf:
-                root, residual, steps = self._beyond_float_range(n_s, mode)
-                converged = residual is not None and residual < tolerance
+            if threshold == 0.0 or (ratio := head * n_s / denominator / threshold) == inf:
+                root = self._beyond_float_range(n_s, mode)
             else:
-                root = r_free = ratio**0.25
-                steps = 0
-                if gamma > 0.0:
-                    w, steps = _lambert_w0(half_a * r_free)
-                    root = r_free * exp(-w)
-                # the residual only after this test: root**4 may be ~0 below it
-                if root < near_zero:
-                    root = residual = None
-                    converged = False
-                else:
-                    snr_at_root = _snr_eff_at(chain_constant, gamma, root)
-                    residual = abs(10.0 * log10(snr_at_root / threshold))
-                    converged = residual < tolerance
+                root = ratio**0.25
+                # not gamma > 0: a subnormal gamma leaves a/2 = 0
+                if half_a > 0.0:
+                    root = _attenuated_root(half_a, root)
+            if root < near_zero:
+                root, status = None, "no_detection"
+            elif root == inf:
+                status = "overflow"
+            elif threshold * n_b > pulse_count * n_s:
+                status = "near_field"
+            else:
+                status = "ok"
             add_r(root)
-            add_residual(residual)
-            add_steps(steps)
-            add_converged(converged)
+            add_status(status)
         return column
 
-    def _beyond_float_range(
-        self, n_s: float, mode: Illumination
-    ) -> tuple[float | None, float | None, int]:
-        """``(root, residual_db, iterations)`` of a point where the QI
-        threshold underflows to 0 or R_free^4 overflows; see the module
-        docstring.  The root is ``None`` below near-zero range, and inf where
-        the lossless R_free^4 overflows."""
+    def _beyond_float_range(self, n_s: float, mode: Illumination) -> float:
+        """The root where the QI threshold underflows to 0 or R_free^4
+        overflows; see the module docstring."""
         head, denominator, snr_min = self.head, self.denominator, self.snr_min
         half_a = 0.5 * self.gamma_db_per_km * _A_PER_GAMMA
-        # N_s / threshold, which may not be a float: (1 + N_s) / SNR_min for QI
-        if mode is Illumination.QI:
-            n_s_per_snr = 1.0 + n_s
-            ln_threshold = math.log(snr_min) + math.log(n_s) - math.log1p(n_s)
-        else:
-            n_s_per_snr = n_s
-            ln_threshold = math.log(snr_min)
-        ln_r_free = 0.25 * (math.log(head) + math.log(n_s) - math.log(denominator) - ln_threshold)
+        # SNR_min * N_s / threshold: 1 + N_s for QI, where N_s / threshold may not be a float
+        n_s_per_snr = 1.0 + n_s if mode is Illumination.QI else n_s
         if half_a == 0.0:
-            root, steps = (head / denominator * n_s_per_snr / snr_min) ** 0.25, 0
-        else:
-            w, steps = _lambert_w0_of_log(math.log(half_a) + ln_r_free)
-            root = w / half_a
-        if root < _NEAR_ZERO_RANGE_M:
-            return None, None, steps
-        # ln(SNR_eff(R) / threshold) = 4 ln R_free - 2aR - 4 ln R
-        residual = abs(4.0 * _DB_PER_LN * (ln_r_free - half_a * root - math.log(root)))
-        return root, residual, steps
+            return (head / denominator * n_s_per_snr / snr_min) ** 0.25
+        # R_free from fourth roots that are each a float
+        r_free = head**0.25 * n_s_per_snr**0.25 / (denominator**0.25 * snr_min**0.25)
+        return _attenuated_root(half_a, r_free)
 
     def link_at(self, n_s: float, r_m: float) -> tuple[float, float]:
         """One-way form factor F and transmissivity eta at range ``r_m``,
@@ -298,33 +267,39 @@ def range_chain(
     )
 
 
-def _lambert_w0(x: float) -> tuple[float, int]:
-    """Principal-branch Lambert W of ``x >= 0`` (w * e^w = x) and the number
-    of Halley steps taken from the start w = log1p(x)."""
+def _attenuated_root(half_a: float, r_free: float) -> float:
+    """The attenuated root (2/a) * W0(x), x = a * R_free / 2, of ``half_a``
+    = a/2 > 0.  Where x is not a normal float, W0(x) / (a/2) would lose
+    digits, but W0(x) / x rounds to 1, so the root is R_free."""
+    x = half_a * r_free
+    if x < _MIN_NORMAL:
+        return r_free
+    if x <= _X_HALLEY_MAX:
+        return _lambert_w0(x) / half_a
+    # x may exceed the float range: Newton's method on w + ln w = ln x from
+    # w = ln x - ln ln x
+    ln_x = math.log(half_a) + math.log(r_free)
+    w = ln_x - math.log(ln_x)
+    for _ in range(_HALLEY_MAX_STEPS):
+        step = (w + math.log(w) - ln_x) / (1.0 + 1.0 / w)
+        w -= step
+        if abs(step) <= _HALLEY_REL_TOL * w:
+            break
+    return w / half_a
+
+
+def _lambert_w0(x: float) -> float:
+    """Principal-branch Lambert W of ``x >= 0`` (w * e^w = x), by Halley's
+    method from w = log1p(x)."""
     w = math.log1p(x)
-    for steps in range(1, _HALLEY_MAX_STEPS + 1):
+    for _ in range(_HALLEY_MAX_STEPS):
         e_w = math.exp(w)
         f = w * e_w - x
         step = f / (e_w * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
         w -= step
         if abs(step) <= _HALLEY_REL_TOL * w:
             break
-    return w, steps
-
-
-def _lambert_w0_of_log(ln_x: float) -> tuple[float, int]:
-    """Principal-branch Lambert W of x = e^``ln_x``, also where x exceeds the
-    float range, and the number of iteration steps taken.  Large x solves
-    w + ln w = ln x by Newton's method from w = ln x - ln ln x."""
-    if ln_x <= _LN_X_HALLEY_MAX:
-        return _lambert_w0(math.exp(ln_x))
-    w = ln_x - math.log(ln_x)
-    for steps in range(1, _HALLEY_MAX_STEPS + 1):
-        step = (w + math.log(w) - ln_x) / (1.0 + 1.0 / w)
-        w -= step
-        if abs(step) <= _HALLEY_REL_TOL * w:
-            break
-    return w, steps
+    return w
 
 
 def _validated_grid(n_s_grid: Sequence[float]) -> tuple[float, ...]:
@@ -352,17 +327,24 @@ def sweep_range(
     Yields one ``(frequency_hz, mode, column)`` per (frequency, mode),
     frequency first, then CI before QI; ``column`` is the
     :class:`RangeColumn` of :meth:`RangeChain.solutions` over the grid, so
-    each of its points equals ``chain.solve(n_s, mode)``, and its range is
-    ``None`` where no detection range exists, never a zero range.  The call
-    validates the grid and builds one chain ``range_chain(config, f,
-    constants)`` per frequency, so an invalid grid, a frequency outside the
-    table span or an unusable frequency raises before any column; the
-    columns are solved lazily.
+    each of its points is the one-point solve, and at a frequency outside
+    the table span it holds range ``None`` and status ``"out_of_span"`` at
+    every point.  The call validates the grid and builds one chain
+    ``range_chain(config, f, constants)`` per frequency, so an invalid grid
+    or any other unusable frequency raises before any column; the columns
+    are solved lazily.
     """
     grid = _validated_grid(n_s_grid)
-    chains = [(f_hz, range_chain(config, f_hz, constants)) for f_hz in config.frequencies_hz]
+    chains = []
+    for f_hz in config.frequencies_hz:
+        try:
+            chains.append((f_hz, range_chain(config, f_hz, constants)))
+        except FrequencySpanError:
+            chains.append((f_hz, None))
     return (
-        (f_hz, mode, chain.solutions(grid, mode)) for f_hz, chain in chains for mode in Illumination
+        (f_hz, mode, chain.solutions(grid, mode) if chain is not None
+         else RangeColumn([None] * len(grid), ["out_of_span"] * len(grid)))
+        for f_hz, chain in chains for mode in Illumination
     )
 
 

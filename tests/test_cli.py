@@ -40,6 +40,16 @@ def test_power_terahertz_example(capsys):
     assert dbm == pytest.approx(-111.79, abs=0.01)
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("--ns", "1e300", "--freq", "1e50", "--bw", "1e-10"),
+     "P_t = 6.63e+306 W = 3098.215135 dBm\n"),
+    (("--ns", "1e-300", "--freq", "1e10", "--bw", "1e30"),
+     "P_t = 6.63e-294 W = -2901.784865 dBm\n"),
+], ids=["partial_overflow", "partial_underflow"])
+def test_power_where_only_a_partial_product_leaves_the_float_range(capsys, argv, expected):
+    assert run_cli(capsys, "power", *argv) == (0, expected, "")
+
+
 def test_power_missing_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["power", "--ns", "0.5"])
@@ -171,7 +181,9 @@ def test_range_prints_both_modes(capsys):
     qi = float(re.search(r"qi: r_max = (\S+) m", out).group(1))
     assert ci == pytest.approx(137.088, abs=0.01)
     assert qi == pytest.approx(434.591, abs=0.01)
-    assert "eta = " in out and "F = " in out and "converged" in out
+    assert "eta = " in out and "F = " in out
+    residuals = [float(v) for v in re.findall(r"\(residual (\S+) dB\)\n", out)]
+    assert len(residuals) == 2 and all(0.0 <= v < 1e-12 for v in residuals)
 
 
 def test_range_single_mode(capsys):
@@ -333,14 +345,14 @@ def test_library_range_and_sweep_agree_on_the_attenuated_config(tmp_path, capsys
         capsys, "--config", config_path, "range", "--ns", "1e-2", "--freq", "1e12", "--mode", "ci"
     )
     assert code == 0
-    assert f"ci: r_max = {expected.r_max_m:.6g} m" in out
+    assert f"ci: r_max = {expected:.6g} m" in out
     assert "gamma = 450 dB/km" in out
     out_csv = tmp_path / "fig3.csv"
     code, _, _ = run_cli(capsys, "--config", config_path, "sweep", "--figure", "3",
                          "--ns-min", "1e-2", "--ns-max", "1", "--points", "2",
                          "--output", str(out_csv))
     assert code == 0
-    assert f"0.01,1000000000000.0,ci,{expected.r_max_m!r},true" in out_csv.read_text()
+    assert f"0.01,1000000000000.0,ci,{expected!r},ok" in out_csv.read_text()
 
 
 def test_oversized_config_number_exits_2(tmp_path, capsys):
@@ -391,8 +403,8 @@ def test_range_where_the_quantum_threshold_underflows(tmp_path, capsys, snr_min_
                              "range", "--ns", "1e-30", "--freq", "1e12", "--mode", "qi")
     if snr_min_db == -2950:
         assert (code, err) == (0, "")
-        assert "qi: r_max = 4.33511e+76 m  (residual " in out
-        assert " dB, converged, 0 iterations)" in out
+        residual = re.search(r"qi: r_max = 4\.33511e\+76 m  \(residual (\S+) dB\)\n", out)
+        assert float(residual.group(1)) < 1e-12
         # eta = SNR_min * N_B / ((1 + 1/N_s) * M * N_s) at the root
         assert "eta = 6.25873e-302" in out
         return
@@ -405,8 +417,23 @@ def test_range_where_the_quantum_threshold_underflows(tmp_path, capsys, snr_min_
     assert code == 0
     rows = [line.split(",") for line in output.read_text(encoding="utf-8").splitlines()[1:]]
     assert [row[3:] for row in rows if row[1:3] == ["1000000000000.0", "qi"]] == [
-        ["inf", "false"], ["inf", "false"],
+        ["inf", "overflow"], ["inf", "overflow"],
     ]
+
+
+def test_range_where_eta_at_the_root_underflows(tmp_path, capsys, monkeypatch):
+    # eta = threshold * N_B / (M * N_s) at the root underflows to 0 at M 1e20
+    # and N_s 1.7e308; the attenuated root is a float, and no residual can be
+    # read from eta
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    config = tmp_path / "large_m.json"
+    config.write_text(json.dumps({"tau_s": 1e11, "bandwidth_hz": 1e9,
+                                  "attenuation_table_path": BUNDLED_CSV}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config),
+                             "range", "--ns", "1.7e308", "--freq", "1e12", "--mode", "ci")
+    assert (code, err) == (0, "")
+    assert "ci: r_max = 3506.65 m  (residual inf dB)\n" in out
+    assert "eta = 0\n" in out
 
 
 def test_attenuated_range_where_the_free_space_range_overflows(tmp_path, capsys, monkeypatch):
@@ -417,7 +444,8 @@ def test_attenuated_range_where_the_free_space_range_overflows(tmp_path, capsys,
     code, out, err = run_cli(capsys, "--config", config_path,
                              "range", "--ns", "1e300", "--freq", "1e12")
     assert (code, err) == (0, "")
-    assert "ci: r_max = 3294.19 m  (residual 6.172e-14 dB, converged, 7 iterations)" in out
+    residual = re.search(r"ci: r_max = 3294\.19 m  \(residual (\S+) dB\)\n", out)
+    assert float(residual.group(1)) < 1e-11
     assert "eta = 6.25873e-306" in out
     assert "nan" not in out and "inf" not in out
     output = tmp_path / "f3.csv"
@@ -427,10 +455,10 @@ def test_attenuated_range_where_the_free_space_range_overflows(tmp_path, capsys,
     assert code == 0
     rows = [line.split(",") for line in output.read_text(encoding="utf-8").splitlines()[1:]]
     terahertz = [row[3:] for row in rows if row[1] == "1000000000000.0"]
-    assert [flag for _, flag in terahertz] == ["true"] * 6
+    assert [status for _, status in terahertz] == ["ok"] * 6
     assert [float(r) for r, _ in terahertz[3:]] == [float(r) for r, _ in terahertz[:3]]
     assert float(terahertz[2][0]) == pytest.approx(3294.19, abs=0.01)
-    assert all(row[4] == "true" for row in rows)
+    assert all(row[4] == "ok" for row in rows)
 
 
 @pytest.mark.parametrize("snr_min_db", [4000, -4000], ids=["overflows", "underflows"])
@@ -521,7 +549,7 @@ def test_sweep_figure3_shape_and_spot_values(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "sweep", "--figure", "3", "--output", str(out_csv))
     assert code == 0
     lines = out_csv.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "n_s,frequency_hz,mode,r_max_m,converged"
+    assert lines[0] == "n_s,frequency_hz,mode,r_max_m,status"
     assert len(lines) == 1 + 3 * 2 * 25  # frequencies x modes x default points
     rows = [line.split(",") for line in lines[1:]]
     spot = {
@@ -531,7 +559,7 @@ def test_sweep_figure3_shape_and_spot_values(tmp_path, capsys):
     }
     assert spot["ci"] == pytest.approx(137.088, abs=0.01)
     assert spot["qi"] / spot["ci"] == pytest.approx(QI_ADVANTAGE_AT_1E2, abs=1e-6)
-    assert all(row[4] == "true" for row in rows)
+    assert all(row[4] == "ok" for row in rows)
 
 
 def test_sweep_outputs_are_byte_identical(tmp_path, capsys):
@@ -599,17 +627,26 @@ def test_sweep_figure1_csv_is_pinned(tmp_path, capsys, monkeypatch):
     assert output.read_bytes() == (GOLDEN / "sweep_figure1.csv").read_bytes()
 
 
-def test_sweep_out_of_table_span_exits_2_without_a_file(tmp_path, capsys):
-    # 2 THz lies past the bundled table; the sweep fails before any output
+def test_sweep_out_of_table_span_writes_out_of_span_rows(tmp_path, capsys):
+    # 2 THz lies past the bundled table: its rows have no range and say why,
+    # and the 7 GHz rows are the same as in a sweep of 7 GHz alone
     config = tmp_path / "wide.json"
     config.write_text(json.dumps({"attenuation_table_path": BUNDLED_CSV,
                                   "frequencies_hz": [7e9, 2e12]}), encoding="utf-8")
     output = tmp_path / "f3.csv"
     code, out, err = run_cli(capsys, "--config", str(config), "sweep", "--figure", "3",
-                             "--output", str(output))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
-    assert not output.exists()
+                             "--points", "5", "--output", str(output))
+    assert (code, out, err) == (0, f"wrote 20 rows to {output}\n", "")
+    lines = output.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "n_s,frequency_hz,mode,r_max_m,status"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[3:] for row in rows if row[1] == "2000000000000.0"] == [["", "out_of_span"]] * 10
+    config.write_text(json.dumps({"attenuation_table_path": BUNDLED_CSV,
+                                  "frequencies_hz": [7e9]}), encoding="utf-8")
+    alone = tmp_path / "alone.csv"
+    run_cli(capsys, "--config", str(config), "sweep", "--figure", "3", "--points", "5",
+            "--output", str(alone))
+    assert lines[:11] == alone.read_text(encoding="utf-8").splitlines()
 
 
 def test_sweep_grid_validation(capsys):
@@ -868,6 +905,9 @@ def test_extreme_n_s_gives_a_finite_answer(capsys, argv, expected):
      "error: n_s = 8e+307 with n_b = 1e+308 overflows the return-channel covariance\n"),
     (["power", "--ns", "1e308", "--freq", "1e30", "--bw", "1e30"],
      "error: N_s*h*f*B overflows at n_s = 1e+308, f = 1e+30 Hz, B = 1e+30 Hz\n"),
+    # 6.6e-334 W is below the smallest subnormal float
+    (["power", "--ns", "1e-300", "--freq", "1e-30", "--bw", "1e30"],
+     "error: N_s*h*f*B underflows to 0 at n_s = 1e-300, f = 1e-30 Hz, B = 1e+30 Hz\n"),
 ])
 def test_extreme_n_s_without_a_finite_answer_exits_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message)

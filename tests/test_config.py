@@ -210,13 +210,13 @@ def test_attenuated_config_reaches_the_solve(monkeypatch):
     # the table path in the config is relative to the repository root
     monkeypatch.chdir(REPO)
     cfg = load_config(REPO / "perfbench" / "configs" / "sweep_attenuated.json")
-    solution = range_chain(cfg, 1e12).solve(1e-2, Illumination.CI)
-    assert float(f"{solution.r_max_m:.5g}") == 29.592
+    root = range_chain(cfg, 1e12).solve(1e-2, Illumination.CI)
+    assert float(f"{root:.5g}") == 29.592
     [row] = [
         (f_hz, mode, point) for f_hz, mode, column in sweep_range(cfg, [1e-2])
-        for point in column if f_hz == 1e12 and mode is Illumination.CI
+        for point in column.r_max_m if f_hz == 1e12 and mode is Illumination.CI
     ]
-    assert row[2] == solution
+    assert row[2] == root
 
 
 def test_four_pi_exponent_passes_through():

@@ -132,7 +132,39 @@ def test_domain_errors(call):
 @pytest.mark.parametrize("args, message", [
     ((1e308, 1e30, 1e30), "N_s*h*f*B overflows at n_s = 1e+308, f = 1e+30 Hz, B = 1e+30 Hz"),
     ((5e-324, 1.0, 1.0), "N_s*h*f*B underflows to 0 at n_s = 5e-324, f = 1.0 Hz, B = 1.0 Hz"),
-], ids=["overflow", "underflow"])
+    # 6.6e-334 W, below the smallest subnormal
+    ((1e-300, 1e-30, 1e30),
+     "N_s*h*f*B underflows to 0 at n_s = 1e-300, f = 1e-30 Hz, B = 1e+30 Hz"),
+], ids=["overflow", "underflow", "underflow_below_subnormal"])
 def test_transmit_power_out_of_float_range_names_the_product(args, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         transmit_power(*args)
+
+
+@pytest.mark.parametrize("args, expected", [
+    ((1e300, 1e50, 1e-10), "6.630000000000001e+306"),  # N_s*h*f overflows
+    ((1e-300, 1e10, 1e30), "6.63e-294"),  # N_s*h underflows to 0
+    ((1e-320, 1e10, 1e30), "6.6299261894e-314"),  # a subnormal product
+], ids=["partial_overflow", "partial_underflow", "subnormal"])
+def test_transmit_power_where_only_a_partial_product_leaves_the_float_range(args, expected):
+    # the correctly rounded N_s * h * f * B, recomputed in 50-digit decimal
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = Decimal(args[0]) * Decimal(TEXTBOOK.h) * Decimal(args[1]) * Decimal(args[2])
+    assert repr(transmit_power(*args)) == repr(float(exact)) == expected
+
+
+def test_transmit_power_keeps_the_plain_product_where_it_is_a_float():
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        n_s, f_hz, b_hz = (float(v) for v in 10.0 ** rng.uniform(-60.0, 60.0, size=3))
+        assert transmit_power(n_s, f_hz, b_hz) == n_s * TEXTBOOK.h * f_hz * b_hz
+
+
+def test_watts_to_dbm_above_the_milliwatt_overflow():
+    # watts / 1e-3 overflows above ~1.8e305 W; the dBm value does not
+    assert watts_to_dbm(1e306) == pytest.approx(3090.0, rel=1e-15)
+    assert watts_to_dbm(1.7976931348623157e308) == pytest.approx(3112.5471556, rel=1e-10)
+    assert watts_to_dbm(1.0) == 10.0 * math.log10(1.0 / 1e-3)
