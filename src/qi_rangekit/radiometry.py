@@ -1,4 +1,4 @@
-"""Photon/power radiometry: photons-per-mode, transmit power, thermal noise.
+"""Photon/power radiometry: transmit power, dBm, thermal occupancy and noise.
 
 All powers are plain floats in watts; dBm is a view obtained through
 :func:`watts_to_dbm`.  The thermal occupancy uses the Rayleigh-Jeans form
@@ -79,20 +79,6 @@ def transmit_power(
     return watts
 
 
-def photons_per_mode(
-    watts: float,
-    f_hz: float,
-    b_hz: float,
-    constants: PhysicalConstants = TEXTBOOK,
-) -> float:
-    """Photons per mode carried by ``watts`` at (f, B); inverse of
-    :func:`transmit_power`."""
-    watts = _require_positive("power in watts", watts)
-    f_hz = _require_positive("frequency", f_hz)
-    b_hz = _require_positive("bandwidth", b_hz)
-    return watts / (constants.h * f_hz * b_hz)
-
-
 def thermal_occupancy(
     t_kelvin: float,
     f_hz: float,
@@ -108,24 +94,13 @@ def thermal_occupancy(
     return constants.k_b * t_kelvin / photon_energy
 
 
-def noise_power(
-    t_kelvin: float,
-    b_hz: float,
-    constants: PhysicalConstants = TEXTBOOK,
-) -> float:
-    """Total thermal noise power P_B = k_B * T_eff * B in watts."""
-    t_kelvin = _require_positive("temperature", t_kelvin)
-    b_hz = _require_positive("bandwidth", b_hz)
-    return constants.k_b * t_kelvin * b_hz
-
-
 def t_eff_from_noise_power(
     p_b_watts: float,
     b_hz: float,
     constants: PhysicalConstants = TEXTBOOK,
 ) -> float:
-    """Effective noise temperature implied by a noise power over a bandwidth;
-    inverse of :func:`noise_power`."""
+    """Effective noise temperature T_eff = P_B / (k_B * B) implied by a noise
+    power over a bandwidth."""
     p_b_watts = _require_positive("noise power in watts", p_b_watts)
     b_hz = _require_positive("bandwidth", b_hz)
     return p_b_watts / (constants.k_b * b_hz)

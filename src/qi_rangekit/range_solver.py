@@ -59,6 +59,15 @@ span.  The closure of the forward chain at the root is checked once, in the
 tests, against a high-precision reference root.  :meth:`RangeChain.link_at`
 reports F and eta at a range from the same chain, (4*pi) exponent included,
 with the eta <= 1 guard.
+
+This module holds all of the link budget that the range path runs: the
+antenna gain G = 4*pi*A / lambda^2 (:func:`antenna_gain`) and the eta <= 1
+far-field guard.  F is :func:`qi_rangekit.atmosphere.form_factor`, which
+:meth:`RangeChain.link_at` imports when called, as an attenuated
+:func:`range_chain` imports ``gamma_at``, so a lossless sweep never loads
+``atmosphere``.  The (4*pi)^2 transmissivity/SNR chain, SNR = eta * N_s /
+N_B, is kept in the tests as the reference the closure tests compare
+against.
 """
 
 from __future__ import annotations
@@ -70,13 +79,13 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
-from .errors import DomainError, FrequencySpanError, NoDetectionError
-from .link_budget import _FOUR_PI, _require_far_field, antenna_gain
+from .errors import DomainError, FrequencySpanError, NoDetectionError, UnphysicalGeometryError
 from .radiometry import _require_non_negative, _require_positive
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
+_FOUR_PI = 4.0 * math.pi
 # a [1/m] per gamma [dB/km], where F(R)^2 = exp(-2aR).
 _A_PER_GAMMA = math.log(10.0) / 1e4
 
@@ -110,9 +119,23 @@ class RangeColumn(Record):
     __slots__ = _fields = ("r_max_m", "status")
 
 
-def _form_factor(gamma_db_per_km: float, r_m: float) -> float:
-    # Raw far-field evaluation; see module docstring.
-    return 10.0 ** (-gamma_db_per_km * (r_m / 1000.0) / 10.0)
+def antenna_gain(
+    aperture_m2: float, f_hz: float, constants: PhysicalConstants = TEXTBOOK
+) -> float:
+    """Antenna gain G = 4*pi*A/lambda^2 = 4*pi*A*f^2/c^2 (dimensionless)."""
+    aperture_m2 = _require_positive("antenna aperture", aperture_m2)
+    f_hz = _require_positive("frequency", f_hz)
+    return _FOUR_PI * aperture_m2 * f_hz**2 / constants.c**2
+
+
+def _require_far_field(eta: float, r_m: float) -> float:
+    """Return ``eta``, or raise :class:`UnphysicalGeometryError` if it exceeds 1."""
+    if eta > 1.0:
+        raise UnphysicalGeometryError(
+            f"computed transmissivity {eta!r} > 1 at range {r_m!r} m; "
+            "the far-field model does not apply this close to the antenna"
+        )
+    return eta
 
 
 def _quantum_threshold(snr_min: float, n_s: float) -> float:
@@ -233,9 +256,11 @@ class RangeChain(Record):
         which is only checked.  Raises :class:`UnphysicalGeometryError`
         where eta > 1 (near field).
         """
+        from .atmosphere import form_factor
+
         _require_positive("n_s", n_s)
         r_m = _require_positive("range", r_m)
-        f_form = _form_factor(self.gamma_db_per_km, r_m)
+        f_form = form_factor(self.gamma_db_per_km, r_m)
         eta = self.head / self.denominator * f_form**2 / r_m**4 * self.n_b / self.pulse_count
         return f_form, _require_far_field(eta, r_m)
 

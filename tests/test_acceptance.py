@@ -14,12 +14,7 @@ from qi_rangekit.cli import main as cli_main
 from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.detection_mc import detector_gain_experiment
 from qi_rangekit.errors import NoDetectionError, UnphysicalGeometryError
-from qi_rangekit.link_budget import (
-    albersheim_snr_min,
-    antenna_gain,
-    channel_transmissivity,
-    snr_eff,
-)
+from qi_rangekit.link_budget import albersheim_snr_min
 from qi_rangekit.quantum_states import (
     correlation_ratio,
     tmsv_covariance,
@@ -29,9 +24,11 @@ from qi_rangekit.radiometry import transmit_power, watts_to_dbm
 from qi_rangekit.range_solver import (
     Illumination,
     RangeChain,
+    antenna_gain,
     range_chain,
     sweep_ratio,
 )
+from reference_chain import channel_transmissivity, snr_eff
 from reference_sampler import estimate_covariance, sample_quadratures
 
 BENCHMARK = ScenarioConfig()
@@ -164,7 +161,7 @@ def test_criterion_6_solver_closure():
             root = chain.solve(n_s, mode)
         except NoDetectionError:
             continue
-        # independent closure through the public link-budget chain
+        # independent closure through the reference link-budget chain
         gain = antenna_gain(config.aperture_m2, f_hz)
         try:
             eta = channel_transmissivity(

@@ -817,8 +817,8 @@ def test_scalar_commands_start_without_numpy(tmp_path, argv):
 
 # the modules each command leaves unloaded (the default config has no table)
 UNUSED_MODULES = {
-    "sweep": ["qi_rangekit.quantum_states", "qi_rangekit.atmosphere"],
-    "range": ["qi_rangekit.quantum_states"],
+    "sweep": ["qi_rangekit.quantum_states", "qi_rangekit.atmosphere", "qi_rangekit.link_budget"],
+    "range": ["qi_rangekit.quantum_states", "qi_rangekit.link_budget"],
     "atten": ["qi_rangekit.link_budget", "qi_rangekit.range_solver", "qi_rangekit.quantum_states"],
     "--dump-config": ["qi_rangekit.link_budget", "qi_rangekit.range_solver",
                       "qi_rangekit.atmosphere"],

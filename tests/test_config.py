@@ -9,9 +9,8 @@ import pytest
 from qi_rangekit.atmosphere import AttenuationTable, serialize_table
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_config
 from qi_rangekit.errors import ConfigError, TableParseError
-from qi_rangekit.link_budget import antenna_gain
 from qi_rangekit.radiometry import dbm_to_watts
-from qi_rangekit.range_solver import Illumination, range_chain, sweep_range
+from qi_rangekit.range_solver import Illumination, antenna_gain, range_chain, sweep_range
 
 REPO = Path(__file__).resolve().parents[1]
 

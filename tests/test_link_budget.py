@@ -1,4 +1,4 @@
-"""Gain, transmissivity, SNR chain, and the Albersheim estimator."""
+"""Gain, the reference transmissivity/SNR chain, and the Albersheim estimator."""
 
 import math
 
@@ -8,22 +8,16 @@ import pytest
 from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.constants import TEXTBOOK
 from qi_rangekit.errors import ConfigError, DomainError, UnphysicalGeometryError
-from qi_rangekit.link_budget import (
-    albersheim_snr_min,
-    antenna_gain,
-    channel_transmissivity,
-    received_power,
-    snr,
-    snr_eff,
-)
+from qi_rangekit.link_budget import albersheim_snr_min
 from qi_rangekit.radiometry import (
     dbm_to_watts,
-    noise_power,
     t_eff_from_noise_power,
     thermal_occupancy,
     transmit_power,
     watts_to_dbm,
 )
+from qi_rangekit.range_solver import antenna_gain
+from reference_chain import channel_transmissivity, noise_power, received_power, snr, snr_eff
 
 FOUR_PI = 4.0 * math.pi
 

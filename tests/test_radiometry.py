@@ -10,13 +10,12 @@ from qi_rangekit.constants import CODATA, TEXTBOOK
 from qi_rangekit.errors import DomainError
 from qi_rangekit.radiometry import (
     dbm_to_watts,
-    noise_power,
-    photons_per_mode,
     t_eff_from_noise_power,
     thermal_occupancy,
     transmit_power,
     watts_to_dbm,
 )
+from reference_chain import noise_power, photons_per_mode
 
 # Benchmark noise budget: P_B = -63.82 dBm over B = 1 GHz.
 NOISE_POWER_DBM = -63.82

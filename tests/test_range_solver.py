@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from reference_chain import channel_transmissivity, snr_eff
 from reference_root import reference_root, ulps
 
 from qi_rangekit import atmosphere, range_solver
@@ -14,11 +15,11 @@ from qi_rangekit.cli import _log_grid
 from qi_rangekit.config import ScenarioConfig, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK, PhysicalConstants
 from qi_rangekit.errors import ConfigError, DomainError, NoDetectionError, UnphysicalGeometryError
-from qi_rangekit.link_budget import antenna_gain, channel_transmissivity, snr_eff
 from qi_rangekit.range_solver import (
     Illumination,
     RangeChain,
     RangeColumn,
+    antenna_gain,
     range_chain,
     sweep_range,
     sweep_ratio,
@@ -74,7 +75,7 @@ def make_chain(config, f_hz, n_b, gamma=0.0):
 
 
 def independent_snr_eff(point: Point, r_m: float) -> float:
-    """Recompute SNR_eff through the public link-budget chain."""
+    """Recompute SNR_eff through the reference link-budget chain."""
     config = point.config
     gain = antenna_gain(config.aperture_m2, point.f_hz, point.constants)
     eta = channel_transmissivity(
