@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from ._record import Record
-from .errors import DomainError, FrequencySpanError, TableParseError, TableValidationError
-from .radiometry import _require_non_negative
+from .errors import FrequencySpanError, TableParseError, TableValidationError
+from .radiometry import _require_non_negative, _require_positive
 
 CSV_HEADER = "frequency_ghz,gamma_db_per_km"
 
@@ -140,10 +140,7 @@ def gamma_at(table: AttenuationTable, f_hz: float) -> float:
     exact at knots.  Segments with a zero-gamma endpoint interpolate gamma
     linearly (still against log f).  Raises outside the table span.
     """
-    f_hz = float(f_hz)
-    if not (math.isfinite(f_hz) and f_hz > 0.0):
-        raise DomainError(f"frequency must be positive and finite, got {f_hz!r}")
-    f_ghz = f_hz / 1e9
+    f_ghz = _require_positive("frequency", f_hz) / 1e9
     lo_ghz, hi_ghz = table.span_ghz
     if not (lo_ghz <= f_ghz <= hi_ghz):
         raise FrequencySpanError(

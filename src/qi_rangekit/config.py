@@ -80,9 +80,6 @@ class ScenarioConfig(Record):
         frequencies = tuple(_as_float("frequencies_hz", f) for f in self.frequencies_hz)
         if not frequencies:
             raise ConfigError("frequencies_hz must not be empty")
-        for f_hz in frequencies:
-            if not (math.isfinite(f_hz) and f_hz > 0):
-                raise ConfigError(f"frequencies_hz must be positive and finite, got {f_hz!r}")
         object.__setattr__(self, "frequencies_hz", frequencies)
         path = self.attenuation_table_path
         if not (path is None or isinstance(path, str)):
@@ -97,6 +94,8 @@ class ScenarioConfig(Record):
             raise ConfigError(f"snr_min_db must be finite, got {self.snr_min_db!r}")
         measurements = float(self.tau_s) * self.bandwidth_hz
         try:
+            for f_hz in frequencies:
+                _require_positive("frequencies_hz", f_hz)
             _require_positive("target cross section", self.sigma_m2)
             _require_positive("antenna aperture", self.aperture_m2)
             try:

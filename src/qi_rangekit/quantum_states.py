@@ -132,30 +132,8 @@ def correlation_ratio(n_s: float) -> float:
     return (1.0 + inverse) ** -0.5
 
 
-def min_fock_cutoff(n_s: float) -> int:
-    """Smallest truncation index n_max whose discarded thermal-weight tail
-    sum_{n > n_max} n_s^n / (n_s + 1)^(n+1) stays below ``TAIL_TOLERANCE``.
-
-    The tail is geometric: (n_s/(n_s + 1))^(n_max + 1); the vacuum,
-    ``n_s = 0``, has none and takes the smallest cutoff, 1.  Raises
-    :class:`CutoffError` where n_s/(n_s + 1) rounds to 1 (n_s above ~1e16),
-    so that no finite cutoff bounds the tail.
-    """
-    n_s = _require_non_negative("n_s", n_s)
-    if n_s == 0.0:
-        return 1
-    ratio = n_s / (n_s + 1.0)
-    if ratio == 1.0:
-        raise CutoffError(f"n_s={n_s!r} is too large for a finite Fock cutoff")
-    # math.log(ratio) < 0, so the bound flips.
-    needed = math.ceil(math.log(TAIL_TOLERANCE) / math.log(ratio)) - 1
-    n_max = max(1, needed)
-    while _tmsv_tail(n_s, n_max) >= TAIL_TOLERANCE:  # guard against rounding
-        n_max += 1
-    return n_max
-
-
 def _tmsv_tail(n_s: float, n_max: int) -> float:
+    """Thermal-weight mass sum_{n > n_max} n_s^n / (n_s + 1)^(n+1) of the TMSV."""
     return (n_s / (n_s + 1.0)) ** (n_max + 1)
 
 
@@ -181,21 +159,26 @@ def _poisson_tail(lam: float, n_max: int) -> float:
     return total if upper else 1.0 - total
 
 
-def _smallest_cutoff(tail) -> int:
-    """Smallest n_max < MAX_FOCK_STATES with a non-increasing tail(n_max) < TAIL_TOLERANCE."""
+def _smallest_cutoff(n_s: float, tail) -> int:
+    """Smallest n_max < MAX_FOCK_STATES with tail(n_max) < TAIL_TOLERANCE, by
+    bisection over the non-increasing ``tail`` of the state at ``n_s``."""
     cutoffs = range(1, MAX_FOCK_STATES)
     index = bisect_left(cutoffs, True, key=lambda n: tail(n) < TAIL_TOLERANCE)
     if index == len(cutoffs):
         raise CutoffError(
-            f"the tail rule needs more than the oracle bound of {MAX_FOCK_STATES} Fock states"
+            f"the tail rule at n_s={n_s!r} needs more than the oracle bound of "
+            f"{MAX_FOCK_STATES} Fock states"
         )
     return cutoffs[index]
 
 
-def _checked_cutoff(n_s: float, n_max: int | None, tail, default) -> int:
-    """The caller's ``n_max``, or ``default()`` if it is None, checked before any
-    list is built: within the state bound, >= 1, and tail(n_max) < TAIL_TOLERANCE."""
-    n_max = int(default() if n_max is None else n_max)
+def _checked_cutoff(n_s: float, n_max: int | None, tail) -> int:
+    """:func:`_smallest_cutoff` if ``n_max`` is None, else the caller's
+    ``n_max``, checked before any list is built: within the state bound,
+    >= 1, and tail(n_max) < TAIL_TOLERANCE."""
+    if n_max is None:
+        return _smallest_cutoff(n_s, tail)
+    n_max = int(n_max)
     if n_max >= MAX_FOCK_STATES:
         raise CutoffError(
             f"cutoff n_max={n_max} at n_s={n_s!r} needs {n_max + 1} Fock states, "
@@ -290,11 +273,15 @@ def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> Matrix:
     The state is sum_n c_n |n, n> with c_n = sqrt(n_s^n / (n_s + 1)^(n+1));
     all sixteen second moments are summed from its n_max + 1 coefficients
     (see :func:`_diagonal_moments`).  ``n_s = 0`` is the vacuum, c = [1, 0, ...].
-    ``n_max`` defaults to :func:`min_fock_cutoff` and is rejected if it
-    violates the tail rule or needs more than MAX_FOCK_STATES states.
+    ``n_max`` defaults to the smallest cutoff below MAX_FOCK_STATES that
+    satisfies the tail rule, found by bisection over the geometric tail
+    (n_s/(n_s + 1))^(n_max + 1); CutoffError where none does (n_s from 74
+    up, including where n_s/(n_s + 1) rounds to 1).  A caller's ``n_max`` is
+    rejected if it violates the tail rule or needs more than MAX_FOCK_STATES
+    states.
     """
     n_s = _require_non_negative("n_s", n_s)
-    n_max = _checked_cutoff(n_s, n_max, partial(_tmsv_tail, n_s), partial(min_fock_cutoff, n_s))
+    n_max = _checked_cutoff(n_s, n_max, partial(_tmsv_tail, n_s))
     if n_s > 0.0:
         # sqrt(n_s^n / (n_s + 1)^(n+1)) in log space; the powers overflow past n ~ 300.
         log_n_s, log1p_n_s = math.log(n_s), math.log1p(n_s)
@@ -313,14 +300,13 @@ def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> Matrix:
     reproduce the model matrix (2*n_s + 1 diagonal, 2*n_s cross); the
     Q-sector comes out as the product state actually gives it (variance 1,
     zero cross correlation), which is the documented deviation from the
-    model's -C_c entry.  ``n_max`` defaults to the smallest cutoff below
-    MAX_FOCK_STATES that satisfies the tail rule, found by bisection over
-    the Poisson tail; a cutoff that needs more states raises CutoffError.
+    model's -C_c entry.  ``n_max`` defaults and is checked as in
+    :func:`tmsv_covariance_oracle`, with the Poisson tail of mean n_s/2 in
+    place of the geometric one.
     """
     n_s = _require_non_negative("n_s", n_s)
     lam = n_s / 2.0  # photons per mode, |alpha|^2
-    tail = partial(_poisson_tail, lam)
-    n_max = _checked_cutoff(n_s, n_max, tail, partial(_smallest_cutoff, tail))
+    n_max = _checked_cutoff(n_s, n_max, partial(_poisson_tail, lam))
     if lam > 0.0:
         # exp(-lam/2) * alpha^n / sqrt(n!) in log space; alpha = sqrt(lam).
         log_lam = math.log(lam)

@@ -152,8 +152,10 @@ class RangeChain(Record):
     ``head`` = sigma*G*A*M, ``denominator`` = (4*pi)^k * N_B, ``snr_min``
     the configured threshold (linear) and ``pulse_count`` M.
 
-    Built by :func:`range_chain`; the mode enters only through
-    :meth:`threshold`, so one chain serves both modes at every N_s.
+    Built by :func:`range_chain`; the mode enters only through the
+    threshold, SNR_min divided by 1 + 1/N_s for the quantum transmitter,
+    which the solve kernel computes per point, so one chain serves both
+    modes at every N_s.
     """
 
     __slots__ = _fields = (
@@ -163,14 +165,6 @@ class RangeChain(Record):
     def _check(self) -> None:
         _require_positive("n_b", self.n_b)
         _require_non_negative("gamma", self.gamma_db_per_km)
-
-    def threshold(self, n_s: float, mode: Illumination) -> float:
-        """Mode-adjusted detection threshold (linear): SNR_min, divided by
-        1 + 1/N_s for the quantum transmitter."""
-        n_s = _require_positive("n_s", n_s)
-        if mode is Illumination.QI:
-            return _quantum_threshold(self.snr_min, n_s)
-        return self.snr_min
 
     def solve(self, n_s: float, mode: Illumination) -> float:
         """Maximum range with absorption: the unique R where SNR_eff(R)

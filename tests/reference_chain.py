@@ -13,7 +13,9 @@ run:
 
 with the received power P_r = eta * P_t, the noise power P_B = k_B * T * B
 and photons per mode N_s = P / (h * f * B), the inverse of
-:func:`~qi_rangekit.radiometry.transmit_power`.
+:func:`~qi_rangekit.radiometry.transmit_power`.  It also gives a chain's
+mode-adjusted threshold (:func:`threshold`), which the solve kernel computes
+inline.
 """
 
 from __future__ import annotations
@@ -21,7 +23,22 @@ from __future__ import annotations
 from qi_rangekit.constants import TEXTBOOK, PhysicalConstants
 from qi_rangekit.errors import DomainError
 from qi_rangekit.radiometry import _require_positive
-from qi_rangekit.range_solver import _FOUR_PI, _require_far_field
+from qi_rangekit.range_solver import (
+    _FOUR_PI,
+    Illumination,
+    RangeChain,
+    _quantum_threshold,
+    _require_far_field,
+)
+
+
+def threshold(chain: RangeChain, n_s: float, mode: Illumination) -> float:
+    """Mode-adjusted detection threshold (linear) of ``chain``: SNR_min, divided
+    by 1 + 1/N_s for the quantum transmitter, through the package's helper."""
+    n_s = _require_positive("n_s", n_s)
+    if mode is Illumination.QI:
+        return _quantum_threshold(chain.snr_min, n_s)
+    return chain.snr_min
 
 
 def channel_transmissivity(

@@ -28,7 +28,7 @@ from qi_rangekit.range_solver import (
     range_chain,
     sweep_ratio,
 )
-from reference_chain import channel_transmissivity, snr_eff
+from reference_chain import channel_transmissivity, snr_eff, threshold
 from reference_sampler import estimate_covariance, sample_quadratures
 
 BENCHMARK = ScenarioConfig()
@@ -174,15 +174,15 @@ def test_criterion_6_solver_closure():
         except UnphysicalGeometryError:
             continue  # solution fell in the near field; not a valid far-field case
         achieved = snr_eff(eta, chain.pulse_count, n_s, chain.n_b)
-        threshold = chain.threshold(n_s, mode)
-        residual_db = abs(10.0 * math.log10(achieved / threshold))
+        mode_threshold = threshold(chain, n_s, mode)
+        residual_db = abs(10.0 * math.log10(achieved / mode_threshold))
         worst_residual = max(worst_residual, residual_db)
         if residual_db >= 1e-6:
             report(6, False, f"closure residual {residual_db:.2e} dB for {case}")
         # closed-form free-space range: SNR_eff(R) = threshold at F = 1
         free_space = (
             config.sigma_m2 * gain * config.aperture_m2 * chain.pulse_count * n_s
-            / ((4.0 * math.pi) ** 2 * chain.n_b) / threshold
+            / ((4.0 * math.pi) ** 2 * chain.n_b) / mode_threshold
         ) ** 0.25
         if root >= free_space:
             report(6, False, f"attenuated solution not below free-space bound: {case}")

@@ -113,6 +113,15 @@ def test_covariance_oracle_rejected_before_any_array(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_default_cutoff_above_the_bound_names_n_s_and_the_bound(capsys):
+    # from N_s 74 up no TMSV cutoff below 2048 states meets the tail rule
+    code, out, err = run_cli(capsys, "covariance", "--ns", "74", "--mode", "qi", "--oracle")
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert "74.0" in line and "2048" in line
+
+
 def test_covariance_oracle_at_zero_photons(capsys):
     code, out, _ = run_cli(capsys, "covariance", "--ns", "0", "--mode", "qi", "--oracle")
     assert code == 0

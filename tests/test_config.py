@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+from reference_chain import threshold
 
 from qi_rangekit.atmosphere import AttenuationTable, serialize_table
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_config
@@ -165,7 +166,7 @@ def test_derived_noise_quantities():
 def test_range_chain_wires_scenario(tmp_path):
     cfg = ScenarioConfig()
     chain = range_chain(cfg, 1e12)
-    assert chain.threshold(1e-2, Illumination.QI) == 10.0 / (1.0 + 1.0 / 1e-2)
+    assert threshold(chain, 1e-2, Illumination.QI) == 10.0 / (1.0 + 1.0 / 1e-2)
     assert chain.gamma_db_per_km == 0.0
     assert chain.n_b == pytest.approx(625.87, rel=1e-3)
     assert chain.pulse_count == 10**9

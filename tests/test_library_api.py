@@ -1,8 +1,9 @@
 """The package keeps only what its commands run, plus a listed library API.
 
-A public module-level function in ``src/`` must be referenced by code in
-``src/`` or be listed in the README's "Library API" table, so a formula that
-only the tests use lives in the tests (``tests/reference_chain.py``,
+A public module-level function in ``src/``, and a public method or property
+of a module-level class there, must be referenced by code in ``src/`` or be
+listed in the README's "Library API" table, so a formula that only the tests
+use lives in the tests (``tests/reference_chain.py``,
 ``tests/reference_sampler.py``) rather than in the library.
 """
 
@@ -22,28 +23,44 @@ def package_sources() -> dict[str, str]:
     }
 
 
-def unreferenced_functions(sources: dict[str, str]) -> list[str]:
-    """``module.function`` for each public module-level function in
-    ``sources`` whose name no code in ``sources`` uses, as a name or an
-    attribute.  An import is not a use, and docstrings and comments are not
-    code."""
-    defined, used = [], set()
+def public_functions(body: list[ast.stmt]) -> list[str]:
+    """Names of the public functions defined in a module or class body (in a
+    class, its methods and properties)."""
+    return [
+        node.name for node in body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def unreferenced(sources: dict[str, str]) -> tuple[list[str], list[str]]:
+    """The public API in ``sources`` that no code in ``sources`` uses:
+    ``module.function`` for each public module-level function whose name is
+    used neither as a name nor as an attribute, and ``module.Class.method``
+    for each public method or property of a module-level class whose name is
+    not used as an attribute (``x.name``): a method is only reached through
+    an attribute, and its name may also be a local's.  An import is not a
+    use, and docstrings and comments are not code."""
+    functions, methods, names, attributes = [], [], set(), set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [
-            f"{module}.{node.name}" for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        ]
+        functions += [f"{module}.{name}" for name in public_functions(tree.body)]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods += [f"{module}.{node.name}.{name}" for name in public_functions(node.body)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return [name for name in defined if name.rsplit(".", 1)[1] not in used]
+                attributes.add(node.attr)
+    return (
+        [name for name in functions if name.rsplit(".", 1)[1] not in names | attributes],
+        [name for name in methods if name.rsplit(".", 1)[1] not in attributes],
+    )
 
 
 def listed_api() -> list[str]:
-    """The ``module.function`` entries of the README's "Library API" table."""
+    """The ``module.function`` and ``module.Class.method`` entries of the
+    README's "Library API" table."""
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.partition("\n## Library API\n")[2].split("\n## ", 1)[0]
     return re.findall(r"^\| `qi_rangekit\.([\w.]+)` \|", section, flags=re.MULTILINE)
@@ -51,8 +68,14 @@ def listed_api() -> list[str]:
 
 def test_every_public_function_is_called_or_listed():
     listed = set(listed_api())
-    assert [name for name in unreferenced_functions(package_sources())
-            if name not in listed] == []
+    functions, _ = unreferenced(package_sources())
+    assert [name for name in functions if name not in listed] == []
+
+
+def test_every_public_method_is_called_or_listed():
+    listed = set(listed_api())
+    _, methods = unreferenced(package_sources())
+    assert [name for name in methods if name not in listed] == []
 
 
 def test_listed_api_names_public_functions():
@@ -61,11 +84,18 @@ def test_listed_api_names_public_functions():
     assert listed
     for name in listed:
         module, function = name.rsplit(".", 1)
-        assert module in sources, name
-        assert not function.startswith("_") and any(
-            isinstance(node, ast.FunctionDef) and node.name == function
-            for node in ast.parse(sources[module]).body
-        ), name
+        if module in sources:
+            body = ast.parse(sources[module]).body
+        else:  # module.Class.method
+            module, cls = module.rsplit(".", 1)
+            assert module in sources, name
+            classes = [
+                node for node in ast.parse(sources[module]).body
+                if isinstance(node, ast.ClassDef) and node.name == cls
+            ]
+            assert classes and not cls.startswith("_"), name
+            body = classes[0].body
+        assert function in public_functions(body), name
 
 
 def test_docstring_and_comment_mentions_are_not_callers():
@@ -77,6 +107,19 @@ def test_docstring_and_comment_mentions_are_not_callers():
         "def k():\n    pass\n\n\n"
         "def _private():\n    pass\n"
     )
-    assert unreferenced_functions({"m": source, "n": "from .m import g\nimport m\nm.h\n"}) == [
+    assert unreferenced({"m": source, "n": "from .m import g\nimport m\nm.h\n"})[0] == [
         "m.f", "m.g",
     ]
+
+
+def test_a_local_named_like_a_method_is_not_a_caller():
+    # positive control for the method scan: only ``x.name`` reaches a method
+    source = (
+        "class C:\n"
+        "    def used(self):\n        threshold = 1.0\n        return threshold\n\n"
+        "    def threshold(self):\n        pass\n\n"
+        "    @property\n    def size(self):\n        pass\n\n"
+        "    def _private(self):\n        pass\n\n\n"
+        "def _f(c):\n    return c.used(), c.size\n"
+    )
+    assert unreferenced({"m": source}) == ([], ["m.C.threshold"])

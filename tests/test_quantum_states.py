@@ -18,13 +18,28 @@ from qi_rangekit.quantum_states import (
     _poisson_tail,
     _product_moments,
     _smallest_cutoff,
+    _tmsv_tail,
     coherent_covariance,
     coherent_covariance_oracle,
     correlation_ratio,
-    min_fock_cutoff,
     tmsv_covariance,
     tmsv_covariance_oracle,
 )
+
+
+def geometric_cutoff(n_s: float) -> int:
+    """Reference cutoff in closed form: the smallest n_max >= 1 whose geometric
+    TMSV tail (n_s/(n_s + 1))^(n_max + 1) is below TAIL_TOLERANCE."""
+    ratio = n_s / (n_s + 1.0)
+    if ratio == 0.0:
+        return 1
+    # math.log(ratio) < 0, so the bound flips.
+    return max(1, math.ceil(math.log(TAIL_TOLERANCE) / math.log(ratio)) - 1)
+
+
+def tmsv_cutoff(n_s: float) -> int:
+    """The TMSV oracle's default cutoff."""
+    return _smallest_cutoff(n_s, partial(_tmsv_tail, n_s))
 
 
 def test_tmsv_vacuum_limit():
@@ -44,7 +59,7 @@ def test_tmsv_at_half_photon():
 
 
 def test_tmsv_matches_oracle_at_half_photon():
-    oracle = np.asarray(tmsv_covariance_oracle(0.5, min_fock_cutoff(0.5)))
+    oracle = np.asarray(tmsv_covariance_oracle(0.5, geometric_cutoff(0.5)))
     assert np.abs(oracle - np.asarray(tmsv_covariance(0.5))).max() < 1e-9
 
 
@@ -146,7 +161,7 @@ def test_coherent_oracle_vacuum():
 
 def test_tmsv_oracle_vacuum():
     # like the coherent pair, n_s = 0 is the vacuum: c = [1, 0], n_max = 1
-    assert min_fock_cutoff(0.0) == 1
+    assert tmsv_cutoff(0.0) == 1
     assert np.abs(np.asarray(tmsv_covariance_oracle(0.0)) - np.eye(4)).max() < 1e-12
     assert np.abs(np.asarray(tmsv_covariance_oracle(0.0, 30)) - np.eye(4)).max() < 1e-12
 
@@ -177,7 +192,7 @@ def test_coherent_oracle_q_sector_deviates_from_model():
 
 def test_min_fock_cutoff_tail_rule():
     for n_s in (0.01, 0.5, 5.0):
-        n_max = min_fock_cutoff(n_s)
+        n_max = tmsv_cutoff(n_s)
         ratio = n_s / (n_s + 1.0)
         assert ratio ** (n_max + 1) < 1e-12
         assert ratio**n_max >= 1e-12 or n_max == 1
@@ -203,8 +218,25 @@ def test_bisected_coherent_cutoff_matches_a_plain_scan():
         n_max = 1
         while tail(n_max) >= TAIL_TOLERANCE:
             n_max += 1
-        assert _smallest_cutoff(tail) == n_max
-    assert _smallest_cutoff(partial(_poisson_tail, 500.0)) == 665  # ci N_s 1000: dim 666
+        assert _smallest_cutoff(n_s, tail) == n_max
+    assert _smallest_cutoff(1000.0, partial(_poisson_tail, 500.0)) == 665  # ci N_s 1000: dim 666
+
+
+def test_bisected_tmsv_cutoff_matches_the_geometric_closed_form():
+    # The closed form is checked against its defining inequality first, so a
+    # rounding slip in either rule shows.  Up to N_s 73.5 the cutoff is at most
+    # 2044; from 74 up no cutoff below the oracle bound meets the tail rule.
+    for n_s in [*np.logspace(-10, math.log10(73.5), 131), 0.0, 5e-324, 1e-300, 72.0, 73.0]:
+        n_max = geometric_cutoff(n_s)
+        ratio = n_s / (n_s + 1.0)
+        assert ratio ** (n_max + 1) < TAIL_TOLERANCE
+        assert n_max == 1 or ratio**n_max >= TAIL_TOLERANCE
+        assert tmsv_cutoff(n_s) == n_max
+    assert tmsv_cutoff(10.0) == 289 and tmsv_cutoff(20.0) == 566
+    assert tmsv_cutoff(73.5) == geometric_cutoff(73.5) == 2044
+    assert geometric_cutoff(74.0) >= 2048
+    with pytest.raises(CutoffError, match="oracle bound of 2048"):
+        tmsv_cutoff(74.0)
 
 
 def test_oracle_size_bounded_before_any_array():
@@ -217,8 +249,9 @@ def test_oracle_size_bounded_before_any_array():
 
 def test_min_fock_cutoff_rejects_unbounded_tail():
     # n_s / (n_s + 1) rounds to 1.0: no finite cutoff, not a ZeroDivisionError.
-    with pytest.raises(CutoffError):
-        min_fock_cutoff(1e17)
+    for n_s in (1e16, 1e17, 1e300):
+        with pytest.raises(CutoffError, match="oracle bound of 2048"):
+            tmsv_covariance_oracle(n_s)
 
 
 def test_cutoff_too_small_rejected():
