@@ -240,7 +240,7 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     results = []
     for mode in modes:
         r_max = chain.solve(args.ns, mode)
-        results.append((mode, r_max, chain.link_at(args.ns, r_max)))
+        results.append((mode, r_max, chain.link_at(r_max)))
     # noise budget is configured as a power; the implied temperature and
     # occupancy are derived, so show them
     print(
@@ -250,11 +250,11 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
         file=out,
     )
     for mode, r_max, (f_form, eta) in results:
-        # |10 log10(eta * M * N_s / (N_B * threshold))|, with N_s / threshold
-        # as (1 + N_s) / SNR_min for QI, a float where the threshold
-        # underflows; inf where eta itself underflows to 0 (N_s near 1e308)
-        n_s_per_snr = (1.0 + args.ns if mode is Illumination.QI else args.ns) / chain.snr_min
-        closure = eta * chain.pulse_count / chain.n_b * n_s_per_snr
+        # |10 log10(eta * M * photons / (N_B * SNR_min))|, photons = N_s plus
+        # the mode's extra photons (N_s + 1 for QI); inf where eta itself
+        # underflows to 0 (N_s near 1e308)
+        photons_per_snr = (args.ns + mode.extra_photons) / chain.snr_min
+        closure = eta * chain.pulse_count / chain.n_b * photons_per_snr
         residual = abs(10.0 * math.log10(closure)) if closure > 0.0 else math.inf
         print(f"{mode.value}: r_max = {r_max:.6g} m  (residual {residual:.3e} dB)", file=out)
         print(

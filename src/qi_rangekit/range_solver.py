@@ -4,12 +4,15 @@ With no atmospheric loss the range equation closes in a fourth root,
 
     R_max = (sigma * G * A * M * N_s / ((4*pi)^2 * N_B * SNR_min))^(1/4),
 
-and the quantum transmitter extends it by (1 + 1/N_s)^(1/4), implemented as
-a threshold rescaling SNR_min -> SNR_min / (1 + 1/N_s) so the range ratio
-holds by construction.  With absorption the round-trip form factor is
-F(R)^2 = exp(-2aR), a = gamma * ln(10) / 10^4 (gamma in dB/km, R in m), and
-the threshold crossing solves R^4 * exp(2aR) = R_free^4.  That equation has
-a closed form via Lambert W0, the principal branch of w * e^w = x,
+and the quantum transmitter extends it by (1 + 1/N_s)^(1/4).  As
+N_s * (1 + 1/N_s) = N_s + 1, the quantum range at N_s is the classical range
+at N_s + 1: each transmitter adds its extra photons
+(:attr:`Illumination.extra_photons`, 0 for CI and 1 for QI) to N_s, and the
+chain is solved at photons = N_s + extra against SNR_min itself.  With
+absorption the round-trip form factor is F(R)^2 = exp(-2aR),
+a = gamma * ln(10) / 10^4 (gamma in dB/km, R in m), and the threshold
+crossing solves R^4 * exp(2aR) = R_free^4.  That equation has a closed form
+via Lambert W0, the principal branch of w * e^w = x,
 
     R_max = (2/a) * W0(a * R_free / 2),
 
@@ -30,14 +33,12 @@ per column.  ``range`` solves a one-point column through
 frequency when called and solves its columns lazily, one per (frequency,
 mode), so a sweep row and the one-point solution are the same computation.
 
-Where the closed form leaves the float range -- the QI threshold
-SNR_min / (1 + 1/N_s) underflows to 0, or R_free^4 = head * N_s /
-(denominator * threshold) overflows -- the kernel takes the same closed form
-in another arrangement, with N_s / threshold as (1 + N_s) / SNR_min for QI:
-the lossless R_free^4 as head / denominator * (1 + N_s) / SNR_min, and, with
-absorption, R_free as a quotient of fourth roots that are each a float, so
-an attenuated root that is a float comes out as one.  Every attenuated root
-is W0(x) / (a/2), x = a * R_free / 2, with W0 taken from ln x where x is
+Where R_free^4 = head * photons / (denominator * SNR_min) overflows, the
+kernel takes the same closed form in another arrangement: the lossless
+R_free^4 as head / denominator * photons / SNR_min, and, with absorption,
+R_free as a quotient of fourth roots that are each a float, so an attenuated
+root that is a float comes out as one.  Every attenuated root is
+W0(x) / (a/2), x = a * R_free / 2, with W0 taken from ln x where x is
 beyond Halley's range, and R_free where x is below the normal floats (there
 W0(x) / x rounds to 1).  Where the lossless R_free^4 is still beyond the
 float range (R_free above ~1.3e77 m, although R_free itself may be a
@@ -49,8 +50,8 @@ The kernel computes the root and one status per point, and nothing else:
 * ``no_detection`` -- no root: as SNR_eff(R) strictly decreases, "below
   threshold at near-zero range" is "root below near-zero range", so this is
   read off the root;
-* ``near_field`` -- a root where eta > 1.  At the root eta * M * N_s / N_B is
-  the threshold, so that is threshold * N_B > M * N_s, with no range
+* ``near_field`` -- a root where eta > 1.  At the root eta * M * photons /
+  N_B is SNR_min, so that is SNR_min * N_B > M * photons, with no range
   evaluation;
 * ``overflow`` -- the lossless R_free^4 overflows, and the root is inf.
 
@@ -107,6 +108,12 @@ class Illumination(enum.Enum):
     CI = "ci"
     QI = "qi"
 
+    @property
+    def extra_photons(self) -> float:
+        """Photons the transmitter adds to N_s in the range equation: 0 for
+        CI, 1 for QI, whose (1 + 1/N_s) gain makes N_s act as N_s + 1."""
+        return 1.0 if self is Illumination.QI else 0.0
+
 
 class RangeColumn(Record):
     """One solved column, as two lists with one entry per N_s of the grid:
@@ -138,24 +145,16 @@ def _require_far_field(eta: float, r_m: float) -> float:
     return eta
 
 
-def _quantum_threshold(snr_min: float, n_s: float) -> float:
-    # The quantum transmitter's threshold rescaling; see module docstring.
-    inverse = 1.0 / n_s
-    if inverse == math.inf:  # N_s below ~5.6e-309, where 1 + N_s is 1
-        return snr_min * n_s
-    return snr_min / (1.0 + inverse)
-
-
 class RangeChain(Record):
     """The range chain of a scenario at one frequency,
-    SNR_eff(R) = head * N_s / denominator * F(R)^2 / R^4, with
+    SNR_eff(R) = head * photons / denominator * F(R)^2 / R^4, with
     ``head`` = sigma*G*A*M, ``denominator`` = (4*pi)^k * N_B, ``snr_min``
     the configured threshold (linear) and ``pulse_count`` M.
 
     Built by :func:`range_chain`; the mode enters only through the
-    threshold, SNR_min divided by 1 + 1/N_s for the quantum transmitter,
-    which the solve kernel computes per point, so one chain serves both
-    modes at every N_s.
+    photons the solve kernel forms per point, N_s + extra photons (N_s + 1
+    for the quantum transmitter), so one chain serves both modes at every
+    N_s.
     """
 
     __slots__ = _fields = (
@@ -167,8 +166,8 @@ class RangeChain(Record):
         _require_non_negative("gamma", self.gamma_db_per_km)
 
     def solve(self, n_s: float, mode: Illumination) -> float:
-        """Maximum range with absorption: the unique R where SNR_eff(R)
-        crosses the mode-adjusted threshold.
+        """Maximum range with absorption: the unique R where SNR_eff(R), at
+        N_s + the mode's extra photons, crosses SNR_min.
 
         The one-point column of :meth:`solutions`, with N_s checked.  Raises
         :class:`NoDetectionError` when the target is already below threshold
@@ -186,8 +185,9 @@ class RangeChain(Record):
             )
         if status == "overflow":
             raise DomainError(
-                f"n_s = {n_s!r} overflows the range chain: head * N_s / "
-                "((4*pi)^k * N_B * threshold) exceeds the float range"
+                f"n_s = {n_s!r} overflows the range chain: head * photons / "
+                "((4*pi)^k * N_B * SNR_min), photons N_s (CI) or N_s + 1 (QI), "
+                "exceeds the float range"
             )
         return column.r_max_m[0]
 
@@ -203,14 +203,14 @@ class RangeChain(Record):
         head, denominator, snr_min = self.head, self.denominator, self.snr_min
         n_b, pulse_count = self.n_b, self.pulse_count
         half_a = 0.5 * self.gamma_db_per_km * _A_PER_GAMMA
-        quantum = mode is Illumination.QI
+        extra = mode.extra_photons
         column = RangeColumn([], [])
         add_r, add_status = column.r_max_m.append, column.status.append
         inf, near_zero = math.inf, _NEAR_ZERO_RANGE_M
         for n_s in n_s_grid:
-            threshold = _quantum_threshold(snr_min, n_s) if quantum else snr_min
-            if threshold == 0.0 or (ratio := head * n_s / denominator / threshold) == inf:
-                root = self._beyond_float_range(n_s, mode)
+            photons = n_s + extra
+            if (ratio := head * photons / denominator / snr_min) == inf:
+                root = self._beyond_float_range(photons)
             else:
                 root = ratio**0.25
                 # not gamma > 0: a subnormal gamma leaves a/2 = 0
@@ -220,7 +220,7 @@ class RangeChain(Record):
                 root, status = None, "no_detection"
             elif root == inf:
                 status = "overflow"
-            elif threshold * n_b > pulse_count * n_s:
+            elif snr_min * n_b > pulse_count * photons:
                 status = "near_field"
             else:
                 status = "ok"
@@ -228,31 +228,26 @@ class RangeChain(Record):
             add_status(status)
         return column
 
-    def _beyond_float_range(self, n_s: float, mode: Illumination) -> float:
-        """The root where the QI threshold underflows to 0 or R_free^4
-        overflows; see the module docstring."""
+    def _beyond_float_range(self, photons: float) -> float:
+        """The root where R_free^4 overflows; see the module docstring."""
         head, denominator, snr_min = self.head, self.denominator, self.snr_min
         half_a = 0.5 * self.gamma_db_per_km * _A_PER_GAMMA
-        # SNR_min * N_s / threshold: 1 + N_s for QI, where N_s / threshold may not be a float
-        n_s_per_snr = 1.0 + n_s if mode is Illumination.QI else n_s
         if half_a == 0.0:
-            return (head / denominator * n_s_per_snr / snr_min) ** 0.25
+            return (head / denominator * photons / snr_min) ** 0.25
         # R_free from fourth roots that are each a float
-        r_free = head**0.25 * n_s_per_snr**0.25 / (denominator**0.25 * snr_min**0.25)
+        r_free = head**0.25 * photons**0.25 / (denominator**0.25 * snr_min**0.25)
         return _attenuated_root(half_a, r_free)
 
-    def link_at(self, n_s: float, r_m: float) -> tuple[float, float]:
+    def link_at(self, r_m: float) -> tuple[float, float]:
         """One-way form factor F and transmissivity eta at range ``r_m``,
         from the chain :meth:`solve` solves.
 
-        At the root, eta * M * N_s / N_B is the mode-adjusted threshold;
-        eta itself, SNR_eff(R) * N_B / (M * N_s), does not depend on N_s,
-        which is only checked.  Raises :class:`UnphysicalGeometryError`
-        where eta > 1 (near field).
+        At the root, eta * M * photons / N_B is SNR_min; eta itself,
+        SNR_eff(R) * N_B / (M * photons), does not depend on N_s.  Raises
+        :class:`UnphysicalGeometryError` where eta > 1 (near field).
         """
         from .atmosphere import form_factor
 
-        _require_positive("n_s", n_s)
         r_m = _require_positive("range", r_m)
         f_form = form_factor(self.gamma_db_per_km, r_m)
         eta = self.head / self.denominator * f_form**2 / r_m**4 * self.n_b / self.pulse_count

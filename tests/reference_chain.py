@@ -14,11 +14,13 @@ run:
 with the received power P_r = eta * P_t, the noise power P_B = k_B * T * B
 and photons per mode N_s = P / (h * f * B), the inverse of
 :func:`~qi_rangekit.radiometry.transmit_power`.  It also gives a chain's
-mode-adjusted threshold (:func:`threshold`), which the solve kernel computes
-inline.
+mode-adjusted threshold (:func:`threshold`), SNR_min / (1 + 1/N_s) for the
+quantum transmitter: the textbook form of the N_s + 1 the solve kernel uses.
 """
 
 from __future__ import annotations
+
+import math
 
 from qi_rangekit.constants import TEXTBOOK, PhysicalConstants
 from qi_rangekit.errors import DomainError
@@ -27,18 +29,20 @@ from qi_rangekit.range_solver import (
     _FOUR_PI,
     Illumination,
     RangeChain,
-    _quantum_threshold,
     _require_far_field,
 )
 
 
 def threshold(chain: RangeChain, n_s: float, mode: Illumination) -> float:
     """Mode-adjusted detection threshold (linear) of ``chain``: SNR_min, divided
-    by 1 + 1/N_s for the quantum transmitter, through the package's helper."""
+    by 1 + 1/N_s for the quantum transmitter."""
     n_s = _require_positive("n_s", n_s)
-    if mode is Illumination.QI:
-        return _quantum_threshold(chain.snr_min, n_s)
-    return chain.snr_min
+    if mode is Illumination.CI:
+        return chain.snr_min
+    inverse = 1.0 / n_s
+    if inverse == math.inf:  # N_s below ~5.6e-309, where 1 + 1/N_s is 1/N_s
+        return chain.snr_min * n_s
+    return chain.snr_min / (1.0 + inverse)
 
 
 def channel_transmissivity(

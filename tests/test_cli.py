@@ -13,6 +13,7 @@ import qi_rangekit
 from qi_rangekit import atmosphere
 from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS, main
 from qi_rangekit.config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
+from qi_rangekit.constants import CODATA, TEXTBOOK
 from qi_rangekit.range_solver import Illumination, range_chain
 
 QI_ADVANTAGE_AT_1E2 = 101.0**0.25  # range gain at N_s = 1e-2
@@ -404,8 +405,10 @@ def test_sweep_at_a_frequency_where_h_f_underflows_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("snr_min_db", [-2950, -3000])
 def test_range_where_the_quantum_threshold_underflows(tmp_path, capsys, snr_min_db):
-    # SNR_min / (1 + 1/N_s) underflows to 0 at N_s 1e-30; the range is the
-    # finite N_s -> 0 limit, or, where R_free^4 overflows, an error naming n_s
+    # the textbook threshold SNR_min / (1 + 1/N_s) underflows to 0 at N_s
+    # 1e-30, but the chain is solved at N_s + 1 photons against SNR_min: the
+    # range is the finite N_s -> 0 limit, or, where R_free^4 overflows, an
+    # error naming n_s
     config = tmp_path / "snr.json"
     config.write_text(json.dumps({"snr_min_db": snr_min_db}), encoding="utf-8")
     code, out, err = run_cli(capsys, "--config", str(config),
@@ -414,7 +417,7 @@ def test_range_where_the_quantum_threshold_underflows(tmp_path, capsys, snr_min_
         assert (code, err) == (0, "")
         residual = re.search(r"qi: r_max = 4\.33511e\+76 m  \(residual (\S+) dB\)\n", out)
         assert float(residual.group(1)) < 1e-12
-        # eta = SNR_min * N_B / ((1 + 1/N_s) * M * N_s) at the root
+        # eta = SNR_min * N_B / (M * (N_s + 1)) at the root
         assert "eta = 6.25873e-302" in out
         return
     assert (code, out) == (2, "")
@@ -428,6 +431,17 @@ def test_range_where_the_quantum_threshold_underflows(tmp_path, capsys, snr_min_
     assert [row[3:] for row in rows if row[1:3] == ["1000000000000.0", "qi"]] == [
         ["inf", "overflow"], ["inf", "overflow"],
     ]
+
+
+@pytest.mark.parametrize("n_s", ["5e-324", "1.5e-323", "1e-310"])
+@pytest.mark.parametrize("freq", ["7e9", "1e12"])
+def test_quantum_range_closes_at_a_subnormal_n_s(capsys, n_s, freq):
+    # a subnormal N_s keeps few digits; the QI chain and its residual use
+    # N_s + 1, which keeps all
+    code, out, err = run_cli(capsys, "range", "--ns", n_s, "--freq", freq, "--mode", "qi")
+    assert (code, err) == (0, "")
+    residual = re.search(r"qi: r_max = \S+ m  \(residual (\S+) dB\)\n", out)
+    assert float(residual.group(1)) < 1e-12
 
 
 def test_range_where_eta_at_the_root_underflows(tmp_path, capsys, monkeypatch):
@@ -628,6 +642,27 @@ def test_sweep_csv_is_pinned(tmp_path, capsys, monkeypatch, case):
     rows = golden.count(b"\n") - 1
     assert (code, capsys.readouterr().out) == (0, f"wrote {rows} rows to {output}\n")
     assert output.read_bytes() == golden
+
+
+@pytest.mark.parametrize("case", list(SWEEP_GOLDEN_CASES))
+def test_quantum_column_is_the_classical_column_at_n_s_plus_1(tmp_path, case):
+    # the quantum transmitter enters the range chain as N_s + 1 photons, so
+    # its column is the classical one at N_s + 1, roots and statuses, bit for
+    # bit; subnormal N_s included, where 1/N_s overflows
+    config, flags = SWEEP_GOLDEN_CASES[case]
+    scenario = ScenarioConfig()
+    if config is not None:
+        config_path = tmp_path / f"{case}.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        scenario = load_config(config_path)
+    constants = CODATA if "--codata" in flags else TEXTBOOK
+    grid = [5e-324, 1.5e-323, 1e-310, *GOLDEN_GRID]
+    for f_hz in scenario.frequencies_hz:
+        chain = range_chain(scenario, f_hz, constants)
+        quantum = chain.solutions(grid, Illumination.QI)
+        classical = chain.solutions([n_s + 1.0 for n_s in grid], Illumination.CI)
+        assert list(map(repr, quantum.r_max_m)) == list(map(repr, classical.r_max_m))
+        assert quantum.status == classical.status
 
 
 def test_sweep_figure1_csv_is_pinned(tmp_path, capsys, monkeypatch):

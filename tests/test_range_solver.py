@@ -252,9 +252,9 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
         snr_per_eta = chain.pulse_count * n_s / chain.n_b
         if mode_threshold / snr_per_eta > 1.0:
             with pytest.raises(UnphysicalGeometryError, match="> 1 at range"):
-                chain.link_at(n_s, root)
+                chain.link_at(root)
             continue
-        f_form, eta = chain.link_at(n_s, root)
+        f_form, eta = chain.link_at(root)
         assert eta * snr_per_eta == pytest.approx(mode_threshold, rel=1e-12)
         if four_pi_exponent == 2:
             assert f_form == form_factor(chain.gamma_db_per_km, root)
@@ -383,20 +383,21 @@ def test_sweep_range_is_lazy(monkeypatch):
 
 # repr(r_max_m) and status of the solve; the lossless columns were recorded
 # before the column kernel replaced the per-point solve, the attenuated ones
-# when the attenuated root became W0(x) / (a/2).  Literal N_s values, so no
-# grid arithmetic enters the comparison.
+# when the attenuated root became W0(x) / (a/2), and the lossless QI N_s 0.1
+# entries when the quantum transmitter entered as N_s + 1 photons.  Literal
+# N_s values, so no grid arithmetic enters the comparison.
 PINNED_SOLUTIONS = {
     ("lossless", 7e9, "ci"): [
         ("1.865622715108297", "ok"), ("5.899617034289644", "ok"), ("18.65622715108297", "ok"),
     ],
     ("lossless", 7e9, "qi"): [
-        ("10.493789308093355", "ok"), ("10.744148250400524", "ok"), ("19.106097612092967", "ok"),
+        ("10.493789308093355", "ok"), ("10.744148250400523", "ok"), ("19.106097612092967", "ok"),
     ],
     ("lossless", 1e12, "ci"): [
         ("77.09039854395384", "ok"), ("243.78124512902218", "ok"), ("770.9039854395384", "ok"),
     ],
     ("lossless", 1e12, "qi"): [
-        ("433.6195059408025", "ok"), ("443.96472230486364", "ok"), ("789.4933244583871", "ok"),
+        ("433.6195059408025", "ok"), ("443.9647223048636", "ok"), ("789.4933244583871", "ok"),
     ],
     ("bundled_table", 60e9, "ci"): [
         ("9.198454986867679", "ok"), ("28.15141119027738", "ok"), ("81.22586253315237", "ok"),
@@ -469,9 +470,10 @@ def test_overflowing_chain_names_n_s(table_path, mode):
 
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
 def test_quantum_threshold_underflow_solves_the_same_ratio(table_path):
-    # SNR_min / (1 + 1/N_s) underflows to 0 at SNR_min 1e-295 and N_s 1e-30;
-    # scaling head and SNR_min by 1e100 keeps head * N_s / (denominator *
-    # threshold) and leaves the threshold a float
+    # The textbook threshold SNR_min / (1 + 1/N_s) underflows to 0 at SNR_min
+    # 1e-295 and N_s 1e-30, but the kernel solves at N_s + 1 photons against
+    # SNR_min; scaling head and SNR_min by 1e100 keeps head * (N_s + 1) /
+    # (denominator * SNR_min)
     chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), 1e12)
     underflowing = chain.replace(snr_min=1e-295)
     scaled = chain.replace(snr_min=1e-195, head=chain.head * 1e100)
@@ -600,12 +602,12 @@ def test_sweep_ratio_values():
 
 @pytest.mark.parametrize("n_s", [1e-310, 5e-324])
 def test_quantum_range_where_the_inverse_of_n_s_overflows(n_s):
-    # The QI threshold SNR_min / (1 + 1/N_s) tends to SNR_min * N_s, so the
-    # quantum range tends to a finite limit as N_s -> 0; below ~5.6e-309,
-    # where 1/N_s overflows, it is that limit, not a division by zero.
+    # The quantum range is the classical range at N_s + 1, so it tends to a
+    # finite limit as N_s -> 0; below ~5.6e-309, where 1/N_s overflows, it
+    # is still the exact root, not a division by zero.
     chain = range_chain(BENCHMARK, 1e12)
-    limit = chain.solve(1e-300, Illumination.QI)
-    assert chain.solve(n_s, Illumination.QI) == pytest.approx(limit, rel=1e-6)
+    root = chain.solve(n_s, Illumination.QI)
+    assert ulps(root, reference_root(chain, n_s, Illumination.QI)) <= ULP_BOUND
     with pytest.raises(NoDetectionError):
         chain.solve(n_s, Illumination.CI)
     rows = sweep_rows(BENCHMARK, [n_s, 1e-300])
@@ -638,6 +640,21 @@ def test_roots_are_within_4_ulp_of_the_reference_on_a_random_set():
     assert worst <= ULP_BOUND
 
 
+@pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
+@pytest.mark.parametrize("f_hz", [7e9, 95e9, 1e12])
+def test_quantum_roots_are_within_4_ulp_of_the_reference_at_subnormal_n_s(table_path, f_hz):
+    # N_s from the smallest subnormal to 1e-300, where N_s + 1 is 1
+    chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), f_hz)
+    grid = [float(v) for v in np.logspace(math.log10(5e-324), -300, 40)]
+    column = chain.solutions(grid, Illumination.QI)
+    assert column.status == ["ok"] * len(grid)
+    worst = max(
+        ulps(root, reference_root(chain, n_s, Illumination.QI))
+        for n_s, root in zip(grid, column.r_max_m)
+    )
+    assert worst <= ULP_BOUND
+
+
 def _edge_chain(gamma=0.0, **fields):
     return range_chain(BENCHMARK, 1e12).replace(gamma_db_per_km=gamma, **fields)
 
@@ -648,12 +665,17 @@ BRANCH_EDGES = {
     "lossless-1e-3-qi": (_edge_chain(), 1e-3, Illumination.QI),
     "lossless-1e4-ci": (_edge_chain(), 1e4, Illumination.CI),
     "lossless-1e200-qi": (_edge_chain(), 1e200, Illumination.QI),
-    # the QI threshold underflows to 0; below ~5.6e-309 1/N_s overflows too
+    # the textbook QI threshold SNR_min / (1 + 1/N_s) underflows to 0 at
+    # SNR_min 1e-295; below ~5.6e-309 1/N_s overflows too
     "underflow-lossless-1e-30": (_edge_chain(snr_min=1e-295), 1e-30, Illumination.QI),
     "underflow-lossless-5e-324": (_edge_chain(snr_min=1e-295), 5e-324, Illumination.QI),
     "underflow-450-1e-30": (_edge_chain(450.0, snr_min=1e-295), 1e-30, Illumination.QI),
     "underflow-450-1e-310": (_edge_chain(450.0, snr_min=1e-295), 1e-310, Illumination.QI),
     "underflow-450-deeper": (_edge_chain(450.0, snr_min=1e-300), 1e-30, Illumination.QI),
+    # a subnormal N_s, which keeps few digits, where N_s + 1 is 1
+    "subnormal-n_s-1e12-qi": (_edge_chain(), 1e-323, Illumination.QI),
+    "subnormal-n_s-7e9-qi": (range_chain(BENCHMARK, 7e9), 1.5e-323, Illumination.QI),
+    "subnormal-n_s-450-qi": (_edge_chain(450.0), 1e-323, Illumination.QI),
     # a large x = a R_free / 2 on the main path, where R_free exp(-W0(x))
     # would lose about ln x ulp
     "large-x-1e200-ci": (_edge_chain(450.0), 1e200, Illumination.CI),
@@ -707,11 +729,11 @@ def test_near_field_status_is_the_link_at_guard_on_the_attenuated_benchmark_grid
     near_field = points = 0
     for f_hz, mode, column in sweep_range(config, grid):
         chain = range_chain(config, f_hz)
-        for n_s, root, status in zip(grid, column.r_max_m, column.status, strict=True):
+        for root, status in zip(column.r_max_m, column.status, strict=True):
             points += 1
             assert status in ("ok", "near_field")
             try:
-                chain.link_at(n_s, root)
+                chain.link_at(root)
             except UnphysicalGeometryError:
                 assert status == "near_field"
                 near_field += 1
