@@ -235,8 +235,9 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     constants = CODATA if args.codata else TEXTBOOK
     chain = range_chain(config, args.freq, constants)
     modes = (Illumination(args.mode),) if args.mode else (Illumination.CI, Illumination.QI)
-    # every mode is solved and its link evaluated before anything is printed,
-    # so an error leaves stdout empty
+    # solve raises for every status but ok, so the exit code follows the
+    # status sweep writes; every mode is solved and its link evaluated before
+    # anything is printed, so an error leaves stdout empty
     results = []
     for mode in modes:
         r_max = chain.solve(args.ns, mode)

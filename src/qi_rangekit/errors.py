@@ -39,7 +39,9 @@ class FrequencySpanError(RangeKitError, ValueError):
 
 
 class UnphysicalGeometryError(RangeKitError, ValueError):
-    """A computed transmissivity exceeded 1 (far-field model misuse)."""
+    """A range root lies in the near field, where the transmissivity exceeds 1
+    and the far-field model does not apply: ``RangeChain.solve`` refuses a
+    ``near_field`` point; ``RangeChain.link_at`` only evaluates F and eta."""
 
 
 class CovarianceNotPSDError(RangeKitError, ValueError):

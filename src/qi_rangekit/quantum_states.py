@@ -121,15 +121,12 @@ def coherent_covariance(n_s: float) -> Matrix:
 def correlation_ratio(n_s: float) -> float:
     """Classical-to-quantum cross-correlation ratio C_c/C_q.
 
-    Equals (1 + 1/n_s)^(-1/2): strictly inside (0, 1) and monotone
-    increasing in n_s, approaching 1 from below as n_s grows.  Where 1/n_s
-    overflows (n_s below ~5.6e-309) it is sqrt(n_s), as 1 + n_s is 1.
+    Equals (1 + 1/n_s)^(-1/2), taken as sqrt(n_s / (n_s + 1)), the same
+    N_s + 1 as the quantum range: strictly inside (0, 1) and monotone
+    increasing in n_s, approaching 1 from below as n_s grows.
     """
     n_s = _require_positive("n_s", n_s)
-    inverse = 1.0 / n_s
-    if inverse == math.inf:
-        return math.sqrt(n_s)
-    return (1.0 + inverse) ** -0.5
+    return math.sqrt(n_s / (n_s + 1.0))
 
 
 def _tmsv_tail(n_s: float, n_max: int) -> float:

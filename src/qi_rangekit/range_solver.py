@@ -56,19 +56,19 @@ The kernel computes the root and one status per point, and nothing else:
 * ``overflow`` -- the lossless R_free^4 overflows, and the root is inf.
 
 :func:`sweep_range` adds ``out_of_span`` for a frequency outside the table
-span.  The closure of the forward chain at the root is checked once, in the
-tests, against a high-precision reference root.  :meth:`RangeChain.link_at`
-reports F and eta at a range from the same chain, (4*pi) exponent included,
-with the eta <= 1 guard.
+span.  The status is the one near-field decision: :meth:`RangeChain.solve`
+refuses a ``near_field`` point, and :meth:`RangeChain.link_at` only
+evaluates F and eta at a range from the same chain, (4*pi) exponent
+included.  The closure of the forward chain at the root is checked once, in
+the tests, against a high-precision reference root.
 
 This module holds all of the link budget that the range path runs: the
-antenna gain G = 4*pi*A / lambda^2 (:func:`antenna_gain`) and the eta <= 1
-far-field guard.  F is :func:`qi_rangekit.atmosphere.form_factor`, which
-:meth:`RangeChain.link_at` imports when called, as an attenuated
-:func:`range_chain` imports ``gamma_at``, so a lossless sweep never loads
-``atmosphere``.  The (4*pi)^2 transmissivity/SNR chain, SNR = eta * N_s /
-N_B, is kept in the tests as the reference the closure tests compare
-against.
+antenna gain G = 4*pi*A / lambda^2 (:func:`antenna_gain`).  F is
+:func:`qi_rangekit.atmosphere.form_factor`, which :meth:`RangeChain.link_at`
+imports when called, as an attenuated :func:`range_chain` imports
+``gamma_at``, so a lossless sweep never loads ``atmosphere``.  The (4*pi)^2
+transmissivity/SNR chain, SNR = eta * N_s / N_B, is kept in the tests as the
+reference the closure tests compare against.
 """
 
 from __future__ import annotations
@@ -135,16 +135,6 @@ def antenna_gain(
     return _FOUR_PI * aperture_m2 * f_hz**2 / constants.c**2
 
 
-def _require_far_field(eta: float, r_m: float) -> float:
-    """Return ``eta``, or raise :class:`UnphysicalGeometryError` if it exceeds 1."""
-    if eta > 1.0:
-        raise UnphysicalGeometryError(
-            f"computed transmissivity {eta!r} > 1 at range {r_m!r} m; "
-            "the far-field model does not apply this close to the antenna"
-        )
-    return eta
-
-
 class RangeChain(Record):
     """The range chain of a scenario at one frequency,
     SNR_eff(R) = head * photons / denominator * F(R)^2 / R^4, with
@@ -169,15 +159,17 @@ class RangeChain(Record):
         """Maximum range with absorption: the unique R where SNR_eff(R), at
         N_s + the mode's extra photons, crosses SNR_min.
 
-        The one-point column of :meth:`solutions`, with N_s checked.  Raises
+        The one-point column of :meth:`solutions`, with N_s checked, and
+        the root only where its status is ``ok``.  Raises
         :class:`NoDetectionError` when the target is already below threshold
-        at near-zero range, and :class:`DomainError` when N_s is so large
-        that the chain overflows and no finite range comes out.  A root in
-        the near field is returned; :meth:`link_at` refuses it.
+        at near-zero range, :class:`DomainError` when N_s is so large that
+        the chain overflows and no finite range comes out, and
+        :class:`UnphysicalGeometryError` when the root lies in the near
+        field, where eta = SNR_min * N_B / (M * photons) exceeds 1.
         """
         n_s = _require_positive("n_s", n_s)
         column = self.solutions((n_s,), mode)
-        [status] = column.status
+        [root], [status] = column.r_max_m, column.status
         if status == "no_detection":
             raise NoDetectionError(
                 f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
@@ -189,7 +181,13 @@ class RangeChain(Record):
                 "((4*pi)^k * N_B * SNR_min), photons N_s (CI) or N_s + 1 (QI), "
                 "exceeds the float range"
             )
-        return column.r_max_m[0]
+        if status == "near_field":
+            eta = self.snr_min * self.n_b / (self.pulse_count * (n_s + mode.extra_photons))
+            raise UnphysicalGeometryError(
+                f"computed transmissivity {eta!r} > 1 at range {root!r} m; "
+                "the far-field model does not apply this close to the antenna"
+            )
+        return root
 
     def solutions(self, n_s_grid: Iterable[float], mode: Illumination) -> RangeColumn:
         """Solve one column: the maximum range and the status at each N_s of
@@ -243,15 +241,16 @@ class RangeChain(Record):
         from the chain :meth:`solve` solves.
 
         At the root, eta * M * photons / N_B is SNR_min; eta itself,
-        SNR_eff(R) * N_B / (M * photons), does not depend on N_s.  Raises
-        :class:`UnphysicalGeometryError` where eta > 1 (near field).
+        SNR_eff(R) * N_B / (M * photons), does not depend on N_s.  It only
+        evaluates: eta may exceed 1 at a range in the near field, which
+        :meth:`solve` refuses for a root.
         """
         from .atmosphere import form_factor
 
         r_m = _require_positive("range", r_m)
         f_form = form_factor(self.gamma_db_per_km, r_m)
         eta = self.head / self.denominator * f_form**2 / r_m**4 * self.n_b / self.pulse_count
-        return f_form, _require_far_field(eta, r_m)
+        return f_form, eta
 
 
 def range_chain(

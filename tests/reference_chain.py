@@ -23,14 +23,9 @@ from __future__ import annotations
 import math
 
 from qi_rangekit.constants import TEXTBOOK, PhysicalConstants
-from qi_rangekit.errors import DomainError
+from qi_rangekit.errors import DomainError, UnphysicalGeometryError
 from qi_rangekit.radiometry import _require_positive
-from qi_rangekit.range_solver import (
-    _FOUR_PI,
-    Illumination,
-    RangeChain,
-    _require_far_field,
-)
+from qi_rangekit.range_solver import _FOUR_PI, Illumination, RangeChain
 
 
 def threshold(chain: RangeChain, n_s: float, mode: Illumination) -> float:
@@ -66,7 +61,12 @@ def channel_transmissivity(
         raise DomainError(f"form factor must be in (0, 1], got {f_form!r}")
     r_m = _require_positive("range", r_m)
     eta = sigma_m2 * gain * aperture_m2 * f_form**2 / (_FOUR_PI**2 * r_m**4)
-    return _require_far_field(eta, r_m)
+    if eta > 1.0:
+        raise UnphysicalGeometryError(
+            f"computed transmissivity {eta!r} > 1 at range {r_m!r} m; "
+            "the far-field model does not apply this close to the antenna"
+        )
+    return eta
 
 
 def received_power(p_t_watts: float, eta: float) -> float:

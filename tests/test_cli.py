@@ -1,20 +1,23 @@
 """CLI contract: commands, exit codes, config plumbing, CSV determinism."""
 
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from reference_root import reference_root, ulps
 
 import qi_rangekit
 from qi_rangekit import atmosphere
 from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS, main
 from qi_rangekit.config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK
-from qi_rangekit.range_solver import Illumination, range_chain
+from qi_rangekit.range_solver import Illumination, range_chain, sweep_range
 
 QI_ADVANTAGE_AT_1E2 = 101.0**0.25  # range gain at N_s = 1e-2
 SRC = Path(qi_rangekit.__file__).resolve().parents[1]
@@ -955,3 +958,73 @@ def test_extreme_n_s_gives_a_finite_answer(capsys, argv, expected):
 ])
 def test_extreme_n_s_without_a_finite_answer_exits_2(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message)
+
+
+# range's exit code for each status sweep writes for the same point
+EXIT_CODE_OF_STATUS = {"ok": 0, "no_detection": 3, "near_field": 2, "overflow": 2,
+                       "out_of_span": 2}
+
+
+def near_field_boundary(config, mode, rng):
+    """An N_s within 3 ulp of the boundary SNR_min * N_B / M - extra of the
+    chain of ``config``, where eta at the root is 1; ``None`` where that is
+    not positive."""
+    chain = range_chain(config, config.frequencies_hz[0])
+    n_s = chain.snr_min * chain.n_b / chain.pulse_count - mode.extra_photons
+    if n_s <= 0.0:
+        return None
+    direction = rng.choice([0.0, math.inf])
+    for _ in range(rng.randint(0, 3)):
+        n_s = math.nextafter(n_s, direction)
+    return n_s
+
+
+def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, capsys):
+    # Random scenarios at one frequency, lossless or through the bundled
+    # table (1 GHz - 1 THz), N_s log-uniform in [5e-324, 1e300], both modes.
+    # Every third draw takes a frequency in the table span and puts N_s at
+    # the near-field boundary instead, and every third N_s in [1e290, 1e300],
+    # where the lossless R_free^4 can overflow.
+    rng = random.Random(20261019)
+    path = tmp_path / "scenario.json"
+    seen = dict.fromkeys(EXIT_CODE_OF_STATUS, 0)
+    for draw in range(150):
+        at_boundary = draw % 3 == 0
+        log_n_s_min = 290.0 if draw % 3 == 1 else math.log10(5e-324)
+        log_f = rng.uniform(9.0, 12.0) if at_boundary else rng.uniform(8.7, 12.3)
+        fields = {
+            "sigma_m2": 10.0 ** rng.uniform(-4.0, 4.0),
+            "aperture_m2": 10.0 ** rng.uniform(-3.0, 1.0),
+            "snr_min_db": rng.uniform(-10.0, 40.0),
+            "noise_power_dbm": rng.uniform(-120.0, -30.0),
+            "frequencies_hz": [10.0 ** log_f],
+            "attenuation_table_path": rng.choice([None, BUNDLED_CSV]),
+        }
+        path.write_text(json.dumps(fields), encoding="utf-8")
+        config = load_config(path)
+        [f_hz] = config.frequencies_hz
+        for mode in Illumination:
+            n_s = max(10.0 ** rng.uniform(log_n_s_min, 300.0), 5e-324)
+            if at_boundary:
+                n_s = near_field_boundary(config, mode, rng) or n_s
+            [(_, _, column)] = [
+                point for point in sweep_range(config, [n_s]) if point[1] is mode
+            ]
+            [root], [status] = column.r_max_m, column.status
+            seen[status] += 1
+            code, out, _ = run_cli(capsys, "--config", str(path), "range", "--ns", repr(n_s),
+                                   "--freq", repr(f_hz), "--mode", mode.value)
+            case = f"{fields} at N_s = {n_s!r}, {mode.value}: {status}"
+            assert code == EXIT_CODE_OF_STATUS[status], case
+            if code:
+                assert out == "", case
+            if status == "out_of_span":
+                continue
+            chain = range_chain(config, f_hz)
+            if mode is Illumination.QI:
+                assert column == chain.solutions([n_s + 1.0], Illumination.CI), case
+            if status == "ok":
+                assert chain.solve(n_s, mode) == root, case
+                assert ulps(root, reference_root(chain, n_s, mode)) <= 4.0, case
+                assert f"{mode.value}: r_max = {root:.6g} m" in out, case
+    assert all(seen.values()), seen

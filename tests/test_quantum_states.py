@@ -82,6 +82,8 @@ def test_correlation_ratio_values():
     assert correlation_ratio(0.5) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
     assert correlation_ratio(1.0) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
     assert correlation_ratio(1e9) > 1.0 - 1e-9
+    # sqrt(10/11), correctly rounded
+    assert correlation_ratio(10.0) == 0.9534625892455924
 
 
 def test_correlation_ratio_cross_checks_covariances():

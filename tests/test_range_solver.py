@@ -48,6 +48,11 @@ class Point(NamedTuple):
     def solve(self):
         return self.chain.solve(self.n_s, self.mode)
 
+    def root(self):
+        """The kernel's root, ``None`` without one; unlike :meth:`solve`,
+        also a root in the near field."""
+        return self.chain.solutions((self.n_s,), self.mode).r_max_m[0]
+
     @property
     def threshold(self) -> float:
         """SNR_min, divided by 1 + 1/N_s for the quantum transmitter."""
@@ -58,6 +63,26 @@ class Point(NamedTuple):
 def benchmark_point(n_s=1e-2, f_hz=1e12, mode=Illumination.CI, gamma=0.0, **fields):
     """A point of the benchmark scenario, config fields overridden by ``fields``."""
     return Point(ScenarioConfig(**fields), n_s, f_hz, mode, gamma)
+
+
+def solve_outcome(chain, n_s, mode):
+    """What :meth:`RangeChain.solve` gives: the root, or the status its
+    exception stands for."""
+    try:
+        return chain.solve(n_s, mode)
+    except NoDetectionError:
+        return "no_detection"
+    except UnphysicalGeometryError:
+        return "near_field"
+    except DomainError:
+        return "overflow"
+
+
+def column_outcomes(column):
+    """Each point of a column as :func:`solve_outcome` reads it: the root
+    where the status is ``ok``, else the status."""
+    return [root if status == "ok" else status
+            for root, status in zip(column.r_max_m, column.status, strict=True)]
 
 
 def make_chain(config, f_hz, n_b, gamma=0.0):
@@ -212,10 +237,11 @@ def test_lambert_w_root_matches_bisection():
     for point in points:
         expected = bisection_root(point)
         if expected is None:
+            assert point.root() is None
             with pytest.raises(NoDetectionError):
                 point.solve()
             continue
-        assert point.solve() == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert point.root() == pytest.approx(expected, rel=1e-9, abs=0.0)
         solved += 1
     assert solved > 0.9 * len(points)
 
@@ -247,15 +273,17 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
     far = 0
     for _ in range(200):
         chain, n_s, config, f_hz = random_chain(rng, four_pi_exponent)
-        root = chain.solve(n_s, mode)
+        [root] = chain.solutions((n_s,), mode).r_max_m
         mode_threshold = threshold(chain, n_s, mode)
         snr_per_eta = chain.pulse_count * n_s / chain.n_b
-        if mode_threshold / snr_per_eta > 1.0:
-            with pytest.raises(UnphysicalGeometryError, match="> 1 at range"):
-                chain.link_at(root)
-            continue
         f_form, eta = chain.link_at(root)
         assert eta * snr_per_eta == pytest.approx(mode_threshold, rel=1e-12)
+        if mode_threshold / snr_per_eta > 1.0:
+            assert eta > 1.0
+            with pytest.raises(UnphysicalGeometryError, match="> 1 at range"):
+                chain.solve(n_s, mode)
+            continue
+        assert chain.solve(n_s, mode) == root
         if four_pi_exponent == 2:
             assert f_form == form_factor(chain.gamma_db_per_km, root)
             gain = antenna_gain(config.aperture_m2, f_hz)
@@ -435,16 +463,11 @@ def test_solutions_are_bit_identical_to_the_recorded_solve(key):
 def test_solutions_equal_one_point_solves(config, table_path, mode):
     config = config.replace(attenuation_table_path=table_path)
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
-
-    def one_point(chain, n_s):
-        try:
-            return chain.solve(n_s, mode)
-        except NoDetectionError:
-            return None
-
     for f_hz in config.frequencies_hz:
         chain = range_chain(config, f_hz)
-        assert chain.solutions(grid, mode).r_max_m == [one_point(chain, n_s) for n_s in grid]
+        assert column_outcomes(chain.solutions(grid, mode)) == [
+            solve_outcome(chain, n_s, mode) for n_s in grid
+        ]
 
 
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
@@ -720,8 +743,12 @@ def test_x_beyond_halley_range_on_the_main_path_is_no_detection_not_nan():
     assert column.status == ["no_detection"] * 3
 
 
-def test_near_field_status_is_the_link_at_guard_on_the_attenuated_benchmark_grid(monkeypatch):
-    # the sweep_attenuated benchmark: 24 frequencies x 250 N_s x 2 modes
+def test_solve_refuses_exactly_the_near_field_status_on_the_attenuated_benchmark_grid(
+    monkeypatch,
+):
+    # the sweep_attenuated benchmark: 24 frequencies x 250 N_s x 2 modes; no
+    # point of it lies near the boundary, so eta from link_at at the root
+    # agrees with the status too
     repo = Path(__file__).resolve().parents[1]
     monkeypatch.chdir(repo)
     config = load_config(repo / "perfbench" / "configs" / "sweep_attenuated.json")
@@ -729,17 +756,50 @@ def test_near_field_status_is_the_link_at_guard_on_the_attenuated_benchmark_grid
     near_field = points = 0
     for f_hz, mode, column in sweep_range(config, grid):
         chain = range_chain(config, f_hz)
-        for root, status in zip(column.r_max_m, column.status, strict=True):
+        for n_s, root, status in zip(grid, column.r_max_m, column.status, strict=True):
             points += 1
             assert status in ("ok", "near_field")
+            assert (chain.link_at(root)[1] > 1.0) == (status == "near_field")
             try:
-                chain.link_at(root)
+                solved = chain.solve(n_s, mode)
             except UnphysicalGeometryError:
                 assert status == "near_field"
                 near_field += 1
             else:
-                assert status == "ok"
+                assert (status, solved) == ("ok", root)
     assert (points, near_field) == (12000, 180)
+
+
+def ulp_neighbours(x, count):
+    """The ``count`` floats below ``x``, ``x`` and the ``count - 1`` above it."""
+    for _ in range(count):
+        x = math.nextafter(x, 0.0)
+    neighbours = []
+    for _ in range(2 * count):
+        neighbours.append(x)
+        x = math.nextafter(x, math.inf)
+    return neighbours
+
+
+@pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
+@pytest.mark.parametrize("f_hz", [7e9, 60e9, 95e9, 557e9, 1e12])
+def test_solve_refuses_exactly_the_near_field_status_at_the_boundary(table_path, f_hz):
+    # N_s within 400 ulp of SNR_min * N_B / M - extra, where eta at the root
+    # is 1; eta formed from the root there can round to the other side of 1
+    # than the status's quotient.  For QI the boundary is negative here.
+    chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), f_hz)
+    near_field = points = 0
+    for mode in Illumination:
+        boundary = chain.snr_min * chain.n_b / chain.pulse_count - mode.extra_photons
+        if boundary <= 0.0:
+            continue
+        grid = ulp_neighbours(boundary, 400)
+        column = chain.solutions(grid, mode)
+        assert column_outcomes(column) == [solve_outcome(chain, n_s, mode) for n_s in grid]
+        near_field += column.status.count("near_field")
+        points += len(grid)
+    assert points == 800
+    assert 0 < near_field < points
 
 
 def test_sweep_range_marks_a_frequency_outside_the_table_span():
