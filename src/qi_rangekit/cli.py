@@ -103,8 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="qi: entangled pair, ci: correlated coherent pair")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the truncated Fock-space oracle and the deviation")
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="oracle truncation index (default: from the tail rule)")
 
     p = sub.add_parser("ratio", help="classical/quantum correlation ratio C_c/C_q")
     p.add_argument("--ns", type=float, required=True, help="mean photons per mode")
@@ -191,7 +189,7 @@ def _cmd_covariance(args: argparse.Namespace, config: ScenarioConfig, out) -> in
         closed, oracle_fn = coherent_covariance, coherent_covariance_oracle
     cov = closed(args.ns)
     # the oracle runs before anything is printed, so its error leaves stdout empty
-    oracle = oracle_fn(args.ns, args.cutoff) if args.oracle else None
+    oracle = oracle_fn(args.ns) if args.oracle else None
     print(f"{args.mode} covariance (2x symmetrized second moments) at N_s = {args.ns!r}:",
           file=out)
     print(_format_matrix(cov), file=out)

@@ -39,13 +39,17 @@ _NUMBER_FIELDS = (
 
 
 def _as_float(name: str, value: object) -> float:
-    """``value`` as a float; JSON gives ints of any size, so check it fits."""
+    """``value`` as a finite float; JSON gives ints of any size, so check it
+    fits, and ``Infinity``, ``NaN`` or 1e400 as floats, so check those too."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigError(f"{name} is an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number!r}")
+    return number
 
 
 class ScenarioConfig(Record):
@@ -90,28 +94,29 @@ class ScenarioConfig(Record):
             )
         if not (0.0 < self.p_fa < self.p_d < 1.0):
             raise ConfigError(f"need 0 < p_fa < p_d < 1, got p_fa={self.p_fa!r}, p_d={self.p_d!r}")
-        if not math.isfinite(self.snr_min_db):
-            raise ConfigError(f"snr_min_db must be finite, got {self.snr_min_db!r}")
         measurements = float(self.tau_s) * self.bandwidth_hz
         try:
             for f_hz in frequencies:
                 _require_positive("frequencies_hz", f_hz)
-            _require_positive("target cross section", self.sigma_m2)
-            _require_positive("antenna aperture", self.aperture_m2)
+            for name in ("sigma_m2", "aperture_m2", "tau_s", "bandwidth_hz"):
+                _require_positive(name, getattr(self, name))
             try:
                 linear = self.snr_min_linear
             except OverflowError:
                 linear = math.inf
             _require_positive(f"linear SNR_min from snr_min_db = {self.snr_min_db!r}", linear)
-            _require_positive("integration time", self.tau_s)
-            _require_positive("bandwidth", self.bandwidth_hz)
-            _require_positive("tau * B", measurements)
-            watts = radiometry.dbm_to_watts(self.noise_power_dbm)
+            _require_positive("tau_s * bandwidth_hz", measurements)
+            try:
+                watts = radiometry.dbm_to_watts(self.noise_power_dbm)
+            except DomainError:  # finite but past the float range in watts
+                watts = math.inf
             _require_positive(f"noise_power_dbm = {self.noise_power_dbm!r} in watts", watts)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         if self.pulse_count < 1:
-            raise ConfigError(f"tau * B = {measurements!r} rounds below 1 measurement")
+            raise ConfigError(
+                f"tau_s * bandwidth_hz = {measurements!r} rounds below 1 measurement"
+            )
         object.__setattr__(self, "noise_power_watts", watts)
         table = None
         if path is not None:

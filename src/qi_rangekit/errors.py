@@ -16,7 +16,7 @@ class DomainError(RangeKitError, ValueError):
 
 
 class CutoffError(RangeKitError, ValueError):
-    """A Fock-space truncation is too small for the requested tail tolerance."""
+    """No Fock cutoff below ``MAX_FOCK_STATES`` meets the oracles' tail rule."""
 
 
 class TableParseError(RangeKitError, ValueError):

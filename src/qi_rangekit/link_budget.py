@@ -5,9 +5,10 @@ checked by :class:`~qi_rangekit.config.ScenarioConfig`.  For P_d = 0.7,
 P_fa = 1e-6, M = 1 the estimator returns ~12.1 dB where the configured
 default is 10 dB, and it never silently substitutes the configured value.
 
-The range path does not load this module: the antenna gain and the
-far-field guard it uses live in :mod:`~qi_rangekit.range_solver`, and the
-form factor in :mod:`~qi_rangekit.atmosphere`.
+The range path does not load this module: the antenna gain it uses lives
+in :mod:`~qi_rangekit.range_solver`, whose solve kernel makes the
+near-field decision as a point's ``near_field`` status, and the form
+factor in :mod:`~qi_rangekit.atmosphere`.
 """
 
 from __future__ import annotations

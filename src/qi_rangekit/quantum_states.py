@@ -169,29 +169,6 @@ def _smallest_cutoff(n_s: float, tail) -> int:
     return cutoffs[index]
 
 
-def _checked_cutoff(n_s: float, n_max: int | None, tail) -> int:
-    """:func:`_smallest_cutoff` if ``n_max`` is None, else the caller's
-    ``n_max``, checked before any list is built: within the state bound,
-    >= 1, and tail(n_max) < TAIL_TOLERANCE."""
-    if n_max is None:
-        return _smallest_cutoff(n_s, tail)
-    n_max = int(n_max)
-    if n_max >= MAX_FOCK_STATES:
-        raise CutoffError(
-            f"cutoff n_max={n_max} at n_s={n_s!r} needs {n_max + 1} Fock states, "
-            f"above the oracle bound of {MAX_FOCK_STATES}"
-        )
-    if n_max < 1:
-        raise CutoffError(f"cutoff must be >= 1, got {n_max}")
-    mass = tail(n_max)
-    if mass >= TAIL_TOLERANCE:
-        raise CutoffError(
-            f"cutoff n_max={n_max} leaves tail mass {mass:.3e} "
-            f">= {TAIL_TOLERANCE:g} for n_s={n_s!r}"
-        )
-    return n_max
-
-
 def _ladder_pair(v: Sequence[complex]) -> tuple[list[complex], list[complex]]:
     """(a v, a^dag v) for one mode's Fock coefficients ``v[n]``, truncated.
 
@@ -264,21 +241,19 @@ def _product_moments(a: Sequence[complex], b: Sequence[complex]) -> Matrix:
     return _moment_matrix(applied, lambda x, y: _vdot(x[0], y[0]) * _vdot(x[1], y[1]))
 
 
-def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> Matrix:
+def tmsv_covariance_oracle(n_s: float) -> Matrix:
     """Recompute the entangled-pair covariance by truncated Fock sums.
 
     The state is sum_n c_n |n, n> with c_n = sqrt(n_s^n / (n_s + 1)^(n+1));
     all sixteen second moments are summed from its n_max + 1 coefficients
     (see :func:`_diagonal_moments`).  ``n_s = 0`` is the vacuum, c = [1, 0, ...].
-    ``n_max`` defaults to the smallest cutoff below MAX_FOCK_STATES that
-    satisfies the tail rule, found by bisection over the geometric tail
+    ``n_max`` is the smallest cutoff below MAX_FOCK_STATES that satisfies
+    the tail rule, found by bisection over the geometric tail
     (n_s/(n_s + 1))^(n_max + 1); CutoffError where none does (n_s from 74
-    up, including where n_s/(n_s + 1) rounds to 1).  A caller's ``n_max`` is
-    rejected if it violates the tail rule or needs more than MAX_FOCK_STATES
-    states.
+    up, including where n_s/(n_s + 1) rounds to 1).
     """
     n_s = _require_non_negative("n_s", n_s)
-    n_max = _checked_cutoff(n_s, n_max, partial(_tmsv_tail, n_s))
+    n_max = _smallest_cutoff(n_s, partial(_tmsv_tail, n_s))
     if n_s > 0.0:
         # sqrt(n_s^n / (n_s + 1)^(n+1)) in log space; the powers overflow past n ~ 300.
         log_n_s, log1p_n_s = math.log(n_s), math.log1p(n_s)
@@ -288,7 +263,7 @@ def tmsv_covariance_oracle(n_s: float, n_max: int | None = None) -> Matrix:
     return _diagonal_moments(coeffs)
 
 
-def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> Matrix:
+def coherent_covariance_oracle(n_s: float) -> Matrix:
     """Second-moment matrix of the literal product coherent state.
 
     Uses alpha = sqrt(n_s/2), real and positive, for both modes; each
@@ -297,13 +272,13 @@ def coherent_covariance_oracle(n_s: float, n_max: int | None = None) -> Matrix:
     reproduce the model matrix (2*n_s + 1 diagonal, 2*n_s cross); the
     Q-sector comes out as the product state actually gives it (variance 1,
     zero cross correlation), which is the documented deviation from the
-    model's -C_c entry.  ``n_max`` defaults and is checked as in
+    model's -C_c entry.  ``n_max`` comes from the tail rule as in
     :func:`tmsv_covariance_oracle`, with the Poisson tail of mean n_s/2 in
     place of the geometric one.
     """
     n_s = _require_non_negative("n_s", n_s)
     lam = n_s / 2.0  # photons per mode, |alpha|^2
-    n_max = _checked_cutoff(n_s, n_max, partial(_poisson_tail, lam))
+    n_max = _smallest_cutoff(n_s, partial(_poisson_tail, lam))
     if lam > 0.0:
         # exp(-lam/2) * alpha^n / sqrt(n!) in log space; alpha = sqrt(lam).
         log_lam = math.log(lam)

@@ -104,10 +104,8 @@ def test_covariance_cells_are_separated(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--ns", "0.5", "--mode", "qi", "--cutoff", "1000000"),  # cutoff above the state bound
         ("--ns", "5000", "--mode", "ci"),  # default cutoff above the state bound
         ("--ns", "1e17", "--mode", "qi"),  # n_s / (n_s + 1) rounds to 1
-        ("--ns", "0.5", "--mode", "qi", "--cutoff", "3000"),
     ],
 )
 def test_covariance_oracle_rejected_before_any_array(capsys, argv):
@@ -497,7 +495,7 @@ def test_snr_min_db_out_of_float_range_exits_2(tmp_path, capsys, snr_min_db):
 
 
 @pytest.mark.parametrize("fields, field", [
-    ({"tau_s": 1e200, "bandwidth_hz": 1e200}, "tau * B"),
+    ({"tau_s": 1e200, "bandwidth_hz": 1e200}, "tau_s * bandwidth_hz"),
     ({"noise_power_dbm": -4000}, "noise_power_dbm"),
 ], ids=["tau_times_b_overflows", "noise_power_underflows"])
 @pytest.mark.parametrize("argv", [["--dump-config"], ["range", "--ns", "1", "--freq", "1e12"]],
@@ -506,6 +504,28 @@ def test_config_out_of_float_range_exits_2(tmp_path, capsys, fields, field, argv
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(fields), encoding="utf-8")
     code, out, err = run_cli(capsys, "--config", str(config), *argv)
+    assert (code, out) == (2, "")
+    assert field in err
+
+
+BAD_CONFIG_VALUES = [
+    ("sigma_m2", -1.0),
+    ("aperture_m2", 0.0),
+    ("bandwidth_hz", 0.0),
+    ("tau_s", -1.0),
+    ("noise_power_dbm", 1e4),  # finite, but 10^997 W overflows
+    ("snr_min_db", math.inf),  # written as Infinity, which json.loads accepts
+    ("p_d", 1.5),
+    ("p_fa", 0.0),
+    ("frequencies_hz", [-7e9]),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_CONFIG_VALUES, ids=[f for f, _ in BAD_CONFIG_VALUES])
+def test_invalid_config_value_names_its_field(tmp_path, capsys, field, value):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({field: value}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config), "range", "--ns", "1", "--freq", "1e12")
     assert (code, out) == (2, "")
     assert field in err
 

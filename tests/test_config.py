@@ -67,7 +67,7 @@ def test_invalid_json_rejected():
 def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         parse_config('{"sigma_m2": -1.0}')
-    with pytest.raises(ConfigError, match="target cross section"):
+    with pytest.raises(ConfigError, match="sigma_m2"):
         parse_config('{"sigma_m2": 0}')
     with pytest.raises(ConfigError, match="p_fa"):
         parse_config('{"p_fa": 0.9, "p_d": 0.5}')
@@ -80,13 +80,13 @@ def test_invalid_values_rejected():
     # value checks made with radiometry's _require_positive and dbm_to_watts
     with pytest.raises(ConfigError, match="bandwidth"):
         parse_config('{"bandwidth_hz": 0}')
-    with pytest.raises(ConfigError, match="antenna aperture"):
+    with pytest.raises(ConfigError, match="aperture_m2"):
         parse_config('{"aperture_m2": -0.5}')
     with pytest.raises(ConfigError, match="snr_min_db"):
         parse_config('{"snr_min_db": Infinity}')
-    with pytest.raises(ConfigError, match="dBm"):
+    with pytest.raises(ConfigError, match="noise_power_dbm"):
         parse_config('{"noise_power_dbm": NaN}')
-    with pytest.raises(ConfigError, match="dBm"):
+    with pytest.raises(ConfigError, match="noise_power_dbm"):
         parse_config('{"noise_power_dbm": 1e4}')
     # tau * B = 0.4 rounds to zero measurements: rejected at load
     with pytest.raises(ConfigError, match="rounds below 1 measurement"):
@@ -95,7 +95,7 @@ def test_invalid_values_rejected():
 
 def test_overflowing_tau_times_b_rejected():
     # checked before rounding: round(inf) would raise OverflowError
-    with pytest.raises(ConfigError, match=r"tau \* B"):
+    with pytest.raises(ConfigError, match=r"tau_s \* bandwidth_hz"):
         parse_config('{"tau_s": 1e200, "bandwidth_hz": 1e200}')
 
 

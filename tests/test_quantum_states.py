@@ -59,7 +59,7 @@ def test_tmsv_at_half_photon():
 
 
 def test_tmsv_matches_oracle_at_half_photon():
-    oracle = np.asarray(tmsv_covariance_oracle(0.5, geometric_cutoff(0.5)))
+    oracle = np.asarray(tmsv_covariance_oracle(0.5))
     assert np.abs(oracle - np.asarray(tmsv_covariance(0.5))).max() < 1e-9
 
 
@@ -134,14 +134,14 @@ def test_oracle_finite_at_large_photon_number(n_s):
 
 
 def test_oracle_small_photon_number():
-    oracle = np.asarray(tmsv_covariance_oracle(0.01, 40))
+    oracle = np.asarray(tmsv_covariance_oracle(0.01))
     assert oracle[SIGNAL_I, SIGNAL_I] == pytest.approx(1.02, abs=1e-9)
     assert oracle[SIGNAL_I, IDLER_I] == pytest.approx(2.0 * math.sqrt(0.01 * 1.01), abs=1e-9)
 
 
 def test_oracle_recovers_mean_photon_number():
     # <n> = (<I^2> + <Q^2> - 1)/2 per mode; entries are 2x the moments.
-    cov = np.asarray(tmsv_covariance_oracle(0.5, 80))
+    cov = np.asarray(tmsv_covariance_oracle(0.5))
     recovered = (cov[SIGNAL_I, SIGNAL_I] + cov[SIGNAL_Q, SIGNAL_Q] - 2.0) / 4.0
     assert recovered == pytest.approx(0.5, abs=1e-10)
 
@@ -165,7 +165,6 @@ def test_tmsv_oracle_vacuum():
     # like the coherent pair, n_s = 0 is the vacuum: c = [1, 0], n_max = 1
     assert tmsv_cutoff(0.0) == 1
     assert np.abs(np.asarray(tmsv_covariance_oracle(0.0)) - np.eye(4)).max() < 1e-12
-    assert np.abs(np.asarray(tmsv_covariance_oracle(0.0, 30)) - np.eye(4)).max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -209,11 +208,6 @@ def test_coherent_oracle_i_sector_at_large_photon_number():
     assert np.abs(oracle[i_sector] - closed[i_sector]).max() <= 1e-8 * np.abs(closed).max()
 
 
-def test_coherent_cutoff_below_the_mean_rejected():
-    with pytest.raises(CutoffError):
-        coherent_covariance_oracle(2000.0, 1)
-
-
 def test_bisected_coherent_cutoff_matches_a_plain_scan():
     for n_s in np.logspace(-2, 3, 26):
         tail = partial(_poisson_tail, n_s / 2.0)
@@ -222,6 +216,8 @@ def test_bisected_coherent_cutoff_matches_a_plain_scan():
             n_max += 1
         assert _smallest_cutoff(n_s, tail) == n_max
     assert _smallest_cutoff(1000.0, partial(_poisson_tail, 500.0)) == 665  # ci N_s 1000: dim 666
+    # far below the mean the first tail term underflows; the tail still reads 1
+    assert _poisson_tail(1000.0, 1) == 1.0
 
 
 def test_bisected_tmsv_cutoff_matches_the_geometric_closed_form():
@@ -242,9 +238,7 @@ def test_bisected_tmsv_cutoff_matches_the_geometric_closed_form():
 
 
 def test_oracle_size_bounded_before_any_array():
-    # Inputs that fail fast even without the bound, so no multi-GB oracle is built.
-    with pytest.raises(CutoffError, match="above the oracle bound of 2048"):
-        tmsv_covariance_oracle(0.5, 10**6)
+    # An input that fails fast even without the bound, so no multi-GB oracle is built.
     with pytest.raises(CutoffError, match="oracle bound of 2048"):
         coherent_covariance_oracle(5000.0)
 
@@ -254,13 +248,6 @@ def test_min_fock_cutoff_rejects_unbounded_tail():
     for n_s in (1e16, 1e17, 1e300):
         with pytest.raises(CutoffError, match="oracle bound of 2048"):
             tmsv_covariance_oracle(n_s)
-
-
-def test_cutoff_too_small_rejected():
-    with pytest.raises(CutoffError):
-        tmsv_covariance_oracle(0.5, 10)
-    with pytest.raises(CutoffError):
-        coherent_covariance_oracle(50.0, 5)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
