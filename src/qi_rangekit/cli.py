@@ -24,6 +24,13 @@ point's status.  The file is opened only after every chain is built, so an
 invalid scenario leaves no file; a frequency outside the table span is not
 invalid, and its rows read ``out_of_span``.
 
+Each ``_cmd_*`` handler takes ``(args, config)`` and yields its output
+lines; :func:`main` collects them all and prints them only once the handler
+has finished, so an error exit leaves stdout empty, whichever command
+raised and wherever.  The parser picks the physical constants once:
+``args.constants`` is CODATA under ``--codata``, else TEXTBOOK, and the
+handlers read only that.
+
 Exit codes: 0 success, 2 invalid input, configuration or unwritable output
 path, 3 no detection range exists for the requested scenario.
 """
@@ -87,7 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--codata",
-        action="store_true",
+        dest="constants",
+        action="store_const",
+        const=CODATA,
+        default=TEXTBOOK,
         help="use CODATA physical constants instead of the default 3-digit set",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -167,15 +177,12 @@ def _format_matrix(matrix: Matrix) -> str:
     return "\n".join(lines)
 
 
-def _cmd_power(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
-    constants = CODATA if args.codata else TEXTBOOK
-    watts = radiometry.transmit_power(args.ns, args.freq, args.bw, constants)
-    dbm = radiometry.watts_to_dbm(watts)
-    print(f"P_t = {watts:.6g} W = {dbm:.6f} dBm", file=out)
-    return EXIT_OK
+def _cmd_power(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str]:
+    watts = radiometry.transmit_power(args.ns, args.freq, args.bw, args.constants)
+    yield f"P_t = {watts:.6g} W = {radiometry.watts_to_dbm(watts):.6f} dBm"
 
 
-def _cmd_covariance(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+def _cmd_covariance(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str]:
     from .quantum_states import (
         coherent_covariance,
         coherent_covariance_oracle,
@@ -188,28 +195,24 @@ def _cmd_covariance(args: argparse.Namespace, config: ScenarioConfig, out) -> in
     else:
         closed, oracle_fn = coherent_covariance, coherent_covariance_oracle
     cov = closed(args.ns)
-    # the oracle runs before anything is printed, so its error leaves stdout empty
-    oracle = oracle_fn(args.ns) if args.oracle else None
-    print(f"{args.mode} covariance (2x symmetrized second moments) at N_s = {args.ns!r}:",
-          file=out)
-    print(_format_matrix(cov), file=out)
-    if oracle is not None:
-        print("truncated Fock-space oracle:", file=out)
-        print(_format_matrix(oracle), file=out)
+    yield f"{args.mode} covariance (2x symmetrized second moments) at N_s = {args.ns!r}:"
+    yield _format_matrix(cov)
+    if args.oracle:
+        oracle = oracle_fn(args.ns)
+        yield "truncated Fock-space oracle:"
+        yield _format_matrix(oracle)
         deviation = max(abs(o - c) for o_row, c_row in zip(oracle, cov)
                         for o, c in zip(o_row, c_row))
-        print(f"max abs deviation: {deviation:.3e}", file=out)
-    return EXIT_OK
+        yield f"max abs deviation: {deviation:.3e}"
 
 
-def _cmd_ratio(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+def _cmd_ratio(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str]:
     from .quantum_states import correlation_ratio
 
-    print(f"C_c/C_q = {correlation_ratio(args.ns):.9g} at N_s = {args.ns!r}", file=out)
-    return EXIT_OK
+    yield f"C_c/C_q = {correlation_ratio(args.ns):.9g} at N_s = {args.ns!r}"
 
 
-def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str]:
     from . import atmosphere
 
     if args.table is not None:
@@ -217,51 +220,38 @@ def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
     else:
         table = config.attenuation_table or atmosphere.bundled_table()
     gamma = atmosphere.gamma_at(table, args.freq)
-    # computed before anything is printed, so its error leaves stdout empty
-    f_form = None if args.range_m is None else atmosphere.form_factor(gamma, args.range_m)
     lo, hi = table.span_ghz
-    print(f"gamma({args.freq:.6g} Hz) = {gamma:.6g} dB/km "
-          f"[table: {table.source or 'inline'}, span {lo:g}-{hi:g} GHz]", file=out)
-    if f_form is not None:
-        print(f"F({args.range_m:.6g} m) = {f_form:.6g} (one-way)", file=out)
-    return EXIT_OK
+    yield (f"gamma({args.freq:.6g} Hz) = {gamma:.6g} dB/km "
+           f"[table: {table.source or 'inline'}, span {lo:g}-{hi:g} GHz]")
+    if args.range_m is not None:
+        f_form = atmosphere.form_factor(gamma, args.range_m)
+        yield f"F({args.range_m:.6g} m) = {f_form:.6g} (one-way)"
 
 
-def _cmd_range(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+def _cmd_range(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str]:
     from .range_solver import Illumination, range_chain
 
-    constants = CODATA if args.codata else TEXTBOOK
-    chain = range_chain(config, args.freq, constants)
+    chain = range_chain(config, args.freq, args.constants)
     modes = (Illumination(args.mode),) if args.mode else (Illumination.CI, Illumination.QI)
-    # solve raises for every status but ok, so the exit code follows the
-    # status sweep writes; every mode is solved and its link evaluated before
-    # anything is printed, so an error leaves stdout empty
-    results = []
-    for mode in modes:
-        r_max = chain.solve(args.ns, mode)
-        results.append((mode, r_max, chain.link_at(r_max)))
     # noise budget is configured as a power; the implied temperature and
     # occupancy are derived, so show them
-    print(
-        f"noise: P_B = {config.noise_power_dbm:g} dBm -> implied T_eff = "
-        f"{config.t_eff_kelvin(constants):.6g} K, N_B({args.freq:.6g} Hz) = "
-        f"{chain.n_b:.6g}",
-        file=out,
-    )
-    for mode, r_max, (f_form, eta) in results:
+    yield (f"noise: P_B = {config.noise_power_dbm:g} dBm -> implied T_eff = "
+           f"{config.t_eff_kelvin(args.constants):.6g} K, N_B({args.freq:.6g} Hz) = "
+           f"{chain.n_b:.6g}")
+    for mode in modes:
+        # solve raises for every status but ok, so the exit code follows the
+        # status sweep writes
+        r_max = chain.solve(args.ns, mode)
+        f_form, eta = chain.link_at(r_max)
         # |10 log10(eta * M * photons / (N_B * SNR_min))|, photons = N_s plus
         # the mode's extra photons (N_s + 1 for QI); inf where eta itself
         # underflows to 0 (N_s near 1e308)
         photons_per_snr = (args.ns + mode.extra_photons) / chain.snr_min
         closure = eta * chain.pulse_count / chain.n_b * photons_per_snr
         residual = abs(10.0 * math.log10(closure)) if closure > 0.0 else math.inf
-        print(f"{mode.value}: r_max = {r_max:.6g} m  (residual {residual:.3e} dB)", file=out)
-        print(
-            f"    gamma = {chain.gamma_db_per_km:.6g} dB/km, "
-            f"F = {f_form:.6g}, eta = {eta:.6g}",
-            file=out,
-        )
-    return EXIT_OK
+        yield f"{mode.value}: r_max = {r_max:.6g} m  (residual {residual:.3e} dB)"
+        yield (f"    gamma = {chain.gamma_db_per_km:.6g} dB/km, "
+               f"F = {f_form:.6g}, eta = {eta:.6g}")
 
 
 def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
@@ -293,8 +283,7 @@ def _range_csv(
                                        repeat("\n"))))
 
 
-def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
-    constants = CODATA if args.codata else TEXTBOOK
+def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str]:
     grid = _log_grid(args.ns_min, args.ns_max, args.points)
     path = Path(args.output) if args.output else Path(f"figure{args.figure}.csv")
 
@@ -309,16 +298,15 @@ def _cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
         from .range_solver import Illumination, sweep_range
 
         # validates the grid and builds every chain, so an error leaves no file
-        columns = sweep_range(config, grid, constants=constants)
+        columns = sweep_range(config, grid, constants=args.constants)
         rows = len(grid) * len(Illumination) * len(config.frequencies_hz)
         chunks = _range_csv(grid, columns)
 
     _write_text(path, chunks)
-    print(f"wrote {rows} rows to {path}", file=out)
-    return EXIT_OK
+    yield f"wrote {rows} rows to {path}"
 
 
-def _cmd_mc(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
+def _cmd_mc(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str]:
     if args.trials > MAX_TRIALS:
         raise RangeKitError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     from .detection_mc import MIN_RESOLUTION, detector_gain_experiment
@@ -327,24 +315,17 @@ def _cmd_mc(args: argparse.Namespace, config: ScenarioConfig, out) -> int:
         n_s=args.ns, eta=args.eta, n_b=args.nb, trials=args.trials, seed=args.seed
     )
     if not result.resolved:
-        print(
-            f"unresolved: the classical shift is {result.resolution:.3g} standard errors "
-            f"at {result.trials} trials, below {MIN_RESOLUTION:g}; no gain is estimated "
-            f"(seed {args.seed})",
-            file=out,
-        )
-        return EXIT_OK
-    print(
-        f"deflection-SNR gain (QI/CI) = {result.ratio:.6g} "
-        f"+/- {result.standard_error:.3g} "
-        f"(QI {result.deflection_quantum:.6g}, CI {result.deflection_classical:.6g}, "
-        f"{result.trials} trials, seed {args.seed})",
-        file=out,
-    )
+        yield (f"unresolved: the classical shift is {result.resolution:.3g} standard errors "
+               f"at {result.trials} trials, below {MIN_RESOLUTION:g}; no gain is estimated "
+               f"(seed {args.seed})")
+        return
+    yield (f"deflection-SNR gain (QI/CI) = {result.ratio:.6g} "
+           f"+/- {result.standard_error:.3g} "
+           f"(QI {result.deflection_quantum:.6g}, CI {result.deflection_classical:.6g}, "
+           f"{result.trials} trials, seed {args.seed})")
     analytic = 1.0 + 1.0 / args.ns
     z = (result.ratio - analytic) / result.standard_error
-    print(f"analytic 1 + 1/N_s = {analytic:.6g}, z = {z:+.3g}", file=out)
-    return EXIT_OK
+    yield f"analytic 1 + 1/N_s = {analytic:.6g}, z = {z:+.3g}"
 
 
 _HANDLERS = {
@@ -361,25 +342,26 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
     try:
         config = _resolve_config(args)
         if args.dump_config is not None:
             text = dump_config(config)
             if args.dump_config == "-":
-                out.write(text)
+                sys.stdout.write(text)
             else:
                 _write_text(Path(args.dump_config), (text,))
             return EXIT_OK
         if args.command is None:
             parser.error("a command is required (see --help)")
-        return _HANDLERS[args.command](args, config, out)
+        lines = list(_HANDLERS[args.command](args, config))
     except NoDetectionError as exc:
         print(f"no detection: {exc}", file=sys.stderr)
         return EXIT_NO_DETECTION
     except RangeKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    print(*lines, sep="\n")
+    return EXIT_OK
 
 
 def entrypoint() -> None:

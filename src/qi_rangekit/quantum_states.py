@@ -215,13 +215,13 @@ def _diagonal_moments(coeffs: Sequence[float]) -> Matrix:
     A ladder operator on either mode moves every coefficient of the diagonal
     state one step off the diagonal, so each R_j|psi> lives on the two
     off-diagonals (n, n+1) and (n+1, n) of the coefficient matrix and is
-    stored as those two length-n_max lists, concatenated; a^dag|n_max>
-    is dropped as in :func:`_ladder_pair`.  The inner product of two such
-    states is the plain dot product of the lists.
+    stored as those two length-n_max lists, concatenated.  The lists are the
+    shifted coefficients :func:`_ladder_pair` gives for ``coeffs``, with
+    a^dag|n_max> dropped there.  The inner product of two such states is the
+    plain dot product of the lists.
     """
-    root = [math.sqrt(n) for n in range(1, len(coeffs))]
-    upper = [r * c for r, c in zip(root, coeffs[1:])]  # sqrt(n+1) c_{n+1}
-    lower = [r * c for r, c in zip(root, coeffs)]  # sqrt(n+1) c_n
+    lowered, raised = _ladder_pair(coeffs)
+    upper, lower = lowered[:-1], raised[1:]  # sqrt(n+1) c_{n+1}, sqrt(n+1) c_n
     zero = [0.0] * len(upper)
     # (above, below) the diagonal for a_S, a_S^dag, a_I, a_I^dag.
     i_s, q_s = _quadratures(upper + zero, zero + lower)

@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, config plumbing, CSV determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -13,8 +14,8 @@ import pytest
 from reference_root import reference_root, ulps
 
 import qi_rangekit
-from qi_rangekit import atmosphere
-from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS, main
+from qi_rangekit import atmosphere, radiometry
+from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS, _build_parser, main
 from qi_rangekit.config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK
 from qi_rangekit.range_solver import Illumination, range_chain, sweep_range
@@ -65,6 +66,18 @@ def test_power_invalid_value_exits_2(capsys):
     code, _, err = run_cli(capsys, "power", "--ns", "0", "--freq", "7e9", "--bw", "1e9")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("flags, constants", [((), TEXTBOOK), (("--codata",), CODATA)],
+                         ids=["textbook", "codata"])
+def test_power_uses_the_constants_the_flag_picks(capsys, flags, constants):
+    watts = radiometry.transmit_power(0.5, 7e9, 1e9, constants)
+    expected = f"P_t = {watts:.6g} W = {radiometry.watts_to_dbm(watts):.6f} dBm\n"
+    code, out, err = run_cli(capsys, *flags, "power", "--ns", "0.5", "--freq", "7e9", "--bw", "1e9")
+    assert (code, out, err) == (0, expected, "")
+    # the two sets give different powers, so the run tells them apart
+    other = CODATA if constants is TEXTBOOK else TEXTBOOK
+    assert watts != radiometry.transmit_power(0.5, 7e9, 1e9, other)
 
 
 def test_covariance_quantum(capsys):
@@ -202,6 +215,22 @@ def test_range_single_mode(capsys):
     assert code == 0
     assert "ci:" not in out
     assert "qi:" in out
+
+
+@pytest.mark.parametrize("flags, constants", [((), TEXTBOOK), (("--codata",), CODATA)],
+                         ids=["textbook", "codata"])
+def test_range_noise_line_uses_the_constants_the_flag_picks(capsys, flags, constants):
+    config = ScenarioConfig()
+    t_eff = config.t_eff_kelvin(constants)
+    n_b = range_chain(config, 1e12, constants).n_b
+    code, out, _ = run_cli(capsys, *flags, "range", "--ns", "1e-2", "--freq", "1e12")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        f"noise: P_B = {config.noise_power_dbm:g} dBm -> implied T_eff = {t_eff:.6g} K, "
+        f"N_B(1e+12 Hz) = {n_b:.6g}"
+    )
+    other = CODATA if constants is TEXTBOOK else TEXTBOOK
+    assert f"{n_b:.6g}" != f"{range_chain(config, 1e12, other).n_b:.6g}"
 
 
 def test_range_zero_photons_exits_2(capsys):
@@ -485,47 +514,35 @@ def test_attenuated_range_where_the_free_space_range_overflows(tmp_path, capsys,
     assert all(row[4] == "ok" for row in rows)
 
 
-@pytest.mark.parametrize("snr_min_db", [4000, -4000], ids=["overflows", "underflows"])
-def test_snr_min_db_out_of_float_range_exits_2(tmp_path, capsys, snr_min_db):
-    config = tmp_path / "snr.json"
-    config.write_text(json.dumps({"snr_min_db": snr_min_db}), encoding="utf-8")
-    code, out, err = run_cli(capsys, "--config", str(config), "range", "--ns", "1", "--freq", "1e12")
-    assert (code, out) == (2, "")
-    assert "snr_min_db" in err
+# (config, what stderr names): each value fails validation while the
+# config is loaded, before any command runs
+BAD_CONFIG_VALUES = {
+    "sigma_m2": ({"sigma_m2": -1.0}, "sigma_m2"),
+    "aperture_m2": ({"aperture_m2": 0.0}, "aperture_m2"),
+    "bandwidth_hz": ({"bandwidth_hz": 0.0}, "bandwidth_hz"),
+    "tau_s": ({"tau_s": -1.0}, "tau_s"),
+    # finite, but 10^997 W overflows
+    "noise_power_dbm": ({"noise_power_dbm": 1e4}, "noise_power_dbm"),
+    "noise_power_underflows": ({"noise_power_dbm": -4000}, "noise_power_dbm"),
+    # written as Infinity, which json.loads accepts
+    "snr_min_db": ({"snr_min_db": math.inf}, "snr_min_db"),
+    "snr_min_db_overflows": ({"snr_min_db": 4000}, "snr_min_db"),
+    "snr_min_db_underflows": ({"snr_min_db": -4000}, "snr_min_db"),
+    "tau_times_b_overflows": ({"tau_s": 1e200, "bandwidth_hz": 1e200}, "tau_s * bandwidth_hz"),
+    "p_d": ({"p_d": 1.5}, "p_d"),
+    "p_fa": ({"p_fa": 0.0}, "p_fa"),
+    "frequencies_hz": ({"frequencies_hz": [-7e9]}, "frequencies_hz"),
+}
 
 
-@pytest.mark.parametrize("fields, field", [
-    ({"tau_s": 1e200, "bandwidth_hz": 1e200}, "tau_s * bandwidth_hz"),
-    ({"noise_power_dbm": -4000}, "noise_power_dbm"),
-], ids=["tau_times_b_overflows", "noise_power_underflows"])
-@pytest.mark.parametrize("argv", [["--dump-config"], ["range", "--ns", "1", "--freq", "1e12"]],
-                         ids=["dump_config", "range"])
-def test_config_out_of_float_range_exits_2(tmp_path, capsys, fields, field, argv):
+@pytest.mark.parametrize("fields, field", list(BAD_CONFIG_VALUES.values()),
+                         ids=list(BAD_CONFIG_VALUES))
+@pytest.mark.parametrize("argv", [["range", "--ns", "1", "--freq", "1e12"], ["--dump-config"]],
+                         ids=["range", "dump_config"])
+def test_invalid_config_value_names_its_field(tmp_path, capsys, fields, field, argv):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(fields), encoding="utf-8")
     code, out, err = run_cli(capsys, "--config", str(config), *argv)
-    assert (code, out) == (2, "")
-    assert field in err
-
-
-BAD_CONFIG_VALUES = [
-    ("sigma_m2", -1.0),
-    ("aperture_m2", 0.0),
-    ("bandwidth_hz", 0.0),
-    ("tau_s", -1.0),
-    ("noise_power_dbm", 1e4),  # finite, but 10^997 W overflows
-    ("snr_min_db", math.inf),  # written as Infinity, which json.loads accepts
-    ("p_d", 1.5),
-    ("p_fa", 0.0),
-    ("frequencies_hz", [-7e9]),
-]
-
-
-@pytest.mark.parametrize("field, value", BAD_CONFIG_VALUES, ids=[f for f, _ in BAD_CONFIG_VALUES])
-def test_invalid_config_value_names_its_field(tmp_path, capsys, field, value):
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({field: value}), encoding="utf-8")
-    code, out, err = run_cli(capsys, "--config", str(config), "range", "--ns", "1", "--freq", "1e12")
     assert (code, out) == (2, "")
     assert field in err
 
@@ -624,6 +641,32 @@ def test_sweep_to_unwritable_path_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")
+
+
+# One failing argv per subcommand.  ``main`` prints a command's lines only
+# once its handler has finished, so an error leaves stdout empty wherever
+# the handler raises: after the closed-form matrix (covariance), after the
+# table lookup (atten), or where the CSV cannot be opened (sweep).
+FAILING_COMMANDS = {
+    "power": ["power", "--ns", "0", "--freq", "7e9", "--bw", "1e9"],
+    "covariance": ["covariance", "--ns", "74", "--mode", "qi", "--oracle"],
+    "ratio": ["ratio", "--ns", "0"],
+    "atten": ["atten", "--freq", "60e9", "--range-m", "-1"],
+    "range": ["range", "--ns", "0", "--freq", "1e12"],
+    "sweep": ["sweep", "--figure", "3", "--points", "5", "--output", "{missing_dir}/x.csv"],
+    "mc": ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", str(MAX_TRIALS + 1)],
+}
+
+
+@pytest.mark.parametrize("command", list(FAILING_COMMANDS))
+def test_every_command_leaves_stdout_empty_on_error(tmp_path, capsys, command):
+    (subparsers,) = [action for action in _build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert set(FAILING_COMMANDS) == set(subparsers.choices)
+    argv = [arg.format(missing_dir=tmp_path / "missing") for arg in FAILING_COMMANDS[command]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 # The sweep CSVs below were written by the CLI before the column writer
