@@ -843,13 +843,14 @@ def test_mc_trial_bound_is_in_help_and_exact(capsys):
     with pytest.raises(SystemExit):
         main(["mc", "--help"])
     assert f"at most {MAX_TRIALS}" in capsys.readouterr().out
-    code, out, err = run_cli(
-        capsys,
-        "mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1",
-        "--trials", str(MAX_TRIALS + 1),
-    )
+    point = ("mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--seed", "1")
+    code, out, err = run_cli(capsys, *point, "--trials", str(MAX_TRIALS + 1))
     assert (code, out) == (2, "")
     assert err == f"error: --trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}\n"
+    # the bound itself runs: from exact gamma sums it costs what 1e4 trials do
+    code, out, err = run_cli(capsys, *point, "--trials", str(MAX_TRIALS))
+    assert (code, err) == (0, "")
+    assert f"{MAX_TRIALS} trials, seed 1)" in out and ", z = " in out
 
 
 def test_mc_prints_analytic_ratio_and_z(capsys):
@@ -959,6 +960,15 @@ def test_module_probe_sees_dataclasses(tmp_path):
     assert _loaded_after(tmp_path, statement, ["numpy", "dataclasses", "inspect"]) == [
         "dataclasses", "inspect",
     ]
+
+
+def test_module_probe_imports_the_package_under_test(tmp_path):
+    # the probes above check the copy this suite imports, from src/ or
+    # installed, not another one on the path
+    init = Path(qi_rangekit.__file__).resolve()
+    statement = ("import pathlib, qi_rangekit\n"
+                 f"assert pathlib.Path(qi_rangekit.__file__).resolve() == pathlib.Path({str(init)!r})")
+    assert _loaded_after(tmp_path, statement, []) == []
 
 
 def test_scalar_modules_import_without_numpy(tmp_path):
