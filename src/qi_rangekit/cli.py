@@ -16,8 +16,15 @@ which imports ``inspect``: the package's records are NamedTuples or slotted
 classes.
 Only the ``sweep`` grid uses numpy, and it imports it inside the handler, so
 that every other command (``mc`` included) and ``--dump-config`` start
-without it.  A figure-3 sweep writes its CSV a column at a time: one string
-per (frequency, mode) column of :func:`~qi_rangekit.range_solver.sweep_range`,
+without it.  No command calls BLAS, yet loading numpy starts OpenBLAS's
+thread pool, one thread per CPU by default (``import numpy`` took 139 ms
+with two threads and 85 ms with one on a 2-vCPU host).  So
+:func:`entrypoint`, which owns the process, sets ``OPENBLAS_NUM_THREADS=1``
+before any command runs, overriding any value it inherited, for its own
+process only; :func:`main` and the library calls leave the caller's
+environment alone.
+A figure-3 sweep writes its CSV a column at a time: one string per
+(frequency, mode) column of :func:`~qi_rangekit.range_solver.sweep_range`,
 joined at C level from the column's lists and written with one ``write``, so
 no per-row line list or whole-file copy is held.  Each row ends in its
 point's status.  The file is opened only after every chain is built, so an
@@ -66,8 +73,8 @@ MAX_TRIALS = 10**9
 
 # Largest ``sweep --points``.  The grid and one solved column with its CSV
 # text are held in memory: a figure-3 sweep of this many points, run from a
-# small launcher process, peaks at 73.5 MB max RSS (27.8 MB at 5 points) and
-# takes ~1.1 s (2-vCPU Intel Xeon with AVX-512, Python 3.11.7, numpy 2.4.6).
+# small launcher process, peaks at 73.9 MB max RSS (28.4 MB at 5 points) and
+# takes 1.0-1.5 s (2-vCPU Intel Xeon with AVX-512, Python 3.11.7, numpy 2.4.6).
 MAX_SWEEP_POINTS = 10**5
 
 
@@ -365,6 +372,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # No command calls BLAS, and OpenBLAS reads its thread count only once,
+    # when numpy loads it (``sweep``): one thread spares the pool's start-up.
+    # Only the process's own entry sets it; main() leaves the environment be.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     raise SystemExit(main())
 
 

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from bench_scenario import BUNDLED_CSV, sweep_attenuated_config
 from reference_root import reference_root, ulps
 
 import qi_rangekit
@@ -290,10 +291,9 @@ def test_range_in_near_field_exits_2(capsys):
     assert out == ""
 
 
-def test_range_out_of_table_span_exits_2_with_empty_stdout(capsys, monkeypatch):
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+def test_range_out_of_table_span_exits_2_with_empty_stdout(tmp_path, capsys):
     code, out, err = run_cli(
-        capsys, "--config", "perfbench/configs/sweep_attenuated.json",
+        capsys, "--config", str(sweep_attenuated_config(tmp_path)),
         "range", "--ns", "1e-2", "--freq", "2e12",
     )
     assert code == 2
@@ -301,8 +301,7 @@ def test_range_out_of_table_span_exits_2_with_empty_stdout(capsys, monkeypatch):
     assert out == ""
 
 
-def test_range_builds_its_chain_once(capsys, monkeypatch):
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+def test_range_builds_its_chain_once(tmp_path, capsys, monkeypatch):
     counts = {"gamma_at": 0, "noise_occupancy": 0}
 
     def counted(name, function):
@@ -317,7 +316,7 @@ def test_range_builds_its_chain_once(capsys, monkeypatch):
         counted("noise_occupancy", ScenarioConfig.noise_occupancy),
     )
     code, out, _ = run_cli(
-        capsys, "--config", "perfbench/configs/sweep_attenuated.json",
+        capsys, "--config", str(sweep_attenuated_config(tmp_path)),
         "range", "--ns", "1e-2", "--freq", "1e12",
     )
     assert code == 0
@@ -377,9 +376,8 @@ def test_missing_config_table_exits_2_for_every_command(tmp_path, capsys, argv):
     assert err.startswith("error: cannot read attenuation table ")
 
 
-def test_library_range_and_sweep_agree_on_the_attenuated_config(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
-    config_path = "perfbench/configs/sweep_attenuated.json"
+def test_library_range_and_sweep_agree_on_the_attenuated_config(tmp_path, capsys):
+    config_path = str(sweep_attenuated_config(tmp_path))
     expected = range_chain(load_config(config_path), 1e12).solve(1e-2, Illumination.CI)
     code, out, _ = run_cli(
         capsys, "--config", config_path, "range", "--ns", "1e-2", "--freq", "1e12", "--mode", "ci"
@@ -474,11 +472,10 @@ def test_quantum_range_closes_at_a_subnormal_n_s(capsys, n_s, freq):
     assert float(residual.group(1)) < 1e-12
 
 
-def test_range_where_eta_at_the_root_underflows(tmp_path, capsys, monkeypatch):
+def test_range_where_eta_at_the_root_underflows(tmp_path, capsys):
     # eta = threshold * N_B / (M * N_s) at the root underflows to 0 at M 1e20
     # and N_s 1.7e308; the attenuated root is a float, and no residual can be
     # read from eta
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
     config = tmp_path / "large_m.json"
     config.write_text(json.dumps({"tau_s": 1e11, "bandwidth_hz": 1e9,
                                   "attenuation_table_path": BUNDLED_CSV}), encoding="utf-8")
@@ -489,11 +486,10 @@ def test_range_where_eta_at_the_root_underflows(tmp_path, capsys, monkeypatch):
     assert "eta = 0\n" in out
 
 
-def test_attenuated_range_where_the_free_space_range_overflows(tmp_path, capsys, monkeypatch):
+def test_attenuated_range_where_the_free_space_range_overflows(tmp_path, capsys):
     # head * N_s / (denominator * threshold) overflows, but the attenuated
     # root is a float
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
-    config_path = "perfbench/configs/sweep_attenuated.json"
+    config_path = str(sweep_attenuated_config(tmp_path))
     code, out, err = run_cli(capsys, "--config", config_path,
                              "range", "--ns", "1e300", "--freq", "1e12")
     assert (code, err) == (0, "")
@@ -673,7 +669,6 @@ def test_every_command_leaves_stdout_empty_on_error(tmp_path, capsys, command):
 # replaced the row-by-row one.  The grid is a literal, so numpy's CPU
 # dispatch in ``_log_grid`` does not enter the pinned bytes.
 GOLDEN_GRID = [1e-06, 3e-05, 0.001, 0.001467799267622069, 0.01, 0.1, 1.0, 10.0, 1000.0]
-BUNDLED_CSV = str(Path(atmosphere.__file__).parent / "data" / atmosphere._BUNDLED_NAME)
 SWEEP_GOLDEN_CASES = {
     "default": (None, ()),
     "bundled_table": (
@@ -985,6 +980,29 @@ def test_sweep_loads_numpy(tmp_path):
     statement = ("from qi_rangekit.cli import main\n"
                  "assert main(['sweep', '--figure', '3', '--points', '3']) == 0")
     assert _loaded_after(tmp_path, statement, ["numpy"]) == ["numpy"]
+
+
+def test_cli_process_starts_openblas_with_one_thread(tmp_path, monkeypatch):
+    # entrypoint overrides an inherited thread count in its own process;
+    # numpy's OpenBLAS would otherwise start a second thread
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status to count threads")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    statement = ("from qi_rangekit.cli import entrypoint\n"
+                 "sys.argv[1:] = ['sweep', '--figure', '3', '--points', '3']\n"
+                 "try:\n"
+                 "    entrypoint()\n"
+                 "except SystemExit as exit_:\n"
+                 "    assert exit_.code == 0, exit_.code\n"
+                 "threads = [line.split()[1] for line in open('/proc/self/status')\n"
+                 "           if line.startswith('Threads:')]\n"
+                 "assert threads == ['1'], threads")
+    assert _loaded_after(tmp_path, statement, ["numpy"]) == ["numpy"]
+    # main() is the library's entry and leaves the caller's environment alone
+    assert main(["sweep", "--figure", "3", "--points", "3",
+                 "--output", str(tmp_path / "in_process.csv")]) == 0
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == "2"
 
 
 def test_no_command_exits_2(capsys):

@@ -2,9 +2,9 @@
 
 import json
 import math
-from pathlib import Path
 
 import pytest
+from bench_scenario import sweep_attenuated_config
 from reference_chain import threshold
 
 from qi_rangekit.atmosphere import AttenuationTable, serialize_table
@@ -12,8 +12,6 @@ from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_c
 from qi_rangekit.errors import ConfigError, TableParseError
 from qi_rangekit.radiometry import dbm_to_watts
 from qi_rangekit.range_solver import Illumination, antenna_gain, range_chain, sweep_range
-
-REPO = Path(__file__).resolve().parents[1]
 
 
 def flat_table(tmp_path):
@@ -37,6 +35,9 @@ def test_defaults_are_the_benchmark_scenario():
     assert cfg.frequencies_hz == (7e9, 95e9, 1e12)
     assert cfg.attenuation_table_path is None
     assert cfg.four_pi_exponent == 2
+    # derived: M = round(tau * B) and the threshold as a ratio
+    assert cfg.pulse_count == 10**9
+    assert cfg.snr_min_linear == pytest.approx(10.0, rel=1e-15)
 
 
 def test_json_round_trip(tmp_path):
@@ -136,6 +137,22 @@ def test_frequencies_must_be_a_list(frequencies_hz):
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"sigma_m2": 0.0, "aperture_m2": 0.5}, "sigma_m2"),
+        # tau * B = 0.1 rounds below one measurement
+        ({"tau_s": 0.1, "bandwidth_hz": 1.0}, r"tau_s \* bandwidth_hz"),
+        ({"p_d": 0.5, "p_fa": 0.6, "snr_min_db": 10.0}, "p_fa=0.6, p_d=0.5"),
+        ({"p_d": 1.0, "p_fa": 1e-6, "snr_min_db": 10.0}, "p_d=1.0"),
+    ],
+    ids=["zero_sigma_m2", "no_whole_measurement", "p_fa_above_p_d", "p_d_of_1"],
+)
+def test_constructor_rejects_invalid_specs(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(**fields)
+
+
+@pytest.mark.parametrize(
     "text, field",
     [
         ('{"sigma_m2": 1%s}' % ("0" * 400), "sigma_m2"),
@@ -206,10 +223,8 @@ def test_table_is_loaded_at_construction(tmp_path):
         ScenarioConfig(attenuation_table_path=str(tmp_path / "missing.csv"))
 
 
-def test_attenuated_config_reaches_the_solve(monkeypatch):
-    # the table path in the config is relative to the repository root
-    monkeypatch.chdir(REPO)
-    cfg = load_config(REPO / "perfbench" / "configs" / "sweep_attenuated.json")
+def test_attenuated_config_reaches_the_solve(tmp_path):
+    cfg = load_config(sweep_attenuated_config(tmp_path))
     root = range_chain(cfg, 1e12).solve(1e-2, Illumination.CI)
     assert float(f"{root:.5g}") == 29.592
     [row] = [

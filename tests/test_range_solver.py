@@ -1,11 +1,11 @@
 """Closed-form and implicit maximum-range solutions."""
 
 import math
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from bench_scenario import BUNDLED_CSV, sweep_attenuated_config
 from reference_chain import channel_transmissivity, snr_eff, threshold
 from reference_root import reference_root, ulps
 
@@ -342,7 +342,6 @@ def test_problem_validation():
         benchmark_point(four_pi_exponent=3)
 
 
-BUNDLED_CSV = str(Path(atmosphere.__file__).parent / "data" / atmosphere._BUNDLED_NAME)
 # sigma 1e-12 m^2, A 1e-6 m^2: the classical 7 GHz points below N_s ~ 3e-5
 # have no detection range, every other point of the default grid has one.
 FAINT = ScenarioConfig(sigma_m2=1e-12, aperture_m2=1e-6)
@@ -743,15 +742,11 @@ def test_x_beyond_halley_range_on_the_main_path_is_no_detection_not_nan():
     assert column.status == ["no_detection"] * 3
 
 
-def test_solve_refuses_exactly_the_near_field_status_on_the_attenuated_benchmark_grid(
-    monkeypatch,
-):
+def test_solve_refuses_exactly_the_near_field_status_on_the_attenuated_benchmark_grid(tmp_path):
     # the sweep_attenuated benchmark: 24 frequencies x 250 N_s x 2 modes; no
     # point of it lies near the boundary, so eta from link_at at the root
     # agrees with the status too
-    repo = Path(__file__).resolve().parents[1]
-    monkeypatch.chdir(repo)
-    config = load_config(repo / "perfbench" / "configs" / "sweep_attenuated.json")
+    config = load_config(sweep_attenuated_config(tmp_path))
     grid = _log_grid(1e-3, 10.0, 250)
     near_field = points = 0
     for f_hz, mode, column in sweep_range(config, grid):
