@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 from ._record import Record
 from .errors import FrequencySpanError, TableParseError, TableValidationError
@@ -98,21 +98,18 @@ def parse_table(lines: Iterable[str], source: str = "") -> AttenuationTable:
     return AttenuationTable(rows=tuple(rows), source=source)
 
 
-def load_table(source: str | Path | IO[str]) -> AttenuationTable:
-    """Load a table from a file path or an open text stream.
+def load_table(path: str | Path) -> AttenuationTable:
+    """Load a table from a CSV file (text in memory goes to :func:`parse_table`).
 
     A relative path is resolved against the working directory.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            handle = path.open("r", encoding="utf-8")
-        except OSError as exc:
-            raise TableParseError(f"cannot read attenuation table {path}: {exc}") from exc
-        with handle:
-            return parse_table(handle, source=str(path))
-    name = getattr(source, "name", "<stream>")
-    return parse_table(source, source=str(name))
+    path = Path(path)
+    try:
+        handle = path.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise TableParseError(f"cannot read attenuation table {path}: {exc}") from exc
+    with handle:
+        return parse_table(handle, source=str(path))
 
 
 def serialize_table(table: AttenuationTable) -> str:

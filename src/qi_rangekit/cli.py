@@ -2,8 +2,9 @@
 
 Subcommands: ``power``, ``covariance``, ``ratio``, ``atten``, ``range``,
 ``sweep``, ``mc``.  A scenario config (flat JSON, benchmark defaults for
-omitted fields) is taken from ``--config`` or the ``QI_RANGEKIT_CONFIG``
-environment variable.  All flags use SI base units (hertz, meters,
+omitted fields) is taken from ``--config`` alone, else the defaults; its
+table is the one ``range``, ``sweep`` and ``atten`` read (``atten`` falls
+back to the bundled table).  All flags use SI base units (hertz, meters,
 seconds); dBm appears only where power is conventionally quoted in dBm.
 
 Start-up is most of what a scalar command costs, so this module imports at
@@ -53,7 +54,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import __version__, radiometry
-from .config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
+from .config import ScenarioConfig, dump_config, load_config
 from .constants import CODATA, TEXTBOOK
 from .errors import NoDetectionError, RangeKitError
 
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config",
         metavar="PATH",
-        help=f"scenario config JSON (falls back to ${CONFIG_ENV_VAR}, then defaults)",
+        help="scenario config JSON (default: the benchmark scenario)",
     )
     parser.add_argument(
         "--dump-config",
@@ -126,8 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atten", help="absorption coefficient lookup and form factor")
     p.add_argument("--freq", type=float, required=True, help="frequency [Hz]")
-    p.add_argument("--table", metavar="PATH", default=None,
-                   help="attenuation CSV (default: config table, else bundled)")
     p.add_argument("--range-m", type=float, default=None,
                    help="also print the one-way form factor at this range [m]")
 
@@ -156,13 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     return parser
-
-
-def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        return load_config(path)
-    return ScenarioConfig()
 
 
 def _write_text(path: Path, chunks: Iterable[str]) -> None:
@@ -222,10 +214,7 @@ def _cmd_ratio(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str
 def _cmd_atten(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str]:
     from . import atmosphere
 
-    if args.table is not None:
-        table = atmosphere.load_table(args.table)
-    else:
-        table = config.attenuation_table or atmosphere.bundled_table()
+    table = config.attenuation_table or atmosphere.bundled_table()
     gamma = atmosphere.gamma_at(table, args.freq)
     lo, hi = table.span_ghz
     yield (f"gamma({args.freq:.6g} Hz) = {gamma:.6g} dB/km "
@@ -264,7 +253,9 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str
 def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
     if not (math.isfinite(ns_min) and ns_min > 0.0):
         raise RangeKitError(f"--ns-min must be positive and finite, got {ns_min!r}")
-    if not (math.isfinite(ns_max) and ns_max > ns_min):
+    if not math.isfinite(ns_max):
+        raise RangeKitError(f"--ns-max must be finite, got {ns_max!r}")
+    if not ns_max > ns_min:
         raise RangeKitError(f"--ns-max must exceed --ns-min, got {ns_max!r}")
     if points < 2:
         raise RangeKitError(f"--points must be >= 2, got {points!r}")
@@ -350,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
+        config = load_config(args.config) if args.config else ScenarioConfig()
         if args.dump_config is not None:
             text = dump_config(config)
             if args.dump_config == "-":

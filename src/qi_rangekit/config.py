@@ -28,10 +28,6 @@ from .constants import TEXTBOOK, PhysicalConstants
 from .errors import ConfigError, DomainError
 from .radiometry import _require_positive
 
-#: Environment variable consulted for a config path when none is given.
-CONFIG_ENV_VAR = "QI_RANGEKIT_CONFIG"
-
-
 _NUMBER_FIELDS = (
     "sigma_m2", "aperture_m2", "bandwidth_hz", "tau_s",
     "noise_power_dbm", "snr_min_db", "p_d", "p_fa",

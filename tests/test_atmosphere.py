@@ -1,6 +1,5 @@
 """Attenuation table ingestion, interpolation, and the form factor."""
 
-import io
 import math
 
 import pytest
@@ -25,7 +24,7 @@ SAMPLE_CSV = "frequency_ghz,gamma_db_per_km\n7,0.01\n95,0.5\n1000,100\n"
 
 
 def test_parse_three_row_table():
-    table = load_table(io.StringIO(SAMPLE_CSV))
+    table = parse_table(SAMPLE_CSV.splitlines())
     assert table.rows == ((7.0, 0.01), (95.0, 0.5), (1000.0, 100.0))
     assert table.span_ghz == (7.0, 1000.0)
 
@@ -81,6 +80,13 @@ def test_relative_path_resolves_against_working_directory(tmp_path, monkeypatch)
     assert table.source == "sample.csv"
 
 
+def test_load_table_reads_a_str_or_a_path_alike(tmp_path):
+    path = tmp_path / "sample.csv"
+    path.write_text(SAMPLE_CSV, encoding="utf-8")
+    assert load_table(str(path)) == load_table(path) == parse_table(
+        SAMPLE_CSV.splitlines(), source=str(path))
+
+
 def test_too_few_rows_rejected():
     with pytest.raises(TableValidationError):
         parse_table(["frequency_ghz,gamma_db_per_km", "10,1"])
@@ -93,7 +99,7 @@ def test_serialize_round_trips_exactly():
 
 
 def test_gamma_exact_at_knots():
-    table = load_table(io.StringIO(SAMPLE_CSV))
+    table = parse_table(SAMPLE_CSV.splitlines())
     assert gamma_at(table, 7e9) == 0.01
     assert gamma_at(table, 95e9) == 0.5
     assert gamma_at(table, 1000e9) == 100.0
@@ -113,7 +119,7 @@ def test_zero_gamma_segment_interpolates_linearly():
 
 
 def test_continuity_across_knots():
-    table = load_table(io.StringIO(SAMPLE_CSV))
+    table = parse_table(SAMPLE_CSV.splitlines())
     for knot_ghz in (95.0,):
         f = knot_ghz * 1e9
         left = gamma_at(table, f * (1.0 - 1e-12))
@@ -124,7 +130,7 @@ def test_continuity_across_knots():
 
 
 def test_out_of_span_queries_rejected():
-    table = load_table(io.StringIO(SAMPLE_CSV))
+    table = parse_table(SAMPLE_CSV.splitlines())
     with pytest.raises(FrequencySpanError) as info:
         gamma_at(table, 1e9)
     assert info.value.span_ghz == (7.0, 1000.0)

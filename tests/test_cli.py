@@ -17,7 +17,7 @@ from reference_root import reference_root, ulps
 import qi_rangekit
 from qi_rangekit import atmosphere, radiometry
 from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS, _build_parser, main
-from qi_rangekit.config import CONFIG_ENV_VAR, ScenarioConfig, dump_config, load_config
+from qi_rangekit.config import ScenarioConfig, dump_config, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK
 from qi_rangekit.range_solver import Illumination, range_chain, sweep_range
 
@@ -338,42 +338,63 @@ def test_range_with_narrow_table_span_exits_2(tmp_path, capsys):
     assert "span" in err
 
 
-def test_atten_missing_table_exits_2(tmp_path, capsys):
-    missing = tmp_path / "missing.csv"
-    code, _, err = run_cli(capsys, "atten", "--freq", "60e9", "--table", str(missing))
-    assert code == 2
-    assert "missing.csv" in err
-
-
-def test_range_with_missing_config_table_exits_2(tmp_path, capsys):
-    config = tmp_path / "cfg.json"
-    config.write_text(
-        json.dumps({"attenuation_table_path": str(tmp_path / "missing.csv")}),
-        encoding="utf-8",
-    )
-    code, _, err = run_cli(
-        capsys, "--config", str(config), "range", "--ns", "1", "--freq", "1e12"
-    )
-    assert code == 2
-    assert "missing.csv" in err
-
-
 @pytest.mark.parametrize(
     "argv",
-    [("power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"), ("--dump-config",)],
-    ids=["power", "dump_config"],
+    [("power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"), ("--dump-config",),
+     ("atten", "--freq", "60e9"), ("range", "--ns", "1", "--freq", "1e12")],
+    ids=["power", "dump_config", "atten", "range"],
 )
 def test_missing_config_table_exits_2_for_every_command(tmp_path, capsys, argv):
     # the table is read when the config is loaded, whatever the command
+    missing = tmp_path / "missing.csv"
     config = tmp_path / "cfg.json"
-    config.write_text(
-        json.dumps({"attenuation_table_path": str(tmp_path / "missing.csv")}),
-        encoding="utf-8",
-    )
+    config.write_text(json.dumps({"attenuation_table_path": str(missing)}), encoding="utf-8")
     code, out, err = run_cli(capsys, "--config", str(config), *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: cannot read attenuation table ")
+    assert err.startswith(f"error: cannot read attenuation table {missing}: ")
+
+
+def test_atten_and_range_read_the_config_table(tmp_path, capsys):
+    table = tmp_path / "two_knots.csv"
+    table.write_text("frequency_ghz,gamma_db_per_km\n10,0.5\n100,8\n", encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"attenuation_table_path": str(table)}), encoding="utf-8")
+    # 31.6 GHz is no knot: both commands interpolate the same table
+    gamma = atmosphere.gamma_at(atmosphere.load_table(table), 31.6e9)
+    assert 0.5 < gamma < 8.0
+    code, out, _ = run_cli(capsys, "--config", str(config), "atten", "--freq", "31.6e9")
+    assert code == 0
+    assert out == (f"gamma(3.16e+10 Hz) = {gamma:.6g} dB/km "
+                   f"[table: {table}, span 10-100 GHz]\n")
+    code, out, _ = run_cli(capsys, "--config", str(config),
+                           "range", "--ns", "1e-2", "--freq", "31.6e9")
+    assert code == 0
+    assert out.count(f"    gamma = {gamma:.6g} dB/km, ") == 2
+
+
+@pytest.mark.parametrize("freq, lines", [
+    ("60e9", ("gamma(6e+10 Hz) = 15 dB/km", "F(1000 m) = 0.0316228 (one-way)")),
+    ("7e9", ("gamma(7e+09 Hz) = 0.009 dB/km", "F(1000 m) = 0.99793 (one-way)")),
+    ("557e9", ("gamma(5.57e+11 Hz) = 15000 dB/km", "F(1000 m) = 0 (one-way)")),
+    ("1e12", ("gamma(1e+12 Hz) = 450 dB/km", "F(1000 m) = 1e-45 (one-way)")),
+])
+def test_config_atten_prints_what_a_table_option_printed(tmp_path, capsys, freq, lines):
+    # the bytes `atten --table BUNDLED_CSV` printed before a config became
+    # the one way to name a table
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"attenuation_table_path": BUNDLED_CSV}), encoding="utf-8")
+    gamma, form_factor = lines
+    assert run_cli(capsys, "--config", str(config),
+                   "atten", "--freq", freq, "--range-m", "1000") == (
+        0, f"{gamma} [table: {BUNDLED_CSV}, span 1-1000 GHz]\n{form_factor}\n", "")
+
+
+def test_atten_has_no_table_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["atten", "--freq", "60e9", "--table", "x.csv"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --table x.csv" in capsys.readouterr().err
 
 
 def test_library_range_and_sweep_agree_on_the_attenuated_config(tmp_path, capsys):
@@ -559,13 +580,25 @@ def test_wrong_config_type_exits_2(tmp_path, capsys):
     assert "p_fa" in err
 
 
-def test_env_var_config_fallback(tmp_path, capsys, monkeypatch):
+def test_no_environment_variable_names_a_config(tmp_path, capsys, monkeypatch):
+    # only --config names a scenario; an ambient path, here a missing one,
+    # is not read
+    monkeypatch.setenv("QI_RANGEKIT_CONFIG", str(tmp_path / "missing.json"))
+    assert run_cli(capsys, "--dump-config") == (0, dump_config(ScenarioConfig()), "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--dump-config",),
+    ("range", "--ns", "1e-2", "--freq", "1e12"),
+], ids=["dump_config", "range"])
+def test_an_ambient_config_changes_no_output(tmp_path, capsys, monkeypatch, argv):
+    # a readable config that would raise the detection threshold
+    expected = run_cli(capsys, *argv)
     config = tmp_path / "env.json"
     config.write_text(json.dumps({"snr_min_db": 13.0}), encoding="utf-8")
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(config))
-    code, out, _ = run_cli(capsys, "--dump-config")
-    assert code == 0
-    assert json.loads(out)["snr_min_db"] == 13.0
+    monkeypatch.setenv("QI_RANGEKIT_CONFIG", str(config))
+    assert expected[0] == 0
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_dump_config_round_trip(tmp_path, capsys):
@@ -759,6 +792,11 @@ def test_sweep_grid_validation(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "sweep", "--figure", "1", "--ns-min", "-1")
     assert code == 2
+    for ns_max in ("inf", "nan"):
+        assert run_cli(capsys, "sweep", "--figure", "1", "--ns-max", ns_max) == (
+            2, "", f"error: --ns-max must be finite, got {float(ns_max)!r}\n")
+    assert run_cli(capsys, "sweep", "--figure", "1", "--ns-max", "1e-3") == (
+        2, "", "error: --ns-max must exceed --ns-min, got 0.001\n")
 
 
 @pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10**13])
@@ -896,29 +934,12 @@ def _loaded_after(tmp_path, statement: str, modules: list[str]) -> list[str]:
     and more) and report which of ``modules`` it left in ``sys.modules``."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    env.pop(CONFIG_ENV_VAR, None)
     script = (f"import sys\n{statement}\n"
               f"print(','.join(m for m in {modules!r} if m in sys.modules), file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return list(filter(None, result.stderr.splitlines()[-1].split(",")))
-
-
-@pytest.mark.parametrize("argv", [
-    ["--dump-config", "-"],
-    ["range", "--ns", "1e-2", "--freq", "1e12"],
-    ["power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"],
-    ["atten", "--freq", "60e9"],
-    ["covariance", "--ns", "20", "--mode", "qi", "--oracle"],
-    ["covariance", "--ns", "1000", "--mode", "ci", "--oracle"],
-    ["ratio", "--ns", "0.5"],
-    ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "1000000"],
-])
-def test_scalar_commands_start_without_numpy(tmp_path, argv):
-    # dataclasses loads inspect, ast, dis and tokenize: ~10 ms of start-up
-    statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
-    assert _loaded_after(tmp_path, statement, ["numpy", "dataclasses", "inspect"]) == []
 
 
 # the modules each command leaves unloaded (the default config has no table)
@@ -932,21 +953,25 @@ UNUSED_MODULES = {
 
 
 @pytest.mark.parametrize("argv", [
-    ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "1000000"],
-    ["covariance", "--ns", "20", "--mode", "qi", "--oracle"],
-    ["ratio", "--ns", "0.5"],
-    ["power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"],
-    ["sweep", "--figure", "3", "--points", "5"],
-    ["range", "--ns", "1e-2", "--freq", "1e12"],
-    ["atten", "--freq", "60e9"],
     ["--dump-config", "-"],
+    ["range", "--ns", "1e-2", "--freq", "1e12"],
+    ["power", "--ns", "1", "--freq", "1e9", "--bw", "1e9"],
+    ["atten", "--freq", "60e9"],
+    ["covariance", "--ns", "20", "--mode", "qi", "--oracle"],
+    ["covariance", "--ns", "1000", "--mode", "ci", "--oracle"],
+    ["ratio", "--ns", "0.5"],
+    ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "1000000"],
+    ["sweep", "--figure", "3", "--points", "5"],
 ])
 def test_commands_import_only_the_modules_they_run(tmp_path, argv):
-    statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
+    # dataclasses loads inspect, ast, dis and tokenize: ~10 ms of start-up.
+    # Only the sweep grid loads numpy, which imports inspect itself.
+    stdlib = ["dataclasses"] if argv[0] == "sweep" else ["numpy", "dataclasses", "inspect"]
     unused = UNUSED_MODULES.get(argv[0], [
         "qi_rangekit.range_solver", "qi_rangekit.atmosphere", "qi_rangekit.link_budget", "json",
     ])
-    assert _loaded_after(tmp_path, statement, unused) == []
+    statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
+    assert _loaded_after(tmp_path, statement, stdlib + unused) == []
 
 
 def test_module_probe_sees_dataclasses(tmp_path):
