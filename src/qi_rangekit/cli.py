@@ -60,7 +60,7 @@ from .errors import NoDetectionError, RangeKitError
 
 if TYPE_CHECKING:
     from .quantum_states import Matrix
-    from .range_solver import Illumination, RangeColumn
+    from .range_solver import Illumination
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -263,21 +263,27 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
         raise RangeKitError(f"--points must be at most {MAX_SWEEP_POINTS}, got {points!r}")
     import numpy as np
 
-    return np.logspace(math.log10(ns_min), math.log10(ns_max), points).tolist()
+    # 10^log10(x) need not be x, and may overflow at x near the float maximum:
+    # the ends are the bounds given
+    with np.errstate(over="ignore"):
+        grid = np.logspace(math.log10(ns_min), math.log10(ns_max), points).tolist()
+    grid[0], grid[-1] = ns_min, ns_max
+    return grid
 
 
 def _range_csv(
-    grid: list[float], columns: Iterable[tuple[float, Illumination, RangeColumn]]
+    grid: list[float],
+    columns: Iterable[tuple[float, Illumination, tuple[list[float | None], list[str]]]],
 ) -> Iterator[str]:
     """The figure-3 CSV as its header and one string per solved column, each
     joined at C level: N_s formatted once, f and mode once per column, and
     an empty range where no root exists."""
     yield "n_s,frequency_hz,mode,r_max_m,status\n"
     n_s_text = [repr(n_s) for n_s in grid]
-    for f_hz, mode, column in columns:
-        r_text = ["" if r is None else repr(r) for r in column.r_max_m]
+    for f_hz, mode, (r_max_m, status) in columns:
+        r_text = ["" if r is None else repr(r) for r in r_max_m]
         middle = repeat(f",{f_hz!r},{mode.value},")
-        yield "".join(map("".join, zip(n_s_text, middle, r_text, repeat(","), column.status,
+        yield "".join(map("".join, zip(n_s_text, middle, r_text, repeat(","), status,
                                        repeat("\n"))))
 
 

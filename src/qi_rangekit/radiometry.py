@@ -85,13 +85,20 @@ def thermal_occupancy(
     constants: PhysicalConstants = TEXTBOOK,
 ) -> float:
     """Thermal photons per mode N_B = k_B * T / (h * f) (Rayleigh-Jeans).
-    Raises :class:`DomainError` where h * f underflows to 0."""
+    Raises :class:`DomainError` where h * f underflows to 0, and where N_B
+    overflows or underflows to 0."""
     t_kelvin = _require_positive("temperature", t_kelvin)
     f_hz = _require_positive("frequency", f_hz)
     photon_energy = constants.h * f_hz
     if photon_energy == 0.0:
         raise DomainError(f"frequency {f_hz!r} Hz is too small: h * f underflows to 0")
-    return constants.k_b * t_kelvin / photon_energy
+    n_b = constants.k_b * t_kelvin / photon_energy
+    if n_b == math.inf or n_b == 0.0:
+        raise DomainError(
+            f"N_B = k_B*T/(h*f) {'overflows' if n_b else 'underflows to 0'} at "
+            f"T = {t_kelvin!r} K, f = {f_hz!r} Hz"
+        )
+    return n_b
 
 
 def t_eff_from_noise_power(

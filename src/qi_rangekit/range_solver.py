@@ -26,12 +26,13 @@ in print is available behind ``four_pi_exponent=4`` for comparison runs.
 The range chain of a scenario at one frequency is one object,
 :class:`RangeChain`, built by :func:`range_chain`.  Its solve kernel,
 :meth:`RangeChain.solutions`, solves one column: one mode across a grid of
-N_s values, in one loop that fills the plain lists of a :class:`RangeColumn`
-(no object per point), with the chain's fields and the mode test read once
-per column.  ``range`` solves a one-point column through
-:meth:`RangeChain.solve`; :func:`sweep_range` builds one chain per configured
-frequency when called and solves its columns lazily, one per (frequency,
-mode), so a sweep row and the one-point solution are the same computation.
+N_s values, in one loop that fills and returns two plain lists, the roots
+and the statuses (no object per point), with the chain's fields, their
+fourth roots and the mode test read once per column.  ``range`` solves a
+one-point column through :meth:`RangeChain.solve`; :func:`sweep_range`
+builds one chain per configured frequency when called and solves its
+columns lazily, one per (frequency, mode), so a sweep row and the one-point
+solution are the same computation.
 
 Where R_free^4 = head * photons / (denominator * SNR_min) overflows, the
 kernel takes the same closed form in another arrangement: the lossless
@@ -42,7 +43,8 @@ W0(x) / (a/2), x = a * R_free / 2, with W0 taken from ln x where x is
 beyond Halley's range, and R_free where x is below the normal floats (there
 W0(x) / x rounds to 1).  Where the lossless R_free^4 is still beyond the
 float range (R_free above ~1.3e77 m, although R_free itself may be a
-float), the root reads inf.
+float), the root reads inf, and so it does with absorption where R_free
+itself is beyond the float range.
 
 The kernel computes the root and one status per point, and nothing else:
 
@@ -53,7 +55,8 @@ The kernel computes the root and one status per point, and nothing else:
 * ``near_field`` -- a root where eta > 1.  At the root eta * M * photons /
   N_B is SNR_min, so that is SNR_min * N_B > M * photons, with no range
   evaluation;
-* ``overflow`` -- the lossless R_free^4 overflows, and the root is inf.
+* ``overflow`` -- the root is inf: the lossless R_free^4 overflows, or,
+  with absorption, R_free itself does.
 
 :func:`sweep_range` adds ``out_of_span`` for a frequency outside the table
 span.  The status is the one near-field decision: :meth:`RangeChain.solve`
@@ -115,17 +118,6 @@ class Illumination(enum.Enum):
         return 1.0 if self is Illumination.QI else 0.0
 
 
-class RangeColumn(Record):
-    """One solved column, as two lists with one entry per N_s of the grid:
-    ``r_max_m``, the closed-form root (``None`` where none exists), and
-    ``status``, the point's outcome as a plain string (see the module
-    docstring): ``"ok"``, ``"no_detection"`` (range ``None``),
-    ``"near_field"``, ``"overflow"`` (range inf) or, from
-    :func:`sweep_range`, ``"out_of_span"`` (range ``None``)."""
-
-    __slots__ = _fields = ("r_max_m", "status")
-
-
 def antenna_gain(
     aperture_m2: float, f_hz: float, constants: PhysicalConstants = TEXTBOOK
 ) -> float:
@@ -153,6 +145,9 @@ class RangeChain(Record):
 
     def _check(self) -> None:
         _require_positive("n_b", self.n_b)
+        _require_positive("head (sigma_m2 * G * aperture_m2 * M)", self.head)
+        _require_positive("denominator ((4*pi)^k * N_B)", self.denominator)
+        _require_positive("snr_min", self.snr_min)
         _require_non_negative("gamma", self.gamma_db_per_km)
 
     def solve(self, n_s: float, mode: Illumination) -> float:
@@ -168,8 +163,7 @@ class RangeChain(Record):
         field, where eta = SNR_min * N_B / (M * photons) exceeds 1.
         """
         n_s = _require_positive("n_s", n_s)
-        column = self.solutions((n_s,), mode)
-        [root], [status] = column.r_max_m, column.status
+        [root], [status] = self.solutions((n_s,), mode)
         if status == "no_detection":
             raise NoDetectionError(
                 f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
@@ -189,31 +183,43 @@ class RangeChain(Record):
             )
         return root
 
-    def solutions(self, n_s_grid: Iterable[float], mode: Illumination) -> RangeColumn:
+    def solutions(
+        self, n_s_grid: Iterable[float], mode: Illumination
+    ) -> tuple[list[float | None], list[str]]:
         """Solve one column: the maximum range and the status at each N_s of
-        ``n_s_grid`` in ``mode``, as a :class:`RangeColumn`.
+        ``n_s_grid`` in ``mode``, as two lists with one entry per N_s,
+        ``(r_max_m, status)``.  ``r_max_m`` holds the closed-form root
+        (``None`` where none exists) and ``status`` the point's outcome:
+        ``"ok"``, ``"no_detection"``, ``"near_field"`` or ``"overflow"``
+        (range inf); see the module docstring.
 
-        Closed form (2/a) * W0(a * R_free / 2); see the module docstring.
-        With gamma = 0 that is R_free itself.  The grid is not checked: every
-        value must be positive and finite, as :meth:`solve` and
-        :func:`sweep_range` ensure.
+        Closed form (2/a) * W0(a * R_free / 2).  With gamma = 0 that is
+        R_free itself.  The grid is not checked: every value must be positive
+        and finite, as :meth:`solve` and :func:`sweep_range` ensure.
         """
         head, denominator, snr_min = self.head, self.denominator, self.snr_min
         n_b, pulse_count = self.n_b, self.pulse_count
         half_a = 0.5 * self.gamma_db_per_km * _A_PER_GAMMA
+        # fourth roots that are each a float, for R_free where R_free^4 overflows
+        head_root = head**0.25
+        under_root = denominator**0.25 * snr_min**0.25
         extra = mode.extra_photons
-        column = RangeColumn([], [])
-        add_r, add_status = column.r_max_m.append, column.status.append
+        r_max_m: list[float | None] = []
+        statuses: list[str] = []
+        add_r, add_status = r_max_m.append, statuses.append
         inf, near_zero = math.inf, _NEAR_ZERO_RANGE_M
         for n_s in n_s_grid:
             photons = n_s + extra
-            if (ratio := head * photons / denominator / snr_min) == inf:
-                root = self._beyond_float_range(photons)
-            else:
+            if (ratio := head * photons / denominator / snr_min) != inf:
                 root = ratio**0.25
-                # not gamma > 0: a subnormal gamma leaves a/2 = 0
-                if half_a > 0.0:
-                    root = _attenuated_root(half_a, root)
+            elif half_a > 0.0:
+                root = head_root * photons**0.25 / under_root
+            else:
+                root = (head / denominator * photons / snr_min) ** 0.25
+            # not gamma > 0: a subnormal gamma leaves a/2 = 0; an R_free past
+            # the float range stays inf
+            if half_a > 0.0 and root != inf:
+                root = _attenuated_root(half_a, root)
             if root < near_zero:
                 root, status = None, "no_detection"
             elif root == inf:
@@ -224,17 +230,7 @@ class RangeChain(Record):
                 status = "ok"
             add_r(root)
             add_status(status)
-        return column
-
-    def _beyond_float_range(self, photons: float) -> float:
-        """The root where R_free^4 overflows; see the module docstring."""
-        head, denominator, snr_min = self.head, self.denominator, self.snr_min
-        half_a = 0.5 * self.gamma_db_per_km * _A_PER_GAMMA
-        if half_a == 0.0:
-            return (head / denominator * photons / snr_min) ** 0.25
-        # R_free from fourth roots that are each a float
-        r_free = head**0.25 * photons**0.25 / (denominator**0.25 * snr_min**0.25)
-        return _attenuated_root(half_a, r_free)
+        return r_max_m, statuses
 
     def link_at(self, r_m: float) -> tuple[float, float]:
         """One-way form factor F and transmissivity eta at range ``r_m``,
@@ -333,19 +329,18 @@ def sweep_range(
     n_s_grid: Sequence[float],
     *,
     constants: PhysicalConstants = TEXTBOOK,
-) -> Iterator[tuple[float, Illumination, RangeColumn]]:
+) -> Iterator[tuple[float, Illumination, tuple[list[float | None], list[str]]]]:
     """Solve the range over the (N_s, frequency, mode) product grid of a
     scenario: the grid, the configured frequencies and the modes CI, QI.
 
-    Yields one ``(frequency_hz, mode, column)`` per (frequency, mode),
-    frequency first, then CI before QI; ``column`` is the
-    :class:`RangeColumn` of :meth:`RangeChain.solutions` over the grid, so
-    each of its points is the one-point solve, and at a frequency outside
-    the table span it holds range ``None`` and status ``"out_of_span"`` at
-    every point.  The call validates the grid and builds one chain
-    ``range_chain(config, f, constants)`` per frequency, so an invalid grid
-    or any other unusable frequency raises before any column; the columns
-    are solved lazily.
+    Yields one ``(frequency_hz, mode, (r_max_m, status))`` per (frequency,
+    mode), frequency first, then CI before QI; the pair is the two lists
+    :meth:`RangeChain.solutions` returns over the grid, so each of its
+    points is the one-point solve, and at a frequency outside the table span
+    it holds range ``None`` and status ``"out_of_span"`` at every point.
+    The call validates the grid and builds one chain ``range_chain(config,
+    f, constants)`` per frequency, so an invalid grid or any other unusable
+    frequency raises before any column; the columns are solved lazily.
     """
     grid = _validated_grid(n_s_grid)
     chains = []
@@ -356,7 +351,7 @@ def sweep_range(
             chains.append((f_hz, None))
     return (
         (f_hz, mode, chain.solutions(grid, mode) if chain is not None
-         else RangeColumn([None] * len(grid), ["out_of_span"] * len(grid)))
+         else ([None] * len(grid), ["out_of_span"] * len(grid)))
         for f_hz, chain in chains for mode in Illumination
     )
 

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -434,21 +435,50 @@ def test_range_with_zero_gamma_table_matches_lossless(tmp_path, capsys):
     assert out_zero_table == out_lossless
 
 
-def test_range_at_a_frequency_where_h_f_underflows_exits_2(capsys):
-    code, out, err = run_cli(capsys, "range", "--ns", "1", "--freq", "1e-320")
+# Scenarios whose range chain leaves the float range at every N_s, each with
+# the cause its error names
+UNUSABLE_CHAINS = {
+    "h_f_underflow": ({"frequencies_hz": [1e-320]}, "h * f underflows"),
+    # sigma * G * A * M overflows; lossless and through the table
+    "head_overflow": ({"sigma_m2": 1e300, "aperture_m2": 1e3, "frequencies_hz": [1e12]},
+                      "head (sigma_m2 * G * aperture_m2 * M) must be positive and finite"),
+    "head_overflow_table": (
+        {"sigma_m2": 1e300, "aperture_m2": 1e3, "frequencies_hz": [1e12],
+         "attenuation_table_path": BUNDLED_CSV},
+        "head (sigma_m2 * G * aperture_m2 * M) must be positive and finite",
+    ),
+    # k_B * T_eff / (h * f) underflows to 0
+    "n_b_underflow": ({"noise_power_dbm": -3150, "bandwidth_hz": 1e15, "frequencies_hz": [1e12]},
+                      "N_B = k_B*T/(h*f) underflows to 0 at T = 7.246367742722e-311 K, "
+                      "f = 1000000000000.0 Hz"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSABLE_CHAINS))
+def test_range_at_a_frequency_where_h_f_underflows_exits_2(tmp_path, capsys, case):
+    fields, cause = UNUSABLE_CHAINS[case]
+    config = tmp_path / f"{case}.json"
+    config.write_text(json.dumps(fields), encoding="utf-8")
+    [f_hz] = fields["frequencies_hz"]
+    code, out, err = run_cli(capsys, "--config", str(config),
+                             "range", "--ns", "1", "--freq", repr(f_hz))
     assert (code, out) == (2, "")
-    assert "h * f underflows" in err
+    assert cause in err
+    assert "nan" not in err
 
 
-def test_sweep_at_a_frequency_where_h_f_underflows_exits_2(tmp_path, capsys):
-    config = tmp_path / "tiny_frequency.json"
-    config.write_text(json.dumps({"frequencies_hz": [1e-320]}), encoding="utf-8")
+@pytest.mark.parametrize("case", list(UNUSABLE_CHAINS))
+def test_sweep_at_a_frequency_where_h_f_underflows_exits_2(tmp_path, capsys, case):
+    fields, cause = UNUSABLE_CHAINS[case]
+    config = tmp_path / f"{case}.json"
+    config.write_text(json.dumps(fields), encoding="utf-8")
     output = tmp_path / "f3.csv"
     code, out, err = run_cli(
         capsys, "--config", str(config), "sweep", "--figure", "3", "--output", str(output)
     )
     assert (code, out) == (2, "")
-    assert "h * f underflows" in err
+    assert cause in err
+    assert "nan" not in err
     assert not output.exists()
 
 
@@ -753,10 +783,11 @@ def test_quantum_column_is_the_classical_column_at_n_s_plus_1(tmp_path, case):
     grid = [5e-324, 1.5e-323, 1e-310, *GOLDEN_GRID]
     for f_hz in scenario.frequencies_hz:
         chain = range_chain(scenario, f_hz, constants)
-        quantum = chain.solutions(grid, Illumination.QI)
-        classical = chain.solutions([n_s + 1.0 for n_s in grid], Illumination.CI)
-        assert list(map(repr, quantum.r_max_m)) == list(map(repr, classical.r_max_m))
-        assert quantum.status == classical.status
+        quantum, status = chain.solutions(grid, Illumination.QI)
+        classical, classical_status = chain.solutions([n_s + 1.0 for n_s in grid],
+                                                      Illumination.CI)
+        assert list(map(repr, quantum)) == list(map(repr, classical))
+        assert status == classical_status
 
 
 def test_sweep_figure1_csv_is_pinned(tmp_path, capsys, monkeypatch):
@@ -797,6 +828,33 @@ def test_sweep_grid_validation(capsys):
             2, "", f"error: --ns-max must be finite, got {float(ns_max)!r}\n")
     assert run_cli(capsys, "sweep", "--figure", "1", "--ns-max", "1e-3") == (
         2, "", "error: --ns-max must exceed --ns-min, got 0.001\n")
+
+
+@pytest.mark.parametrize("figure", ["1", "3"])
+def test_sweep_writes_the_bounds_given_as_its_first_and_last_n_s(tmp_path, capsys, figure):
+    # 10^log10(x) need not be x: 0.3 would come out as 0.29999999999999993
+    rng = random.Random(32)
+    output = tmp_path / "sweep.csv"
+    for _ in range(50):
+        lo, hi = sorted(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+        code, _, _ = run_cli(capsys, "sweep", "--figure", figure, "--ns-min", repr(lo),
+                             "--ns-max", repr(hi), "--points", "3", "--output", str(output))
+        assert code == 0
+        rows = output.read_text(encoding="utf-8").splitlines()[1:]
+        assert (rows[0].split(",")[0], rows[-1].split(",")[0]) == (repr(lo), repr(hi))
+
+
+@pytest.mark.parametrize("figure", ["1", "3"])
+def test_sweep_to_the_largest_float_exits_0_without_a_warning(tmp_path, capsys, figure):
+    # 10^log10(DBL_MAX) overflows in numpy's power
+    output = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "sweep", "--figure", figure,
+                               "--ns-max", repr(sys.float_info.max), "--output", str(output))
+    assert (code, err) == (0, "")
+    last = output.read_text(encoding="utf-8").splitlines()[-1]
+    assert last.split(",")[0] == repr(sys.float_info.max)
 
 
 @pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10**13])
@@ -1126,7 +1184,7 @@ def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, caps
             [(_, _, column)] = [
                 point for point in sweep_range(config, [n_s]) if point[1] is mode
             ]
-            [root], [status] = column.r_max_m, column.status
+            [root], [status] = column
             seen[status] += 1
             code, out, _ = run_cli(capsys, "--config", str(path), "range", "--ns", repr(n_s),
                                    "--freq", repr(f_hz), "--mode", mode.value)

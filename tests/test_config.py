@@ -228,8 +228,8 @@ def test_attenuated_config_reaches_the_solve(tmp_path):
     root = range_chain(cfg, 1e12).solve(1e-2, Illumination.CI)
     assert float(f"{root:.5g}") == 29.592
     [row] = [
-        (f_hz, mode, point) for f_hz, mode, column in sweep_range(cfg, [1e-2])
-        for point in column.r_max_m if f_hz == 1e12 and mode is Illumination.CI
+        (f_hz, mode, point) for f_hz, mode, (r_max_m, _) in sweep_range(cfg, [1e-2])
+        for point in r_max_m if f_hz == 1e12 and mode is Illumination.CI
     ]
     assert row[2] == root
 

@@ -121,6 +121,8 @@ def test_noise_power_identity_frequency_cancels():
         lambda: dbm_to_watts(math.inf),
         lambda: dbm_to_watts(1e4),
         lambda: thermal_occupancy(300.0, 1e-320),  # h * f underflows to 0
+        lambda: thermal_occupancy(1e300, 1e-30),  # k_B * T / (h * f) overflows
+        lambda: thermal_occupancy(1e-300, 1e300),  # k_B * T / (h * f) underflows to 0
     ],
 )
 def test_domain_errors(call):

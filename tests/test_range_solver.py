@@ -18,7 +18,6 @@ from qi_rangekit.errors import ConfigError, DomainError, NoDetectionError, Unphy
 from qi_rangekit.range_solver import (
     Illumination,
     RangeChain,
-    RangeColumn,
     antenna_gain,
     range_chain,
     sweep_range,
@@ -51,7 +50,7 @@ class Point(NamedTuple):
     def root(self):
         """The kernel's root, ``None`` without one; unlike :meth:`solve`,
         also a root in the near field."""
-        return self.chain.solutions((self.n_s,), self.mode).r_max_m[0]
+        return self.chain.solutions((self.n_s,), self.mode)[0][0]
 
     @property
     def threshold(self) -> float:
@@ -81,8 +80,9 @@ def solve_outcome(chain, n_s, mode):
 def column_outcomes(column):
     """Each point of a column as :func:`solve_outcome` reads it: the root
     where the status is ``ok``, else the status."""
+    r_max_m, statuses = column
     return [root if status == "ok" else status
-            for root, status in zip(column.r_max_m, column.status, strict=True)]
+            for root, status in zip(r_max_m, statuses, strict=True)]
 
 
 def make_chain(config, f_hz, n_b, gamma=0.0):
@@ -273,7 +273,7 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
     far = 0
     for _ in range(200):
         chain, n_s, config, f_hz = random_chain(rng, four_pi_exponent)
-        [root] = chain.solutions((n_s,), mode).r_max_m
+        [root], _ = chain.solutions((n_s,), mode)
         mode_threshold = threshold(chain, n_s, mode)
         snr_per_eta = chain.pulse_count * n_s / chain.n_b
         f_form, eta = chain.link_at(root)
@@ -351,8 +351,8 @@ def sweep_rows(config, grid, **kwargs):
     """The sweep's columns as ``(n_s, frequency_hz, mode, r_max_m)`` rows."""
     return [
         (n_s, f_hz, mode, r_max)
-        for f_hz, mode, column in sweep_range(config, grid, **kwargs)
-        for n_s, r_max in zip(grid, column.r_max_m, strict=True)
+        for f_hz, mode, (r_max_m, _) in sweep_range(config, grid, **kwargs)
+        for n_s, r_max in zip(grid, r_max_m, strict=True)
     ]
 
 
@@ -452,8 +452,8 @@ PINNED_CONFIGS = {
 def test_solutions_are_bit_identical_to_the_recorded_solve(key):
     scenario, f_hz, mode = key
     chain = range_chain(PINNED_CONFIGS[scenario], f_hz)
-    column = chain.solutions(PINNED_N_S, Illumination(mode))
-    assert list(zip(map(repr, column.r_max_m), column.status)) == PINNED_SOLUTIONS[key]
+    r_max_m, status = chain.solutions(PINNED_N_S, Illumination(mode))
+    assert list(zip(map(repr, r_max_m), status)) == PINNED_SOLUTIONS[key]
 
 
 @pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
@@ -481,7 +481,7 @@ def test_overflowing_chain_names_n_s(table_path, mode):
             chain.solve(1e300, mode)
     else:
         below, beyond = chain.solve(1e290, mode), chain.solve(1e300, mode)
-        assert chain.solutions([1e300], mode).status == ["ok"]
+        assert chain.solutions([1e300], mode)[1] == ["ok"]
         # R^4 exp(2aR) is proportional to N_s / threshold, and the threshold
         # is SNR_min at both points to within 1e-290
         a = chain.gamma_db_per_km * range_solver._A_PER_GAMMA
@@ -503,21 +503,20 @@ def test_quantum_threshold_underflow_solves_the_same_ratio(table_path):
     root = underflowing.solve(1e-30, Illumination.QI)
     reference = scaled.solve(1e-30, Illumination.QI)
     assert root == pytest.approx(reference, rel=1e-14)
-    column = underflowing.solutions([1e-30], Illumination.QI)
-    assert (column.r_max_m, column.status) == ([root], ["ok"])
+    assert underflowing.solutions([1e-30], Illumination.QI) == ([root], ["ok"])
     # below N_s ~5.6e-309 1/N_s overflows too; the range is the same N_s -> 0 limit
-    tiniest = underflowing.solutions([1e-310], Illumination.QI)
-    assert tiniest.status == ["ok"]
-    assert tiniest.r_max_m[0] == pytest.approx(root, rel=1e-14)
+    [tiniest], [status] = underflowing.solutions([1e-310], Illumination.QI)
+    assert status == "ok"
+    assert tiniest == pytest.approx(root, rel=1e-14)
     # at SNR_min 1e-300 the lossless R_free^4 overflows: no range, named
     deeper = chain.replace(snr_min=1e-300)
-    column = deeper.solutions([1e-30], Illumination.QI)
+    r_max_m, status = deeper.solutions([1e-30], Illumination.QI)
     if table_path is None:
         with pytest.raises(DomainError, match=r"n_s = 1e-30 overflows the range chain"):
             deeper.solve(1e-30, Illumination.QI)
-        assert (column.r_max_m, column.status) == ([math.inf], ["overflow"])
+        assert (r_max_m, status) == ([math.inf], ["overflow"])
     else:
-        assert column.status == ["ok"]
+        assert status == ["ok"]
         assert math.isfinite(deeper.solve(1e-30, Illumination.QI))
 
 
@@ -641,8 +640,11 @@ def test_quantum_range_where_the_inverse_of_n_s_overflows(n_s):
 ULP_BOUND = 4.0
 
 
-def test_range_column_holds_the_root_and_the_status():
-    assert RangeColumn._fields == ("r_max_m", "status")
+def test_solutions_returns_two_lists_of_the_grid_length():
+    grid = [1e-3, 1e-1, 10.0]
+    result = range_chain(BENCHMARK, 1e12).solutions(grid, Illumination.QI)
+    assert type(result) is tuple and len(result) == 2
+    assert all(type(values) is list and len(values) == len(grid) for values in result)
 
 
 def test_roots_are_within_4_ulp_of_the_reference_on_a_random_set():
@@ -655,8 +657,7 @@ def test_roots_are_within_4_ulp_of_the_reference_on_a_random_set():
         chain = chains[rng.integers(len(chains))]
         mode = Illumination.QI if rng.uniform() < 0.5 else Illumination.CI
         n_s = float(10.0 ** rng.uniform(-6.0, 4.0))
-        column = chain.solutions([n_s], mode)
-        [root], [status] = column.r_max_m, column.status
+        [root], [status] = chain.solutions([n_s], mode)
         assert status in ("ok", "near_field")
         worst = max(worst, ulps(root, reference_root(chain, n_s, mode)))
     assert worst <= ULP_BOUND
@@ -668,11 +669,11 @@ def test_quantum_roots_are_within_4_ulp_of_the_reference_at_subnormal_n_s(table_
     # N_s from the smallest subnormal to 1e-300, where N_s + 1 is 1
     chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), f_hz)
     grid = [float(v) for v in np.logspace(math.log10(5e-324), -300, 40)]
-    column = chain.solutions(grid, Illumination.QI)
-    assert column.status == ["ok"] * len(grid)
+    r_max_m, status = chain.solutions(grid, Illumination.QI)
+    assert status == ["ok"] * len(grid)
     worst = max(
         ulps(root, reference_root(chain, n_s, Illumination.QI))
-        for n_s, root in zip(grid, column.r_max_m)
+        for n_s, root in zip(grid, r_max_m)
     )
     assert worst <= ULP_BOUND
 
@@ -727,8 +728,7 @@ def test_roots_are_within_4_ulp_of_the_reference_at_each_branch_edge(edge):
         logs = map(math.log, (chain.head, n_s, 1.0 / chain.denominator, 1.0 / chain.snr_min))
         ln_half_a = math.log(0.5 * chain.gamma_db_per_km * range_solver._A_PER_GAMMA)
         assert ln_half_a + 0.25 * sum(logs) > math.log(range_solver._X_HALLEY_MAX)
-    column = chain.solutions([n_s], mode)
-    [root], [status] = column.r_max_m, column.status
+    [root], [status] = chain.solutions([n_s], mode)
     assert status == "ok"
     assert ulps(root, reference_root(chain, n_s, mode)) <= ULP_BOUND
 
@@ -737,9 +737,18 @@ def test_x_beyond_halley_range_on_the_main_path_is_no_detection_not_nan():
     # a huge gamma puts x = a R_free / 2 above 1e305, where Halley's w e^w
     # overflows; W0 from ln x gives a root far below near-zero range
     chain = _edge_chain(1e300)
-    column = chain.solutions([2.8e29, 1e40, 1e60], Illumination.CI)
-    assert column.r_max_m == [None] * 3
-    assert column.status == ["no_detection"] * 3
+    r_max_m, status = chain.solutions([2.8e29, 1e40, 1e60], Illumination.CI)
+    assert r_max_m == [None] * 3
+    assert status == ["no_detection"] * 3
+
+
+@pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
+def test_r_free_beyond_the_float_range_is_overflow_not_nan(mode):
+    # R_free^4 overflows, and so does R_free itself, a quotient of fourth
+    # roots; the attenuated root of an infinite R_free is no number
+    chain = RangeChain(gamma_db_per_km=1.0, n_b=1e-318, head=1e308, denominator=1.6e-316,
+                       snr_min=1e-320, pulse_count=1)
+    assert chain.solutions([1e308], mode) == ([math.inf], ["overflow"])
 
 
 def test_solve_refuses_exactly_the_near_field_status_on_the_attenuated_benchmark_grid(tmp_path):
@@ -749,9 +758,9 @@ def test_solve_refuses_exactly_the_near_field_status_on_the_attenuated_benchmark
     config = load_config(sweep_attenuated_config(tmp_path))
     grid = _log_grid(1e-3, 10.0, 250)
     near_field = points = 0
-    for f_hz, mode, column in sweep_range(config, grid):
+    for f_hz, mode, (r_max_m, statuses) in sweep_range(config, grid):
         chain = range_chain(config, f_hz)
-        for n_s, root, status in zip(grid, column.r_max_m, column.status, strict=True):
+        for n_s, root, status in zip(grid, r_max_m, statuses, strict=True):
             points += 1
             assert status in ("ok", "near_field")
             assert (chain.link_at(root)[1] > 1.0) == (status == "near_field")
@@ -791,7 +800,7 @@ def test_solve_refuses_exactly_the_near_field_status_at_the_boundary(table_path,
         grid = ulp_neighbours(boundary, 400)
         column = chain.solutions(grid, mode)
         assert column_outcomes(column) == [solve_outcome(chain, n_s, mode) for n_s in grid]
-        near_field += column.status.count("near_field")
+        near_field += column[1].count("near_field")
         points += len(grid)
     assert points == 800
     assert 0 < near_field < points
@@ -808,6 +817,6 @@ def test_sweep_range_marks_a_frequency_outside_the_table_span():
         (2e12, Illumination.CI), (2e12, Illumination.QI),
     ]
     for _, _, column in columns[2:]:
-        assert column == RangeColumn([None] * 3, ["out_of_span"] * 3)
+        assert column == ([None] * 3, ["out_of_span"] * 3)
     alone = list(sweep_range(config.replace(frequencies_hz=(7e9,)), grid))
     assert columns[:2] == alone

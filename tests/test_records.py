@@ -69,6 +69,12 @@ def test_replace_runs_the_checks_again():
         ScenarioConfig().replace(p_fa=2.0)
     with pytest.raises(DomainError, match="n_b"):
         CHAIN.replace(n_b=0)
+    with pytest.raises(DomainError, match=r"head \(sigma_m2 \* G \* aperture_m2 \* M\)"):
+        CHAIN.replace(head=float("inf"))
+    with pytest.raises(DomainError, match=r"denominator \(\(4\*pi\)\^k \* N_B\)"):
+        CHAIN.replace(denominator=0.0)
+    with pytest.raises(DomainError, match="snr_min"):
+        CHAIN.replace(snr_min=float("nan"))
     with pytest.raises(TableValidationError):
         AttenuationTable(((1.0, 0.0), (2.0, 1.0))).replace(rows=((1.0, 0.0),))
     with pytest.raises(TypeError, match="unexpected keyword argument 'nb'"):
