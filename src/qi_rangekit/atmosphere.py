@@ -16,8 +16,8 @@ with R in km; round-trip paths enter the link budget as F^2 exactly once.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
-from pathlib import Path
 from typing import Iterable
 
 from ._record import Record
@@ -98,18 +98,17 @@ def parse_table(lines: Iterable[str], source: str = "") -> AttenuationTable:
     return AttenuationTable(rows=tuple(rows), source=source)
 
 
-def load_table(path: str | Path) -> AttenuationTable:
+def load_table(path: str | os.PathLike) -> AttenuationTable:
     """Load a table from a CSV file (text in memory goes to :func:`parse_table`).
 
-    A relative path is resolved against the working directory.
+    A relative path is resolved against the working directory; the table's
+    ``source`` and any error name the path as given.
     """
-    path = Path(path)
     try:
-        handle = path.open("r", encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return parse_table(handle, source=os.fspath(path))
     except OSError as exc:
         raise TableParseError(f"cannot read attenuation table {path}: {exc}") from exc
-    with handle:
-        return parse_table(handle, source=str(path))
 
 
 def serialize_table(table: AttenuationTable) -> str:
@@ -123,11 +122,10 @@ def serialize_table(table: AttenuationTable) -> str:
 
 
 def bundled_table() -> AttenuationTable:
-    """The packaged sea-level gaseous-attenuation reference table."""
-    from importlib import resources
-
-    text = (resources.files(__package__) / "data" / _BUNDLED_NAME).read_text("utf-8")
-    return parse_table(text.splitlines(), source=f"bundled:{_BUNDLED_NAME}")
+    """The packaged sea-level gaseous-attenuation reference table, read by
+    :func:`load_table` from the data file beside this module."""
+    path = os.path.join(os.path.dirname(__file__), "data", _BUNDLED_NAME)
+    return load_table(path).replace(source=f"bundled:{_BUNDLED_NAME}")
 
 
 def gamma_at(table: AttenuationTable, f_hz: float) -> float:

@@ -20,7 +20,8 @@ configured directly.
 from __future__ import annotations
 
 import math
-from pathlib import Path
+import os
+import sys
 
 from . import radiometry
 from ._record import Record
@@ -140,8 +141,19 @@ class ScenarioConfig(Record):
         )
 
     def noise_occupancy(self, f_hz: float, constants: PhysicalConstants = TEXTBOOK) -> float:
-        """Thermal photons per mode at a frequency; frequency dependent."""
-        return radiometry.thermal_occupancy(self.t_eff_kelvin(constants), f_hz, constants)
+        """Thermal photons per mode at a frequency, N_B = k_B*T_eff/(h*f).  That
+        loses digits, or rounds to 0 or inf, where k_B*T_eff or N_B is not a
+        normal float; there N_B is P_B/(h*f*B), mantissas and exponents apart."""
+        t_eff = self.t_eff_kelvin(constants)
+        if sys.float_info.min <= constants.k_b * t_eff < math.inf:
+            n_b = radiometry.thermal_occupancy(t_eff, f_hz, constants)
+            if n_b >= sys.float_info.min:
+                return n_b
+        f_hz = _require_positive("frequency", f_hz)
+        p_b, b_hz = self.noise_power_watts, self.bandwidth_hz
+        return radiometry._ldexp_ratio(
+            "N_B = P_B/(h*f*B)", f"P_B = {p_b!r} W, f = {f_hz!r} Hz, B = {b_hz!r} Hz",
+            (p_b,), (constants.h, f_hz, b_hz))
 
 
 def dump_config(config: ScenarioConfig) -> str:
@@ -169,10 +181,11 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(**payload)
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    path = Path(path)
+def load_config(path: str | os.PathLike) -> ScenarioConfig:
+    """Read a config file; an error names the path as given."""
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

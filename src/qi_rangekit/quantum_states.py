@@ -99,10 +99,13 @@ def tmsv_block(n_s: float) -> tuple[float, float]:
 
 
 def coherent_block(n_s: float) -> tuple[float, float]:
-    """(S, C_c) of the correlated coherent-state pair's model matrix:
-    diagonal S = 2*n_s + 1 and cross entries +/- C_c = 2*n_s (see the module
-    docstring for how it differs from the literal product coherent state in
-    the Q sector).  Raises :class:`DomainError` where S overflows.
+    """(S, C_c) of the classical transmitter's model matrix: diagonal
+    S = 2*n_s + 1 and cross entries +/- C_c = 2*n_s.  It describes the
+    classically correlated phase-conjugate pair, a Gaussian mixture of
+    |alpha>|alpha*> with |alpha|^2 ~ Exp(mean n_s), not a coherent state,
+    although the paper's abstract says "coherent state" (see the module
+    docstring for the product coherent state the oracle computes).  Raises
+    :class:`DomainError` where S overflows.
     """
     n_s = _require_non_negative("n_s", n_s)
     return _diagonal(n_s), 2.0 * n_s
@@ -114,7 +117,9 @@ def tmsv_covariance(n_s: float) -> Matrix:
 
 
 def coherent_covariance(n_s: float) -> Matrix:
-    """Model covariance matrix of the coherent pair, built from :func:`coherent_block`."""
+    """Model covariance matrix of the classical transmitter, built from
+    :func:`coherent_block`: the phase-conjugate mixture of |alpha>|alpha*>
+    with |alpha|^2 ~ Exp(mean n_s), not a coherent state."""
     return _block_covariance(*coherent_block(n_s))
 
 

@@ -29,6 +29,25 @@ def _require_non_negative(name: str, value: float) -> float:
     return value
 
 
+def _ldexp_ratio(name: str, at: str, factors: tuple[float, ...],
+                 divisors: tuple[float, ...] = ()) -> float:
+    """prod(factors) / prod(divisors) of positive finite floats, their
+    mantissas and exponents taken apart, so that no partial product leaves
+    the float range.  Raises :class:`DomainError`, naming the quantity
+    ``name`` and its inputs ``at``, where the result overflows or underflows
+    to 0."""
+    top = [math.frexp(v) for v in factors]
+    bottom = [math.frexp(v) for v in divisors]
+    mantissa = math.prod(m for m, _ in top) / math.prod(m for m, _ in bottom)
+    try:
+        value = math.ldexp(mantissa, sum(e for _, e in top) - sum(e for _, e in bottom))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf or value == 0.0:
+        raise DomainError(f"{name} {'overflows' if value else 'underflows to 0'} at {at}")
+    return value
+
+
 def watts_to_dbm(watts: float) -> float:
     """Power in dB relative to 1 mW.  Defined only for positive power."""
     watts = _require_positive("power in watts", watts)
@@ -64,18 +83,9 @@ def transmit_power(
     b_hz = _require_positive("bandwidth", b_hz)
     watts = n_s * constants.h * f_hz * b_hz
     if watts == math.inf or watts == 0.0:
-        # a partial product left the float range, the whole one may not:
-        # multiply the mantissas and add the exponents
-        parts = [math.frexp(v) for v in (n_s, constants.h, f_hz, b_hz)]
-        try:
-            watts = math.ldexp(math.prod(m for m, _ in parts), sum(e for _, e in parts))
-        except OverflowError:
-            watts = math.inf
-    if watts == math.inf or watts == 0.0:
-        raise DomainError(
-            f"N_s*h*f*B {'overflows' if watts else 'underflows to 0'} at n_s = {n_s!r}, "
-            f"f = {f_hz!r} Hz, B = {b_hz!r} Hz"
-        )
+        # a partial product left the float range, the whole one may not
+        watts = _ldexp_ratio("N_s*h*f*B", f"n_s = {n_s!r}, f = {f_hz!r} Hz, B = {b_hz!r} Hz",
+                             (n_s, constants.h, f_hz, b_hz))
     return watts
 
 

@@ -1,9 +1,11 @@
 """Attenuation table ingestion, interpolation, and the form factor."""
 
 import math
+import os
 
 import pytest
 
+from qi_rangekit import atmosphere
 from qi_rangekit.atmosphere import (
     AttenuationTable,
     bundled_table,
@@ -78,6 +80,8 @@ def test_relative_path_resolves_against_working_directory(tmp_path, monkeypatch)
     table = load_table("sample.csv")
     assert table.rows == ((7.0, 0.01), (95.0, 0.5), (1000.0, 100.0))
     assert table.source == "sample.csv"
+    # the source is the path as given
+    assert load_table("./sample.csv").source == "./sample.csv"
 
 
 def test_load_table_reads_a_str_or_a_path_alike(tmp_path):
@@ -179,3 +183,11 @@ def test_bundled_table_loads_and_covers_benchmark_frequencies():
     assert gamma_at(table, 60e9) > gamma_at(table, 50e9)
     assert gamma_at(table, 60e9) > gamma_at(table, 70e9)
     assert gamma_at(table, 60e9) > 10.0
+
+
+def test_bundled_table_is_the_data_file_beside_the_module_read_by_load_table():
+    path = os.path.join(os.path.dirname(atmosphere.__file__), "data",
+                        "gaseous_attenuation_sea_level.csv")
+    table = bundled_table()
+    assert table.rows == load_table(path).rows
+    assert table.source == "bundled:gaseous_attenuation_sea_level.csv"

@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy
 import pytest
 from bench_scenario import BUNDLED_CSV, sweep_attenuated_config
 from reference_root import reference_root, ulps
@@ -180,11 +181,25 @@ def test_ratio_command(capsys):
 
 
 def test_atten_bundled_lookup(capsys):
-    code, out, _ = run_cli(capsys, "atten", "--freq", "60e9", "--range-m", "1000")
-    assert code == 0
-    gamma = float(re.search(r"= (\S+) dB/km", out).group(1))
-    assert gamma > 10.0
-    assert "F(" in out
+    line = ("gamma(6e+10 Hz) = 15 dB/km "
+            "[table: bundled:gaseous_attenuation_sea_level.csv, span 1-1000 GHz]\n")
+    assert run_cli(capsys, "atten", "--freq", "60e9") == (0, line, "")
+    assert run_cli(capsys, "atten", "--freq", "60e9", "--range-m", "1000") == (
+        0, line + "F(1000 m) = 0.0316228 (one-way)\n", "")
+
+
+def test_paths_print_as_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("frequency_ghz,gamma_db_per_km\n10,0.5\n100,8\n",
+                                    encoding="utf-8")
+    (tmp_path / "cfg.json").write_text('{"attenuation_table_path": "./t.csv"}', encoding="utf-8")
+    code, out, _ = run_cli(capsys, "--config", "./cfg.json", "atten", "--freq", "10e9")
+    assert (code, out) == (0, "gamma(1e+10 Hz) = 0.5 dB/km [table: ./t.csv, span 10-100 GHz]\n")
+    sweep = ("sweep", "--figure", "1", "--points", "2")
+    assert run_cli(capsys, *sweep, "--output", "./f1.csv") == (0, "wrote 2 rows to ./f1.csv\n", "")
+    assert run_cli(capsys, *sweep) == (0, "wrote 2 rows to figure1.csv\n", "")
+    code, _, err = run_cli(capsys, "--config", "./absent.json", "--dump-config")
+    assert (code, err.startswith("error: cannot read config ./absent.json: ")) == (2, True)
 
 
 @pytest.mark.parametrize("range_m", ["-1", "inf"])
@@ -447,10 +462,10 @@ UNUSABLE_CHAINS = {
          "attenuation_table_path": BUNDLED_CSV},
         "head (sigma_m2 * G * aperture_m2 * M) must be positive and finite",
     ),
-    # k_B * T_eff / (h * f) underflows to 0
-    "n_b_underflow": ({"noise_power_dbm": -3150, "bandwidth_hz": 1e15, "frequencies_hz": [1e12]},
-                      "N_B = k_B*T/(h*f) underflows to 0 at T = 7.246367742722e-311 K, "
-                      "f = 1000000000000.0 Hz"),
+    # P_B / (h * f * B) itself rounds to 0
+    "n_b_underflow": ({"noise_power_dbm": -3200, "bandwidth_hz": 1e16, "frequencies_hz": [1e18]},
+                      "N_B = P_B/(h*f*B) underflows to 0 at P_B = 1e-323 W, f = 1e+18 Hz, "
+                      "B = 1e+16 Hz"),
 }
 
 
@@ -480,6 +495,36 @@ def test_sweep_at_a_frequency_where_h_f_underflows_exits_2(tmp_path, capsys, cas
     assert cause in err
     assert "nan" not in err
     assert not output.exists()
+
+
+# T_eff is subnormal and k_B * T_eff rounds to 0, yet N_B = P_B / (h * f * B)
+# is the float 1.508293738304e-312
+SUBNORMAL_N_B = {"noise_power_dbm": -3150, "bandwidth_hz": 1e15, "frequencies_hz": [1e12]}
+
+
+def test_range_and_sweep_where_n_b_is_subnormal_follow_the_kernel_status(tmp_path, capsys):
+    config = tmp_path / "subnormal_n_b.json"
+    config.write_text(json.dumps(SUBNORMAL_N_B), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config),
+                             "range", "--ns", "1", "--freq", "1e12")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n_s = 1.0 overflows the range chain")
+    output = tmp_path / "f3.csv"
+    assert run_cli(capsys, "--config", str(config), "sweep", "--figure", "3",
+                   "--points", "2", "--output", str(output))[0] == 0
+    statuses = {line.rsplit(",", 1)[1] for line in output.read_text().splitlines()[1:]}
+    assert statuses == {"overflow"}
+
+
+def test_range_where_n_b_is_subnormal_solves_through_the_table(tmp_path, capsys):
+    config = tmp_path / "subnormal_n_b_table.json"
+    config.write_text(json.dumps({**SUBNORMAL_N_B, "attenuation_table_path": BUNDLED_CSV}),
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config), "range", "--ns", "1",
+                             "--freq", "1e12", "--mode", "ci")
+    assert (code, err) == (0, "")
+    assert "N_B(1e+12 Hz) = 1.50829e-312\n" in out
+    assert "ci: r_max = 3521.99 m " in out
 
 
 @pytest.mark.parametrize("snr_min_db", [-2950, -3000])
@@ -987,14 +1032,20 @@ def test_zero_photons_reads_the_same_in_ratio_and_mc(capsys):
     assert ratio_err == mc_err == "error: n_s must be positive and finite, got 0.0\n"
 
 
+# numpy's parent directory: the probe's children start without site hooks
+# (-S), so site-packages is not on their path
+NUMPY_PARENT = Path(numpy.__file__).resolve().parents[1]
+
+
 def _loaded_after(tmp_path, statement: str, modules: list[str]) -> list[str]:
     """Run ``statement`` in a fresh interpreter (this one has loaded numpy
-    and more) and report which of ``modules`` it left in ``sys.modules``."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    and more) and report which of ``modules`` it left in ``sys.modules``.
+    The interpreter runs with ``-S``: a site hook (a ``.pth`` file) may
+    import modules of its own, which would hide what the package imports."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(NUMPY_PARENT)])}
     script = (f"import sys\n{statement}\n"
               f"print(','.join(m for m in {modules!r} if m in sys.modules), file=sys.stderr)")
-    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    result = subprocess.run([sys.executable, "-S", "-c", script], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return list(filter(None, result.stderr.splitlines()[-1].split(",")))
@@ -1023,8 +1074,11 @@ UNUSED_MODULES = {
 ])
 def test_commands_import_only_the_modules_they_run(tmp_path, argv):
     # dataclasses loads inspect, ast, dis and tokenize: ~10 ms of start-up.
-    # Only the sweep grid loads numpy, which imports inspect itself.
-    stdlib = ["dataclasses"] if argv[0] == "sweep" else ["numpy", "dataclasses", "inspect"]
+    # Only the sweep grid loads numpy, which imports inspect itself.  Files
+    # go through open(): pathlib and importlib.resources cost 2-20 ms more.
+    stdlib = ["dataclasses", "pathlib", "importlib.resources"]
+    if argv[0] != "sweep":
+        stdlib += ["numpy", "inspect"]
     unused = UNUSED_MODULES.get(argv[0], [
         "qi_rangekit.range_solver", "qi_rangekit.atmosphere", "qi_rangekit.link_budget", "json",
     ])
@@ -1038,6 +1092,14 @@ def test_module_probe_sees_dataclasses(tmp_path):
     assert _loaded_after(tmp_path, statement, ["numpy", "dataclasses", "inspect"]) == [
         "dataclasses", "inspect",
     ]
+
+
+def test_module_probe_sees_pathlib(tmp_path):
+    # positive control: no site hook loads pathlib before the statement runs,
+    # and the probe sees the statement's own import
+    modules = ["pathlib", "importlib.resources"]
+    assert _loaded_after(tmp_path, "pass", modules) == []
+    assert _loaded_after(tmp_path, "import pathlib", modules) == ["pathlib"]
 
 
 def test_module_probe_imports_the_package_under_test(tmp_path):

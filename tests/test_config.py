@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from bench_scenario import sweep_attenuated_config
@@ -9,7 +10,8 @@ from reference_chain import threshold
 
 from qi_rangekit.atmosphere import AttenuationTable, serialize_table
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_config
-from qi_rangekit.errors import ConfigError, TableParseError
+from qi_rangekit.constants import TEXTBOOK
+from qi_rangekit.errors import ConfigError, DomainError, TableParseError
 from qi_rangekit.radiometry import dbm_to_watts
 from qi_rangekit.range_solver import Illumination, antenna_gain, range_chain, sweep_range
 
@@ -178,6 +180,35 @@ def test_derived_noise_quantities():
     assert cfg.t_eff_kelvin() == pytest.approx(3.007e4, rel=1e-3)
     assert cfg.noise_occupancy(1e12) == pytest.approx(625.87, rel=1e-3)
     assert cfg.noise_occupancy(7e9) == pytest.approx(8.941e4, rel=1e-3)
+
+
+@pytest.mark.parametrize("fields, f_hz", [
+    # T_eff is subnormal and k_B * T_eff rounds to 0
+    ({"noise_power_dbm": -3150, "bandwidth_hz": 1e15}, 1e12),
+    # T_eff is normal, but k_B * T_eff rounds to 0 and N_B is normal
+    ({"noise_power_dbm": -3200, "bandwidth_hz": 3.6e4}, 1e-20),
+    # T_eff overflows, N_B is finite
+    ({"noise_power_dbm": 100, "bandwidth_hz": 1e-300, "tau_s": 1e300}, 1e300),
+], ids=["subnormal_t_eff", "k_b_t_rounds_to_0", "t_eff_overflows"])
+def test_noise_occupancy_is_the_power_quotient_where_t_eff_loses_digits(fields, f_hz):
+    config = ScenarioConfig(**fields, frequencies_hz=[f_hz])
+    exact = Fraction(config.noise_power_watts) / (
+        Fraction(TEXTBOOK.h) * Fraction(f_hz) * Fraction(config.bandwidth_hz))
+    n_b = config.noise_occupancy(f_hz)
+    assert abs(Fraction(n_b) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+
+@pytest.mark.parametrize("fields, f_hz, message", [
+    ({"noise_power_dbm": 3000, "bandwidth_hz": 1e-300, "tau_s": 1e300}, 1e-30,
+     "N_B = P_B/(h*f*B) overflows at P_B = 1e+297 W, f = 1e-30 Hz, B = 1e-300 Hz"),
+    ({"noise_power_dbm": -3150, "bandwidth_hz": 1e15}, math.nan,
+     "frequency must be positive and finite, got nan"),
+], ids=["overflow", "nan_frequency"])
+def test_noise_occupancy_from_the_power_names_what_it_refuses(fields, f_hz, message):
+    config = ScenarioConfig(**fields)
+    with pytest.raises(DomainError) as info:
+        config.noise_occupancy(f_hz)
+    assert str(info.value) == message
 
 
 def test_range_chain_wires_scenario(tmp_path):
