@@ -1,10 +1,10 @@
-"""Base class of the package's checked, immutable records.
+"""Base class of every record of the package, checked or not.
 
 A record lists its fields in ``_fields`` (which are also its ``__slots__``)
-and their defaults in ``_field_defaults``, as a ``typing.NamedTuple`` does,
-and checks itself in :meth:`Record._check`.  It is built by position or by
-keyword, cannot be assigned to, compares and hashes by its fields, and
-:meth:`Record.replace` builds a changed copy through the same checks.
+and their defaults in ``_field_defaults``, and may check itself in
+:meth:`Record._check`.  It is built by position or by keyword, cannot be
+assigned to, compares and hashes by its fields, and :meth:`Record.replace`
+builds a changed copy through the same checks.  It is not a tuple.
 """
 
 from __future__ import annotations

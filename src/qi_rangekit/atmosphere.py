@@ -18,11 +18,15 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from typing import Iterable
 
 from ._record import Record
 from .errors import FrequencySpanError, TableParseError, TableValidationError
 from .radiometry import _require_non_negative, _require_positive
+
+# true for static checkers only: the annotations' names cost no import
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
 
 CSV_HEADER = "frequency_ghz,gamma_db_per_km"
 

@@ -13,8 +13,10 @@ errors and radiometry), and each handler imports the modules its command
 runs: ``quantum_states`` for ``covariance`` and ``ratio``, ``atmosphere`` for
 ``atten``, ``range_solver`` for ``range`` and ``sweep``, ``detection_mc`` for
 ``mc``.  Nothing on the start-up path loads the standard dataclass module,
-which imports ``inspect``: the package's records are NamedTuples or slotted
-classes.  Nor does any command load the standard library's path objects
+which imports ``inspect``, nor ``typing``, which only ``sweep`` loads
+(through numpy): every record is a slotted ``_record.Record``, and names
+that only annotations use are imported under ``TYPE_CHECKING = False``.
+Nor does any command load the standard library's path objects
 (``Path``) or package resources (``resources.files``): files are opened with
 ``open()`` on the path as given, which messages print.  Under ``python -S``
 that spared ``range`` about 8 ms of 52-82 ms and bundled ``atten`` 10-20 ms
@@ -55,14 +57,17 @@ import math
 import os
 import sys
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import __version__, radiometry
 from .config import ScenarioConfig, dump_config, load_config
 from .constants import CODATA, TEXTBOOK
 from .errors import NoDetectionError, RangeKitError
 
+# true for static checkers only: the annotations' names cost no import
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     from .quantum_states import Matrix
     from .range_solver import Illumination
 

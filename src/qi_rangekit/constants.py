@@ -10,15 +10,14 @@ argument and defaults to :data:`TEXTBOOK`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from ._record import Record
 
 
-class PhysicalConstants(NamedTuple):
-    """Planck constant [J s], Boltzmann constant [J/K], speed of light [m/s]."""
+class PhysicalConstants(Record):
+    """Planck constant ``h`` [J s], Boltzmann constant ``k_b`` [J/K], speed of
+    light ``c`` [m/s]."""
 
-    h: float
-    k_b: float
-    c: float
+    __slots__ = _fields = ("h", "k_b", "c")
 
 
 TEXTBOOK = PhysicalConstants(h=6.63e-34, k_b=1.38e-23, c=3.0e8)

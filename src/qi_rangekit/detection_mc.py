@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
 
+from ._record import Record
 from .errors import CovarianceNotPSDError, DomainError
 from .quantum_states import coherent_block, tmsv_block
 from .radiometry import _require_non_negative, _require_positive
@@ -190,7 +190,7 @@ def _deflection_with_noise(
     return deflection, relative_variance
 
 
-class GainExperimentResult(NamedTuple):
+class GainExperimentResult(Record):
     """Measured quantum-over-classical deflection-SNR ratio with its error.
 
     ``resolution`` is the exact classical mean shift in standard errors of
@@ -198,12 +198,10 @@ class GainExperimentResult(NamedTuple):
     (``resolved`` is false), ratio and error describe noise, not the gain.
     """
 
-    ratio: float
-    standard_error: float
-    deflection_quantum: float
-    deflection_classical: float
-    trials: int
-    resolution: float
+    __slots__ = _fields = (
+        "ratio", "standard_error", "deflection_quantum", "deflection_classical", "trials",
+        "resolution",
+    )
 
     @property
     def resolved(self) -> bool:

@@ -29,20 +29,26 @@ def _require_non_negative(name: str, value: float) -> float:
     return value
 
 
-def _ldexp_ratio(name: str, at: str, factors: tuple[float, ...],
-                 divisors: tuple[float, ...] = ()) -> float:
-    """prod(factors) / prod(divisors) of positive finite floats, their
-    mantissas and exponents taken apart, so that no partial product leaves
-    the float range.  Raises :class:`DomainError`, naming the quantity
-    ``name`` and its inputs ``at``, where the result overflows or underflows
-    to 0."""
+def _ldexp_quotient(factors: tuple[float, ...], divisors: tuple[float, ...] = ()) -> float:
+    """prod(factors) / prod(divisors) of finite floats >= 0 (divisors > 0),
+    their mantissas and exponents taken apart, so that no partial product
+    leaves the float range: inf only where the result overflows, 0 only
+    where it underflows (or a factor is 0)."""
     top = [math.frexp(v) for v in factors]
     bottom = [math.frexp(v) for v in divisors]
     mantissa = math.prod(m for m, _ in top) / math.prod(m for m, _ in bottom)
     try:
-        value = math.ldexp(mantissa, sum(e for _, e in top) - sum(e for _, e in bottom))
+        return math.ldexp(mantissa, sum(e for _, e in top) - sum(e for _, e in bottom))
     except OverflowError:
-        value = math.inf
+        return math.inf
+
+
+def _ldexp_ratio(name: str, at: str, factors: tuple[float, ...],
+                 divisors: tuple[float, ...] = ()) -> float:
+    """:func:`_ldexp_quotient` of positive finite floats.  Raises
+    :class:`DomainError`, naming the quantity ``name`` and its inputs
+    ``at``, where the result overflows or underflows to 0."""
+    value = _ldexp_quotient(factors, divisors)
     if value == math.inf or value == 0.0:
         raise DomainError(f"{name} {'overflows' if value else 'underflows to 0'} at {at}")
     return value
@@ -75,18 +81,16 @@ def transmit_power(
     """Transmit power P_t = N_s * h * f * B in watts.
 
     A transmitter emitting ``n_s`` photons per mode at frequency ``f_hz``
-    over bandwidth ``b_hz``.  Linear in each argument.  Raises
-    :class:`DomainError` where the product overflows or underflows to 0.
+    over bandwidth ``b_hz``.  Linear in each argument.  The product is
+    formed from the factors' mantissas and exponents, so no partial product
+    leaves the float range.  Raises :class:`DomainError` where the product
+    itself overflows or underflows to 0.
     """
     n_s = _require_positive("photons per mode", n_s)
     f_hz = _require_positive("frequency", f_hz)
     b_hz = _require_positive("bandwidth", b_hz)
-    watts = n_s * constants.h * f_hz * b_hz
-    if watts == math.inf or watts == 0.0:
-        # a partial product left the float range, the whole one may not
-        watts = _ldexp_ratio("N_s*h*f*B", f"n_s = {n_s!r}, f = {f_hz!r} Hz, B = {b_hz!r} Hz",
-                             (n_s, constants.h, f_hz, b_hz))
-    return watts
+    return _ldexp_ratio("N_s*h*f*B", f"n_s = {n_s!r}, f = {f_hz!r} Hz, B = {b_hz!r} Hz",
+                        (n_s, constants.h, f_hz, b_hz))
 
 
 def thermal_occupancy(

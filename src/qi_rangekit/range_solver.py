@@ -79,14 +79,17 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, FrequencySpanError, NoDetectionError, UnphysicalGeometryError
-from .radiometry import _require_non_negative, _require_positive
+from .radiometry import _ldexp_quotient, _require_non_negative, _require_positive
 
+# true for static checkers only: the annotations' names cost no import
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Sequence
+
     from .config import ScenarioConfig
 
 _FOUR_PI = 4.0 * math.pi
@@ -121,10 +124,15 @@ class Illumination(enum.Enum):
 def antenna_gain(
     aperture_m2: float, f_hz: float, constants: PhysicalConstants = TEXTBOOK
 ) -> float:
-    """Antenna gain G = 4*pi*A/lambda^2 = 4*pi*A*f^2/c^2 (dimensionless)."""
+    """Antenna gain G = 4*pi*A/lambda^2 = 4*pi*A*f^2/c^2 (dimensionless).
+    Raises :class:`DomainError` where f^2 overflows (f above ~1.34e154 Hz)."""
     aperture_m2 = _require_positive("antenna aperture", aperture_m2)
     f_hz = _require_positive("frequency", f_hz)
-    return _FOUR_PI * aperture_m2 * f_hz**2 / constants.c**2
+    try:
+        f_squared = f_hz**2
+    except OverflowError:
+        raise DomainError(f"frequency {f_hz!r} Hz is too large: f^2 overflows") from None
+    return _FOUR_PI * aperture_m2 * f_squared / constants.c**2
 
 
 class RangeChain(Record):
@@ -237,15 +245,19 @@ class RangeChain(Record):
         from the chain :meth:`solve` solves.
 
         At the root, eta * M * photons / N_B is SNR_min; eta itself,
-        SNR_eff(R) * N_B / (M * photons), does not depend on N_s.  It only
-        evaluates: eta may exceed 1 at a range in the near field, which
-        :meth:`solve` refuses for a root.
+        SNR_eff(R) * N_B / (M * photons) = head * F^2 / ((4*pi)^k * R^4 * M),
+        does not depend on N_s.  N_B cancels as N_B / denominator, and the
+        quotient is formed from mantissas and exponents, so no partial
+        product leaves the float range: eta reads inf or 0 only where it
+        does so itself.  It only evaluates: eta may exceed 1 at a range in
+        the near field, which :meth:`solve` refuses for a root.
         """
         from .atmosphere import form_factor
 
         r_m = _require_positive("range", r_m)
         f_form = form_factor(self.gamma_db_per_km, r_m)
-        eta = self.head / self.denominator * f_form**2 / r_m**4 * self.n_b / self.pulse_count
+        eta = _ldexp_quotient((self.head, f_form, f_form, self.n_b),
+                              (self.denominator, r_m, r_m, r_m, r_m, self.pulse_count))
         return f_form, eta
 
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy
@@ -462,6 +463,9 @@ UNUSABLE_CHAINS = {
          "attenuation_table_path": BUNDLED_CSV},
         "head (sigma_m2 * G * aperture_m2 * M) must be positive and finite",
     ),
+    # f^2 in the antenna gain overflows above ~1.34e154 Hz
+    "f_squared_overflow": ({"frequencies_hz": [1e160]},
+                           "frequency 1e+160 Hz is too large: f^2 overflows"),
     # P_B / (h * f * B) itself rounds to 0
     "n_b_underflow": ({"noise_power_dbm": -3200, "bandwidth_hz": 1e16, "frequencies_hz": [1e18]},
                       "N_B = P_B/(h*f*B) underflows to 0 at P_B = 1e-323 W, f = 1e+18 Hz, "
@@ -524,7 +528,49 @@ def test_range_where_n_b_is_subnormal_solves_through_the_table(tmp_path, capsys)
                              "--freq", "1e12", "--mode", "ci")
     assert (code, err) == (0, "")
     assert "N_B(1e+12 Hz) = 1.50829e-312\n" in out
-    assert "ci: r_max = 3521.99 m " in out
+    # eta at the root, SNR_min * N_B / M = 1.5e-326, is below the subnormals
+    assert "ci: r_max = 3521.99 m  (residual inf dB)\n" in out
+    assert "eta = 0\n" in out
+
+
+def test_range_where_n_b_is_subnormal_prints_a_subnormal_eta(tmp_path, capsys):
+    # head / denominator overflows with a subnormal N_B, but N_B cancels in
+    # eta = head * F^2 / ((4*pi)^k * R^4 * M), here SNR_min * N_B / M at the
+    # root, a subnormal
+    fields = {**SUBNORMAL_N_B, "tau_s": 1e-6, "attenuation_table_path": BUNDLED_CSV}
+    config = tmp_path / "subnormal_eta.json"
+    config.write_text(json.dumps(fields), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config), "range", "--ns", "1",
+                             "--freq", "1e12", "--mode", "ci")
+    assert (code, err) == (0, "")
+    assert "ci: r_max = 3455.69 m " in out
+    assert "eta = 1.50838e-320\n" in out
+    chain = range_chain(load_config(config), 1e12)
+    root = chain.solve(1.0, Illumination.CI)
+    f_form, eta = chain.link_at(root)
+    exact = (Fraction(chain.head) * Fraction(f_form) ** 2 * Fraction(chain.n_b)
+             / (Fraction(chain.denominator) * Fraction(root) ** 4 * chain.pulse_count))
+    assert eta == float(exact)
+
+
+def test_range_where_the_root_passes_1e77_m(tmp_path, capsys):
+    # R^4 overflows past ~1.3e77 m; eta does not, and range prints the root
+    # sweep writes
+    table = tmp_path / "faint.csv"
+    table.write_text("frequency_ghz,gamma_db_per_km\n1,1e-300\n2000,1e-300\n", encoding="utf-8")
+    config = tmp_path / "faint.json"
+    config.write_text(json.dumps({"attenuation_table_path": str(table),
+                                  "frequencies_hz": [1e12]}), encoding="utf-8")
+    output = tmp_path / "f3.csv"
+    assert run_cli(capsys, "--config", str(config), "sweep", "--figure", "3", "--ns-min",
+                   "1e299", "--ns-max", "1e300", "--points", "2", "--output", str(output))[0] == 0
+    assert "1e+300,1000000000000.0,ci,4.3351116876659153e+77,ok\n" in output.read_text()
+    code, out, err = run_cli(capsys, "--config", str(config), "range", "--ns", "1e300",
+                             "--freq", "1e12", "--mode", "ci")
+    assert (code, err) == (0, "")
+    residual = re.search(r"ci: r_max = 4\.33511e\+77 m  \(residual (\S+) dB\)\n", out)
+    assert float(residual.group(1)) < 1e-12
+    assert "F = 1, eta = 6.25873e-306\n" in out
 
 
 @pytest.mark.parametrize("snr_min_db", [-2950, -3000])
@@ -1074,11 +1120,12 @@ UNUSED_MODULES = {
 ])
 def test_commands_import_only_the_modules_they_run(tmp_path, argv):
     # dataclasses loads inspect, ast, dis and tokenize: ~10 ms of start-up.
-    # Only the sweep grid loads numpy, which imports inspect itself.  Files
+    # Only the sweep grid loads numpy, which imports inspect and typing
+    # itself; every record is a Record, so nothing else needs typing.  Files
     # go through open(): pathlib and importlib.resources cost 2-20 ms more.
     stdlib = ["dataclasses", "pathlib", "importlib.resources"]
     if argv[0] != "sweep":
-        stdlib += ["numpy", "inspect"]
+        stdlib += ["numpy", "inspect", "typing"]
     unused = UNUSED_MODULES.get(argv[0], [
         "qi_rangekit.range_solver", "qi_rangekit.atmosphere", "qi_rangekit.link_budget", "json",
     ])
@@ -1169,6 +1216,8 @@ def test_version_flag(capsys):
     (["covariance", "--ns", "1e200", "--mode", "qi"], "     I_S         2e+200"),
     (["ratio", "--ns", "1e-310"], "C_c/C_q = 1e-155 at N_s = 1e-310"),
     (["range", "--ns", "1e-310", "--freq", "1e12", "--mode", "qi"], "qi: r_max = 433.511 m"),
+    # N_s * h rounds to the smallest subnormal; the product is a normal float
+    (["power", "--ns", "1e-290", "--freq", "1e10", "--bw", "1e10"], "P_t = 6.63e-304 W"),
     # the signal diagonal's sum overflows here, its entries do not
     (["mc", "--ns", "8e307", "--eta", "0.5", "--nb", "1"], "analytic 1 + 1/N_s = 1, z = "),
 ])
@@ -1264,3 +1313,59 @@ def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, caps
                 assert ulps(root, reference_root(chain, n_s, mode)) <= 4.0, case
                 assert f"{mode.value}: r_max = {root:.6g} m" in out, case
     assert all(seen.values()), seen
+
+
+def test_range_exit_code_follows_the_sweep_status_at_float_edges(tmp_path, capsys):
+    # Random scenarios at frequencies log-uniform in [1e150, 1e300] Hz (every
+    # other draw below ~1.34e154 Hz, where f^2 is still a float), lossless
+    # or through a two-knot table with gamma log-uniform in [1e-300, 1e2]
+    # dB/km, N_s log-uniform in [5e-324, 1e300], both modes.  range exits
+    # as the status sweep writes for the point says, or both exit 2 with
+    # empty stdout; neither raises.
+    rng = random.Random(20261020)
+    table = tmp_path / "table.csv"
+    path = tmp_path / "scenario.json"
+    output = tmp_path / "f3.csv"
+    seen = dict.fromkeys(["refused", *EXIT_CODE_OF_STATUS], 0)
+    for draw in range(60):
+        log_f_max = 154.1 if draw % 2 else 300.0
+        fields = {
+            "sigma_m2": 10.0 ** rng.uniform(-4.0, 4.0),
+            "aperture_m2": 10.0 ** rng.uniform(-3.0, 1.0),
+            "snr_min_db": rng.uniform(-10.0, 40.0),
+            "noise_power_dbm": rng.uniform(-120.0, -30.0),
+            "frequencies_hz": [10.0 ** rng.uniform(150.0, log_f_max)],
+        }
+        if draw % 3:
+            gammas = [10.0 ** rng.uniform(-300.0, 2.0) for _ in range(2)]
+            table.write_text("frequency_ghz,gamma_db_per_km\n"
+                             f"1e140,{gammas[0]!r}\n1e292,{gammas[1]!r}\n", encoding="utf-8")
+            fields["attenuation_table_path"] = str(table)
+        path.write_text(json.dumps(fields), encoding="utf-8")
+        [f_hz] = fields["frequencies_hz"]
+        n_s = max(10.0 ** rng.uniform(math.log10(5e-324), 300.0), 5e-324)
+        output.unlink(missing_ok=True)
+        sweep_code, sweep_out, _ = run_cli(
+            capsys, "--config", str(path), "sweep", "--figure", "3", "--ns-min", repr(n_s),
+            "--ns-max", repr(2.0 * n_s), "--points", "2", "--output", str(output))
+        rows = ([line.split(",") for line in output.read_text(encoding="utf-8").splitlines()]
+                if sweep_code == 0 else [])
+        for mode in Illumination:
+            code, out, _ = run_cli(capsys, "--config", str(path), "range", "--ns", repr(n_s),
+                                   "--freq", repr(f_hz), "--mode", mode.value)
+            case = f"{fields} at N_s = {n_s!r}, {mode.value}"
+            if sweep_code:
+                assert (sweep_code, sweep_out, code, out) == (2, "", 2, ""), case
+                assert not output.exists(), case
+                seen["refused"] += 1
+                continue
+            [(root, status)] = [row[3:] for row in rows
+                                if row[0] == repr(n_s) and row[2] == mode.value]
+            seen[status] += 1
+            assert code == EXIT_CODE_OF_STATUS[status], f"{case}: {status}"
+            if code:
+                assert out == "", case
+            if status == "ok":
+                assert f"{mode.value}: r_max = {float(root):.6g} m" in out, case
+                assert "nan" not in out, case
+    assert seen["refused"] and seen["ok"] and seen["overflow"], seen

@@ -456,7 +456,7 @@ def test_gain_experiment_at_extreme_n_s(n_s):
     # output does not move
     result = detector_gain_experiment(n_s=n_s, eta=0.5, n_b=1.0, trials=10**6, seed=5)
     assert result.resolved
-    assert all(math.isfinite(v) for v in result)
+    assert all(math.isfinite(getattr(result, field)) for field in result._fields)
     z = (result.ratio - (1.0 + 1.0 / n_s)) / result.standard_error
     assert abs(z) < 5.0
 

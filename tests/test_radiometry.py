@@ -146,7 +146,8 @@ def test_transmit_power_out_of_float_range_names_the_product(args, message):
     ((1e300, 1e50, 1e-10), "6.630000000000001e+306"),  # N_s*h*f overflows
     ((1e-300, 1e10, 1e30), "6.63e-294"),  # N_s*h underflows to 0
     ((1e-320, 1e10, 1e30), "6.6299261894e-314"),  # a subnormal product
-], ids=["partial_overflow", "partial_underflow", "subnormal"])
+    ((1e-290, 1e10, 1e10), "6.630000000000001e-304"),  # N_s*h rounds to a subnormal
+], ids=["partial_overflow", "partial_underflow", "subnormal", "partial_subnormal"])
 def test_transmit_power_where_only_a_partial_product_leaves_the_float_range(args, expected):
     # the correctly rounded N_s * h * f * B, recomputed in 50-digit decimal
     from decimal import Decimal, localcontext

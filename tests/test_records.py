@@ -4,15 +4,18 @@ import pickle
 
 import pytest
 
-from qi_rangekit import TEXTBOOK, PhysicalConstants
+from qi_rangekit import CODATA, TEXTBOOK, PhysicalConstants
 from qi_rangekit.atmosphere import AttenuationTable
 from qi_rangekit.config import ScenarioConfig
+from qi_rangekit.detection_mc import GainExperimentResult
 from qi_rangekit.errors import ConfigError, DomainError, TableValidationError
 from qi_rangekit.radiometry import dbm_to_watts
 from qi_rangekit.range_solver import RangeChain
 
 CHAIN = RangeChain(gamma_db_per_km=0.5, n_b=2.0, head=3.0, denominator=4.0, snr_min=10.0,
                    pulse_count=1)
+RESULT = GainExperimentResult(ratio=11.0, standard_error=0.1, deflection_quantum=2.2,
+                              deflection_classical=0.2, trials=10**6, resolution=50.0)
 
 
 def test_positional_and_keyword_construction_agree():
@@ -21,6 +24,8 @@ def test_positional_and_keyword_construction_agree():
     assert AttenuationTable(((1.0, 0.0), (2.0, 1.0))).source == ""
     assert ScenarioConfig(2.0).sigma_m2 == 2.0
     assert ScenarioConfig(2.0) == ScenarioConfig(sigma_m2=2.0)
+    assert PhysicalConstants(6.63e-34, 1.38e-23, c=3.0e8) == TEXTBOOK
+    assert GainExperimentResult(11.0, 0.1, 2.2, 0.2, 10**6, 50.0) == RESULT
 
 
 def test_construction_rejects_wrong_arguments():
@@ -34,12 +39,17 @@ def test_construction_rejects_wrong_arguments():
         AttenuationTable()
     with pytest.raises(TypeError):
         RangeChain(0.5, 2.0, 3.0, 4.0, 10.0, 1, 7.0)
+    with pytest.raises(TypeError, match="missing argument 'c'"):
+        PhysicalConstants(h=6.63e-34, k_b=1.38e-23)
+    with pytest.raises(TypeError, match="takes 6 arguments, got 7"):
+        GainExperimentResult(11.0, 0.1, 2.2, 0.2, 10**6, 50.0, 1.0)
 
 
 def test_records_cannot_be_assigned_to():
     for record, field in ((CHAIN, "n_b"), (ScenarioConfig(), "sigma_m2"),
                           (ScenarioConfig(), "noise_power_watts"),
-                          (AttenuationTable(((1.0, 0.0), (2.0, 1.0))), "rows")):
+                          (AttenuationTable(((1.0, 0.0), (2.0, 1.0))), "rows"),
+                          (TEXTBOOK, "c"), (RESULT, "ratio")):
         with pytest.raises(AttributeError):
             setattr(record, field, 1.0)
         with pytest.raises(AttributeError):
@@ -54,12 +64,18 @@ def test_equal_records_hash_equal():
     assert hash(ScenarioConfig()) == hash(ScenarioConfig(frequencies_hz=[7e9, 95e9, 1e12]))
     assert len({ScenarioConfig(p_d=0.9), ScenarioConfig(p_d=0.9)}) == 1
     assert CHAIN != CHAIN.replace(n_b=3.0)
+    assert TEXTBOOK == TEXTBOOK.replace() and hash(TEXTBOOK) == hash(TEXTBOOK.replace())
+    assert len({TEXTBOOK, CODATA, PhysicalConstants(6.63e-34, 1.38e-23, 3.0e8)}) == 2
+    assert RESULT == RESULT.replace() and hash(RESULT) == hash(RESULT.replace())
+    assert RESULT != RESULT.replace(trials=10**5)
     # a record is not equal to a tuple, nor to a record of another type
     class Table(AttenuationTable):
         __slots__ = ()
 
     rows = ((1.0, 0.0), (2.0, 1.0))
     assert CHAIN != (0.5, 2.0, 3.0, 4.0, 10.0, 1)
+    assert TEXTBOOK != (6.63e-34, 1.38e-23, 3.0e8)
+    assert RESULT != (11.0, 0.1, 2.2, 0.2, 10**6, 50.0)
     assert Table(rows) != AttenuationTable(rows)
 
 
@@ -79,6 +95,11 @@ def test_replace_runs_the_checks_again():
         AttenuationTable(((1.0, 0.0), (2.0, 1.0))).replace(rows=((1.0, 0.0),))
     with pytest.raises(TypeError, match="unexpected keyword argument 'nb'"):
         CHAIN.replace(nb=1.0)
+    # the unchecked records replace as given
+    assert TEXTBOOK.replace(c=1.0) == PhysicalConstants(6.63e-34, 1.38e-23, 1.0)
+    assert RESULT.resolved and not RESULT.replace(resolution=4.9).resolved
+    with pytest.raises(TypeError, match="unexpected keyword argument 'kb'"):
+        TEXTBOOK.replace(kb=1.0)
 
 
 def test_replace_rebuilds_derived_attributes():
@@ -100,15 +121,32 @@ def test_repr_lists_the_fields():
                            "snr_min=10.0, pulse_count=1)")
     assert repr(ScenarioConfig()).startswith("ScenarioConfig(sigma_m2=1.0, aperture_m2=0.5, ")
     assert "noise_power_watts" not in repr(ScenarioConfig())
+    assert repr(TEXTBOOK) == "PhysicalConstants(h=6.63e-34, k_b=1.38e-23, c=300000000.0)"
+    assert repr(RESULT) == (
+        "GainExperimentResult(ratio=11.0, standard_error=0.1, deflection_quantum=2.2, "
+        "deflection_classical=0.2, trials=1000000, resolution=50.0)"
+    )
 
 
 def test_records_pickle_through_their_checks():
-    for record in (CHAIN, ScenarioConfig(p_d=0.9), AttenuationTable(((1.0, 0.0), (2.0, 1.0)))):
+    for record in (CHAIN, ScenarioConfig(p_d=0.9), AttenuationTable(((1.0, 0.0), (2.0, 1.0))),
+                   TEXTBOOK, CODATA, RESULT):
         assert pickle.loads(pickle.dumps(record)) == record
     assert pickle.loads(pickle.dumps(ScenarioConfig())).noise_power_watts == dbm_to_watts(-63.82)
 
 
-def test_constants_are_a_named_tuple():
+def test_constants_are_a_record():
     assert TEXTBOOK == PhysicalConstants(6.63e-34, 1.38e-23, 3.0e8)
-    assert TEXTBOOK._replace(c=1.0).c == 1.0
+    assert TEXTBOOK.replace(c=1.0).c == 1.0
     assert PhysicalConstants._fields == ("h", "k_b", "c")
+
+
+def test_records_are_not_tuples():
+    # no record indexes, iterates, unpacks or has the tuple helpers
+    for record in (TEXTBOOK, RESULT, CHAIN):
+        assert not isinstance(record, tuple)
+        with pytest.raises(TypeError):
+            record[0]
+        with pytest.raises(TypeError):
+            iter(record)
+        assert not hasattr(record, "_replace") and not hasattr(record, "_asdict")
