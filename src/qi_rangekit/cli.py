@@ -247,13 +247,7 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str
         # solve raises for every status but ok, so the exit code follows the
         # status sweep writes
         r_max = chain.solve(args.ns, mode)
-        f_form, eta = chain.link_at(r_max)
-        # |10 log10(eta * M * photons / (N_B * SNR_min))|, photons = N_s plus
-        # the mode's extra photons (N_s + 1 for QI); inf where eta itself
-        # underflows to 0 (N_s near 1e308)
-        photons_per_snr = (args.ns + mode.extra_photons) / chain.snr_min
-        closure = eta * chain.pulse_count / chain.n_b * photons_per_snr
-        residual = abs(10.0 * math.log10(closure)) if closure > 0.0 else math.inf
+        f_form, eta, residual = chain.link_at(r_max, args.ns, mode)
         yield f"{mode.value}: r_max = {r_max:.6g} m  (residual {residual:.3e} dB)"
         yield (f"    gamma = {chain.gamma_db_per_km:.6g} dB/km, "
                f"F = {f_form:.6g}, eta = {eta:.6g}")

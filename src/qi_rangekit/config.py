@@ -8,6 +8,7 @@ object using the field names below; omitted fields fall back to these
 defaults, unknown fields are rejected.  :class:`ScenarioConfig` is the one
 scenario record: it checks the type and the domain of every field, and the
 range chain reads sigma, A, SNR_min and M = round(tau*B) from it directly.
+The range equation's (4*pi)^2 is no setting: :mod:`.range_solver` fixes it.
 
 The table named by ``attenuation_table_path`` is loaded and checked once,
 when the config is built; every range chain takes gamma from it.
@@ -68,7 +69,6 @@ class ScenarioConfig(Record):
         "p_fa": 1e-6,
         "frequencies_hz": (7e9, 95e9, 1e12),
         "attenuation_table_path": None,
-        "four_pi_exponent": 2,
     }
     _fields = tuple(_field_defaults)
     __slots__ = _fields + ("noise_power_watts", "attenuation_table")
@@ -85,10 +85,6 @@ class ScenarioConfig(Record):
         path = self.attenuation_table_path
         if not (path is None or isinstance(path, str)):
             raise ConfigError(f"attenuation_table_path must be a string or null, got {path!r}")
-        if self.four_pi_exponent not in (2, 4):
-            raise ConfigError(
-                f"four_pi_exponent must be 2 or 4, got {self.four_pi_exponent!r}"
-            )
         if not (0.0 < self.p_fa < self.p_d < 1.0):
             raise ConfigError(f"need 0 < p_fa < p_d < 1, got p_fa={self.p_fa!r}, p_d={self.p_d!r}")
         measurements = float(self.tau_s) * self.bandwidth_hz

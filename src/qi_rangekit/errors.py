@@ -41,7 +41,8 @@ class FrequencySpanError(RangeKitError, ValueError):
 class UnphysicalGeometryError(RangeKitError, ValueError):
     """A range root lies in the near field, where the transmissivity exceeds 1
     and the far-field model does not apply: ``RangeChain.solve`` refuses a
-    ``near_field`` point; ``RangeChain.link_at`` only evaluates F and eta."""
+    ``near_field`` point; ``RangeChain.link_at`` only evaluates F, eta and
+    the residual."""
 
 
 class CovarianceNotPSDError(RangeKitError, ValueError):

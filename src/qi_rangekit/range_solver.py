@@ -18,10 +18,12 @@ via Lambert W0, the principal branch of w * e^w = x,
 
 with W0 evaluated by Halley's method in plain floating point.
 
-Note the (4*pi) exponent: back-substituting the transmissivity into the
-effective SNR gives (4*pi)^2 in the denominator, and that convention also
-reproduces the expected range magnitudes.  The fourth power sometimes seen
-in print is available behind ``four_pi_exponent=4`` for comparison runs.
+The (4*pi) exponent is fixed at 2: back-substituting the transmissivity
+into the effective SNR gives (4*pi)^2 in the denominator, and that
+convention also reproduces the expected range magnitudes (137 m CI and
+435 m QI at 1 THz, N_s = 0.01).  :func:`range_chain` builds it, and the
+fourth power sometimes seen in print is one
+``chain.replace(denominator=(4*pi)**4 * chain.n_b)`` away.
 
 The range chain of a scenario at one frequency is one object,
 :class:`RangeChain`, built by :func:`range_chain`.  Its solve kernel,
@@ -61,9 +63,9 @@ The kernel computes the root and one status per point, and nothing else:
 :func:`sweep_range` adds ``out_of_span`` for a frequency outside the table
 span.  The status is the one near-field decision: :meth:`RangeChain.solve`
 refuses a ``near_field`` point, and :meth:`RangeChain.link_at` only
-evaluates F and eta at a range from the same chain, (4*pi) exponent
-included.  The closure of the forward chain at the root is checked once, in
-the tests, against a high-precision reference root.
+evaluates F, eta and the closure residual at a range from the same chain,
+denominator included.  The closure of the forward chain at the root is
+checked once, in the tests, against a high-precision reference root.
 
 This module holds all of the link budget that the range path runs: the
 antenna gain G = 4*pi*A / lambda^2 (:func:`antenna_gain`).  F is
@@ -138,8 +140,9 @@ def antenna_gain(
 class RangeChain(Record):
     """The range chain of a scenario at one frequency,
     SNR_eff(R) = head * photons / denominator * F(R)^2 / R^4, with
-    ``head`` = sigma*G*A*M, ``denominator`` = (4*pi)^k * N_B, ``snr_min``
-    the configured threshold (linear) and ``pulse_count`` M.
+    ``head`` = sigma*G*A*M, ``denominator`` = (4*pi)^k * N_B (k = 2 as
+    :func:`range_chain` builds it), ``snr_min`` the configured threshold
+    (linear) and ``pulse_count`` M.
 
     Built by :func:`range_chain`; the mode enters only through the
     photons the solve kernel forms per point, N_s + extra photons (N_s + 1
@@ -240,25 +243,30 @@ class RangeChain(Record):
             add_status(status)
         return r_max_m, statuses
 
-    def link_at(self, r_m: float) -> tuple[float, float]:
-        """One-way form factor F and transmissivity eta at range ``r_m``,
-        from the chain :meth:`solve` solves.
-
-        At the root, eta * M * photons / N_B is SNR_min; eta itself,
-        SNR_eff(R) * N_B / (M * photons) = head * F^2 / ((4*pi)^k * R^4 * M),
-        does not depend on N_s.  N_B cancels as N_B / denominator, and the
-        quotient is formed from mantissas and exponents, so no partial
-        product leaves the float range: eta reads inf or 0 only where it
-        does so itself.  It only evaluates: eta may exceed 1 at a range in
-        the near field, which :meth:`solve` refuses for a root.
+    def link_at(self, r_m: float, n_s: float, mode: Illumination) -> tuple[float, float, float]:
+        """``(F, eta, residual_db)`` at range ``r_m`` on the chain :meth:`solve`
+        solves at ``n_s`` in ``mode``: the one-way form factor, the
+        transmissivity eta = head * F^2 * N_B / (denominator * R^4 * M), which
+        does not depend on N_s, and the closure residual |10 log10(SNR_eff(R)
+        / SNR_min)|, 0 at an exact root.  SNR_eff(R) / SNR_min = head * F^2 *
+        photons / (denominator * R^4 * SNR_min), photons N_s + the mode's
+        extra photons, does not pass through eta, so the residual keeps its
+        digits where eta is subnormal.  Each quotient is formed from mantissas
+        and exponents, so it reads inf or 0 (the residual inf) only where it
+        does so itself.  It only evaluates: eta may exceed 1 at a range in the
+        near field, which :meth:`solve` refuses for a root.
         """
         from .atmosphere import form_factor
 
         r_m = _require_positive("range", r_m)
+        photons = _require_positive("n_s", n_s) + mode.extra_photons
         f_form = form_factor(self.gamma_db_per_km, r_m)
-        eta = _ldexp_quotient((self.head, f_form, f_form, self.n_b),
-                              (self.denominator, r_m, r_m, r_m, r_m, self.pulse_count))
-        return f_form, eta
+        head_f2 = (self.head, f_form, f_form)
+        denominator_r4 = (self.denominator, r_m, r_m, r_m, r_m)
+        eta = _ldexp_quotient((*head_f2, self.n_b), (*denominator_r4, self.pulse_count))
+        closure = _ldexp_quotient((*head_f2, photons), (*denominator_r4, self.snr_min))
+        residual_db = abs(10.0 * math.log10(closure)) if 0.0 < closure < math.inf else math.inf
+        return f_form, eta, residual_db
 
 
 def range_chain(
@@ -282,7 +290,7 @@ def range_chain(
         gamma_db_per_km=gamma,
         n_b=n_b,
         head=config.sigma_m2 * gain * config.aperture_m2 * pulse_count,
-        denominator=_FOUR_PI**config.four_pi_exponent * n_b,
+        denominator=_FOUR_PI**2 * n_b,
         snr_min=config.snr_min_linear,
         pulse_count=pulse_count,
     )

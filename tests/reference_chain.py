@@ -15,7 +15,9 @@ with the received power P_r = eta * P_t, the noise power P_B = k_B * T * B
 and photons per mode N_s = P / (h * f * B), the inverse of
 :func:`~qi_rangekit.radiometry.transmit_power`.  It also gives a chain's
 mode-adjusted threshold (:func:`threshold`), SNR_min / (1 + 1/N_s) for the
-quantum transmitter: the textbook form of the N_s + 1 the solve kernel uses.
+quantum transmitter: the textbook form of the N_s + 1 the solve kernel uses,
+and a chain's (4*pi)^4 variant (:func:`fourth_power_variant`), the
+convention sometimes seen in print.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ def threshold(chain: RangeChain, n_s: float, mode: Illumination) -> float:
     if inverse == math.inf:  # N_s below ~5.6e-309, where 1 + 1/N_s is 1/N_s
         return chain.snr_min * n_s
     return chain.snr_min / (1.0 + inverse)
+
+
+def fourth_power_variant(chain: RangeChain) -> RangeChain:
+    """``chain`` with (4*pi)^4 in place of the (4*pi)^2 of its denominator."""
+    return chain.replace(denominator=_FOUR_PI**4 * chain.n_b)
 
 
 def channel_transmissivity(

@@ -28,7 +28,7 @@ from qi_rangekit.range_solver import (
     range_chain,
     sweep_ratio,
 )
-from reference_chain import channel_transmissivity, snr_eff, threshold
+from reference_chain import channel_transmissivity, fourth_power_variant, snr_eff, threshold
 from reference_sampler import estimate_covariance, sample_quadratures
 
 BENCHMARK = ScenarioConfig()
@@ -100,7 +100,7 @@ def test_criterion_5_figure_3_consistency():
     chain = range_chain(BENCHMARK, 1e12)
     ci = chain.solve(1e-2, Illumination.CI)
     qi = chain.solve(1e-2, Illumination.QI)
-    literal = range_chain(BENCHMARK.replace(four_pi_exponent=4), 1e12)
+    literal = fourth_power_variant(chain)
     ci_literal = literal.solve(1e-2, Illumination.CI)
     ok = (
         abs(ci - 137.0) <= 2.0

@@ -285,20 +285,6 @@ def test_range_no_detection_exits_3(tmp_path, capsys):
     assert "no detection" in err
 
 
-def test_range_eta_comes_from_the_solved_chain(tmp_path, capsys):
-    # At the root eta = threshold * N_B / (M * N_s) whatever the (4*pi)
-    # exponent, so both conventions print the same eta at this point.
-    config = tmp_path / "fourth_power.json"
-    config.write_text(json.dumps({"four_pi_exponent": 4}), encoding="utf-8")
-    code, out, _ = run_cli(
-        capsys, "--config", str(config), "range", "--ns", "1e-2", "--freq", "1e12"
-    )
-    assert code == 0
-    assert re.findall(r"eta = (\S+)", out) == ["0.000625873", "6.19677e-06"]
-    _, default_out, _ = run_cli(capsys, "range", "--ns", "1e-2", "--freq", "1e12")
-    assert re.findall(r"eta = (\S+)", default_out) == ["0.000625873", "6.19677e-06"]
-
-
 def test_range_in_near_field_exits_2(capsys):
     code, out, err = run_cli(capsys, "range", "--ns", "1e-4", "--freq", "7e9", "--mode", "ci")
     assert code == 2
@@ -528,8 +514,10 @@ def test_range_where_n_b_is_subnormal_solves_through_the_table(tmp_path, capsys)
                              "--freq", "1e12", "--mode", "ci")
     assert (code, err) == (0, "")
     assert "N_B(1e+12 Hz) = 1.50829e-312\n" in out
-    # eta at the root, SNR_min * N_B / M = 1.5e-326, is below the subnormals
-    assert "ci: r_max = 3521.99 m  (residual inf dB)\n" in out
+    # eta at the root, SNR_min * N_B / M = 1.5e-326, is below the subnormals;
+    # the residual is formed from the chain, not from eta
+    residual = re.search(r"ci: r_max = 3521\.99 m  \(residual (\S+) dB\)\n", out)
+    assert float(residual.group(1)) < 1e-11
     assert "eta = 0\n" in out
 
 
@@ -543,11 +531,13 @@ def test_range_where_n_b_is_subnormal_prints_a_subnormal_eta(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--config", str(config), "range", "--ns", "1",
                              "--freq", "1e12", "--mode", "ci")
     assert (code, err) == (0, "")
-    assert "ci: r_max = 3455.69 m " in out
+    # eta keeps few digits, the residual all of the root's
+    residual = re.search(r"ci: r_max = 3455\.69 m  \(residual (\S+) dB\)\n", out)
+    assert float(residual.group(1)) < 1e-11
     assert "eta = 1.50838e-320\n" in out
     chain = range_chain(load_config(config), 1e12)
     root = chain.solve(1.0, Illumination.CI)
-    f_form, eta = chain.link_at(root)
+    f_form, eta, _ = chain.link_at(root, 1.0, Illumination.CI)
     exact = (Fraction(chain.head) * Fraction(f_form) ** 2 * Fraction(chain.n_b)
              / (Fraction(chain.denominator) * Fraction(root) ** 4 * chain.pulse_count))
     assert eta == float(exact)
@@ -616,15 +606,16 @@ def test_quantum_range_closes_at_a_subnormal_n_s(capsys, n_s, freq):
 
 def test_range_where_eta_at_the_root_underflows(tmp_path, capsys):
     # eta = threshold * N_B / (M * N_s) at the root underflows to 0 at M 1e20
-    # and N_s 1.7e308; the attenuated root is a float, and no residual can be
-    # read from eta
+    # and N_s 1.7e308; the attenuated root is a float, and the residual,
+    # formed from the chain, not from eta, is finite
     config = tmp_path / "large_m.json"
     config.write_text(json.dumps({"tau_s": 1e11, "bandwidth_hz": 1e9,
                                   "attenuation_table_path": BUNDLED_CSV}), encoding="utf-8")
     code, out, err = run_cli(capsys, "--config", str(config),
                              "range", "--ns", "1.7e308", "--freq", "1e12", "--mode", "ci")
     assert (code, err) == (0, "")
-    assert "ci: r_max = 3506.65 m  (residual inf dB)\n" in out
+    residual = re.search(r"ci: r_max = 3506\.65 m  \(residual (\S+) dB\)\n", out)
+    assert float(residual.group(1)) < 1e-11
     assert "eta = 0\n" in out
 
 
@@ -830,7 +821,6 @@ SWEEP_GOLDEN_CASES = {
     ),
     # the classical 7 GHz points below N_s ~3e-5 have no detection range
     "faint": ({"sigma_m2": 1e-12, "aperture_m2": 1e-6}, ()),
-    "four_pi_exponent_4": ({"four_pi_exponent": 4}, ()),
     "codata": (None, ("--codata",)),
 }
 

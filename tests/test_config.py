@@ -2,13 +2,16 @@
 
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from bench_scenario import sweep_attenuated_config
 from reference_chain import threshold
 
 from qi_rangekit.atmosphere import AttenuationTable, serialize_table
+from qi_rangekit.cli import main
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_config
 from qi_rangekit.constants import TEXTBOOK
 from qi_rangekit.errors import ConfigError, DomainError, TableParseError
@@ -36,7 +39,6 @@ def test_defaults_are_the_benchmark_scenario():
     assert cfg.p_fa == 1e-6
     assert cfg.frequencies_hz == (7e9, 95e9, 1e12)
     assert cfg.attenuation_table_path is None
-    assert cfg.four_pi_exponent == 2
     # derived: M = round(tau * B) and the threshold as a ratio
     assert cfg.pulse_count == 10**9
     assert cfg.snr_min_linear == pytest.approx(10.0, rel=1e-15)
@@ -47,6 +49,17 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(dump_config(cfg), encoding="utf-8")
     assert load_config(path) == cfg
+    assert dump_config(load_config(path)) == dump_config(cfg)
+    assert parse_config(dump_config(ScenarioConfig())) == ScenarioConfig()
+
+
+def test_readme_config_example_is_the_dumped_default():
+    # the README's "Scenario config" block lists every field with its
+    # default, so a field added or removed cannot leave it behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Scenario config", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    assert json.loads(block) == json.loads(dump_config(ScenarioConfig()))
 
 
 def test_partial_config_uses_defaults():
@@ -55,9 +68,26 @@ def test_partial_config_uses_defaults():
     assert cfg.sigma_m2 == 1.0
 
 
-def test_unknown_field_rejected():
-    with pytest.raises(ConfigError):
-        parse_config('{"sigma": 1.0}')
+# configs dumped by earlier versions name four_pi_exponent, 2 or 4; the
+# (4*pi)^2 is fixed, so they fail like any other unknown field
+UNKNOWN_FIELDS = {
+    "sigma": {"sigma": 1.0},
+    "four_pi_exponent_2": {"four_pi_exponent": 2},
+    "four_pi_exponent_4": {"four_pi_exponent": 4},
+}
+
+
+@pytest.mark.parametrize("fields", list(UNKNOWN_FIELDS.values()), ids=list(UNKNOWN_FIELDS))
+def test_unknown_field_rejected(tmp_path, capsys, fields):
+    [name] = fields
+    with pytest.raises(ConfigError, match=f"unknown config fields: \\['{name}'\\]"):
+        parse_config(json.dumps(fields))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    code = main(["--config", str(path), "range", "--ns", "1e-2", "--freq", "1e12"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert name in err
 
 
 def test_invalid_json_rejected():
@@ -76,8 +106,6 @@ def test_invalid_values_rejected():
         parse_config('{"p_fa": 0.9, "p_d": 0.5}')
     with pytest.raises(ConfigError, match="p_d=1.0"):
         parse_config('{"p_d": 1.0}')
-    with pytest.raises(ConfigError):
-        parse_config('{"four_pi_exponent": 3}')
     with pytest.raises(ConfigError):
         parse_config('{"frequencies_hz": []}')
     # value checks made with radiometry's _require_positive and dbm_to_watts
@@ -233,11 +261,10 @@ def test_range_chain_reads_the_scenario_specs():
     assert chain.snr_min == cfg.snr_min_linear == 10.0**1.3
     assert chain.pulse_count == cfg.pulse_count == 3
     assert cfg.noise_power_watts == dbm_to_watts(-63.82)
-    # the built parts are not fields: equality and JSON see the 11 fields only
+    # the built parts are not fields: equality and JSON see the 10 fields only
     assert ScenarioConfig._fields == (
         "sigma_m2", "aperture_m2", "bandwidth_hz", "tau_s", "noise_power_dbm",
         "snr_min_db", "p_d", "p_fa", "frequencies_hz", "attenuation_table_path",
-        "four_pi_exponent",
     )
     assert "pulse_count" not in json.loads(dump_config(cfg))
 
@@ -263,12 +290,6 @@ def test_attenuated_config_reaches_the_solve(tmp_path):
         for point in r_max_m if f_hz == 1e12 and mode is Illumination.CI
     ]
     assert row[2] == root
-
-
-def test_four_pi_exponent_passes_through():
-    cfg = ScenarioConfig(four_pi_exponent=4)
-    chain = range_chain(cfg, 1e12)
-    assert chain.denominator == (4.0 * math.pi) ** 4 * chain.n_b
 
 
 def test_config_is_frozen():

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from bench_scenario import BUNDLED_CSV, sweep_attenuated_config
-from reference_chain import channel_transmissivity, snr_eff, threshold
+from reference_chain import channel_transmissivity, fourth_power_variant, snr_eff, threshold
 from reference_root import reference_root, ulps
 
 from qi_rangekit import atmosphere, range_solver
@@ -14,7 +14,7 @@ from qi_rangekit.atmosphere import bundled_table, form_factor
 from qi_rangekit.cli import _log_grid
 from qi_rangekit.config import ScenarioConfig, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK, PhysicalConstants
-from qi_rangekit.errors import ConfigError, DomainError, NoDetectionError, UnphysicalGeometryError
+from qi_rangekit.errors import DomainError, NoDetectionError, UnphysicalGeometryError
 from qi_rangekit.range_solver import (
     Illumination,
     RangeChain,
@@ -37,11 +37,15 @@ class Point(NamedTuple):
     mode: Illumination = Illumination.CI
     gamma: float = 0.0
     constants: PhysicalConstants = TEXTBOOK
+    four_pi_exponent: int = 2
 
     @property
     def chain(self) -> RangeChain:
-        """The package's chain for this point, gamma set directly."""
+        """The package's chain for this point, gamma set directly, and its
+        (4*pi)^4 variant where ``four_pi_exponent`` is 4."""
         chain = range_chain(self.config, self.f_hz, self.constants)
+        if self.four_pi_exponent == 4:
+            chain = fourth_power_variant(chain)
         return chain.replace(gamma_db_per_km=self.gamma)
 
     def solve(self):
@@ -93,7 +97,7 @@ def make_chain(config, f_hz, n_b, gamma=0.0):
         gamma_db_per_km=gamma,
         n_b=n_b,
         head=config.sigma_m2 * gain * config.aperture_m2 * pulse_count,
-        denominator=(4.0 * math.pi) ** config.four_pi_exponent * n_b,
+        denominator=(4.0 * math.pi) ** 2 * n_b,
         snr_min=config.snr_min_linear,
         pulse_count=pulse_count,
     )
@@ -118,7 +122,7 @@ def raw_snr_eff(point: Point, r_m: float) -> float:
     chain = (
         config.sigma_m2 * gain * config.aperture_m2 * config.pulse_count * point.n_s
     ) / (
-        (4.0 * math.pi) ** config.four_pi_exponent
+        (4.0 * math.pi) ** point.four_pi_exponent
         * config.noise_occupancy(point.f_hz, point.constants)
     )
     return chain * form_factor(point.gamma, r_m) ** 2 / r_m**4
@@ -179,12 +183,23 @@ def test_free_space_benchmark_ranges():
 
 
 def test_four_pi_fourth_power_variant():
-    literal = benchmark_point(four_pi_exponent=4).solve()
+    literal = fourth_power_variant(benchmark_point().chain).solve(1e-2, Illumination.CI)
     assert literal == pytest.approx(38.672, abs=0.01)
     # the two conventions differ by exactly (4*pi)^(1/2) in range
     assert benchmark_point().solve() / literal == pytest.approx(
         math.sqrt(4.0 * math.pi), rel=1e-12
     )
+
+
+def test_eta_at_the_root_is_the_same_under_both_four_pi_conventions():
+    # at the root eta = SNR_min * N_B / (M * photons) whatever the (4*pi)
+    # exponent, so the (4*pi)^4 variant gives the same eta at this point
+    chain = range_chain(BENCHMARK, 1e12)
+    for mode, printed in zip(Illumination, ["0.000625873", "6.19677e-06"]):
+        etas = [variant.link_at(variant.solve(1e-2, mode), 1e-2, mode)[1]
+                for variant in (chain, fourth_power_variant(chain))]
+        assert etas[1] == pytest.approx(etas[0], rel=1e-12)
+        assert [f"{eta:.6g}" for eta in etas] == [printed, printed]
 
 
 def test_threshold_doubling_scales_range():
@@ -247,7 +262,8 @@ def test_lambert_w_root_matches_bisection():
 
 
 def random_chain(rng, four_pi_exponent):
-    """A chain of a random scenario, with its N_s, scenario and frequency."""
+    """A chain of a random scenario, with its N_s, scenario and frequency;
+    its denominator carries (4*pi)^``four_pi_exponent``, 2 or 4."""
     def log_uniform(lo, hi):
         return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
 
@@ -257,13 +273,15 @@ def random_chain(rng, four_pi_exponent):
         snr_min_db=float(rng.uniform(3.0, 20.0)),
         tau_s=log_uniform(0.01, 2.0),
         bandwidth_hz=log_uniform(1e8, 2e9),
-        four_pi_exponent=four_pi_exponent,
     )
     n_s = log_uniform(1e-3, 10.0)
     f_hz = log_uniform(5e9, 1e12)
     n_b = log_uniform(10.0, 1e5)
     gamma = 0.0 if rng.uniform() < 0.2 else log_uniform(0.01, 30.0)
-    return make_chain(config, f_hz, n_b, gamma), n_s, config, f_hz
+    chain = make_chain(config, f_hz, n_b, gamma)
+    if four_pi_exponent == 4:
+        chain = fourth_power_variant(chain)
+    return chain, n_s, config, f_hz
 
 
 @pytest.mark.parametrize("mode", list(Illumination))
@@ -276,8 +294,9 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
         [root], _ = chain.solutions((n_s,), mode)
         mode_threshold = threshold(chain, n_s, mode)
         snr_per_eta = chain.pulse_count * n_s / chain.n_b
-        f_form, eta = chain.link_at(root)
+        f_form, eta, residual_db = chain.link_at(root, n_s, mode)
         assert eta * snr_per_eta == pytest.approx(mode_threshold, rel=1e-12)
+        assert residual_db < 1e-12
         if mode_threshold / snr_per_eta > 1.0:
             assert eta > 1.0
             with pytest.raises(UnphysicalGeometryError, match="> 1 at range"):
@@ -338,8 +357,6 @@ def test_problem_validation():
         benchmark_point(n_s=0.0).solve()
     with pytest.raises(DomainError):
         benchmark_point(gamma=-1.0).chain
-    with pytest.raises(ConfigError):
-        benchmark_point(four_pi_exponent=3)
 
 
 # sigma 1e-12 m^2, A 1e-6 m^2: the classical 7 GHz points below N_s ~ 3e-5
@@ -539,17 +556,22 @@ def test_sweep_grid_validation():
 @pytest.mark.parametrize("constants", [TEXTBOOK, CODATA], ids=["textbook", "codata"])
 @pytest.mark.parametrize("four_pi_exponent", [2, 4])
 @pytest.mark.parametrize("scenario", ["default", "bundled_table", "faint"])
-def test_sweep_rows_equal_one_point_solutions(scenario, four_pi_exponent, constants):
+def test_sweep_rows_equal_one_point_solutions(monkeypatch, scenario, four_pi_exponent, constants):
+    if four_pi_exponent == 4:
+        # no config names the (4*pi)^4 variant; the sweep reaches it through
+        # chains whose denominator is replaced
+        built = range_solver.range_chain
+        monkeypatch.setattr(range_solver, "range_chain",
+                            lambda *args: fourth_power_variant(built(*args)))
     if scenario == "faint":
-        config = FAINT.replace(four_pi_exponent=four_pi_exponent)
+        config = FAINT
     elif scenario == "bundled_table":
         config = ScenarioConfig(
             frequencies_hz=tuple(f_ghz * 1e9 for f_ghz, _ in bundled_table().rows),
             attenuation_table_path=BUNDLED_CSV,
-            four_pi_exponent=four_pi_exponent,
         )
     else:
-        config = ScenarioConfig(four_pi_exponent=four_pi_exponent)
+        config = BENCHMARK
     frequencies = list(config.frequencies_hz)
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
     rows = sweep_rows(config, grid, constants=constants)
@@ -559,7 +581,9 @@ def test_sweep_rows_equal_one_point_solutions(scenario, four_pi_exponent, consta
     for (n_s, f_hz, mode, r_max), key in zip(rows, expected_keys, strict=True):
         assert (n_s, f_hz, mode) == key
         gamma = 0.0 if table is None else atmosphere.gamma_at(table, f_hz)
-        expected = bisection_root(Point(config, n_s, f_hz, mode, gamma, constants))
+        expected = bisection_root(
+            Point(config, n_s, f_hz, mode, gamma, constants, four_pi_exponent)
+        )
         if r_max is None:
             assert expected is None
             absent += 1
@@ -763,7 +787,7 @@ def test_solve_refuses_exactly_the_near_field_status_on_the_attenuated_benchmark
         for n_s, root, status in zip(grid, r_max_m, statuses, strict=True):
             points += 1
             assert status in ("ok", "near_field")
-            assert (chain.link_at(root)[1] > 1.0) == (status == "near_field")
+            assert (chain.link_at(root, n_s, mode)[1] > 1.0) == (status == "near_field")
             try:
                 solved = chain.solve(n_s, mode)
             except UnphysicalGeometryError:
