@@ -31,6 +31,21 @@ with two threads and 85 ms with one on a 2-vCPU host).  So
 before any command runs, overriding any value it inherited, for its own
 process only; :func:`main` and the library calls leave the caller's
 environment alone.
+The process ends without the interpreter's teardown: once :func:`main` has
+returned, :func:`entrypoint` flushes ``sys.stdout`` and ``sys.stderr`` and
+calls ``os._exit`` with main's exit code, so no module is freed, no last
+garbage collection runs and numpy is not torn down.  Medians of 15
+interleaved child processes (2-vCPU host, from source) went 76.3 -> 66.5 ms
+for ``mc`` at 1e6 trials, 69.5 -> 57.2 ms for ``covariance --ns 20 --mode
+qi --oracle``, 241 -> 212 ms for a 250-point sweep through the bundled table
+and 247 -> 236 ms for a 10 000-point lossless one.  Every file a command
+writes is closed before main returns, and no ``atexit`` handler (such as
+``logging.shutdown`` or a subprocess coverage hook) runs in this process:
+such handlers run only for library callers of :func:`main`.  A
+``SystemExit`` from main (argparse errors, ``--help``, ``--version``), an
+uncaught exception and a flush that fails (a pipe whose reader has gone)
+take the interpreter's usual exit, with the codes and messages it always
+gave.
 A figure-3 sweep writes its CSV a column at a time: one string per
 (frequency, mode) column of :func:`~qi_rangekit.range_solver.sweep_range`,
 joined at C level from the column's lists and written with one ``write``, so
@@ -243,10 +258,30 @@ def _cmd_range(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str
     yield (f"noise: P_B = {config.noise_power_dbm:g} dBm -> implied T_eff = "
            f"{config.t_eff_kelvin(args.constants):.6g} K, N_B({args.freq:.6g} Hz) = "
            f"{chain.n_b:.6g}")
+    # solve raises for every status but ok, so the exit code follows the
+    # status sweep writes; every mode is solved before the first failure
+    # decides it, and its message names that mode and the other's outcome
+    roots: dict[Illumination, float] = {}
+    failures: list[tuple[Illumination, RangeKitError]] = []
     for mode in modes:
-        # solve raises for every status but ok, so the exit code follows the
-        # status sweep writes
-        r_max = chain.solve(args.ns, mode)
+        try:
+            roots[mode] = chain.solve(args.ns, mode)
+        except RangeKitError as exc:
+            failures.append((mode, exc))
+    if failures:
+        mode, exc = failures[0]
+        if len(modes) == 1:
+            raise exc
+        [other] = [m for m in modes if m is not mode]
+        if other in roots:
+            outcome = f"r_max = {roots[other]:.6g} m"
+        else:
+            outcome = str(failures[1][1])
+            if outcome == str(exc):  # an input no mode solves, such as N_s = 0
+                outcome = "the same"
+        kind = NoDetectionError if isinstance(exc, NoDetectionError) else RangeKitError
+        raise kind(f"{exc} ({mode.value}; {other.value}: {outcome})") from exc
+    for mode, r_max in roots.items():
         f_form, eta, residual = chain.link_at(r_max, args.ns, mode)
         yield f"{mode.value}: r_max = {r_max:.6g} m  (residual {residual:.3e} dB)"
         yield (f"    gamma = {chain.gamma_db_per_km:.6g} dB/km, "
@@ -376,7 +411,20 @@ def entrypoint() -> None:
     # when numpy loads it (``sweep``): one thread spares the pool's start-up.
     # Only the process's own entry sets it; main() leaves the environment be.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    raise SystemExit(main())
+    code = main()
+    # The process ends here without interpreter teardown (module and numpy
+    # cleanup, a last GC pass), so nothing may wait for it: every file a
+    # command writes must be closed before main() returns (_write_text's
+    # ``with``), and no atexit handler runs.  Only the standard streams are
+    # left to flush.  If that fails (a closed pipe, a closed stream), the
+    # interpreter's own shutdown retries and reports it as it always has.
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        raise SystemExit(code) from None
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -254,7 +254,8 @@ def test_range_noise_line_uses_the_constants_the_flag_picks(capsys, flags, const
 def test_range_zero_photons_exits_2(capsys):
     code, out, err = run_cli(capsys, "range", "--ns", "0", "--freq", "1e12")
     assert code == 2
-    assert "error" in err
+    # both modes refuse it alike, so the message is not repeated
+    assert err == "error: n_s must be positive and finite, got 0.0 (ci; qi: the same)\n"
     assert out == ""
 
 
@@ -292,6 +293,26 @@ def test_range_in_near_field_exits_2(capsys):
     assert re.search(r"computed transmissivity \S+ > 1 at range \S+ m", err)
     # every mode is solved before anything is printed
     assert out == ""
+
+
+@pytest.mark.parametrize("n_s, freq, code, message, qi_range", [
+    ("1e-300", "1e12", 3,
+     "no detection: SNR_eff at 1e-06 m is already below threshold; no detection range exists",
+     "433.511"),
+    ("1e-4", "7e9", 2,
+     "error: computed transmissivity 8.941048106752064 > 1 at range 1.0491167499192167 m; "
+     "the far-field model does not apply this close to the antenna",
+     "10.4914"),
+], ids=["no_detection", "near_field"])
+def test_range_names_the_failing_mode_and_the_other_modes_range(capsys, n_s, freq, code,
+                                                                message, qi_range):
+    # CI fails where QI solves: the exit and the message are CI's, and the
+    # message ends in QI's range, which --mode qi prints
+    assert run_cli(capsys, "range", "--ns", n_s, "--freq", freq) == (
+        code, "", f"{message} (ci; qi: r_max = {qi_range} m)\n")
+    qi_code, out, err = run_cli(capsys, "range", "--ns", n_s, "--freq", freq, "--mode", "qi")
+    assert (qi_code, err) == (0, "")
+    assert f"\nqi: r_max = {qi_range} m  (residual " in out
 
 
 def test_range_out_of_table_span_exits_2_with_empty_stdout(tmp_path, capsys):
@@ -1073,16 +1094,27 @@ def test_zero_photons_reads_the_same_in_ratio_and_mc(capsys):
 NUMPY_PARENT = Path(numpy.__file__).resolve().parents[1]
 
 
-def _loaded_after(tmp_path, statement: str, modules: list[str]) -> list[str]:
-    """Run ``statement`` in a fresh interpreter (this one has loaded numpy
-    and more) and report which of ``modules`` it left in ``sys.modules``.
+def _run_child(tmp_path, script: str, *argv: str, unbuffered=False, stdout=subprocess.PIPE):
+    """Run ``script`` with ``argv`` in a fresh interpreter (this one has
+    loaded numpy and more), in ``tmp_path``, and return the completed
+    process, its output as text.  Its standard streams are buffered, as by
+    default, whatever this process inherited, unless ``unbuffered``.
     The interpreter runs with ``-S``: a site hook (a ``.pth`` file) may
     import modules of its own, which would hide what the package imports."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(NUMPY_PARENT)])}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(NUMPY_PARENT)])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-S", "-c", script, *argv], cwd=tmp_path, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+def _loaded_after(tmp_path, statement: str, modules: list[str]) -> list[str]:
+    """Run ``statement`` in a fresh interpreter and report which of
+    ``modules`` it left in ``sys.modules``."""
     script = (f"import sys\n{statement}\n"
               f"print(','.join(m for m in {modules!r} if m in sys.modules), file=sys.stderr)")
-    result = subprocess.run([sys.executable, "-S", "-c", script], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=60)
+    result = _run_child(tmp_path, script)
     assert result.returncode == 0, result.stderr
     return list(filter(None, result.stderr.splitlines()[-1].split(",")))
 
@@ -1164,27 +1196,107 @@ def test_sweep_loads_numpy(tmp_path):
     assert _loaded_after(tmp_path, statement, ["numpy"]) == ["numpy"]
 
 
+# the qi-rangekit process: its entry with the command line after the script
+ENTRYPOINT = "from qi_rangekit.cli import entrypoint\nentrypoint()"
+
+
 def test_cli_process_starts_openblas_with_one_thread(tmp_path, monkeypatch):
     # entrypoint overrides an inherited thread count in its own process;
-    # numpy's OpenBLAS would otherwise start a second thread
+    # numpy's OpenBLAS would otherwise start a second thread.  entrypoint
+    # ends in os._exit, so the child wraps that to count its threads there.
     status = Path("/proc/self/status")
     if not status.exists():
         pytest.skip("needs /proc/self/status to count threads")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    statement = ("from qi_rangekit.cli import entrypoint\n"
-                 "sys.argv[1:] = ['sweep', '--figure', '3', '--points', '3']\n"
-                 "try:\n"
-                 "    entrypoint()\n"
-                 "except SystemExit as exit_:\n"
-                 "    assert exit_.code == 0, exit_.code\n"
-                 "threads = [line.split()[1] for line in open('/proc/self/status')\n"
-                 "           if line.startswith('Threads:')]\n"
-                 "assert threads == ['1'], threads")
-    assert _loaded_after(tmp_path, statement, ["numpy"]) == ["numpy"]
+    probe = ("import os, sys\n"
+             "real_exit = os._exit\n"
+             "def probe_exit(code):\n"
+             "    threads = [line.split()[1] for line in open('/proc/self/status')\n"
+             "               if line.startswith('Threads:')]\n"
+             "    print(code, 'numpy' in sys.modules, *threads, file=sys.stderr, flush=True)\n"
+             "    real_exit(code)\n"
+             "os._exit = probe_exit\n")
+    result = _run_child(tmp_path, probe + ENTRYPOINT, "sweep", "--figure", "3", "--points", "3")
+    assert (result.returncode, result.stderr.splitlines()[-1:]) == (0, ["0 True 1"]), result.stderr
     # main() is the library's entry and leaves the caller's environment alone
     assert main(["sweep", "--figure", "3", "--points", "3",
                  "--output", str(tmp_path / "in_process.csv")]) == 0
     assert os.environ.get("OPENBLAS_NUM_THREADS") == "2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["range", "--ns", "1e-2", "--freq", "1e12"],
+    ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--seed", "1", "--trials", "1000000"],
+    ["covariance", "--ns", "20", "--mode", "qi", "--oracle"],
+    ["--dump-config", "-"],
+])
+def test_cli_process_prints_what_main_prints(tmp_path, capsys, argv):
+    # entrypoint skips the interpreter's teardown; the flush before it
+    # leaves stdout whole
+    result = _run_child(tmp_path, ENTRYPOINT, *argv)
+    assert (result.returncode, result.stdout, result.stderr) == run_cli(capsys, *argv)
+
+
+def test_cli_process_sweep_csv_is_complete(tmp_path, capsys):
+    # the CSV is closed before main() returns, so the file on disk is whole
+    config = str(sweep_attenuated_config(tmp_path))
+    argv = ["--config", config, "sweep", "--figure", "3", "--points", "250", "--output"]
+    result = _run_child(tmp_path, ENTRYPOINT, *argv, "child.csv")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "wrote 12000 rows to child.csv\n", "")
+    assert run_cli(capsys, *argv, str(tmp_path / "main.csv"))[0] == 0
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["range", "--ns", "0", "--freq", "1e12"], 2),
+    (["range", "--ns", "1e-300", "--freq", "1e12"], 3),
+])
+def test_cli_process_error_exit_leaves_stdout_empty(tmp_path, capsys, argv, code):
+    result = _run_child(tmp_path, ENTRYPOINT, *argv)
+    assert (result.returncode, result.stdout, result.stderr) == run_cli(capsys, *argv)
+    assert (result.returncode, result.stdout) == (code, "")
+
+
+def test_cli_process_parse_error_exits_as_argparse_does(tmp_path, capsys):
+    # main() raises SystemExit here, and it propagates through entrypoint
+    result = _run_child(tmp_path, ENTRYPOINT, "range", "--ns", "1")
+    with pytest.raises(SystemExit) as info:
+        main(["range", "--ns", "1"])
+    assert (result.returncode, result.stdout, result.stderr) == (
+        info.value.code, "", capsys.readouterr().err)
+    assert result.returncode == 2
+
+
+@pytest.mark.parametrize("statement, first_line", [
+    ("sys.stdout = None", ""),
+    ("sys.stderr.close()",
+     "noise: P_B = -63.82 dBm -> implied T_eff = 30069.1 K, N_B(1e+12 Hz) = 625.873"),
+])
+def test_cli_process_without_a_stream_exits_0(tmp_path, statement, first_line):
+    result = _run_child(tmp_path, f"import sys\n{statement}\n{ENTRYPOINT}",
+                        "range", "--ns", "1e-2", "--freq", "1e12")
+    assert (result.returncode, result.stdout.split("\n")[0]) == (0, first_line), result.stderr
+
+
+@pytest.mark.parametrize("unbuffered, code", [(False, 120), (True, 1)],
+                         ids=["buffered", "unbuffered"])
+def test_cli_process_into_a_closed_pipe_exits_as_before(tmp_path, unbuffered, code):
+    # Buffered, the output reaches the pipe only at the flush after main():
+    # that fails, and the interpreter's shutdown reports it and exits 120.
+    # Unbuffered, print() raises inside main() and the traceback exits 1.
+    # These are the codes the process had when it always tore down.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_child(tmp_path, ENTRYPOINT, "range", "--ns", "1e-2", "--freq", "1e12",
+                            unbuffered=unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == code, result.stderr
+    assert "BrokenPipeError" in result.stderr
+    if not unbuffered:
+        assert result.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
 
 
 def test_no_command_exits_2(capsys):
@@ -1262,7 +1374,7 @@ def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, caps
     # where the lossless R_free^4 can overflow.
     rng = random.Random(20261019)
     path = tmp_path / "scenario.json"
-    seen = dict.fromkeys(EXIT_CODE_OF_STATUS, 0)
+    seen = dict.fromkeys(["one_mode_fails", *EXIT_CODE_OF_STATUS], 0)
     for draw in range(150):
         at_boundary = draw % 3 == 0
         log_n_s_min = 290.0 if draw % 3 == 1 else math.log10(5e-324)
@@ -1282,9 +1394,8 @@ def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, caps
             n_s = max(10.0 ** rng.uniform(log_n_s_min, 300.0), 5e-324)
             if at_boundary:
                 n_s = near_field_boundary(config, mode, rng) or n_s
-            [(_, _, column)] = [
-                point for point in sweep_range(config, [n_s]) if point[1] is mode
-            ]
+            columns = {m: column for _, m, column in sweep_range(config, [n_s])}
+            column = columns[mode]
             [root], [status] = column
             seen[status] += 1
             code, out, _ = run_cli(capsys, "--config", str(path), "range", "--ns", repr(n_s),
@@ -1293,6 +1404,24 @@ def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, caps
             assert code == EXIT_CODE_OF_STATUS[status], case
             if code:
                 assert out == "", case
+            # without --mode, the first mode that fails decides the exit, and
+            # the message names it and ends in the other mode's outcome
+            both_code, both_out, both_err = run_cli(
+                capsys, "--config", str(path), "range", "--ns", repr(n_s), "--freq", repr(f_hz))
+            failing = [m for m in Illumination if columns[m][1] != ["ok"]]
+            if not failing:
+                assert both_code == 0, case
+            else:
+                first = failing[0]
+                assert both_code == EXIT_CODE_OF_STATUS[columns[first][1][0]], case
+                assert both_out == "", case
+                if status != "out_of_span":
+                    [other] = [m for m in Illumination if m is not first]
+                    [other_root], [other_status] = columns[other]
+                    suffix = (f"; {other.value}: r_max = {other_root:.6g} m)\n"
+                              if other_status == "ok" else f"; {other.value}: ")
+                    seen["one_mode_fails"] += other_status == "ok"
+                    assert f" ({first.value}{suffix}" in both_err, case
             if status == "out_of_span":
                 continue
             chain = range_chain(config, f_hz)
