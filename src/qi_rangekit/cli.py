@@ -54,12 +54,13 @@ point's status.  The file is opened only after every chain is built, so an
 invalid scenario leaves no file; a frequency outside the table span is not
 invalid, and its rows read ``out_of_span``.
 
-Each ``_cmd_*`` handler takes ``(args, config)`` and yields its output
-lines; :func:`main` collects them all and prints them only once the handler
-has finished, so an error exit leaves stdout empty, whichever command
-raised and wherever.  The parser picks the physical constants once:
-``args.constants`` is CODATA under ``--codata``, else TEXTBOOK, and the
-handlers read only that.
+Each subparser names its ``_cmd_*`` handler as ``args.run``, so the
+command list is written once, in :func:`_build_parser`.  A handler takes
+``(args, config)`` and yields its output lines; :func:`main` collects them
+all and prints them only once the handler has finished, so an error exit
+leaves stdout empty, whichever command raised and wherever.  The parser
+picks the physical constants once: ``args.constants`` is CODATA under
+``--codata``, else TEXTBOOK, and the handlers read only that.
 
 Exit codes: 0 success, 2 invalid input, configuration or unwritable output
 path, 3 no detection range exists for the requested scenario.
@@ -138,6 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=float, required=True, help="mean photons per mode")
     p.add_argument("--freq", type=float, required=True, help="frequency [Hz]")
     p.add_argument("--bw", type=float, required=True, help="bandwidth [Hz]")
+    p.set_defaults(run=_cmd_power)
 
     p = sub.add_parser("covariance", help="signal/idler quadrature covariance matrix")
     p.add_argument("--ns", type=float, required=True, help="mean photons per mode")
@@ -145,20 +147,24 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="qi: entangled pair, ci: correlated coherent pair")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the truncated Fock-space oracle and the deviation")
+    p.set_defaults(run=_cmd_covariance)
 
     p = sub.add_parser("ratio", help="classical/quantum correlation ratio C_c/C_q")
     p.add_argument("--ns", type=float, required=True, help="mean photons per mode")
+    p.set_defaults(run=_cmd_ratio)
 
     p = sub.add_parser("atten", help="absorption coefficient lookup and form factor")
     p.add_argument("--freq", type=float, required=True, help="frequency [Hz]")
     p.add_argument("--range-m", type=float, default=None,
                    help="also print the one-way form factor at this range [m]")
+    p.set_defaults(run=_cmd_atten)
 
     p = sub.add_parser("range", help="maximum detection range for the scenario")
     p.add_argument("--ns", type=float, required=True, help="mean photons per mode")
     p.add_argument("--freq", type=float, required=True, help="frequency [Hz]")
     p.add_argument("--mode", choices=("ci", "qi"), default=None,
                    help="transmitter (default: solve and print both)")
+    p.set_defaults(run=_cmd_range)
 
     p = sub.add_parser("sweep", help="write a ratio or range sweep CSV")
     p.add_argument("--figure", type=int, choices=(1, 3), required=True,
@@ -169,6 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"grid points, at most {MAX_SWEEP_POINTS} (default: %(default)s)")
     p.add_argument("--output", metavar="PATH", default=None,
                    help="CSV path (default: figure<N>.csv)")
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("mc", help="Monte Carlo detector-gain experiment")
     p.add_argument("--ns", type=float, required=True, help="mean photons per mode")
@@ -177,6 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000,
                    help=f"draws per hypothesis, at most {MAX_TRIALS} (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_mc)
 
     return parser
 
@@ -370,17 +378,6 @@ def _cmd_mc(args: argparse.Namespace, config: ScenarioConfig) -> Iterator[str]:
     yield f"analytic 1 + 1/N_s = {analytic:.6g}, z = {z:+.3g}"
 
 
-_HANDLERS = {
-    "power": _cmd_power,
-    "covariance": _cmd_covariance,
-    "ratio": _cmd_ratio,
-    "atten": _cmd_atten,
-    "range": _cmd_range,
-    "sweep": _cmd_sweep,
-    "mc": _cmd_mc,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -395,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.command is None:
             parser.error("a command is required (see --help)")
-        lines = list(_HANDLERS[args.command](args, config))
+        lines = list(args.run(args, config))
     except NoDetectionError as exc:
         print(f"no detection: {exc}", file=sys.stderr)
         return EXIT_NO_DETECTION

@@ -1,14 +1,14 @@
 """Scenario configuration: the benchmark parameter set and JSON persistence.
 
 The default :class:`ScenarioConfig` carries the benchmark scenario this
-package reproduces: sigma = 1 m^2, A = 0.5 m^2, B = 1 GHz, tau = 1 s,
-P_B = -63.82 dBm, SNR_min = 10 dB, P_d = 0.7, P_fa = 1e-6, and the
-frequency set {7 GHz, 95 GHz, 1 THz}.  Configs persist as a flat JSON
-object using the field names below; omitted fields fall back to these
-defaults, unknown fields are rejected.  :class:`ScenarioConfig` is the one
-scenario record: it checks the type and the domain of every field, and the
-range chain reads sigma, A, SNR_min and M = round(tau*B) from it directly.
-The range equation's (4*pi)^2 is no setting: :mod:`.range_solver` fixes it.
+package reproduces; its fields and defaults are those of
+``ScenarioConfig._field_defaults``, shown in README as :func:`dump_config`
+writes them.  Configs persist as a flat JSON object of those field names;
+omitted fields fall back to the defaults, unknown fields are rejected.
+:class:`ScenarioConfig` is the one scenario record: it checks the type and
+the domain of every field, and the range chain reads sigma, A, SNR_min and
+M = round(tau*B) from it directly.  The range equation's (4*pi)^2 is no
+setting: :mod:`.range_solver` fixes it.
 
 The table named by ``attenuation_table_path`` is loaded and checked once,
 when the config is built; every range chain takes gamma from it.

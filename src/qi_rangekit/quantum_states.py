@@ -141,24 +141,24 @@ def _tmsv_tail(n_s: float, n_max: int) -> float:
 
 def _poisson_tail(lam: float, n_max: int) -> float:
     """Upper-tail Poisson mass P[N > n_max] for mean ``lam``, non-increasing
-    in ``n_max``.
-
-    Summed from the term next to the cut away from the mean, where the terms
-    only fall: upward from n_max + 1 at or above the mean (no cancellation
-    in the small tails the cutoff rule tests), else downward from n_max as
-    1 - P[N <= n_max].  A first term that underflows counts as 0.
-    """
+    in ``n_max``, summed upward from n_max + 1: at or above the mean the terms
+    only fall, so the small tails the cutoff rule tests carry no cancellation
+    (a first term that underflows counts as 0).  Below the mean it reads 1.0:
+    the true tail is at least 1/2 there, as a Poisson median is at least
+    lam - ln 2 > n_max (Choi, Proc. AMS 121, 245, 1994), so the rule decides
+    the same."""
     if lam == 0.0:
         return 0.0
-    upper = n_max + 1 >= lam
-    k = n_max + 1 if upper else n_max
+    k = n_max + 1
+    if k < lam:
+        return 1.0
     term = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
     total = 0.0
     while term > total * 1e-18 + 1e-300:
         total += term
-        term *= lam / (k + 1) if upper else k / lam
-        k += 1 if upper else -1
-    return total if upper else 1.0 - total
+        k += 1
+        term *= lam / k
+    return total
 
 
 def _smallest_cutoff(n_s: float, tail) -> int:

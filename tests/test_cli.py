@@ -22,6 +22,7 @@ from qi_rangekit import atmosphere, radiometry
 from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS, _build_parser, main
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK
+from qi_rangekit.errors import TableValidationError
 from qi_rangekit.range_solver import Illumination, range_chain, sweep_range
 
 QI_ADVANTAGE_AT_1E2 = 101.0**0.25  # range gain at N_s = 1e-2
@@ -377,6 +378,23 @@ def test_missing_config_table_exits_2_for_every_command(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot read attenuation table {missing}: ")
+
+
+@pytest.mark.parametrize("f_ghz", ["0", "-1", "nan", "inf"])
+def test_table_row_frequency_must_be_positive_and_finite(tmp_path, capsys, f_ghz):
+    # the same check and message as a record, as parsed text and as a config's table
+    message = f"row 2: frequency must be positive and finite, got {float(f_ghz)!r}"
+    with pytest.raises(TableValidationError, match=re.escape(message)):
+        atmosphere.AttenuationTable(rows=((10.0, 0.5), (float(f_ghz), 1.0), (100.0, 8.0)))
+    text = f"frequency_ghz,gamma_db_per_km\n10,0.5\n{f_ghz},1\n100,8\n"
+    with pytest.raises(TableValidationError, match=re.escape(message)):
+        atmosphere.parse_table(text.splitlines())
+    table = tmp_path / "bad.csv"
+    table.write_text(text, encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"attenuation_table_path": str(table)}), encoding="utf-8")
+    assert run_cli(capsys, "--config", str(config), "atten", "--freq", "60e9") == (
+        2, "", f"error: {message}\n")
 
 
 def test_atten_and_range_read_the_config_table(tmp_path, capsys):
@@ -1297,6 +1315,25 @@ def test_cli_process_into_a_closed_pipe_exits_as_before(tmp_path, unbuffered, co
     assert "BrokenPipeError" in result.stderr
     if not unbuffered:
         assert result.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+
+
+COMMANDS = ("power", "covariance", "ratio", "atten", "range", "sweep", "mc")
+
+
+def test_help_and_missing_argument_text_is_pinned(capsys, monkeypatch):
+    # --help, each command's --help, and each command run without its flags;
+    # argparse wraps to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = []
+    for argv in (["--help"], *([c, "--help"] for c in COMMANDS), *([c] for c in COMMANDS)):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert not (out and err)
+        stream = "stdout" if out else "stderr"
+        transcript.append(f"$ qi-rangekit {' '.join(argv)}  # exit {info.value.code}, {stream}\n"
+                          f"{out or err}")
+    assert "".join(transcript) == (GOLDEN / "cli_text.txt").read_text(encoding="utf-8")
 
 
 def test_no_command_exits_2(capsys):

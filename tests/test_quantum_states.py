@@ -209,15 +209,26 @@ def test_coherent_oracle_i_sector_at_large_photon_number():
 
 
 def test_bisected_coherent_cutoff_matches_a_plain_scan():
-    for n_s in np.logspace(-2, 3, 26):
-        tail = partial(_poisson_tail, n_s / 2.0)
-        n_max = 1
-        while tail(n_max) >= TAIL_TOLERANCE:
-            n_max += 1
-        assert _smallest_cutoff(n_s, tail) == n_max
+    # The whole domain, up to the ci CutoffError boundary near N_s 3491.26.
+    # Below the mean the tail reads 1.0 and is not summed; from N_s ~260 the
+    # bisection probes cutoffs there.  A plain scan starts at the first n with
+    # n + 1 >= lam, as every n below it reads 1.0.
+    grid = [0.0, *np.logspace(-300, -3, 8), *np.logspace(-2, math.log10(3491.25), 42)]
+    for n_s in grid:
+        lam = n_s / 2.0
+        tail = partial(_poisson_tail, lam)
+        start = max(1, math.ceil(lam) - 1)
+        assert all(tail(n) == 1.0 for n in range(1, start))
+        tails = [tail(start)]
+        while tails[-1] >= TAIL_TOLERANCE:
+            tails.append(tail(start + len(tails)))
+        assert tails == sorted(tails, reverse=True)
+        assert _smallest_cutoff(n_s, tail) == start + len(tails) - 1
     assert _smallest_cutoff(1000.0, partial(_poisson_tail, 500.0)) == 665  # ci N_s 1000: dim 666
     # far below the mean the first tail term underflows; the tail still reads 1
     assert _poisson_tail(1000.0, 1) == 1.0
+    with pytest.raises(CutoffError):
+        coherent_covariance_oracle(3492.0)
 
 
 def test_bisected_tmsv_cutoff_matches_the_geometric_closed_form():
