@@ -106,13 +106,17 @@ def load_table(path: str | os.PathLike) -> AttenuationTable:
     """Load a table from a CSV file (text in memory goes to :func:`parse_table`).
 
     A relative path is resolved against the working directory; the table's
-    ``source`` and any error name the path as given.
+    ``source`` and any error name the path as given: an unreadable file's
+    message starts ``cannot read attenuation table <path>:``, a malformed or
+    invalid one's ``attenuation table <path>:``.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_table(handle, source=os.fspath(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableParseError(f"cannot read attenuation table {path}: {exc}") from exc
+    except (TableParseError, TableValidationError) as exc:
+        raise type(exc)(f"attenuation table {path}: {exc}") from exc
 
 
 def serialize_table(table: AttenuationTable) -> str:

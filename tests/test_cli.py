@@ -1,6 +1,8 @@
 """CLI contract: commands, exit codes, config plumbing, CSV determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -18,7 +20,7 @@ from bench_scenario import BUNDLED_CSV, sweep_attenuated_config
 from reference_root import reference_root, ulps
 
 import qi_rangekit
-from qi_rangekit import atmosphere, radiometry
+from qi_rangekit import atmosphere, cli, radiometry
 from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS, _build_parser, main
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK
@@ -393,8 +395,33 @@ def test_table_row_frequency_must_be_positive_and_finite(tmp_path, capsys, f_ghz
     table.write_text(text, encoding="utf-8")
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"attenuation_table_path": str(table)}), encoding="utf-8")
+    # the file's message names the table it read
     assert run_cli(capsys, "--config", str(config), "atten", "--freq", "60e9") == (
-        2, "", f"error: {message}\n")
+        2, "", f"error: attenuation table {table}: {message}\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"frequency_ghz,gamma_db_per_km\n10,0.5\n20,x\n",
+     "attenuation table {table}: line 3: unparsable number in '20,x'"),
+    (b"frequency_ghz,gamma_db_per_km\n10,0.5\n\xff,1\n",
+     "cannot read attenuation table {table}: 'utf-8' codec can't decode byte 0xff"),
+], ids=["unparsable", "not_utf8"])
+def test_config_table_that_does_not_parse_names_the_table(tmp_path, capsys, content, message):
+    table = tmp_path / "bad.csv"
+    table.write_bytes(content)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"attenuation_table_path": str(table)}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config), "atten", "--freq", "60e9")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message.format(table=table)}")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(b'{"sigma_m2": \xff}')
+    code, out, err = run_cli(capsys, "--config", str(config), "ratio", "--ns", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config {config}: 'utf-8' codec can't decode")
 
 
 def test_atten_and_range_read_the_config_table(tmp_path, capsys):
@@ -1163,9 +1190,15 @@ def test_commands_import_only_the_modules_they_run(tmp_path, argv):
     # Only the sweep grid loads numpy, which imports inspect and typing
     # itself; every record is a Record, so nothing else needs typing.  Files
     # go through open(): pathlib and importlib.resources cost 2-20 ms more.
-    stdlib = ["dataclasses", "pathlib", "importlib.resources"]
+    # A plain command line is read without argparse, which would load
+    # gettext, locale, shutil, re and enum; only range (its Illumination
+    # enum), --dump-config (json) and sweep (numpy) need re or enum.
+    stdlib = ["dataclasses", "pathlib", "importlib.resources",
+              "argparse", "gettext", "locale", "shutil"]
     if argv[0] != "sweep":
         stdlib += ["numpy", "inspect", "typing"]
+    if argv[0] in ("mc", "covariance", "ratio", "power", "atten"):
+        stdlib += ["re", "enum"]
     unused = UNUSED_MODULES.get(argv[0], [
         "qi_rangekit.range_solver", "qi_rangekit.atmosphere", "qi_rangekit.link_budget", "json",
     ])
@@ -1179,6 +1212,14 @@ def test_module_probe_sees_dataclasses(tmp_path):
     assert _loaded_after(tmp_path, statement, ["numpy", "dataclasses", "inspect"]) == [
         "dataclasses", "inspect",
     ]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["range", "--ns", "1"]], ids=["help", "error"])
+def test_help_and_parse_errors_load_argparse(tmp_path, argv):
+    # positive control for the probe above: argparse reads these
+    statement = ("from qi_rangekit.cli import main\n"
+                 f"try:\n    main({argv!r})\nexcept SystemExit:\n    pass")
+    assert _loaded_after(tmp_path, statement, ["argparse", "shutil"]) == ["argparse", "shutil"]
 
 
 def test_module_probe_sees_pathlib(tmp_path):
@@ -1334,6 +1375,109 @@ def test_help_and_missing_argument_text_is_pinned(capsys, monkeypatch):
         transcript.append(f"$ qi-rangekit {' '.join(argv)}  # exit {info.value.code}, {stream}\n"
                           f"{out or err}")
     assert "".join(transcript) == (GOLDEN / "cli_text.txt").read_text(encoding="utf-8")
+
+
+# Values of each kind that the plain form admits, as words; a random float
+# is added to each line's draw.
+FLOAT_WORDS = ["0", "1", "0.5", "1e-3", "7e9", "1E+12", "1e-310", "1e400", "inf", "nan",
+               "Infinity", "NaN", "1_000", " 3 "]
+INT_WORDS = ["0", "1", "3", "25", "1000000", "007", "1_000", " 5 "]
+PATH_WORDS = ["cfg.json", "out/fig.csv", "-", "", "range", "mc", "a b.csv", "x=y", "é.json"]
+PERTURBATIONS = ("abbreviated", "equals", "dash_value", "repeated", "unknown", "missing",
+                 "invalid", "trailing", "double_dash", "help", "version", "dump_config_bare",
+                 "dump_config_dash")
+
+
+def _plain_line(rng, kind):
+    """A plain command line of ``kind``, a command or "--dump-config" alone,
+    as items (a flag with its value, or the command word) in random order,
+    and the flags its command requires."""
+
+    def item(flag, kwargs):
+        if kwargs.get("action") in ("store_true", "store_const"):
+            return [flag]
+        if "choices" in kwargs:
+            return [flag, str(rng.choice(kwargs["choices"]))]
+        if kwargs.get("type") is float:
+            return [flag, rng.choice([*FLOAT_WORDS, repr(10.0 ** rng.uniform(-300, 300))])]
+        if kwargs.get("type") is int:
+            return [flag, rng.choice([*INT_WORDS, str(rng.randrange(10**9))])]
+        return [flag, rng.choice(PATH_WORDS)]
+
+    head = [item(flag, kwargs) for flag, kwargs in cli._GLOBAL_OPTIONS
+            if flag == kind or rng.random() < 0.5]
+    rng.shuffle(head)
+    if kind not in cli._COMMANDS:
+        return head, set()
+    _, _, options = cli._COMMANDS[kind]
+    tail = [item(flag, kwargs) for flag, kwargs in options
+            if kwargs.get("required") or rng.random() < 0.5]
+    rng.shuffle(tail)
+    return head + [[kind]] + tail, {flag for flag, kwargs in options if kwargs.get("required")}
+
+
+def _perturb(rng, kind, items, required):
+    """``items`` with one perturbation of ``kind`` (see PERTURBATIONS)."""
+    items = [list(item) for item in items]
+    flags = [item for item in items if item[0].startswith("--")]
+    valued = [item for item in flags if len(item) == 2]
+    head = next((i for i, item in enumerate(items) if not item[0].startswith("--")), len(items))
+    if kind == "abbreviated":
+        item = rng.choice(flags)
+        item[0] = item[0][:rng.randrange(3, len(item[0]))]
+    elif kind == "equals":
+        item = rng.choice(valued)
+        item[:] = [f"{item[0]}={item[1]}"]
+    elif kind == "dash_value":
+        item = rng.choice(valued)
+        item[1] = rng.choice(["-1", "-inf", "-x", "--x", "-" + item[1]])
+    elif kind == "repeated":
+        item = rng.choice(flags)
+        items.insert(items.index(item) + 1, list(item))
+    elif kind == "unknown":
+        items.insert(rng.randrange(len(items) + 1), [rng.choice(["--bogus", "-x", "--ns-mid"])])
+    elif kind == "missing":
+        items.remove(rng.choice([item for item in flags if item[0] in required] or flags))
+    elif kind == "invalid":
+        rng.choice(valued)[1] = rng.choice(["abc", "1e", "zz", "1.5", "2"])
+    elif kind == "trailing":
+        items.append([rng.choice(["extra", "range", "1"])])
+    elif kind in ("double_dash", "help", "version"):
+        word = {"double_dash": "--", "help": rng.choice(["-h", "--help"]), "version": "--version"}
+        items.insert(rng.randrange(len(items) + 1), [word[kind]])
+    else:  # --dump-config before the command, or last, with no value or with "-"
+        value = [] if kind == "dump_config_bare" else ["-"]
+        items.insert(rng.choice([head, len(items)]), ["--dump-config", *value])
+    return items
+
+
+def test_plain_reader_reads_what_argparse_reads():
+    # main reads a plain command line without argparse and leaves every other
+    # one, and every one argparse refuses, to argparse: the reader gives
+    # argparse's values or None, and None wherever argparse exits
+    rng = random.Random(2039)
+    parser = _build_parser()
+    kinds = [*cli._COMMANDS, "--dump-config"]
+    refused = 0
+    for n in range(2200):
+        items, required = _plain_line(rng, kinds[n % len(kinds)])
+        perturbed = _perturb(rng, PERTURBATIONS[n % len(PERTURBATIONS)], items, required)
+        for words, plain in ((items, True), (perturbed, False)):
+            argv = [word for item in words for word in item]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    expected = vars(parser.parse_args(argv))
+                except SystemExit:
+                    expected = None
+            got = cli._plain_args(argv)
+            if got is None:
+                assert not plain, argv
+                refused += expected is None
+            else:
+                assert expected is not None, argv
+                assert repr(sorted(vars(got).items())) == repr(sorted(expected.items())), argv
+    assert refused > 1000
 
 
 def test_no_command_exits_2(capsys):
