@@ -20,7 +20,7 @@ import os
 from bisect import bisect_right
 
 from ._record import Record
-from .errors import FrequencySpanError, TableParseError, TableValidationError
+from .errors import FrequencySpanError, TableParseError, TableValidationError, _read_file
 from .radiometry import _require_non_negative, _require_positive
 
 # true for static checkers only: the annotations' names cost no import
@@ -73,18 +73,17 @@ def parse_table(lines: Iterable[str], source: str = "") -> AttenuationTable:
     Expects the exact header ``frequency_ghz,gamma_db_per_km``; lines
     starting with ``#`` and blank lines are ignored.
     """
-    rows: list[tuple[float, float]] = []
-    header_seen = False
+    rows: list[tuple[float, float]] | None = None  # a list from the header on
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if not header_seen:
+        if rows is None:
             if line != CSV_HEADER:
                 raise TableParseError(
                     f"line {lineno}: expected header {CSV_HEADER!r}, got {line!r}"
                 )
-            header_seen = True
+            rows = []
             continue
         parts = line.split(",")
         if len(parts) != 2:
@@ -92,12 +91,10 @@ def parse_table(lines: Iterable[str], source: str = "") -> AttenuationTable:
                 f"line {lineno}: expected 2 comma-separated fields, got {line!r}"
             )
         try:
-            f_ghz = float(parts[0])
-            gamma = float(parts[1])
+            rows.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise TableParseError(f"line {lineno}: unparsable number in {line!r}") from exc
-        rows.append((f_ghz, gamma))
-    if not header_seen:
+    if rows is None:
         raise TableParseError("empty input: missing header line")
     return AttenuationTable(rows=tuple(rows), source=source)
 
@@ -110,13 +107,14 @@ def load_table(path: str | os.PathLike) -> AttenuationTable:
     message starts ``cannot read attenuation table <path>:``, a malformed or
     invalid one's ``attenuation table <path>:``.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return parse_table(handle, source=os.fspath(path))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TableParseError(f"cannot read attenuation table {path}: {exc}") from exc
-    except (TableParseError, TableValidationError) as exc:
-        raise type(exc)(f"attenuation table {path}: {exc}") from exc
+    return _read_table(path, os.fspath(path))
+
+
+def _read_table(path: str | os.PathLike, source: str) -> AttenuationTable:
+    # the file's lines as its handle yields them, so error line numbers are
+    # the file's own
+    return _read_file(path, "attenuation table", lambda lines: parse_table(lines, source),
+                      TableParseError, TableValidationError)
 
 
 def serialize_table(table: AttenuationTable) -> str:
@@ -130,10 +128,11 @@ def serialize_table(table: AttenuationTable) -> str:
 
 
 def bundled_table() -> AttenuationTable:
-    """The packaged sea-level gaseous-attenuation reference table, read by
-    :func:`load_table` from the data file beside this module."""
+    """The packaged sea-level gaseous-attenuation reference table, read as
+    :func:`load_table` reads a file from the data file beside this module,
+    and built and checked once."""
     path = os.path.join(os.path.dirname(__file__), "data", _BUNDLED_NAME)
-    return load_table(path).replace(source=f"bundled:{_BUNDLED_NAME}")
+    return _read_table(path, f"bundled:{_BUNDLED_NAME}")
 
 
 def gamma_at(table: AttenuationTable, f_hz: float) -> float:
@@ -152,12 +151,10 @@ def gamma_at(table: AttenuationTable, f_hz: float) -> float:
         )
     # first knot above f_ghz; (f_ghz, inf) sorts after a knot at f_ghz itself
     idx = bisect_right(table.rows, (f_ghz, math.inf))
-    if idx == len(table.rows):  # exactly the last knot
-        return table.rows[-1][1]
     f0, g0 = table.rows[idx - 1]
-    f1, g1 = table.rows[idx]
-    if f_ghz == f0:
+    if f_ghz == f0:  # a knot, the last one included
         return g0
+    f1, g1 = table.rows[idx]
     t = (math.log(f_ghz) - math.log(f0)) / (math.log(f1) - math.log(f0))
     if g0 > 0.0 and g1 > 0.0:
         return math.exp((1.0 - t) * math.log(g0) + t * math.log(g1))

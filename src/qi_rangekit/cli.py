@@ -17,16 +17,15 @@ which imports ``inspect``, nor ``typing``, which only ``sweep`` loads
 (through numpy): every record is a slotted ``_record.Record``, and names
 that only annotations use are imported under ``TYPE_CHECKING = False``.
 Nor does any command load the standard library's path objects
-(``Path``) or package resources (``resources.files``): files are opened with
-``open()`` on the path as given, which messages print.  Under ``python -S``
-that spared ``range`` about 8 ms of 52-82 ms and bundled ``atten`` 10-20 ms
-of 59-88 ms (2-vCPU host); a site hook that imports those modules hides
-this, so the tests' import probe runs its children with ``-S``.
+(``Path``) or package resources (``resources.files``): every file is opened
+with ``open()`` on the path as given, by the one reader and the one writer
+in :mod:`.errors`, and its errors print that path.  A site hook that imports
+those modules would hide their cost, so the tests' import probe runs its
+children with ``-S``.
 Only the ``sweep`` grid uses numpy, and it imports it inside the handler, so
 that every other command (``mc`` included) and ``--dump-config`` start
 without it.  No command calls BLAS, yet loading numpy starts OpenBLAS's
-thread pool, one thread per CPU by default (``import numpy`` took 139 ms
-with two threads and 85 ms with one on a 2-vCPU host).  So
+thread pool, one thread per CPU by default, which no command uses.  So
 :func:`entrypoint`, which owns the process, sets ``OPENBLAS_NUM_THREADS=1``
 before any command runs, overriding any value it inherited, for its own
 process only; :func:`main` and the library calls leave the caller's
@@ -34,11 +33,7 @@ environment alone.
 The process ends without the interpreter's teardown: once :func:`main` has
 returned, :func:`entrypoint` flushes ``sys.stdout`` and ``sys.stderr`` and
 calls ``os._exit`` with main's exit code, so no module is freed, no last
-garbage collection runs and numpy is not torn down.  Medians of 15
-interleaved child processes (2-vCPU host, from source) went 76.3 -> 66.5 ms
-for ``mc`` at 1e6 trials, 69.5 -> 57.2 ms for ``covariance --ns 20 --mode
-qi --oracle``, 241 -> 212 ms for a 250-point sweep through the bundled table
-and 247 -> 236 ms for a 10 000-point lossless one.  Every file a command
+garbage collection runs and numpy is not torn down.  Every file a command
 writes is closed before main returns, and no ``atexit`` handler (such as
 ``logging.shutdown`` or a subprocess coverage hook) runs in this process:
 such handlers run only for library callers of :func:`main`.  A
@@ -60,13 +55,9 @@ command with its help and its ``_cmd_*`` handler, which :func:`main` calls
 as ``args.run``.  :func:`_plain_args` reads the plain form, which it
 defines, from that table, so such a command line starts without
 ``argparse`` and the ``gettext``, ``locale`` and ``shutil`` it loads, and
-every scalar command but ``range`` also without ``re`` and ``enum``.  Under
-``python -S``, byte-compiled (child CPU, medians of 15 alternating pairs,
-2-vCPU host), ``--dump-config -`` went 22.6 -> 16.0 ms, ``range``
-22.6 -> 14.6 ms, ``mc`` 26.3 -> 14.0 ms and ``covariance --oracle``
-23.3 -> 13.4 ms.  Every other command line
-goes to :func:`_build_parser`, which builds argparse from the same table,
-so help and error text are argparse's own, unchanged.
+every scalar command but ``range`` also without ``re`` and ``enum``.  Every
+other command line goes to :func:`_build_parser`, which builds argparse from
+the same table, so help and error text are argparse's own, unchanged.
 
 A handler takes ``(args, config)`` and yields its output lines;
 :func:`main` collects them all and prints them only once the handler has
@@ -90,7 +81,7 @@ from types import SimpleNamespace
 from . import __version__, radiometry
 from .config import ScenarioConfig, dump_config, load_config
 from .constants import CODATA, TEXTBOOK
-from .errors import NoDetectionError, RangeKitError
+from .errors import NoDetectionError, RangeKitError, _write_file
 
 # true for static checkers only: the annotations' names cost no import
 TYPE_CHECKING = False
@@ -116,15 +107,6 @@ MAX_TRIALS = 10**9
 # small launcher process, peaks at 73.9 MB max RSS (28.4 MB at 5 points) and
 # takes 1.0-1.5 s (2-vCPU Intel Xeon with AVX-512, Python 3.11.7, numpy 2.4.6).
 MAX_SWEEP_POINTS = 10**5
-
-
-def _write_text(path: str, chunks: Iterable[str]) -> None:
-    """Write the strings of ``chunks`` to ``path``, one ``write`` each."""
-    try:
-        with open(path, "w", encoding="utf-8") as stream:
-            stream.writelines(chunks)
-    except OSError as exc:
-        raise RangeKitError(f"cannot write {path}: {exc}") from exc
 
 
 def _format_matrix(matrix: Matrix) -> str:
@@ -281,7 +263,7 @@ def _cmd_sweep(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
         rows = len(grid) * len(Illumination) * len(config.frequencies_hz)
         chunks = _range_csv(grid, columns)
 
-    _write_text(path, chunks)
+    _write_file(path, chunks)
     yield f"wrote {rows} rows to {path}"
 
 
@@ -454,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.dump_config == "-":
                 sys.stdout.write(text)
             else:
-                _write_text(args.dump_config, (text,))
+                _write_file(args.dump_config, (text,))
             return EXIT_OK
         if args.command is None:
             _build_parser().error("a command is required (see --help)")
@@ -477,7 +459,7 @@ def entrypoint() -> None:
     code = main()
     # The process ends here without interpreter teardown (module and numpy
     # cleanup, a last GC pass), so nothing may wait for it: every file a
-    # command writes must be closed before main() returns (_write_text's
+    # command writes must be closed before main() returns (_write_file's
     # ``with``), and no atexit handler runs.  Only the standard streams are
     # left to flush.  If that fails (a closed pipe, a closed stream), the
     # interpreter's own shutdown retries and reports it as it always has.

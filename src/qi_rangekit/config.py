@@ -27,7 +27,7 @@ import sys
 from . import radiometry
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _read_file
 from .radiometry import _require_positive
 
 _NUMBER_FIELDS = (
@@ -178,10 +178,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str | os.PathLike) -> ScenarioConfig:
-    """Read a config file; an error names the path as given."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    """Read a config file.  A :class:`ConfigError` names the path as given,
+    ``config <path>: …`` (``cannot read config <path>: …`` where the file
+    cannot be read); the error of a table the config names is the table's."""
+    return _read_file(path, "config", lambda handle: parse_config(handle.read()), ConfigError)

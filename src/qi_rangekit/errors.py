@@ -1,10 +1,25 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one reader and one
+writer of files.
 
 Everything derives from :class:`RangeKitError` so callers (notably the CLI)
-can map any package failure to a stable exit code in one place.
+can map any package failure to a stable exit code in one place.  Every file
+the package opens goes through :func:`_read_file` or :func:`_write_file`, so
+each file error names the path as given, in one of three forms:
+``cannot read <kind> <path>: <reason>`` for a file that cannot be opened or
+decoded as UTF-8, ``<kind> <path>: <message>`` for one whose contents are
+malformed or invalid, and ``cannot write <path>: <reason>`` for an output.
 """
 
 from __future__ import annotations
+
+# true for static checkers only: the annotations' names cost no import
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
+    from os import PathLike
+    from typing import TextIO, TypeVar
+
+    T = TypeVar("T")
 
 
 class RangeKitError(Exception):
@@ -62,3 +77,30 @@ class NoDetectionError(RangeKitError):
 
 class ConfigError(RangeKitError, ValueError):
     """A scenario configuration file could not be loaded or validated."""
+
+
+def _read_file(path: str | PathLike, kind: str, parse: Callable[[TextIO], T],
+               *errors: type[RangeKitError]) -> T:
+    """``parse`` of the open UTF-8 file at ``path``, a ``<kind>`` file.  An
+    ``OSError``, or a ``UnicodeDecodeError`` also where ``parse`` iterates
+    the lines, raises the first of ``errors`` as ``cannot read <kind> <path>:
+    …``; one of ``errors`` from ``parse`` is raised again as its own type,
+    prefixed ``<kind> <path>: ``.  Any other error, such as that of a table a
+    config names, passes as it is."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise errors[0](f"cannot read {kind} {path}: {exc}") from exc
+    except errors as exc:
+        raise type(exc)(f"{kind} {path}: {exc}") from exc
+
+
+def _write_file(path: str, chunks: Iterable[str]) -> None:
+    """Write the strings of ``chunks`` to ``path`` as UTF-8, one ``write``
+    each; an ``OSError`` raises ``cannot write <path>: …``."""
+    try:
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
+    except OSError as exc:
+        raise RangeKitError(f"cannot write {path}: {exc}") from exc

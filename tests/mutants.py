@@ -1,0 +1,160 @@
+"""Mutation check over the package's decision lines.
+
+Usage, from the checkout root::
+
+    python tests/mutants.py
+
+Each mutant changes one token of one function of ``src/qi_rangekit``: ``ast``
+finds the function, the mutant's text must occur exactly once in it, and the
+changed module must differ from the original in exactly one token.  Every
+mutant is applied alone to a copy of the package in a temporary directory,
+and the tier-1 test files it names run against that copy (``PYTHONPATH``),
+stopping at the first failure.  A mutant is killed when a test fails; the
+script prints, per mutant, the first test that failed and the seconds taken,
+and exits 1 if any mutant survives or cannot be applied.  The same test
+files first run against an unchanged copy, and must pass there.
+
+Only the standard library is used; pytest runs in a child process.  CI runs
+this script as its own step, apart from the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+import tokenize
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "qi_rangekit"
+
+SOLVER = ("tests/test_range_solver.py",)
+FILES = ("tests/test_config.py", "tests/test_atmosphere.py", "tests/test_cli.py")
+
+# name: (module, function, text, mutated text, test files)
+MUTANTS = {
+    # the status ladder of RangeChain.solutions
+    "solutions_near_zero_le": (
+        "range_solver", "RangeChain.solutions",
+        "if root < near_zero:", "if root <= near_zero:", SOLVER),
+    "solutions_near_field_ge": (
+        "range_solver", "RangeChain.solutions",
+        "elif snr_min * n_b > pulse_count * photons:",
+        "elif snr_min * n_b >= pulse_count * photons:", SOLVER),
+    "solutions_overflow_status_ne": (
+        "range_solver", "RangeChain.solutions",
+        "elif root == inf:", "elif root != inf:", SOLVER),
+    # the lossless arrangement of an overflowing R_free^4 where there is
+    # absorption, and the quotient of fourth roots where there is none
+    "solutions_overflow_arrangements_swapped": (
+        "range_solver", "RangeChain.solutions",
+        "elif half_a > 0.0:", "elif half_a <= 0.0:", SOLVER),
+    "solutions_attenuates_only_finite_roots": (
+        "range_solver", "RangeChain.solutions",
+        "if half_a > 0.0 and root != inf:", "if half_a > 0.0 and root == inf:", SOLVER),
+    "extra_photons_qi_zero": (
+        "range_solver", "Illumination.extra_photons",
+        "return 1.0 if", "return 0.0 if", SOLVER),
+    # the reader's two except branches and the writer's one
+    "read_misses_oserror": (
+        "errors", "_read_file",
+        "except (OSError, UnicodeDecodeError)", "except (EOFError, UnicodeDecodeError)", FILES),
+    "read_misses_decode_error": (
+        "errors", "_read_file",
+        "except (OSError, UnicodeDecodeError)", "except (OSError, EOFError)", FILES),
+    "read_drops_the_path_prefix": (
+        "errors", "_read_file",
+        "except errors as exc:", "except OSError as exc:", FILES),
+    "write_misses_oserror": (
+        "errors", "_write_file",
+        "except OSError as exc:", "except EOFError as exc:", ("tests/test_cli.py",)),
+}
+
+# Equivalent mutants, not run: no test can kill them.
+# - RangeChain.solutions, "if half_a > 0.0 and root != inf:" with ">=": a
+#   lossless chain (half_a == 0) then calls _attenuated_root(0.0, r_free),
+#   where x = 0 is below the normal floats, so it returns r_free unchanged.
+
+
+def function_lines(source: str, qualname: str) -> tuple[int, int]:
+    """The (start, end) character offsets in ``source`` of the lines of the
+    function or property ``qualname`` (``Class.method`` or ``function``)."""
+    body, node = ast.parse(source).body, None
+    for name in qualname.split("."):
+        [node] = [n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                  and n.name == name]
+        body = node.body
+    lines = source.splitlines(keepends=True)
+    return sum(map(len, lines[:node.lineno - 1])), sum(map(len, lines[:node.end_lineno]))
+
+
+def tokens(source: str) -> list[str]:
+    return [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)]
+
+
+def mutate(source: str, qualname: str, text: str, mutated: str) -> str:
+    start, end = function_lines(source, qualname)
+    body = source[start:end]
+    if body.count(text) != 1:
+        raise ValueError(f"{text!r} occurs {body.count(text)} times in {qualname}")
+    changed = source[:start] + body.replace(text, mutated) + source[end:]
+    before, after = tokens(source), tokens(changed)
+    if len(before) != len(after) or sum(a != b for a, b in zip(before, after)) != 1:
+        raise ValueError(f"{text!r} -> {mutated!r} is not a single-token change")
+    return changed
+
+
+def run_tests(package: Path, files: tuple[str, ...]) -> tuple[int, str]:
+    """(pytest's exit code, the first failing or erroring test or '') for
+    ``files`` run against the package copy under ``package``."""
+    env = dict(os.environ, PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *files],
+        cwd=REPO, env=env, capture_output=True, text=True)
+    first = re.search(r"^(?:FAILED|ERROR) (\S+)", result.stdout, flags=re.MULTILINE)
+    return result.returncode, first.group(1) if first else ""
+
+
+def main() -> int:
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src" / "qi_rangekit"
+        shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        files = tuple(sorted({f for *_, fs in MUTANTS.values() for f in fs}))
+        code, first = run_tests(copy, files)
+        if code != 0:
+            print(f"the unchanged package fails {first or files}", file=sys.stderr)
+            return 1
+        for name, (module, qualname, text, mutated, test_files) in MUTANTS.items():
+            path = copy / f"{module}.py"
+            original = path.read_text(encoding="utf-8")
+            try:
+                path.write_text(mutate(original, qualname, text, mutated), encoding="utf-8")
+            except ValueError as exc:
+                print(f"{name}: cannot apply: {exc}")
+                survivors.append(name)
+                continue
+            started = time.perf_counter()
+            try:
+                code, first = run_tests(copy, test_files)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            seconds = time.perf_counter() - started
+            if code == 0:
+                print(f"{name}: SURVIVED ({seconds:.1f} s)")
+                survivors.append(name)
+            else:
+                print(f"{name}: killed by {first or f'pytest exit {code}'} ({seconds:.1f} s)")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -91,6 +91,18 @@ def test_load_table_reads_a_str_or_a_path_alike(tmp_path):
         SAMPLE_CSV.splitlines(), source=str(path))
 
 
+def test_load_table_numbers_the_lines_as_the_file_does(tmp_path):
+    # str.splitlines would also split the comment at \x1c and \u2028 and
+    # call the bad row line 6
+    path = tmp_path / "t.csv"
+    path.write_text("# a\x1cb\u2028c\nfrequency_ghz,gamma_db_per_km\n10,0.5\n20,x\n",
+                    encoding="utf-8")
+    message = f"attenuation table {path}: line 4: unparsable number in '20,x'"
+    with pytest.raises(TableParseError) as info:
+        load_table(path)
+    assert str(info.value) == message
+
+
 def test_too_few_rows_rejected():
     with pytest.raises(TableValidationError):
         parse_table(["frequency_ghz,gamma_db_per_km", "10,1"])
@@ -191,3 +203,11 @@ def test_bundled_table_is_the_data_file_beside_the_module_read_by_load_table():
     table = bundled_table()
     assert table.rows == load_table(path).rows
     assert table.source == "bundled:gaseous_attenuation_sea_level.csv"
+
+
+def test_bundled_table_is_checked_once(monkeypatch):
+    checks = []
+    check = AttenuationTable._check
+    monkeypatch.setattr(AttenuationTable, "_check", lambda self: checks.append(check(self)))
+    bundled_table()
+    assert len(checks) == 1

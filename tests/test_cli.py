@@ -400,28 +400,69 @@ def test_table_row_frequency_must_be_positive_and_finite(tmp_path, capsys, f_ghz
         2, "", f"error: attenuation table {table}: {message}\n")
 
 
-@pytest.mark.parametrize("content, message", [
-    (b"frequency_ghz,gamma_db_per_km\n10,0.5\n20,x\n",
-     "attenuation table {table}: line 3: unparsable number in '20,x'"),
-    (b"frequency_ghz,gamma_db_per_km\n10,0.5\n\xff,1\n",
+# Every file error exits 2 with empty stdout and one stderr line that names
+# the file: "cannot read <kind> <path>: <reason>", "<kind> <path>: <message>"
+# or "cannot write <path>: <reason>".  Each case is (config file contents,
+# table file contents, argv, the start of stderr); "{config}", "{table}",
+# "{dir}" and "{absent}" stand for a config, a table, a directory and a path
+# in a missing directory under tmp_path, and a file whose contents are None
+# is not written.  An OS reason is not pinned.
+@pytest.mark.parametrize("config, table, argv, message", [
+    (None, None, ["--config", "{config}", "ratio", "--ns", "1"],
+     "cannot read config {config}: [Errno 2] "),
+    (None, None, ["--config", "{dir}", "ratio", "--ns", "1"], "cannot read config {dir}: "),
+    (b'{"sigma_m2": \xff}', None, ["--config", "{config}", "ratio", "--ns", "1"],
+     "cannot read config {config}: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"sigma_m2": x}', None, ["--config", "{config}", "ratio", "--ns", "1"],
+     "config {config}: config is not valid JSON: Expecting value: line 1 column 14 (char 13)\n"),
+    (b"[1]", None, ["--config", "{config}", "ratio", "--ns", "1"],
+     "config {config}: config must be a JSON object\n"),
+    (b'{"sigma": 1}', None, ["--config", "{config}", "ratio", "--ns", "1"],
+     "config {config}: unknown config fields: ['sigma']\n"),
+    (b'{"sigma_m2": -1}', None, ["--config", "{config}", "ratio", "--ns", "1"],
+     "config {config}: sigma_m2 must be positive and finite, got -1.0\n"),
+    (b'{"frequencies_hz": []}', None, ["--config", "{config}", "ratio", "--ns", "1"],
+     "config {config}: frequencies_hz must not be empty\n"),
+    # a table's message names the table alone, not the config that names it
+    (b'{"attenuation_table_path": "{table}"}', b"frequency_ghz,gamma_db_per_km\n10,0.5\n",
+     ["--config", "{config}", "ratio", "--ns", "1"],
+     "attenuation table {table}: attenuation table needs at least 2 rows, got 1\n"),
+    (b'{"attenuation_table_path": "{table}"}',
+     b"frequency_ghz,gamma_db_per_km\n10,0.5\n20,x\n",
+     ["--config", "{config}", "ratio", "--ns", "1"],
+     "attenuation table {table}: line 3: unparsable number in '20,x'\n"),
+    (b'{"attenuation_table_path": "{table}"}',
+     b"frequency_ghz,gamma_db_per_km\n10,0.5\n\xff,1\n",
+     ["--config", "{config}", "atten", "--freq", "60e9"],
      "cannot read attenuation table {table}: 'utf-8' codec can't decode byte 0xff"),
-], ids=["unparsable", "not_utf8"])
-def test_config_table_that_does_not_parse_names_the_table(tmp_path, capsys, content, message):
-    table = tmp_path / "bad.csv"
-    table.write_bytes(content)
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"attenuation_table_path": str(table)}), encoding="utf-8")
-    code, out, err = run_cli(capsys, "--config", str(config), "atten", "--freq", "60e9")
+    (None, None, ["sweep", "--figure", "3", "--points", "5", "--output", "{dir}"],
+     "cannot write {dir}: "),
+    (None, None, ["sweep", "--figure", "3", "--points", "5", "--output", "{absent}"],
+     "cannot write {absent}: "),
+    (None, None, ["--dump-config", "{dir}"], "cannot write {dir}: "),
+    (None, None, ["--dump-config", "{absent}"], "cannot write {absent}: "),
+], ids=["config_missing", "config_directory", "config_not_utf8", "config_not_json",
+        "config_not_object", "config_unknown_field", "config_negative_sigma",
+        "config_no_frequencies", "table_one_row", "table_unparsable", "table_not_utf8",
+        "sweep_output_directory", "sweep_output_in_missing_directory", "dump_config_directory",
+        "dump_config_in_missing_directory"])
+def test_file_errors_exit_2_naming_the_file(tmp_path, capsys, monkeypatch, config, table,
+                                            argv, message):
+    monkeypatch.chdir(tmp_path)  # so that no output lands anywhere else
+    paths = {"config": tmp_path / "cfg.json", "table": tmp_path / "t.csv", "dir": tmp_path / "d",
+             "absent": tmp_path / "missing-dir" / "x.out"}
+    paths["dir"].mkdir()
+    if table is not None:
+        paths["table"].write_bytes(table)
+    if config is not None:
+        # the table path as a JSON string
+        paths["config"].write_bytes(config.replace(
+            b'"{table}"', json.dumps(str(paths["table"])).encode()))
+    argv = [word.format(**paths) for word in argv]
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {message.format(table=table)}")
-
-
-def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
-    config = tmp_path / "cfg.json"
-    config.write_bytes(b'{"sigma_m2": \xff}')
-    code, out, err = run_cli(capsys, "--config", str(config), "ratio", "--ns", "1")
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot read config {config}: 'utf-8' codec can't decode")
+    assert err.startswith("error: " + message.format(**paths))
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_atten_and_range_read_the_config_table(tmp_path, capsys):
@@ -789,14 +830,6 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert dump_config(load_config(dumped)) == dumped.read_text(encoding="utf-8")
 
 
-def test_dump_config_to_unwritable_path_exits_2(tmp_path, capsys):
-    target = tmp_path / "missing-dir" / "x.json"
-    code, out, err = run_cli(capsys, "--dump-config", str(target))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: cannot write {target}: ")
-
-
 def test_sweep_figure1(tmp_path, capsys):
     out_csv = tmp_path / "fig1.csv"
     code, out, _ = run_cli(
@@ -839,15 +872,6 @@ def test_sweep_outputs_are_byte_identical(tmp_path, capsys):
         run_cli(capsys, "sweep", "--figure", figure, "--output", str(first))
         run_cli(capsys, "sweep", "--figure", figure, "--output", str(second))
         assert first.read_bytes() == second.read_bytes()
-
-
-def test_sweep_to_unwritable_path_exits_2(tmp_path, capsys):
-    target = tmp_path / "missing-dir" / "x.csv"
-    code, out, err = run_cli(capsys, "sweep", "--figure", "3", "--points", "5",
-                             "--output", str(target))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: cannot write {target}: ")
 
 
 # One failing argv per subcommand.  ``main`` prints a command's lines only

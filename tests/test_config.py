@@ -198,6 +198,27 @@ def test_integers_too_large_for_a_float_rejected(text, field):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"sigma_m2": x}', "config is not valid JSON: Expecting value: line 1 column 14 (char 13)"),
+    ("[1]", "config must be a JSON object"),
+    ('{"sigma": 1}', "unknown config fields: ['sigma']"),
+    ('{"sigma_m2": -1}', "sigma_m2 must be positive and finite, got -1.0"),
+    ('{"frequencies_hz": []}', "frequencies_hz must not be empty"),
+], ids=["not_json", "not_object", "unknown_field", "negative_sigma", "no_frequencies"])
+def test_a_config_file_error_names_the_file(tmp_path, text, message):
+    # text in memory keeps its message; the same text read from a file gains
+    # the file's path, as the path was given
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    for given in (path, str(path)):
+        with pytest.raises(ConfigError) as info:
+            load_config(given)
+        assert str(info.value) == f"config {path}: {message}"
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")

@@ -123,3 +123,34 @@ def test_a_local_named_like_a_method_is_not_a_caller():
         "def _f(c):\n    return c.used(), c.size\n"
     )
     assert unreferenced({"m": source}) == ([], ["m.C.threshold"])
+
+
+def modules_opening_files(sources: dict[str, str]) -> list[str]:
+    """The modules in ``sources`` whose code calls ``open`` (the builtin, or
+    any ``x.open``, such as ``os.open`` or ``io.open``)."""
+    return sorted(
+        module for module, source in sources.items()
+        if any(
+            isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "open"
+            )
+            for node in ast.walk(ast.parse(source))
+        )
+    )
+
+
+def test_one_module_opens_every_file():
+    # errors holds the package's one reader and one writer, so every file
+    # error names its path the same way
+    assert modules_opening_files(package_sources()) == ["errors"]
+
+
+def test_an_open_call_is_seen_wherever_it_is():
+    # positive control for the scan above: a call, not a mention
+    sources = {
+        "a": "def f(p):\n    with open(p) as h:\n        return h.read()\n",
+        "b": "import io\n\n\ndef g(p):\n    return io.open(p, 'w')\n",
+        "c": '"""Files go through open()."""\n# open(p) is not called here\nopened = 1\n',
+    }
+    assert modules_opening_files(sources) == ["a", "b"]

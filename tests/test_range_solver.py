@@ -775,6 +775,23 @@ def test_r_free_beyond_the_float_range_is_overflow_not_nan(mode):
     assert chain.solutions([1e308], mode) == ([math.inf], ["overflow"])
 
 
+@pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
+def test_a_root_on_a_status_boundary_is_ok(mode):
+    # no_detection is a root below 1 um and near_field is eta > 1, so a root
+    # of exactly 1 um, and one where eta is exactly 1, are ok; photons is
+    # N_s + extra = 1 + extra, and each product below is exact
+    photons = 1.0 + mode.extra_photons
+    at_near_zero = RangeChain(gamma_db_per_km=0.0, n_b=0.5, head=1e-24, denominator=photons,
+                              snr_min=1.0, pulse_count=1)
+    assert at_near_zero.solutions([1.0], mode) == ([1e-6], ["ok"])
+    assert at_near_zero.solve(1.0, mode) == 1e-6
+    at_unit_eta = RangeChain(gamma_db_per_km=0.0, n_b=photons, head=1.0, denominator=photons,
+                             snr_min=1.0, pulse_count=1)
+    assert at_unit_eta.solutions([1.0], mode) == ([1.0], ["ok"])
+    assert at_unit_eta.solve(1.0, mode) == 1.0
+    assert at_unit_eta.link_at(1.0, 1.0, mode)[1] == 1.0
+
+
 def test_solve_refuses_exactly_the_near_field_status_on_the_attenuated_benchmark_grid(tmp_path):
     # the sweep_attenuated benchmark: 24 frequencies x 250 N_s x 2 modes; no
     # point of it lies near the boundary, so eta from link_at at the root
