@@ -218,6 +218,8 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
         raise RangeKitError(f"--points must be >= 2, got {points!r}")
     if points > MAX_SWEEP_POINTS:
         raise RangeKitError(f"--points must be at most {MAX_SWEEP_POINTS}, got {points!r}")
+    from operator import le
+
     import numpy as np
 
     # 10^log10(x) need not be x, and may overflow at x near the float maximum:
@@ -225,6 +227,9 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
     with np.errstate(over="ignore"):
         grid = np.logspace(math.log10(ns_min), math.log10(ns_max), points).tolist()
     grid[0], grid[-1] = ns_min, ns_max
+    if any(map(le, grid[1:], grid)):
+        raise RangeKitError(f"--points {points!r} from --ns-min {ns_min!r} to --ns-max "
+                            f"{ns_max!r} gives a grid that is not strictly increasing")
     return grid
 
 

@@ -147,9 +147,9 @@ class ScenarioConfig(Record):
                 return n_b
         f_hz = _require_positive("frequency", f_hz)
         p_b, b_hz = self.noise_power_watts, self.bandwidth_hz
-        return radiometry._ldexp_ratio(
+        return radiometry._in_float_range(
             "N_B = P_B/(h*f*B)", f"P_B = {p_b!r} W, f = {f_hz!r} Hz, B = {b_hz!r} Hz",
-            (p_b,), (constants.h, f_hz, b_hz))
+            radiometry._ldexp_quotient((p_b,), (constants.h, f_hz, b_hz)))
 
 
 def dump_config(config: ScenarioConfig) -> str:

@@ -41,7 +41,7 @@ import random
 from ._record import Record
 from .errors import CovarianceNotPSDError, DomainError
 from .quantum_states import coherent_block, tmsv_block
-from .radiometry import _require_non_negative, _require_positive
+from .radiometry import _require_non_negative, _require_positive, _root_product
 
 _PSD_TOLERANCE = -1e-9
 
@@ -110,11 +110,7 @@ def _statistic_scales(s_r: float, s_i: float, c: float) -> tuple[float, float]:
         raise DomainError(f"state must be finite, got {(s_r, s_i, c)!r}")
     p, q, r = s_r / 2.0, s_i / 2.0, c / 2.0
     _require_psd(p + q - math.hypot(p - q, 2.0 * r), max(abs(s_r), abs(s_i), abs(c)))
-    product = p * q
-    if product == math.inf:  # p and q above ~1.3e154
-        root = math.sqrt(p) * math.sqrt(q)
-    else:
-        root = math.sqrt(max(product, 0.0))
+    root = _root_product(p, q)
     return max(r + root, 0.0), min(r - root, 0.0)
 
 

@@ -43,7 +43,7 @@ from collections.abc import Sequence
 from functools import partial
 
 from .errors import CutoffError, DomainError
-from .radiometry import _require_non_negative, _require_positive
+from .radiometry import _require_non_negative, _require_positive, _root_product
 
 # Index order of the quadrature basis.
 SIGNAL_I, SIGNAL_Q, IDLER_I, IDLER_Q = 0, 1, 2, 3
@@ -92,10 +92,7 @@ def tmsv_block(n_s: float) -> tuple[float, float]:
     """
     n_s = _require_non_negative("n_s", n_s)
     s = _diagonal(n_s)
-    product = n_s * (n_s + 1.0)
-    if product == math.inf:  # n_s above ~1.3e154
-        return s, 2.0 * math.sqrt(n_s) * math.sqrt(n_s + 1.0)
-    return s, 2.0 * math.sqrt(product)
+    return s, 2.0 * _root_product(n_s, n_s + 1.0)
 
 
 def coherent_block(n_s: float) -> tuple[float, float]:

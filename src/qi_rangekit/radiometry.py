@@ -43,15 +43,21 @@ def _ldexp_quotient(factors: tuple[float, ...], divisors: tuple[float, ...] = ()
         return math.inf
 
 
-def _ldexp_ratio(name: str, at: str, factors: tuple[float, ...],
-                 divisors: tuple[float, ...] = ()) -> float:
-    """:func:`_ldexp_quotient` of positive finite floats.  Raises
-    :class:`DomainError`, naming the quantity ``name`` and its inputs
-    ``at``, where the result overflows or underflows to 0."""
-    value = _ldexp_quotient(factors, divisors)
+def _in_float_range(name: str, at: str, value: float) -> float:
+    """``value``, a quantity ``name`` computed at the inputs ``at``.  Raises
+    :class:`DomainError`, naming both, where it overflows or underflows to 0."""
     if value == math.inf or value == 0.0:
         raise DomainError(f"{name} {'overflows' if value else 'underflows to 0'} at {at}")
     return value
+
+
+def _root_product(x: float, y: float) -> float:
+    """sqrt(x*y) of floats x, y >= 0, as sqrt(x)*sqrt(y) where x*y overflows.
+    A product that rounding leaves below 0 reads as 0."""
+    product = x * y
+    if product == math.inf:
+        return math.sqrt(x) * math.sqrt(y)
+    return math.sqrt(max(product, 0.0))
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -89,8 +95,8 @@ def transmit_power(
     n_s = _require_positive("photons per mode", n_s)
     f_hz = _require_positive("frequency", f_hz)
     b_hz = _require_positive("bandwidth", b_hz)
-    return _ldexp_ratio("N_s*h*f*B", f"n_s = {n_s!r}, f = {f_hz!r} Hz, B = {b_hz!r} Hz",
-                        (n_s, constants.h, f_hz, b_hz))
+    return _in_float_range("N_s*h*f*B", f"n_s = {n_s!r}, f = {f_hz!r} Hz, B = {b_hz!r} Hz",
+                           _ldexp_quotient((n_s, constants.h, f_hz, b_hz)))
 
 
 def thermal_occupancy(
@@ -106,13 +112,8 @@ def thermal_occupancy(
     photon_energy = constants.h * f_hz
     if photon_energy == 0.0:
         raise DomainError(f"frequency {f_hz!r} Hz is too small: h * f underflows to 0")
-    n_b = constants.k_b * t_kelvin / photon_energy
-    if n_b == math.inf or n_b == 0.0:
-        raise DomainError(
-            f"N_B = k_B*T/(h*f) {'overflows' if n_b else 'underflows to 0'} at "
-            f"T = {t_kelvin!r} K, f = {f_hz!r} Hz"
-        )
-    return n_b
+    return _in_float_range("N_B = k_B*T/(h*f)", f"T = {t_kelvin!r} K, f = {f_hz!r} Hz",
+                           constants.k_b * t_kelvin / photon_energy)
 
 
 def t_eff_from_noise_power(

@@ -75,6 +75,35 @@ MUTANTS = {
     "write_misses_oserror": (
         "errors", "_write_file",
         "except OSError as exc:", "except EOFError as exc:", ("tests/test_cli.py",)),
+    # the two float-range guards of radiometry
+    "in_float_range_needs_both_ends": (
+        "radiometry", "_in_float_range",
+        "if value == math.inf or value == 0.0:", "if value == math.inf and value == 0.0:",
+        ("tests/test_radiometry.py",)),
+    "root_product_splits_every_root": (
+        "radiometry", "_root_product",
+        "if product == math.inf:", "if product != math.inf:",
+        ("tests/test_quantum_states.py", "tests/test_detection_mc.py")),
+    "root_product_drops_the_clamp": (
+        "radiometry", "_root_product",
+        "return math.sqrt(max(product, 0.0))", "return math.sqrt(max(product, product))",
+        ("tests/test_detection_mc.py",)),
+    # the branches of the attenuated root, each mutant skipping one, and the
+    # stopping test of Halley's method
+    "attenuated_root_skips_the_subnormal_branch": (
+        "range_solver", "_attenuated_root",
+        "if x < _MIN_NORMAL:", "if x == _MIN_NORMAL:", SOLVER),
+    "attenuated_root_skips_the_ln_x_branch": (
+        "range_solver", "_attenuated_root",
+        "if x <= _X_HALLEY_MAX:", "if x != _X_HALLEY_MAX:", SOLVER),
+    "lambert_w0_stops_on_a_large_step": (
+        "range_solver", "_lambert_w0",
+        "if abs(step) <= _HALLEY_REL_TOL * w:", "if abs(step) > _HALLEY_REL_TOL * w:", SOLVER),
+    # N_B from k_B*T_eff where that product is not a normal float
+    "noise_occupancy_skips_the_fallback": (
+        "config", "ScenarioConfig.noise_occupancy",
+        "if sys.float_info.min <= constants.k_b * t_eff < math.inf:",
+        "if sys.float_info.min != constants.k_b * t_eff < math.inf:", ("tests/test_config.py",)),
 }
 
 # Equivalent mutants, not run: no test can kill them.

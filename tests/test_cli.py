@@ -989,7 +989,15 @@ def test_sweep_out_of_table_span_writes_out_of_span_rows(tmp_path, capsys):
     assert lines[:11] == alone.read_text(encoding="utf-8").splitlines()
 
 
-def test_sweep_grid_validation(capsys):
+def test_sweep_grid_validation(tmp_path, capsys):
+    # two floats apart, five log-spaced points repeat one N_s
+    output = tmp_path / "sweep.csv"
+    assert run_cli(capsys, "sweep", "--figure", "3", "--ns-min", "1",
+                   "--ns-max", "1.0000000000000002", "--points", "5",
+                   "--output", str(output)) == (
+        2, "", "error: --points 5 from --ns-min 1.0 to --ns-max 1.0000000000000002 "
+               "gives a grid that is not strictly increasing\n")
+    assert not output.exists()
     code, _, err = run_cli(capsys, "sweep", "--figure", "1", "--points", "1")
     assert code == 2
     code, _, err = run_cli(capsys, "sweep", "--figure", "1", "--ns-min", "-1")

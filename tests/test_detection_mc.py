@@ -442,6 +442,10 @@ def test_psd_tolerance_scales_with_the_entries():
     # and at the edge of the float range, where s_return + s_idler overflows
     with pytest.raises(CovarianceNotPSDError):
         _statistic_scales(1e308, 1e308, 1.01e308)
+    # a diagonal the tolerance admits below 0 leaves p*q < 0: sqrt(pq) reads
+    # as 0, so D is 0 and never exceeds a positive threshold
+    assert _statistic_scales(-2e-10, 2.0, 0.0) == (0.0, 0.0)
+    assert exact_exceedance((-2e-10, 2.0, 0.0), 0.5) == 0.0
     # below unit entries the tolerance is the absolute -1e-9
     with pytest.raises(CovarianceNotPSDError):
         sample_quadratures(np.diag([1.0, 1.0, 1.0, -2e-9]), 10, seed=0)
