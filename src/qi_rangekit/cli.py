@@ -1,70 +1,29 @@
-"""Command-line surface.
+"""Command-line surface: ``power``, ``covariance``, ``ratio``, ``atten``,
+``range``, ``sweep`` and ``mc``.  The scenario comes from ``--config``, else
+the defaults, and its table is the one ``range``, ``sweep`` and ``atten``
+read (``atten`` falls back to the bundled table).  Flags are in SI base
+units; dBm appears only where power is conventionally quoted in dBm.
 
-Subcommands: ``power``, ``covariance``, ``ratio``, ``atten``, ``range``,
-``sweep``, ``mc``.  A scenario config (flat JSON, benchmark defaults for
-omitted fields) is taken from ``--config`` alone, else the defaults; its
-table is the one ``range``, ``sweep`` and ``atten`` read (``atten`` falls
-back to the bundled table).  All flags use SI base units (hertz, meters,
-seconds); dBm appears only where power is conventionally quoted in dBm.
+Each rule below names the test that holds it; README gives the reasons and
+CHANGES.md the measurements.
 
-Start-up is most of what a scalar command costs, so this module imports at
-its top only what every command needs (the config, constants, errors and
-radiometry), and each handler imports the modules its command runs:
-``quantum_states`` for ``covariance`` and ``ratio``, ``atmosphere`` for
-``atten``, ``range_solver`` for ``range`` and ``sweep``, ``detection_mc`` for
-``mc``.  Nothing on the start-up path loads the standard dataclass module,
-which imports ``inspect``, nor ``typing``, which only ``sweep`` loads
-(through numpy): every record is a slotted ``_record.Record``, and names
-that only annotations use are imported under ``TYPE_CHECKING = False``.
-Nor does any command load the standard library's path objects
-(``Path``) or package resources (``resources.files``): every file is opened
-with ``open()`` on the path as given, by the one reader and the one writer
-in :mod:`.errors`, and its errors print that path.  A site hook that imports
-those modules would hide their cost, so the tests' import probe runs its
-children with ``-S``.
-Only the ``sweep`` grid uses numpy, and it imports it inside the handler, so
-that every other command (``mc`` included) and ``--dump-config`` start
-without it.  No command calls BLAS, yet loading numpy starts OpenBLAS's
-thread pool, one thread per CPU by default, which no command uses.  So
-:func:`entrypoint`, which owns the process, sets ``OPENBLAS_NUM_THREADS=1``
-before any command runs, overriding any value it inherited, for its own
-process only; :func:`main` and the library calls leave the caller's
-environment alone.
-The process ends without the interpreter's teardown: once :func:`main` has
-returned, :func:`entrypoint` flushes ``sys.stdout`` and ``sys.stderr`` and
-calls ``os._exit`` with main's exit code, so no module is freed, no last
-garbage collection runs and numpy is not torn down.  Every file a command
-writes is closed before main returns, and no ``atexit`` handler (such as
-``logging.shutdown`` or a subprocess coverage hook) runs in this process:
-such handlers run only for library callers of :func:`main`.  A
-``SystemExit`` from main (argparse errors, ``--help``, ``--version``), an
-uncaught exception and a flush that fails (a pipe whose reader has gone)
-take the interpreter's usual exit, with the codes and messages it always
-gave.
-A figure-3 sweep writes its CSV a column at a time: one string per
-(frequency, mode) column of :func:`~qi_rangekit.range_solver.sweep_range`,
-joined at C level from the column's lists and written with one ``write``, so
-no per-row line list or whole-file copy is held.  Each row ends in its
-point's status.  The file is opened only after every chain is built, so an
-invalid scenario leaves no file; a frequency outside the table span is not
-invalid, and its rows read ``out_of_span``.
-
-The command line is declared once, in ``_GLOBAL_OPTIONS`` and
-``_COMMANDS``: each option as its flag and argparse keyword arguments, each
-command with its help and its ``_cmd_*`` handler, which :func:`main` calls
-as ``args.run``.  :func:`_plain_args` reads the plain form, which it
-defines, from that table, so such a command line starts without
-``argparse`` and the ``gettext``, ``locale`` and ``shutil`` it loads, and
-every scalar command but ``range`` also without ``re`` and ``enum``.  Every
-other command line goes to :func:`_build_parser`, which builds argparse from
-the same table, so help and error text are argparse's own, unchanged.
-
-A handler takes ``(args, config)`` and yields its output lines;
-:func:`main` collects them all and prints them only once the handler has
-finished, so an error exit leaves stdout empty, whichever command raised
-and wherever.  The command line picks the physical constants once:
-``args.constants`` is CODATA under ``--codata``, else TEXTBOOK, and the
-handlers read only that.
+- Each handler imports only the modules its command runs; no command loads
+  ``dataclasses``, ``pathlib`` or ``importlib.resources``, and only
+  ``sweep`` loads numpy (and, through it, ``typing``):
+  ``test_commands_import_only_the_modules_they_run``.
+- The command line is declared once, in ``_GLOBAL_OPTIONS`` and
+  ``_COMMANDS``; a plain one is read from it without argparse, and argparse,
+  built from the same table, reads every other:
+  ``test_plain_reader_reads_what_argparse_reads``.
+- :func:`main` prints a handler's lines only once it has finished, so an
+  error exit leaves stdout empty: ``test_every_command_leaves_stdout_empty_on_error``.
+- A figure-3 sweep opens its CSV only once every chain is built, so an
+  invalid scenario leaves no file:
+  ``test_sweep_at_a_frequency_where_h_f_underflows_exits_2``.
+- :func:`entrypoint` alone sets ``OPENBLAS_NUM_THREADS=1``, for its own
+  process: ``test_cli_process_starts_openblas_with_one_thread``.
+- :func:`entrypoint` flushes the standard streams and ends in ``os._exit``,
+  without teardown or ``atexit`` handlers: ``test_cli_process_prints_what_main_prints``.
 
 Exit codes: 0 success, 2 invalid input, configuration or unwritable output
 path, 3 no detection range exists for the requested scenario.
@@ -254,10 +213,10 @@ def _cmd_sweep(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
     path = args.output or f"figure{args.figure}.csv"
 
     if args.figure == 1:
-        from .range_solver import sweep_ratio
+        from .quantum_states import correlation_ratio
 
         lines = ["n_s,ratio"]
-        lines.extend(f"{n_s!r},{ratio!r}" for n_s, ratio in sweep_ratio(grid))
+        lines.extend(f"{n_s!r},{correlation_ratio(n_s)!r}" for n_s in grid)
         rows = len(lines) - 1
         chunks: Iterable[str] = ("\n".join(lines) + "\n",)
     else:

@@ -137,14 +137,14 @@ class ScenarioConfig(Record):
         )
 
     def noise_occupancy(self, f_hz: float, constants: PhysicalConstants = TEXTBOOK) -> float:
-        """Thermal photons per mode at a frequency, N_B = k_B*T_eff/(h*f).  That
-        loses digits, or rounds to 0 or inf, where k_B*T_eff or N_B is not a
-        normal float; there N_B is P_B/(h*f*B), mantissas and exponents apart."""
+        """Thermal photons per mode at a frequency: N_B = k_B*T_eff/(h*f) where
+        k_B*T_eff is a normal float, a subnormal N_B included (the roundings
+        of T_eff, k_B*T_eff and h*f leave it within 4 ulps of P_B/(h*f*B)),
+        and else, where k_B*T_eff has lost digits or rounded to 0 or inf,
+        P_B/(h*f*B), mantissas and exponents apart."""
         t_eff = self.t_eff_kelvin(constants)
         if sys.float_info.min <= constants.k_b * t_eff < math.inf:
-            n_b = radiometry.thermal_occupancy(t_eff, f_hz, constants)
-            if n_b >= sys.float_info.min:
-                return n_b
+            return radiometry.thermal_occupancy(t_eff, f_hz, constants)
         f_hz = _require_positive("frequency", f_hz)
         p_b, b_hz = self.noise_power_watts, self.bandwidth_hz
         return radiometry._in_float_range(

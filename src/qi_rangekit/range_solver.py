@@ -375,11 +375,3 @@ def sweep_range(
         for f_hz, chain in chains for mode in Illumination
     )
 
-
-def sweep_ratio(n_s_grid: Sequence[float]) -> Iterator[tuple[float, float]]:
-    """Classical/quantum correlation ratio over an N_s grid, as lazy
-    ``(n_s, ratio)`` rows.  The grid is validated on the call."""
-    from .quantum_states import correlation_ratio
-
-    grid = _validated_grid(n_s_grid)
-    return ((n_s, correlation_ratio(n_s)) for n_s in grid)

@@ -99,6 +99,18 @@ MUTANTS = {
     "lambert_w0_stops_on_a_large_step": (
         "range_solver", "_lambert_w0",
         "if abs(step) <= _HALLEY_REL_TOL * w:", "if abs(step) > _HALLEY_REL_TOL * w:", SOLVER),
+    # the two quotients of RangeChain.link_at: eta over M, and the closure
+    # over N_s plus the mode's extra photons
+    "link_at_eta_over_snr_min": (
+        "range_solver", "RangeChain.link_at",
+        "(*denominator_r4, self.pulse_count)", "(*denominator_r4, self.snr_min)", SOLVER),
+    "link_at_closure_without_extra_photons": (
+        "range_solver", "RangeChain.link_at",
+        "(*head_f2, photons)", "(*head_f2, n_s)", SOLVER),
+    # the background's share (1 - eta) of the returned signal diagonal
+    "return_states_background_share_plus": (
+        "detection_mc", "return_states",
+        "(1.0 - eta)", "(1.0 + eta)", ("tests/test_detection_mc.py",)),
     # N_B from k_B*T_eff where that product is not a normal float
     "noise_occupancy_skips_the_fallback": (
         "config", "ScenarioConfig.noise_occupancy",

@@ -1198,7 +1198,10 @@ def _loaded_after(tmp_path, statement: str, modules: list[str]) -> list[str]:
 
 # the modules each command leaves unloaded (the default config has no table)
 UNUSED_MODULES = {
-    "sweep": ["qi_rangekit.quantum_states", "qi_rangekit.atmosphere", "qi_rangekit.link_budget"],
+    "sweep --figure 1": ["qi_rangekit.range_solver", "qi_rangekit.atmosphere",
+                         "qi_rangekit.link_budget"],
+    "sweep --figure 3": ["qi_rangekit.quantum_states", "qi_rangekit.atmosphere",
+                         "qi_rangekit.link_budget"],
     "range": ["qi_rangekit.quantum_states", "qi_rangekit.link_budget"],
     "atten": ["qi_rangekit.link_budget", "qi_rangekit.range_solver", "qi_rangekit.quantum_states"],
     "--dump-config": ["qi_rangekit.link_budget", "qi_rangekit.range_solver",
@@ -1215,6 +1218,7 @@ UNUSED_MODULES = {
     ["covariance", "--ns", "1000", "--mode", "ci", "--oracle"],
     ["ratio", "--ns", "0.5"],
     ["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "1000000"],
+    ["sweep", "--figure", "1", "--points", "5"],
     ["sweep", "--figure", "3", "--points", "5"],
 ])
 def test_commands_import_only_the_modules_they_run(tmp_path, argv):
@@ -1231,7 +1235,7 @@ def test_commands_import_only_the_modules_they_run(tmp_path, argv):
         stdlib += ["numpy", "inspect", "typing"]
     if argv[0] in ("mc", "covariance", "ratio", "power", "atten"):
         stdlib += ["re", "enum"]
-    unused = UNUSED_MODULES.get(argv[0], [
+    unused = UNUSED_MODULES.get(" ".join(argv[:3]) if argv[0] == "sweep" else argv[0], [
         "qi_rangekit.range_solver", "qi_rangekit.atmosphere", "qi_rangekit.link_budget", "json",
     ])
     statement = f"from qi_rangekit.cli import main\nassert main({argv!r}) == 0"
@@ -1522,6 +1526,12 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+def test_each_rule_of_the_module_docstring_names_a_test_of_this_file():
+    named = re.findall(r"``(test_\w+)``", cli.__doc__)
+    assert len(named) == cli.__doc__.count("\n- ") > 0
+    assert [name for name in named if not callable(globals().get(name))] == []
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -238,7 +238,9 @@ def test_derived_noise_quantities():
     ({"noise_power_dbm": -3200, "bandwidth_hz": 3.6e4}, 1e-20),
     # T_eff overflows, N_B is finite
     ({"noise_power_dbm": 100, "bandwidth_hz": 1e-300, "tau_s": 1e300}, 1e300),
-], ids=["subnormal_t_eff", "k_b_t_rounds_to_0", "t_eff_overflows"])
+    # k_B * T_eff = 1e-300 J is normal, and k_B*T_eff/(h*f) = 1.5e-312 is subnormal
+    ({"noise_power_dbm": -2970, "bandwidth_hz": 1.0}, 1e45),
+], ids=["subnormal_t_eff", "k_b_t_rounds_to_0", "t_eff_overflows", "subnormal_n_b"])
 def test_noise_occupancy_is_the_power_quotient_where_t_eff_loses_digits(fields, f_hz):
     config = ScenarioConfig(**fields, frequencies_hz=[f_hz])
     exact = Fraction(config.noise_power_watts) / (

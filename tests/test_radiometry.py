@@ -106,28 +106,31 @@ def test_noise_power_identity_frequency_cancels():
         assert noise_power(t, b) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: transmit_power(0.0, 1e9, 1e9),
-        lambda: transmit_power(0.5, -1e9, 1e9),
-        lambda: transmit_power(0.5, 1e9, math.nan),
-        lambda: photons_per_mode(0.0, 1e9, 1e9),
-        lambda: thermal_occupancy(-3.0, 1e9),
-        lambda: thermal_occupancy(300.0, 0.0),
-        lambda: noise_power(0.0, 1e9),
-        lambda: t_eff_from_noise_power(0.0, 1e9),
-        lambda: watts_to_dbm(0.0),
-        lambda: dbm_to_watts(math.inf),
-        lambda: dbm_to_watts(1e4),
-        lambda: thermal_occupancy(300.0, 1e-320),  # h * f underflows to 0
-        lambda: thermal_occupancy(1e300, 1e-30),  # k_B * T / (h * f) overflows
-        lambda: thermal_occupancy(1e-300, 1e300),  # k_B * T / (h * f) underflows to 0
-    ],
-)
-def test_domain_errors(call):
+DOMAIN_ERRORS = [
+    (transmit_power, (0.0, 1e9, 1e9)),
+    (transmit_power, (0.5, -1e9, 1e9)),
+    (transmit_power, (0.5, 1e9, math.nan)),
+    (photons_per_mode, (0.0, 1e9, 1e9)),
+    (thermal_occupancy, (-3.0, 1e9)),
+    (thermal_occupancy, (300.0, 0.0)),
+    (noise_power, (0.0, 1e9)),
+    (t_eff_from_noise_power, (0.0, 1e9)),
+    (watts_to_dbm, (0.0,)),
+    (dbm_to_watts, (math.inf,)),
+    (dbm_to_watts, (1e4,)),
+    (thermal_occupancy, (300.0, 1e-320)),  # h * f underflows to 0
+    (thermal_occupancy, (1e300, 1e-30)),  # k_B * T / (h * f) overflows
+    (thermal_occupancy, (1e-300, 1e300)),  # k_B * T / (h * f) underflows to 0
+]
+
+
+# each id is the call with its arguments, without spaces, so a failure (and
+# the mutation check's report, which reads up to the first space) names it
+@pytest.mark.parametrize("function, args", DOMAIN_ERRORS, ids=[
+    f"{function.__name__}({','.join(map(repr, args))})" for function, args in DOMAIN_ERRORS])
+def test_domain_errors(function, args):
     with pytest.raises(DomainError):
-        call()
+        function(*args)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -15,13 +15,13 @@ from qi_rangekit.cli import _log_grid
 from qi_rangekit.config import ScenarioConfig, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK, PhysicalConstants
 from qi_rangekit.errors import DomainError, NoDetectionError, UnphysicalGeometryError
+from qi_rangekit.quantum_states import correlation_ratio
 from qi_rangekit.range_solver import (
     Illumination,
     RangeChain,
     antenna_gain,
     range_chain,
     sweep_range,
-    sweep_ratio,
 )
 
 BENCHMARK = ScenarioConfig()
@@ -549,8 +549,6 @@ def test_sweep_grid_validation():
         sweep_range(BENCHMARK, [1e-2, 1e-3])
     with pytest.raises(DomainError):
         sweep_range(BENCHMARK, [])
-    with pytest.raises(DomainError):
-        sweep_ratio([0.0, 1.0])
 
 
 @pytest.mark.parametrize("constants", [TEXTBOOK, CODATA], ids=["textbook", "codata"])
@@ -637,11 +635,9 @@ def test_no_detection_is_read_off_the_root(table_path):
 
 
 def test_sweep_ratio_values():
-    [(_, at_half)] = sweep_ratio([0.5])
-    [(_, at_small)] = sweep_ratio([1e-4])
-    assert at_half == pytest.approx(0.57735, abs=1e-5)
-    assert at_small == pytest.approx(9.9995e-3, rel=1e-4)
-    values = [ratio for _, ratio in sweep_ratio(list(np.logspace(-3, 2, 50)))]
+    assert correlation_ratio(0.5) == pytest.approx(0.57735, abs=1e-5)
+    assert correlation_ratio(1e-4) == pytest.approx(9.9995e-3, rel=1e-4)
+    values = [correlation_ratio(n_s) for n_s in np.logspace(-3, 2, 50)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
