@@ -49,7 +49,6 @@ if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
 
     from .quantum_states import Matrix
-    from .range_solver import Illumination
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -192,43 +191,40 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
     return grid
 
 
-def _range_csv(
-    grid: list[float],
-    columns: Iterable[tuple[float, Illumination, tuple[list[float | None], list[str]]]],
-) -> Iterator[str]:
-    """The figure-3 CSV as its header and one string per solved column, each
-    joined at C level: N_s formatted once, f and mode once per column, and
-    an empty range where no root exists."""
-    yield "n_s,frequency_hz,mode,r_max_m,status\n"
-    n_s_text = [repr(n_s) for n_s in grid]
-    for f_hz, mode, (r_max_m, status) in columns:
-        r_text = ["" if r is None else repr(r) for r in r_max_m]
-        middle = repeat(f",{f_hz!r},{mode.value},")
-        yield "".join(map("".join, zip(n_s_text, middle, r_text, repeat(","), status,
-                                       repeat("\n"))))
+def _csv(header: str, blocks: Iterable[Iterable[Iterable[str]]]) -> Iterator[str]:
+    """A CSV as its header line and one string per block of rows, each block
+    given as its columns of cell text and joined at C level."""
+    yield header
+    for cells in blocks:
+        yield "".join(map("".join, zip(*cells)))
 
 
 def _cmd_sweep(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
     grid = _log_grid(args.ns_min, args.ns_max, args.points)
     path = args.output or f"figure{args.figure}.csv"
+    n_s_text = [repr(n_s) for n_s in grid]
 
     if args.figure == 1:
         from .quantum_states import correlation_ratio
 
-        lines = ["n_s,ratio"]
-        lines.extend(f"{n_s!r},{correlation_ratio(n_s)!r}" for n_s in grid)
-        rows = len(lines) - 1
-        chunks: Iterable[str] = ("\n".join(lines) + "\n",)
+        header, count = "n_s,ratio\n", 1
+        blocks: Iterable = [(n_s_text, repeat(","), map(repr, map(correlation_ratio, grid)),
+                             repeat("\n"))]
     else:
         from .range_solver import Illumination, sweep_range
 
-        # validates the grid and builds every chain, so an error leaves no file
+        # validates the grid and builds every chain, so an error leaves no
+        # file; each (f, mode) column is solved only as its block is written
         columns = sweep_range(config, grid, constants=args.constants)
-        rows = len(grid) * len(Illumination) * len(config.frequencies_hz)
-        chunks = _range_csv(grid, columns)
+        header = "n_s,frequency_hz,mode,r_max_m,status\n"
+        count = len(Illumination) * len(config.frequencies_hz)
+        blocks = ((n_s_text, repeat(f",{f_hz!r},{mode.value},"),
+                   ["" if r is None else repr(r) for r in r_max_m], repeat(","), status,
+                   repeat("\n"))
+                  for f_hz, mode, (r_max_m, status) in columns)
 
-    _write_file(path, chunks)
-    yield f"wrote {rows} rows to {path}"
+    _write_file(path, _csv(header, blocks))
+    yield f"wrote {len(grid) * count} rows to {path}"
 
 
 def _cmd_mc(args: Namespace, config: ScenarioConfig) -> Iterator[str]:

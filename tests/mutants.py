@@ -8,11 +8,12 @@ Each mutant changes one token of one function of ``src/qi_rangekit``: ``ast``
 finds the function, the mutant's text must occur exactly once in it, and the
 changed module must differ from the original in exactly one token.  Every
 mutant is applied alone to a copy of the package in a temporary directory,
-and the tier-1 test files it names run against that copy (``PYTHONPATH``),
+and the tier-1 tests it names (test files, or pytest node ids such as
+``tests/test_cli.py::test_name``) run against that copy (``PYTHONPATH``),
 stopping at the first failure.  A mutant is killed when a test fails; the
 script prints, per mutant, the first test that failed and the seconds taken,
-and exits 1 if any mutant survives or cannot be applied.  The same test
-files first run against an unchanged copy, and must pass there.
+and exits 1 if any mutant survives or cannot be applied.  Every test file
+named first runs whole against an unchanged copy, and must pass there.
 
 Only the standard library is used; pytest runs in a child process.  CI runs
 this script as its own step, apart from the tier-1 suite.
@@ -38,7 +39,7 @@ PACKAGE = REPO / "src" / "qi_rangekit"
 SOLVER = ("tests/test_range_solver.py",)
 FILES = ("tests/test_config.py", "tests/test_atmosphere.py", "tests/test_cli.py")
 
-# name: (module, function, text, mutated text, test files)
+# name: (module, function, text, mutated text, test files or node ids)
 MUTANTS = {
     # the status ladder of RangeChain.solutions
     "solutions_near_zero_le": (
@@ -116,6 +117,32 @@ MUTANTS = {
         "config", "ScenarioConfig.noise_occupancy",
         "if sys.float_info.min <= constants.k_b * t_eff < math.inf:",
         "if sys.float_info.min != constants.k_b * t_eff < math.inf:", ("tests/test_config.py",)),
+    # the clamps that keep a >= 0 >= b where rounding leaves |r| above sqrt(pq)
+    "statistic_scales_a_unclamped": (
+        "detection_mc", "_statistic_scales",
+        "max(r + root, 0.0)", "max(r + root, r)",
+        ("tests/test_detection_mc.py::test_psd_tolerance_scales_with_the_entries",)),
+    "statistic_scales_b_unclamped": (
+        "detection_mc", "_statistic_scales",
+        "min(r - root, 0.0)", "min(r - root, r)",
+        ("tests/test_detection_mc.py::test_psd_tolerance_scales_with_the_entries",)),
+    # the oracle cutoff's tail must fall below the tolerance, not reach it
+    "smallest_cutoff_accepts_the_tolerance": (
+        "quantum_states", "_smallest_cutoff",
+        "tail(n) < TAIL_TOLERANCE", "tail(n) <= TAIL_TOLERANCE",
+        ("tests/test_quantum_states.py::test_cutoff_tail_must_fall_below_the_tolerance",)),
+    # a sweep's ends are the bounds given, not 10^log10 of them (the
+    # assignment becomes an expression statement)
+    "log_grid_computes_its_ends": (
+        "cli", "_log_grid",
+        "grid[0], grid[-1] = ns_min, ns_max", "grid[0], grid[-1] == ns_min, ns_max",
+        ("tests/test_cli.py::test_sweep_writes_the_bounds_given_as_its_first_and_last_n_s",
+         "tests/test_cli.py::test_sweep_to_the_largest_float_exits_0_without_a_warning")),
+    # a point with no range leaves its CSV cell empty, not zero
+    "sweep_writes_zero_for_no_range": (
+        "cli", "_cmd_sweep",
+        '"" if r is None', '"0" if r is None',
+        ("tests/test_cli.py::test_sweep_csv_is_pinned",)),
 }
 
 # Equivalent mutants, not run: no test can kill them.
@@ -152,15 +179,22 @@ def mutate(source: str, qualname: str, text: str, mutated: str) -> str:
     return changed
 
 
-def run_tests(package: Path, files: tuple[str, ...]) -> tuple[int, str]:
+def first_failure(summary: str) -> str:
+    """The node id of the first ``FAILED`` or ``ERROR`` line of pytest's
+    short summary, or ''.  An id may hold spaces, so it runs up to pytest's
+    " - " before the message, or to the end of the line."""
+    first = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", summary, flags=re.MULTILINE)
+    return first.group(1) if first else ""
+
+
+def run_tests(package: Path, tests: tuple[str, ...]) -> tuple[int, str]:
     """(pytest's exit code, the first failing or erroring test or '') for
-    ``files`` run against the package copy under ``package``."""
+    ``tests`` run against the package copy under ``package``."""
     env = dict(os.environ, PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *files],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
         cwd=REPO, env=env, capture_output=True, text=True)
-    first = re.search(r"^(?:FAILED|ERROR) (\S+)", result.stdout, flags=re.MULTILINE)
-    return result.returncode, first.group(1) if first else ""
+    return result.returncode, first_failure(result.stdout)
 
 
 def main() -> int:
@@ -168,12 +202,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src" / "qi_rangekit"
         shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        files = tuple(sorted({f for *_, fs in MUTANTS.values() for f in fs}))
+        files = tuple(sorted({t.split("::")[0] for *_, ts in MUTANTS.values() for t in ts}))
         code, first = run_tests(copy, files)
         if code != 0:
             print(f"the unchanged package fails {first or files}", file=sys.stderr)
             return 1
-        for name, (module, qualname, text, mutated, test_files) in MUTANTS.items():
+        for name, (module, qualname, text, mutated, tests) in MUTANTS.items():
             path = copy / f"{module}.py"
             original = path.read_text(encoding="utf-8")
             try:
@@ -184,7 +218,7 @@ def main() -> int:
                 continue
             started = time.perf_counter()
             try:
-                code, first = run_tests(copy, test_files)
+                code, first = run_tests(copy, tests)
             finally:
                 path.write_text(original, encoding="utf-8")
             seconds = time.perf_counter() - started

@@ -436,6 +436,16 @@ def test_psd_tolerance_scales_with_the_entries():
     present = return_states(0.5, 1.0, *tmsv_block(1e16))[0]
     a, b = _statistic_scales(*present)
     assert a > 0.0 >= b
+    # Where the cross entry itself rounds above the diagonals (the TMSV block
+    # at N_s = 5e15, returned losslessly into no noise), r - sqrt(pq) is 1.0,
+    # not 0, yet b is 0, and a is 0 with the cross entry negated: a
+    # perfectly correlated pair, whose D never takes the other sign.
+    s, c = tmsv_block(5e15)
+    assert c > s
+    edge, _ = return_states(1.0, 0.0, s, c)
+    flipped, _ = return_states(1.0, 0.0, s, -c)
+    assert (_statistic_scales(*edge), _statistic_scales(*flipped)) == ((s, 0.0), (0.0, -s))
+    assert (exact_exceedance(edge, -0.5), exact_exceedance(flipped, 0.5)) == (1.0, 0.0)
     # a genuine violation at that scale is still caught
     with pytest.raises(CovarianceNotPSDError):
         _statistic_scales(1e16, 1e16, 1.01e16)

@@ -15,7 +15,7 @@ def test_each_mutant_changes_one_token_of_its_function(name):
     module, qualname, text, mutated, files = mutants.MUTANTS[name]
     source = (mutants.PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert mutants.mutate(source, qualname, text, mutated) != source
-    assert files and all((mutants.REPO / path).is_file() for path in files)
+    assert files and all((mutants.REPO / test.split("::")[0]).is_file() for test in files)
 
 
 def test_a_mutant_must_be_one_token_found_once_in_its_function():
@@ -25,3 +25,16 @@ def test_a_mutant_must_be_one_token_found_once_in_its_function():
         mutants.mutate(source, "f", "x < 1", "x <= 2")
     with pytest.raises(ValueError, match="occurs 0 times"):
         mutants.mutate(source, "f", "x > 1", "x >= 1")
+
+
+def test_the_kill_report_reads_a_node_id_with_spaces_in_full():
+    node = ("tests/test_cli.py::test_mc_output_is_pinned[0.01-1-deflection-SNR gain (QI/CI) = "
+            "98.4056 +/- 22 (QI 0.013303, CI 0.000135185, 1000000 trials, seed 1)\\n"
+            "analytic 1 + 1/N_s = 101, z = -0.118\\n]")
+    summary = "... [100%]\n=== short test summary info ===\nFAILED {} - assert 1 == 2\n"
+    assert mutants.first_failure(summary.format(node)) == node
+    # without room for the message pytest prints the id alone
+    assert mutants.first_failure(f"FAILED {node}\nERROR tests/test_cli.py::x\n") == node
+    assert mutants.first_failure("ERROR tests/test_x.py - ImportError: a - b\n") == (
+        "tests/test_x.py")
+    assert mutants.first_failure("1 passed in 0.01s\n") == ""

@@ -231,6 +231,15 @@ def test_bisected_coherent_cutoff_matches_a_plain_scan():
         coherent_covariance_oracle(3492.0)
 
 
+def test_cutoff_tail_must_fall_below_the_tolerance():
+    # a step tail that equals TAIL_TOLERANCE at n = 5: the cutoff is the
+    # first n whose tail is below it, 6, not 5
+    def tail(n):
+        return 1.0 if n < 5 else TAIL_TOLERANCE if n == 5 else TAIL_TOLERANCE / 2.0
+
+    assert _smallest_cutoff(1.0, tail) == 6
+
+
 def test_bisected_tmsv_cutoff_matches_the_geometric_closed_form():
     # The closed form is checked against its defining inequality first, so a
     # rounding slip in either rule shows.  Up to N_s 73.5 the cutoff is at most
