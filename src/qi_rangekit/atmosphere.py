@@ -34,8 +34,8 @@ _BUNDLED_NAME = "gaseous_attenuation_sea_level.csv"
 
 
 class AttenuationTable(Record):
-    """Sorted (frequency [GHz], gamma [dB/km]) knots, ``rows``, with a
-    provenance string, ``source``."""
+    """Sorted (frequency [GHz], gamma [dB/km]) knots, ``rows``, held as the
+    floats their checks return, with a provenance string, ``source``."""
 
     __slots__ = _fields = ("rows", "source")
     _field_defaults = {"source": ""}
@@ -45,22 +45,17 @@ class AttenuationTable(Record):
             raise TableValidationError(
                 f"attenuation table needs at least 2 rows, got {len(self.rows)}"
             )
-        previous = None
+        rows = []
         for index, (f_ghz, gamma) in enumerate(self.rows, start=1):
-            if not (math.isfinite(f_ghz) and f_ghz > 0.0):
-                raise TableValidationError(
-                    f"row {index}: frequency must be positive and finite, got {f_ghz!r}"
-                )
-            if not (math.isfinite(gamma) and gamma >= 0.0):
-                raise TableValidationError(
-                    f"row {index}: gamma must be non-negative and finite, got {gamma!r}"
-                )
-            if previous is not None and f_ghz <= previous:
+            f_ghz = _require_positive(f"row {index}: frequency", f_ghz, TableValidationError)
+            gamma = _require_non_negative(f"row {index}: gamma", gamma, TableValidationError)
+            if rows and f_ghz <= rows[-1][0]:
                 raise TableValidationError(
                     f"row {index}: frequency {f_ghz!r} GHz is not strictly greater "
-                    f"than the previous row's {previous!r} GHz"
+                    f"than the previous row's {rows[-1][0]!r} GHz"
                 )
-            previous = f_ghz
+            rows.append((f_ghz, gamma))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def span_ghz(self) -> tuple[float, float]:

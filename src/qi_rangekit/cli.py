@@ -166,8 +166,7 @@ def _cmd_range(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
 
 
 def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
-    if not (math.isfinite(ns_min) and ns_min > 0.0):
-        raise RangeKitError(f"--ns-min must be positive and finite, got {ns_min!r}")
+    ns_min = radiometry._require_positive("--ns-min", ns_min, RangeKitError)
     if not math.isfinite(ns_max):
         raise RangeKitError(f"--ns-max must be finite, got {ns_max!r}")
     if not ns_max > ns_min:
@@ -202,20 +201,21 @@ def _csv(header: str, blocks: Iterable[Iterable[Iterable[str]]]) -> Iterator[str
 def _cmd_sweep(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
     grid = _log_grid(args.ns_min, args.ns_max, args.points)
     path = args.output or f"figure{args.figure}.csv"
-    n_s_text = [repr(n_s) for n_s in grid]
 
     if args.figure == 1:
         from .quantum_states import correlation_ratio
 
         header, count = "n_s,ratio\n", 1
-        blocks: Iterable = [(n_s_text, repeat(","), map(repr, map(correlation_ratio, grid)),
-                             repeat("\n"))]
+        blocks: Iterable = [(map(repr, grid), repeat(","),
+                             map(repr, map(correlation_ratio, grid)), repeat("\n"))]
     else:
         from .range_solver import Illumination, sweep_range
 
         # validates the grid and builds every chain, so an error leaves no
-        # file; each (f, mode) column is solved only as its block is written
+        # file; each (f, mode) column is solved only as its block is written,
+        # and every block reuses the N_s text
         columns = sweep_range(config, grid, constants=args.constants)
+        n_s_text = [repr(n_s) for n_s in grid]
         header = "n_s,frequency_hz,mode,r_max_m,status\n"
         count = len(Illumination) * len(config.frequencies_hz)
         blocks = ((n_s_text, repeat(f",{f_hz!r},{mode.value},"),

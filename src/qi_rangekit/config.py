@@ -88,24 +88,23 @@ class ScenarioConfig(Record):
         if not (0.0 < self.p_fa < self.p_d < 1.0):
             raise ConfigError(f"need 0 < p_fa < p_d < 1, got p_fa={self.p_fa!r}, p_d={self.p_d!r}")
         measurements = float(self.tau_s) * self.bandwidth_hz
+        for f_hz in frequencies:
+            _require_positive("frequencies_hz", f_hz, ConfigError)
+        for name in ("sigma_m2", "aperture_m2", "tau_s", "bandwidth_hz"):
+            _require_positive(name, getattr(self, name), ConfigError)
         try:
-            for f_hz in frequencies:
-                _require_positive("frequencies_hz", f_hz)
-            for name in ("sigma_m2", "aperture_m2", "tau_s", "bandwidth_hz"):
-                _require_positive(name, getattr(self, name))
-            try:
-                linear = self.snr_min_linear
-            except OverflowError:
-                linear = math.inf
-            _require_positive(f"linear SNR_min from snr_min_db = {self.snr_min_db!r}", linear)
-            _require_positive("tau_s * bandwidth_hz", measurements)
-            try:
-                watts = radiometry.dbm_to_watts(self.noise_power_dbm)
-            except DomainError:  # finite but past the float range in watts
-                watts = math.inf
-            _require_positive(f"noise_power_dbm = {self.noise_power_dbm!r} in watts", watts)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+            linear = self.snr_min_linear
+        except OverflowError:
+            linear = math.inf
+        _require_positive(f"linear SNR_min from snr_min_db = {self.snr_min_db!r}", linear,
+                          ConfigError)
+        _require_positive("tau_s * bandwidth_hz", measurements, ConfigError)
+        try:
+            watts = radiometry.dbm_to_watts(self.noise_power_dbm)
+        except DomainError:  # finite but past the float range in watts
+            watts = math.inf
+        _require_positive(f"noise_power_dbm = {self.noise_power_dbm!r} in watts", watts,
+                          ConfigError)
         if self.pulse_count < 1:
             raise ConfigError(
                 f"tau_s * bandwidth_hz = {measurements!r} rounds below 1 measurement"
@@ -157,7 +156,6 @@ def dump_config(config: ScenarioConfig) -> str:
     import json
 
     payload = {name: getattr(config, name) for name in ScenarioConfig._fields}
-    payload["frequencies_hz"] = list(config.frequencies_hz)
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -5,6 +5,12 @@ All powers are plain floats in watts; dBm is a view obtained through
 N_B = k_B * T / (h * f) with no Bose-Einstein correction, so that
 P_B = k_B * T_eff * B = N_B * h * f * B holds as an exact identity at every
 frequency.
+
+:func:`_require_positive` and :func:`_require_non_negative` hold the
+package's one positive-and-finite and one non-negative-and-finite rule.
+Each raises the error class its caller names (:class:`DomainError` by
+default), so the config, the attenuation table and the CLI raise their own
+errors with the same message.
 """
 
 from __future__ import annotations
@@ -15,17 +21,18 @@ from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError
 
 
-def _require_positive(name: str, value: float) -> float:
+def _require_positive(name: str, value: float, error: type[Exception] = DomainError) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        raise error(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
-def _require_non_negative(name: str, value: float) -> float:
+def _require_non_negative(name: str, value: float,
+                          error: type[Exception] = DomainError) -> float:
     value = float(value)
     if not math.isfinite(value) or value < 0.0:
-        raise DomainError(f"{name} must be non-negative and finite, got {value!r}")
+        raise error(f"{name} must be non-negative and finite, got {value!r}")
     return value
 
 

@@ -76,6 +76,18 @@ MUTANTS = {
     "write_misses_oserror": (
         "errors", "_write_file",
         "except OSError as exc:", "except EOFError as exc:", ("tests/test_cli.py",)),
+    # the package's one positive and one non-negative rule, which part at 0,
+    # and the config's own error that its checks raise
+    "require_positive_admits_zero": (
+        "radiometry", "_require_positive",
+        "value <= 0.0", "value < 0.0", ("tests/test_radiometry.py",)),
+    "require_non_negative_rejects_zero": (
+        "radiometry", "_require_non_negative",
+        "value < 0.0", "value <= 0.0", ("tests/test_radiometry.py",)),
+    "config_check_raises_a_domain_error": (
+        "config", "ScenarioConfig._check",
+        '"tau_s * bandwidth_hz", measurements, ConfigError',
+        '"tau_s * bandwidth_hz", measurements, DomainError', ("tests/test_config.py",)),
     # the two float-range guards of radiometry
     "in_float_range_needs_both_ends": (
         "radiometry", "_in_float_range",

@@ -114,6 +114,15 @@ def test_serialize_round_trips_exactly():
     assert again.rows == table.rows
 
 
+def test_rows_hold_the_floats_the_check_returns():
+    # a table built in code with ints reads back, and serializes, as floats
+    table = AttenuationTable(rows=((1, 2), (3, 4)))
+    assert table.rows == ((1.0, 2.0), (3.0, 4.0))
+    assert {type(v) for row in table.rows for v in row} == {float}
+    assert serialize_table(table) == "frequency_ghz,gamma_db_per_km\n1.0,2.0\n3.0,4.0\n"
+    assert table == AttenuationTable(rows=((1.0, 2.0), (3.0, 4.0)))
+
+
 def test_gamma_exact_at_knots():
     table = parse_table(SAMPLE_CSV.splitlines())
     assert gamma_at(table, 7e9) == 0.01

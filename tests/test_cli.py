@@ -400,6 +400,29 @@ def test_table_row_frequency_must_be_positive_and_finite(tmp_path, capsys, f_ghz
         2, "", f"error: attenuation table {table}: {message}\n")
 
 
+@pytest.mark.parametrize("gamma", ["-1", "nan", "inf"])
+def test_table_row_gamma_must_be_non_negative_and_finite(tmp_path, capsys, gamma):
+    message = f"row 2: gamma must be non-negative and finite, got {float(gamma)!r}"
+    with pytest.raises(TableValidationError, match=re.escape(message)):
+        atmosphere.AttenuationTable(rows=((10.0, 0.5), (60.0, float(gamma)), (100.0, 8.0)))
+    table = tmp_path / "bad.csv"
+    table.write_text(f"frequency_ghz,gamma_db_per_km\n10,0.5\n60,{gamma}\n100,8\n",
+                     encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"attenuation_table_path": str(table)}), encoding="utf-8")
+    assert run_cli(capsys, "--config", str(config), "atten", "--freq", "60e9") == (
+        2, "", f"error: attenuation table {table}: {message}\n")
+
+
+def test_table_row_gamma_of_zero_is_accepted(tmp_path, capsys):
+    table = tmp_path / "lossless_knot.csv"
+    table.write_text("frequency_ghz,gamma_db_per_km\n10,0.5\n60,0\n100,8\n", encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"attenuation_table_path": str(table)}), encoding="utf-8")
+    assert run_cli(capsys, "--config", str(config), "atten", "--freq", "60e9") == (
+        0, f"gamma(6e+10 Hz) = 0 dB/km [table: {table}, span 10-100 GHz]\n", "")
+
+
 # Every file error exits 2 with empty stdout and one stderr line that names
 # the file: "cannot read <kind> <path>: <reason>", "<kind> <path>: <message>"
 # or "cannot write <path>: <reason>".  Each case is (config file contents,
@@ -1000,8 +1023,9 @@ def test_sweep_grid_validation(tmp_path, capsys):
     assert not output.exists()
     code, _, err = run_cli(capsys, "sweep", "--figure", "1", "--points", "1")
     assert code == 2
-    code, _, err = run_cli(capsys, "sweep", "--figure", "1", "--ns-min", "-1")
-    assert code == 2
+    for ns_min in ("0", "-1", "nan"):
+        assert run_cli(capsys, "sweep", "--figure", "1", "--ns-min", ns_min) == (
+            2, "", f"error: --ns-min must be positive and finite, got {float(ns_min)!r}\n")
     for ns_max in ("inf", "nan"):
         assert run_cli(capsys, "sweep", "--figure", "1", "--ns-max", ns_max) == (
             2, "", f"error: --ns-max must be finite, got {float(ns_max)!r}\n")

@@ -130,6 +130,27 @@ def test_overflowing_tau_times_b_rejected():
         parse_config('{"tau_s": 1e200, "bandwidth_hz": 1e200}')
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"frequencies_hz": [7e9, -1.0]}, "frequencies_hz must be positive and finite, got -1.0"),
+    ({"sigma_m2": 0.0}, "sigma_m2 must be positive and finite, got 0.0"),
+    ({"aperture_m2": -1.0}, "aperture_m2 must be positive and finite, got -1.0"),
+    ({"tau_s": 0.0}, "tau_s must be positive and finite, got 0.0"),
+    ({"bandwidth_hz": -1.0}, "bandwidth_hz must be positive and finite, got -1.0"),
+    ({"snr_min_db": -4000.0},
+     "linear SNR_min from snr_min_db = -4000.0 must be positive and finite, got 0.0"),
+    ({"tau_s": 1e-200, "bandwidth_hz": 1e-200},
+     "tau_s * bandwidth_hz must be positive and finite, got 0.0"),
+    ({"noise_power_dbm": 4000.0},
+     "noise_power_dbm = 4000.0 in watts must be positive and finite, got inf"),
+], ids=["frequencies_hz", "sigma_m2", "aperture_m2", "tau_s", "bandwidth_hz", "snr_min_linear",
+        "tau_s_times_bandwidth_hz", "noise_power_watts"])
+def test_each_positivity_check_raises_a_config_error(fields, message):
+    # radiometry's rule and message, raised as the config's own error
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig(**fields)
+    assert (type(info.value), str(info.value)) == (ConfigError, message)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("snr_min_db", 4000), ("snr_min_db", -4000), ("noise_power_dbm", -4000)],

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from qi_rangekit.constants import CODATA, TEXTBOOK
-from qi_rangekit.errors import DomainError
+from qi_rangekit.errors import ConfigError, DomainError
 from qi_rangekit.radiometry import (
+    _require_non_negative,
+    _require_positive,
     dbm_to_watts,
     t_eff_from_noise_power,
     thermal_occupancy,
@@ -131,6 +133,30 @@ DOMAIN_ERRORS = [
 def test_domain_errors(function, args):
     with pytest.raises(DomainError):
         function(*args)
+
+
+def test_the_positive_and_non_negative_rules_part_at_zero():
+    # 0 is the one finite value that the two rules treat differently
+    assert _require_non_negative("x", 0) == 0.0
+    with pytest.raises(DomainError) as info:
+        _require_positive("x", 0)
+    assert str(info.value) == "x must be positive and finite, got 0.0"
+    assert _require_positive("x", 5e-324) == 5e-324
+    with pytest.raises(DomainError) as info:
+        _require_non_negative("x", -5e-324)
+    assert str(info.value) == "x must be non-negative and finite, got -5e-324"
+    # what passes comes back as a float
+    assert type(_require_positive("x", 2)) is type(_require_non_negative("x", 2)) is float
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_the_positivity_rules_raise_the_error_the_caller_names(value):
+    for rule, wording in ((_require_positive, "positive"),
+                          (_require_non_negative, "non-negative")):
+        with pytest.raises(ConfigError) as info:
+            rule("x", value, ConfigError)
+        assert (type(info.value), str(info.value)) == (
+            ConfigError, f"x must be {wording} and finite, got {value!r}")
 
 
 @pytest.mark.parametrize("args, message", [
