@@ -167,8 +167,7 @@ def _cmd_range(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
 
 def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
     ns_min = radiometry._require_positive("--ns-min", ns_min, RangeKitError)
-    if not math.isfinite(ns_max):
-        raise RangeKitError(f"--ns-max must be finite, got {ns_max!r}")
+    ns_max = radiometry._require_finite("--ns-max", ns_max, RangeKitError)
     if not ns_max > ns_min:
         raise RangeKitError(f"--ns-max must exceed --ns-min, got {ns_max!r}")
     if points < 2:

@@ -28,26 +28,12 @@ from . import radiometry
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import ConfigError, DomainError, _read_file
-from .radiometry import _require_positive
+from .radiometry import _require_finite, _require_positive
 
 _NUMBER_FIELDS = (
     "sigma_m2", "aperture_m2", "bandwidth_hz", "tau_s",
     "noise_power_dbm", "snr_min_db", "p_d", "p_fa",
 )
-
-
-def _as_float(name: str, value: object) -> float:
-    """``value`` as a finite float; JSON gives ints of any size, so check it
-    fits, and ``Infinity``, ``NaN`` or 1e400 as floats, so check those too."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} is an integer too large for a float") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{name} must be finite, got {number!r}")
-    return number
 
 
 class ScenarioConfig(Record):
@@ -75,10 +61,11 @@ class ScenarioConfig(Record):
 
     def _check(self) -> None:
         for name in _NUMBER_FIELDS:
-            _as_float(name, getattr(self, name))
+            _require_finite(name, getattr(self, name), ConfigError)
         if not isinstance(self.frequencies_hz, (list, tuple)):
             raise ConfigError(f"frequencies_hz must be a list, got {self.frequencies_hz!r}")
-        frequencies = tuple(_as_float("frequencies_hz", f) for f in self.frequencies_hz)
+        frequencies = tuple(_require_finite("frequencies_hz", f, ConfigError)
+                            for f in self.frequencies_hz)
         if not frequencies:
             raise ConfigError("frequencies_hz must not be empty")
         object.__setattr__(self, "frequencies_hz", frequencies)

@@ -41,7 +41,7 @@ import random
 from ._record import Record
 from .errors import CovarianceNotPSDError, DomainError
 from .quantum_states import coherent_block, tmsv_block
-from .radiometry import _require_non_negative, _require_positive, _root_product
+from .radiometry import _as_number, _require_non_negative, _require_positive, _root_product
 
 _PSD_TOLERANCE = -1e-9
 
@@ -83,7 +83,8 @@ def return_states(eta: float, n_b: float, s: float, c: float) -> tuple[State, St
     cross entry scales by sqrt(eta).  Under target-absent the returned mode
     is pure thermal (diagonal 2*N_B + 1) with no idler correlation.
     """
-    if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
+    eta = _as_number("eta", eta)
+    if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must be in (0, 1], got {eta!r}")
     n_b = _require_non_negative("n_b", n_b)
     # Mean photon number encoded in the signal diagonal s = 2*N_s + 1.
@@ -163,7 +164,7 @@ def exact_exceedance(state: State, t: float) -> float:
     threshold t is (exact_exceedance(present, t), exact_exceedance(absent, t)).
     """
     a, b = _statistic_scales(*state)
-    t = float(t)
+    t = _as_number("threshold", t)
     if math.isnan(t):
         raise DomainError(f"threshold must be a number, got {t!r}")
     weight = a / (a - b) if a > 0.0 else 0.0

@@ -6,11 +6,14 @@ N_B = k_B * T / (h * f) with no Bose-Einstein correction, so that
 P_B = k_B * T_eff * B = N_B * h * f * B holds as an exact identity at every
 frequency.
 
-:func:`_require_positive` and :func:`_require_non_negative` hold the
-package's one positive-and-finite and one non-negative-and-finite rule.
-Each raises the error class its caller names (:class:`DomainError` by
-default), so the config, the attenuation table and the CLI raise their own
-errors with the same message.
+:func:`_as_number` holds the package's one number rule: an ``int`` or
+``float`` that is not a ``bool``, an int only where it fits a float.
+:func:`_require_finite`, :func:`_require_positive` and
+:func:`_require_non_negative` start from it and add the package's one
+finite, positive-and-finite and non-negative-and-finite rule.  Each raises
+the error class its caller names (:class:`DomainError` by default), so the
+config, the attenuation table and the CLI raise their own errors with the
+same message.
 """
 
 from __future__ import annotations
@@ -21,16 +24,35 @@ from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError
 
 
-def _require_positive(name: str, value: float, error: type[Exception] = DomainError) -> float:
-    value = float(value)
+def _as_number(name: str, value: object, error: type[Exception] = DomainError) -> float:
+    """``value`` as a float: an int or float, not a bool, nor an int past
+    the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is an integer too large for a float") from None
+
+
+def _require_finite(name: str, value: object, error: type[Exception] = DomainError) -> float:
+    value = _as_number(name, value, error)
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _require_positive(name: str, value: object, error: type[Exception] = DomainError) -> float:
+    if type(value) is not float:  # an exact float, as in every hot loop, needs no conversion
+        value = _as_number(name, value, error)
     if not math.isfinite(value) or value <= 0.0:
         raise error(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
-def _require_non_negative(name: str, value: float,
+def _require_non_negative(name: str, value: object,
                           error: type[Exception] = DomainError) -> float:
-    value = float(value)
+    value = _as_number(name, value, error)
     if not math.isfinite(value) or value < 0.0:
         raise error(f"{name} must be non-negative and finite, got {value!r}")
     return value
@@ -76,9 +98,7 @@ def watts_to_dbm(watts: float) -> float:
 
 def dbm_to_watts(dbm: float) -> float:
     """Inverse of :func:`watts_to_dbm`."""
-    dbm = float(dbm)
-    if not math.isfinite(dbm):
-        raise DomainError(f"power in dBm must be finite, got {dbm!r}")
+    dbm = _require_finite("power in dBm", dbm)
     try:
         return 1e-3 * 10.0 ** (dbm / 10.0)
     except OverflowError:

@@ -81,6 +81,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from operator import le
 
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
@@ -332,15 +333,11 @@ def _lambert_w0(x: float) -> float:
 
 
 def _validated_grid(n_s_grid: Sequence[float]) -> tuple[float, ...]:
-    grid = tuple(float(v) for v in n_s_grid)
+    grid = tuple(_require_positive("grid values", v) for v in n_s_grid)
     if not grid:
         raise DomainError("grid must not be empty")
-    previous = None
-    for value in grid:
-        _require_positive("grid values", value)
-        if previous is not None and value <= previous:
-            raise DomainError("grid must be strictly increasing")
-        previous = value
+    if any(map(le, grid[1:], grid)):
+        raise DomainError("grid must be strictly increasing")
     return grid
 
 

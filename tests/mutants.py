@@ -88,6 +88,23 @@ MUTANTS = {
         "config", "ScenarioConfig._check",
         '"tau_s * bandwidth_hz", measurements, ConfigError',
         '"tau_s * bandwidth_hz", measurements, DomainError', ("tests/test_config.py",)),
+    # the package's one number rule: a bool is not a number, an int past the
+    # float range raises the caller's error, the finite rule refuses NaN and
+    # inf, and only an exact float skips the rule in the positive check
+    "as_number_admits_a_bool": (
+        "radiometry", "_as_number",
+        "isinstance(value, bool)", "isinstance(value, complex)", ("tests/test_radiometry.py",)),
+    "as_number_leaks_the_overflow": (
+        "radiometry", "_as_number",
+        "except OverflowError:", "except ZeroDivisionError:", ("tests/test_radiometry.py",)),
+    "require_finite_admits_inf": (
+        "radiometry", "_require_finite",
+        "if not math.isfinite(value):", "if not math.isnan(value):",
+        ("tests/test_radiometry.py",)),
+    "require_positive_lets_a_bool_skip_the_rule": (
+        "radiometry", "_require_positive",
+        "if type(value) is not float:", "if type(value) is not bool:",
+        ("tests/test_radiometry.py",)),
     # the two float-range guards of radiometry
     "in_float_range_needs_both_ends": (
         "radiometry", "_in_float_range",

@@ -154,3 +154,51 @@ def test_an_open_call_is_seen_wherever_it_is():
         "c": '"""Files go through open()."""\n# open(p) is not called here\nopened = 1\n',
     }
     assert modules_opening_files(sources) == ["a", "b"]
+
+
+NUMBER_RULE_TEXTS = ("must be a number", "is an integer too large for a float")
+
+
+def number_rule_strings(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, string) for each string constant in the code of ``sources``
+    that holds one of :data:`NUMBER_RULE_TEXTS`, an f-string's literal parts
+    included; docstrings are not code."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node) is not None
+        }
+        found += [
+            (module, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and any(text in node.value for text in NUMBER_RULE_TEXTS)
+        ]
+    return sorted(found)
+
+
+def test_one_module_formats_the_number_rule():
+    # radiometry._as_number is the package's one number rule; the one other
+    # text is exact_exceedance's NaN threshold, which the rule lets through
+    assert number_rule_strings(package_sources()) == [
+        ("detection_mc", "threshold must be a number, got "),
+        ("radiometry", " is an integer too large for a float"),
+        ("radiometry", " must be a number, got "),
+    ]
+
+
+def test_a_number_rule_string_is_seen_wherever_it_is():
+    # positive control for the scan above: code, not a docstring or comment
+    sources = {
+        "a": 'def f(x):\n    raise ValueError(f"{x!r} must be a number")\n',
+        "b": 'TEXT = "n is an integer too large for a float"\n',
+        "c": '"""Each x must be a number."""\n# must be a number\n\n\n'
+             'def g():\n    """x is an integer too large for a float."""\n',
+    }
+    assert number_rule_strings(sources) == [
+        ("a", " must be a number"), ("b", "n is an integer too large for a float"),
+    ]

@@ -1,14 +1,22 @@
-"""Radiometry conversions and the quoted transmit-power values."""
+"""Radiometry conversions, the quoted transmit-power values, and the
+package's one number rule at every public entry point that takes a number."""
 
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qi_rangekit.atmosphere import AttenuationTable, bundled_table, form_factor, gamma_at
+from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.constants import CODATA, TEXTBOOK
-from qi_rangekit.errors import ConfigError, DomainError
+from qi_rangekit.detection_mc import exact_exceedance, return_states
+from qi_rangekit.errors import ConfigError, DomainError, RangeKitError, TableValidationError
+from qi_rangekit.quantum_states import correlation_ratio, tmsv_covariance
 from qi_rangekit.radiometry import (
+    _require_finite,
     _require_non_negative,
     _require_positive,
     dbm_to_watts,
@@ -17,6 +25,7 @@ from qi_rangekit.radiometry import (
     transmit_power,
     watts_to_dbm,
 )
+from qi_rangekit.range_solver import antenna_gain, range_chain, sweep_range
 from reference_chain import noise_power, photons_per_mode
 
 # Benchmark noise budget: P_B = -63.82 dBm over B = 1 GHz.
@@ -199,3 +208,76 @@ def test_watts_to_dbm_above_the_milliwatt_overflow():
     assert watts_to_dbm(1e306) == pytest.approx(3090.0, rel=1e-15)
     assert watts_to_dbm(1.7976931348623157e308) == pytest.approx(3112.5471556, rel=1e-10)
     assert watts_to_dbm(1.0) == 10.0 * math.log10(1.0 / 1e-3)
+
+
+# The public entry points that take a number, each as a call with that one
+# number: (call, the name its message gives, the error it raises, a whole
+# number it accepts).
+NUMBER_ENTRY_POINTS = {
+    "transmit_power": (lambda x: transmit_power(x, 1e9, 1e9), "photons per mode", DomainError,
+                       1.0),
+    "thermal_occupancy": (lambda x: thermal_occupancy(x, 1e9), "temperature", DomainError,
+                          300.0),
+    "dbm_to_watts": (dbm_to_watts, "power in dBm", DomainError, -30.0),
+    "watts_to_dbm": (watts_to_dbm, "power in watts", DomainError, 1.0),
+    "antenna_gain": (lambda x: antenna_gain(x, 1e10), "antenna aperture", DomainError, 1.0),
+    "gamma_at": (lambda x: gamma_at(bundled_table(), x), "frequency", DomainError, 60e9),
+    "form_factor": (lambda x: form_factor(x, 1e3), "gamma", DomainError, 1.0),
+    "correlation_ratio": (correlation_ratio, "n_s", DomainError, 1.0),
+    "tmsv_covariance": (tmsv_covariance, "n_s", DomainError, 1.0),
+    "return_states": (lambda x: return_states(x, 1.0, 3.0, 1.0), "eta", DomainError, 1.0),
+    "exact_exceedance": (lambda x: exact_exceedance((3.0, 3.0, 1.0), x), "threshold",
+                         DomainError, 1.0),
+    "RangeChain.replace": (lambda x: range_chain(ScenarioConfig(), 7e9).replace(n_b=x), "n_b",
+                           DomainError, 2.0),
+    "AttenuationTable": (lambda x: AttenuationTable(rows=((x, 1.0), (2e3, 1.0))),
+                         "row 1: frequency", TableValidationError, 10.0),
+    "sweep_range": (lambda x: list(sweep_range(ScenarioConfig(), [x])), "grid values",
+                    DomainError, 1.0),
+}
+HUGE_INT = 10**400
+NOT_NUMBERS = {"str": "1", "bytes": b"1", "bool": True, "None": None, "list": [1.0],
+               "huge_int": HUGE_INT}
+
+
+@pytest.mark.parametrize("kind", NOT_NUMBERS)
+@pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+def test_every_entry_point_refuses_what_is_not_a_number(entry, kind):
+    # one rule, radiometry._as_number, with the entry point's own error
+    call, name, error, _ = NUMBER_ENTRY_POINTS[entry]
+    value = NOT_NUMBERS[kind]
+    with pytest.raises(RangeKitError) as info:
+        call(value)
+    message = (f"{name} is an integer too large for a float" if value is HUGE_INT
+               else f"{name} must be a number, got {value!r}")
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+def test_every_entry_point_takes_an_int_and_a_numpy_float64(entry):
+    call, _, _, number = NUMBER_ENTRY_POINTS[entry]
+    assert call(np.float64(number)) == call(int(number)) == call(number)
+
+
+def test_a_table_row_of_text_is_refused():
+    with pytest.raises(TableValidationError) as info:
+        AttenuationTable(rows=(("10", True), ("1e2", "2")))
+    assert str(info.value) == "row 1: frequency must be a number, got '10'"
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.float32(1.0), Decimal(1), Fraction(1)],
+                         ids=["int64", "float32", "Decimal", "Fraction"])
+def test_other_number_types_are_converted_by_the_caller(value):
+    with pytest.raises(DomainError) as info:
+        transmit_power(value, 1e9, 1e9)
+    assert str(info.value) == f"photons per mode must be a number, got {value!r}"
+    assert transmit_power(float(value), 1e9, 1e9) == transmit_power(1.0, 1e9, 1e9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, HUGE_INT])
+def test_the_finite_rule_refuses_nan_inf_and_huge_ints(value):
+    with pytest.raises(ConfigError) as info:
+        _require_finite("x", value, ConfigError)
+    assert str(info.value) == ("x is an integer too large for a float" if value is HUGE_INT
+                               else f"x must be finite, got {value!r}")
+    assert _require_finite("x", -2) == -2.0

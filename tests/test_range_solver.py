@@ -1,13 +1,15 @@
 """Closed-form and implicit maximum-range solutions."""
 
 import math
+from decimal import Decimal, localcontext
+from operator import gt
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from bench_scenario import BUNDLED_CSV, sweep_attenuated_config
 from reference_chain import channel_transmissivity, fourth_power_variant, snr_eff, threshold
-from reference_root import reference_root, ulps
+from reference_root import DIGITS, reference_root, ulps
 
 from qi_rangekit import atmosphere, range_solver
 from qi_rangekit.atmosphere import bundled_table, form_factor
@@ -340,6 +342,24 @@ def test_quantum_classical_ratio_law():
         ci = benchmark_point(n_s=n_s, gamma=4.0, mode=Illumination.CI).solve()
         qi = benchmark_point(n_s=n_s, gamma=4.0, mode=Illumination.QI).solve()
         assert qi / ci < (1.0 + 1.0 / n_s) ** 0.25
+    # at 1 THz and N_s 1e-3: lossless, (1 + 1/N_s)^(1/4) within 4 ulp; with
+    # absorption W0(k*x)/W0(x), the quotient of the reference roots within
+    # 4 ulp, falling strictly toward 1 as gamma rises
+    n_s, lossless = 1e-3, range_chain(BENCHMARK, 1e12)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        law = (1 + 1 / Decimal(n_s)).sqrt().sqrt()
+    ratios = []
+    for gamma in [0.0, *np.logspace(-4.0, 4.0, 81).tolist()]:
+        chain = lossless.replace(gamma_db_per_km=gamma)
+        ratio = chain.solve(n_s, Illumination.QI) / chain.solve(n_s, Illumination.CI)
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            reference = (reference_root(chain, n_s, Illumination.QI)
+                         / reference_root(chain, n_s, Illumination.CI))
+        assert ulps(ratio, law if gamma == 0.0 else reference) <= 4.0
+        ratios.append(ratio)
+    assert all(map(gt, ratios, ratios[1:])) and ratios[-1] > 1.0
 
 
 def test_monotonicity_in_scenario_knobs():
