@@ -170,10 +170,7 @@ def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
     ns_max = radiometry._require_finite("--ns-max", ns_max, RangeKitError)
     if not ns_max > ns_min:
         raise RangeKitError(f"--ns-max must exceed --ns-min, got {ns_max!r}")
-    if points < 2:
-        raise RangeKitError(f"--points must be >= 2, got {points!r}")
-    if points > MAX_SWEEP_POINTS:
-        raise RangeKitError(f"--points must be at most {MAX_SWEEP_POINTS}, got {points!r}")
+    radiometry._require_count("--points", points, 2, MAX_SWEEP_POINTS, RangeKitError)
     from operator import le
 
     import numpy as np
@@ -227,8 +224,8 @@ def _cmd_sweep(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
 
 
 def _cmd_mc(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
-    if args.trials > MAX_TRIALS:
-        raise RangeKitError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    # the lower bound is the library's, under its own name
+    radiometry._require_count("--trials", args.trials, -math.inf, MAX_TRIALS, RangeKitError)
     from .detection_mc import MIN_RESOLUTION, detector_gain_experiment
 
     result = detector_gain_experiment(

@@ -41,7 +41,8 @@ import random
 from ._record import Record
 from .errors import CovarianceNotPSDError, DomainError
 from .quantum_states import coherent_block, tmsv_block
-from .radiometry import _as_number, _require_non_negative, _require_positive, _root_product
+from .radiometry import _as_number, _require_count, _require_finite, _require_non_negative
+from .radiometry import _require_positive, _root_product
 
 _PSD_TOLERANCE = -1e-9
 
@@ -53,13 +54,6 @@ State = tuple[float, float, float]
 #: describe the gain.  Below it the shift is buried in noise and ``mc``
 #: reports the point as unresolved.
 MIN_RESOLUTION = 5.0
-
-
-def _validate_seed(seed: int) -> int:
-    seed = int(seed)
-    if not (0 <= seed < 2**64):
-        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return seed
 
 
 def _require_psd(smallest_eigenvalue: float, largest_entry: float) -> None:
@@ -87,6 +81,8 @@ def return_states(eta: float, n_b: float, s: float, c: float) -> tuple[State, St
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must be in (0, 1], got {eta!r}")
     n_b = _require_non_negative("n_b", n_b)
+    s = _require_finite("s", s)
+    c = _require_finite("c", c)
     # Mean photon number encoded in the signal diagonal s = 2*N_s + 1.
     # Quartering first keeps the sum finite above N_s ~4.5e307 and is exact.
     n_s = s / 4.0 + s / 4.0 - 0.5
@@ -107,8 +103,7 @@ def _statistic_scales(s_r: float, s_i: float, c: float) -> tuple[float, float]:
     PSD.  Its smallest eigenvalue is p + q - sqrt((p - q)^2 + 4r^2), which
     the PSD check reads from the halved entries, so that it cannot overflow.
     """
-    if not (math.isfinite(s_r) and math.isfinite(s_i) and math.isfinite(c)):
-        raise DomainError(f"state must be finite, got {(s_r, s_i, c)!r}")
+    s_r, s_i, c = (_require_finite("state", v) for v in (s_r, s_i, c))
     p, q, r = s_r / 2.0, s_i / 2.0, c / 2.0
     _require_psd(p + q - math.hypot(p - q, 2.0 * r), max(abs(s_r), abs(s_i), abs(c)))
     root = _root_product(p, q)
@@ -228,12 +223,11 @@ def detector_gain_experiment(
     ``resolution``.  The first-order error holds where it is well above 1;
     below :data:`MIN_RESOLUTION` the result is reported as unresolved.
     """
-    trials = int(trials)
-    if trials < 10_000:
-        raise DomainError(f"need at least 1e4 trials, got {trials!r}")
+    # up to 2**53 every count is exact as a float, as the draws take it
+    trials = _require_count("trials", trials, 10_000, 2**53)
     n_s = _require_positive("n_s", n_s)
     n_b = _require_positive("n_b", n_b)
-    rng = random.Random(_validate_seed(seed))
+    rng = random.Random(_require_count("seed", seed, 0, 2**64 - 1))
 
     # ((a, b) present, (a, b) absent) of the quantum, then the classical transmitter
     scales = []

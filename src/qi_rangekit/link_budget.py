@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
+from .radiometry import _as_number, _require_count
 
 
 def albersheim_snr_min(p_d: float, p_fa: float, m: int) -> float:
@@ -25,15 +26,13 @@ def albersheim_snr_min(p_d: float, p_fa: float, m: int) -> float:
     outside that box the approximation is not certified and a DomainError
     is raised.  Advisory only: it does not replace a configured threshold.
     """
-    p_d = float(p_d)
-    p_fa = float(p_fa)
-    m = int(m)
+    p_d = _as_number("p_d", p_d)
+    p_fa = _as_number("p_fa", p_fa)
+    m = _require_count("m", m, 1, 8096)
     if not (0.1 <= p_d <= 0.9):
         raise DomainError(f"p_d={p_d!r} outside the Albersheim validity box [0.1, 0.9]")
     if not (1e-7 <= p_fa <= 1e-3):
         raise DomainError(f"p_fa={p_fa!r} outside the Albersheim validity box [1e-7, 1e-3]")
-    if not (1 <= m <= 8096):
-        raise DomainError(f"m={m!r} outside the Albersheim validity box [1, 8096]")
     a = math.log(0.62 / p_fa)
     b = math.log(p_d / (1.0 - p_d))
     return -5.0 * math.log10(m) + (6.2 + 4.54 / math.sqrt(m + 0.44)) * math.log10(

@@ -10,10 +10,12 @@ frequency.
 ``float`` that is not a ``bool``, an int only where it fits a float.
 :func:`_require_finite`, :func:`_require_positive` and
 :func:`_require_non_negative` start from it and add the package's one
-finite, positive-and-finite and non-negative-and-finite rule.  Each raises
-the error class its caller names (:class:`DomainError` by default), so the
-config, the attenuation table and the CLI raise their own errors with the
-same message.
+finite, positive-and-finite and non-negative-and-finite rule.
+:func:`_require_count` holds the one count rule: an ``int`` that is not a
+``bool``, from a lower to an upper bound, for every trial count, seed,
+pulse count and grid size the package takes.  Each raises the error class
+its caller names (:class:`DomainError` by default), so the config, the
+attenuation table and the CLI raise their own errors with the same message.
 """
 
 from __future__ import annotations
@@ -33,6 +35,19 @@ def _as_number(name: str, value: object, error: type[Exception] = DomainError) -
         return float(value)
     except OverflowError:
         raise error(f"{name} is an integer too large for a float") from None
+
+
+def _require_count(name: str, value: object, lo: float, hi: float,
+                   error: type[Exception] = DomainError) -> int:
+    """``value``, an int that is not a bool, from ``lo`` to ``hi``; a bound
+    of -inf or inf leaves that end open."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise error(f"{name} must be >= {lo}, got {value!r}")
+    if value > hi:
+        raise error(f"{name} must be at most {hi}, got {value!r}")
+    return value
 
 
 def _require_finite(name: str, value: object, error: type[Exception] = DomainError) -> float:

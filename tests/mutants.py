@@ -105,6 +105,14 @@ MUTANTS = {
         "radiometry", "_require_positive",
         "if type(value) is not float:", "if type(value) is not bool:",
         ("tests/test_radiometry.py",)),
+    # the package's one count rule: a bool is not a count, and the lowest
+    # count is accepted
+    "require_count_admits_a_bool": (
+        "radiometry", "_require_count",
+        "isinstance(value, bool)", "isinstance(value, complex)", ("tests/test_radiometry.py",)),
+    "require_count_refuses_its_lower_bound": (
+        "radiometry", "_require_count",
+        "if value < lo:", "if value <= lo:", ("tests/test_radiometry.py",)),
     # the two float-range guards of radiometry
     "in_float_range_needs_both_ends": (
         "radiometry", "_in_float_range",

@@ -11,10 +11,13 @@ this sampler to check the library's closed forms against draws that share
 none of its formulas.
 """
 
+import math
+
 import numpy as np
 
-from qi_rangekit.detection_mc import _require_psd, _validate_seed
+from qi_rangekit.detection_mc import _require_psd
 from qi_rangekit.errors import DomainError
+from qi_rangekit.radiometry import _require_count
 
 
 def state_covariance(state) -> np.ndarray:
@@ -45,11 +48,9 @@ def sample_quadratures(cov, n: int, seed: int) -> np.ndarray:
     Returns an (n, 4) array whose 2x sample second moments estimate ``cov``.
     Deterministic: the same seed yields bit-identical output.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n!r}")
+    n = _require_count("sample count", n, 1, math.inf)
     factor = _gaussian_factor(cov)
-    rng = np.random.Generator(np.random.PCG64(_validate_seed(seed)))
+    rng = np.random.Generator(np.random.PCG64(_require_count("seed", seed, 0, 2**64 - 1)))
     return rng.standard_normal(size=(n, 4)) @ factor.T
 
 

@@ -156,7 +156,8 @@ def test_an_open_call_is_seen_wherever_it_is():
     assert modules_opening_files(sources) == ["a", "b"]
 
 
-NUMBER_RULE_TEXTS = ("must be a number", "is an integer too large for a float")
+NUMBER_RULE_TEXTS = ("must be a number", "is an integer too large for a float",
+                     "must be an integer", "must be >= ", "must be at most ")
 
 
 def number_rule_strings(sources: dict[str, str]) -> list[tuple[str, str]]:
@@ -182,12 +183,16 @@ def number_rule_strings(sources: dict[str, str]) -> list[tuple[str, str]]:
 
 
 def test_one_module_formats_the_number_rule():
-    # radiometry._as_number is the package's one number rule; the one other
-    # text is exact_exceedance's NaN threshold, which the rule lets through
+    # radiometry._as_number is the package's one number rule and
+    # radiometry._require_count its one count rule; the one other text is
+    # exact_exceedance's NaN threshold, which the number rule lets through
     assert number_rule_strings(package_sources()) == [
         ("detection_mc", "threshold must be a number, got "),
         ("radiometry", " is an integer too large for a float"),
+        ("radiometry", " must be >= "),
         ("radiometry", " must be a number, got "),
+        ("radiometry", " must be an integer, got "),
+        ("radiometry", " must be at most "),
     ]
 
 
@@ -195,10 +200,12 @@ def test_a_number_rule_string_is_seen_wherever_it_is():
     # positive control for the scan above: code, not a docstring or comment
     sources = {
         "a": 'def f(x):\n    raise ValueError(f"{x!r} must be a number")\n',
-        "b": 'TEXT = "n is an integer too large for a float"\n',
+        "b": 'TEXT = "n is an integer too large for a float"\n'
+             'raise ValueError(f"{n} must be an integer")\n',
         "c": '"""Each x must be a number."""\n# must be a number\n\n\n'
              'def g():\n    """x is an integer too large for a float."""\n',
     }
     assert number_rule_strings(sources) == [
-        ("a", " must be a number"), ("b", "n is an integer too large for a float"),
+        ("a", " must be a number"), ("b", " must be an integer"),
+        ("b", "n is an integer too large for a float"),
     ]

@@ -1,19 +1,24 @@
 """Radiometry conversions, the quoted transmit-power values, and the
-package's one number rule at every public entry point that takes a number."""
+package's one number rule and one count rule at every public entry point
+that takes a number or a count."""
 
 import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from qi_rangekit import cli
 from qi_rangekit.atmosphere import AttenuationTable, bundled_table, form_factor, gamma_at
+from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS
 from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.constants import CODATA, TEXTBOOK
-from qi_rangekit.detection_mc import exact_exceedance, return_states
+from qi_rangekit.detection_mc import detector_gain_experiment, exact_exceedance, return_states
 from qi_rangekit.errors import ConfigError, DomainError, RangeKitError, TableValidationError
+from qi_rangekit.link_budget import albersheim_snr_min
 from qi_rangekit.quantum_states import correlation_ratio, tmsv_covariance
 from qi_rangekit.radiometry import (
     _require_finite,
@@ -212,7 +217,7 @@ def test_watts_to_dbm_above_the_milliwatt_overflow():
 
 # The public entry points that take a number, each as a call with that one
 # number: (call, the name its message gives, the error it raises, a whole
-# number it accepts).
+# number it accepts, or None where it accepts none).
 NUMBER_ENTRY_POINTS = {
     "transmit_power": (lambda x: transmit_power(x, 1e9, 1e9), "photons per mode", DomainError,
                        1.0),
@@ -226,8 +231,16 @@ NUMBER_ENTRY_POINTS = {
     "correlation_ratio": (correlation_ratio, "n_s", DomainError, 1.0),
     "tmsv_covariance": (tmsv_covariance, "n_s", DomainError, 1.0),
     "return_states": (lambda x: return_states(x, 1.0, 3.0, 1.0), "eta", DomainError, 1.0),
+    "return_states.s": (lambda x: return_states(0.5, 1.0, x, 1.0), "s", DomainError, 3.0),
+    "return_states.c": (lambda x: return_states(0.5, 1.0, 3.0, x), "c", DomainError, 1.0),
     "exact_exceedance": (lambda x: exact_exceedance((3.0, 3.0, 1.0), x), "threshold",
                          DomainError, 1.0),
+    "exact_exceedance.state": (lambda x: exact_exceedance((x, 3.0, 1.0), 0.5), "state",
+                               DomainError, 3.0),
+    "albersheim_snr_min.p_d": (lambda x: albersheim_snr_min(x, 1e-6, 1), "p_d", DomainError,
+                               None),
+    "albersheim_snr_min.p_fa": (lambda x: albersheim_snr_min(0.7, x, 1), "p_fa", DomainError,
+                                None),
     "RangeChain.replace": (lambda x: range_chain(ScenarioConfig(), 7e9).replace(n_b=x), "n_b",
                            DomainError, 2.0),
     "AttenuationTable": (lambda x: AttenuationTable(rows=((x, 1.0), (2e3, 1.0))),
@@ -253,7 +266,8 @@ def test_every_entry_point_refuses_what_is_not_a_number(entry, kind):
     assert (type(info.value), str(info.value)) == (error, message)
 
 
-@pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", [entry for entry, (*_, number) in NUMBER_ENTRY_POINTS.items()
+                                   if number is not None])
 def test_every_entry_point_takes_an_int_and_a_numpy_float64(entry):
     call, _, _, number = NUMBER_ENTRY_POINTS[entry]
     assert call(np.float64(number)) == call(int(number)) == call(number)
@@ -281,3 +295,54 @@ def test_the_finite_rule_refuses_nan_inf_and_huge_ints(value):
     assert str(info.value) == ("x is an integer too large for a float" if value is HUGE_INT
                                else f"x must be finite, got {value!r}")
     assert _require_finite("x", -2) == -2.0
+
+
+def _mc(trials):
+    args = SimpleNamespace(ns=0.1, eta=0.5, nb=1.0, trials=trials, seed=0)
+    return list(cli._cmd_mc(args, ScenarioConfig()))
+
+
+# The entry points that take a count, each as a call with that one count:
+# (call, the name its message gives, the error it raises, the lowest and the
+# highest count it accepts).
+COUNT_ENTRY_POINTS = {
+    "trials": (lambda x: detector_gain_experiment(0.1, 0.5, 1.0, x, 0), "trials", DomainError,
+               10_000, 2**53),
+    "seed": (lambda x: detector_gain_experiment(0.1, 0.5, 1.0, 10_000, x), "seed", DomainError,
+             0, 2**64 - 1),
+    "m": (lambda x: albersheim_snr_min(0.7, 1e-6, x), "m", DomainError, 1, 8096),
+    "sweep --points": (lambda x: cli._log_grid(1e-3, 10.0, x), "--points", RangeKitError,
+                       2, MAX_SWEEP_POINTS),
+    "mc --trials": (_mc, "--trials", RangeKitError, 10_000, MAX_TRIALS),
+}
+# mc leaves the lower bound of its trial count to the library
+LOWER_BOUND_NAMES = {"mc --trials": ("trials", DomainError)}
+NOT_COUNTS = {"str": "7", "float": 7.9, "bool": True, "nan": math.nan, "inf": math.inf,
+              "int64": np.int64(7)}
+
+
+@pytest.mark.parametrize("kind", [*NOT_COUNTS, "below", "above"])
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_every_count_entry_point_refuses_what_is_not_a_count_in_its_bounds(entry, kind):
+    # one rule, radiometry._require_count, with the entry point's own error
+    call, name, error, lo, hi = COUNT_ENTRY_POINTS[entry]
+    if kind == "below":
+        value = lo - 1
+        name, error = LOWER_BOUND_NAMES.get(entry, (name, error))
+        message = f"{name} must be >= {lo}, got {value!r}"
+    elif kind == "above":
+        value = hi + 1
+        message = f"{name} must be at most {hi}, got {value!r}"
+    else:
+        value = NOT_COUNTS[kind]
+        message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(RangeKitError) as info:
+        call(value)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_every_count_entry_point_takes_both_bounds(entry):
+    call, _, _, lo, hi = COUNT_ENTRY_POINTS[entry]
+    call(lo)
+    call(hi)
