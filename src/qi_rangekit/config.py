@@ -30,19 +30,16 @@ from .constants import TEXTBOOK, PhysicalConstants
 from .errors import ConfigError, DomainError, _read_file
 from .radiometry import _require_finite, _require_positive
 
-_NUMBER_FIELDS = (
-    "sigma_m2", "aperture_m2", "bandwidth_hz", "tau_s",
-    "noise_power_dbm", "snr_min_db", "p_d", "p_fa",
-)
-
 
 class ScenarioConfig(Record):
-    """The scenario, checked once on construction, which also builds the
-    parts every range chain shares as derived (non-field) attributes:
+    """The scenario, checked once on construction, which also derives what
+    every range chain reads as (non-field) slots: ``snr_min_linear``, the
+    threshold SNR_min = 10^(snr_min_db/10) as a ratio, ``pulse_count``, the
+    measurement count M = round(tau*B) of the checked float tau*B,
     ``noise_power_watts`` and ``attenuation_table`` (``None`` when the path
     is lossless).  The fields, in order, and their defaults are those of
-    ``_field_defaults``; :attr:`snr_min_linear` and :attr:`pulse_count` are
-    computed from them."""
+    ``_field_defaults``; ``_field_rules`` holds the one rule of each number
+    field, in field order, and a config of several faults names the first."""
 
     _field_defaults = {
         "sigma_m2": 1.0,
@@ -56,15 +53,22 @@ class ScenarioConfig(Record):
         "frequencies_hz": (7e9, 95e9, 1e12),
         "attenuation_table_path": None,
     }
+    _field_rules = {
+        "sigma_m2": _require_positive, "aperture_m2": _require_positive,
+        "bandwidth_hz": _require_positive, "tau_s": _require_positive,
+        "noise_power_dbm": _require_finite, "snr_min_db": _require_finite,
+        "p_d": _require_finite, "p_fa": _require_finite,
+    }
     _fields = tuple(_field_defaults)
-    __slots__ = _fields + ("noise_power_watts", "attenuation_table")
+    __slots__ = _fields + ("snr_min_linear", "pulse_count", "noise_power_watts",
+                           "attenuation_table")
 
     def _check(self) -> None:
-        for name in _NUMBER_FIELDS:
-            _require_finite(name, getattr(self, name), ConfigError)
+        for name, rule in self._field_rules.items():
+            rule(name, getattr(self, name), ConfigError)
         if not isinstance(self.frequencies_hz, (list, tuple)):
             raise ConfigError(f"frequencies_hz must be a list, got {self.frequencies_hz!r}")
-        frequencies = tuple(_require_finite("frequencies_hz", f, ConfigError)
+        frequencies = tuple(_require_positive("frequencies_hz", f, ConfigError)
                             for f in self.frequencies_hz)
         if not frequencies:
             raise ConfigError("frequencies_hz must not be empty")
@@ -74,17 +78,13 @@ class ScenarioConfig(Record):
             raise ConfigError(f"attenuation_table_path must be a string or null, got {path!r}")
         if not (0.0 < self.p_fa < self.p_d < 1.0):
             raise ConfigError(f"need 0 < p_fa < p_d < 1, got p_fa={self.p_fa!r}, p_d={self.p_d!r}")
-        measurements = float(self.tau_s) * self.bandwidth_hz
-        for f_hz in frequencies:
-            _require_positive("frequencies_hz", f_hz, ConfigError)
-        for name in ("sigma_m2", "aperture_m2", "tau_s", "bandwidth_hz"):
-            _require_positive(name, getattr(self, name), ConfigError)
         try:
-            linear = self.snr_min_linear
+            linear = 10.0 ** (self.snr_min_db / 10.0)
         except OverflowError:
             linear = math.inf
         _require_positive(f"linear SNR_min from snr_min_db = {self.snr_min_db!r}", linear,
                           ConfigError)
+        measurements = float(self.tau_s) * self.bandwidth_hz
         _require_positive("tau_s * bandwidth_hz", measurements, ConfigError)
         try:
             watts = radiometry.dbm_to_watts(self.noise_power_dbm)
@@ -92,10 +92,13 @@ class ScenarioConfig(Record):
             watts = math.inf
         _require_positive(f"noise_power_dbm = {self.noise_power_dbm!r} in watts", watts,
                           ConfigError)
-        if self.pulse_count < 1:
+        pulse_count = round(measurements)
+        if pulse_count < 1:
             raise ConfigError(
                 f"tau_s * bandwidth_hz = {measurements!r} rounds below 1 measurement"
             )
+        object.__setattr__(self, "snr_min_linear", linear)
+        object.__setattr__(self, "pulse_count", pulse_count)
         object.__setattr__(self, "noise_power_watts", watts)
         table = None
         if path is not None:
@@ -103,18 +106,6 @@ class ScenarioConfig(Record):
 
             table = load_table(path)
         object.__setattr__(self, "attenuation_table", table)
-
-    # Derived scenario quantities -------------------------------------------
-
-    @property
-    def snr_min_linear(self) -> float:
-        """The configured threshold SNR_min as a linear ratio."""
-        return 10.0 ** (self.snr_min_db / 10.0)
-
-    @property
-    def pulse_count(self) -> int:
-        """The measurement count M = round(tau * B)."""
-        return round(self.tau_s * self.bandwidth_hz)
 
     def t_eff_kelvin(self, constants: PhysicalConstants = TEXTBOOK) -> float:
         """Effective noise temperature implied by the configured noise power."""

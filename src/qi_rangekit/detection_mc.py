@@ -158,6 +158,8 @@ def exact_exceedance(state: State, t: float) -> float:
     1 - (-b)/(a - b) * exp(-t/b) for t < 0.  The detector's ROC point at
     threshold t is (exact_exceedance(present, t), exact_exceedance(absent, t)).
     """
+    if not (isinstance(state, (tuple, list)) and len(state) == 3):
+        raise DomainError(f"state must be a (s_return, s_idler, c) triple, got {state!r}")
     a, b = _statistic_scales(*state)
     t = _as_number("threshold", t)
     if math.isnan(t):

@@ -86,7 +86,8 @@ from operator import le
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, FrequencySpanError, NoDetectionError, UnphysicalGeometryError
-from .radiometry import _ldexp_quotient, _require_non_negative, _require_positive
+from .radiometry import _ldexp_quotient, _require_count, _require_non_negative
+from .radiometry import _require_positive
 
 # true for static checkers only: the annotations' names cost no import
 TYPE_CHECKING = False
@@ -160,6 +161,7 @@ class RangeChain(Record):
         _require_positive("head (sigma_m2 * G * aperture_m2 * M)", self.head)
         _require_positive("denominator ((4*pi)^k * N_B)", self.denominator)
         _require_positive("snr_min", self.snr_min)
+        _require_count("pulse_count", self.pulse_count, 1, sys.float_info.max)
         _require_non_negative("gamma", self.gamma_db_per_km)
 
     def solve(self, n_s: float, mode: Illumination) -> float:
@@ -285,15 +287,14 @@ def range_chain(
 
         gamma = atmosphere.gamma_at(table, f_hz)
     n_b = config.noise_occupancy(f_hz, constants)
-    pulse_count = config.pulse_count
     gain = antenna_gain(config.aperture_m2, f_hz, constants)
     return RangeChain(
         gamma_db_per_km=gamma,
         n_b=n_b,
-        head=config.sigma_m2 * gain * config.aperture_m2 * pulse_count,
+        head=config.sigma_m2 * gain * config.aperture_m2 * config.pulse_count,
         denominator=_FOUR_PI**2 * n_b,
         snr_min=config.snr_min_linear,
-        pulse_count=pulse_count,
+        pulse_count=config.pulse_count,
     )
 
 

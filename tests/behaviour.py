@@ -1,0 +1,182 @@
+"""Behaviour manifest: what each command of a fixed corpus prints and writes.
+
+Usage, from the checkout root::
+
+    python tests/behaviour.py            # compare with tests/golden/behaviour.tsv
+    python tests/behaviour.py --update   # rewrite the manifest from this checkout
+
+Each command of :func:`corpus` runs in-process through
+``qi_rangekit.cli.main``, in a fresh temporary directory that holds only its
+own fixture files and is the working directory for the run, so every path a
+command prints or writes is relative.  The manifest records, per command, the
+exit code and the SHA-256 of stdout, of stderr and of each file the command
+writes.  A change that means to move output shows the commands whose bytes
+moved as changed rows of the manifest; a change that means to move none
+leaves it as it is.  ``tests/test_behaviour.py`` runs the corpus in tier-1.
+
+The corpus is the config battery (every number field and every frequency
+entry at one bad or edge value each, and three configs with several faults,
+each run as ``--config F --dump-config -``) and one run of each command.
+Sweeps run on :data:`GOLDEN_GRID` in place of ``cli._log_grid``'s numpy
+grid, whose last digits follow numpy's CPU dispatch.  Help and argparse
+usage texts are left out: ``tests/golden/cli_text.txt`` pins them.
+
+Only the standard library is used here.  Seeded ``mc`` output and the sweep
+CSVs rest on libm's ``log``, ``cos``, ``sqrt`` and ``pow``, as the goldens do,
+so a libm that rounds differently moves their rows.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+MANIFEST = REPO / "tests" / "golden" / "behaviour.tsv"
+HEADER = ("# qi-rangekit behaviour manifest, written by tests/behaviour.py --update.\n"
+          "# command\texit\tstdout sha256\tstderr sha256\twritten files (name:sha256)\n")
+
+# The grid of the golden sweeps: a literal, so numpy's CPU dispatch does not
+# enter the bytes.
+GOLDEN_GRID = [1e-06, 3e-05, 0.001, 0.001467799267622069, 0.01, 0.1, 1.0, 10.0, 1000.0]
+
+NUMBER_FIELDS = ("sigma_m2", "aperture_m2", "bandwidth_hz", "tau_s", "noise_power_dbm",
+                 "snr_min_db", "p_d", "p_fa")
+DEFAULT_FREQUENCIES = (7e9, 95e9, 1e12)
+# one value of each kind a config field may hold by mistake or at an edge,
+# as json.dumps writes it: "x", true, Infinity, NaN, 0, -1
+BATTERY_VALUES = {"str": "x", "bool": True, "inf": float("inf"), "nan": float("nan"),
+                  "zero": 0, "negative": -1}
+MULTI_FAULT_CONFIGS = {
+    "sigma_m2_and_p_d": {"sigma_m2": 0, "p_d": "x"},
+    "sigma_m2_and_frequencies_hz": {"sigma_m2": 0, "frequencies_hz": []},
+    "bandwidth_hz_and_tau_s": {"bandwidth_hz": 0, "tau_s": 0},
+}
+
+
+def config_battery() -> dict[str, dict]:
+    """The battery's configs by name: each number field, and each default
+    frequency entry, at each of :data:`BATTERY_VALUES`, then the configs of
+    several faults."""
+    configs = {}
+    for kind, value in BATTERY_VALUES.items():
+        for field in NUMBER_FIELDS:
+            configs[f"{field}-{kind}"] = {field: value}
+        for index in range(len(DEFAULT_FREQUENCIES)):
+            frequencies = list(DEFAULT_FREQUENCIES)
+            frequencies[index] = value
+            configs[f"frequencies_hz.{index}-{kind}"] = {"frequencies_hz": frequencies}
+    configs.update(MULTI_FAULT_CONFIGS)
+    return configs
+
+
+def corpus() -> list[tuple[list[str], dict[str, str]]]:
+    """Each command as (argv, {fixture file name: text})."""
+    from qi_rangekit import atmosphere
+
+    table = (Path(atmosphere.__file__).parent / "data" / atmosphere._BUNDLED_NAME).read_text(
+        encoding="utf-8")
+    attenuated = json.dumps({"attenuation_table_path": "table.csv",
+                             "frequencies_hz": [7e9, 60e9, 557e9, 1e12]})
+    commands = [(["--config", f"{name}.json", "--dump-config", "-"],
+                 {f"{name}.json": json.dumps(config)})
+                for name, config in config_battery().items()]
+    commands += [
+        (["--dump-config", "-"], {}),
+        (["power", "--ns", "0.5", "--freq", "7e9", "--bw", "1e9"], {}),
+        (["ratio", "--ns", "0.01"], {}),
+        (["atten", "--freq", "60e9", "--range-m", "1000"], {}),
+        (["range", "--ns", "0.01", "--freq", "1e12"], {}),
+        (["covariance", "--ns", "0.5", "--mode", "qi", "--oracle"], {}),
+        (["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "10000",
+          "--seed", "1"], {}),
+        (["sweep", "--figure", "1", "--output", "figure1.csv"], {}),
+        (["sweep", "--figure", "3", "--output", "figure3.csv"], {}),
+        (["--config", "attenuated.json", "sweep", "--figure", "3", "--output", "figure3.csv"],
+         {"attenuated.json": attenuated, "table.csv": table}),
+    ]
+    return commands
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str], fixtures: dict[str, str]) -> tuple[str, ...]:
+    """The manifest row of one command: (exit code, stdout hash, stderr hash,
+    the written files as ``name:hash`` separated by spaces, or ``-``)."""
+    from qi_rangekit import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    cwd, log_grid = os.getcwd(), cli._log_grid
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in fixtures.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        try:
+            os.chdir(tmp)
+            if "sweep" in argv:
+                cli._log_grid = lambda ns_min, ns_max, points: list(GOLDEN_GRID)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            cli._log_grid = log_grid
+            os.chdir(cwd)
+        written = sorted(path for path in Path(tmp).iterdir() if path.name not in fixtures)
+        files = " ".join(f"{path.name}:{_sha256(path.read_bytes())}" for path in written)
+    return (str(code), _sha256(out.getvalue().encode()), _sha256(err.getvalue().encode()),
+            files or "-")
+
+
+def run_corpus() -> dict[str, tuple[str, ...]]:
+    """Every command's row, keyed by its command line."""
+    return {shlex.join(argv): run(argv, fixtures) for argv, fixtures in corpus()}
+
+
+def read_manifest(path: Path = MANIFEST) -> dict[str, tuple[str, ...]]:
+    rows = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            command, *row = line.split("\t")
+            rows[command] = tuple(row)
+    return rows
+
+
+def write_manifest(rows: dict[str, tuple[str, ...]], path: Path = MANIFEST) -> None:
+    lines = ("\t".join((command, *row)) + "\n" for command, row in rows.items())
+    path.write_text(HEADER + "".join(lines), encoding="utf-8")
+
+
+def moved_rows(rows: dict[str, tuple[str, ...]],
+               manifest: dict[str, tuple[str, ...]]) -> list[str]:
+    """The commands whose row differs from the manifest's, or that only one
+    of the two holds."""
+    return [command for command in {**manifest, **rows}
+            if rows.get(command) != manifest.get(command)]
+
+
+def main(argv: list[str]) -> int:
+    rows = run_corpus()
+    if argv == ["--update"]:
+        write_manifest(rows)
+        print(f"wrote {len(rows)} rows to {MANIFEST.relative_to(REPO)}")
+        return 0
+    if argv:
+        print(f"usage: python tests/behaviour.py [--update], got {argv}", file=sys.stderr)
+        return 2
+    moved = moved_rows(rows, read_manifest())
+    for command in moved:
+        print(f"moved: {command}")
+    print(f"{len(moved)} of {len(rows)} commands moved")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(REPO / "src"))
+    sys.exit(main(sys.argv[1:]))

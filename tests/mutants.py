@@ -88,6 +88,15 @@ MUTANTS = {
         "config", "ScenarioConfig._check",
         '"tau_s * bandwidth_hz", measurements, ConfigError',
         '"tau_s * bandwidth_hz", measurements, DomainError', ("tests/test_config.py",)),
+    # each config field's one rule (the table is a class attribute, so the
+    # mutant's scope is the class), and M as a count from 1
+    "config_sigma_m2_only_finite": (
+        "config", "ScenarioConfig",
+        '"sigma_m2": _require_positive', '"sigma_m2": _require_finite', ("tests/test_config.py",)),
+    "range_chain_admits_no_measurement": (
+        "range_solver", "RangeChain._check",
+        "self.pulse_count, 1, sys.float_info.max", "self.pulse_count, 0, sys.float_info.max",
+        ("tests/test_radiometry.py",)),
     # the package's one number rule: a bool is not a number, an int past the
     # float range raises the caller's error, the finite rule refuses NaN and
     # inf, and only an exact float skips the rule in the positive check

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy
 import pytest
+from behaviour import GOLDEN_GRID
 from bench_scenario import BUNDLED_CSV, sweep_attenuated_config
 from reference_root import reference_root, ulps
 
@@ -924,9 +925,9 @@ def test_every_command_leaves_stdout_empty_on_error(tmp_path, capsys, command):
 
 
 # The sweep CSVs below were written by the CLI before the column writer
-# replaced the row-by-row one.  The grid is a literal, so numpy's CPU
-# dispatch in ``_log_grid`` does not enter the pinned bytes.
-GOLDEN_GRID = [1e-06, 3e-05, 0.001, 0.001467799267622069, 0.01, 0.1, 1.0, 10.0, 1000.0]
+# replaced the row-by-row one.  The grid (GOLDEN_GRID, which the behaviour
+# manifest's sweeps share) is a literal, so numpy's CPU dispatch in
+# ``_log_grid`` does not enter the pinned bytes.
 SWEEP_GOLDEN_CASES = {
     "default": (None, ()),
     "bundled_table": (

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +150,97 @@ def test_each_positivity_check_raises_a_config_error(fields, message):
     with pytest.raises(ConfigError) as info:
         ScenarioConfig(**fields)
     assert (type(info.value), str(info.value)) == (ConfigError, message)
+
+
+# Each number field's one rule: positive and finite, or finite.
+POSITIVE_FIELDS = ("sigma_m2", "aperture_m2", "bandwidth_hz", "tau_s")
+FINITE_FIELDS = ("noise_power_dbm", "snr_min_db", "p_d", "p_fa")
+# A value of each kind as JSON text, and what each rule says of it (None:
+# the finite rule passes it, and later checks decide).
+SINGLE_FAULTS = {
+    "str": ('"x"', "must be a number, got 'x'", "must be a number, got 'x'"),
+    "bool": ("true", "must be a number, got True", "must be a number, got True"),
+    "inf": ("Infinity", "must be positive and finite, got inf", "must be finite, got inf"),
+    "nan": ("NaN", "must be positive and finite, got nan", "must be finite, got nan"),
+    "zero": ("0", "must be positive and finite, got 0.0", None),
+    "negative": ("-1", "must be positive and finite, got -1.0", None),
+}
+# What the finite fields' later checks say of 0 and -1 (None: a valid config).
+FINITE_FIELD_EDGES = {
+    ("noise_power_dbm", "0"): None,
+    ("noise_power_dbm", "-1"): None,
+    ("snr_min_db", "0"): None,
+    ("snr_min_db", "-1"): None,
+    ("p_d", "0"): "need 0 < p_fa < p_d < 1, got p_fa=1e-06, p_d=0",
+    ("p_d", "-1"): "need 0 < p_fa < p_d < 1, got p_fa=1e-06, p_d=-1",
+    ("p_fa", "0"): "need 0 < p_fa < p_d < 1, got p_fa=0, p_d=0.7",
+    ("p_fa", "-1"): "need 0 < p_fa < p_d < 1, got p_fa=-1, p_d=0.7",
+}
+
+
+def _single_fault_cases():
+    for kind, (value, positive, finite) in SINGLE_FAULTS.items():
+        for field in POSITIVE_FIELDS:
+            yield f"{field}-{kind}", f'{{"{field}": {value}}}', f"{field} {positive}"
+        for field in FINITE_FIELDS:
+            message = (f"{field} {finite}" if finite is not None
+                       else FINITE_FIELD_EDGES[field, value])
+            yield f"{field}-{kind}", f'{{"{field}": {value}}}', message
+        for index in range(3):
+            entries = ["7e9", "95e9", "1e12"]
+            entries[index] = value
+            yield (f"frequencies_hz.{index}-{kind}",
+                   f'{{"frequencies_hz": [{", ".join(entries)}]}}', f"frequencies_hz {positive}")
+
+
+SINGLE_FAULT_CASES = list(_single_fault_cases())
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in SINGLE_FAULT_CASES],
+                         ids=[case[0] for case in SINGLE_FAULT_CASES])
+def test_each_field_and_frequency_has_one_rule(text, message):
+    # each number field and each frequency entry goes through its one rule
+    # once, so an inf or NaN in a positive field reads as the library's
+    # "positive and finite", not as a separate finite check
+    if message is None:
+        assert parse_config(text) == ScenarioConfig(**json.loads(text))
+        return
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert (type(info.value), str(info.value)) == (ConfigError, message)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"sigma_m2": 0, "p_d": "x"}, "sigma_m2 must be positive and finite, got 0.0"),
+    ({"sigma_m2": 0, "frequencies_hz": []}, "sigma_m2 must be positive and finite, got 0.0"),
+    ({"bandwidth_hz": 0, "tau_s": 0}, "bandwidth_hz must be positive and finite, got 0.0"),
+], ids=["sigma_m2_before_p_d", "sigma_m2_before_frequencies_hz", "bandwidth_hz_before_tau_s"])
+def test_a_config_of_several_faults_names_the_first_in_field_order(fields, message):
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig(**fields)
+    assert (type(info.value), str(info.value)) == (ConfigError, message)
+
+
+def test_m_and_snr_min_are_derived_once_over_random_configs():
+    rng = random.Random(47)
+    for _ in range(2000):
+        tau_s, bandwidth_hz = 10.0 ** rng.uniform(-6.0, 3.0), 10.0 ** rng.uniform(6.0, 12.0)
+        snr_min_db = rng.uniform(-300.0, 300.0)
+        config = ScenarioConfig(tau_s=tau_s, bandwidth_hz=bandwidth_hz, snr_min_db=snr_min_db)
+        assert config.pulse_count == round(tau_s * bandwidth_hz)
+        assert type(config.pulse_count) is int
+        assert config.snr_min_linear == 10 ** (snr_min_db / 10)
+        assert set(json.loads(dump_config(config))) == set(ScenarioConfig._fields)
+    # derived slots, not properties, and not fields
+    assert {"pulse_count", "snr_min_linear"} <= set(ScenarioConfig.__slots__)
+    assert not {"pulse_count", "snr_min_linear"} & set(ScenarioConfig._fields)
+    assert not any(isinstance(value, property) for value in vars(ScenarioConfig).values())
+
+
+def test_m_is_the_round_of_the_checked_float_tau_times_b():
+    # two integer fields multiply as floats, as every other pair does
+    config = ScenarioConfig(tau_s=3, bandwidth_hz=10**17 + 1)
+    assert config.pulse_count == round(3.0 * 1e17) == 3 * 10**17
 
 
 @pytest.mark.parametrize(

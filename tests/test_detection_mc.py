@@ -366,6 +366,17 @@ def test_gain_experiment_validation():
         detector_gain_experiment(n_s=0.1, eta=0.1, n_b=math.nan, trials=10**4, seed=0)
 
 
+@pytest.mark.parametrize("state", [(3.0, 3.0), None, (3.0, 3.0, 1.0, 0.0), 3.0],
+                         ids=["pair", "None", "four", "float"])
+def test_exact_exceedance_refuses_a_state_that_is_not_a_triple(state):
+    with pytest.raises(DomainError) as info:
+        exact_exceedance(state, 0.0)
+    assert (type(info.value), str(info.value)) == (
+        DomainError, f"state must be a (s_return, s_idler, c) triple, got {state!r}")
+    # a list triple reads as the tuple
+    assert exact_exceedance([3.0, 3.0, 1.0], 0.0) == exact_exceedance((3.0, 3.0, 1.0), 0.0)
+
+
 def test_roc_rejects_covariance_without_block_form():
     # a state whose cross entry exceeds sqrt(s_return*s_idler) is no covariance
     with pytest.raises(CovarianceNotPSDError) as info:

@@ -4,6 +4,7 @@ that takes a number or a count."""
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -251,18 +252,35 @@ NUMBER_ENTRY_POINTS = {
 HUGE_INT = 10**400
 NOT_NUMBERS = {"str": "1", "bytes": b"1", "bool": True, "None": None, "list": [1.0],
                "huge_int": HUGE_INT}
+# The public entry points that take a count or a detector state where a
+# number may be given by mistake, each as a call with that one value, and
+# the text of its own rule for a value: (call, text).
+NOT_NUMBER_TEXTS = {
+    "RangeChain.replace.pulse_count": (
+        lambda x: range_chain(ScenarioConfig(), 7e9).replace(pulse_count=x),
+        lambda value: (f"pulse_count must be at most {sys.float_info.max}, got {value!r}"
+                       if value is HUGE_INT else f"pulse_count must be an integer, got {value!r}")),
+    "exact_exceedance.state_shape": (
+        lambda x: exact_exceedance(x, 0.5),
+        lambda value: f"state must be a (s_return, s_idler, c) triple, got {value!r}"),
+}
 
 
 @pytest.mark.parametrize("kind", NOT_NUMBERS)
-@pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", [*NUMBER_ENTRY_POINTS, *NOT_NUMBER_TEXTS])
 def test_every_entry_point_refuses_what_is_not_a_number(entry, kind):
-    # one rule, radiometry._as_number, with the entry point's own error
-    call, name, error, _ = NUMBER_ENTRY_POINTS[entry]
+    # one rule, radiometry._as_number, with the entry point's own error; a
+    # count or a state raises its own rule's DomainError
     value = NOT_NUMBERS[kind]
+    if entry in NOT_NUMBER_TEXTS:
+        call, text = NOT_NUMBER_TEXTS[entry]
+        error, message = DomainError, text(value)
+    else:
+        call, name, error, _ = NUMBER_ENTRY_POINTS[entry]
+        message = (f"{name} is an integer too large for a float" if value is HUGE_INT
+                   else f"{name} must be a number, got {value!r}")
     with pytest.raises(RangeKitError) as info:
         call(value)
-    message = (f"{name} is an integer too large for a float" if value is HUGE_INT
-               else f"{name} must be a number, got {value!r}")
     assert (type(info.value), str(info.value)) == (error, message)
 
 
@@ -303,8 +321,9 @@ def _mc(trials):
 
 
 # The entry points that take a count, each as a call with that one count:
-# (call, the name its message gives, the error it raises, the lowest and the
-# highest count it accepts).
+# (call, the name its message gives, the error it raises, the lowest count it
+# accepts, and the bound of the highest, which is that count or, for M, the
+# largest float, so that M times a float stays a float).
 COUNT_ENTRY_POINTS = {
     "trials": (lambda x: detector_gain_experiment(0.1, 0.5, 1.0, x, 0), "trials", DomainError,
                10_000, 2**53),
@@ -314,6 +333,9 @@ COUNT_ENTRY_POINTS = {
     "sweep --points": (lambda x: cli._log_grid(1e-3, 10.0, x), "--points", RangeKitError,
                        2, MAX_SWEEP_POINTS),
     "mc --trials": (_mc, "--trials", RangeKitError, 10_000, MAX_TRIALS),
+    "RangeChain.replace.pulse_count": (
+        lambda x: range_chain(ScenarioConfig(), 7e9).replace(pulse_count=x), "pulse_count",
+        DomainError, 1, sys.float_info.max),
 }
 # mc leaves the lower bound of its trial count to the library
 LOWER_BOUND_NAMES = {"mc --trials": ("trials", DomainError)}
@@ -331,7 +353,7 @@ def test_every_count_entry_point_refuses_what_is_not_a_count_in_its_bounds(entry
         name, error = LOWER_BOUND_NAMES.get(entry, (name, error))
         message = f"{name} must be >= {lo}, got {value!r}"
     elif kind == "above":
-        value = hi + 1
+        value = int(hi) + 1
         message = f"{name} must be at most {hi}, got {value!r}"
     else:
         value = NOT_COUNTS[kind]
@@ -345,4 +367,4 @@ def test_every_count_entry_point_refuses_what_is_not_a_count_in_its_bounds(entry
 def test_every_count_entry_point_takes_both_bounds(entry):
     call, _, _, lo, hi = COUNT_ENTRY_POINTS[entry]
     call(lo)
-    call(hi)
+    call(int(hi))

@@ -102,6 +102,21 @@ def test_replace_runs_the_checks_again():
         TEXTBOOK.replace(kb=1.0)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("x", "pulse_count must be an integer, got 'x'"),
+    (0, "pulse_count must be >= 1, got 0"),
+    (True, "pulse_count must be an integer, got True"),
+    (2.5, "pulse_count must be an integer, got 2.5"),
+    (-5, "pulse_count must be >= 1, got -5"),
+], ids=["str", "zero", "bool", "fraction", "negative"])
+def test_range_chain_takes_m_as_a_count(value, message):
+    # M is a count of measurements: radiometry's count rule, from 1
+    with pytest.raises(DomainError) as info:
+        CHAIN.replace(pulse_count=value)
+    assert (type(info.value), str(info.value)) == (DomainError, message)
+    assert CHAIN.replace(pulse_count=2).pulse_count == 2
+
+
 def test_replace_rebuilds_derived_attributes():
     config = ScenarioConfig().replace(noise_power_dbm=-60.0, tau_s=2.0)
     assert config.noise_power_watts == dbm_to_watts(-60.0)
