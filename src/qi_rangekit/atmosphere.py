@@ -21,7 +21,7 @@ from bisect import bisect_right
 
 from ._record import Record
 from .errors import FrequencySpanError, TableParseError, TableValidationError, _read_file
-from .radiometry import _require_non_negative, _require_positive
+from .errors import _require_non_negative, _require_positive
 
 # true for static checkers only: the annotations' names cost no import
 TYPE_CHECKING = False

@@ -40,7 +40,8 @@ from types import SimpleNamespace
 from . import __version__, radiometry
 from .config import ScenarioConfig, dump_config, load_config
 from .constants import CODATA, TEXTBOOK
-from .errors import NoDetectionError, RangeKitError, _write_file
+from .errors import NoDetectionError, RangeKitError, _require_count, _require_finite
+from .errors import _require_positive, _write_file
 
 # true for static checkers only: the annotations' names cost no import
 TYPE_CHECKING = False
@@ -166,11 +167,11 @@ def _cmd_range(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
 
 
 def _log_grid(ns_min: float, ns_max: float, points: int) -> list[float]:
-    ns_min = radiometry._require_positive("--ns-min", ns_min, RangeKitError)
-    ns_max = radiometry._require_finite("--ns-max", ns_max, RangeKitError)
+    ns_min = _require_positive("--ns-min", ns_min, RangeKitError)
+    ns_max = _require_finite("--ns-max", ns_max, RangeKitError)
     if not ns_max > ns_min:
         raise RangeKitError(f"--ns-max must exceed --ns-min, got {ns_max!r}")
-    radiometry._require_count("--points", points, 2, MAX_SWEEP_POINTS, RangeKitError)
+    _require_count("--points", points, 2, MAX_SWEEP_POINTS, RangeKitError)
     from operator import le
 
     import numpy as np
@@ -225,7 +226,7 @@ def _cmd_sweep(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
 
 def _cmd_mc(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
     # the lower bound is the library's, under its own name
-    radiometry._require_count("--trials", args.trials, -math.inf, MAX_TRIALS, RangeKitError)
+    _require_count("--trials", args.trials, -math.inf, MAX_TRIALS, RangeKitError)
     from .detection_mc import MIN_RESOLUTION, detector_gain_experiment
 
     result = detector_gain_experiment(

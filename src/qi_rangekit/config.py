@@ -27,8 +27,7 @@ import sys
 from . import radiometry
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
-from .errors import ConfigError, DomainError, _read_file
-from .radiometry import _require_finite, _require_positive
+from .errors import ConfigError, DomainError, _read_file, _require_finite, _require_positive
 
 
 class ScenarioConfig(Record):

@@ -5,19 +5,27 @@ The default constant set is deliberately truncated to 3 significant figures
 link-budget numbers this package reproduces come out at their quoted
 precision.  A CODATA set is available for callers who prefer exact SI values;
 every function that touches a constant takes an optional ``constants``
-argument and defaults to :data:`TEXTBOOK`.
+argument and defaults to :data:`TEXTBOOK`.  A constant set is checked once,
+when it is built, so no function checks the constants it is given.
 """
 
 from __future__ import annotations
 
+from . import errors
 from ._record import Record
 
 
 class PhysicalConstants(Record):
     """Planck constant ``h`` [J s], Boltzmann constant ``k_b`` [J/K], speed of
-    light ``c`` [m/s]."""
+    light ``c`` [m/s], each checked on construction by the package's positive
+    rule (:func:`~qi_rangekit.errors._require_positive`), which raises
+    :class:`~qi_rangekit.errors.DomainError`, and held as the float it returns."""
 
     __slots__ = _fields = ("h", "k_b", "c")
+
+    def _check(self) -> None:
+        for field in self._fields:
+            object.__setattr__(self, field, errors._require_positive(field, getattr(self, field)))
 
 
 TEXTBOOK = PhysicalConstants(h=6.63e-34, k_b=1.38e-23, c=3.0e8)

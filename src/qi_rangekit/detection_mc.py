@@ -39,10 +39,10 @@ import math
 import random
 
 from ._record import Record
-from .errors import CovarianceNotPSDError, DomainError
+from .errors import CovarianceNotPSDError, DomainError, _as_number, _require_count
+from .errors import _require_finite, _require_non_negative, _require_positive
 from .quantum_states import coherent_block, tmsv_block
-from .radiometry import _as_number, _require_count, _require_finite, _require_non_negative
-from .radiometry import _require_positive, _root_product
+from .radiometry import _root_product
 
 _PSD_TOLERANCE = -1e-9
 
@@ -56,7 +56,7 @@ State = tuple[float, float, float]
 MIN_RESOLUTION = 5.0
 
 
-def _require_psd(smallest_eigenvalue: float, largest_entry: float) -> None:
+def _check_psd(smallest_eigenvalue: float, largest_entry: float) -> None:
     # Round-off in the smallest eigenvalue grows with the entries, so the
     # tolerance scales with the largest |entry| (and is -1e-9 up to 1):
     # below it the matrix is genuinely not a covariance.
@@ -105,7 +105,7 @@ def _statistic_scales(s_r: float, s_i: float, c: float) -> tuple[float, float]:
     """
     s_r, s_i, c = (_require_finite("state", v) for v in (s_r, s_i, c))
     p, q, r = s_r / 2.0, s_i / 2.0, c / 2.0
-    _require_psd(p + q - math.hypot(p - q, 2.0 * r), max(abs(s_r), abs(s_i), abs(c)))
+    _check_psd(p + q - math.hypot(p - q, 2.0 * r), max(abs(s_r), abs(s_i), abs(c)))
     root = _root_product(p, q)
     return max(r + root, 0.0), min(r - root, 0.0)
 

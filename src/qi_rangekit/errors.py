@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its one reader and one
-writer of files.
+"""Exception types shared across the package, its one number rule and one
+count rule, and its one reader and one writer of files.
 
 Everything derives from :class:`RangeKitError` so callers (notably the CLI)
 can map any package failure to a stable exit code in one place.  Every file
@@ -8,9 +8,25 @@ each file error names the path as given, in one of three forms:
 ``cannot read <kind> <path>: <reason>`` for a file that cannot be opened or
 decoded as UTF-8, ``<kind> <path>: <message>`` for one whose contents are
 malformed or invalid, and ``cannot write <path>: <reason>`` for an output.
+
+:func:`_as_number` holds the package's one number rule: an ``int`` or
+``float`` that is not a ``bool``, an int only where it fits a float.
+:func:`_require_finite`, :func:`_require_positive` and
+:func:`_require_non_negative` start from it and add the package's one
+finite, positive-and-finite and non-negative-and-finite rule.
+:func:`_require_count` holds the one count rule: an ``int`` that is not a
+``bool``, from a lower to an upper bound, for every trial count, seed,
+pulse count and grid size the package takes.  Each raises the error class
+its caller names (:class:`DomainError` by default), so the config, the
+attenuation table, the physical constants and the CLI raise their own
+errors with the same message.  This module imports no other module of the
+package, so every module, :mod:`.constants` included, checks its numbers
+with these rules.
 """
 
 from __future__ import annotations
+
+import math
 
 # true for static checkers only: the annotations' names cost no import
 TYPE_CHECKING = False
@@ -77,6 +93,53 @@ class NoDetectionError(RangeKitError):
 
 class ConfigError(RangeKitError, ValueError):
     """A scenario configuration file could not be loaded or validated."""
+
+
+def _as_number(name: str, value: object, error: type[Exception] = DomainError) -> float:
+    """``value`` as a float: an int or float, not a bool, nor an int past
+    the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is an integer too large for a float") from None
+
+
+def _require_count(name: str, value: object, lo: float, hi: float,
+                   error: type[Exception] = DomainError) -> int:
+    """``value``, an int that is not a bool, from ``lo`` to ``hi``; a bound
+    of -inf or inf leaves that end open."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise error(f"{name} must be >= {lo}, got {value!r}")
+    if value > hi:
+        raise error(f"{name} must be at most {hi}, got {value!r}")
+    return value
+
+
+def _require_finite(name: str, value: object, error: type[Exception] = DomainError) -> float:
+    value = _as_number(name, value, error)
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _require_positive(name: str, value: object, error: type[Exception] = DomainError) -> float:
+    if type(value) is not float:  # an exact float, as in every hot loop, needs no conversion
+        value = _as_number(name, value, error)
+    if not math.isfinite(value) or value <= 0.0:
+        raise error(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _require_non_negative(name: str, value: object,
+                          error: type[Exception] = DomainError) -> float:
+    value = _as_number(name, value, error)
+    if not math.isfinite(value) or value < 0.0:
+        raise error(f"{name} must be non-negative and finite, got {value!r}")
+    return value
 
 
 def _read_file(path: str | PathLike, kind: str, parse: Callable[[TextIO], T],

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
-from .radiometry import _as_number, _require_count
+from .errors import DomainError, _as_number, _require_count
 
 
 def albersheim_snr_min(p_d: float, p_fa: float, m: int) -> float:

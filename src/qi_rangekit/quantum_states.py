@@ -42,8 +42,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from functools import partial
 
-from .errors import CutoffError, DomainError
-from .radiometry import _require_non_negative, _require_positive, _root_product
+from .errors import CutoffError, DomainError, _require_non_negative, _require_positive
+from .radiometry import _root_product
 
 # Index order of the quadrature basis.
 SIGNAL_I, SIGNAL_Q, IDLER_I, IDLER_Q = 0, 1, 2, 3

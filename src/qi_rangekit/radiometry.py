@@ -6,16 +6,10 @@ N_B = k_B * T / (h * f) with no Bose-Einstein correction, so that
 P_B = k_B * T_eff * B = N_B * h * f * B holds as an exact identity at every
 frequency.
 
-:func:`_as_number` holds the package's one number rule: an ``int`` or
-``float`` that is not a ``bool``, an int only where it fits a float.
-:func:`_require_finite`, :func:`_require_positive` and
-:func:`_require_non_negative` start from it and add the package's one
-finite, positive-and-finite and non-negative-and-finite rule.
-:func:`_require_count` holds the one count rule: an ``int`` that is not a
-``bool``, from a lower to an upper bound, for every trial count, seed,
-pulse count and grid size the package takes.  Each raises the error class
-its caller names (:class:`DomainError` by default), so the config, the
-attenuation table and the CLI raise their own errors with the same message.
+The module holds physics and the float helpers the package forms its
+products and quotients with (:func:`_ldexp_quotient`, :func:`_in_float_range`,
+:func:`_root_product`); the number rules its functions check their inputs
+with live in :mod:`.errors`.
 """
 
 from __future__ import annotations
@@ -23,54 +17,7 @@ from __future__ import annotations
 import math
 
 from .constants import TEXTBOOK, PhysicalConstants
-from .errors import DomainError
-
-
-def _as_number(name: str, value: object, error: type[Exception] = DomainError) -> float:
-    """``value`` as a float: an int or float, not a bool, nor an int past
-    the float range."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise error(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise error(f"{name} is an integer too large for a float") from None
-
-
-def _require_count(name: str, value: object, lo: float, hi: float,
-                   error: type[Exception] = DomainError) -> int:
-    """``value``, an int that is not a bool, from ``lo`` to ``hi``; a bound
-    of -inf or inf leaves that end open."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < lo:
-        raise error(f"{name} must be >= {lo}, got {value!r}")
-    if value > hi:
-        raise error(f"{name} must be at most {hi}, got {value!r}")
-    return value
-
-
-def _require_finite(name: str, value: object, error: type[Exception] = DomainError) -> float:
-    value = _as_number(name, value, error)
-    if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _require_positive(name: str, value: object, error: type[Exception] = DomainError) -> float:
-    if type(value) is not float:  # an exact float, as in every hot loop, needs no conversion
-        value = _as_number(name, value, error)
-    if not math.isfinite(value) or value <= 0.0:
-        raise error(f"{name} must be positive and finite, got {value!r}")
-    return value
-
-
-def _require_non_negative(name: str, value: object,
-                          error: type[Exception] = DomainError) -> float:
-    value = _as_number(name, value, error)
-    if not math.isfinite(value) or value < 0.0:
-        raise error(f"{name} must be non-negative and finite, got {value!r}")
-    return value
+from .errors import DomainError, _require_finite, _require_positive
 
 
 def _ldexp_quotient(factors: tuple[float, ...], divisors: tuple[float, ...] = ()) -> float:
@@ -164,7 +111,9 @@ def t_eff_from_noise_power(
     constants: PhysicalConstants = TEXTBOOK,
 ) -> float:
     """Effective noise temperature T_eff = P_B / (k_B * B) implied by a noise
-    power over a bandwidth."""
+    power over a bandwidth, formed from mantissas and exponents, so that it
+    reads inf or 0 only where T_eff itself leaves the float range, not where
+    k_B * B does."""
     p_b_watts = _require_positive("noise power in watts", p_b_watts)
     b_hz = _require_positive("bandwidth", b_hz)
-    return p_b_watts / (constants.k_b * b_hz)
+    return _ldexp_quotient((p_b_watts,), (constants.k_b, b_hz,))

@@ -86,8 +86,8 @@ from operator import le
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, FrequencySpanError, NoDetectionError, UnphysicalGeometryError
-from .radiometry import _ldexp_quotient, _require_count, _require_non_negative
-from .radiometry import _require_positive
+from .errors import _require_count, _require_non_negative, _require_positive
+from .radiometry import _ldexp_quotient
 
 # true for static checkers only: the annotations' names cost no import
 TYPE_CHECKING = False
@@ -208,8 +208,10 @@ class RangeChain(Record):
         (range inf); see the module docstring.
 
         Closed form (2/a) * W0(a * R_free / 2).  With gamma = 0 that is
-        R_free itself.  The grid is not checked: every value must be positive
-        and finite, as :meth:`solve` and :func:`sweep_range` ensure.
+        R_free itself.  Each grid value takes the package's positive rule,
+        raising :class:`DomainError` that names ``grid values`` as it is
+        reached; an exact float in range pays one type test and one chained
+        comparison.
         """
         head, denominator, snr_min = self.head, self.denominator, self.snr_min
         n_b, pulse_count = self.n_b, self.pulse_count
@@ -223,6 +225,8 @@ class RangeChain(Record):
         add_r, add_status = r_max_m.append, statuses.append
         inf, near_zero = math.inf, _NEAR_ZERO_RANGE_M
         for n_s in n_s_grid:
+            if type(n_s) is not float or not 0.0 < n_s < inf:
+                n_s = _require_positive("grid values", n_s)
             photons = n_s + extra
             if (ratio := head * photons / denominator / snr_min) != inf:
                 root = ratio**0.25

@@ -16,7 +16,10 @@ leaves it as it is.  ``tests/test_behaviour.py`` runs the corpus in tier-1.
 
 The corpus is the config battery (every number field and every frequency
 entry at one bad or edge value each, and three configs with several faults,
-each run as ``--config F --dump-config -``) and one run of each command.
+each run as ``--config F --dump-config -``), one run of each command, a
+config whose k_B*B underflows run as ``--dump-config -``, ``range`` and
+``sweep``, ``--codata range``, and ``range`` on a grid of frequencies and
+N_s, lossless and through the bundled table.
 Sweeps run on :data:`GOLDEN_GRID` in place of ``cli._log_grid``'s numpy
 grid, whose last digits follow numpy's CPU dispatch.  Help and argparse
 usage texts are left out: ``tests/golden/cli_text.txt`` pins them.
@@ -59,6 +62,12 @@ MULTI_FAULT_CONFIGS = {
     "sigma_m2_and_frequencies_hz": {"sigma_m2": 0, "frequencies_hz": []},
     "bandwidth_hz_and_tau_s": {"bandwidth_hz": 0, "tau_s": 0},
 }
+# a valid config (tau*B = 0.51 rounds to M = 1) whose k_B*B underflows to 0
+# and whose N_B overflows
+EDGE_CONFIG = {"tau_s": 1.7e308, "bandwidth_hz": 3e-309}
+# the points of the range grid, each run lossless and through the bundled table
+RANGE_FREQUENCIES = ("7e9", "95e9", "557e9", "1e12")
+RANGE_N_S = ("0.01", "1", "1e-30")
 
 
 def config_battery() -> dict[str, dict]:
@@ -102,6 +111,21 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
         (["--config", "attenuated.json", "sweep", "--figure", "3", "--output", "figure3.csv"],
          {"attenuated.json": attenuated, "table.csv": table}),
     ]
+    edge = {"edge.json": json.dumps(EDGE_CONFIG)}
+    commands += [
+        (["--config", "edge.json", "--dump-config", "-"], edge),
+        (["--config", "edge.json", "range", "--ns", "0.01", "--freq", "1e12"], edge),
+        (["--config", "edge.json", "sweep", "--figure", "3", "--output", "figure3.csv"], edge),
+        (["--codata", "range", "--ns", "0.01", "--freq", "1e12"], {}),
+    ]
+    bundled = {"bundled.json": json.dumps({"attenuation_table_path": "table.csv"}),
+               "table.csv": table}
+    for freq in RANGE_FREQUENCIES:
+        for n_s in RANGE_N_S:
+            point = ["range", "--ns", n_s, "--freq", freq]
+            if (n_s, freq) != ("0.01", "1e12"):  # the lossless run above
+                commands.append((point, {}))
+            commands.append((["--config", "bundled.json", *point], bundled))
     return commands
 
 

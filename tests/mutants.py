@@ -79,10 +79,10 @@ MUTANTS = {
     # the package's one positive and one non-negative rule, which part at 0,
     # and the config's own error that its checks raise
     "require_positive_admits_zero": (
-        "radiometry", "_require_positive",
+        "errors", "_require_positive",
         "value <= 0.0", "value < 0.0", ("tests/test_radiometry.py",)),
     "require_non_negative_rejects_zero": (
-        "radiometry", "_require_non_negative",
+        "errors", "_require_non_negative",
         "value < 0.0", "value <= 0.0", ("tests/test_radiometry.py",)),
     "config_check_raises_a_domain_error": (
         "config", "ScenarioConfig._check",
@@ -101,26 +101,26 @@ MUTANTS = {
     # float range raises the caller's error, the finite rule refuses NaN and
     # inf, and only an exact float skips the rule in the positive check
     "as_number_admits_a_bool": (
-        "radiometry", "_as_number",
+        "errors", "_as_number",
         "isinstance(value, bool)", "isinstance(value, complex)", ("tests/test_radiometry.py",)),
     "as_number_leaks_the_overflow": (
-        "radiometry", "_as_number",
+        "errors", "_as_number",
         "except OverflowError:", "except ZeroDivisionError:", ("tests/test_radiometry.py",)),
     "require_finite_admits_inf": (
-        "radiometry", "_require_finite",
+        "errors", "_require_finite",
         "if not math.isfinite(value):", "if not math.isnan(value):",
         ("tests/test_radiometry.py",)),
     "require_positive_lets_a_bool_skip_the_rule": (
-        "radiometry", "_require_positive",
+        "errors", "_require_positive",
         "if type(value) is not float:", "if type(value) is not bool:",
         ("tests/test_radiometry.py",)),
     # the package's one count rule: a bool is not a count, and the lowest
     # count is accepted
     "require_count_admits_a_bool": (
-        "radiometry", "_require_count",
+        "errors", "_require_count",
         "isinstance(value, bool)", "isinstance(value, complex)", ("tests/test_radiometry.py",)),
     "require_count_refuses_its_lower_bound": (
-        "radiometry", "_require_count",
+        "errors", "_require_count",
         "if value < lo:", "if value <= lo:", ("tests/test_radiometry.py",)),
     # the two float-range guards of radiometry
     "in_float_range_needs_both_ends": (
@@ -135,6 +135,20 @@ MUTANTS = {
         "radiometry", "_root_product",
         "return math.sqrt(max(product, 0.0))", "return math.sqrt(max(product, product))",
         ("tests/test_detection_mc.py",)),
+    # the constants take the positive rule; the kernel checks each grid value
+    # that is not an exact float in range; T_eff does not form k_B * B first,
+    # which underflows to 0 at a subnormal B (the trailing comma of the
+    # divisors is the one token between the two forms)
+    "constants_take_only_the_finite_rule": (
+        "constants", "PhysicalConstants._check",
+        "errors._require_positive(", "errors._require_finite(", ("tests/test_records.py",)),
+    "solutions_guard_lets_nan_through": (
+        "range_solver", "RangeChain.solutions",
+        "if type(n_s) is not float or not 0.0 < n_s < inf:",
+        "if type(n_s) is not float and not 0.0 < n_s < inf:", SOLVER),
+    "t_eff_forms_k_b_times_b_first": (
+        "radiometry", "t_eff_from_noise_power",
+        "(constants.k_b, b_hz,)", "(constants.k_b * b_hz,)", ("tests/test_radiometry.py",)),
     # the branches of the attenuated root, each mutant skipping one, and the
     # stopping test of Halley's method
     "attenuated_root_skips_the_subnormal_branch": (

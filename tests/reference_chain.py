@@ -26,7 +26,7 @@ import math
 
 from qi_rangekit.constants import TEXTBOOK, PhysicalConstants
 from qi_rangekit.errors import DomainError, UnphysicalGeometryError
-from qi_rangekit.radiometry import _require_positive
+from qi_rangekit.errors import _require_positive
 from qi_rangekit.range_solver import _FOUR_PI, Illumination, RangeChain
 
 

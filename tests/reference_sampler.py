@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from qi_rangekit.detection_mc import _require_psd
+from qi_rangekit.detection_mc import _check_psd
 from qi_rangekit.errors import DomainError
-from qi_rangekit.radiometry import _require_count
+from qi_rangekit.errors import _require_count
 
 
 def state_covariance(state) -> np.ndarray:
@@ -38,7 +38,7 @@ def _gaussian_factor(cov) -> np.ndarray:
     if matrix.shape != (4, 4) or not np.all(np.abs(matrix - matrix.T) <= 1e-12):
         raise DomainError("covariance must be a symmetric 4x4 matrix")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    _require_psd(float(eigenvalues.min()), float(np.abs(matrix).max()))
+    _check_psd(float(eigenvalues.min()), float(np.abs(matrix).max()))
     return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None) / 2.0)
 
 

@@ -270,6 +270,24 @@ def test_range_with_overflowing_chain_exits_2(capsys):
     assert err.startswith("error: n_s = 1e+300 overflows the range chain: ")
 
 
+@pytest.mark.parametrize("argv, f_hz", [
+    (("range", "--ns", "0.01", "--freq", "1e12"), "1000000000000.0"),
+    (("sweep", "--figure", "3"), "7000000000.0"),  # the first configured frequency
+], ids=["range", "sweep"])
+def test_a_config_whose_k_b_times_b_underflows_exits_2(tmp_path, capsys, monkeypatch, argv,
+                                                       f_hz):
+    # tau*B = 0.51 rounds to M = 1, so the config is valid; k_B*B underflows
+    # to 0 and T_eff overflows, so N_B comes from P_B/(h*f*B), which overflows
+    config = tmp_path / "edge.json"
+    config.write_text(json.dumps({"tau_s": 1.7e308, "bandwidth_hz": 3e-309}), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "--config", "edge.json", "--dump-config", "-")[0] == 0
+    assert run_cli(capsys, "--config", "edge.json", *argv) == (
+        2, "", "error: N_B = P_B/(h*f*B) overflows at P_B = 4.1495404263436325e-10 W, "
+               f"f = {f_hz} Hz, B = 3e-309 Hz\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["edge.json"]
+
+
 def test_range_no_detection_exits_3(tmp_path, capsys):
     config = tmp_path / "weak.json"
     config.write_text(

@@ -109,7 +109,7 @@ def test_invalid_values_rejected():
         parse_config('{"p_d": 1.0}')
     with pytest.raises(ConfigError):
         parse_config('{"frequencies_hz": []}')
-    # value checks made with radiometry's _require_positive and dbm_to_watts
+    # value checks made with errors' _require_positive and radiometry's dbm_to_watts
     with pytest.raises(ConfigError, match="bandwidth"):
         parse_config('{"bandwidth_hz": 0}')
     with pytest.raises(ConfigError, match="aperture_m2"):
@@ -146,7 +146,7 @@ def test_overflowing_tau_times_b_rejected():
 ], ids=["frequencies_hz", "sigma_m2", "aperture_m2", "tau_s", "bandwidth_hz", "snr_min_linear",
         "tau_s_times_bandwidth_hz", "noise_power_watts"])
 def test_each_positivity_check_raises_a_config_error(fields, message):
-    # radiometry's rule and message, raised as the config's own error
+    # the positive rule of errors and its message, raised as the config's own error
     with pytest.raises(ConfigError) as info:
         ScenarioConfig(**fields)
     assert (type(info.value), str(info.value)) == (ConfigError, message)

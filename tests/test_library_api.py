@@ -183,16 +183,16 @@ def number_rule_strings(sources: dict[str, str]) -> list[tuple[str, str]]:
 
 
 def test_one_module_formats_the_number_rule():
-    # radiometry._as_number is the package's one number rule and
-    # radiometry._require_count its one count rule; the one other text is
+    # errors._as_number is the package's one number rule and
+    # errors._require_count its one count rule; the one other text is
     # exact_exceedance's NaN threshold, which the number rule lets through
     assert number_rule_strings(package_sources()) == [
         ("detection_mc", "threshold must be a number, got "),
-        ("radiometry", " is an integer too large for a float"),
-        ("radiometry", " must be >= "),
-        ("radiometry", " must be a number, got "),
-        ("radiometry", " must be an integer, got "),
-        ("radiometry", " must be at most "),
+        ("errors", " is an integer too large for a float"),
+        ("errors", " must be >= "),
+        ("errors", " must be a number, got "),
+        ("errors", " must be an integer, got "),
+        ("errors", " must be at most "),
     ]
 
 
@@ -209,3 +209,50 @@ def test_a_number_rule_string_is_seen_wherever_it_is():
         ("a", " must be a number"), ("b", " must be an integer"),
         ("b", "n is an integer too large for a float"),
     ]
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that ``source`` imports anywhere, a
+    function body or a ``TYPE_CHECKING`` block included: ``from .x import y``
+    and ``import qi_rangekit.x`` give ``x``, ``from . import x`` gives ``x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= ({node.module.split(".")[0]} if node.module
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qi_rangekit"):
+            found.add(node.module.partition(".")[2] or "__init__")
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[2] or "__init__" for alias in node.names
+                      if alias.name.split(".")[0] == "qi_rangekit"}
+    return found
+
+
+def test_the_number_rules_live_in_a_leaf_module():
+    # errors holds the number and count rules and imports nothing of the
+    # package, so the records under every other module can use them
+    sources = package_sources()
+    assert package_imports(sources["errors"]) == set()
+    assert package_imports(sources["_record"]) == set()
+    assert package_imports(sources["constants"]) == {"_record", "errors"}
+    # the two modules that imported radiometry only for its rules
+    assert "radiometry" not in package_imports(sources["atmosphere"])
+    assert "radiometry" not in package_imports(sources["link_budget"])
+    rules = sorted(
+        (module, node.name) for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and (node.name == "_as_number" or node.name.startswith("_require_"))
+    )
+    assert rules == [("errors", name) for name in (
+        "_as_number", "_require_count", "_require_finite", "_require_non_negative",
+        "_require_positive")]
+
+
+def test_a_package_import_is_seen_wherever_it_is():
+    # positive control for the import scan above
+    source = ("import math\nfrom . import config, cli\nfrom .errors import x\n\n\n"
+              "def f():\n    from .atmosphere.sub import y\n    import qi_rangekit.radiometry\n"
+              "    from qi_rangekit import z\n")
+    assert package_imports(source) == {"config", "cli", "errors", "atmosphere", "radiometry",
+                                       "__init__"}

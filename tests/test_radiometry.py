@@ -3,6 +3,7 @@ package's one number rule and one count rule at every public entry point
 that takes a number or a count."""
 
 import math
+import random
 import re
 import sys
 from decimal import Decimal
@@ -16,22 +17,27 @@ from qi_rangekit import cli
 from qi_rangekit.atmosphere import AttenuationTable, bundled_table, form_factor, gamma_at
 from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS
 from qi_rangekit.config import ScenarioConfig
-from qi_rangekit.constants import CODATA, TEXTBOOK
+from qi_rangekit.constants import CODATA, TEXTBOOK, PhysicalConstants
 from qi_rangekit.detection_mc import detector_gain_experiment, exact_exceedance, return_states
-from qi_rangekit.errors import ConfigError, DomainError, RangeKitError, TableValidationError
-from qi_rangekit.link_budget import albersheim_snr_min
-from qi_rangekit.quantum_states import correlation_ratio, tmsv_covariance
-from qi_rangekit.radiometry import (
+from qi_rangekit.errors import (
+    ConfigError,
+    DomainError,
+    RangeKitError,
+    TableValidationError,
     _require_finite,
     _require_non_negative,
     _require_positive,
+)
+from qi_rangekit.link_budget import albersheim_snr_min
+from qi_rangekit.quantum_states import correlation_ratio, tmsv_covariance
+from qi_rangekit.radiometry import (
     dbm_to_watts,
     t_eff_from_noise_power,
     thermal_occupancy,
     transmit_power,
     watts_to_dbm,
 )
-from qi_rangekit.range_solver import antenna_gain, range_chain, sweep_range
+from qi_rangekit.range_solver import Illumination, antenna_gain, range_chain, sweep_range
 from reference_chain import noise_power, photons_per_mode
 
 # Benchmark noise budget: P_B = -63.82 dBm over B = 1 GHz.
@@ -209,6 +215,20 @@ def test_transmit_power_keeps_the_plain_product_where_it_is_a_float():
         assert transmit_power(n_s, f_hz, b_hz) == n_s * TEXTBOOK.h * f_hz * b_hz
 
 
+def test_t_eff_where_k_b_times_b_underflows_is_inf():
+    # k_B * B underflows to 0 at B = 3e-309; T_eff itself overflows
+    assert 1.38e-23 * 3e-309 == 0.0
+    assert t_eff_from_noise_power(4.1495404263436325e-10, 3e-309) == math.inf
+
+
+@pytest.mark.parametrize("constants", [TEXTBOOK, CODATA], ids=["textbook", "codata"])
+def test_t_eff_keeps_the_plain_quotient_where_it_is_a_normal_float(constants):
+    rng = random.Random(11)
+    for _ in range(10_000):
+        p_b, b_hz = 10.0 ** rng.uniform(-100.0, 100.0), 10.0 ** rng.uniform(-100.0, 100.0)
+        assert t_eff_from_noise_power(p_b, b_hz, constants) == p_b / (constants.k_b * b_hz)
+
+
 def test_watts_to_dbm_above_the_milliwatt_overflow():
     # watts / 1e-3 overflows above ~1.8e305 W; the dBm value does not
     assert watts_to_dbm(1e306) == pytest.approx(3090.0, rel=1e-15)
@@ -248,6 +268,11 @@ NUMBER_ENTRY_POINTS = {
                          "row 1: frequency", TableValidationError, 10.0),
     "sweep_range": (lambda x: list(sweep_range(ScenarioConfig(), [x])), "grid values",
                     DomainError, 1.0),
+    "RangeChain.solutions": (
+        lambda x: range_chain(ScenarioConfig(), 1e12).solutions([x], Illumination.CI),
+        "grid values", DomainError, 1.0),
+    "PhysicalConstants": (lambda x: PhysicalConstants(h=x, k_b=1.0, c=1.0), "h", DomainError,
+                          1.0),
 }
 HUGE_INT = 10**400
 NOT_NUMBERS = {"str": "1", "bytes": b"1", "bool": True, "None": None, "list": [1.0],
@@ -269,7 +294,7 @@ NOT_NUMBER_TEXTS = {
 @pytest.mark.parametrize("kind", NOT_NUMBERS)
 @pytest.mark.parametrize("entry", [*NUMBER_ENTRY_POINTS, *NOT_NUMBER_TEXTS])
 def test_every_entry_point_refuses_what_is_not_a_number(entry, kind):
-    # one rule, radiometry._as_number, with the entry point's own error; a
+    # one rule, errors._as_number, with the entry point's own error; a
     # count or a state raises its own rule's DomainError
     value = NOT_NUMBERS[kind]
     if entry in NOT_NUMBER_TEXTS:
@@ -346,7 +371,7 @@ NOT_COUNTS = {"str": "7", "float": 7.9, "bool": True, "nan": math.nan, "inf": ma
 @pytest.mark.parametrize("kind", [*NOT_COUNTS, "below", "above"])
 @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
 def test_every_count_entry_point_refuses_what_is_not_a_count_in_its_bounds(entry, kind):
-    # one rule, radiometry._require_count, with the entry point's own error
+    # one rule, errors._require_count, with the entry point's own error
     call, name, error, lo, hi = COUNT_ENTRY_POINTS[entry]
     if kind == "below":
         value = lo - 1

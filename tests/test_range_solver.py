@@ -687,6 +687,29 @@ def test_solutions_returns_two_lists_of_the_grid_length():
     assert all(type(values) is list and len(values) == len(grid) for values in result)
 
 
+@pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("value, text", [
+    (math.nan, "positive and finite, got nan"),
+    (-1.0, "positive and finite, got -1.0"),
+    ("x", "a number, got 'x'"),
+    (True, "a number, got True"),
+    (math.inf, "positive and finite, got inf"),
+    (0.0, "positive and finite, got 0.0"),
+], ids=["nan", "negative", "str", "bool", "inf", "zero"])
+def test_solutions_refuses_a_grid_value_as_solve_and_sweep_range_do(value, text, mode):
+    # each value is refused where it is reached, after the points before it
+    chain = range_chain(BENCHMARK, 1e12)
+    with pytest.raises(DomainError) as info:
+        chain.solutions([1e-2, value], mode)
+    assert str(info.value) == f"grid values must be {text}"
+
+
+def test_solutions_solves_an_int_grid_value_as_its_float():
+    chain = range_chain(BENCHMARK, 1e12)
+    for mode in Illumination:
+        assert chain.solutions([1, 2], mode) == chain.solutions([1.0, 2.0], mode)
+
+
 def test_roots_are_within_4_ulp_of_the_reference_on_a_random_set():
     # N_s log-uniform in [1e-6, 1e4], gamma from the bundled table
     config = ScenarioConfig(attenuation_table_path=BUNDLED_CSV)

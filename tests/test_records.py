@@ -1,5 +1,6 @@
 """The package's records: construction, immutability, equality, replace."""
 
+import math
 import pickle
 
 import pytest
@@ -110,7 +111,7 @@ def test_replace_runs_the_checks_again():
     (-5, "pulse_count must be >= 1, got -5"),
 ], ids=["str", "zero", "bool", "fraction", "negative"])
 def test_range_chain_takes_m_as_a_count(value, message):
-    # M is a count of measurements: radiometry's count rule, from 1
+    # M is a count of measurements: the count rule of errors, from 1
     with pytest.raises(DomainError) as info:
         CHAIN.replace(pulse_count=value)
     assert (type(info.value), str(info.value)) == (DomainError, message)
@@ -154,6 +155,38 @@ def test_constants_are_a_record():
     assert TEXTBOOK == PhysicalConstants(6.63e-34, 1.38e-23, 3.0e8)
     assert TEXTBOOK.replace(c=1.0).c == 1.0
     assert PhysicalConstants._fields == ("h", "k_b", "c")
+
+
+# one value of each kind a constant may hold by mistake, and the text of
+# the package's positive rule for it
+NOT_CONSTANTS = {
+    "str": ("x", "{} must be a number, got 'x'"),
+    "bool": (True, "{} must be a number, got True"),
+    "None": (None, "{} must be a number, got None"),
+    "inf": (math.inf, "{} must be positive and finite, got inf"),
+    "nan": (math.nan, "{} must be positive and finite, got nan"),
+    "zero": (0.0, "{} must be positive and finite, got 0.0"),
+    "negative": (-1.0, "{} must be positive and finite, got -1.0"),
+    "huge_int": (10**400, "{} is an integer too large for a float"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_CONSTANTS)
+@pytest.mark.parametrize("field", PhysicalConstants._fields)
+def test_constants_take_the_positive_rule(field, kind):
+    value, text = NOT_CONSTANTS[kind]
+    with pytest.raises(DomainError) as info:
+        TEXTBOOK.replace(**{field: value})
+    assert (type(info.value), str(info.value)) == (DomainError, text.format(field))
+
+
+def test_the_constant_sets_keep_their_values_as_floats():
+    assert TEXTBOOK._values() == (6.63e-34, 1.38e-23, 3.0e8)
+    assert CODATA._values() == (6.62607015e-34, 1.380649e-23, 299792458.0)
+    # an int constant is held as the float the rule returns
+    ints = PhysicalConstants(h=1, k_b=2, c=3)
+    assert ints._values() == (1.0, 2.0, 3.0)
+    assert all(type(value) is float for value in ints._values())
 
 
 def test_records_are_not_tuples():
