@@ -19,11 +19,12 @@ gives its tails in closed form: the detector's ROC point at threshold t is
 hypothesis.  The sum of n independent draws of D is exactly a*G1 + b*G2,
 with G1, G2 independent Gamma(n, 1) variables, so each hypothesis takes two
 gamma draws at any trial count, and its variance a^2 + b^2 is known
-exactly.  The absent-hypothesis variance is the same for both transmitters,
-so the quantum/classical deflection-SNR ratio is exactly
-C_q^2/C_c^2 = 1 + 1/N_s for any eta and N_B; the experiment's estimate is
-checked against that value with a z-score wherever the classical shift is
-resolved at the trial count (:data:`MIN_RESOLUTION`).
+exactly; one pass per transmitter forms both from the scales.  The
+absent-hypothesis variance is the same for both transmitters, so the
+quantum/classical deflection-SNR ratio is exactly C_q^2/C_c^2 = 1 + 1/N_s
+for any eta and N_B; the experiment's estimate is checked against that
+value with a z-score wherever the classical shift is resolved at the trial
+count (:data:`MIN_RESOLUTION`).
 
 The gamma variables are drawn by Marsaglia and Tsang's method (ACM Trans.
 Math. Softw. 26, 363, 2000) over Box-Muller normals, from nothing but
@@ -170,20 +171,6 @@ def exact_exceedance(state: State, t: float) -> float:
     return 1.0 - (1.0 - weight) * math.exp(-t / b) if b < 0.0 else 1.0
 
 
-def _deflection_with_noise(
-    present: tuple[float, float], absent: tuple[float, float], n: int
-) -> tuple[float, float]:
-    """Deflection SNR (E[D|p] - E[D|a])^2 / Var[D|a] and the first-order
-    (delta-method) relative variance of its estimate, from the (sample
-    mean, exact variance) of ``n`` draws under each hypothesis.  The
-    variances are exact, so only the mean shift carries noise."""
-    (mean_present, var_present), (mean_absent, var_absent) = present, absent
-    shift = mean_present - mean_absent
-    deflection = shift**2 / var_absent
-    relative_variance = 4.0 * (var_present + var_absent) / (n * shift**2)
-    return deflection, relative_variance
-
-
 class GainExperimentResult(Record):
     """Measured quantum-over-classical deflection-SNR ratio with its error.
 
@@ -212,15 +199,17 @@ def detector_gain_experiment(
     """Estimate the detector's quantum/classical SNR-gain ratio empirically.
 
     Builds the present/absent return states of both transmitters at the same
-    (n_s, eta, n_b) and, for each of the four, draws the mean of D over
-    ``trials`` modes from its exact sum: two gamma draws, taken in a fixed
-    order (quantum then classical, present then absent) from one
-    ``random.Random(seed)``.  The deflection SNR
-    (E[D|present] - E[D|absent])^2 / Var[D|absent] of each transmitter uses
-    the exact variances a^2 + b^2, and the reported standard error of the
-    ratio propagates the mean-shift noise of both deflections (first order).
+    (n_s, eta, n_b), then makes one pass over the two transmitters, quantum
+    then classical.  Each pass forms the exact variance a^2 + b^2 of both
+    hypotheses once, draws the mean of D over ``trials`` modes from its exact
+    sum (two gamma draws, present then absent, from one
+    ``random.Random(seed)``), and gives the deflection SNR
+    (E[D|present] - E[D|absent])^2 / Var[D|absent] with the first-order
+    relative variance of its estimate: the variances are exact, so only the
+    mean shift carries noise.  The reported standard error of the ratio
+    propagates the noise of both deflections.
 
-    Before drawing, the exact moments give the classical shift in standard
+    The classical pass's exact moments also give its mean shift in standard
     errors, sqrt((Var[D|present] + Var[D|absent]) / trials), as
     ``resolution``.  The first-order error holds where it is well above 1;
     below :data:`MIN_RESOLUTION` the result is reported as unresolved.
@@ -245,29 +234,28 @@ def detector_gain_experiment(
     # largest into [0.5, 1): exactly, and so that the squares below cannot
     # overflow at any N_s.
     exponent = math.frexp(max(abs(x) for pairs in scales for pair in pairs for x in pair))[1]
-    scales = [
-        tuple((math.ldexp(a, -exponent), math.ldexp(b, -exponent)) for a, b in pairs)
-        for pairs in scales
-    ]
-    (mean_present, var_present), (mean_absent, var_absent) = (
-        (a + b, a * a + b * b) for a, b in scales[1]
-    )
-    resolution = (mean_present - mean_absent) / math.sqrt((var_present + var_absent) / trials)
 
-    deflections = []
-    for hypotheses in scales:
-        present, absent = (
-            (_sample_mean(a, b, trials, rng), a * a + b * b) for a, b in hypotheses
+    # Each pass gives (deflection, relative variance of its estimate, exact
+    # mean shift in standard errors of its estimate); the result reports the
+    # last only for the classical transmitter.
+    passes = []
+    for pairs in scales:
+        (a_p, b_p), (a_a, b_a) = (
+            (math.ldexp(a, -exponent), math.ldexp(b, -exponent)) for a, b in pairs
         )
-        deflections.append(_deflection_with_noise(present, absent, trials))
-
-    (deflection_q, rel_var_q), (deflection_c, rel_var_c) = deflections
+        var_present, var_absent = a_p * a_p + b_p * b_p, a_a * a_a + b_a * b_a
+        shift = _sample_mean(a_p, b_p, trials, rng) - _sample_mean(a_a, b_a, trials, rng)
+        passes.append((
+            shift**2 / var_absent,
+            4.0 * (var_present + var_absent) / (trials * shift**2),
+            ((a_p + b_p) - (a_a + b_a)) / math.sqrt((var_present + var_absent) / trials),
+        ))
+    (deflection_q, rel_var_q, _), (deflection_c, rel_var_c, resolution) = passes
     ratio = deflection_q / deflection_c
-    standard_error = ratio * math.sqrt(rel_var_q + rel_var_c)
 
     return GainExperimentResult(
         ratio=ratio,
-        standard_error=standard_error,
+        standard_error=ratio * math.sqrt(rel_var_q + rel_var_c),
         deflection_quantum=deflection_q,
         deflection_classical=deflection_c,
         trials=trials,

@@ -5,6 +5,8 @@ Usage, from the checkout root::
     python tests/behaviour.py            # compare with tests/golden/behaviour.tsv
     python tests/behaviour.py --update   # rewrite the manifest from this checkout
 
+Both print the commands whose rows were added, moved or removed.
+
 Each command of :func:`corpus` runs in-process through
 ``qi_rangekit.cli.main``, in a fresh temporary directory that holds only its
 own fixture files and is the working directory for the run, so every path a
@@ -18,11 +20,17 @@ The corpus is the config battery (every number field and every frequency
 entry at one bad or edge value each, and three configs with several faults,
 each run as ``--config F --dump-config -``), one run of each command, a
 config whose k_B*B underflows run as ``--dump-config -``, ``range`` and
-``sweep``, ``--codata range``, and ``range`` on a grid of frequencies and
-N_s, lossless and through the bundled table.
-Sweeps run on :data:`GOLDEN_GRID` in place of ``cli._log_grid``'s numpy
-grid, whose last digits follow numpy's CPU dispatch.  Help and argparse
-usage texts are left out: ``tests/golden/cli_text.txt`` pins them.
+``sweep``, ``--codata range``, ``range`` on a grid of frequencies and N_s,
+lossless and through the bundled table, ``mc`` at the ends of its trial and
+seed ranges, the grid refusals of ``sweep`` and a sweep into a missing
+directory, four malformed attenuation tables read by ``atten``, and
+``covariance --oracle`` at three more pinned points.
+A sweep that gives no grid option runs on :data:`GOLDEN_GRID` in place of
+``cli._log_grid``'s numpy grid, whose last digits follow numpy's CPU
+dispatch; one that gives a grid option (:data:`GRID_OPTIONS`) runs the real
+``_log_grid``, so the corpus gives one only where the grid is refused, which
+happens before numpy is imported.  Help and argparse usage texts are left
+out: ``tests/golden/cli_text.txt`` pins them.
 
 Only the standard library is used here.  Seeded ``mc`` output and the sweep
 CSVs rest on libm's ``log``, ``cos``, ``sqrt`` and ``pow``, as the goldens do,
@@ -68,6 +76,24 @@ EDGE_CONFIG = {"tau_s": 1.7e308, "bandwidth_hz": 3e-309}
 # the points of the range grid, each run lossless and through the bundled table
 RANGE_FREQUENCIES = ("7e9", "95e9", "557e9", "1e12")
 RANGE_N_S = ("0.01", "1", "1e-30")
+# mc at verify's weakest point (unresolved at 10^4 trials) for each end of
+# --trials, and at N_s 0.1 for each end of --seed
+MC_TRIALS = ("9999", "10000", "1000000000", "1000000001")
+MC_SEEDS = ("-1", "0", str(2**64 - 1), str(2**64))
+# sweep options that reach cli._log_grid, each given here only to be refused
+GRID_OPTIONS = ("--ns-min", "--ns-max", "--points")
+GRID_REFUSALS = (("--points", "1"), ("--points", "100001"), ("--ns-min", "0"),
+                 ("--ns-min", "1", "--ns-max", "1"), ("--ns-min", "1", "--ns-max", "0.5"))
+# attenuation tables that fail to load, each named by a config and read by atten
+BAD_TABLES = {
+    "no_header": "60,15.0\n70,1.0\n",
+    "one_row": "frequency_ghz,gamma_db_per_km\n60,15.0\n",
+    "unparsable_number": "frequency_ghz,gamma_db_per_km\n50,0.5\n60,x\n70,1.0\n",
+    "repeated_frequency": "frequency_ghz,gamma_db_per_km\n50,0.5\n50,0.7\n70,1.0\n",
+}
+# covariance --oracle points whose text is the same on every Python (at
+# N_s 10 the qi deviation's last printed digit moves between versions)
+ORACLE_POINTS = (("20", "qi"), ("10", "ci"), ("1000", "ci"))
 
 
 def config_battery() -> dict[str, dict]:
@@ -126,6 +152,18 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
             if (n_s, freq) != ("0.01", "1e12"):  # the lossless run above
                 commands.append((point, {}))
             commands.append((["--config", "bundled.json", *point], bundled))
+    commands += [(["mc", "--ns", "0.01", "--eta", "0.5", "--nb", "1", "--trials", trials,
+                   "--seed", "1"], {}) for trials in MC_TRIALS]
+    commands += [(["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "10000",
+                   "--seed", seed], {}) for seed in MC_SEEDS]
+    commands += [(["sweep", "--figure", "1", *options], {}) for options in GRID_REFUSALS]
+    commands.append((["sweep", "--figure", "3", "--output", "missing/figure3.csv"], {}))
+    for name, text in BAD_TABLES.items():
+        config = json.dumps({"attenuation_table_path": f"{name}.csv"})
+        commands.append((["--config", f"{name}.json", "atten", "--freq", "60e9"],
+                         {f"{name}.json": config, f"{name}.csv": text}))
+    commands += [(["covariance", "--ns", n_s, "--mode", mode, "--oracle"], {})
+                 for n_s, mode in ORACLE_POINTS]
     return commands
 
 
@@ -145,7 +183,7 @@ def run(argv: list[str], fixtures: dict[str, str]) -> tuple[str, ...]:
             Path(tmp, name).write_text(text, encoding="utf-8")
         try:
             os.chdir(tmp)
-            if "sweep" in argv:
+            if "sweep" in argv and not any(option in argv for option in GRID_OPTIONS):
                 cli._log_grid = lambda ns_min, ns_max, points: list(GOLDEN_GRID)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
@@ -178,25 +216,27 @@ def write_manifest(rows: dict[str, tuple[str, ...]], path: Path = MANIFEST) -> N
 
 
 def moved_rows(rows: dict[str, tuple[str, ...]],
-               manifest: dict[str, tuple[str, ...]]) -> list[str]:
-    """The commands whose row differs from the manifest's, or that only one
-    of the two holds."""
-    return [command for command in {**manifest, **rows}
-            if rows.get(command) != manifest.get(command)]
+               manifest: dict[str, tuple[str, ...]]) -> list[tuple[str, str]]:
+    """(how, command) for each command whose row differs from the
+    manifest's: ``added`` where only ``rows`` holds it, ``removed`` where
+    only the manifest does, else ``moved``."""
+    return [("added" if command not in manifest else "removed" if command not in rows
+             else "moved", command)
+            for command in {**manifest, **rows} if rows.get(command) != manifest.get(command)]
 
 
 def main(argv: list[str]) -> int:
-    rows = run_corpus()
-    if argv == ["--update"]:
-        write_manifest(rows)
-        print(f"wrote {len(rows)} rows to {MANIFEST.relative_to(REPO)}")
-        return 0
-    if argv:
+    if argv not in ([], ["--update"]):
         print(f"usage: python tests/behaviour.py [--update], got {argv}", file=sys.stderr)
         return 2
-    moved = moved_rows(rows, read_manifest())
-    for command in moved:
-        print(f"moved: {command}")
+    rows = run_corpus()
+    moved = moved_rows(rows, read_manifest(MANIFEST) if MANIFEST.exists() else {})
+    for how, command in moved:
+        print(f"{how}: {command}")
+    if argv:
+        write_manifest(rows, MANIFEST)
+        print(f"wrote {len(rows)} rows to {os.path.relpath(MANIFEST, REPO)}")
+        return 0
     print(f"{len(moved)} of {len(rows)} commands moved")
     return 1 if moved else 0
 

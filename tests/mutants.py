@@ -4,9 +4,10 @@ Usage, from the checkout root::
 
     python tests/mutants.py
 
-Each mutant changes one token of one function of ``src/qi_rangekit``: ``ast``
-finds the function, the mutant's text must occur exactly once in it, and the
-changed module must differ from the original in exactly one token.  Every
+Each mutant changes one function of ``src/qi_rangekit``: ``ast`` finds the
+function, the mutant's text must occur exactly once in it, and the changed
+module must differ from the original in exactly one token, or hold the same
+tokens in another order (two draws or two names exchanged).  Every
 mutant is applied alone to a copy of the package in a temporary directory,
 and the tier-1 tests it names (test files, or pytest node ids such as
 ``tests/test_cli.py::test_name``) run against that copy (``PYTHONPATH``),
@@ -38,6 +39,9 @@ PACKAGE = REPO / "src" / "qi_rangekit"
 
 SOLVER = ("tests/test_range_solver.py",)
 FILES = ("tests/test_config.py", "tests/test_atmosphere.py", "tests/test_cli.py")
+GAIN_PINNED = ("tests/test_detection_mc.py::test_gain_experiment_output_is_pinned",)
+EXTREME_C = ("tests/test_link_budget.py::"
+             "test_a_c_whose_square_leaves_the_float_range_is_refused_by_name",)
 
 # name: (module, function, text, mutated text, test files or node ids)
 MUTANTS = {
@@ -177,6 +181,36 @@ MUTANTS = {
         "config", "ScenarioConfig.noise_occupancy",
         "if sys.float_info.min <= constants.k_b * t_eff < math.inf:",
         "if sys.float_info.min != constants.k_b * t_eff < math.inf:", ("tests/test_config.py",)),
+    # the gain experiment's one pass: the deflection divides by the absent
+    # variance, the relative variance of its estimate is
+    # 4*(Var_p + Var_a)/(n*shift^2), the means are drawn present then absent
+    # (exchanging the two draws also negates the shift, which enters only
+    # squared), and the resolution reported is the classical pass's
+    "gain_deflection_over_the_present_variance": (
+        "detection_mc", "detector_gain_experiment",
+        "shift**2 / var_absent", "shift**2 / var_present", GAIN_PINNED),
+    "gain_relative_variance_factor_two": (
+        "detection_mc", "detector_gain_experiment",
+        "4.0 * (var_present", "2.0 * (var_present", GAIN_PINNED),
+    "gain_draws_absent_first": (
+        "detection_mc", "detector_gain_experiment",
+        "_sample_mean(a_p, b_p, trials, rng) - _sample_mean(a_a, b_a, trials, rng)",
+        "_sample_mean(a_a, b_a, trials, rng) - _sample_mean(a_p, b_p, trials, rng)", GAIN_PINNED),
+    "gain_resolution_of_the_quantum_pass": (
+        "detection_mc", "detector_gain_experiment",
+        "(deflection_q, rel_var_q, _), (deflection_c, rel_var_c, resolution)",
+        "(deflection_q, rel_var_q, resolution), (deflection_c, rel_var_c, _)",
+        ("tests/test_detection_mc.py::test_gain_experiment_resolution",)),
+    # the gain's guard on c^2, which overflows or underflows to 0 at an
+    # extreme c, each mutant letting one of the two errors through
+    "antenna_gain_leaks_the_c_squared_overflow": (
+        "range_solver", "antenna_gain",
+        "except (OverflowError, ZeroDivisionError):", "except (EOFError, ZeroDivisionError):",
+        EXTREME_C),
+    "antenna_gain_leaks_the_zero_division": (
+        "range_solver", "antenna_gain",
+        "except (OverflowError, ZeroDivisionError):", "except (OverflowError, EOFError):",
+        EXTREME_C),
     # the clamps that keep a >= 0 >= b where rounding leaves |r| above sqrt(pq)
     "statistic_scales_a_unclamped": (
         "detection_mc", "_statistic_scales",
@@ -234,8 +268,11 @@ def mutate(source: str, qualname: str, text: str, mutated: str) -> str:
         raise ValueError(f"{text!r} occurs {body.count(text)} times in {qualname}")
     changed = source[:start] + body.replace(text, mutated) + source[end:]
     before, after = tokens(source), tokens(changed)
-    if len(before) != len(after) or sum(a != b for a, b in zip(before, after)) != 1:
-        raise ValueError(f"{text!r} -> {mutated!r} is not a single-token change")
+    changes = sum(a != b for a, b in zip(before, after))
+    reordered = changes > 1 and sorted(before) == sorted(after)
+    if len(before) != len(after) or not (changes == 1 or reordered):
+        raise ValueError(f"{text!r} -> {mutated!r} is neither a single-token change "
+                         "nor a reordering")
     return changed
 
 

@@ -316,6 +316,23 @@ def test_gain_experiment_z_is_calibrated(n_s):
     assert 0.85 <= sd <= 1.15
 
 
+def test_gain_experiment_z_tail_at_the_weakest_verify_point_is_pinned():
+    # The verify point N_s 0.01 sits at 8.85 standard errors, where the ratio
+    # of two squared shift estimates is skewed: over seeds 1-20 000 its z,
+    # formed as mc forms it, has a long lower tail.  The counts and the
+    # extreme z came out the same on Pythons 3.10 to 3.13, and they pin every
+    # draw and reduction of the experiment over 20 000 runs.
+    n_s = 0.01
+    analytic = 1.0 + 1.0 / n_s
+    zs = []
+    for seed in range(1, 20_001):
+        result = detector_gain_experiment(n_s=n_s, eta=0.5, n_b=1.0, trials=10**6, seed=seed)
+        zs.append((result.ratio - analytic) / result.standard_error)
+    assert sum(abs(z) > 6.0 for z in zs) == 4
+    assert sum(abs(z) > 4.0 for z in zs) == 80
+    assert (repr(min(zs)), repr(max(zs))) == ("-7.493328816459802", "1.7206562900906368")
+
+
 @pytest.mark.parametrize(
     "n_s, eta, n_b, trials, resolution",
     [

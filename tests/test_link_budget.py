@@ -1,11 +1,13 @@
 """Gain, the reference transmissivity/SNR chain, and the Albersheim estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qi_rangekit.constants import TEXTBOOK
+from qi_rangekit.config import ScenarioConfig
+from qi_rangekit.constants import CODATA, TEXTBOOK
 from qi_rangekit.errors import DomainError, UnphysicalGeometryError
 from qi_rangekit.link_budget import albersheim_snr_min
 from qi_rangekit.radiometry import (
@@ -15,18 +17,33 @@ from qi_rangekit.radiometry import (
     transmit_power,
     watts_to_dbm,
 )
-from qi_rangekit.range_solver import antenna_gain
+from qi_rangekit.range_solver import antenna_gain, range_chain, sweep_range
 from reference_chain import channel_transmissivity, noise_power, received_power, snr, snr_eff
 
 FOUR_PI = 4.0 * math.pi
 
 
 def test_antenna_gain_values():
-    assert antenna_gain(0.5, 1e12) == pytest.approx(
-        FOUR_PI * 0.5 * 1e24 / TEXTBOOK.c**2, rel=1e-15
-    )
+    # G is the quotient by c**2 itself, to the bit, under both constant sets
+    for constants in (TEXTBOOK, CODATA):
+        for f_hz in (7e9, 95e9, 557e9, 1e12):
+            assert antenna_gain(0.5, f_hz, constants) == FOUR_PI * 0.5 * f_hz**2 / constants.c**2
     assert antenna_gain(0.5, 1e12) == pytest.approx(6.98e7, rel=1e-3)
     assert antenna_gain(0.5, 7e9) == pytest.approx(3.42e3, rel=1e-3)
+
+
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_a_c_whose_square_leaves_the_float_range_is_refused_by_name(c):
+    # c^2 overflows at 1e200 and underflows to 0 at 1e-200: the gain, the
+    # chain and the sweep each raise the package's error naming c
+    constants = TEXTBOOK.replace(c=c)
+    message = re.escape(f"speed of light c = {c!r} m/s: c^2 overflows or underflows to 0")
+    with pytest.raises(DomainError, match=message):
+        antenna_gain(0.5, 1e12, constants)
+    with pytest.raises(DomainError, match=message):
+        range_chain(ScenarioConfig(), 1e12, constants)
+    with pytest.raises(DomainError, match=message):
+        list(sweep_range(ScenarioConfig(), [0.01], constants=constants))
 
 
 def test_unit_gain_aperture():

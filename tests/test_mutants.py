@@ -19,10 +19,16 @@ def test_each_mutant_changes_one_token_of_its_function(name):
 
 
 def test_a_mutant_must_be_one_token_found_once_in_its_function():
+    # or a reordering of the tokens of its text
     source = "def f(x):\n    return x < 1\n\n\ndef g(x):\n    return x < 1\n"
     assert mutants.mutate(source, "g", "x < 1", "x <= 1").endswith("return x <= 1\n")
+    assert mutants.mutate(source, "g", "x < 1", "1 < x").endswith("return 1 < x\n")
     with pytest.raises(ValueError, match="single-token"):
         mutants.mutate(source, "f", "x < 1", "x <= 2")
+    with pytest.raises(ValueError, match="nor a reordering"):
+        mutants.mutate(source, "f", "x < 1", "1 > x")
+    with pytest.raises(ValueError, match="nor a reordering"):
+        mutants.mutate(source, "f", "x < 1", "x  <  1")
     with pytest.raises(ValueError, match="occurs 0 times"):
         mutants.mutate(source, "f", "x > 1", "x >= 1")
 
