@@ -8,11 +8,14 @@ This module also builds each one's 4x4 quadrature covariance matrix from
 its block, and an independent oracle that recomputes the same matrix as
 expectation values in a truncated Fock space.  The oracles apply the
 truncated ladder operators to the state's Fock coefficients and sum the
-products; no closed-form moment enters.  They follow each state's
-structure: the TMSV is diagonal, sum_n c_n |n, n>, so every quadrature
-applied to it lies on two off-diagonals, and the coherent pair is a
-product, so every moment factorises into two single-mode sums.  Both hold
-O(n_max) numbers, in plain Python lists, so the module does not load numpy.
+products; no closed-form moment enters.  Both take those coefficients from
+one builder, :func:`_fock_amplitudes`: the cutoff from the tail rule, each
+amplitude from its logarithm, and the vacuum where the state's parameter is
+0.  They follow each state's structure: the TMSV is diagonal,
+sum_n c_n |n, n>, so every quadrature applied to it lies on two
+off-diagonals, and the coherent pair is a product, so every moment
+factorises into two single-mode sums.  Both hold O(n_max) numbers, in plain
+Python lists, so the module does not load numpy.
 
 Every function that returns a matrix returns it as a tuple of four row
 tuples of floats, ``cov[j][k]``; ``numpy.asarray`` turns it into a 4x4 array.
@@ -171,6 +174,19 @@ def _smallest_cutoff(n_s: float, tail) -> int:
     return cutoffs[index]
 
 
+def _fock_amplitudes(n_s: float, x: float, tail, log_amplitude) -> list[float]:
+    """The Fock amplitudes [exp(log_amplitude(n, x)) for n = 0 .. n_max] of a
+    single-mode state with parameter ``x`` >= 0 (the TMSV's N_s, or the
+    coherent amplitude's mean photon number), where ``n_max`` is the
+    smallest cutoff at which ``tail(x, n_max)`` meets the tail rule
+    (:func:`_smallest_cutoff`, which names ``n_s`` where none does).  At
+    x = 0 the state is the vacuum [1, 0, ..., 0], where log(x) is undefined."""
+    n_max = _smallest_cutoff(n_s, partial(tail, x))
+    if x > 0.0:
+        return [math.exp(log_amplitude(n, x)) for n in range(n_max + 1)]
+    return [1.0] + [0.0] * n_max
+
+
 def _ladder_pair(v: Sequence[complex]) -> tuple[list[complex], list[complex]]:
     """(a v, a^dag v) for one mode's Fock coefficients ``v[n]``, truncated.
 
@@ -255,14 +271,9 @@ def tmsv_covariance_oracle(n_s: float) -> Matrix:
     up, including where n_s/(n_s + 1) rounds to 1).
     """
     n_s = _require_non_negative("n_s", n_s)
-    n_max = _smallest_cutoff(n_s, partial(_tmsv_tail, n_s))
-    if n_s > 0.0:
-        # sqrt(n_s^n / (n_s + 1)^(n+1)) in log space; the powers overflow past n ~ 300.
-        log_n_s, log1p_n_s = math.log(n_s), math.log1p(n_s)
-        coeffs = [math.exp(0.5 * (n * log_n_s - (n + 1) * log1p_n_s)) for n in range(n_max + 1)]
-    else:
-        coeffs = [1.0] + [0.0] * n_max
-    return _diagonal_moments(coeffs)
+    # sqrt(n_s^n / (n_s + 1)^(n+1)) in log space; the powers overflow past n ~ 300.
+    return _diagonal_moments(_fock_amplitudes(
+        n_s, n_s, _tmsv_tail, lambda n, x: 0.5 * (n * math.log(x) - (n + 1) * math.log1p(x))))
 
 
 def coherent_covariance_oracle(n_s: float) -> Matrix:
@@ -280,12 +291,7 @@ def coherent_covariance_oracle(n_s: float) -> Matrix:
     """
     n_s = _require_non_negative("n_s", n_s)
     lam = n_s / 2.0  # photons per mode, |alpha|^2
-    n_max = _smallest_cutoff(n_s, partial(_poisson_tail, lam))
-    if lam > 0.0:
-        # exp(-lam/2) * alpha^n / sqrt(n!) in log space; alpha = sqrt(lam).
-        log_lam = math.log(lam)
-        amplitudes = [math.exp(-lam / 2.0 + 0.5 * n * log_lam - 0.5 * math.lgamma(n + 1))
-                      for n in range(n_max + 1)]
-    else:
-        amplitudes = [1.0] + [0.0] * n_max
+    # exp(-lam/2) * alpha^n / sqrt(n!) in log space; alpha = sqrt(lam).
+    amplitudes = _fock_amplitudes(n_s, lam, _poisson_tail, lambda n, x: (
+        -x / 2.0 + 0.5 * n * math.log(x) - 0.5 * math.lgamma(n + 1)))
     return _product_moments(amplitudes, amplitudes)

@@ -87,7 +87,7 @@ from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, FrequencySpanError, NoDetectionError, UnphysicalGeometryError
 from .errors import _require_count, _require_non_negative, _require_positive
-from .radiometry import _ldexp_quotient
+from .radiometry import _in_float_range, _ldexp_quotient
 
 # true for static checkers only: the annotations' names cost no import
 TYPE_CHECKING = False
@@ -130,7 +130,8 @@ def antenna_gain(
 ) -> float:
     """Antenna gain G = 4*pi*A/lambda^2 = 4*pi*A*f^2/c^2 (dimensionless).
     Raises :class:`DomainError` where f^2 overflows (f above ~1.34e154 Hz),
-    and where the constants' c^2 overflows or underflows to 0."""
+    where the constants' c^2 overflows or underflows to 0, and, naming G,
+    where G itself overflows or underflows to 0."""
     aperture_m2 = _require_positive("antenna aperture", aperture_m2)
     f_hz = _require_positive("frequency", f_hz)
     try:
@@ -138,7 +139,9 @@ def antenna_gain(
     except OverflowError:
         raise DomainError(f"frequency {f_hz!r} Hz is too large: f^2 overflows") from None
     try:
-        return _FOUR_PI * aperture_m2 * f_squared / constants.c**2
+        return _in_float_range("antenna gain G = 4*pi*A*f^2/c^2", f"A = {aperture_m2!r} m^2, "
+                               f"f = {f_hz!r} Hz, c = {constants.c!r} m/s",
+                               _FOUR_PI * aperture_m2 * f_squared / constants.c**2)
     except (OverflowError, ZeroDivisionError):
         raise DomainError(
             f"speed of light c = {constants.c!r} m/s: c^2 overflows or underflows to 0"

@@ -23,8 +23,10 @@ config whose k_B*B underflows run as ``--dump-config -``, ``range`` and
 ``sweep``, ``--codata range``, ``range`` on a grid of frequencies and N_s,
 lossless and through the bundled table, ``mc`` at the ends of its trial and
 seed ranges, the grid refusals of ``sweep`` and a sweep into a missing
-directory, four malformed attenuation tables read by ``atten``, and
-``covariance --oracle`` at three more pinned points.
+directory, four malformed attenuation tables read by ``atten``,
+``covariance --oracle`` at eleven more pinned points (among them each
+oracle's vacuum and its first ``CutoffError``), and two configs whose antenna
+gain overflows or underflows to 0, each run as ``range`` and ``sweep``.
 A sweep that gives no grid option runs on :data:`GOLDEN_GRID` in place of
 ``cli._log_grid``'s numpy grid, whose last digits follow numpy's CPU
 dispatch; one that gives a grid option (:data:`GRID_OPTIONS`) runs the real
@@ -92,8 +94,17 @@ BAD_TABLES = {
     "repeated_frequency": "frequency_ghz,gamma_db_per_km\n50,0.5\n50,0.7\n70,1.0\n",
 }
 # covariance --oracle points whose text is the same on every Python (at
-# N_s 10 the qi deviation's last printed digit moves between versions)
-ORACLE_POINTS = (("20", "qi"), ("10", "ci"), ("1000", "ci"))
+# N_s 10 the qi deviation's last printed digit moves between versions): then
+# each oracle's vacuum, the classical mean N_s/2 that underflows to 0, a TMSV
+# whose cross entry 2e-150 sits far below its unit diagonal, and for each
+# oracle an N_s within MAX_FOCK_STATES beside one past it (a CutoffError)
+ORACLE_POINTS = (("20", "qi"), ("10", "ci"), ("1000", "ci"), ("0", "qi"), ("0", "ci"),
+                 ("5e-324", "ci"), ("1e-300", "qi"), ("73", "qi"), ("74", "qi"),
+                 ("3000", "ci"), ("3500", "ci"))
+# configs whose antenna gain G overflows or underflows to 0 at their one
+# frequency, each run as range at that frequency and as sweep --figure 3
+GAIN_CONFIGS = {"gain_overflow": {"aperture_m2": 1e10, "frequencies_hz": [1e150]},
+                "gain_underflow": {"aperture_m2": 1e-300, "frequencies_hz": [1e-10]}}
 
 
 def config_battery() -> dict[str, dict]:
@@ -164,6 +175,13 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
                          {f"{name}.json": config, f"{name}.csv": text}))
     commands += [(["covariance", "--ns", n_s, "--mode", mode, "--oracle"], {})
                  for n_s, mode in ORACLE_POINTS]
+    for name, config in GAIN_CONFIGS.items():
+        fixture = {f"{name}.json": json.dumps(config)}
+        freq = repr(config["frequencies_hz"][0])
+        commands += [(["--config", f"{name}.json", "range", "--ns", "0.01", "--freq", freq],
+                      fixture),
+                     (["--config", f"{name}.json", "sweep", "--figure", "3", "--output",
+                       "figure3.csv"], fixture)]
     return commands
 
 

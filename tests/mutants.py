@@ -2,7 +2,8 @@
 
 Usage, from the checkout root::
 
-    python tests/mutants.py
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME...      # the named mutants only
 
 Each mutant changes one function of ``src/qi_rangekit``: ``ast`` finds the
 function, the mutant's text must occur exactly once in it, and the changed
@@ -14,7 +15,9 @@ and the tier-1 tests it names (test files, or pytest node ids such as
 stopping at the first failure.  A mutant is killed when a test fails; the
 script prints, per mutant, the first test that failed and the seconds taken,
 and exits 1 if any mutant survives or cannot be applied.  Every test file
-named first runs whole against an unchanged copy, and must pass there.
+the mutants to run name first runs whole against an unchanged copy, and must
+pass there.  Given names, the script runs those mutants alone, in the order
+given; a name that is no mutant's exits 2 before any test runs.
 
 Only the standard library is used; pytest runs in a child process.  CI runs
 this script as its own step, apart from the tier-1 suite.
@@ -211,6 +214,12 @@ MUTANTS = {
         "range_solver", "antenna_gain",
         "except (OverflowError, ZeroDivisionError):", "except (OverflowError, EOFError):",
         EXTREME_C),
+    # the gain's own float-range guard dropped: getattr(name, at, G) returns G
+    # (no attribute has that name), so only a G out of range tells them apart
+    "antenna_gain_drops_its_float_range_guard": (
+        "range_solver", "antenna_gain",
+        "return _in_float_range(", "return getattr(",
+        ("tests/test_link_budget.py::test_a_gain_that_leaves_the_float_range_is_refused_by_name",)),
     # the clamps that keep a >= 0 >= b where rounding leaves |r| above sqrt(pq)
     "statistic_scales_a_unclamped": (
         "detection_mc", "_statistic_scales",
@@ -225,6 +234,19 @@ MUTANTS = {
         "quantum_states", "_smallest_cutoff",
         "tail(n) < TAIL_TOLERANCE", "tail(n) <= TAIL_TOLERANCE",
         ("tests/test_quantum_states.py::test_cutoff_tail_must_fall_below_the_tolerance",)),
+    # the oracles' one amplitude builder gives the vacuum at a zero parameter,
+    # where log(0) raises, and the classical oracle builds its amplitudes at
+    # the mean photon number per mode N_s/2, which underflows to 0 at 5e-324
+    "fock_amplitudes_takes_the_log_of_zero": (
+        "quantum_states", "_fock_amplitudes",
+        "if x > 0.0:", "if x >= 0.0:",
+        ("tests/test_quantum_states.py::test_tmsv_oracle_vacuum",
+         "tests/test_quantum_states.py::test_coherent_oracle_vacuum")),
+    "coherent_oracle_amplitudes_at_n_s": (
+        "quantum_states", "coherent_covariance_oracle",
+        "_fock_amplitudes(n_s, lam,", "_fock_amplitudes(n_s, n_s,",
+        ("tests/test_quantum_states.py::test_coherent_oracle_i_sector_matches_model",
+         "tests/test_quantum_states.py::test_coherent_oracle_vacuum")),
     # a sweep's ends are the bounds given, not 10^log10 of them (the
     # assignment becomes an expression statement)
     "log_grid_computes_its_ends": (
@@ -294,17 +316,22 @@ def run_tests(package: Path, tests: tuple[str, ...]) -> tuple[int, str]:
     return result.returncode, first_failure(result.stdout)
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"no such mutant: {' '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = {name: MUTANTS[name] for name in names} if names else MUTANTS
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src" / "qi_rangekit"
         shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        files = tuple(sorted({t.split("::")[0] for *_, ts in MUTANTS.values() for t in ts}))
+        files = tuple(sorted({t.split("::")[0] for *_, ts in chosen.values() for t in ts}))
         code, first = run_tests(copy, files)
         if code != 0:
             print(f"the unchanged package fails {first or files}", file=sys.stderr)
             return 1
-        for name, (module, qualname, text, mutated, tests) in MUTANTS.items():
+        for name, (module, qualname, text, mutated, tests) in chosen.items():
             path = copy / f"{module}.py"
             original = path.read_text(encoding="utf-8")
             try:
@@ -324,9 +351,9 @@ def main() -> int:
                 survivors.append(name)
             else:
                 print(f"{name}: killed by {first or f'pytest exit {code}'} ({seconds:.1f} s)")
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -601,6 +601,13 @@ UNUSABLE_CHAINS = {
     # f^2 in the antenna gain overflows above ~1.34e154 Hz
     "f_squared_overflow": ({"frequencies_hz": [1e160]},
                            "frequency 1e+160 Hz is too large: f^2 overflows"),
+    # G = 4*pi*A*f^2/c^2 itself overflows, or underflows to 0
+    "gain_overflow": ({"aperture_m2": 1e10, "frequencies_hz": [1e150]},
+                      "antenna gain G = 4*pi*A*f^2/c^2 overflows at A = 10000000000.0 m^2, "
+                      "f = 1e+150 Hz, c = 300000000.0 m/s"),
+    "gain_underflow": ({"aperture_m2": 1e-300, "frequencies_hz": [1e-10]},
+                       "antenna gain G = 4*pi*A*f^2/c^2 underflows to 0 at A = 1e-300 m^2, "
+                       "f = 1e-10 Hz, c = 300000000.0 m/s"),
     # P_B / (h * f * B) itself rounds to 0
     "n_b_underflow": ({"noise_power_dbm": -3200, "bandwidth_hz": 1e16, "frequencies_hz": [1e18]},
                       "N_B = P_B/(h*f*B) underflows to 0 at P_B = 1e-323 W, f = 1e+18 Hz, "

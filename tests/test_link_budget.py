@@ -1,10 +1,12 @@
 """Gain, the reference transmissivity/SNR chain, and the Albersheim estimator."""
 
+import json
 import math
 import re
 
 import numpy as np
 import pytest
+from bench_scenario import SWEEP_ATTENUATED_JSON
 
 from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.constants import CODATA, TEXTBOOK
@@ -24,10 +26,14 @@ FOUR_PI = 4.0 * math.pi
 
 
 def test_antenna_gain_values():
-    # G is the quotient by c**2 itself, to the bit, under both constant sets
+    # G is the quotient by c**2 itself, to the bit, under both constant sets,
+    # at every frequency and aperture of the benchmark and golden configs
+    bench = json.loads(SWEEP_ATTENUATED_JSON.read_text(encoding="utf-8"))["frequencies_hz"]
     for constants in (TEXTBOOK, CODATA):
-        for f_hz in (7e9, 95e9, 557e9, 1e12):
-            assert antenna_gain(0.5, f_hz, constants) == FOUR_PI * 0.5 * f_hz**2 / constants.c**2
+        for aperture_m2 in (0.5, 1e-6):
+            for f_hz in (*bench, 7e9, 60e9, 95e9, 557e9):
+                assert antenna_gain(aperture_m2, f_hz, constants) == (
+                    FOUR_PI * aperture_m2 * f_hz**2 / constants.c**2)
     assert antenna_gain(0.5, 1e12) == pytest.approx(6.98e7, rel=1e-3)
     assert antenna_gain(0.5, 7e9) == pytest.approx(3.42e3, rel=1e-3)
 
@@ -44,6 +50,26 @@ def test_a_c_whose_square_leaves_the_float_range_is_refused_by_name(c):
         range_chain(ScenarioConfig(), 1e12, constants)
     with pytest.raises(DomainError, match=message):
         list(sweep_range(ScenarioConfig(), [0.01], constants=constants))
+
+
+@pytest.mark.parametrize("aperture_m2, f_hz, c, message", [
+    # c^2 is subnormal, not 0, so the quotient overflows
+    (0.5, 1e12, 1e-160, "overflows at A = 0.5 m^2, f = 1000000000000.0 Hz, c = 1e-160 m/s"),
+    (1e10, 1e150, 3e8, "overflows at A = 10000000000.0 m^2, f = 1e+150 Hz, c = 300000000.0 m/s"),
+    (1e-300, 1e-10, 3e8,
+     "underflows to 0 at A = 1e-300 m^2, f = 1e-10 Hz, c = 300000000.0 m/s"),
+], ids=["c_squared_subnormal", "overflow", "underflow"])
+def test_a_gain_that_leaves_the_float_range_is_refused_by_name(aperture_m2, f_hz, c, message):
+    # the gain, the chain and the sweep each name G, not the head it enters
+    constants = TEXTBOOK.replace(c=c)
+    config = ScenarioConfig(aperture_m2=aperture_m2, frequencies_hz=[f_hz])
+    message = re.escape(f"antenna gain G = 4*pi*A*f^2/c^2 {message}")
+    with pytest.raises(DomainError, match=message):
+        antenna_gain(aperture_m2, f_hz, constants)
+    with pytest.raises(DomainError, match=message):
+        range_chain(config, f_hz, constants)
+    with pytest.raises(DomainError, match=message):
+        list(sweep_range(config, [0.01], constants=constants))
 
 
 def test_unit_gain_aperture():

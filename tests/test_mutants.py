@@ -44,3 +44,33 @@ def test_the_kill_report_reads_a_node_id_with_spaces_in_full():
     assert mutants.first_failure("ERROR tests/test_x.py - ImportError: a - b\n") == (
         "tests/test_x.py")
     assert mutants.first_failure("1 passed in 0.01s\n") == ""
+
+
+def test_named_mutants_run_alone_after_their_own_test_files_pass(monkeypatch, capsys):
+    runs = []
+
+    def run_tests(package, tests):
+        # the unchanged copy passes, and each mutant fails its first test
+        runs.append(tests)
+        return (0, "") if len(runs) == 1 else (1, tests[0])
+
+    monkeypatch.setattr(mutants, "run_tests", run_tests)
+    names = ["sweep_writes_zero_for_no_range", "smallest_cutoff_accepts_the_tolerance"]
+    assert mutants.main(names) == 0
+    assert runs == [("tests/test_cli.py", "tests/test_quantum_states.py"),
+                    *(mutants.MUTANTS[name][4] for name in names)]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == [*names, "2 of 2 mutants killed"]
+    # with no name, every mutant runs, after every test file they name
+    runs.clear()
+    assert mutants.main([]) == 0
+    files = {test.split("::")[0] for *_, tests in mutants.MUTANTS.values() for test in tests}
+    assert runs == [tuple(sorted(files)), *(tests for *_, tests in mutants.MUTANTS.values())]
+    assert capsys.readouterr().out.endswith(
+        f"{len(mutants.MUTANTS)} of {len(mutants.MUTANTS)} mutants killed\n")
+
+
+def test_an_unknown_mutant_name_exits_2_before_any_test_runs(monkeypatch, capsys):
+    monkeypatch.setattr(mutants, "run_tests", lambda package, tests: pytest.fail("ran tests"))
+    assert mutants.main(["sweep_writes_zero_for_no_range", "no_such", "nor_this"]) == 2
+    assert capsys.readouterr() == ("", "no such mutant: no_such nor_this\n")

@@ -159,6 +159,10 @@ def test_covariances_exactly_symmetric():
 
 def test_coherent_oracle_vacuum():
     assert np.abs(np.asarray(coherent_covariance_oracle(0.0)) - np.eye(4)).max() < 1e-12
+    # the mean photon number per mode N_s/2 rounds to 0 at N_s = 5e-324, so
+    # the state is the vacuum there, to the bit, not a coherent state of that N_s
+    assert coherent_covariance_oracle(5e-324) == coherent_covariance_oracle(0.0)
+    assert coherent_covariance_oracle(1e-323)[SIGNAL_I][IDLER_I] > 0.0
 
 
 def test_tmsv_oracle_vacuum():
