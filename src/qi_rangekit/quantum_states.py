@@ -17,6 +17,13 @@ off-diagonals, and the coherent pair is a product, so every moment
 factorises into two single-mode sums.  Both hold O(n_max) numbers, in plain
 Python lists, so the module does not load numpy.
 
+Both states' amplitudes are real, so the oracles need no complex number:
+I maps the amplitudes to a real list and Q to -i times one, every moment
+where two I's or two Q's meet is summed from real lists, and the four
+cells where an I meets a Q are exactly 0.  Each dot product adds its terms
+left to right (:func:`_dot`), so an oracle prints the same bytes on every
+Python.
+
 Every function that returns a matrix returns it as a tuple of four row
 tuples of floats, ``cov[j][k]``; ``numpy.asarray`` turns it into a 4x4 array.
 
@@ -43,7 +50,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
-from functools import partial
+from functools import partial, reduce
+from operator import add, mul
 
 from .errors import CutoffError, DomainError, _require_non_negative, _require_positive
 from .radiometry import _root_product
@@ -63,7 +71,6 @@ MAX_FOCK_STATES = 2048
 Matrix = tuple[tuple[float, ...], ...]
 
 _SQRT2 = math.sqrt(2.0)
-_I_SQRT2 = 1j * _SQRT2
 
 
 def _block_covariance(s: float, c: float) -> Matrix:
@@ -101,7 +108,7 @@ def tmsv_block(n_s: float) -> tuple[float, float]:
 def coherent_block(n_s: float) -> tuple[float, float]:
     """(S, C_c) of the classical transmitter's model matrix: diagonal
     S = 2*n_s + 1 and cross entries +/- C_c = 2*n_s.  It describes the
-    classically correlated phase-conjugate pair, a Gaussian mixture of
+    classically correlated pair of opposite phases, a Gaussian mixture of
     |alpha>|alpha*> with |alpha|^2 ~ Exp(mean n_s), not a coherent state,
     although the paper's abstract says "coherent state" (see the module
     docstring for the product coherent state the oracle computes).  Raises
@@ -118,7 +125,7 @@ def tmsv_covariance(n_s: float) -> Matrix:
 
 def coherent_covariance(n_s: float) -> Matrix:
     """Model covariance matrix of the classical transmitter, built from
-    :func:`coherent_block`: the phase-conjugate mixture of |alpha>|alpha*>
+    :func:`coherent_block`: the opposite-phase mixture of |alpha>|alpha*>
     with |alpha|^2 ~ Exp(mean n_s), not a coherent state."""
     return _block_covariance(*coherent_block(n_s))
 
@@ -187,7 +194,7 @@ def _fock_amplitudes(n_s: float, x: float, tail, log_amplitude) -> list[float]:
     return [1.0] + [0.0] * n_max
 
 
-def _ladder_pair(v: Sequence[complex]) -> tuple[list[complex], list[complex]]:
+def _ladder_pair(v: Sequence[float]) -> tuple[list[float], list[float]]:
     """(a v, a^dag v) for one mode's Fock coefficients ``v[n]``, truncated.
 
     a|n> = sqrt(n)|n-1> and a^dag|n> = sqrt(n+1)|n+1> shift the coefficients
@@ -201,34 +208,48 @@ def _ladder_pair(v: Sequence[complex]) -> tuple[list[complex], list[complex]]:
 
 
 def _quadratures(
-    lowered: Sequence[complex], raised: Sequence[complex]
-) -> tuple[list[complex], list[complex]]:
-    """(I v, Q v) from a v and a^dag v: I = (a + a^dag)/sqrt(2), Q = (a - a^dag)/(i sqrt(2))."""
+    lowered: Sequence[float], raised: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """(I v, i Q v) from a v and a^dag v, as (a v +/- a^dag v)/sqrt(2).
+
+    I = (a + a^dag)/sqrt(2) and Q = (a - a^dag)/(i sqrt(2)), so for real v
+    both lists are real: Q v is -i times the second.
+    """
     return ([(x + y) / _SQRT2 for x, y in zip(lowered, raised)],
-            [(x - y) / _I_SQRT2 for x, y in zip(lowered, raised)])
+            [(x - y) / _SQRT2 for x, y in zip(lowered, raised)])
 
 
-def _vdot(x: Sequence[complex], y: Sequence[complex]) -> complex:
-    """<x|y> = sum_n conj(x_n) y_n."""
-    return sum(a.conjugate() * b for a, b in zip(x, y))
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    """sum_n x_n y_n, added left to right from 0.0.
+
+    That is how CPython up to 3.11 adds floats in the built-in ``sum``, and
+    it gives the same bytes on every Python.  The ``sum`` of 3.12 on and
+    ``math.fsum`` compensate the round-off, so a term lost beside a large
+    one comes back: ``[1e16, 1.0, -1e16]`` adds to 0.0 here, to 1.0 there.
+    """
+    return reduce(add, map(mul, x, y), 0.0)
 
 
 def _moment_matrix(applied, inner) -> Matrix:
-    """4x4 matrix of 2x symmetrized moments from the four states R_j|psi>.
+    """4x4 matrix of 2x symmetrized moments from the four states R_j|psi>,
+    each held as the real list r_j with R_j|psi> = r_j for an I and -i r_j
+    for a Q (:func:`_quadratures`).
 
-    <psi| R_j R_k |psi> = <R_j psi | R_k psi> = ``inner(applied[j],
-    applied[k])``; its real part is the symmetrized moment since swapping
-    j, k conjugates the product.
+    <psi| R_j R_k |psi> = <R_j psi | R_k psi>.  Where two I's or two Q's
+    meet, the phases cancel and it is the real ``inner(applied[j],
+    applied[k])``, the symmetrized moment.  Where an I meets a Q it is
+    +/- i times a real number, whose real part, the symmetrized moment, is
+    0, so those four cells stay 0 and are not computed.
     """
     cov = [[0.0] * 4 for _ in range(4)]
     for j in range(4):
-        for k in range(j, 4):
-            cov[j][k] = cov[k][j] = 2.0 * inner(applied[j], applied[k]).real
+        for k in range(j, 4, 2):  # k - j even: an I with an I, or a Q with a Q
+            cov[j][k] = cov[k][j] = 2.0 * inner(applied[j], applied[k])
     return tuple(tuple(row) for row in cov)
 
 
 def _diagonal_moments(coeffs: Sequence[float]) -> Matrix:
-    """Moment matrix of the two-mode state sum_n c_n |n, n>.
+    """Moment matrix of the two-mode state sum_n c_n |n, n>, real c_n.
 
     A ladder operator on either mode moves every coefficient of the diagonal
     state one step off the diagonal, so each R_j|psi> lives on the two
@@ -244,19 +265,20 @@ def _diagonal_moments(coeffs: Sequence[float]) -> Matrix:
     # (above, below) the diagonal for a_S, a_S^dag, a_I, a_I^dag.
     i_s, q_s = _quadratures(upper + zero, zero + lower)
     i_i, q_i = _quadratures(zero + upper, lower + zero)
-    return _moment_matrix((i_s, q_s, i_i, q_i), _vdot)
+    return _moment_matrix((i_s, q_s, i_i, q_i), _dot)
 
 
-def _product_moments(a: Sequence[complex], b: Sequence[complex]) -> Matrix:
-    """Moment matrix of the product state (sum_m a_m|m>) x (sum_n b_n|n>).
+def _product_moments(a: Sequence[float], b: Sequence[float]) -> Matrix:
+    """Moment matrix of the product state (sum_m a_m|m>) x (sum_n b_n|n>),
+    real a_m and b_n.
 
     Signal operators act on ``a`` and idler operators on ``b`` alone, so each
     R_j|psi> is kept as its two single-mode factors and every moment is the
-    product of two single-mode inner products.
+    product of two single-mode dot products.
     """
     applied = [(r_a, b) for r_a in _quadratures(*_ladder_pair(a))]
     applied += [(a, r_b) for r_b in _quadratures(*_ladder_pair(b))]
-    return _moment_matrix(applied, lambda x, y: _vdot(x[0], y[0]) * _vdot(x[1], y[1]))
+    return _moment_matrix(applied, lambda x, y: _dot(x[0], y[0]) * _dot(x[1], y[1]))
 
 
 def tmsv_covariance_oracle(n_s: float) -> Matrix:

@@ -22,11 +22,12 @@ each run as ``--config F --dump-config -``), one run of each command, a
 config whose k_B*B underflows run as ``--dump-config -``, ``range`` and
 ``sweep``, ``--codata range``, ``range`` on a grid of frequencies and N_s,
 lossless and through the bundled table, ``mc`` at the ends of its trial and
-seed ranges, the grid refusals of ``sweep`` and a sweep into a missing
-directory, four malformed attenuation tables read by ``atten``,
-``covariance --oracle`` at eleven more pinned points (among them each
-oracle's vacuum and its first ``CutoffError``), and two configs whose antenna
-gain overflows or underflows to 0, each run as ``range`` and ``sweep``.
+seed ranges and at N_s 1e8 and 1e307, the grid refusals of ``sweep`` and a
+sweep into a missing directory, four malformed attenuation tables read by
+``atten``, ``covariance --oracle`` at twelve more pinned points (the four of
+the benchmark's verify workload, each oracle's vacuum and its first
+``CutoffError`` among them), and two configs whose antenna gain overflows or
+underflows to 0, each run as ``range`` and ``sweep``.
 A sweep that gives no grid option runs on :data:`GOLDEN_GRID` in place of
 ``cli._log_grid``'s numpy grid, whose last digits follow numpy's CPU
 dispatch; one that gives a grid option (:data:`GRID_OPTIONS`) runs the real
@@ -82,6 +83,10 @@ RANGE_N_S = ("0.01", "1", "1e-30")
 # --trials, and at N_s 0.1 for each end of --seed
 MC_TRIALS = ("9999", "10000", "1000000000", "1000000001")
 MC_SEEDS = ("-1", "0", str(2**64 - 1), str(2**64))
+# mc at N_s where the float state blocks carry round-off at the size of the
+# uncertainty bound (s^2 - c^2 of the TMSV block cancels), which a check of
+# that bound must admit
+MC_LARGE_N_S = ("1e8", "1e307")
 # sweep options that reach cli._log_grid, each given here only to be refused
 GRID_OPTIONS = ("--ns-min", "--ns-max", "--points")
 GRID_REFUSALS = (("--points", "1"), ("--points", "100001"), ("--ns-min", "0"),
@@ -93,14 +98,13 @@ BAD_TABLES = {
     "unparsable_number": "frequency_ghz,gamma_db_per_km\n50,0.5\n60,x\n70,1.0\n",
     "repeated_frequency": "frequency_ghz,gamma_db_per_km\n50,0.5\n50,0.7\n70,1.0\n",
 }
-# covariance --oracle points whose text is the same on every Python (at
-# N_s 10 the qi deviation's last printed digit moves between versions): then
-# each oracle's vacuum, the classical mean N_s/2 that underflows to 0, a TMSV
-# whose cross entry 2e-150 sits far below its unit diagonal, and for each
-# oracle an N_s within MAX_FOCK_STATES beside one past it (a CutoffError)
-ORACLE_POINTS = (("20", "qi"), ("10", "ci"), ("1000", "ci"), ("0", "qi"), ("0", "ci"),
-                 ("5e-324", "ci"), ("1e-300", "qi"), ("73", "qi"), ("74", "qi"),
-                 ("3000", "ci"), ("3500", "ci"))
+# covariance --oracle points: the four of the benchmark's verify workload,
+# then each oracle's vacuum, the classical mean N_s/2 that underflows to 0, a
+# TMSV whose cross entry 2e-150 sits far below its unit diagonal, and for
+# each oracle an N_s within MAX_FOCK_STATES beside one past it (a CutoffError)
+ORACLE_POINTS = (("10", "qi"), ("20", "qi"), ("10", "ci"), ("1000", "ci"),
+                 ("0", "qi"), ("0", "ci"), ("5e-324", "ci"), ("1e-300", "qi"),
+                 ("73", "qi"), ("74", "qi"), ("3000", "ci"), ("3500", "ci"))
 # configs whose antenna gain G overflows or underflows to 0 at their one
 # frequency, each run as range at that frequency and as sweep --figure 3
 GAIN_CONFIGS = {"gain_overflow": {"aperture_m2": 1e10, "frequencies_hz": [1e150]},
@@ -167,6 +171,8 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
                    "--seed", "1"], {}) for trials in MC_TRIALS]
     commands += [(["mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "10000",
                    "--seed", seed], {}) for seed in MC_SEEDS]
+    commands += [(["mc", "--ns", n_s, "--eta", "0.5", "--nb", "1", "--trials", "10000",
+                   "--seed", "1"], {}) for n_s in MC_LARGE_N_S]
     commands += [(["sweep", "--figure", "1", *options], {}) for options in GRID_REFUSALS]
     commands.append((["sweep", "--figure", "3", "--output", "missing/figure3.csv"], {}))
     for name, text in BAD_TABLES.items():

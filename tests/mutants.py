@@ -8,7 +8,9 @@ Usage, from the checkout root::
 Each mutant changes one function of ``src/qi_rangekit``: ``ast`` finds the
 function, the mutant's text must occur exactly once in it, and the changed
 module must differ from the original in exactly one token, or hold the same
-tokens in another order (two draws or two names exchanged).  Every
+tokens in another order (two draws or two names exchanged), or the text must
+be one call that the mutant replaces by a call of another function on some
+of its arguments (a fold swapped for ``math.fsum``).  Every
 mutant is applied alone to a copy of the package in a temporary directory,
 and the tier-1 tests it names (test files, or pytest node ids such as
 ``tests/test_cli.py::test_name``) run against that copy (``PYTHONPATH``),
@@ -247,6 +249,16 @@ MUTANTS = {
         "_fock_amplitudes(n_s, lam,", "_fock_amplitudes(n_s, n_s,",
         ("tests/test_quantum_states.py::test_coherent_oracle_i_sector_matches_model",
          "tests/test_quantum_states.py::test_coherent_oracle_vacuum")),
+    # the oracles' dot products add left to right, the same on every Python
+    # (math.fsum rounds otherwise), and skip the I-Q cells, which are 0
+    "dot_sums_by_fsum": (
+        "quantum_states", "_dot",
+        "reduce(add, map(mul, x, y), 0.0)", "math.fsum(map(mul, x, y))",
+        ("tests/test_quantum_states.py::test_dot_adds_left_to_right_on_every_python",)),
+    "moment_matrix_computes_the_i_q_cells": (
+        "quantum_states", "_moment_matrix",
+        "range(j, 4, 2)", "range(j, 4, 1)",
+        ("tests/test_cli.py::test_covariance_oracle_output_is_pinned",)),
     # a sweep's ends are the bounds given, not 10^log10 of them (the
     # assignment becomes an expression statement)
     "log_grid_computes_its_ends": (
@@ -283,6 +295,20 @@ def tokens(source: str) -> list[str]:
     return [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)]
 
 
+def swaps_a_call(text: str, mutated: str) -> bool:
+    """Whether ``text`` is one call and ``mutated`` one call of another
+    function, without keywords, on some of the same arguments."""
+    try:
+        old, new = (ast.parse(t, mode="eval").body for t in (text, mutated))
+    except SyntaxError:
+        return False
+    if not (isinstance(old, ast.Call) and isinstance(new, ast.Call)) or new.keywords:
+        return False
+    arguments = [ast.dump(arg) for arg in old.args]
+    return (ast.dump(old.func) != ast.dump(new.func) and bool(new.args)
+            and all(ast.dump(arg) in arguments for arg in new.args))
+
+
 def mutate(source: str, qualname: str, text: str, mutated: str) -> str:
     start, end = function_lines(source, qualname)
     body = source[start:end]
@@ -292,9 +318,10 @@ def mutate(source: str, qualname: str, text: str, mutated: str) -> str:
     before, after = tokens(source), tokens(changed)
     changes = sum(a != b for a, b in zip(before, after))
     reordered = changes > 1 and sorted(before) == sorted(after)
-    if len(before) != len(after) or not (changes == 1 or reordered):
+    one_token = len(before) == len(after) and (changes == 1 or reordered)
+    if not (one_token or swaps_a_call(text, mutated)):
         raise ValueError(f"{text!r} -> {mutated!r} is neither a single-token change "
-                         "nor a reordering")
+                         "nor a reordering nor a call swap")
     return changed
 
 

@@ -33,6 +33,19 @@ def test_a_mutant_must_be_one_token_found_once_in_its_function():
         mutants.mutate(source, "f", "x > 1", "x >= 1")
 
 
+def test_a_call_swap_keeps_some_of_the_calls_arguments():
+    source = "import math\n\n\ndef f(x):\n    return max(x, 0.0)\n"
+    assert mutants.mutate(source, "f", "max(x, 0.0)", "math.fabs(x)").endswith(
+        "return math.fabs(x)\n")
+    # a new argument, a keyword, the same function, no argument, or a text
+    # that is no call is not a swap
+    for text, mutated in (("max(x, 0.0)", "abs(x + 1)"), ("max(x, 0.0)", "round(x, ndigits=2)"),
+                          ("max(x, 0.0)", "max(x)"), ("max(x, 0.0)", "list()"),
+                          ("x, 0.0", "x, 1.0, 2.0")):
+        with pytest.raises(ValueError, match="nor a call swap"):
+            mutants.mutate(source, "f", text, mutated)
+
+
 def test_the_kill_report_reads_a_node_id_with_spaces_in_full():
     node = ("tests/test_cli.py::test_mc_output_is_pinned[0.01-1-deflection-SNR gain (QI/CI) = "
             "98.4056 +/- 22 (QI 0.013303, CI 0.000135185, 1000000 trials, seed 1)\\n"

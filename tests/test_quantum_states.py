@@ -15,6 +15,7 @@ from qi_rangekit.quantum_states import (
     SIGNAL_Q,
     TAIL_TOLERANCE,
     _diagonal_moments,
+    _dot,
     _poisson_tail,
     _product_moments,
     _smallest_cutoff,
@@ -318,9 +319,17 @@ def test_second_moments_match_dense_ladder_operators(dim):
     for coeffs in (np.exp(-0.3 * np.arange(dim)), rng.standard_normal(dim)):
         coeffs = coeffs / np.linalg.norm(coeffs)
         assert_close_to_dense(_diagonal_moments(coeffs.tolist()), np.diag(coeffs))
-    a, b = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2))
+    a, b = (rng.standard_normal(dim) for _ in range(2))
     a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
     assert_close_to_dense(_product_moments(a.tolist(), b.tolist()), np.outer(a, b))
+
+
+def test_dot_adds_left_to_right_on_every_python():
+    # 1e16 + 1.0 rounds back to 1e16, so the 1.0 is lost before -1e16 comes;
+    # math.fsum, and the built-in sum from Python 3.12 on, keep it: 1.0
+    assert _dot([1e16, 1.0, -1e16], [1.0] * 3) == 0.0
+    assert _dot([1.0, 1e16, -1e16], [1.0] * 3) == 0.0
+    assert _dot([1e16, -1e16, 1.0], [1.0] * 3) == 1.0
 
 
 def traced_peak_bytes(fn, *args) -> int:
