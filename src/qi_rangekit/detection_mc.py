@@ -6,14 +6,25 @@ signal mode with the background, and the receiver correlates the returned
 mode against the retained idler through the statistic
 D = I_R*I_I - Q_R*Q_I.  Both transmitters, under both hypotheses, leave
 the returned mode and the idler in a block-form state, which is carried as
-the triple (s_return, s_idler, c): in the package-wide "2x symmetrized
-second moment" convention (``E[x x^T] = cov / 2``) the modes' I and Q
-variances are s_return and s_idler, their I sectors are correlated by c,
-their Q sectors by -c, and I and Q are uncorrelated.  Then
+one :class:`BlockState` (s_return, s_idler, c): in the package-wide "2x
+symmetrized second moment" convention (``E[x x^T] = cov / 2``) the modes' I
+and Q variances are s_return and s_idler, their I sectors are correlated by
+c, their Q sectors by -c, and I and Q are uncorrelated.  Then
 D = a*E1 + b*E2 exactly, with a >= 0 >= b and E1, E2 independent Exp(1)
 variables.  That is an asymmetric Laplace law, and :func:`exact_exceedance`
 gives its tails in closed form: the detector's ROC point at threshold t is
 (exact_exceedance(present, t), exact_exceedance(absent, t)).
+
+A state is checked once, when its record is built, against the uncertainty
+relation V + i*Omega >= 0 that every Gaussian state satisfies (vacuum
+variance 1; Weedbrook et al., Rev. Mod. Phys. 84, 621, 2012), with
+Omega = diag(J, J) and J = [[0, 1], [-1, 0]] in the order
+(I_R, Q_R, I_I, Q_I).  For a block-form state V + i*Omega is unitarily
+equivalent to [[s_r + 1, c], [c, s_i - 1]] (+) [[s_r - 1, c], [c, s_i + 1]],
+a direct sum of two real 2x2 blocks, so its smallest eigenvalue is
+p + q - hypot(|p - q| + 1, 2r) with p, q, r = s_r/2, s_i/2, c/2.  That
+value is at most V's own smallest eigenvalue, so the one check also makes V
+a covariance.
 
 :func:`detector_gain_experiment` needs only the sample mean of D under each
 hypothesis.  The sum of n independent draws of D is exactly a*G1 + b*G2,
@@ -47,9 +58,6 @@ from .radiometry import _root_product
 
 _PSD_TOLERANCE = -1e-9
 
-#: A detector state (s_return, s_idler, c); see the module docstring.
-State = tuple[float, float, float]
-
 #: Smallest classical mean shift, in standard errors of the shift at the
 #: trial count, at which the gain experiment's ratio and first-order error
 #: describe the gain.  Below it the shift is buried in noise and ``mc``
@@ -57,20 +65,53 @@ State = tuple[float, float, float]
 MIN_RESOLUTION = 5.0
 
 
-def _check_psd(smallest_eigenvalue: float, largest_entry: float) -> None:
+def _check_psd(smallest_eigenvalue: float, largest_entry: float, matrix: str) -> None:
     # Round-off in the smallest eigenvalue grows with the entries, so the
     # tolerance scales with the largest |entry| (and is -1e-9 up to 1):
-    # below it the matrix is genuinely not a covariance.
+    # below it the matrix is genuinely not PSD.
     if smallest_eigenvalue < _PSD_TOLERANCE * max(1.0, largest_entry):
         raise CovarianceNotPSDError(
-            f"covariance has eigenvalue {smallest_eigenvalue!r} below the PSD tolerance",
+            f"{matrix} has eigenvalue {smallest_eigenvalue!r} below the PSD tolerance",
             eigenvalue=smallest_eigenvalue,
         )
 
 
-def return_states(eta: float, n_b: float, s: float, c: float) -> tuple[State, State]:
+class BlockState(Record):
+    """A detector state (s_return, s_idler, c), see the module docstring,
+    checked once on construction: each field by the package's finite rule
+    (and held as the float it returns), then the uncertainty relation by
+    :func:`_check_psd` on the smallest eigenvalue of V + i*Omega, which
+    raises :class:`~qi_rangekit.errors.CovarianceNotPSDError`.
+
+    It derives the (non-field) slot ``scales``, the pair (a, b),
+    a >= 0 >= b, with d = I_R*I_I - Q_R*Q_I = a*E1 + b*E2 for independent
+    Exp(1) variables E1, E2.  With p, q, r = s_r/2, s_i/2, c/2, d is the sum
+    of two independent copies of a product x1*x2 of Gaussians with
+    covariance [[p, r], [r, q]] (the I pair, and the Q pair with r negated).
+    Diagonalising one copy gives ((r + sqrt(pq))*z1^2 + (r - sqrt(pq))*z2^2)
+    / 2, and two halved chi-square(1) variables add up to one Exp(1)
+    variable, so a = r + sqrt(pq) and b = r - sqrt(pq); the clamps keep the
+    signs where rounding leaves |r| above sqrt(pq).  Every quantity is read
+    from the halved entries, so that none can overflow.
+    """
+
+    _fields = ("s_return", "s_idler", "c")
+    __slots__ = _fields + ("scales",)
+
+    def _check(self) -> None:
+        for field in self._fields:
+            object.__setattr__(self, field, _require_finite(field, getattr(self, field)))
+        p, q, r = self.s_return / 2.0, self.s_idler / 2.0, self.c / 2.0
+        _check_psd(p + q - math.hypot(abs(p - q) + 1.0, 2.0 * r), max(map(abs, self._values())),
+                   "state breaks the uncertainty relation: V + i*Omega")
+        root = _root_product(p, q)
+        object.__setattr__(self, "scales", (max(r + root, 0.0), min(r - root, 0.0)))
+
+
+def return_states(eta: float, n_b: float, s: float, c: float) -> tuple[BlockState, BlockState]:
     """(present, absent) states of a lossy thermal return channel applied to
-    a transmitter of block (s, c), e.g. ``tmsv_block(n_s)``.
+    a transmitter of block (s, c), e.g. ``tmsv_block(n_s)``, which must
+    itself be a state: it is checked as ``BlockState(s, s, c)``.
 
     Under the target-present hypothesis the signal mode returns with
     transmissivity ``eta`` mixed into a background of ``n_b`` photons per
@@ -82,33 +123,12 @@ def return_states(eta: float, n_b: float, s: float, c: float) -> tuple[State, St
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must be in (0, 1], got {eta!r}")
     n_b = _require_non_negative("n_b", n_b)
-    s = _require_finite("s", s)
-    c = _require_finite("c", c)
+    BlockState(s, s, c)
     # Mean photon number encoded in the signal diagonal s = 2*N_s + 1.
     # Quartering first keeps the sum finite above N_s ~4.5e307 and is exact.
     n_s = s / 4.0 + s / 4.0 - 0.5
-    present = (2.0 * (eta * n_s + (1.0 - eta) * n_b) + 1.0, s, c * math.sqrt(eta))
-    return present, (2.0 * n_b + 1.0, s, 0.0)
-
-
-def _statistic_scales(s_r: float, s_i: float, c: float) -> tuple[float, float]:
-    """Scales (a, b), a >= 0 >= b, with d = I_R*I_I - Q_R*Q_I = a*E1 + b*E2
-    for independent Exp(1) variables E1, E2, in the state (s_r, s_i, c).
-
-    With p, q, r = s_r/2, s_i/2, c/2, d is the sum of two independent
-    copies of a product x1*x2 of Gaussians with covariance [[p, r], [r, q]]
-    (the I pair, and the Q pair with r negated).  Diagonalising one copy
-    gives ((r + sqrt(pq))*z1^2 + (r - sqrt(pq))*z2^2) / 2, and two halved
-    chi-square(1) variables add up to one Exp(1) variable, so
-    a = r + sqrt(pq) and b = r - sqrt(pq); |r| <= sqrt(pq) as the state is
-    PSD.  Its smallest eigenvalue is p + q - sqrt((p - q)^2 + 4r^2), which
-    the PSD check reads from the halved entries, so that it cannot overflow.
-    """
-    s_r, s_i, c = (_require_finite("state", v) for v in (s_r, s_i, c))
-    p, q, r = s_r / 2.0, s_i / 2.0, c / 2.0
-    _check_psd(p + q - math.hypot(p - q, 2.0 * r), max(abs(s_r), abs(s_i), abs(c)))
-    root = _root_product(p, q)
-    return max(r + root, 0.0), min(r - root, 0.0)
+    present = BlockState(2.0 * (eta * n_s + (1.0 - eta) * n_b) + 1.0, s, c * math.sqrt(eta))
+    return present, BlockState(2.0 * n_b + 1.0, s, 0.0)
 
 
 def _standard_normal(rng: random.Random) -> float:
@@ -147,9 +167,9 @@ def _sample_mean(a: float, b: float, n: int, rng: random.Random) -> float:
     return (a * _gamma(n, rng) + b * _gamma(n, rng)) / n
 
 
-def exact_exceedance(state: State, t: float) -> float:
+def exact_exceedance(state: BlockState, t: float) -> float:
     """Exact P(D > t) of the correlation statistic in ``state``, a
-    (s_return, s_idler, c) triple as :func:`return_states` gives.
+    :class:`BlockState` as :func:`return_states` gives.
 
     D = a*E1 + b*E2 (a >= 0 >= b) is asymmetric Laplace: its moment
     generating function 1/((1 - a*s)(1 - b*s)) splits into
@@ -159,9 +179,9 @@ def exact_exceedance(state: State, t: float) -> float:
     1 - (-b)/(a - b) * exp(-t/b) for t < 0.  The detector's ROC point at
     threshold t is (exact_exceedance(present, t), exact_exceedance(absent, t)).
     """
-    if not (isinstance(state, (tuple, list)) and len(state) == 3):
-        raise DomainError(f"state must be a (s_return, s_idler, c) triple, got {state!r}")
-    a, b = _statistic_scales(*state)
+    if not isinstance(state, BlockState):
+        raise DomainError(f"state must be a BlockState, got {state!r}")
+    a, b = state.scales
     t = _as_number("threshold", t)
     if math.isnan(t):
         raise DomainError(f"threshold must be a number, got {t!r}")
@@ -220,29 +240,28 @@ def detector_gain_experiment(
     n_b = _require_positive("n_b", n_b)
     rng = random.Random(_require_count("seed", seed, 0, 2**64 - 1))
 
-    # ((a, b) present, (a, b) absent) of the quantum, then the classical transmitter
-    scales = []
-    for block in (tmsv_block, coherent_block):
-        states = return_states(eta, n_b, *block(n_s))
-        if not all(math.isfinite(v) for state in states for v in state):
-            raise DomainError(
-                f"n_s = {n_s!r} with n_b = {n_b!r} overflows the return-channel covariance"
-            )
-        scales.append(tuple(_statistic_scales(*state) for state in states))
+    # The quantum, then the classical transmitter.  Where their blocks are
+    # finite, the absent diagonal 2*N_B + 1 is the one entry of a return
+    # state that can overflow.
+    blocks = [block(n_s) for block in (tmsv_block, coherent_block)]
+    if 2.0 * n_b + 1.0 == math.inf:
+        raise DomainError(
+            f"n_s = {n_s!r} with n_b = {n_b!r} overflows the return-channel covariance"
+        )
+    states = [return_states(eta, n_b, *block) for block in blocks]
     # No reported quantity changes when all eight scales are multiplied by
     # one factor, so they are divided by the power of two that brings the
     # largest into [0.5, 1): exactly, and so that the squares below cannot
     # overflow at any N_s.
-    exponent = math.frexp(max(abs(x) for pairs in scales for pair in pairs for x in pair))[1]
+    exponent = math.frexp(max(abs(x) for pair in states for state in pair
+                              for x in state.scales))[1]
 
     # Each pass gives (deflection, relative variance of its estimate, exact
     # mean shift in standard errors of its estimate); the result reports the
     # last only for the classical transmitter.
     passes = []
-    for pairs in scales:
-        (a_p, b_p), (a_a, b_a) = (
-            (math.ldexp(a, -exponent), math.ldexp(b, -exponent)) for a, b in pairs
-        )
+    for present, absent in states:
+        a_p, b_p, a_a, b_a = (math.ldexp(x, -exponent) for x in present.scales + absent.scales)
         var_present, var_absent = a_p * a_p + b_p * b_p, a_a * a_a + b_a * b_a
         shift = _sample_mean(a_p, b_p, trials, rng) - _sample_mean(a_a, b_a, trials, rng)
         passes.append((

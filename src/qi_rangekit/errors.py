@@ -77,7 +77,10 @@ class UnphysicalGeometryError(RangeKitError, ValueError):
 
 
 class CovarianceNotPSDError(RangeKitError, ValueError):
-    """A covariance matrix is not positive semi-definite beyond round-off.
+    """A matrix that must be positive semi-definite is not, beyond round-off:
+    for a detector state (``detection_mc.BlockState``), V + i*Omega, so the
+    state breaks the uncertainty relation (which also covers a V that is no
+    covariance); for a plain covariance, V itself.
 
     Carries the offending (most negative) eigenvalue.
     """

@@ -22,7 +22,8 @@ each run as ``--config F --dump-config -``), one run of each command, a
 config whose k_B*B underflows run as ``--dump-config -``, ``range`` and
 ``sweep``, ``--codata range``, ``range`` on a grid of frequencies and N_s,
 lossless and through the bundled table, ``mc`` at the ends of its trial and
-seed ranges and at N_s 1e8 and 1e307, the grid refusals of ``sweep`` and a
+seed ranges, at N_s 1e8 and 1e307 and at five edges of the return states
+(:data:`MC_EDGES`), the grid refusals of ``sweep`` and a
 sweep into a missing directory, four malformed attenuation tables read by
 ``atten``, ``covariance --oracle`` at twelve more pinned points (the four of
 the benchmark's verify workload, each oracle's vacuum and its first
@@ -87,6 +88,12 @@ MC_SEEDS = ("-1", "0", str(2**64 - 1), str(2**64))
 # uncertainty bound (s^2 - c^2 of the TMSV block cancels), which a check of
 # that bound must admit
 MC_LARGE_N_S = ("1e8", "1e307")
+# mc at the edges of the return states, as (n_s, eta, n_b): a TMSV that
+# returns whole onto a near-vacuum background (its smaller symplectic
+# eigenvalue exactly 1), the same at N_s 1e-300, an eta that leaves no
+# signal, N_s and N_B near zero, and an N_B whose return state overflows
+MC_EDGES = (("0.01", "1", "1e-300"), ("1e-300", "1", "1e-300"), ("0.1", "5e-324", "1"),
+            ("1e-12", "0.5", "1e-12"), ("0.1", "0.5", "1e308"))
 # sweep options that reach cli._log_grid, each given here only to be refused
 GRID_OPTIONS = ("--ns-min", "--ns-max", "--points")
 GRID_REFUSALS = (("--points", "1"), ("--points", "100001"), ("--ns-min", "0"),
@@ -173,6 +180,8 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
                    "--seed", seed], {}) for seed in MC_SEEDS]
     commands += [(["mc", "--ns", n_s, "--eta", "0.5", "--nb", "1", "--trials", "10000",
                    "--seed", "1"], {}) for n_s in MC_LARGE_N_S]
+    commands += [(["mc", "--ns", n_s, "--eta", eta, "--nb", n_b, "--trials", "10000",
+                   "--seed", "1"], {}) for n_s, eta, n_b in MC_EDGES]
     commands += [(["sweep", "--figure", "1", *options], {}) for options in GRID_REFUSALS]
     commands.append((["sweep", "--figure", "3", "--output", "missing/figure3.csv"], {}))
     for name, text in BAD_TABLES.items():

@@ -1,8 +1,10 @@
-"""Code lines of ``src/qi_rangekit``, per module and in total.
+"""Code lines of ``src/qi_rangekit``, or of another package directory, per
+module and in total.
 
 Usage, from the checkout root::
 
-    python tests/code_lines.py
+    python tests/code_lines.py               # src/qi_rangekit
+    python tests/code_lines.py PACKAGE_DIR   # e.g. an unpacked older commit's
 
 A line counts when it holds a token other than a comment and lies outside
 the module, class and function docstrings.  Blank and comment-only lines do
@@ -43,9 +45,16 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main() -> int:
+def main(args: list[str] = ()) -> int:
+    if len(args) > 1:
+        print("usage: code_lines.py [PACKAGE_DIR]", file=sys.stderr)
+        return 2
+    package = Path(args[0]) if args else PACKAGE
+    if not package.is_dir():
+        print(f"no such directory: {package}", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
@@ -54,4 +63,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

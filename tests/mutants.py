@@ -224,13 +224,26 @@ MUTANTS = {
         ("tests/test_link_budget.py::test_a_gain_that_leaves_the_float_range_is_refused_by_name",)),
     # the clamps that keep a >= 0 >= b where rounding leaves |r| above sqrt(pq)
     "statistic_scales_a_unclamped": (
-        "detection_mc", "_statistic_scales",
+        "detection_mc", "BlockState._check",
         "max(r + root, 0.0)", "max(r + root, r)",
         ("tests/test_detection_mc.py::test_psd_tolerance_scales_with_the_entries",)),
     "statistic_scales_b_unclamped": (
-        "detection_mc", "_statistic_scales",
+        "detection_mc", "BlockState._check",
         "min(r - root, 0.0)", "min(r - root, r)",
         ("tests/test_detection_mc.py::test_psd_tolerance_scales_with_the_entries",)),
+    # the state's one check is the uncertainty relation, not classical
+    # positivity (the vacuum's + 1 dropped), and reads the variance gap
+    # without its sign
+    "block_state_checks_classical_positivity_only": (
+        "detection_mc", "BlockState._check",
+        "abs(p - q) + 1.0", "abs(p - q) + 0.0",
+        ("tests/test_detection_mc.py::"
+         "test_an_unphysical_state_is_refused_by_name[classically_psd]",)),
+    "block_state_signed_variance_gap": (
+        "detection_mc", "BlockState._check",
+        "abs(p - q) + 1.0", "float(p - q) + 1.0",
+        ("tests/test_detection_mc.py::"
+         "test_an_unphysical_state_is_refused_by_name[s_return_below_s_idler]",)),
     # the oracle cutoff's tail must fall below the tolerance, not reach it
     "smallest_cutoff_accepts_the_tolerance": (
         "quantum_states", "_smallest_cutoff",

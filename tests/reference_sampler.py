@@ -22,9 +22,9 @@ from qi_rangekit.errors import _require_count
 
 def state_covariance(state) -> np.ndarray:
     """The 4x4 covariance, in the order (I_R, Q_R, I_I, Q_I), of a detector
-    state (s_return, s_idler, c): diagonal (s_return, s_return, s_idler,
-    s_idler), I sectors correlated by c, Q sectors by -c."""
-    s_r, s_i, c = state
+    state, a ``BlockState`` (s_return, s_idler, c): diagonal (s_return,
+    s_return, s_idler, s_idler), I sectors correlated by c, Q sectors by -c."""
+    s_r, s_i, c = state.s_return, state.s_idler, state.c
     return np.array(
         [[s_r, 0.0, c, 0.0], [0.0, s_r, 0.0, -c], [c, 0.0, s_i, 0.0], [0.0, -c, 0.0, s_i]]
     )
@@ -38,7 +38,7 @@ def _gaussian_factor(cov) -> np.ndarray:
     if matrix.shape != (4, 4) or not np.all(np.abs(matrix - matrix.T) <= 1e-12):
         raise DomainError("covariance must be a symmetric 4x4 matrix")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    _check_psd(float(eigenvalues.min()), float(np.abs(matrix).max()))
+    _check_psd(float(eigenvalues.min()), float(np.abs(matrix).max()), "covariance")
     return eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None) / 2.0)
 
 

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from qi_rangekit.cli import MAX_TRIALS
+from qi_rangekit import detection_mc
 from qi_rangekit.detection_mc import (
     MIN_RESOLUTION,
+    BlockState,
     GainExperimentResult,
     _gamma,
     _sample_mean,
-    _statistic_scales,
     detector_gain_experiment,
     exact_exceedance,
     return_states,
@@ -118,19 +119,19 @@ def test_return_channel_covariances():
     present, absent = return_states(0.25, 2.0, s, c)
     # returned-signal diagonal 2*(eta*N_s + (1-eta)*N_B) + 1, cross entry
     # scaled by sqrt(eta), idler diagonal untouched
-    assert present[0] == pytest.approx(2.0 * (0.25 * 0.5 + 0.75 * 2.0) + 1.0, rel=1e-15)
-    assert present[1] == s
-    assert present[2] == pytest.approx(0.5 * c, rel=1e-15)
+    assert present.s_return == pytest.approx(2.0 * (0.25 * 0.5 + 0.75 * 2.0) + 1.0, rel=1e-15)
+    assert present.s_idler == s
+    assert present.c == pytest.approx(0.5 * c, rel=1e-15)
     # target absent: thermal return (2*N_B + 1), no correlation
-    assert absent == (5.0, s, 0.0)
-    # the 4x4 matrices of the triples are symmetric, with the transmitter's
+    assert absent == BlockState(5.0, s, 0.0)
+    # the 4x4 matrices of the states are symmetric, with the transmitter's
     # idler block and the cross block diag(c, -c)
     base = np.asarray(tmsv_covariance(0.5))
     for state in (present, absent):
         cov = state_covariance(state)
         assert np.array_equal(cov, cov.T)
         assert np.array_equal(cov[2:, 2:], base[2:, 2:])
-        assert cov[1, 3] == -cov[0, 2] == -state[2]
+        assert cov[1, 3] == -cov[0, 2] == -state.c
 
 
 def test_return_channel_validation():
@@ -195,8 +196,8 @@ def test_draw_statistic_moments(transmitter, hypothesis):
     # so E[D] = 2r and Var[D] = 2(r^2 + pq).  The mean of n draws, taken from
     # the exact sum, has mean 2r, variance k2/n and fourth cumulant k4/n^3.
     state = return_states(0.3, 2.0, *transmitter(0.2))[hypothesis]
-    p, q, r = (x / 2 for x in state)
-    a, b = _statistic_scales(*state)
+    p, q, r = (x / 2 for x in (state.s_return, state.s_idler, state.c))
+    a, b = state.scales
     assert (a, b) == pytest.approx((r + math.sqrt(p * q), r - math.sqrt(p * q)), rel=1e-15)
     k2, k4 = a**2 + b**2, 6.0 * (a**4 + b**4)
     assert k2 == pytest.approx(2.0 * (r**2 + p * q), rel=1e-12)
@@ -214,7 +215,7 @@ def test_draw_statistic_matches_quadrature_product_moments():
     # experiment uses, match those of the product of four drawn quadratures.
     state = return_states(0.5, 1.0, *tmsv_block(0.1))[0]
     n = 10**6
-    a, b = _statistic_scales(*state)
+    a, b = state.scales
     mean, var = a + b, a * a + b * b
     samples = sample_quadratures(state_covariance(state), n, seed=4)
     product = samples[:, 0] * samples[:, 2] - samples[:, 1] * samples[:, 3]
@@ -226,12 +227,14 @@ def test_draw_statistic_matches_quadrature_product_moments():
 
 def test_draw_statistic_rejects_other_covariances():
     s, _ = tmsv_block(0.5)
-    for state in ((math.nan, s, 1.0), (s, math.inf, 1.0), (s, s, -math.inf)):
-        with pytest.raises(DomainError, match="state must be finite"):
-            _statistic_scales(*state)
+    for field, state in (("s_return", (math.nan, s, 1.0)), ("s_idler", (s, math.inf, 1.0)),
+                         ("c", (s, s, -math.inf))):
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            BlockState(*state)
     with pytest.raises(CovarianceNotPSDError) as info:
-        _statistic_scales(s, s, 5.0)  # |cross| above the variances
-    assert info.value.eigenvalue == pytest.approx(2.0 - 5.0)
+        BlockState(s, s, 5.0)  # |cross| above the variances
+    # the smallest eigenvalue of V + i*Omega, p + q - hypot(|p - q| + 1, 2r)
+    assert info.value.eigenvalue == pytest.approx(2.0 - math.hypot(1.0, 5.0))
 
 
 def test_gain_experiment_draws_the_statistic_directly(monkeypatch):
@@ -383,22 +386,22 @@ def test_gain_experiment_validation():
         detector_gain_experiment(n_s=0.1, eta=0.1, n_b=math.nan, trials=10**4, seed=0)
 
 
-@pytest.mark.parametrize("state", [(3.0, 3.0), None, (3.0, 3.0, 1.0, 0.0), 3.0],
-                         ids=["pair", "None", "four", "float"])
-def test_exact_exceedance_refuses_a_state_that_is_not_a_triple(state):
+@pytest.mark.parametrize("state", [(3.0, 3.0, 1.0), [3.0, 3.0, 1.0], (3.0, 3.0), None, 3.0],
+                         ids=["triple", "list", "pair", "None", "float"])
+def test_exact_exceedance_refuses_a_state_that_is_not_a_block_state(state):
     with pytest.raises(DomainError) as info:
         exact_exceedance(state, 0.0)
     assert (type(info.value), str(info.value)) == (
-        DomainError, f"state must be a (s_return, s_idler, c) triple, got {state!r}")
-    # a list triple reads as the tuple
-    assert exact_exceedance([3.0, 3.0, 1.0], 0.0) == exact_exceedance((3.0, 3.0, 1.0), 0.0)
+        DomainError, f"state must be a BlockState, got {state!r}")
+    # the record of the same triple is a state: scales (2, -1), P(D > 0) = a/(a - b)
+    assert exact_exceedance(BlockState(3.0, 3.0, 1.0), 0.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_roc_rejects_covariance_without_block_form():
     # a state whose cross entry exceeds sqrt(s_return*s_idler) is no covariance
     with pytest.raises(CovarianceNotPSDError) as info:
-        exact_exceedance((1.0, 4.0, 2.5), 0.0)
-    assert info.value.eigenvalue == pytest.approx(2.5 - math.hypot(1.5, 2.5))
+        BlockState(1.0, 4.0, 2.5)
+    assert info.value.eigenvalue == pytest.approx(2.5 - math.hypot(2.5, 2.5))
 
 
 @TRANSMITTERS
@@ -406,7 +409,7 @@ def test_roc_matches_exact_exceedance(transmitter):
     # The ROC point at threshold t is (exact_exceedance(present, t),
     # exact_exceedance(absent, t)).  Binomial z-scores of the exact tails
     # against D = I_R*I_I - Q_R*Q_I of quadratures sampled from the 4x4
-    # matrices, which share no formula with _statistic_scales, at
+    # matrices, which share no formula with BlockState's scales, at
     # thresholds on both sides of 0.
     thresholds = [-6.0, -1.5, 0.0, 1.5, 6.0]
     trials = 2 * 10**5
@@ -423,7 +426,7 @@ def test_roc_matches_exact_exceedance(transmitter):
 
 def test_exact_exceedance_tails():
     cov, absent = return_states(0.3, 2.0, *tmsv_block(0.5))
-    a, b = _statistic_scales(*cov)
+    a, b = cov.scales
     assert a > 0.0 > b
     # continuous at 0, where P(D > 0) = a/(a - b)
     assert exact_exceedance(cov, 0.0) == pytest.approx(a / (a - b), rel=1e-15)
@@ -437,13 +440,13 @@ def test_exact_exceedance_tails():
     # absent hypothesis: no correlation, so D is symmetric
     assert exact_exceedance(absent, 0.0) == 0.5
     assert exact_exceedance(absent, 1.0) == pytest.approx(1.0 - exact_exceedance(absent, -1.0))
-    # a perfectly correlated pair (b = 0) never draws a negative D
-    pure = (1.0, 1.0, 1.0)
-    assert _statistic_scales(*pure) == (1.0, 0.0)
-    assert exact_exceedance(pure, -0.5) == 1.0
-    assert exact_exceedance(pure, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    # a perfectly correlated pair (b = 0) breaks the uncertainty relation, so
+    # it is no state (the b = 0 and a = 0 branches are reached at the N_s
+    # 5e15 rounding edge below)
+    with pytest.raises(CovarianceNotPSDError, match="breaks the uncertainty relation"):
+        BlockState(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        exact_exceedance((math.inf, 1.0, 1.0), 0.0)
+        BlockState(math.inf, 1.0, 1.0)
     # p_d and p_fa fall strictly as the threshold rises
     strong = return_states(0.5, 3.0, *tmsv_block(0.3))
     thresholds = [-5.0, -1.0, 0.0, 1.0, 5.0]
@@ -462,7 +465,7 @@ def test_psd_tolerance_scales_with_the_entries():
     # At N_s = 1e16 the entries are ~1e16 and the smallest eigenvalue of a
     # valid TMSV return computes as -2.0: round-off, not a non-PSD matrix.
     present = return_states(0.5, 1.0, *tmsv_block(1e16))[0]
-    a, b = _statistic_scales(*present)
+    a, b = present.scales
     assert a > 0.0 >= b
     # Where the cross entry itself rounds above the diagonals (the TMSV block
     # at N_s = 5e15, returned losslessly into no noise), r - sqrt(pq) is 1.0,
@@ -472,22 +475,87 @@ def test_psd_tolerance_scales_with_the_entries():
     assert c > s
     edge, _ = return_states(1.0, 0.0, s, c)
     flipped, _ = return_states(1.0, 0.0, s, -c)
-    assert (_statistic_scales(*edge), _statistic_scales(*flipped)) == ((s, 0.0), (0.0, -s))
+    assert (edge.scales, flipped.scales) == ((s, 0.0), (0.0, -s))
     assert (exact_exceedance(edge, -0.5), exact_exceedance(flipped, 0.5)) == (1.0, 0.0)
     # a genuine violation at that scale is still caught
     with pytest.raises(CovarianceNotPSDError):
-        _statistic_scales(1e16, 1e16, 1.01e16)
+        BlockState(1e16, 1e16, 1.01e16)
     # and at the edge of the float range, where s_return + s_idler overflows
     with pytest.raises(CovarianceNotPSDError):
-        _statistic_scales(1e308, 1e308, 1.01e308)
-    # a diagonal the tolerance admits below 0 leaves p*q < 0: sqrt(pq) reads
-    # as 0, so D is 0 and never exceeds a positive threshold
-    assert _statistic_scales(-2e-10, 2.0, 0.0) == (0.0, 0.0)
-    assert exact_exceedance((-2e-10, 2.0, 0.0), 0.5) == 0.0
+        BlockState(1e308, 1e308, 1.01e308)
+    # a diagonal that classical positivity admits below 0 within the
+    # tolerance breaks the uncertainty relation by about 1
+    with pytest.raises(CovarianceNotPSDError) as info:
+        BlockState(-2e-10, 2.0, 0.0)
+    assert info.value.eigenvalue == pytest.approx(-1.0 - 2e-10, rel=1e-15)  # s_r - 1
+    # beside a diagonal of 1e16 the tolerance (1e7) still admits a negative
+    # one: p*q < 0 there, and sqrt(pq) reads as 0 rather than raising, so D
+    # is 0 and never exceeds a positive threshold
+    wide = BlockState(-1e6, 1e16, 0.0)
+    assert (wide.scales, exact_exceedance(wide, 0.5)) == ((0.0, 0.0), 0.0)
     # below unit entries the tolerance is the absolute -1e-9
     with pytest.raises(CovarianceNotPSDError):
         sample_quadratures(np.diag([1.0, 1.0, 1.0, -2e-9]), 10, seed=0)
     sample_quadratures(np.diag([1.0, 1.0, 1.0, -0.5e-9]), 10, seed=0)
+
+
+def test_uncertainty_check_matches_the_eigenvalues_of_v_plus_i_omega(monkeypatch):
+    # The value each record hands its one check, read by replacing the check,
+    # is lambda_min(V + i*Omega), Omega = diag(J, J), J = [[0, 1], [-1, 0]] in
+    # the order (I_R, Q_R, I_I, Q_I), as numpy's Hermitian eigensolver gives
+    # it, on states on both sides of the bound: |c| up to 1.2*sqrt(s_r*s_i).
+    seen = []
+    monkeypatch.setattr(detection_mc, "_check_psd",
+                        lambda value, largest, matrix: seen.append((value, largest)))
+    rng = random.Random(52)
+    omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    for _ in range(2500):
+        s_r, s_i = (10.0 ** rng.uniform(-0.3, 6.0) for _ in range(2))
+        state = BlockState(s_r, s_i, rng.uniform(-1.2, 1.2) * math.sqrt(s_r * s_i))
+        value, largest = seen[-1]
+        expected = float(np.linalg.eigvalsh(state_covariance(state) + 1j * omega).min())
+        assert largest == max(s_r, s_i, abs(state.c))
+        assert abs(value - expected) <= 1e-12 * max(1.0, largest), state
+    assert 500 < sum(value < 0.0 for value, _ in seen) < 2000  # both sides are sampled
+
+
+def test_every_physical_return_state_is_admitted():
+    # Both transmitters' return states on a seeded sample of (eta, N_B, N_s),
+    # each from the subnormal range to past 1e307, with eta = 1 and N_B = 0
+    # among them: the TMSV keeps its smaller symplectic eigenvalue at
+    # exactly 1 through a lossless, noiseless return, so its states sit on
+    # the bound.
+    rng = random.Random(21)
+
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+
+    points = [(eta, n_b, n_s) for eta in (1.0, 0.5, 5e-324) for n_b in (0.0, 1e-300, 1.0, 8e307)
+              for n_s in (5e-324, 1e-12, 1.0, 5e15, 8e307)]
+    points += [(log_uniform(5e-324, 1.0), log_uniform(5e-324, 8e307),
+                log_uniform(5e-324, 8e307)) for _ in range(4000)]
+    for eta, n_b, n_s in points:
+        for block in (tmsv_block, coherent_block):
+            present, absent = return_states(eta, n_b, *block(n_s))
+            assert present.scales[0] >= 0.0 >= present.scales[1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: return_states(0.5, 1.0, 1.0, 0.5),  # the transmitter (s, c) = (1, 0.5)
+    lambda: BlockState(1.0, 1.0, 0.9),  # classically PSD
+    lambda: BlockState(1.0, 2.0, 0.5),  # s_return < s_idler
+    lambda: BlockState(-2e-10, 2.0, 0.0),  # within the classical tolerance
+], ids=["transmitter", "classically_psd", "s_return_below_s_idler", "negative_diagonal"])
+def test_an_unphysical_state_is_refused_by_name(build):
+    with pytest.raises(CovarianceNotPSDError, match="breaks the uncertainty relation") as info:
+        build()
+    assert info.value.eigenvalue < -0.08
+
+
+def test_a_block_state_holds_its_fields_as_floats():
+    state = BlockState(3, np.float64(3.0), 1)
+    assert [type(x) for x in (state.s_return, state.s_idler, state.c)] == [float] * 3
+    assert state == BlockState(3.0, 3.0, 1.0) and state.scales == (2.0, -1.0)
 
 
 @pytest.mark.parametrize("n_s", [1e16, 1e150, 1e200, 1e307, 8e307])
@@ -503,7 +571,7 @@ def test_gain_experiment_at_extreme_n_s(n_s):
     assert abs(z) < 5.0
 
 
-@pytest.mark.parametrize("n_s, n_b", [(1.0, 1e308)])
+@pytest.mark.parametrize("n_s, n_b", [(1.0, 1e308), (0.1, 1e308)])
 def test_gain_experiment_overflowing_covariance_names_n_s(n_s, n_b):
     message = re.escape(f"n_s = {n_s!r} with n_b = {n_b!r} overflows")
     with pytest.raises(DomainError, match=message):

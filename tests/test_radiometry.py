@@ -18,7 +18,12 @@ from qi_rangekit.atmosphere import AttenuationTable, bundled_table, form_factor,
 from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS
 from qi_rangekit.config import ScenarioConfig
 from qi_rangekit.constants import CODATA, TEXTBOOK, PhysicalConstants
-from qi_rangekit.detection_mc import detector_gain_experiment, exact_exceedance, return_states
+from qi_rangekit.detection_mc import (
+    BlockState,
+    detector_gain_experiment,
+    exact_exceedance,
+    return_states,
+)
 from qi_rangekit.errors import (
     ConfigError,
     DomainError,
@@ -252,12 +257,15 @@ NUMBER_ENTRY_POINTS = {
     "correlation_ratio": (correlation_ratio, "n_s", DomainError, 1.0),
     "tmsv_covariance": (tmsv_covariance, "n_s", DomainError, 1.0),
     "return_states": (lambda x: return_states(x, 1.0, 3.0, 1.0), "eta", DomainError, 1.0),
-    "return_states.s": (lambda x: return_states(0.5, 1.0, x, 1.0), "s", DomainError, 3.0),
+    # the transmitter is checked as BlockState(s, s, c), under the record's names
+    "return_states.s": (lambda x: return_states(0.5, 1.0, x, 1.0), "s_return", DomainError,
+                        3.0),
     "return_states.c": (lambda x: return_states(0.5, 1.0, 3.0, x), "c", DomainError, 1.0),
-    "exact_exceedance": (lambda x: exact_exceedance((3.0, 3.0, 1.0), x), "threshold",
+    "exact_exceedance": (lambda x: exact_exceedance(BlockState(3.0, 3.0, 1.0), x), "threshold",
                          DomainError, 1.0),
-    "exact_exceedance.state": (lambda x: exact_exceedance((x, 3.0, 1.0), 0.5), "state",
-                               DomainError, 3.0),
+    "BlockState.s_return": (lambda x: BlockState(x, 3.0, 1.0), "s_return", DomainError, 3.0),
+    "BlockState.s_idler": (lambda x: BlockState(3.0, x, 1.0), "s_idler", DomainError, 3.0),
+    "BlockState.c": (lambda x: BlockState(3.0, 3.0, x), "c", DomainError, 1.0),
     "albersheim_snr_min.p_d": (lambda x: albersheim_snr_min(x, 1e-6, 1), "p_d", DomainError,
                                None),
     "albersheim_snr_min.p_fa": (lambda x: albersheim_snr_min(0.7, x, 1), "p_fa", DomainError,
@@ -287,7 +295,7 @@ NOT_NUMBER_TEXTS = {
                        if value is HUGE_INT else f"pulse_count must be an integer, got {value!r}")),
     "exact_exceedance.state_shape": (
         lambda x: exact_exceedance(x, 0.5),
-        lambda value: f"state must be a (s_return, s_idler, c) triple, got {value!r}"),
+        lambda value: f"state must be a BlockState, got {value!r}"),
 }
 
 
