@@ -5,6 +5,14 @@ and their defaults in ``_field_defaults``, and may check itself in
 :meth:`Record._check`.  It is built by position or by keyword, cannot be
 assigned to, compares and hashes by its fields, and :meth:`Record.replace`
 builds a changed copy through the same checks.  It is not a tuple.
+
+Construction binds its arguments in one pass, in this order: more
+positional arguments than fields are refused; then each keyword, in the
+order given, is refused if it names no field or a field that a positional
+argument already gave; then the defaults, the positional arguments and the
+keywords merge, each over the one before, into one mapping, and each field
+is set from it in order, the first one missing refused.  Every refusal is a
+``TypeError``.  :meth:`Record._check` then runs on the set fields.
 """
 
 from __future__ import annotations
@@ -16,24 +24,19 @@ class Record:
     _field_defaults: dict[str, object] = {}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
-        name = type(self).__name__
-        if len(args) > len(self._fields):
-            raise TypeError(f"{name}() takes {len(self._fields)} arguments, got {len(args)}")
-        values = dict(zip(self._fields, args))
-        for field, value in kwargs.items():
-            if field not in self._fields:
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        for field in kwargs:
+            if field not in fields:
                 raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
-            if field in values:
+            if fields.index(field) < len(args):
                 raise TypeError(f"{name}() got multiple values for argument {field!r}")
-            values[field] = value
-        for field in self._fields:
-            if field in values:
-                value = values[field]
-            elif field in self._field_defaults:
-                value = self._field_defaults[field]
-            else:
+        values = {**self._field_defaults, **dict(zip(fields, args)), **kwargs}
+        for field in fields:
+            if field not in values:
                 raise TypeError(f"{name}() missing argument {field!r}")
-            object.__setattr__(self, field, value)
+            object.__setattr__(self, field, values[field])
         self._check()
 
     def _check(self) -> None:

@@ -78,9 +78,10 @@ class UnphysicalGeometryError(RangeKitError, ValueError):
 
 class CovarianceNotPSDError(RangeKitError, ValueError):
     """A matrix that must be positive semi-definite is not, beyond round-off:
-    for a detector state (``detection_mc.BlockState``), V + i*Omega, so the
-    state breaks the uncertainty relation (which also covers a V that is no
-    covariance); for a plain covariance, V itself.
+    its smallest eigenvalue is below -8 ulp of max(1, its largest |entry|).
+    For a detector state (``detection_mc.BlockState``) the matrix is
+    V + i*Omega, so the state breaks the uncertainty relation (which also
+    covers a V that is no covariance); for a plain covariance, V itself.
 
     Carries the offending (most negative) eigenvalue.
     """

@@ -244,6 +244,29 @@ MUTANTS = {
         "abs(p - q) + 1.0", "float(p - q) + 1.0",
         ("tests/test_detection_mc.py::"
          "test_an_unphysical_state_is_refused_by_name[s_return_below_s_idler]",)),
+    # the state check's bound is 8 ulp of the scale, not a tolerance that
+    # admits a negative variance beside a large one
+    "psd_bound_admits_a_negative_variance": (
+        "detection_mc", "_check_psd",
+        "-8.0 * math.ulp(", "-8e9 * math.ulp(",
+        ("tests/test_detection_mc.py::test_psd_tolerance_scales_with_the_entries",)),
+    # a record's keyword is refused only where a positional argument gave it
+    "record_refuses_the_first_keyword_after_the_positionals": (
+        "_record", "Record.__init__",
+        "fields.index(field) < len(args)", "fields.index(field) <= len(args)",
+        ("tests/test_records.py",)),
+    # gamma is interpolated in log only between two positive knots, and a
+    # table's frequencies increase strictly
+    "gamma_at_takes_the_log_of_a_zero_knot": (
+        "atmosphere", "gamma_at",
+        "if g0 > 0.0 and g1 > 0.0:", "if g0 > 0.0 or g1 > 0.0:", ("tests/test_atmosphere.py",)),
+    "table_admits_a_repeated_frequency": (
+        "atmosphere", "AttenuationTable._check",
+        "f_ghz <= rows[-1][0]", "f_ghz < rows[-1][0]", ("tests/test_atmosphere.py",)),
+    # range names an outcome both modes share "the same"
+    "range_names_every_shared_outcome_in_full": (
+        "cli", "_cmd_range",
+        "if outcome == str(exc):", "if outcome != str(exc):", ("tests/test_cli.py",)),
     # the oracle cutoff's tail must fall below the tolerance, not reach it
     "smallest_cutoff_accepts_the_tolerance": (
         "quantum_states", "_smallest_cutoff",

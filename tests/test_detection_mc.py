@@ -483,20 +483,26 @@ def test_psd_tolerance_scales_with_the_entries():
     # and at the edge of the float range, where s_return + s_idler overflows
     with pytest.raises(CovarianceNotPSDError):
         BlockState(1e308, 1e308, 1.01e308)
-    # a diagonal that classical positivity admits below 0 within the
-    # tolerance breaks the uncertainty relation by about 1
+    # a diagonal just below 0 breaks the uncertainty relation by about 1,
+    # not by its own size
     with pytest.raises(CovarianceNotPSDError) as info:
         BlockState(-2e-10, 2.0, 0.0)
     assert info.value.eigenvalue == pytest.approx(-1.0 - 2e-10, rel=1e-15)  # s_r - 1
-    # beside a diagonal of 1e16 the tolerance (1e7) still admits a negative
-    # one: p*q < 0 there, and sqrt(pq) reads as 0 rather than raising, so D
-    # is 0 and never exceeds a positive threshold
-    wide = BlockState(-1e6, 1e16, 0.0)
-    assert (wide.scales, exact_exceedance(wide, 0.5)) == ((0.0, 0.0), 0.0)
-    # below unit entries the tolerance is the absolute -1e-9
+    # beside a diagonal of 1e16 the bound is 8 ulp of 1e16 (16), so a
+    # negative diagonal there is refused: its eigenvalue s_r - 1 is exact
+    with pytest.raises(CovarianceNotPSDError) as info:
+        BlockState(-1e6, 1e16, 0.0)
+    assert info.value.eigenvalue == -1000001.0
+    # but a diagonal of -1 there is within its round-off (the eigenvalue
+    # computes as -1): p*q < 0, and sqrt(pq) reads as 0 rather than raising,
+    # so D is 0 and never exceeds a positive threshold
+    within = BlockState(-1.0, 1e16, 0.0)
+    assert (within.scales, exact_exceedance(within, 0.5)) == ((0.0, 0.0), 0.0)
+    # below unit entries the bound is 8 ulp of 1
     with pytest.raises(CovarianceNotPSDError):
         sample_quadratures(np.diag([1.0, 1.0, 1.0, -2e-9]), 10, seed=0)
-    sample_quadratures(np.diag([1.0, 1.0, 1.0, -0.5e-9]), 10, seed=0)
+    with pytest.raises(CovarianceNotPSDError):
+        sample_quadratures(np.diag([1.0, 1.0, 1.0, -0.5e-9]), 10, seed=0)
 
 
 def test_uncertainty_check_matches_the_eigenvalues_of_v_plus_i_omega(monkeypatch):
@@ -519,12 +525,21 @@ def test_uncertainty_check_matches_the_eigenvalues_of_v_plus_i_omega(monkeypatch
     assert 500 < sum(value < 0.0 for value, _ in seen) < 2000  # both sides are sampled
 
 
-def test_every_physical_return_state_is_admitted():
+def test_every_physical_return_state_is_admitted(monkeypatch):
     # Both transmitters' return states on a seeded sample of (eta, N_B, N_s),
     # each from the subnormal range to past 1e307, with eta = 1 and N_B = 0
     # among them: the TMSV keeps its smaller symplectic eigenvalue at
     # exactly 1 through a lossless, noiseless return, so its states sit on
-    # the bound.
+    # the bound.  Each state's lambda_min(V + i*Omega), read by wrapping the
+    # check, stays within 4 ulp of max(1, largest |entry|): half the check's
+    # bound, and twice the worst value seen on 1.2 million such states.
+    seen, check_psd = [], detection_mc._check_psd
+
+    def check(value, largest, matrix):
+        seen.append(value / math.ulp(max(1.0, largest)))
+        check_psd(value, largest, matrix)
+
+    monkeypatch.setattr(detection_mc, "_check_psd", check)
     rng = random.Random(21)
 
     def log_uniform(lo, hi):
@@ -534,17 +549,21 @@ def test_every_physical_return_state_is_admitted():
               for n_s in (5e-324, 1e-12, 1.0, 5e15, 8e307)]
     points += [(log_uniform(5e-324, 1.0), log_uniform(5e-324, 8e307),
                 log_uniform(5e-324, 8e307)) for _ in range(4000)]
+    # and at ordinary eta and N_B, with N_B also at 0 and the subnormal edge
+    points += [(1.0 - rng.random(), rng.choice((0.0, 5e-324, 1e-300, log_uniform(1e-4, 1e3))),
+                log_uniform(1e-310, 8e307)) for _ in range(2000)]
     for eta, n_b, n_s in points:
         for block in (tmsv_block, coherent_block):
             present, absent = return_states(eta, n_b, *block(n_s))
             assert present.scales[0] >= 0.0 >= present.scales[1]
+    assert len(seen) == 6 * len(points) and min(seen) >= -4.0
 
 
 @pytest.mark.parametrize("build", [
     lambda: return_states(0.5, 1.0, 1.0, 0.5),  # the transmitter (s, c) = (1, 0.5)
     lambda: BlockState(1.0, 1.0, 0.9),  # classically PSD
     lambda: BlockState(1.0, 2.0, 0.5),  # s_return < s_idler
-    lambda: BlockState(-2e-10, 2.0, 0.0),  # within the classical tolerance
+    lambda: BlockState(-2e-10, 2.0, 0.0),  # a diagonal just below 0
 ], ids=["transmitter", "classically_psd", "s_return_below_s_idler", "negative_diagonal"])
 def test_an_unphysical_state_is_refused_by_name(build):
     with pytest.raises(CovarianceNotPSDError, match="breaks the uncertainty relation") as info:
