@@ -23,7 +23,7 @@ into the effective SNR gives (4*pi)^2 in the denominator, and that
 convention also reproduces the expected range magnitudes (137 m CI and
 435 m QI at 1 THz, N_s = 0.01).  :func:`range_chain` builds it, and the
 fourth power sometimes seen in print is one
-``chain.replace(denominator=(4*pi)**4 * chain.n_b)`` away.
+``chain.replace(sigma_gain_area=chain.sigma_gain_area / (4*pi)**2)`` away.
 
 The range chain of a scenario at one frequency is one object,
 :class:`RangeChain`, built by :func:`range_chain`.  Its solve kernel,
@@ -86,7 +86,7 @@ from operator import le
 from ._record import Record
 from .constants import TEXTBOOK, PhysicalConstants
 from .errors import DomainError, FrequencySpanError, NoDetectionError, UnphysicalGeometryError
-from .errors import _require_count, _require_non_negative, _require_positive
+from .errors import _as_number, _require_count, _require_non_negative, _require_positive
 from .radiometry import _in_float_range, _ldexp_quotient
 
 # true for static checkers only: the annotations' names cost no import
@@ -150,10 +150,12 @@ def antenna_gain(
 
 class RangeChain(Record):
     """The range chain of a scenario at one frequency,
-    SNR_eff(R) = head * photons / denominator * F(R)^2 / R^4, with
-    ``head`` = sigma*G*A*M, ``denominator`` = (4*pi)^k * N_B (k = 2 as
-    :func:`range_chain` builds it), ``snr_min`` the configured threshold
-    (linear) and ``pulse_count`` M.
+    SNR_eff(R) = head * photons / denominator * F(R)^2 / R^4, from its
+    fields ``sigma_gain_area`` sigma*G*A, ``pulse_count`` M, ``n_b`` N_B,
+    ``snr_min`` the configured threshold (linear) and ``gamma_db_per_km``.
+    Each input is a field once: ``head`` = sigma*G*A*M and ``denominator``
+    = (4*pi)^2 * N_B are derived from the fields on every construction, so a
+    chain changed by :meth:`~Record.replace` solves as one built fresh.
 
     Built by :func:`range_chain`; the mode enters only through the
     photons the solve kernel forms per point, N_s + extra photons (N_s + 1
@@ -161,16 +163,19 @@ class RangeChain(Record):
     N_s.
     """
 
-    __slots__ = _fields = (
-        "gamma_db_per_km", "n_b", "head", "denominator", "snr_min", "pulse_count",
-    )
+    _fields = ("gamma_db_per_km", "n_b", "sigma_gain_area", "snr_min", "pulse_count")
+    __slots__ = _fields + ("head", "denominator")
 
     def _check(self) -> None:
-        _require_positive("n_b", self.n_b)
-        _require_positive("head (sigma_m2 * G * aperture_m2 * M)", self.head)
-        _require_positive("denominator ((4*pi)^k * N_B)", self.denominator)
+        n_b = _require_positive("n_b", self.n_b)
+        # M and the number rule first: a string times M = 10^9 is a 1 GB string
+        pulse_count = _require_count("pulse_count", self.pulse_count, 1, sys.float_info.max)
+        head = _as_number("sigma_gain_area", self.sigma_gain_area) * pulse_count
+        object.__setattr__(self, "head", _require_positive(
+            "head (sigma_m2 * G * aperture_m2 * M)", head))
+        object.__setattr__(self, "denominator", _require_positive(
+            "denominator ((4*pi)^k * N_B)", _FOUR_PI**2 * n_b))
         _require_positive("snr_min", self.snr_min)
-        _require_count("pulse_count", self.pulse_count, 1, sys.float_info.max)
         _require_non_negative("gamma", self.gamma_db_per_km)
 
     def solve(self, n_s: float, mode: Illumination) -> float:
@@ -304,8 +309,7 @@ def range_chain(
     return RangeChain(
         gamma_db_per_km=gamma,
         n_b=n_b,
-        head=config.sigma_m2 * gain * config.aperture_m2 * config.pulse_count,
-        denominator=_FOUR_PI**2 * n_b,
+        sigma_gain_area=config.sigma_m2 * gain * config.aperture_m2,
         snr_min=config.snr_min_linear,
         pulse_count=config.pulse_count,
     )

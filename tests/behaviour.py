@@ -27,8 +27,9 @@ seed ranges, at N_s 1e8 and 1e307 and at five edges of the return states
 sweep into a missing directory, four malformed attenuation tables read by
 ``atten``, ``covariance --oracle`` at twelve more pinned points (the four of
 the benchmark's verify workload, each oracle's vacuum and its first
-``CutoffError`` among them), and two configs whose antenna gain overflows or
-underflows to 0, each run as ``range`` and ``sweep``.
+``CutoffError`` among them), two configs whose antenna gain overflows or
+underflows to 0 and two whose range chain overflows at 1 THz, each run as
+``range`` and ``sweep``.
 A sweep that gives no grid option runs on :data:`GOLDEN_GRID` in place of
 ``cli._log_grid``'s numpy grid, whose last digits follow numpy's CPU
 dispatch; one that gives a grid option (:data:`GRID_OPTIONS`) runs the real
@@ -116,6 +117,12 @@ ORACLE_POINTS = (("10", "qi"), ("20", "qi"), ("10", "ci"), ("1000", "ci"),
 # frequency, each run as range at that frequency and as sweep --figure 3
 GAIN_CONFIGS = {"gain_overflow": {"aperture_m2": 1e10, "frequencies_hz": [1e150]},
                 "gain_underflow": {"aperture_m2": 1e-300, "frequencies_hz": [1e-10]}}
+# configs whose range chain leaves the float range at 1 THz, each run as
+# range there and as sweep --figure 3: sigma_m2 overflows head =
+# sigma*G*A*M, and noise_power_dbm overflows (4*pi)^2 * N_B (the sweep
+# refuses N_B itself at 7 GHz first)
+CHAIN_OVERFLOW_CONFIGS = {"head_overflow": {"sigma_m2": 1e305},
+                          "denominator_overflow": {"noise_power_dbm": 2970}}
 
 
 def config_battery() -> dict[str, dict]:
@@ -190,9 +197,9 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
                          {f"{name}.json": config, f"{name}.csv": text}))
     commands += [(["covariance", "--ns", n_s, "--mode", mode, "--oracle"], {})
                  for n_s, mode in ORACLE_POINTS]
-    for name, config in GAIN_CONFIGS.items():
+    for name, config in {**GAIN_CONFIGS, **CHAIN_OVERFLOW_CONFIGS}.items():
         fixture = {f"{name}.json": json.dumps(config)}
-        freq = repr(config["frequencies_hz"][0])
+        freq = repr(config.get("frequencies_hz", [1e12])[0])
         commands += [(["--config", f"{name}.json", "range", "--ns", "0.01", "--freq", freq],
                       fixture),
                      (["--config", f"{name}.json", "sweep", "--figure", "3", "--output",

@@ -106,6 +106,17 @@ MUTANTS = {
         "range_solver", "RangeChain._check",
         "self.pulse_count, 1, sys.float_info.max", "self.pulse_count, 0, sys.float_info.max",
         ("tests/test_radiometry.py",)),
+    # M enters the chain once: the check's head = sigma*G*A * M without M,
+    # and range_chain's sigma*G*A with M in place of sigma (1 m^2 in the
+    # default config, so there M counts twice)
+    "range_chain_head_drops_m": (
+        "range_solver", "RangeChain._check",
+        "self.sigma_gain_area) * pulse_count", "self.sigma_gain_area) * 1",
+        ("tests/test_range_solver.py::test_a_replaced_field_moves_the_root",)),
+    "range_chain_counts_m_twice": (
+        "range_solver", "range_chain",
+        "config.sigma_m2 * gain", "config.pulse_count * gain",
+        ("tests/test_range_solver.py::test_free_space_benchmark_ranges",)),
     # the package's one number rule: a bool is not a number, an int past the
     # float range raises the caller's error, the finite rule refuses NaN and
     # inf, and only an exact float skips the rule in the positive check

@@ -1,7 +1,9 @@
 """Reference (4*pi)^2 link-budget chain for the tests.
 
 The package solves the range from one chain, SNR_eff(R) = head * N_s /
-denominator * F(R)^2 / R^4 (:class:`~qi_rangekit.range_solver.RangeChain`).
+denominator * F(R)^2 / R^4 (:class:`~qi_rangekit.range_solver.RangeChain`),
+with head = sigma*G*A*M and denominator = (4*pi)^2 * N_B, each derived from
+the chain's fields sigma*G*A, M and N_B.
 This module keeps the textbook chain that one is derived from, step by step,
 so a test can close the range equation through formulas the solver does not
 run:
@@ -43,8 +45,10 @@ def threshold(chain: RangeChain, n_s: float, mode: Illumination) -> float:
 
 
 def fourth_power_variant(chain: RangeChain) -> RangeChain:
-    """``chain`` with (4*pi)^4 in place of the (4*pi)^2 of its denominator."""
-    return chain.replace(denominator=_FOUR_PI**4 * chain.n_b)
+    """``chain`` with (4*pi)^4 in place of the (4*pi)^2 of its denominator:
+    its sigma*G*A divided by the other (4*pi)^2, as the chain derives its
+    denominator (4*pi)^2 * N_B itself."""
+    return chain.replace(sigma_gain_area=chain.sigma_gain_area / _FOUR_PI**2)
 
 
 def channel_transmissivity(

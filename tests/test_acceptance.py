@@ -133,15 +133,13 @@ def _random_point(rng: np.random.Generator):
     n_b = log_uniform(10.0, 1e5)
     gamma = log_uniform(0.01, 30.0)
     mode = Illumination.QI if rng.uniform() < 0.5 else Illumination.CI
-    pulse_count = config.pulse_count
     chain = RangeChain(
         gamma_db_per_km=gamma,
         n_b=n_b,
-        head=config.sigma_m2 * antenna_gain(config.aperture_m2, f_hz) * config.aperture_m2
-        * pulse_count,
-        denominator=(4.0 * math.pi) ** 2 * n_b,
+        sigma_gain_area=config.sigma_m2 * antenna_gain(config.aperture_m2, f_hz)
+        * config.aperture_m2,
         snr_min=config.snr_min_linear,
-        pulse_count=pulse_count,
+        pulse_count=config.pulse_count,
     )
     return chain, n_s, mode, config, f_hz
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,13 @@ COMMANDS = (("--version",), ("atten", "--freq", "60e9"),
             ("sweep", "--figure", "1", "--points", "5", "--output", "f1.csv"),
             ("--dump-config", "cfg.json"),
             ("--config", "cfg.json", "range", "--ns", "1e-2", "--freq", "1e12"))
+# the launcher of the benchmark's CLI processes (perfbench/run.py), and the
+# commands whose imports it is compared with pip's wrapper on
+BOOTSTRAP = "from qi_rangekit.cli import entrypoint; entrypoint()"
+IMPORT_COMMANDS = {"range": ("range", "--ns", "1e-2", "--freq", "1e12"),
+                   "mc": ("mc", "--ns", "0.1", "--eta", "0.5", "--nb", "1", "--trials", "10000",
+                          "--seed", "1"),
+                   "covariance": ("covariance", "--ns", "1000", "--mode", "ci", "--oracle")}
 
 
 def _environment(**extra):
@@ -98,6 +106,41 @@ def test_the_wrapper_runs_cis_commands_as_the_checkout_does(venv, tmp_path):
                                "import importlib.metadata as m; print(m.version('qi-rangekit'))"],
                               env=env, capture_output=True, text=True, check=True).stdout
     assert metadata.strip() == local_wheel.version()
+
+
+def _imports(python, args, cwd, *path):
+    """The modules ``python -S -X importtime`` reports importing for ``args``,
+    and its stdout, with ``path`` alone on ``PYTHONPATH``: ``-S`` keeps out
+    the site hooks (a ``.pth`` file may import modules of its own), and so
+    site-packages too."""
+    run = subprocess.run([python, "-S", "-X", "importtime", *args], cwd=cwd, capture_output=True,
+                         text=True, env=_environment(PYTHONPATH=os.pathsep.join(map(str, path))))
+    assert run.returncode == 0, run.stderr
+    report = [line.rsplit("|", 1) for line in run.stderr.splitlines()
+              if line.startswith("import time:")]
+    return {module.strip() for _, module in report[1:]}, run.stdout
+
+
+@pytest.mark.parametrize("command", IMPORT_COMMANDS)
+def test_the_wrapper_imports_the_bootstrap_s_modules_and_only_re_s_beyond(venv, tmp_path,
+                                                                           command):
+    # pip's wrapper runs `import re` and re.sub on argv[0], so an installed
+    # command loads what the benchmark's bootstrap does, plus what re loads
+    import numpy
+
+    argv = IMPORT_COMMANDS[command]
+    numpy_parent = Path(numpy.__file__).resolve().parents[1]
+    site = venv / "lib" / f"python{sys.version_info[0]}.{sys.version_info[1]}" / "site-packages"
+    python = venv / "bin" / "python"
+    wrapper, out = _imports(python, [venv / "bin" / "qi-rangekit", *argv], tmp_path, site,
+                            numpy_parent)
+    bootstrap, checkout_out = _imports(python, ["-c", BOOTSTRAP, *argv], tmp_path,
+                                       local_wheel.REPO / "src", numpy_parent)
+    with_re, _ = _imports(python, ["-c", "import re"], tmp_path)
+    assert out == checkout_out
+    assert "qi_rangekit.cli" in bootstrap and "re" in with_re
+    assert bootstrap <= wrapper
+    assert wrapper - bootstrap <= with_re
 
 
 def test_the_metadata_is_what_pyproject_declares():

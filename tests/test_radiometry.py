@@ -272,6 +272,10 @@ NUMBER_ENTRY_POINTS = {
                                 None),
     "RangeChain.replace": (lambda x: range_chain(ScenarioConfig(), 7e9).replace(n_b=x), "n_b",
                            DomainError, 2.0),
+    # refused before it meets M: "1" times M = 10^9 would be a 1 GB string
+    "RangeChain.replace.sigma_gain_area": (
+        lambda x: range_chain(ScenarioConfig(), 7e9).replace(sigma_gain_area=x, pulse_count=3),
+        "sigma_gain_area", DomainError, 2.0),
     "AttenuationTable": (lambda x: AttenuationTable(rows=((x, 1.0), (2e3, 1.0))),
                          "row 1: frequency", TableValidationError, 10.0),
     "sweep_range": (lambda x: list(sweep_range(ScenarioConfig(), [x])), "grid values",
@@ -367,8 +371,9 @@ COUNT_ENTRY_POINTS = {
                        2, MAX_SWEEP_POINTS),
     "mc --trials": (_mc, "--trials", RangeKitError, 10_000, MAX_TRIALS),
     "RangeChain.replace.pulse_count": (
-        lambda x: range_chain(ScenarioConfig(), 7e9).replace(pulse_count=x), "pulse_count",
-        DomainError, 1, sys.float_info.max),
+        lambda x: range_chain(ScenarioConfig(), 7e9).replace(sigma_gain_area=1e-300,
+                                                             pulse_count=x),
+        "pulse_count", DomainError, 1, sys.float_info.max),
 }
 # mc leaves the lower bound of its trial count to the library
 LOWER_BOUND_NAMES = {"mc --trials": ("trials", DomainError)}

@@ -19,6 +19,7 @@ from qi_rangekit.constants import CODATA, TEXTBOOK, PhysicalConstants
 from qi_rangekit.errors import DomainError, NoDetectionError, UnphysicalGeometryError
 from qi_rangekit.quantum_states import correlation_ratio
 from qi_rangekit.range_solver import (
+    _FOUR_PI,
     Illumination,
     RangeChain,
     antenna_gain,
@@ -94,14 +95,12 @@ def column_outcomes(column):
 def make_chain(config, f_hz, n_b, gamma=0.0):
     """A chain built directly from a scenario, so that N_B is free."""
     gain = antenna_gain(config.aperture_m2, f_hz)
-    pulse_count = config.pulse_count
     return RangeChain(
         gamma_db_per_km=gamma,
         n_b=n_b,
-        head=config.sigma_m2 * gain * config.aperture_m2 * pulse_count,
-        denominator=(4.0 * math.pi) ** 2 * n_b,
+        sigma_gain_area=config.sigma_m2 * gain * config.aperture_m2,
         snr_min=config.snr_min_linear,
-        pulse_count=pulse_count,
+        pulse_count=config.pulse_count,
     )
 
 
@@ -314,6 +313,30 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
             assert abs(eta - reference) <= 1e-15 * reference
         far += 1
     assert far > 150
+
+
+@pytest.mark.parametrize("mode", list(Illumination))
+def test_a_replaced_field_moves_the_root(mode):
+    # the chain holds sigma*G*A, M and N_B once each, so a chain changed by
+    # replace solves as one built fresh from the changed inputs
+    chain = range_chain(BENCHMARK, 1e12)
+    root = chain.solve(0.01, mode)
+    fewer = chain.replace(pulse_count=chain.pulse_count // 16)
+    fresh = range_chain(BENCHMARK.replace(tau_s=1 / 16), 1e12)
+    assert fewer == fresh
+    assert fewer.solve(0.01, mode) == fresh.solve(0.01, mode)
+    assert fewer.link_at(root, 0.01, mode) == fresh.link_at(root, 0.01, mode)
+    noisier = chain.replace(n_b=2.0 * chain.n_b)
+    assert abs(noisier.solve(0.01, mode) - root / 2**0.25) <= 4 * math.ulp(root)
+    brighter = chain.replace(sigma_gain_area=16.0 * chain.sigma_gain_area)
+    assert abs(brighter.solve(0.01, mode) - 2.0 * root) <= 4 * math.ulp(2.0 * root)
+    for changed in (fewer, noisier, brighter):
+        changed_root = changed.solve(0.01, mode)
+        assert changed_root != root
+        assert changed.link_at(changed_root, 0.01, mode)[2] < 1e-12
+    if mode is Illumination.CI:
+        assert fewer.solve(0.01, mode) == pytest.approx(68.544, abs=1e-3)
+        assert noisier.solve(0.01, mode) == pytest.approx(115.277, abs=1e-3)
 
 
 def test_extreme_attenuation_still_solves():
@@ -531,11 +554,11 @@ def test_overflowing_chain_names_n_s(table_path, mode):
 def test_quantum_threshold_underflow_solves_the_same_ratio(table_path):
     # The textbook threshold SNR_min / (1 + 1/N_s) underflows to 0 at SNR_min
     # 1e-295 and N_s 1e-30, but the kernel solves at N_s + 1 photons against
-    # SNR_min; scaling head and SNR_min by 1e100 keeps head * (N_s + 1) /
-    # (denominator * SNR_min)
+    # SNR_min; scaling sigma*G*A and SNR_min by 1e100 keeps head * (N_s + 1)
+    # / (denominator * SNR_min)
     chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), 1e12)
     underflowing = chain.replace(snr_min=1e-295)
-    scaled = chain.replace(snr_min=1e-195, head=chain.head * 1e100)
+    scaled = chain.replace(snr_min=1e-195, sigma_gain_area=chain.sigma_gain_area * 1e100)
     assert threshold(underflowing, 1e-30, Illumination.QI) == 0.0
     root = underflowing.solve(1e-30, Illumination.QI)
     reference = scaled.solve(1e-30, Illumination.QI)
@@ -577,7 +600,7 @@ def test_sweep_grid_validation():
 def test_sweep_rows_equal_one_point_solutions(monkeypatch, scenario, four_pi_exponent, constants):
     if four_pi_exponent == 4:
         # no config names the (4*pi)^4 variant; the sweep reaches it through
-        # chains whose denominator is replaced
+        # chains whose sigma*G*A is replaced
         built = range_solver.range_chain
         monkeypatch.setattr(range_solver, "range_chain",
                             lambda *args: fourth_power_variant(built(*args)))
@@ -771,7 +794,7 @@ BRANCH_EDGES = {
     "overflow-450-1e307-qi": (_edge_chain(450.0), 1e307, Illumination.QI),
     "overflow-0.1-1e300-ci": (_edge_chain(0.1), 1e300, Illumination.CI),
     # x = a R_free / 2 beyond Halley's range: W0 from ln x
-    "ln-x": (_edge_chain(1e6, head=1e300, denominator=1e-300, snr_min=1e-300), 1e300,
+    "ln-x": (_edge_chain(1e6, sigma_gain_area=1e291, n_b=1e-302, snr_min=1e-300), 1e300,
              Illumination.CI),
     # a subnormal gamma, where a/2 underflows to 0 and the root is R_free
     "subnormal-gamma": (_edge_chain(5e-324), 1e-2, Illumination.CI),
@@ -809,8 +832,8 @@ def test_x_beyond_halley_range_on_the_main_path_is_no_detection_not_nan():
 def test_r_free_beyond_the_float_range_is_overflow_not_nan(mode):
     # R_free^4 overflows, and so does R_free itself, a quotient of fourth
     # roots; the attenuated root of an infinite R_free is no number
-    chain = RangeChain(gamma_db_per_km=1.0, n_b=1e-318, head=1e308, denominator=1.6e-316,
-                       snr_min=1e-320, pulse_count=1)
+    chain = RangeChain(gamma_db_per_km=1.0, n_b=1e-318, sigma_gain_area=1e308, snr_min=1e-320,
+                       pulse_count=1)
     assert chain.solutions([1e308], mode) == ([math.inf], ["overflow"])
 
 
@@ -818,13 +841,16 @@ def test_r_free_beyond_the_float_range_is_overflow_not_nan(mode):
 def test_a_root_on_a_status_boundary_is_ok(mode):
     # no_detection is a root below 1 um and near_field is eta > 1, so a root
     # of exactly 1 um, and one where eta is exactly 1, are ok; photons is
-    # N_s + extra = 1 + extra, and each product below is exact
+    # N_s + extra = 1 + extra, so head * photons / denominator is 1e-24 and 1
+    # with no rounding left
     photons = 1.0 + mode.extra_photons
-    at_near_zero = RangeChain(gamma_db_per_km=0.0, n_b=0.5, head=1e-24, denominator=photons,
+    at_near_zero = RangeChain(gamma_db_per_km=0.0, n_b=0.5,
+                              sigma_gain_area=1e-24 / photons * _FOUR_PI**2 * 0.5,
                               snr_min=1.0, pulse_count=1)
+    assert at_near_zero.head * photons / at_near_zero.denominator == 1e-24
     assert at_near_zero.solutions([1.0], mode) == ([1e-6], ["ok"])
     assert at_near_zero.solve(1.0, mode) == 1e-6
-    at_unit_eta = RangeChain(gamma_db_per_km=0.0, n_b=photons, head=1.0, denominator=photons,
+    at_unit_eta = RangeChain(gamma_db_per_km=0.0, n_b=photons, sigma_gain_area=_FOUR_PI**2,
                              snr_min=1.0, pulse_count=1)
     assert at_unit_eta.solutions([1.0], mode) == ([1.0], ["ok"])
     assert at_unit_eta.solve(1.0, mode) == 1.0

@@ -13,15 +13,15 @@ from qi_rangekit.errors import ConfigError, DomainError, TableValidationError
 from qi_rangekit.radiometry import dbm_to_watts
 from qi_rangekit.range_solver import RangeChain
 
-CHAIN = RangeChain(gamma_db_per_km=0.5, n_b=2.0, head=3.0, denominator=4.0, snr_min=10.0,
+CHAIN = RangeChain(gamma_db_per_km=0.5, n_b=2.0, sigma_gain_area=3.0, snr_min=10.0,
                    pulse_count=1)
 RESULT = GainExperimentResult(ratio=11.0, standard_error=0.1, deflection_quantum=2.2,
                               deflection_classical=0.2, trials=10**6, resolution=50.0)
 
 
 def test_positional_and_keyword_construction_agree():
-    assert RangeChain(0.5, 2.0, 3.0, 4.0, 10.0, 1) == CHAIN
-    assert RangeChain(0.5, 2.0, 3.0, 4.0, pulse_count=1, snr_min=10.0) == CHAIN
+    assert RangeChain(0.5, 2.0, 3.0, 10.0, 1) == CHAIN
+    assert RangeChain(0.5, 2.0, 3.0, pulse_count=1, snr_min=10.0) == CHAIN
     assert AttenuationTable(((1.0, 0.0), (2.0, 1.0))).source == ""
     assert ScenarioConfig(2.0).sigma_m2 == 2.0
     assert ScenarioConfig(2.0) == ScenarioConfig(sigma_m2=2.0)
@@ -39,7 +39,7 @@ def test_construction_rejects_wrong_arguments():
     with pytest.raises(TypeError, match="missing argument 'rows'"):
         AttenuationTable()
     with pytest.raises(TypeError):
-        RangeChain(0.5, 2.0, 3.0, 4.0, 10.0, 1, 7.0)
+        RangeChain(0.5, 2.0, 3.0, 10.0, 1, 7.0)
     with pytest.raises(TypeError, match="missing argument 'c'"):
         PhysicalConstants(h=6.63e-34, k_b=1.38e-23)
     with pytest.raises(TypeError, match="takes 6 arguments, got 7"):
@@ -74,7 +74,7 @@ def test_equal_records_hash_equal():
         __slots__ = ()
 
     rows = ((1.0, 0.0), (2.0, 1.0))
-    assert CHAIN != (0.5, 2.0, 3.0, 4.0, 10.0, 1)
+    assert CHAIN != (0.5, 2.0, 3.0, 10.0, 1)
     assert TEXTBOOK != (6.63e-34, 1.38e-23, 3.0e8)
     assert RESULT != (11.0, 0.1, 2.2, 0.2, 10**6, 50.0)
     assert Table(rows) != AttenuationTable(rows)
@@ -87,9 +87,11 @@ def test_replace_runs_the_checks_again():
     with pytest.raises(DomainError, match="n_b"):
         CHAIN.replace(n_b=0)
     with pytest.raises(DomainError, match=r"head \(sigma_m2 \* G \* aperture_m2 \* M\)"):
-        CHAIN.replace(head=float("inf"))
+        CHAIN.replace(sigma_gain_area=float("inf"))
+    with pytest.raises(DomainError, match=r"head \(sigma_m2 \* G \* aperture_m2 \* M\)"):
+        CHAIN.replace(sigma_gain_area=1e300, pulse_count=10**9)
     with pytest.raises(DomainError, match=r"denominator \(\(4\*pi\)\^k \* N_B\)"):
-        CHAIN.replace(denominator=0.0)
+        CHAIN.replace(n_b=1e308)
     with pytest.raises(DomainError, match="snr_min"):
         CHAIN.replace(snr_min=float("nan"))
     with pytest.raises(TableValidationError):
@@ -118,6 +120,20 @@ def test_range_chain_takes_m_as_a_count(value, message):
     assert CHAIN.replace(pulse_count=2).pulse_count == 2
 
 
+def test_range_chain_derives_head_and_denominator():
+    # sigma*G*A, M and N_B are fields once each; the products are not fields
+    assert RangeChain._fields == ("gamma_db_per_km", "n_b", "sigma_gain_area", "snr_min",
+                                  "pulse_count")
+    assert (CHAIN.head, CHAIN.denominator) == (3.0, (4.0 * math.pi) ** 2 * 2.0)
+    changed = CHAIN.replace(sigma_gain_area=5.0, pulse_count=3, n_b=4.0)
+    assert (changed.head, changed.denominator) == (15.0, (4.0 * math.pi) ** 2 * 4.0)
+    for product in ("head", "denominator"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{product}'"):
+            CHAIN.replace(**{product: 1.0})
+        with pytest.raises(AttributeError):
+            setattr(CHAIN, product, 1.0)
+
+
 def test_replace_rebuilds_derived_attributes():
     config = ScenarioConfig().replace(noise_power_dbm=-60.0, tau_s=2.0)
     assert config.noise_power_watts == dbm_to_watts(-60.0)
@@ -133,7 +149,7 @@ def test_checks_normalise_fields():
 
 
 def test_repr_lists_the_fields():
-    assert repr(CHAIN) == ("RangeChain(gamma_db_per_km=0.5, n_b=2.0, head=3.0, denominator=4.0, "
+    assert repr(CHAIN) == ("RangeChain(gamma_db_per_km=0.5, n_b=2.0, sigma_gain_area=3.0, "
                            "snr_min=10.0, pulse_count=1)")
     assert repr(ScenarioConfig()).startswith("ScenarioConfig(sigma_m2=1.0, aperture_m2=0.5, ")
     assert "noise_power_watts" not in repr(ScenarioConfig())
