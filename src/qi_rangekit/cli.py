@@ -139,27 +139,24 @@ def _cmd_range(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
     # solve raises for every status but ok, so the exit code follows the
     # status sweep writes; every mode is solved before the first failure
     # decides it, and its message names that mode and the other's outcome
-    roots: dict[Illumination, float] = {}
-    failures: list[tuple[Illumination, RangeKitError]] = []
+    outcomes: dict[Illumination, float | RangeKitError] = {}
     for mode in modes:
         try:
-            roots[mode] = chain.solve(args.ns, mode)
+            outcomes[mode] = chain.solve(args.ns, mode)
         except RangeKitError as exc:
-            failures.append((mode, exc))
-    if failures:
-        mode, exc = failures[0]
-        if len(modes) == 1:
-            raise exc
-        [other] = [m for m in modes if m is not mode]
-        if other in roots:
-            outcome = f"r_max = {roots[other]:.6g} m"
-        else:
-            outcome = str(failures[1][1])
-            if outcome == str(exc):  # an input no mode solves, such as N_s = 0
+            outcomes[mode] = exc
+    for mode, exc in outcomes.items():
+        if isinstance(exc, RangeKitError):
+            if len(modes) == 1:
+                raise exc
+            [other] = [m for m in modes if m is not mode]
+            outcome = outcomes[other]
+            if isinstance(outcome, float):
+                outcome = f"r_max = {outcome:.6g} m"
+            elif str(outcome) == str(exc):  # an input no mode solves, such as N_s = 0
                 outcome = "the same"
-        kind = NoDetectionError if isinstance(exc, NoDetectionError) else RangeKitError
-        raise kind(f"{exc} ({mode.value}; {other.value}: {outcome})") from exc
-    for mode, r_max in roots.items():
+            raise type(exc)(f"{exc} ({mode.value}; {other.value}: {outcome})") from exc
+    for mode, r_max in outcomes.items():
         f_form, eta, residual = chain.link_at(r_max, args.ns, mode)
         yield f"{mode.value}: r_max = {r_max:.6g} m  (residual {residual:.3e} dB)"
         yield (f"    gamma = {chain.gamma_db_per_km:.6g} dB/km, "

@@ -148,14 +148,15 @@ def _require_non_negative(name: str, value: object,
 
 def _read_file(path: str | PathLike, kind: str, parse: Callable[[TextIO], T],
                *errors: type[RangeKitError]) -> T:
-    """``parse`` of the open UTF-8 file at ``path``, a ``<kind>`` file.  An
-    ``OSError``, or a ``UnicodeDecodeError`` also where ``parse`` iterates
-    the lines, raises the first of ``errors`` as ``cannot read <kind> <path>:
-    …``; one of ``errors`` from ``parse`` is raised again as its own type,
-    prefixed ``<kind> <path>: ``.  Any other error, such as that of a table a
-    config names, passes as it is."""
+    """``parse`` of the open UTF-8 file at ``path``, a ``<kind>`` file, read
+    without the byte-order mark it may start with.  An ``OSError``, or a
+    ``UnicodeDecodeError`` also where ``parse`` iterates the lines, raises
+    the first of ``errors`` as ``cannot read <kind> <path>: …``; one of
+    ``errors`` from ``parse`` is raised again as its own type, prefixed
+    ``<kind> <path>: ``.  Any other error, such as that of a table a config
+    names, passes as it is."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return parse(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise errors[0](f"cannot read {kind} {path}: {exc}") from exc

@@ -37,16 +37,12 @@ columns lazily, one per (frequency, mode), so a sweep row and the one-point
 solution are the same computation.
 
 Where R_free^4 = head * photons / (denominator * SNR_min) overflows, the
-kernel takes the same closed form in another arrangement: the lossless
-R_free^4 as head / denominator * photons / SNR_min, and, with absorption,
-R_free as a quotient of fourth roots that are each a float, so an attenuated
-root that is a float comes out as one.  Every attenuated root is
-W0(x) / (a/2), x = a * R_free / 2, with W0 taken from ln x where x is
-beyond Halley's range, and R_free where x is below the normal floats (there
-W0(x) / x rounds to 1).  Where the lossless R_free^4 is still beyond the
-float range (R_free above ~1.3e77 m, although R_free itself may be a
-float), the root reads inf, and so it does with absorption where R_free
-itself is beyond the float range.
+kernel takes R_free, with or without absorption, as a quotient of fourth
+roots that are each a float, so an R_free that is a float comes out as one.
+Every attenuated root is W0(x) / (a/2), x = a * R_free / 2, with W0 taken
+from ln x where x is beyond Halley's range, and R_free where x is below the
+normal floats (there W0(x) / x rounds to 1).  Where R_free itself is beyond
+the float range, the root reads inf.
 
 The kernel computes the root and one status per point, and nothing else:
 
@@ -57,8 +53,7 @@ The kernel computes the root and one status per point, and nothing else:
 * ``near_field`` -- a root where eta > 1.  At the root eta * M * photons /
   N_B is SNR_min, so that is SNR_min * N_B > M * photons, with no range
   evaluation;
-* ``overflow`` -- the root is inf: the lossless R_free^4 overflows, or,
-  with absorption, R_free itself does.
+* ``overflow`` -- the root is inf: R_free itself is beyond the float range.
 
 :func:`sweep_range` adds ``out_of_span`` for a frequency outside the table
 span.  The status is the one near-field decision: :meth:`RangeChain.solve`
@@ -174,7 +169,7 @@ class RangeChain(Record):
         object.__setattr__(self, "head", _require_positive(
             "head (sigma_m2 * G * aperture_m2 * M)", head))
         object.__setattr__(self, "denominator", _require_positive(
-            "denominator ((4*pi)^k * N_B)", _FOUR_PI**2 * n_b))
+            "denominator ((4*pi)^2 * N_B)", _FOUR_PI**2 * n_b))
         _require_positive("snr_min", self.snr_min)
         _require_non_negative("gamma", self.gamma_db_per_km)
 
@@ -199,8 +194,8 @@ class RangeChain(Record):
             )
         if status == "overflow":
             raise DomainError(
-                f"n_s = {n_s!r} overflows the range chain: head * photons / "
-                "((4*pi)^k * N_B * SNR_min), photons N_s (CI) or N_s + 1 (QI), "
+                f"n_s = {n_s!r} overflows the range chain: R_free = (head * photons / "
+                "((4*pi)^2 * N_B * SNR_min))^(1/4), photons N_s (CI) or N_s + 1 (QI), "
                 "exceeds the float range"
             )
         if status == "near_field":
@@ -244,10 +239,8 @@ class RangeChain(Record):
             photons = n_s + extra
             if (ratio := head * photons / denominator / snr_min) != inf:
                 root = ratio**0.25
-            elif half_a > 0.0:
-                root = head_root * photons**0.25 / under_root
             else:
-                root = (head / denominator * photons / snr_min) ** 0.25
+                root = head_root * photons**0.25 / under_root
             # not gamma > 0: a subnormal gamma leaves a/2 = 0; an R_free past
             # the float range stays inf
             if half_a > 0.0 and root != inf:

@@ -23,10 +23,11 @@ config whose k_B*B underflows run as ``--dump-config -``, ``range`` and
 ``sweep``, ``--codata range``, ``range`` on a grid of frequencies and N_s,
 lossless and through the bundled table, ``mc`` at the ends of its trial and
 seed ranges, at N_s 1e8 and 1e307 and at five edges of the return states
-(:data:`MC_EDGES`), the grid refusals of ``sweep`` and a
-sweep into a missing directory, four malformed attenuation tables read by
-``atten``, ``covariance --oracle`` at twelve more pinned points (the four of
-the benchmark's verify workload, each oracle's vacuum and its first
+(:data:`MC_EDGES`), the grid refusals of ``sweep`` and a sweep into a
+missing directory, four malformed attenuation tables read by ``atten``, a
+config and a table saved with a byte-order mark, read by ``--dump-config``
+and by ``atten``, ``covariance --oracle`` at twelve more pinned points (the
+four of the benchmark's verify workload, each oracle's vacuum and its first
 ``CutoffError`` among them), two configs whose antenna gain overflows or
 underflows to 0 and two whose range chain overflows at 1 THz, each run as
 ``range`` and ``sweep``.
@@ -106,6 +107,9 @@ BAD_TABLES = {
     "unparsable_number": "frequency_ghz,gamma_db_per_km\n50,0.5\n60,x\n70,1.0\n",
     "repeated_frequency": "frequency_ghz,gamma_db_per_km\n50,0.5\n50,0.7\n70,1.0\n",
 }
+# a config and an attenuation table saved with a UTF-8 byte-order mark, read
+# by --dump-config and by atten
+BOM_CONFIG = {"sigma_m2": 2.0}
 # covariance --oracle points: the four of the benchmark's verify workload,
 # then each oracle's vacuum, the classical mean N_s/2 that underflows to 0, a
 # TMSV whose cross entry 2e-150 sits far below its unit diagonal, and for
@@ -195,6 +199,13 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
         config = json.dumps({"attenuation_table_path": f"{name}.csv"})
         commands.append((["--config", f"{name}.json", "atten", "--freq", "60e9"],
                          {f"{name}.json": config, f"{name}.csv": text}))
+    commands += [
+        (["--config", "bom.json", "--dump-config", "-"],
+         {"bom.json": "\ufeff" + json.dumps(BOM_CONFIG)}),
+        (["--config", "bom_table.json", "atten", "--freq", "60e9"],
+         {"bom_table.json": json.dumps({"attenuation_table_path": "bom_table.csv"}),
+          "bom_table.csv": "\ufeff" + table}),
+    ]
     commands += [(["covariance", "--ns", n_s, "--mode", mode, "--oracle"], {})
                  for n_s, mode in ORACLE_POINTS]
     for name, config in {**GAIN_CONFIGS, **CHAIN_OVERFLOW_CONFIGS}.items():

@@ -16,8 +16,8 @@ setuptools older than the ``>=68`` that ``pyproject.toml`` asks for, or no
 ``wheel`` package); ``pip install --no-index --no-deps`` installs it.
 
 Given a second wheel, the script compares the two: every file under
-``qi_rangekit/`` by name and SHA-256, and the console scripts of their
-``entry_points.txt``.  It prints each difference and exits 1 if there is
+``qi_rangekit/`` by name and SHA-256, the console scripts of their
+``entry_points.txt`` and the ``Version:`` line of their ``METADATA``.  It prints each difference and exits 1 if there is
 one.  CI compares the wheel built here with setuptools' own that way.
 """
 
@@ -107,9 +107,10 @@ def build(out_dir: Path) -> Path:
     return wheel
 
 
-def _contents(wheel: Path) -> tuple[dict[str, str], dict[str, str]]:
+def _contents(wheel: Path) -> tuple[dict[str, str], dict[str, str], str]:
     """(SHA-256 of each file under ``qi_rangekit/`` by name, the console
-    scripts of ``entry_points.txt``) of one wheel."""
+    scripts of ``entry_points.txt``, the ``Version:`` line of ``METADATA``)
+    of one wheel."""
     with zipfile.ZipFile(wheel) as archive:
         names = archive.namelist()
         digests = {name: hashlib.sha256(archive.read(name)).hexdigest()
@@ -117,17 +118,24 @@ def _contents(wheel: Path) -> tuple[dict[str, str], dict[str, str]]:
         [points] = [name for name in names if name.endswith(".dist-info/entry_points.txt")]
         parser = configparser.ConfigParser()
         parser.read_string(archive.read(points).decode())
-    return digests, dict(parser["console_scripts"])
+        [metadata] = [name for name in names if name.endswith(".dist-info/METADATA")]
+        [version] = [line for line in archive.read(metadata).decode().splitlines()
+                     if line.startswith("Version:")]
+    return digests, dict(parser["console_scripts"]), version
 
 
 def differences(wheel: Path, other: Path) -> list[str]:
-    """One line per package file or console script in which the wheels differ."""
-    (files, scripts), (other_files, other_scripts) = _contents(wheel), _contents(other)
+    """One line per package file, console script or version in which the
+    wheels differ."""
+    (files, scripts, version), (other_files, other_scripts, other_version) = (
+        _contents(wheel), _contents(other))
     lines = [f"{name}: {files.get(name, 'absent')} against {other_files.get(name, 'absent')}"
              for name in sorted({*files, *other_files})
              if files.get(name) != other_files.get(name)]
     if scripts != other_scripts:
         lines.append(f"console scripts: {scripts} against {other_scripts}")
+    if version != other_version:
+        lines.append(f"{version} against {other_version}")
     return lines
 
 

@@ -61,11 +61,13 @@ MUTANTS = {
     "solutions_overflow_status_ne": (
         "range_solver", "RangeChain.solutions",
         "elif root == inf:", "elif root != inf:", SOLVER),
-    # the lossless arrangement of an overflowing R_free^4 where there is
-    # absorption, and the quotient of fourth roots where there is none
-    "solutions_overflow_arrangements_swapped": (
+    # R_free from the quotient of fourth roots where R_free^4 overflows,
+    # with the photons to the 1/2 in place of the 1/4
+    "solutions_overflow_root_squares_photons": (
         "range_solver", "RangeChain.solutions",
-        "elif half_a > 0.0:", "elif half_a <= 0.0:", SOLVER),
+        "head_root * photons**0.25 / under_root", "head_root * photons**0.5 / under_root",
+        ("tests/test_range_solver.py::"
+         "test_a_faint_absorption_takes_r_free_as_the_lossless_chain_does",)),
     "solutions_attenuates_only_finite_roots": (
         "range_solver", "RangeChain.solutions",
         "if half_a > 0.0 and root != inf:", "if half_a > 0.0 and root == inf:", SOLVER),
@@ -79,6 +81,10 @@ MUTANTS = {
     "read_misses_decode_error": (
         "errors", "_read_file",
         "except (OSError, UnicodeDecodeError)", "except (OSError, EOFError)", FILES),
+    "read_keeps_the_byte_order_mark": (
+        "errors", "_read_file", '"utf-8-sig"', '"utf-8"',
+        ("tests/test_config.py::"
+         "test_a_config_and_a_table_with_a_byte_order_mark_load_as_without_one",)),
     "read_drops_the_path_prefix": (
         "errors", "_read_file",
         "except errors as exc:", "except OSError as exc:", FILES),
@@ -277,7 +283,8 @@ MUTANTS = {
     # range names an outcome both modes share "the same"
     "range_names_every_shared_outcome_in_full": (
         "cli", "_cmd_range",
-        "if outcome == str(exc):", "if outcome != str(exc):", ("tests/test_cli.py",)),
+        "elif str(outcome) == str(exc):", "elif str(outcome) != str(exc):",
+        ("tests/test_cli.py",)),
     # the oracle cutoff's tail must fall below the tolerance, not reach it
     "smallest_cutoff_accepts_the_tolerance": (
         "quantum_states", "_smallest_cutoff",

@@ -245,11 +245,40 @@ def test_range_zero_photons_exits_2(capsys):
     assert out == ""
 
 
-def test_range_with_overflowing_chain_exits_2(capsys):
-    code, out, err = run_cli(capsys, "range", "--ns", "1e300", "--freq", "1e12")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: n_s = 1e+300 overflows the range chain: ")
+# R_free itself is no float at N_s 8e307: N_B is subnormal, SNR_min 1e-300,
+# and head = sigma * G * A * M ~3.5e307
+R_FREE_BEYOND_FLOATS = ({"sigma_m2": 1e278, "bandwidth_hz": 1e22, "noise_power_dbm": -3190,
+                         "snr_min_db": -3000, "frequencies_hz": [1e12]}, 8e307)
+
+
+def test_range_with_overflowing_chain_exits_2(tmp_path, capsys):
+    fields, n_s = R_FREE_BEYOND_FLOATS
+    config = tmp_path / "beyond.json"
+    config.write_text(json.dumps(fields), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(config),
+                             "range", "--ns", repr(n_s), "--freq", "1e12")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n_s = 8e+307 overflows the range chain: R_free = ")
+    assert err.endswith(" (ci; qi: the same)\n")
+
+
+@pytest.mark.parametrize("table", [None, "0", "1e-300"], ids=["lossless", "gamma_0", "faint"])
+def test_range_where_r_free_4_overflows_prints_r_free(tmp_path, capsys, table):
+    # head * N_s / (denominator * SNR_min) overflows at N_s 1e300, R_free
+    # does not; absorption or none, the point takes R_free the same way
+    argv = ["range", "--ns", "1e300", "--freq", "1e12"]
+    if table is not None:
+        csv = tmp_path / "table.csv"
+        csv.write_text(f"frequency_ghz,gamma_db_per_km\n1,{table}\n2000,{table}\n",
+                       encoding="utf-8")
+        config = tmp_path / "table.json"
+        config.write_text(json.dumps({"attenuation_table_path": str(csv)}), encoding="utf-8")
+        argv = ["--config", str(config), *argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    for mode in ("ci", "qi"):
+        assert f"{mode}: r_max = 4.33511e+77 m  (residual " in out
+    assert out.count("F = 1, eta = 6.25873e-306\n") == 2
 
 
 @pytest.mark.parametrize("argv, f_hz", [
@@ -631,17 +660,23 @@ SUBNORMAL_N_B = {"noise_power_dbm": -3150, "bandwidth_hz": 1e15, "frequencies_hz
 
 
 def test_range_and_sweep_where_n_b_is_subnormal_follow_the_kernel_status(tmp_path, capsys):
+    # head / denominator overflows with a subnormal N_B, R_free does not
     config = tmp_path / "subnormal_n_b.json"
     config.write_text(json.dumps(SUBNORMAL_N_B), encoding="utf-8")
     code, out, err = run_cli(capsys, "--config", str(config),
                              "range", "--ns", "1", "--freq", "1e12")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: n_s = 1.0 overflows the range chain")
+    assert (code, err) == (0, "")
+    chain = range_chain(load_config(config), 1e12)
+    for mode, printed in [(Illumination.CI, "6.18729e+82"), (Illumination.QI, "7.35797e+82")]:
+        root = chain.solve(1.0, mode)
+        assert f"{root:.6g}" == printed
+        assert f"{mode.value}: r_max = {printed} m" in out
+        assert ulps(root, reference_root(chain, 1.0, mode)) <= 4.0
     output = tmp_path / "f3.csv"
     assert run_cli(capsys, "--config", str(config), "sweep", "--figure", "3",
                    "--points", "2", "--output", str(output))[0] == 0
     statuses = {line.rsplit(",", 1)[1] for line in output.read_text().splitlines()[1:]}
-    assert statuses == {"overflow"}
+    assert statuses == {"ok"}
 
 
 def test_range_where_n_b_is_subnormal_solves_through_the_table(tmp_path, capsys):
@@ -661,7 +696,7 @@ def test_range_where_n_b_is_subnormal_solves_through_the_table(tmp_path, capsys)
 
 def test_range_where_n_b_is_subnormal_prints_a_subnormal_eta(tmp_path, capsys):
     # head / denominator overflows with a subnormal N_B, but N_B cancels in
-    # eta = head * F^2 / ((4*pi)^k * R^4 * M), here SNR_min * N_B / M at the
+    # eta = head * F^2 / ((4*pi)^2 * R^4 * M), here SNR_min * N_B / M at the
     # root, a subnormal
     fields = {**SUBNORMAL_N_B, "tau_s": 1e-6, "attenuation_table_path": BUNDLED_CSV}
     config = tmp_path / "subnormal_eta.json"
@@ -705,30 +740,27 @@ def test_range_where_the_root_passes_1e77_m(tmp_path, capsys):
 def test_range_where_the_quantum_threshold_underflows(tmp_path, capsys, snr_min_db):
     # the textbook threshold SNR_min / (1 + 1/N_s) underflows to 0 at N_s
     # 1e-30, but the chain is solved at N_s + 1 photons against SNR_min: the
-    # range is the finite N_s -> 0 limit, or, where R_free^4 overflows, an
-    # error naming n_s
+    # range is the finite N_s -> 0 limit, where R_free^4 overflows too at
+    # SNR_min 1e-300; eta = SNR_min * N_B / (M * (N_s + 1)) at the root
+    r_max, eta = {-2950: ("4.33511e+76", "6.25873e-302"),
+                  -3000: ("7.70904e+77", "6.25873e-307")}[snr_min_db]
     config = tmp_path / "snr.json"
     config.write_text(json.dumps({"snr_min_db": snr_min_db}), encoding="utf-8")
     code, out, err = run_cli(capsys, "--config", str(config),
                              "range", "--ns", "1e-30", "--freq", "1e12", "--mode", "qi")
-    if snr_min_db == -2950:
-        assert (code, err) == (0, "")
-        residual = re.search(r"qi: r_max = 4\.33511e\+76 m  \(residual (\S+) dB\)\n", out)
-        assert float(residual.group(1)) < 1e-12
-        # eta = SNR_min * N_B / (M * (N_s + 1)) at the root
-        assert "eta = 6.25873e-302" in out
-        return
-    assert (code, out) == (2, "")
-    assert err.startswith("error: n_s = 1e-30 overflows the range chain")
+    assert (code, err) == (0, "")
+    residual = re.search(rf"qi: r_max = {re.escape(r_max)} m  \(residual (\S+) dB\)\n", out)
+    assert float(residual.group(1)) < 1e-12
+    assert f"eta = {eta}\n" in out
     output = tmp_path / "f3.csv"
     code, _, _ = run_cli(capsys, "--config", str(config), "sweep", "--figure", "3",
                          "--ns-min", "1e-30", "--ns-max", "1e-29", "--points", "2",
                          "--output", str(output))
     assert code == 0
     rows = [line.split(",") for line in output.read_text(encoding="utf-8").splitlines()[1:]]
-    assert [row[3:] for row in rows if row[1:3] == ["1000000000000.0", "qi"]] == [
-        ["inf", "overflow"], ["inf", "overflow"],
-    ]
+    terahertz = [row[3:] for row in rows if row[1:3] == ["1000000000000.0", "qi"]]
+    assert [f"{float(root):.6g}" for root, _ in terahertz] == [r_max, r_max]
+    assert [status for _, status in terahertz] == ["ok", "ok"]
 
 
 @pytest.mark.parametrize("n_s", ["5e-324", "1.5e-323", "1e-310"])
@@ -1626,66 +1658,76 @@ def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, caps
     # table (1 GHz - 1 THz), N_s log-uniform in [5e-324, 1e300], both modes.
     # Every third draw takes a frequency in the table span and puts N_s at
     # the near-field boundary instead, and every third N_s in [1e290, 1e300],
-    # where the lossless R_free^4 can overflow.
+    # where R_free^4 can overflow.  A last draw puts R_free itself beyond
+    # the float range.
     rng = random.Random(20261019)
     path = tmp_path / "scenario.json"
     seen = dict.fromkeys(["one_mode_fails", *EXIT_CODE_OF_STATUS], 0)
-    for draw in range(150):
-        at_boundary = draw % 3 == 0
-        log_n_s_min = 290.0 if draw % 3 == 1 else math.log10(5e-324)
-        log_f = rng.uniform(9.0, 12.0) if at_boundary else rng.uniform(8.7, 12.3)
-        fields = {
-            "sigma_m2": 10.0 ** rng.uniform(-4.0, 4.0),
-            "aperture_m2": 10.0 ** rng.uniform(-3.0, 1.0),
-            "snr_min_db": rng.uniform(-10.0, 40.0),
-            "noise_power_dbm": rng.uniform(-120.0, -30.0),
-            "frequencies_hz": [10.0 ** log_f],
-            "attenuation_table_path": rng.choice([None, BUNDLED_CSV]),
-        }
+
+    def draws():
+        for draw in range(150):
+            at_boundary = draw % 3 == 0
+            log_n_s_min = 290.0 if draw % 3 == 1 else math.log10(5e-324)
+            log_f = rng.uniform(9.0, 12.0) if at_boundary else rng.uniform(8.7, 12.3)
+            fields = {
+                "sigma_m2": 10.0 ** rng.uniform(-4.0, 4.0),
+                "aperture_m2": 10.0 ** rng.uniform(-3.0, 1.0),
+                "snr_min_db": rng.uniform(-10.0, 40.0),
+                "noise_power_dbm": rng.uniform(-120.0, -30.0),
+                "frequencies_hz": [10.0 ** log_f],
+                "attenuation_table_path": rng.choice([None, BUNDLED_CSV]),
+            }
+            path.write_text(json.dumps(fields), encoding="utf-8")
+            config = load_config(path)
+            for mode in Illumination:
+                n_s = max(10.0 ** rng.uniform(log_n_s_min, 300.0), 5e-324)
+                if at_boundary:
+                    n_s = near_field_boundary(config, mode, rng) or n_s
+                yield fields, config, mode, n_s
+        fields, n_s = R_FREE_BEYOND_FLOATS
         path.write_text(json.dumps(fields), encoding="utf-8")
-        config = load_config(path)
-        [f_hz] = config.frequencies_hz
         for mode in Illumination:
-            n_s = max(10.0 ** rng.uniform(log_n_s_min, 300.0), 5e-324)
-            if at_boundary:
-                n_s = near_field_boundary(config, mode, rng) or n_s
-            columns = {m: column for _, m, column in sweep_range(config, [n_s])}
-            column = columns[mode]
-            [root], [status] = column
-            seen[status] += 1
-            code, out, _ = run_cli(capsys, "--config", str(path), "range", "--ns", repr(n_s),
-                                   "--freq", repr(f_hz), "--mode", mode.value)
-            case = f"{fields} at N_s = {n_s!r}, {mode.value}: {status}"
-            assert code == EXIT_CODE_OF_STATUS[status], case
-            if code:
-                assert out == "", case
-            # without --mode, the first mode that fails decides the exit, and
-            # the message names it and ends in the other mode's outcome
-            both_code, both_out, both_err = run_cli(
-                capsys, "--config", str(path), "range", "--ns", repr(n_s), "--freq", repr(f_hz))
-            failing = [m for m in Illumination if columns[m][1] != ["ok"]]
-            if not failing:
-                assert both_code == 0, case
-            else:
-                first = failing[0]
-                assert both_code == EXIT_CODE_OF_STATUS[columns[first][1][0]], case
-                assert both_out == "", case
-                if status != "out_of_span":
-                    [other] = [m for m in Illumination if m is not first]
-                    [other_root], [other_status] = columns[other]
-                    suffix = (f"; {other.value}: r_max = {other_root:.6g} m)\n"
-                              if other_status == "ok" else f"; {other.value}: ")
-                    seen["one_mode_fails"] += other_status == "ok"
-                    assert f" ({first.value}{suffix}" in both_err, case
-            if status == "out_of_span":
-                continue
-            chain = range_chain(config, f_hz)
-            if mode is Illumination.QI:
-                assert column == chain.solutions([n_s + 1.0], Illumination.CI), case
-            if status == "ok":
-                assert chain.solve(n_s, mode) == root, case
-                assert ulps(root, reference_root(chain, n_s, mode)) <= 4.0, case
-                assert f"{mode.value}: r_max = {root:.6g} m" in out, case
+            yield fields, load_config(path), mode, n_s
+
+    for fields, config, mode, n_s in draws():
+        [f_hz] = config.frequencies_hz
+        columns = {m: column for _, m, column in sweep_range(config, [n_s])}
+        column = columns[mode]
+        [root], [status] = column
+        seen[status] += 1
+        code, out, _ = run_cli(capsys, "--config", str(path), "range", "--ns", repr(n_s),
+                               "--freq", repr(f_hz), "--mode", mode.value)
+        case = f"{fields} at N_s = {n_s!r}, {mode.value}: {status}"
+        assert code == EXIT_CODE_OF_STATUS[status], case
+        if code:
+            assert out == "", case
+        # without --mode, the first mode that fails decides the exit, and
+        # the message names it and ends in the other mode's outcome
+        both_code, both_out, both_err = run_cli(
+            capsys, "--config", str(path), "range", "--ns", repr(n_s), "--freq", repr(f_hz))
+        failing = [m for m in Illumination if columns[m][1] != ["ok"]]
+        if not failing:
+            assert both_code == 0, case
+        else:
+            first = failing[0]
+            assert both_code == EXIT_CODE_OF_STATUS[columns[first][1][0]], case
+            assert both_out == "", case
+            if status != "out_of_span":
+                [other] = [m for m in Illumination if m is not first]
+                [other_root], [other_status] = columns[other]
+                suffix = (f"; {other.value}: r_max = {other_root:.6g} m)\n"
+                          if other_status == "ok" else f"; {other.value}: ")
+                seen["one_mode_fails"] += other_status == "ok"
+                assert f" ({first.value}{suffix}" in both_err, case
+        if status == "out_of_span":
+            continue
+        chain = range_chain(config, f_hz)
+        if mode is Illumination.QI:
+            assert column == chain.solutions([n_s + 1.0], Illumination.CI), case
+        if status == "ok":
+            assert chain.solve(n_s, mode) == root, case
+            assert ulps(root, reference_root(chain, n_s, mode)) <= 4.0, case
+            assert f"{mode.value}: r_max = {root:.6g} m" in out, case
     assert all(seen.values()), seen
 
 
@@ -1695,29 +1737,36 @@ def test_range_exit_code_follows_the_sweep_status_at_float_edges(tmp_path, capsy
     # or through a two-knot table with gamma log-uniform in [1e-300, 1e2]
     # dB/km, N_s log-uniform in [5e-324, 1e300], both modes.  range exits
     # as the status sweep writes for the point says, or both exit 2 with
-    # empty stdout; neither raises.
+    # empty stdout; neither raises.  A last draw puts R_free itself beyond
+    # the float range.
     rng = random.Random(20261020)
     table = tmp_path / "table.csv"
     path = tmp_path / "scenario.json"
     output = tmp_path / "f3.csv"
     seen = dict.fromkeys(["refused", *EXIT_CODE_OF_STATUS], 0)
-    for draw in range(60):
-        log_f_max = 154.1 if draw % 2 else 300.0
-        fields = {
-            "sigma_m2": 10.0 ** rng.uniform(-4.0, 4.0),
-            "aperture_m2": 10.0 ** rng.uniform(-3.0, 1.0),
-            "snr_min_db": rng.uniform(-10.0, 40.0),
-            "noise_power_dbm": rng.uniform(-120.0, -30.0),
-            "frequencies_hz": [10.0 ** rng.uniform(150.0, log_f_max)],
-        }
-        if draw % 3:
-            gammas = [10.0 ** rng.uniform(-300.0, 2.0) for _ in range(2)]
-            table.write_text("frequency_ghz,gamma_db_per_km\n"
-                             f"1e140,{gammas[0]!r}\n1e292,{gammas[1]!r}\n", encoding="utf-8")
-            fields["attenuation_table_path"] = str(table)
+
+    def draws():
+        for draw in range(60):
+            log_f_max = 154.1 if draw % 2 else 300.0
+            fields = {
+                "sigma_m2": 10.0 ** rng.uniform(-4.0, 4.0),
+                "aperture_m2": 10.0 ** rng.uniform(-3.0, 1.0),
+                "snr_min_db": rng.uniform(-10.0, 40.0),
+                "noise_power_dbm": rng.uniform(-120.0, -30.0),
+                "frequencies_hz": [10.0 ** rng.uniform(150.0, log_f_max)],
+            }
+            if draw % 3:
+                gammas = [10.0 ** rng.uniform(-300.0, 2.0) for _ in range(2)]
+                table.write_text("frequency_ghz,gamma_db_per_km\n"
+                                 f"1e140,{gammas[0]!r}\n1e292,{gammas[1]!r}\n",
+                                 encoding="utf-8")
+                fields["attenuation_table_path"] = str(table)
+            yield fields, max(10.0 ** rng.uniform(math.log10(5e-324), 300.0), 5e-324)
+        yield R_FREE_BEYOND_FLOATS
+
+    for fields, n_s in draws():
         path.write_text(json.dumps(fields), encoding="utf-8")
         [f_hz] = fields["frequencies_hz"]
-        n_s = max(10.0 ** rng.uniform(math.log10(5e-324), 300.0), 5e-324)
         output.unlink(missing_ok=True)
         sweep_code, sweep_out, _ = run_cli(
             capsys, "--config", str(path), "sweep", "--figure", "3", "--ns-min", repr(n_s),

@@ -11,7 +11,7 @@ import pytest
 from bench_scenario import sweep_attenuated_config
 from reference_chain import threshold
 
-from qi_rangekit.atmosphere import AttenuationTable, serialize_table
+from qi_rangekit.atmosphere import AttenuationTable, load_table, serialize_table
 from qi_rangekit.cli import main
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config, parse_config
 from qi_rangekit.constants import TEXTBOOK
@@ -330,6 +330,19 @@ def test_a_config_file_error_names_the_file(tmp_path, text, message):
         with pytest.raises(ConfigError) as info:
             load_config(given)
         assert str(info.value) == f"config {path}: {message}"
+
+
+def test_a_config_and_a_table_with_a_byte_order_mark_load_as_without_one(tmp_path):
+    table = "frequency_ghz,gamma_db_per_km\n1,0.5\n60,15\n2000,0.5\n"
+    for name, mark in (("plain", ""), ("marked", "\ufeff")):
+        (tmp_path / f"{name}.csv").write_text(mark + table, encoding="utf-8")
+        (tmp_path / f"{name}.json").write_text(mark + json.dumps(
+            {"sigma_m2": 2.0, "attenuation_table_path": str(tmp_path / "table.csv")}),
+            encoding="utf-8")
+    assert (tmp_path / "marked.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_table(tmp_path / "marked.csv").rows == load_table(tmp_path / "plain.csv").rows
+    (tmp_path / "table.csv").write_text(table, encoding="utf-8")
+    assert load_config(tmp_path / "marked.json") == load_config(tmp_path / "plain.json")
 
 
 def test_missing_file_rejected(tmp_path):

@@ -14,9 +14,10 @@ import pytest
 
 import local_wheel
 
-# CI's installed-package commands, each run in a fresh directory after the
-# ones before it: the version, a lookup in the bundled table, a 5-point
-# figure-1 sweep, and a dumped config reloaded by range
+# the installed-package commands, which CI runs only here, through pip's
+# wrapper on every Python, each in a fresh directory after the ones before
+# it: the version, a lookup in the bundled table, a 5-point figure-1 sweep,
+# and a dumped config reloaded by range
 COMMANDS = (("--version",), ("atten", "--freq", "60e9"),
             ("sweep", "--figure", "1", "--points", "5", "--output", "f1.csv"),
             ("--dump-config", "cfg.json"),
@@ -166,17 +167,21 @@ def test_the_comparison_names_each_file_and_script_that_differs(tmp_path, capsys
                 data += b"\n"
             elif name.endswith("entry_points.txt"):
                 data = data.replace(b"entrypoint", b"main")
+            elif name.endswith("METADATA"):
+                data = data.replace(f"\nVersion: {local_wheel.version()}\n".encode(),
+                                    b"\nVersion: 0.0.0\n")
             if name != "qi_rangekit/link_budget.py":
                 target.writestr(name, data)
         target.writestr("qi_rangekit/extra.py", b"")
     lines = local_wheel.differences(wheel, other)
     assert [line.split(":")[0] for line in lines] == [
         "qi_rangekit/cli.py", "qi_rangekit/extra.py", "qi_rangekit/link_budget.py",
-        "console scripts"]
+        "console scripts", "Version"]
     assert lines[1].startswith("qi_rangekit/extra.py: absent against ")
     assert lines[2].endswith(" against absent")
+    assert lines[4] == f"Version: {local_wheel.version()} against Version: 0.0.0"
     (tmp_path / "out").mkdir()
     assert local_wheel.main([str(tmp_path / "out"), str(other)]) == 1
-    assert capsys.readouterr().out.endswith(f"4 differences from {other}\n")
+    assert capsys.readouterr().out.endswith(f"5 differences from {other}\n")
     assert local_wheel.main([str(tmp_path / "out"), str(wheel)]) == 0
     assert local_wheel.main([]) == 2

@@ -1,6 +1,7 @@
 """Closed-form and implicit maximum-range solutions."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from operator import gt
 from typing import NamedTuple
@@ -532,22 +533,39 @@ def test_solutions_equal_one_point_solves(config, table_path, mode):
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
 @pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
 def test_overflowing_chain_names_n_s(table_path, mode):
-    # head * N_s / (denominator * threshold) overflows.  The lossless R_free^4
-    # is then no float, so there is no range; the attenuated root
-    # 2 W0(a R_free / 2) / a is one, taken with W0 from ln x.
+    # head * N_s / (denominator * threshold) overflows at N_s 1e300, but
+    # R_free, a quotient of fourth roots, is a float, and so is the
+    # attenuated root 2 W0(a R_free / 2) / a, taken with W0 from ln x.  Only
+    # where R_free itself is no float (subnormal N_B, SNR_min 1e-300, head
+    # near the float max) is there no range, and solve names N_s.
     chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), 1e12)
-    if table_path is None:
-        with pytest.raises(DomainError, match=r"n_s = 1e\+300 overflows the range chain"):
-            chain.solve(1e300, mode)
-    else:
-        below, beyond = chain.solve(1e290, mode), chain.solve(1e300, mode)
-        assert chain.solutions([1e300], mode)[1] == ["ok"]
-        # R^4 exp(2aR) is proportional to N_s / threshold, and the threshold
-        # is SNR_min at both points to within 1e-290
-        a = chain.gamma_db_per_km * range_solver._A_PER_GAMMA
-        growth = 4.0 * math.log(beyond / below) + 2.0 * a * (beyond - below)
-        assert growth == pytest.approx(math.log(1e10), rel=1e-9)
-    assert math.isfinite(chain.solve(1e290, mode))
+    below, beyond = chain.solve(1e290, mode), chain.solve(1e300, mode)
+    assert chain.solutions([1e300], mode)[1] == ["ok"]
+    assert ulps(beyond, reference_root(chain, 1e300, mode)) <= 4.0
+    # R^4 exp(2aR) is proportional to N_s / threshold, and the threshold
+    # is SNR_min at both points to within 1e-290
+    a = chain.gamma_db_per_km * range_solver._A_PER_GAMMA
+    growth = 4.0 * math.log(beyond / below) + 2.0 * a * (beyond - below)
+    assert growth == pytest.approx(math.log(1e10), rel=1e-9)
+    no_float = chain.replace(n_b=1.5e-323, snr_min=1e-300, sigma_gain_area=1e298)
+    with pytest.raises(DomainError, match=r"n_s = 1e\+308 overflows the range chain: R_free"):
+        no_float.solve(1e308, mode)
+    assert no_float.solutions([1e308], mode) == ([math.inf], ["overflow"])
+
+
+@pytest.mark.parametrize("n_s", [1e300, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
+def test_a_faint_absorption_takes_r_free_as_the_lossless_chain_does(n_s, mode):
+    # R_free^4 overflows at each N_s; with gamma 1e-300 dB/km, a R_free / 2
+    # is ~1e-222, so the attenuated root is R_free to within 1e-222
+    lossless = range_chain(BENCHMARK, 1e12)
+    faint = lossless.replace(gamma_db_per_km=1e-300)
+    [lossless_root], [lossless_status] = lossless.solutions([n_s], mode)
+    [faint_root], [faint_status] = faint.solutions([n_s], mode)
+    assert (lossless_status, faint_status) == ("ok", "ok")
+    assert ulps(faint_root, Decimal(lossless_root)) <= 4.0
+    assert ulps(lossless_root, reference_root(lossless, n_s, mode)) <= 4.0
+    assert ulps(faint_root, reference_root(faint, n_s, mode)) <= 4.0
 
 
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
@@ -568,16 +586,13 @@ def test_quantum_threshold_underflow_solves_the_same_ratio(table_path):
     [tiniest], [status] = underflowing.solutions([1e-310], Illumination.QI)
     assert status == "ok"
     assert tiniest == pytest.approx(root, rel=1e-14)
-    # at SNR_min 1e-300 the lossless R_free^4 overflows: no range, named
+    # at SNR_min 1e-300 R_free^4 overflows, but R_free is a float, with or
+    # without absorption
     deeper = chain.replace(snr_min=1e-300)
-    r_max_m, status = deeper.solutions([1e-30], Illumination.QI)
-    if table_path is None:
-        with pytest.raises(DomainError, match=r"n_s = 1e-30 overflows the range chain"):
-            deeper.solve(1e-30, Illumination.QI)
-        assert (r_max_m, status) == ([math.inf], ["overflow"])
-    else:
-        assert status == ["ok"]
-        assert math.isfinite(deeper.solve(1e-30, Illumination.QI))
+    [deepest], [status] = deeper.solutions([1e-30], Illumination.QI)
+    assert status == "ok"
+    assert deeper.solve(1e-30, Illumination.QI) == deepest
+    assert ulps(deepest, reference_root(deeper, 1e-30, Illumination.QI)) <= 4.0
 
 
 def test_sweep_range_marks_failures_as_absent():

@@ -90,7 +90,7 @@ def test_replace_runs_the_checks_again():
         CHAIN.replace(sigma_gain_area=float("inf"))
     with pytest.raises(DomainError, match=r"head \(sigma_m2 \* G \* aperture_m2 \* M\)"):
         CHAIN.replace(sigma_gain_area=1e300, pulse_count=10**9)
-    with pytest.raises(DomainError, match=r"denominator \(\(4\*pi\)\^k \* N_B\)"):
+    with pytest.raises(DomainError, match=r"denominator \(\(4\*pi\)\^2 \* N_B\)"):
         CHAIN.replace(n_b=1e308)
     with pytest.raises(DomainError, match="snr_min"):
         CHAIN.replace(snr_min=float("nan"))
