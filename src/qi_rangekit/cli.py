@@ -157,7 +157,7 @@ def _cmd_range(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
                 outcome = "the same"
             raise type(exc)(f"{exc} ({mode.value}; {other.value}: {outcome})") from exc
     for mode, r_max in outcomes.items():
-        f_form, eta, residual = chain.link_at(r_max, args.ns, mode)
+        f_form, eta, residual = chain.link_at(r_max, mode.photons(args.ns))
         yield f"{mode.value}: r_max = {r_max:.6g} m  (residual {residual:.3e} dB)"
         yield (f"    gamma = {chain.gamma_db_per_km:.6g} dB/km, "
                f"F = {f_form:.6g}, eta = {eta:.6g}")

@@ -6,9 +6,9 @@ With no atmospheric loss the range equation closes in a fourth root,
 
 and the quantum transmitter extends it by (1 + 1/N_s)^(1/4).  As
 N_s * (1 + 1/N_s) = N_s + 1, the quantum range at N_s is the classical range
-at N_s + 1: each transmitter adds its extra photons
-(:attr:`Illumination.extra_photons`, 0 for CI and 1 for QI) to N_s, and the
-chain is solved at photons = N_s + extra against SNR_min itself.  With
+at N_s + 1: the chain sees a transmitter only through its photons
+(:meth:`Illumination.photons`, N_s for CI and N_s + 1 for QI), and is solved
+at those photons against SNR_min itself.  With
 absorption the round-trip form factor is F(R)^2 = exp(-2aR),
 a = gamma * ln(10) / 10^4 (gamma in dB/km, R in m), and the threshold
 crossing solves R^4 * exp(2aR) = R_free^4.  That equation has a closed form
@@ -27,14 +27,17 @@ fourth power sometimes seen in print is one
 
 The range chain of a scenario at one frequency is one object,
 :class:`RangeChain`, built by :func:`range_chain`.  Its solve kernel,
-:meth:`RangeChain.solutions`, solves one column: one mode across a grid of
-N_s values, in one loop that fills and returns two plain lists, the roots
-and the statuses (no object per point), with the chain's fields, their
-fourth roots and the mode test read once per column.  ``range`` solves a
-one-point column through :meth:`RangeChain.solve`; :func:`sweep_range`
-builds one chain per configured frequency when called and solves its
-columns lazily, one per (frequency, mode), so a sweep row and the one-point
-solution are the same computation.
+:meth:`RangeChain.solutions`, solves one column of effective photons, in one
+loop that fills and returns two plain lists, the roots and the statuses (no
+object per point), with the chain's fields and their fourth roots read once
+per column.  The kernel knows no mode: any detector whose SNR is linear in
+eta enters as a column of its effective photons, on a chain whose threshold
+is its own (``chain.replace(snr_min=...)``).  ``range`` solves a one-point
+column through :meth:`RangeChain.solve`, the one method that takes a mode;
+:func:`sweep_range` builds each mode's photons column once and one chain per
+configured frequency when called, and solves its columns lazily, one per
+(frequency, mode), so a sweep row and the one-point solution are the same
+computation.
 
 Where R_free^4 = head * photons / (denominator * SNR_min) overflows, the
 kernel takes R_free, with or without absorption, as a quotient of fourth
@@ -51,13 +54,14 @@ The kernel computes the root and one status per point, and nothing else:
   threshold at near-zero range" is "root below near-zero range", so this is
   read off the root;
 * ``near_field`` -- a root where eta > 1.  At the root eta * M * photons /
-  N_B is SNR_min, so that is SNR_min * N_B > M * photons, with no range
-  evaluation;
+  N_B is SNR_min, so that is SNR_min * N_B > M * photons (the required
+  eta* = SNR_min * N_B / (M * photons) exceeds 1), with no range evaluation;
 * ``overflow`` -- the root is inf: R_free itself is beyond the float range.
 
 :func:`sweep_range` adds ``out_of_span`` for a frequency outside the table
 span.  The status is the one near-field decision: :meth:`RangeChain.solve`
-refuses a ``near_field`` point, and :meth:`RangeChain.link_at` only
+refuses each status but ``ok`` from one table, ``_REFUSALS`` (a
+``near_field`` point among them), and :meth:`RangeChain.link_at` only
 evaluates F, eta and the closure residual at a range from the same chain,
 denominator included.  The closure of the forward chain at the root is
 checked once, in the tests, against a high-precision reference root.
@@ -106,18 +110,31 @@ _HALLEY_MAX_STEPS = 16
 # overflows for x above ~1e305.  Above it W0 comes from ln x.
 _X_HALLEY_MAX = 1e217
 
+# The refusal of each status but ok: RangeChain.solve raises the class with
+# the message formatted from n_s, the root and eta* at the point.
+_REFUSALS = {
+    "no_detection": (NoDetectionError, f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below "
+                     "threshold; no detection range exists"),
+    "near_field": (UnphysicalGeometryError, "computed transmissivity {eta!r} > 1 at range "
+                   "{root!r} m; the far-field model does not apply this close to the antenna"),
+    "overflow": (DomainError, "n_s = {n_s!r} overflows the range chain: R_free = (head * "
+                 "photons / ((4*pi)^2 * N_B * SNR_min))^(1/4), photons N_s (CI) or N_s + 1 "
+                 "(QI), exceeds the float range"),
+}
+
 
 class Illumination(enum.Enum):
-    """Transmitter choice: classical (coherent pair) or quantum (entangled pair)."""
+    """Transmitter choice: classical (coherent pair) or quantum (entangled
+    pair).  The range equation sees it only through :meth:`photons`."""
 
     CI = "ci"
     QI = "qi"
 
-    @property
-    def extra_photons(self) -> float:
-        """Photons the transmitter adds to N_s in the range equation: 0 for
-        CI, 1 for QI, whose (1 + 1/N_s) gain makes N_s act as N_s + 1."""
-        return 1.0 if self is Illumination.QI else 0.0
+    def photons(self, n_s: float) -> float:
+        """The transmitter's photons in the range equation at ``n_s``: N_s
+        for CI, N_s + 1 for QI, whose (1 + 1/N_s) gain makes N_s act as
+        N_s + 1.  The package's one statement of that rule."""
+        return n_s + 1.0 if self is Illumination.QI else n_s
 
 
 def antenna_gain(
@@ -152,10 +169,10 @@ class RangeChain(Record):
     = (4*pi)^2 * N_B are derived from the fields on every construction, so a
     chain changed by :meth:`~Record.replace` solves as one built fresh.
 
-    Built by :func:`range_chain`; the mode enters only through the
-    photons the solve kernel forms per point, N_s + extra photons (N_s + 1
-    for the quantum transmitter), so one chain serves both modes at every
-    N_s.
+    Built by :func:`range_chain`; the chain knows no mode.  Its kernel
+    takes a column of photons, :meth:`Illumination.photons` of each N_s
+    (N_s + 1 for the quantum transmitter), so one chain serves both modes,
+    and any detector with a column of effective photons, at every N_s.
     """
 
     _fields = ("gamma_db_per_km", "n_b", "sigma_gain_area", "snr_min", "pulse_count")
@@ -175,10 +192,12 @@ class RangeChain(Record):
 
     def solve(self, n_s: float, mode: Illumination) -> float:
         """Maximum range with absorption: the unique R where SNR_eff(R), at
-        N_s + the mode's extra photons, crosses SNR_min.
+        the mode's photons at N_s (:meth:`Illumination.photons`), crosses
+        SNR_min.
 
-        The one-point column of :meth:`solutions`, with N_s checked, and
-        the root only where its status is ``ok``.  Raises
+        The one-point column ``(mode.photons(n_s),)`` of :meth:`solutions`,
+        with N_s checked, and the root only where its status is ``ok``.
+        Every other status raises from ``_REFUSALS``:
         :class:`NoDetectionError` when the target is already below threshold
         at near-zero range, :class:`DomainError` when N_s is so large that
         the chain overflows and no finite range comes out, and
@@ -186,35 +205,23 @@ class RangeChain(Record):
         field, where eta = SNR_min * N_B / (M * photons) exceeds 1.
         """
         n_s = _require_positive("n_s", n_s)
-        [root], [status] = self.solutions((n_s,), mode)
-        if status == "no_detection":
-            raise NoDetectionError(
-                f"SNR_eff at {_NEAR_ZERO_RANGE_M} m is already below threshold; "
-                "no detection range exists"
-            )
-        if status == "overflow":
-            raise DomainError(
-                f"n_s = {n_s!r} overflows the range chain: R_free = (head * photons / "
-                "((4*pi)^2 * N_B * SNR_min))^(1/4), photons N_s (CI) or N_s + 1 (QI), "
-                "exceeds the float range"
-            )
-        if status == "near_field":
-            eta = self.snr_min * self.n_b / (self.pulse_count * (n_s + mode.extra_photons))
-            raise UnphysicalGeometryError(
-                f"computed transmissivity {eta!r} > 1 at range {root!r} m; "
-                "the far-field model does not apply this close to the antenna"
-            )
+        photons = mode.photons(n_s)
+        [root], [status] = self.solutions((photons,))
+        if status != "ok":
+            error, message = _REFUSALS[status]
+            eta = self.snr_min * self.n_b / (self.pulse_count * photons)
+            raise error(message.format(n_s=n_s, root=root, eta=eta))
         return root
 
-    def solutions(
-        self, n_s_grid: Iterable[float], mode: Illumination
-    ) -> tuple[list[float | None], list[str]]:
-        """Solve one column: the maximum range and the status at each N_s of
-        ``n_s_grid`` in ``mode``, as two lists with one entry per N_s,
+    def solutions(self, photons_grid: Iterable[float]) -> tuple[list[float | None], list[str]]:
+        """Solve one column: the maximum range and the status at each value
+        of ``photons_grid``, the effective photons per mode against the
+        chain's ``snr_min``, as two lists with one entry per value,
         ``(r_max_m, status)``.  ``r_max_m`` holds the closed-form root
         (``None`` where none exists) and ``status`` the point's outcome:
         ``"ok"``, ``"no_detection"``, ``"near_field"`` or ``"overflow"``
-        (range inf); see the module docstring.
+        (range inf); see the module docstring.  A mode's column is
+        :meth:`Illumination.photons` of each N_s.
 
         Closed form (2/a) * W0(a * R_free / 2).  With gamma = 0 that is
         R_free itself.  Each grid value takes the package's positive rule,
@@ -228,15 +235,13 @@ class RangeChain(Record):
         # fourth roots that are each a float, for R_free where R_free^4 overflows
         head_root = head**0.25
         under_root = denominator**0.25 * snr_min**0.25
-        extra = mode.extra_photons
         r_max_m: list[float | None] = []
         statuses: list[str] = []
         add_r, add_status = r_max_m.append, statuses.append
         inf, near_zero = math.inf, _NEAR_ZERO_RANGE_M
-        for n_s in n_s_grid:
-            if type(n_s) is not float or not 0.0 < n_s < inf:
-                n_s = _require_positive("grid values", n_s)
-            photons = n_s + extra
+        for photons in photons_grid:
+            if type(photons) is not float or not 0.0 < photons < inf:
+                photons = _require_positive("grid values", photons)
             if (ratio := head * photons / denominator / snr_min) != inf:
                 root = ratio**0.25
             else:
@@ -257,23 +262,24 @@ class RangeChain(Record):
             add_status(status)
         return r_max_m, statuses
 
-    def link_at(self, r_m: float, n_s: float, mode: Illumination) -> tuple[float, float, float]:
-        """``(F, eta, residual_db)`` at range ``r_m`` on the chain :meth:`solve`
-        solves at ``n_s`` in ``mode``: the one-way form factor, the
+    def link_at(self, r_m: float, photons: float) -> tuple[float, float, float]:
+        """``(F, eta, residual_db)`` at range ``r_m`` on the chain
+        :meth:`solutions` solves at ``photons`` (a mode's are
+        :meth:`Illumination.photons` of N_s): the one-way form factor, the
         transmissivity eta = head * F^2 * N_B / (denominator * R^4 * M), which
-        does not depend on N_s, and the closure residual |10 log10(SNR_eff(R)
-        / SNR_min)|, 0 at an exact root.  SNR_eff(R) / SNR_min = head * F^2 *
-        photons / (denominator * R^4 * SNR_min), photons N_s + the mode's
-        extra photons, does not pass through eta, so the residual keeps its
-        digits where eta is subnormal.  Each quotient is formed from mantissas
-        and exponents, so it reads inf or 0 (the residual inf) only where it
-        does so itself.  It only evaluates: eta may exceed 1 at a range in the
-        near field, which :meth:`solve` refuses for a root.
+        does not depend on the photons, and the closure residual
+        |10 log10(SNR_eff(R) / SNR_min)|, 0 at an exact root.  SNR_eff(R) /
+        SNR_min = head * F^2 * photons / (denominator * R^4 * SNR_min) does
+        not pass through eta, so the residual keeps its digits where eta is
+        subnormal.  Each quotient is formed from mantissas and exponents, so
+        it reads inf or 0 (the residual inf) only where it does so itself.
+        It only evaluates: eta may exceed 1 at a range in the near field,
+        which :meth:`solve` refuses for a root.
         """
         from .atmosphere import form_factor
 
         r_m = _require_positive("range", r_m)
-        photons = _require_positive("n_s", n_s) + mode.extra_photons
+        photons = _require_positive("photons", photons)
         f_form = form_factor(self.gamma_db_per_km, r_m)
         head_f2 = (self.head, f_form, f_form)
         denominator_r4 = (self.denominator, r_m, r_m, r_m, r_m)
@@ -363,14 +369,18 @@ def sweep_range(
 
     Yields one ``(frequency_hz, mode, (r_max_m, status))`` per (frequency,
     mode), frequency first, then CI before QI; the pair is the two lists
-    :meth:`RangeChain.solutions` returns over the grid, so each of its
-    points is the one-point solve, and at a frequency outside the table span
-    it holds range ``None`` and status ``"out_of_span"`` at every point.
-    The call validates the grid and builds one chain ``range_chain(config,
-    f, constants)`` per frequency, so an invalid grid or any other unusable
-    frequency raises before any column; the columns are solved lazily.
+    :meth:`RangeChain.solutions` returns over the mode's photons column, so
+    each of its points is the one-point solve, and at a frequency outside
+    the table span it holds range ``None`` and status ``"out_of_span"`` at
+    every point.
+    The call validates the grid, builds each mode's photons column
+    (:meth:`Illumination.photons` of each N_s) once and one chain
+    ``range_chain(config, f, constants)`` per frequency, so an invalid grid
+    or any other unusable frequency raises before any column; the columns
+    are solved lazily.
     """
     grid = _validated_grid(n_s_grid)
+    columns = [(mode, [mode.photons(n_s) for n_s in grid]) for mode in Illumination]
     chains = []
     for f_hz in config.frequencies_hz:
         try:
@@ -378,8 +388,8 @@ def sweep_range(
         except FrequencySpanError:
             chains.append((f_hz, None))
     return (
-        (f_hz, mode, chain.solutions(grid, mode) if chain is not None
+        (f_hz, mode, chain.solutions(photons) if chain is not None
          else ([None] * len(grid), ["out_of_span"] * len(grid)))
-        for f_hz, chain in chains for mode in Illumination
+        for f_hz, chain in chains for mode, photons in columns
     )
 

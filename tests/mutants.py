@@ -5,13 +5,13 @@ Usage, from the checkout root::
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME...      # the named mutants only
 
-Each mutant changes one function of ``src/qi_rangekit``: ``ast`` finds the
-function, the mutant's text must occur exactly once in it, and the changed
-module must differ from the original in exactly one token, or hold the same
-tokens in another order (two draws or two names exchanged), or the text must
-be one call that the mutant replaces by a call of another function on some
-of its arguments (a fold swapped for ``math.fsum``).  Every
-mutant is applied alone to a copy of the package in a temporary directory,
+Each mutant changes one function, class or module-level table of
+``src/qi_rangekit``: ``ast`` finds it, the mutant's text must occur exactly
+once in it, and the changed module must differ from the original in exactly
+one token, or hold the same tokens in another order (two draws or two
+names exchanged), or the text must be one call that the mutant replaces by a
+call of another function on some of its arguments (a fold swapped for
+``math.fsum``).  Every mutant is applied alone to a copy of the package in a temporary directory,
 and the tier-1 tests it names (test files, or pytest node ids such as
 ``tests/test_cli.py::test_name``) run against that copy (``PYTHONPATH``),
 stopping at the first failure.  A mutant is killed when a test fails; the
@@ -72,8 +72,18 @@ MUTANTS = {
         "range_solver", "RangeChain.solutions",
         "if half_a > 0.0 and root != inf:", "if half_a > 0.0 and root == inf:", SOLVER),
     "extra_photons_qi_zero": (
-        "range_solver", "Illumination.extra_photons",
-        "return 1.0 if", "return 0.0 if", SOLVER),
+        "range_solver", "Illumination.photons",
+        "return n_s + 1.0 if", "return n_s + 0.0 if", SOLVER),
+    # sweep_range builds each mode's photons column once; the call swap
+    # passes QI (and CI, whose photons are its N_s) the bare N_s grid
+    "sweep_qi_column_is_the_grid": (
+        "range_solver", "sweep_range",
+        "mode.photons(n_s)", "float(n_s)", SOLVER),
+    # solve refuses each status but ok from one table: near_field raised as
+    # the overflow's error class
+    "near_field_refused_as_domain_error": (
+        "range_solver", "_REFUSALS",
+        '"near_field": (UnphysicalGeometryError,', '"near_field": (DomainError,', SOLVER),
     # the reader's two except branches and the writer's one
     "read_misses_oserror": (
         "errors", "_read_file",
@@ -170,8 +180,8 @@ MUTANTS = {
         "errors._require_positive(", "errors._require_finite(", ("tests/test_records.py",)),
     "solutions_guard_lets_nan_through": (
         "range_solver", "RangeChain.solutions",
-        "if type(n_s) is not float or not 0.0 < n_s < inf:",
-        "if type(n_s) is not float and not 0.0 < n_s < inf:", SOLVER),
+        "if type(photons) is not float or not 0.0 < photons < inf:",
+        "if type(photons) is not float and not 0.0 < photons < inf:", SOLVER),
     "t_eff_forms_k_b_times_b_first": (
         "radiometry", "t_eff_from_noise_power",
         "(constants.k_b, b_hz,)", "(constants.k_b * b_hz,)", ("tests/test_radiometry.py",)),
@@ -186,14 +196,14 @@ MUTANTS = {
     "lambert_w0_stops_on_a_large_step": (
         "range_solver", "_lambert_w0",
         "if abs(step) <= _HALLEY_REL_TOL * w:", "if abs(step) > _HALLEY_REL_TOL * w:", SOLVER),
-    # the two quotients of RangeChain.link_at: eta over M, and the closure
-    # over N_s plus the mode's extra photons
+    # eta of RangeChain.link_at over M, and range's closure at the mode's
+    # photons (the call swap leaves QI at N_s)
     "link_at_eta_over_snr_min": (
         "range_solver", "RangeChain.link_at",
         "(*denominator_r4, self.pulse_count)", "(*denominator_r4, self.snr_min)", SOLVER),
     "link_at_closure_without_extra_photons": (
-        "range_solver", "RangeChain.link_at",
-        "(*head_f2, photons)", "(*head_f2, n_s)", SOLVER),
+        "cli", "_cmd_range",
+        "mode.photons(args.ns)", "float(args.ns)", ("tests/test_cli.py",)),
     # the background's share (1 - eta) of the returned signal diagonal
     "return_states_background_share_plus": (
         "detection_mc", "return_states",
@@ -333,14 +343,23 @@ MUTANTS = {
 #   where x = 0 is below the normal floats, so it returns r_free unchanged.
 
 
+def defined_name(node: ast.stmt) -> str | None:
+    """The name a class, a function or a one-name assignment defines."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        return node.name
+    if isinstance(node, ast.Assign) and [type(t) for t in node.targets] == [ast.Name]:
+        return node.targets[0].id
+    return None
+
+
 def function_lines(source: str, qualname: str) -> tuple[int, int]:
     """The (start, end) character offsets in ``source`` of the lines of the
-    function or property ``qualname`` (``Class.method`` or ``function``)."""
+    function, property or table ``qualname`` (``Class.method``, ``function``
+    or a module-level ``NAME = ...``)."""
     body, node = ast.parse(source).body, None
     for name in qualname.split("."):
-        [node] = [n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
-                  and n.name == name]
-        body = node.body
+        [node] = [n for n in body if defined_name(n) == name]
+        body = getattr(node, "body", [])
     lines = source.splitlines(keepends=True)
     return sum(map(len, lines[:node.lineno - 1])), sum(map(len, lines[:node.end_lineno]))
 

@@ -1,9 +1,11 @@
 """Reference (4*pi)^2 link-budget chain for the tests.
 
-The package solves the range from one chain, SNR_eff(R) = head * N_s /
+The package solves the range from one chain, SNR_eff(R) = head * photons /
 denominator * F(R)^2 / R^4 (:class:`~qi_rangekit.range_solver.RangeChain`),
 with head = sigma*G*A*M and denominator = (4*pi)^2 * N_B, each derived from
-the chain's fields sigma*G*A, M and N_B.
+the chain's fields sigma*G*A, M and N_B, and a column of effective photons
+per mode, :meth:`~qi_rangekit.range_solver.Illumination.photons` of each N_s
+(N_s for CI, N_s + 1 for QI).
 This module keeps the textbook chain that one is derived from, step by step,
 so a test can close the range equation through formulas the solver does not
 run:
@@ -17,7 +19,8 @@ with the received power P_r = eta * P_t, the noise power P_B = k_B * T * B
 and photons per mode N_s = P / (h * f * B), the inverse of
 :func:`~qi_rangekit.radiometry.transmit_power`.  It also gives a chain's
 mode-adjusted threshold (:func:`threshold`), SNR_min / (1 + 1/N_s) for the
-quantum transmitter: the textbook form of the N_s + 1 the solve kernel uses,
+quantum transmitter: the textbook form of the N_s + 1 photons the solve
+kernel is given for it,
 and a chain's (4*pi)^4 variant (:func:`fourth_power_variant`), the
 convention sometimes seen in print.
 """

@@ -21,7 +21,7 @@ from bench_scenario import BUNDLED_CSV, sweep_attenuated_config
 from reference_root import reference_root, ulps
 
 import qi_rangekit
-from qi_rangekit import atmosphere, cli, radiometry
+from qi_rangekit import atmosphere, cli, radiometry, range_solver
 from qi_rangekit.cli import MAX_SWEEP_POINTS, MAX_TRIALS, _build_parser, main
 from qi_rangekit.config import ScenarioConfig, dump_config, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK
@@ -710,7 +710,7 @@ def test_range_where_n_b_is_subnormal_prints_a_subnormal_eta(tmp_path, capsys):
     assert "eta = 1.50838e-320\n" in out
     chain = range_chain(load_config(config), 1e12)
     root = chain.solve(1.0, Illumination.CI)
-    f_form, eta, _ = chain.link_at(root, 1.0, Illumination.CI)
+    f_form, eta, _ = chain.link_at(root, Illumination.CI.photons(1.0))
     exact = (Fraction(chain.head) * Fraction(f_form) ** 2 * Fraction(chain.n_b)
              / (Fraction(chain.denominator) * Fraction(root) ** 4 * chain.pulse_count))
     assert eta == float(exact)
@@ -1017,9 +1017,9 @@ def test_quantum_column_is_the_classical_column_at_n_s_plus_1(tmp_path, case):
     grid = [5e-324, 1.5e-323, 1e-310, *GOLDEN_GRID]
     for f_hz in scenario.frequencies_hz:
         chain = range_chain(scenario, f_hz, constants)
-        quantum, status = chain.solutions(grid, Illumination.QI)
-        classical, classical_status = chain.solutions([n_s + 1.0 for n_s in grid],
-                                                      Illumination.CI)
+        quantum, status = chain.solutions([Illumination.QI.photons(n_s) for n_s in grid])
+        classical, classical_status = chain.solutions(
+            [Illumination.CI.photons(n_s + 1.0) for n_s in grid])
         assert list(map(repr, quantum)) == list(map(repr, classical))
         assert status == classical_status
 
@@ -1639,12 +1639,32 @@ EXIT_CODE_OF_STATUS = {"ok": 0, "no_detection": 3, "near_field": 2, "overflow": 
                        "out_of_span": 2}
 
 
+def test_readme_status_table_lists_each_status_and_the_exit_main_gives_it(monkeypatch, capsys):
+    # README's table lists ok, the statuses solve refuses from _REFUSALS and
+    # sweep's out_of_span; each refusal's range exit is main's for its class
+    readme = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.partition("\n| status | `r_max_m` | `range` |\n")[2].split("\n\n", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| .* \| (.*) \|$", table, flags=re.MULTILINE))
+    assert list(rows) == ["ok", *range_solver._REFUSALS, "out_of_span"]
+    assert rows["ok"] == "prints it"
+    for status, (error, _) in range_solver._REFUSALS.items():
+        def refuse(chain, n_s, mode, error=error):
+            raise error(status)
+
+        monkeypatch.setattr(range_solver.RangeChain, "solve", refuse)
+        code, _, _ = run_cli(capsys, "range", "--ns", "1", "--freq", "1e12", "--mode", "ci")
+        assert code == EXIT_CODE_OF_STATUS[status], status
+        assert rows[status].startswith(f"exits `{code}`"), status
+    assert rows["out_of_span"].startswith(f"exits `{EXIT_CODE_OF_STATUS['out_of_span']}`")
+
+
 def near_field_boundary(config, mode, rng):
-    """An N_s within 3 ulp of the boundary SNR_min * N_B / M - extra of the
-    chain of ``config``, where eta at the root is 1; ``None`` where that is
-    not positive."""
+    """An N_s within 3 ulp of the boundary of the chain of ``config``, where
+    the mode's photons are SNR_min * N_B / M (N_s = SNR_min * N_B / M, less
+    1 for QI) and eta at the root is 1; ``None`` where that is not
+    positive."""
     chain = range_chain(config, config.frequencies_hz[0])
-    n_s = chain.snr_min * chain.n_b / chain.pulse_count - mode.extra_photons
+    n_s = chain.snr_min * chain.n_b / chain.pulse_count - mode.photons(0.0)
     if n_s <= 0.0:
         return None
     direction = rng.choice([0.0, math.inf])
@@ -1723,7 +1743,7 @@ def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, caps
             continue
         chain = range_chain(config, f_hz)
         if mode is Illumination.QI:
-            assert column == chain.solutions([n_s + 1.0], Illumination.CI), case
+            assert column == chain.solutions([Illumination.CI.photons(n_s + 1.0)]), case
         if status == "ok":
             assert chain.solve(n_s, mode) == root, case
             assert ulps(root, reference_root(chain, n_s, mode)) <= 4.0, case

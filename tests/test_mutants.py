@@ -31,6 +31,11 @@ def test_a_mutant_must_be_one_token_found_once_in_its_function():
         mutants.mutate(source, "f", "x < 1", "x  <  1")
     with pytest.raises(ValueError, match="occurs 0 times"):
         mutants.mutate(source, "f", "x > 1", "x >= 1")
+    # a module-level table is found by the name it assigns
+    table = 'T = {"a": (1, 2)}\nU = T\n'
+    assert mutants.mutate(table, "T", "(1, 2)", "(1, 3)") == 'T = {"a": (1, 3)}\nU = T\n'
+    with pytest.raises(ValueError, match="occurs 0 times"):
+        mutants.mutate(table, "U", "(1, 2)", "(1, 3)")
 
 
 def test_a_call_swap_keeps_some_of_the_calls_arguments():

@@ -42,7 +42,7 @@ from qi_rangekit.radiometry import (
     transmit_power,
     watts_to_dbm,
 )
-from qi_rangekit.range_solver import Illumination, antenna_gain, range_chain, sweep_range
+from qi_rangekit.range_solver import antenna_gain, range_chain, sweep_range
 from reference_chain import noise_power, photons_per_mode
 
 # Benchmark noise budget: P_B = -63.82 dBm over B = 1 GHz.
@@ -281,7 +281,7 @@ NUMBER_ENTRY_POINTS = {
     "sweep_range": (lambda x: list(sweep_range(ScenarioConfig(), [x])), "grid values",
                     DomainError, 1.0),
     "RangeChain.solutions": (
-        lambda x: range_chain(ScenarioConfig(), 1e12).solutions([x], Illumination.CI),
+        lambda x: range_chain(ScenarioConfig(), 1e12).solutions([x]),
         "grid values", DomainError, 1.0),
     "PhysicalConstants": (lambda x: PhysicalConstants(h=x, k_b=1.0, c=1.0), "h", DomainError,
                           1.0),

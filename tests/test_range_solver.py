@@ -58,7 +58,7 @@ class Point(NamedTuple):
     def root(self):
         """The kernel's root, ``None`` without one; unlike :meth:`solve`,
         also a root in the near field."""
-        return self.chain.solutions((self.n_s,), self.mode)[0][0]
+        return mode_column(self.chain, (self.n_s,), self.mode)[0][0]
 
     @property
     def threshold(self) -> float:
@@ -83,6 +83,12 @@ def solve_outcome(chain, n_s, mode):
         return "near_field"
     except DomainError:
         return "overflow"
+
+
+def mode_column(chain, n_s_grid, mode):
+    """The kernel's column of ``mode`` at each N_s of ``n_s_grid``: the
+    solutions at the mode's photons."""
+    return chain.solutions([mode.photons(n_s) for n_s in n_s_grid])
 
 
 def column_outcomes(column):
@@ -198,7 +204,7 @@ def test_eta_at_the_root_is_the_same_under_both_four_pi_conventions():
     # exponent, so the (4*pi)^4 variant gives the same eta at this point
     chain = range_chain(BENCHMARK, 1e12)
     for mode, printed in zip(Illumination, ["0.000625873", "6.19677e-06"]):
-        etas = [variant.link_at(variant.solve(1e-2, mode), 1e-2, mode)[1]
+        etas = [variant.link_at(variant.solve(1e-2, mode), mode.photons(1e-2))[1]
                 for variant in (chain, fourth_power_variant(chain))]
         assert etas[1] == pytest.approx(etas[0], rel=1e-12)
         assert [f"{eta:.6g}" for eta in etas] == [printed, printed]
@@ -293,10 +299,10 @@ def test_link_at_root_closes_the_solved_chain(four_pi_exponent, mode):
     far = 0
     for _ in range(200):
         chain, n_s, config, f_hz = random_chain(rng, four_pi_exponent)
-        [root], _ = chain.solutions((n_s,), mode)
+        [root], _ = mode_column(chain, (n_s,), mode)
         mode_threshold = threshold(chain, n_s, mode)
         snr_per_eta = chain.pulse_count * n_s / chain.n_b
-        f_form, eta, residual_db = chain.link_at(root, n_s, mode)
+        f_form, eta, residual_db = chain.link_at(root, mode.photons(n_s))
         assert eta * snr_per_eta == pytest.approx(mode_threshold, rel=1e-12)
         assert residual_db < 1e-12
         if mode_threshold / snr_per_eta > 1.0:
@@ -326,7 +332,8 @@ def test_a_replaced_field_moves_the_root(mode):
     fresh = range_chain(BENCHMARK.replace(tau_s=1 / 16), 1e12)
     assert fewer == fresh
     assert fewer.solve(0.01, mode) == fresh.solve(0.01, mode)
-    assert fewer.link_at(root, 0.01, mode) == fresh.link_at(root, 0.01, mode)
+    photons = mode.photons(0.01)
+    assert fewer.link_at(root, photons) == fresh.link_at(root, photons)
     noisier = chain.replace(n_b=2.0 * chain.n_b)
     assert abs(noisier.solve(0.01, mode) - root / 2**0.25) <= 4 * math.ulp(root)
     brighter = chain.replace(sigma_gain_area=16.0 * chain.sigma_gain_area)
@@ -334,7 +341,7 @@ def test_a_replaced_field_moves_the_root(mode):
     for changed in (fewer, noisier, brighter):
         changed_root = changed.solve(0.01, mode)
         assert changed_root != root
-        assert changed.link_at(changed_root, 0.01, mode)[2] < 1e-12
+        assert changed.link_at(changed_root, photons)[2] < 1e-12
     if mode is Illumination.CI:
         assert fewer.solve(0.01, mode) == pytest.approx(68.544, abs=1e-3)
         assert noisier.solve(0.01, mode) == pytest.approx(115.277, abs=1e-3)
@@ -513,7 +520,7 @@ PINNED_CONFIGS = {
 def test_solutions_are_bit_identical_to_the_recorded_solve(key):
     scenario, f_hz, mode = key
     chain = range_chain(PINNED_CONFIGS[scenario], f_hz)
-    r_max_m, status = chain.solutions(PINNED_N_S, Illumination(mode))
+    r_max_m, status = mode_column(chain, PINNED_N_S, Illumination(mode))
     assert list(zip(map(repr, r_max_m), status)) == PINNED_SOLUTIONS[key]
 
 
@@ -521,13 +528,17 @@ def test_solutions_are_bit_identical_to_the_recorded_solve(key):
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
 @pytest.mark.parametrize("config", [BENCHMARK, FAINT], ids=["default", "faint"])
 def test_solutions_equal_one_point_solves(config, table_path, mode):
+    # the column of the mode's photons is, bit for bit, the column sweep_range
+    # yields, and solve's outcome at each point
     config = config.replace(attenuation_table_path=table_path)
     grid = [float(v) for v in np.logspace(-6, 3, 60)]
+    swept = {f_hz: column for f_hz, m, column in sweep_range(config, grid) if m is mode}
     for f_hz in config.frequencies_hz:
         chain = range_chain(config, f_hz)
-        assert column_outcomes(chain.solutions(grid, mode)) == [
-            solve_outcome(chain, n_s, mode) for n_s in grid
-        ]
+        column = chain.solutions([mode.photons(n_s) for n_s in grid])
+        assert list(map(repr, column[0])) == list(map(repr, swept[f_hz][0]))
+        assert column[1] == swept[f_hz][1]
+        assert column_outcomes(column) == [solve_outcome(chain, n_s, mode) for n_s in grid]
 
 
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
@@ -540,7 +551,7 @@ def test_overflowing_chain_names_n_s(table_path, mode):
     # near the float max) is there no range, and solve names N_s.
     chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), 1e12)
     below, beyond = chain.solve(1e290, mode), chain.solve(1e300, mode)
-    assert chain.solutions([1e300], mode)[1] == ["ok"]
+    assert mode_column(chain, [1e300], mode)[1] == ["ok"]
     assert ulps(beyond, reference_root(chain, 1e300, mode)) <= 4.0
     # R^4 exp(2aR) is proportional to N_s / threshold, and the threshold
     # is SNR_min at both points to within 1e-290
@@ -550,7 +561,7 @@ def test_overflowing_chain_names_n_s(table_path, mode):
     no_float = chain.replace(n_b=1.5e-323, snr_min=1e-300, sigma_gain_area=1e298)
     with pytest.raises(DomainError, match=r"n_s = 1e\+308 overflows the range chain: R_free"):
         no_float.solve(1e308, mode)
-    assert no_float.solutions([1e308], mode) == ([math.inf], ["overflow"])
+    assert mode_column(no_float, [1e308], mode) == ([math.inf], ["overflow"])
 
 
 @pytest.mark.parametrize("n_s", [1e300, 1e308, sys.float_info.max])
@@ -560,8 +571,8 @@ def test_a_faint_absorption_takes_r_free_as_the_lossless_chain_does(n_s, mode):
     # is ~1e-222, so the attenuated root is R_free to within 1e-222
     lossless = range_chain(BENCHMARK, 1e12)
     faint = lossless.replace(gamma_db_per_km=1e-300)
-    [lossless_root], [lossless_status] = lossless.solutions([n_s], mode)
-    [faint_root], [faint_status] = faint.solutions([n_s], mode)
+    [lossless_root], [lossless_status] = mode_column(lossless, [n_s], mode)
+    [faint_root], [faint_status] = mode_column(faint, [n_s], mode)
     assert (lossless_status, faint_status) == ("ok", "ok")
     assert ulps(faint_root, Decimal(lossless_root)) <= 4.0
     assert ulps(lossless_root, reference_root(lossless, n_s, mode)) <= 4.0
@@ -581,15 +592,15 @@ def test_quantum_threshold_underflow_solves_the_same_ratio(table_path):
     root = underflowing.solve(1e-30, Illumination.QI)
     reference = scaled.solve(1e-30, Illumination.QI)
     assert root == pytest.approx(reference, rel=1e-14)
-    assert underflowing.solutions([1e-30], Illumination.QI) == ([root], ["ok"])
+    assert mode_column(underflowing, [1e-30], Illumination.QI) == ([root], ["ok"])
     # below N_s ~5.6e-309 1/N_s overflows too; the range is the same N_s -> 0 limit
-    [tiniest], [status] = underflowing.solutions([1e-310], Illumination.QI)
+    [tiniest], [status] = mode_column(underflowing, [1e-310], Illumination.QI)
     assert status == "ok"
     assert tiniest == pytest.approx(root, rel=1e-14)
     # at SNR_min 1e-300 R_free^4 overflows, but R_free is a float, with or
     # without absorption
     deeper = chain.replace(snr_min=1e-300)
-    [deepest], [status] = deeper.solutions([1e-30], Illumination.QI)
+    [deepest], [status] = mode_column(deeper, [1e-30], Illumination.QI)
     assert status == "ok"
     assert deeper.solve(1e-30, Illumination.QI) == deepest
     assert ulps(deepest, reference_root(deeper, 1e-30, Illumination.QI)) <= 4.0
@@ -720,7 +731,7 @@ ULP_BOUND = 4.0
 
 def test_solutions_returns_two_lists_of_the_grid_length():
     grid = [1e-3, 1e-1, 10.0]
-    result = range_chain(BENCHMARK, 1e12).solutions(grid, Illumination.QI)
+    result = mode_column(range_chain(BENCHMARK, 1e12), grid, Illumination.QI)
     assert type(result) is tuple and len(result) == 2
     assert all(type(values) is list and len(values) == len(grid) for values in result)
 
@@ -738,14 +749,14 @@ def test_solutions_refuses_a_grid_value_as_solve_and_sweep_range_do(value, text,
     # each value is refused where it is reached, after the points before it
     chain = range_chain(BENCHMARK, 1e12)
     with pytest.raises(DomainError) as info:
-        chain.solutions([1e-2, value], mode)
+        chain.solutions([mode.photons(1e-2), value])
     assert str(info.value) == f"grid values must be {text}"
 
 
 def test_solutions_solves_an_int_grid_value_as_its_float():
     chain = range_chain(BENCHMARK, 1e12)
     for mode in Illumination:
-        assert chain.solutions([1, 2], mode) == chain.solutions([1.0, 2.0], mode)
+        assert mode_column(chain, [1, 2], mode) == mode_column(chain, [1.0, 2.0], mode)
 
 
 def test_roots_are_within_4_ulp_of_the_reference_on_a_random_set():
@@ -758,7 +769,7 @@ def test_roots_are_within_4_ulp_of_the_reference_on_a_random_set():
         chain = chains[rng.integers(len(chains))]
         mode = Illumination.QI if rng.uniform() < 0.5 else Illumination.CI
         n_s = float(10.0 ** rng.uniform(-6.0, 4.0))
-        [root], [status] = chain.solutions([n_s], mode)
+        [root], [status] = mode_column(chain, [n_s], mode)
         assert status in ("ok", "near_field")
         worst = max(worst, ulps(root, reference_root(chain, n_s, mode)))
     assert worst <= ULP_BOUND
@@ -770,7 +781,7 @@ def test_quantum_roots_are_within_4_ulp_of_the_reference_at_subnormal_n_s(table_
     # N_s from the smallest subnormal to 1e-300, where N_s + 1 is 1
     chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), f_hz)
     grid = [float(v) for v in np.logspace(math.log10(5e-324), -300, 40)]
-    r_max_m, status = chain.solutions(grid, Illumination.QI)
+    r_max_m, status = mode_column(chain, grid, Illumination.QI)
     assert status == ["ok"] * len(grid)
     worst = max(
         ulps(root, reference_root(chain, n_s, Illumination.QI))
@@ -829,7 +840,7 @@ def test_roots_are_within_4_ulp_of_the_reference_at_each_branch_edge(edge):
         logs = map(math.log, (chain.head, n_s, 1.0 / chain.denominator, 1.0 / chain.snr_min))
         ln_half_a = math.log(0.5 * chain.gamma_db_per_km * range_solver._A_PER_GAMMA)
         assert ln_half_a + 0.25 * sum(logs) > math.log(range_solver._X_HALLEY_MAX)
-    [root], [status] = chain.solutions([n_s], mode)
+    [root], [status] = mode_column(chain, [n_s], mode)
     assert status == "ok"
     assert ulps(root, reference_root(chain, n_s, mode)) <= ULP_BOUND
 
@@ -838,7 +849,7 @@ def test_x_beyond_halley_range_on_the_main_path_is_no_detection_not_nan():
     # a huge gamma puts x = a R_free / 2 above 1e305, where Halley's w e^w
     # overflows; W0 from ln x gives a root far below near-zero range
     chain = _edge_chain(1e300)
-    r_max_m, status = chain.solutions([2.8e29, 1e40, 1e60], Illumination.CI)
+    r_max_m, status = mode_column(chain, [2.8e29, 1e40, 1e60], Illumination.CI)
     assert r_max_m == [None] * 3
     assert status == ["no_detection"] * 3
 
@@ -849,27 +860,27 @@ def test_r_free_beyond_the_float_range_is_overflow_not_nan(mode):
     # roots; the attenuated root of an infinite R_free is no number
     chain = RangeChain(gamma_db_per_km=1.0, n_b=1e-318, sigma_gain_area=1e308, snr_min=1e-320,
                        pulse_count=1)
-    assert chain.solutions([1e308], mode) == ([math.inf], ["overflow"])
+    assert mode_column(chain, [1e308], mode) == ([math.inf], ["overflow"])
 
 
 @pytest.mark.parametrize("mode", list(Illumination), ids=lambda mode: mode.value)
 def test_a_root_on_a_status_boundary_is_ok(mode):
     # no_detection is a root below 1 um and near_field is eta > 1, so a root
     # of exactly 1 um, and one where eta is exactly 1, are ok; photons is
-    # N_s + extra = 1 + extra, so head * photons / denominator is 1e-24 and 1
+    # the mode's at N_s = 1, so head * photons / denominator is 1e-24 and 1
     # with no rounding left
-    photons = 1.0 + mode.extra_photons
+    photons = mode.photons(1.0)
     at_near_zero = RangeChain(gamma_db_per_km=0.0, n_b=0.5,
                               sigma_gain_area=1e-24 / photons * _FOUR_PI**2 * 0.5,
                               snr_min=1.0, pulse_count=1)
     assert at_near_zero.head * photons / at_near_zero.denominator == 1e-24
-    assert at_near_zero.solutions([1.0], mode) == ([1e-6], ["ok"])
+    assert mode_column(at_near_zero, [1.0], mode) == ([1e-6], ["ok"])
     assert at_near_zero.solve(1.0, mode) == 1e-6
     at_unit_eta = RangeChain(gamma_db_per_km=0.0, n_b=photons, sigma_gain_area=_FOUR_PI**2,
                              snr_min=1.0, pulse_count=1)
-    assert at_unit_eta.solutions([1.0], mode) == ([1.0], ["ok"])
+    assert mode_column(at_unit_eta, [1.0], mode) == ([1.0], ["ok"])
     assert at_unit_eta.solve(1.0, mode) == 1.0
-    assert at_unit_eta.link_at(1.0, 1.0, mode)[1] == 1.0
+    assert at_unit_eta.link_at(1.0, photons)[1] == 1.0
 
 
 def test_solve_refuses_exactly_the_near_field_status_on_the_attenuated_benchmark_grid(tmp_path):
@@ -884,7 +895,8 @@ def test_solve_refuses_exactly_the_near_field_status_on_the_attenuated_benchmark
         for n_s, root, status in zip(grid, r_max_m, statuses, strict=True):
             points += 1
             assert status in ("ok", "near_field")
-            assert (chain.link_at(root, n_s, mode)[1] > 1.0) == (status == "near_field")
+            eta = chain.link_at(root, mode.photons(n_s))[1]
+            assert (eta > 1.0) == (status == "near_field")
             try:
                 solved = chain.solve(n_s, mode)
             except UnphysicalGeometryError:
@@ -909,22 +921,46 @@ def ulp_neighbours(x, count):
 @pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
 @pytest.mark.parametrize("f_hz", [7e9, 60e9, 95e9, 557e9, 1e12])
 def test_solve_refuses_exactly_the_near_field_status_at_the_boundary(table_path, f_hz):
-    # N_s within 400 ulp of SNR_min * N_B / M - extra, where eta at the root
+    # N_s within 400 ulp of where the mode's photons are SNR_min * N_B / M
+    # (N_s = SNR_min * N_B / M, less 1 for QI), where eta at the root
     # is 1; eta formed from the root there can round to the other side of 1
     # than the status's quotient.  For QI the boundary is negative here.
     chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), f_hz)
     near_field = points = 0
     for mode in Illumination:
-        boundary = chain.snr_min * chain.n_b / chain.pulse_count - mode.extra_photons
+        boundary = chain.snr_min * chain.n_b / chain.pulse_count - mode.photons(0.0)
         if boundary <= 0.0:
             continue
         grid = ulp_neighbours(boundary, 400)
-        column = chain.solutions(grid, mode)
+        column = mode_column(chain, grid, mode)
         assert column_outcomes(column) == [solve_outcome(chain, n_s, mode) for n_s in grid]
         near_field += column[1].count("near_field")
         points += len(grid)
     assert points == 800
     assert 0 < near_field < points
+
+
+@pytest.mark.parametrize("table_path", [None, BUNDLED_CSV], ids=["lossless", "bundled_table"])
+def test_a_column_of_effective_photons_solves_against_the_chains_own_threshold(table_path):
+    # A detector whose SNR is linear in eta enters as a column of effective
+    # photons, on a chain replaced to its own threshold (27.86, a total
+    # deflection).  near_field holds exactly where eta* = SNR_min * N_B /
+    # (M * photons) > 1, also within 8 ulp of where eta* is 1, and each root
+    # is the reference root of a CI point at the same photons.
+    chain = range_chain(BENCHMARK.replace(attenuation_table_path=table_path), 95e9)
+    chain = chain.replace(snr_min=27.86)
+    boundary = chain.snr_min * chain.n_b / chain.pulse_count
+    rng = np.random.default_rng(20261022)
+    photons = [float(10.0 ** v) for v in rng.uniform(-8.0, 4.0, 300)]
+    photons += ulp_neighbours(boundary, 8)
+    r_max_m, statuses = chain.solutions(photons)
+    for value, root, status in zip(photons, r_max_m, statuses, strict=True):
+        assert (status == "near_field") == (chain.snr_min * chain.n_b
+                                            > chain.pulse_count * value), value
+        assert status in ("ok", "near_field"), value
+        assert ulps(root, reference_root(chain, value, Illumination.CI)) <= ULP_BOUND, value
+    assert 0 < statuses.count("near_field") < len(photons)
+    assert 0 < statuses[-16:].count("near_field") < 16
 
 
 def test_sweep_range_marks_a_frequency_outside_the_table_span():
