@@ -21,8 +21,9 @@ entry at one bad or edge value each, and three configs with several faults,
 each run as ``--config F --dump-config -``), one run of each command, a
 config whose k_B*B underflows run as ``--dump-config -``, ``range`` and
 ``sweep``, ``--codata range``, ``range`` on a grid of frequencies and N_s,
-lossless and through the bundled table, ``range`` at four edges
-(:data:`RANGE_EDGES`) and on a config whose R_free leaves the float range,
+lossless and through the bundled table, ``range`` at six edges
+(:data:`RANGE_EDGES`), with repeated flags (:data:`REPEATED_FLAGS`) and on a
+config whose R_free leaves the float range,
 ``mc`` at the ends of its trial and
 seed ranges, at N_s 1e8 and 1e307 and at five edges of the return states
 (:data:`MC_EDGES`), the grid refusals of ``sweep`` and a sweep into a
@@ -85,12 +86,19 @@ EDGE_CONFIG = {"tau_s": 1.7e308, "bandwidth_hz": 3e-309}
 RANGE_FREQUENCIES = ("7e9", "95e9", "557e9", "1e12")
 RANGE_N_S = ("0.01", "1", "1e-30")
 # range runs outside that grid: an N_s both modes refuse alike, one mode's
-# near-field refusal beside the other mode's output, and an R_free^4 that
-# overflows while R_free does not
+# near-field refusal beside the other mode's output, an R_free^4 that
+# overflows while R_free does not, and one mode's no-detection and N_s
+# refusals
 RANGE_EDGES = (("--ns", "0", "--freq", "1e12"),
                ("--ns", "1e-30", "--freq", "95e9", "--mode", "ci"),
                ("--ns", "1e-30", "--freq", "95e9", "--mode", "qi"),
-               ("--ns", "1e300", "--freq", "1e12"))
+               ("--ns", "1e300", "--freq", "1e12"),
+               ("--ns", "1e-30", "--freq", "7e9", "--mode", "ci"),
+               ("--ns", "0", "--freq", "1e12", "--mode", "qi"))
+# command lines that repeat a global and a command flag, each read last-wins
+REPEATED_FLAGS = (("range", "--ns", "1", "--ns", "0.01", "--freq", "1e12"),
+                  ("--codata", "--codata", "range", "--ns", "0.01", "--freq", "7e9",
+                   "--mode", "qi", "--mode", "ci"))
 # a config whose R_free itself leaves the float range at N_s 8e307 (N_B
 # subnormal, SNR_min 1e-300), run as range in both modes and in one
 R_FREE_BEYOND_FLOATS = {"sigma_m2": 1e278, "bandwidth_hz": 1e22, "noise_power_dbm": -3190,
@@ -199,6 +207,7 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
                 commands.append((point, {}))
             commands.append((["--config", "bundled.json", *point], bundled))
     commands += [(["range", *options], {}) for options in RANGE_EDGES]
+    commands += [(list(argv), {}) for argv in REPEATED_FLAGS]
     beyond = {"beyond.json": json.dumps(R_FREE_BEYOND_FLOATS)}
     commands += [(["--config", "beyond.json", "range", "--ns", "8e307", "--freq", "1e12",
                    *mode], beyond) for mode in ((), ("--mode", "qi"))]
