@@ -138,27 +138,25 @@ def _cmd_range(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
            f"{chain.n_b:.6g}")
     # solve raises for every status but ok, so the exit code follows the
     # status sweep writes; every mode is solved before the first failure
-    # decides it, and its message names that mode and the other's outcome
+    # decides it, and its message names that mode and each other's outcome
     outcomes: dict[Illumination, float | RangeKitError] = {}
     for mode in modes:
         try:
             outcomes[mode] = chain.solve(args.ns, mode)
         except RangeKitError as exc:
             outcomes[mode] = exc
+    texts = {mode: f"r_max = {outcome:.6g} m" if isinstance(outcome, float) else str(outcome)
+             for mode, outcome in outcomes.items()}
     for mode, exc in outcomes.items():
         if isinstance(exc, RangeKitError):
-            if len(modes) == 1:
-                raise exc
-            [other] = [m for m in modes if m is not mode]
-            outcome = outcomes[other]
-            if isinstance(outcome, float):
-                outcome = f"r_max = {outcome:.6g} m"
-            elif str(outcome) == str(exc):  # an input no mode solves, such as N_s = 0
-                outcome = "the same"
-            raise type(exc)(f"{exc} ({mode.value}; {other.value}: {outcome})") from exc
+            # an input no mode solves, such as N_s = 0, is "the same"
+            others = "".join(f" ({mode.value}; {other.value}: "
+                             f"{'the same' if texts[other] == texts[mode] else texts[other]})"
+                             for other in modes if other is not mode)
+            raise type(exc)(f"{exc}{others}") from exc
     for mode, r_max in outcomes.items():
         f_form, eta, residual = chain.link_at(r_max, mode.photons(args.ns))
-        yield f"{mode.value}: r_max = {r_max:.6g} m  (residual {residual:.3e} dB)"
+        yield f"{mode.value}: {texts[mode]}  (residual {residual:.3e} dB)"
         yield (f"    gamma = {chain.gamma_db_per_km:.6g} dB/km, "
                f"F = {f_form:.6g}, eta = {eta:.6g}")
 
@@ -323,10 +321,10 @@ def _build_parser() -> ArgumentParser:
 
 def _read_options(options: tuple, words: list[str], values: dict) -> list[str] | None:
     """Put the defaults of ``options`` in ``values``, then read their flags
-    from the front of ``words`` into it.  Return the words from the first
-    that is no flag of ``options`` or repeats one, or None where a value is
-    missing, starts with "-", fails its type or choices, or a required
-    option is not given."""
+    from the front of ``words`` into it, the last of a repeated flag
+    winning.  Return the words from the first that is no flag of
+    ``options``, or None where a value is missing, starts with "-", fails
+    its type or choices, or a required option is not given."""
     specs = {flag: (kwargs.get("dest") or flag[2:].replace("-", "_"), kwargs)
              for flag, kwargs in options}
     for dest, kwargs in specs.values():
@@ -334,7 +332,7 @@ def _read_options(options: tuple, words: list[str], values: dict) -> list[str] |
         values[dest] = kwargs.get("default", False if store_true else None)
     given = set()
     i = 0
-    while i < len(words) and words[i] in specs and words[i] not in given:
+    while i < len(words) and words[i] in specs:
         given.add(words[i])
         dest, kwargs = specs[words[i]]
         i += 1
@@ -365,11 +363,11 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     :func:`_build_parser` would give, or None where ``argv`` is not plain.
 
     Plain is the global options, then a command and its options, where each
-    flag is spelled in full and given once, each value is "-" or does not
-    start with "-" and passes its type and choices, and every required
-    option is present.  argparse reads every other command line, so help,
-    version and error text, abbreviations, ``--flag=value`` and
-    dash-prefixed values are its own."""
+    flag is spelled in full, each value is "-" or does not start with "-"
+    and passes its type and choices, and every required option is present;
+    a repeated flag is read last-wins, as argparse reads it.  argparse
+    reads every other command line, so help, version and error text,
+    abbreviations, ``--flag=value`` and dash-prefixed values are its own."""
     values: dict = {"command": None}
     rest = _read_options(_GLOBAL_OPTIONS, argv, values)
     if rest:

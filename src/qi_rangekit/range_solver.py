@@ -134,7 +134,9 @@ class Illumination(enum.Enum):
         """The transmitter's photons in the range equation at ``n_s``: N_s
         for CI, N_s + 1 for QI, whose (1 + 1/N_s) gain makes N_s act as
         N_s + 1.  The package's one statement of that rule."""
-        return n_s + 1.0 if self is Illumination.QI else n_s
+        # the member's own value: looking up Illumination.QI on the class
+        # would be most of a call's time
+        return n_s + 1.0 if self._value_ == "qi" else n_s
 
 
 def antenna_gain(

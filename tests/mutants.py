@@ -45,6 +45,7 @@ PACKAGE = REPO / "src" / "qi_rangekit"
 SOLVER = ("tests/test_range_solver.py",)
 FILES = ("tests/test_config.py", "tests/test_atmosphere.py", "tests/test_cli.py")
 GAIN_PINNED = ("tests/test_detection_mc.py::test_gain_experiment_output_is_pinned",)
+PLAIN_READER = ("tests/test_cli.py::test_plain_reader_reads_what_argparse_reads",)
 EXTREME_C = ("tests/test_link_budget.py::"
              "test_a_c_whose_square_leaves_the_float_range_is_refused_by_name",)
 
@@ -290,11 +291,24 @@ MUTANTS = {
     "table_admits_a_repeated_frequency": (
         "atmosphere", "AttenuationTable._check",
         "f_ghz <= rows[-1][0]", "f_ghz < rows[-1][0]", ("tests/test_atmosphere.py",)),
-    # range names an outcome both modes share "the same"
+    # range names an outcome both modes share "the same", and follows a
+    # failing mode's message with each other mode's outcome
     "range_names_every_shared_outcome_in_full": (
         "cli", "_cmd_range",
-        "elif str(outcome) == str(exc):", "elif str(outcome) != str(exc):",
+        "if texts[other] == texts[mode]", "if texts[other] != texts[mode]",
         ("tests/test_cli.py",)),
+    "range_drops_the_other_modes_outcomes": (
+        "cli", "_cmd_range",
+        "if other is not mode", "if mode is not mode", ("tests/test_cli.py",)),
+    # the plain reader takes a lone "-" as a value and no other word that
+    # starts with "-", and refuses a line without a required option (the
+    # mutant checks each flag against the command's flags, not those given)
+    "plain_reader_takes_dashed_values": (
+        "cli", "_read_options",
+        'words[i] != "-"', 'words[i] == "-"', PLAIN_READER),
+    "plain_reader_admits_a_missing_required_option": (
+        "cli", "_read_options",
+        "flag not in given", "flag not in specs", PLAIN_READER),
     # the oracle cutoff's tail must fall below the tolerance, not reach it
     "smallest_cutoff_accepts_the_tolerance": (
         "quantum_states", "_smallest_cutoff",

@@ -1488,29 +1488,31 @@ PERTURBATIONS = ("abbreviated", "equals", "dash_value", "repeated", "unknown", "
                  "dump_config_dash")
 
 
+def _plain_item(rng, flag, kwargs):
+    """``flag`` as a plain item: the flag, with a random valid value if it
+    takes one."""
+    if kwargs.get("action") in ("store_true", "store_const"):
+        return [flag]
+    if "choices" in kwargs:
+        return [flag, str(rng.choice(kwargs["choices"]))]
+    if kwargs.get("type") is float:
+        return [flag, rng.choice([*FLOAT_WORDS, repr(10.0 ** rng.uniform(-300, 300))])]
+    if kwargs.get("type") is int:
+        return [flag, rng.choice([*INT_WORDS, str(rng.randrange(10**9))])]
+    return [flag, rng.choice(PATH_WORDS)]
+
+
 def _plain_line(rng, kind):
     """A plain command line of ``kind``, a command or "--dump-config" alone,
     as items (a flag with its value, or the command word) in random order,
     and the flags its command requires."""
-
-    def item(flag, kwargs):
-        if kwargs.get("action") in ("store_true", "store_const"):
-            return [flag]
-        if "choices" in kwargs:
-            return [flag, str(rng.choice(kwargs["choices"]))]
-        if kwargs.get("type") is float:
-            return [flag, rng.choice([*FLOAT_WORDS, repr(10.0 ** rng.uniform(-300, 300))])]
-        if kwargs.get("type") is int:
-            return [flag, rng.choice([*INT_WORDS, str(rng.randrange(10**9))])]
-        return [flag, rng.choice(PATH_WORDS)]
-
-    head = [item(flag, kwargs) for flag, kwargs in cli._GLOBAL_OPTIONS
+    head = [_plain_item(rng, flag, kwargs) for flag, kwargs in cli._GLOBAL_OPTIONS
             if flag == kind or rng.random() < 0.5]
     rng.shuffle(head)
     if kind not in cli._COMMANDS:
         return head, set()
     _, _, options = cli._COMMANDS[kind]
-    tail = [item(flag, kwargs) for flag, kwargs in options
+    tail = [_plain_item(rng, flag, kwargs) for flag, kwargs in options
             if kwargs.get("required") or rng.random() < 0.5]
     rng.shuffle(tail)
     return head + [[kind]] + tail, {flag for flag, kwargs in options if kwargs.get("required")}
@@ -1531,9 +1533,12 @@ def _perturb(rng, kind, items, required):
     elif kind == "dash_value":
         item = rng.choice(valued)
         item[1] = rng.choice(["-1", "-inf", "-x", "--x", "-" + item[1]])
-    elif kind == "repeated":
+    elif kind == "repeated":  # the flag again at once, with a value of its own
         item = rng.choice(flags)
-        items.insert(items.index(item) + 1, list(item))
+        specs = dict(cli._GLOBAL_OPTIONS)
+        if head < len(items):
+            specs.update(cli._COMMANDS[items[head][0]][2])
+        items.insert(items.index(item) + 1, _plain_item(rng, item[0], specs[item[0]]))
     elif kind == "unknown":
         items.insert(rng.randrange(len(items) + 1), [rng.choice(["--bogus", "-x", "--ns-mid"])])
     elif kind == "missing":
@@ -1554,15 +1559,17 @@ def _perturb(rng, kind, items, required):
 def test_plain_reader_reads_what_argparse_reads():
     # main reads a plain command line without argparse and leaves every other
     # one, and every one argparse refuses, to argparse: the reader gives
-    # argparse's values or None, and None wherever argparse exits
+    # argparse's values or None, and None wherever argparse exits.  A plain
+    # line with a repeated flag is plain too: both read the last value.
     rng = random.Random(2039)
     parser = _build_parser()
     kinds = [*cli._COMMANDS, "--dump-config"]
     refused = 0
     for n in range(2200):
         items, required = _plain_line(rng, kinds[n % len(kinds)])
-        perturbed = _perturb(rng, PERTURBATIONS[n % len(PERTURBATIONS)], items, required)
-        for words, plain in ((items, True), (perturbed, False)):
+        kind = PERTURBATIONS[n % len(PERTURBATIONS)]
+        perturbed = _perturb(rng, kind, items, required)
+        for words, plain in ((items, True), (perturbed, kind == "repeated")):
             argv = [word for item in words for word in item]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
@@ -1715,14 +1722,15 @@ def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, caps
         column = columns[mode]
         [root], [status] = column
         seen[status] += 1
-        code, out, _ = run_cli(capsys, "--config", str(path), "range", "--ns", repr(n_s),
-                               "--freq", repr(f_hz), "--mode", mode.value)
+        code, out, err = run_cli(capsys, "--config", str(path), "range", "--ns", repr(n_s),
+                                 "--freq", repr(f_hz), "--mode", mode.value)
         case = f"{fields} at N_s = {n_s!r}, {mode.value}: {status}"
         assert code == EXIT_CODE_OF_STATUS[status], case
         if code:
             assert out == "", case
         # without --mode, the first mode that fails decides the exit, and
-        # the message names it and ends in the other mode's outcome
+        # the message is its --mode message followed by the other mode's
+        # outcome, once
         both_code, both_out, both_err = run_cli(
             capsys, "--config", str(path), "range", "--ns", repr(n_s), "--freq", repr(f_hz))
         failing = [m for m in Illumination if columns[m][1] != ["ok"]]
@@ -1733,12 +1741,18 @@ def test_range_exit_code_follows_the_sweep_status_on_seeded_draws(tmp_path, caps
             assert both_code == EXIT_CODE_OF_STATUS[columns[first][1][0]], case
             assert both_out == "", case
             if status != "out_of_span":
+                if first is not mode:
+                    _, _, err = run_cli(capsys, "--config", str(path), "range", "--ns",
+                                        repr(n_s), "--freq", repr(f_hz), "--mode", first.value)
+                assert both_err.startswith(err[:-1]), case
                 [other] = [m for m in Illumination if m is not first]
                 [other_root], [other_status] = columns[other]
                 suffix = (f"; {other.value}: r_max = {other_root:.6g} m)\n"
                           if other_status == "ok" else f"; {other.value}: ")
                 seen["one_mode_fails"] += other_status == "ok"
-                assert f" ({first.value}{suffix}" in both_err, case
+                rest = both_err[len(err) - 1:]
+                assert rest.startswith(f" ({first.value}{suffix}"), case
+                assert rest.count(f" ({first.value}; ") == 1 and rest.endswith(")\n"), case
         if status == "out_of_span":
             continue
         chain = range_chain(config, f_hz)
