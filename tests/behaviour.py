@@ -23,10 +23,10 @@ config whose k_B*B underflows run as ``--dump-config -``, ``range`` and
 ``sweep``, ``--codata range``, ``range`` on a grid of frequencies and N_s,
 lossless and through the bundled table, ``range`` at six edges
 (:data:`RANGE_EDGES`), with repeated flags (:data:`REPEATED_FLAGS`) and on a
-config whose R_free leaves the float range,
-``mc`` at the ends of its trial and
-seed ranges, at N_s 1e8 and 1e307 and at five edges of the return states
-(:data:`MC_EDGES`), the grid refusals of ``sweep`` and a sweep into a
+config whose R_free leaves the float range, ``covariance`` with ``--oracle``
+repeated and given first (:data:`ORACLE_FLAGS`), ``mc`` at the ends of its
+trial and seed ranges, at N_s 1e8 and 1e307 and at five edges of the return
+states (:data:`MC_EDGES`), the grid refusals of ``sweep`` and a sweep into a
 missing directory, four malformed attenuation tables read by ``atten``, a
 config and a table saved with a byte-order mark, read by ``--dump-config``
 and by ``atten``, ``covariance --oracle`` at twelve more pinned points (the
@@ -99,6 +99,10 @@ RANGE_EDGES = (("--ns", "0", "--freq", "1e12"),
 REPEATED_FLAGS = (("range", "--ns", "1", "--ns", "0.01", "--freq", "1e12"),
                   ("--codata", "--codata", "range", "--ns", "0.01", "--freq", "7e9",
                    "--mode", "qi", "--mode", "ci"))
+# covariance with its one constant flag repeated, and given before the
+# command's value options
+ORACLE_FLAGS = (("covariance", "--ns", "1", "--mode", "qi", "--oracle", "--oracle"),
+                ("covariance", "--oracle", "--ns", "1", "--mode", "ci"))
 # a config whose R_free itself leaves the float range at N_s 8e307 (N_B
 # subnormal, SNR_min 1e-300), run as range in both modes and in one
 R_FREE_BEYOND_FLOATS = {"sigma_m2": 1e278, "bandwidth_hz": 1e22, "noise_power_dbm": -3190,
@@ -207,7 +211,7 @@ def corpus() -> list[tuple[list[str], dict[str, str]]]:
                 commands.append((point, {}))
             commands.append((["--config", "bundled.json", *point], bundled))
     commands += [(["range", *options], {}) for options in RANGE_EDGES]
-    commands += [(list(argv), {}) for argv in REPEATED_FLAGS]
+    commands += [(list(argv), {}) for argv in (*REPEATED_FLAGS, *ORACLE_FLAGS)]
     beyond = {"beyond.json": json.dumps(R_FREE_BEYOND_FLOATS)}
     commands += [(["--config", "beyond.json", "range", "--ns", "8e307", "--freq", "1e12",
                    *mode], beyond) for mode in ((), ("--mode", "qi"))]
