@@ -243,7 +243,9 @@ def _cmd_mc(args: Namespace, config: ScenarioConfig) -> Iterator[str]:
 
 # The command line, declared once: each option is (flag, argparse keyword
 # arguments), each command (handler, help, options).  _build_parser hands
-# them to argparse; _plain_args reads the plain form from them directly.
+# them to argparse; _plain_args reads the plain form from them directly, so
+# each option stores a constant ("store_const") or a value, the two kinds
+# it reads.
 _GLOBAL_OPTIONS = (
     ("--config", dict(metavar="PATH",
                       help="scenario config JSON (default: the benchmark scenario)")),
@@ -262,7 +264,7 @@ _COMMANDS = {
         _NS,
         ("--mode", dict(choices=("qi", "ci"), required=True,
                         help="qi: entangled pair, ci: correlated coherent pair")),
-        ("--oracle", dict(action="store_true",
+        ("--oracle", dict(action="store_const", const=True, default=False,
                           help="also compute the truncated Fock-space oracle and the deviation")),
     )),
     "ratio": (_cmd_ratio, "classical/quantum correlation ratio C_c/C_q", (_NS,)),
@@ -322,23 +324,20 @@ def _build_parser() -> ArgumentParser:
 def _read_options(options: tuple, words: list[str], values: dict) -> list[str] | None:
     """Put the defaults of ``options`` in ``values``, then read their flags
     from the front of ``words`` into it, the last of a repeated flag
-    winning.  Return the words from the first that is no flag of
+    winning: a ``store_const`` flag stores its constant, any other reads the
+    word after it.  Return the words from the first that is no flag of
     ``options``, or None where a value is missing, starts with "-", fails
     its type or choices, or a required option is not given."""
     specs = {flag: (kwargs.get("dest") or flag[2:].replace("-", "_"), kwargs)
              for flag, kwargs in options}
-    for dest, kwargs in specs.values():
-        store_true = kwargs.get("action") == "store_true"
-        values[dest] = kwargs.get("default", False if store_true else None)
+    values.update({dest: kwargs.get("default") for dest, kwargs in specs.values()})
     given = set()
     i = 0
     while i < len(words) and words[i] in specs:
         given.add(words[i])
         dest, kwargs = specs[words[i]]
         i += 1
-        if kwargs.get("action") == "store_true":
-            values[dest] = True
-        elif kwargs.get("action") == "store_const":
+        if kwargs.get("action") == "store_const":
             values[dest] = kwargs["const"]
         else:
             # a lone "-" is a value to argparse too; other words starting

@@ -143,23 +143,17 @@ def antenna_gain(
     aperture_m2: float, f_hz: float, constants: PhysicalConstants = TEXTBOOK
 ) -> float:
     """Antenna gain G = 4*pi*A/lambda^2 = 4*pi*A*f^2/c^2 (dimensionless).
-    Raises :class:`DomainError` where f^2 overflows (f above ~1.34e154 Hz),
-    where the constants' c^2 overflows or underflows to 0, and, naming G,
-    where G itself overflows or underflows to 0."""
+    Raises :class:`DomainError` where f^2 overflows (f above ~1.34e154 Hz)
+    and, naming G, where G itself overflows or underflows to 0."""
     aperture_m2 = _require_positive("antenna aperture", aperture_m2)
     f_hz = _require_positive("frequency", f_hz)
     try:
         f_squared = f_hz**2
     except OverflowError:
         raise DomainError(f"frequency {f_hz!r} Hz is too large: f^2 overflows") from None
-    try:
-        return _in_float_range("antenna gain G = 4*pi*A*f^2/c^2", f"A = {aperture_m2!r} m^2, "
-                               f"f = {f_hz!r} Hz, c = {constants.c!r} m/s",
-                               _FOUR_PI * aperture_m2 * f_squared / constants.c**2)
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(
-            f"speed of light c = {constants.c!r} m/s: c^2 overflows or underflows to 0"
-        ) from None
+    return _in_float_range("antenna gain G = 4*pi*A*f^2/c^2", f"A = {aperture_m2!r} m^2, "
+                           f"f = {f_hz!r} Hz, c = {constants.c!r} m/s",
+                           _FOUR_PI * aperture_m2 * f_squared / constants.c**2)
 
 
 class RangeChain(Record):

@@ -234,16 +234,14 @@ MUTANTS = {
         "(deflection_q, rel_var_q, _), (deflection_c, rel_var_c, resolution)",
         "(deflection_q, rel_var_q, resolution), (deflection_c, rel_var_c, _)",
         ("tests/test_detection_mc.py::test_gain_experiment_resolution",)),
-    # the gain's guard on c^2, which overflows or underflows to 0 at an
-    # extreme c, each mutant letting one of the two errors through
-    "antenna_gain_leaks_the_c_squared_overflow": (
-        "range_solver", "antenna_gain",
-        "except (OverflowError, ZeroDivisionError):", "except (EOFError, ZeroDivisionError):",
-        EXTREME_C),
-    "antenna_gain_leaks_the_zero_division": (
-        "range_solver", "antenna_gain",
-        "except (OverflowError, ZeroDivisionError):", "except (OverflowError, EOFError):",
-        EXTREME_C),
+    # a constant set's bound on c^2, the gain's divisor, which overflows or
+    # underflows to 0 at an extreme c, each mutant admitting one of the two
+    "constants_admit_an_overflowing_c_squared": (
+        "constants", "PhysicalConstants._check",
+        "< math.inf", "<= math.inf", EXTREME_C),
+    "constants_admit_a_c_squared_of_zero": (
+        "constants", "PhysicalConstants._check",
+        "0.0 < self.c", "0.0 <= self.c", EXTREME_C),
     # the gain's own float-range guard dropped: getattr(name, at, G) returns G
     # (no attribute has that name), so only a G out of range tells them apart
     "antenna_gain_drops_its_float_range_guard": (
@@ -301,14 +299,18 @@ MUTANTS = {
         "cli", "_cmd_range",
         "if other is not mode", "if mode is not mode", ("tests/test_cli.py",)),
     # the plain reader takes a lone "-" as a value and no other word that
-    # starts with "-", and refuses a line without a required option (the
-    # mutant checks each flag against the command's flags, not those given)
+    # starts with "-", refuses a line without a required option (the
+    # mutant checks each flag against the command's flags, not those given),
+    # and stores a given constant flag's constant, not its default
     "plain_reader_takes_dashed_values": (
         "cli", "_read_options",
         'words[i] != "-"', 'words[i] == "-"', PLAIN_READER),
     "plain_reader_admits_a_missing_required_option": (
         "cli", "_read_options",
         "flag not in given", "flag not in specs", PLAIN_READER),
+    "plain_reader_stores_the_default_for_a_given_flag": (
+        "cli", "_read_options",
+        'values[dest] = kwargs["const"]', 'values[dest] = kwargs["default"]', PLAIN_READER),
     # the oracle cutoff's tail must fall below the tolerance, not reach it
     "smallest_cutoff_accepts_the_tolerance": (
         "quantum_states", "_smallest_cutoff",

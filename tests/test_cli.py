@@ -1491,7 +1491,7 @@ PERTURBATIONS = ("abbreviated", "equals", "dash_value", "repeated", "unknown", "
 def _plain_item(rng, flag, kwargs):
     """``flag`` as a plain item: the flag, with a random valid value if it
     takes one."""
-    if kwargs.get("action") in ("store_true", "store_const"):
+    if kwargs.get("action") == "store_const":
         return [flag]
     if "choices" in kwargs:
         return [flag, str(rng.choice(kwargs["choices"]))]

@@ -85,6 +85,7 @@ def test_correlation_ratio_values():
     assert correlation_ratio(1e9) > 1.0 - 1e-9
     # sqrt(10/11), correctly rounded
     assert correlation_ratio(10.0) == 0.9534625892455924
+    assert correlation_ratio(1e-4) == pytest.approx(math.sqrt(1e-4 / 1.0001), rel=1e-15)
 
 
 def test_correlation_ratio_cross_checks_covariances():

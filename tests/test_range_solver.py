@@ -18,7 +18,6 @@ from qi_rangekit.cli import _log_grid
 from qi_rangekit.config import ScenarioConfig, load_config
 from qi_rangekit.constants import CODATA, TEXTBOOK, PhysicalConstants
 from qi_rangekit.errors import DomainError, NoDetectionError, UnphysicalGeometryError
-from qi_rangekit.quantum_states import correlation_ratio
 from qi_rangekit.range_solver import (
     _FOUR_PI,
     Illumination,
@@ -701,13 +700,6 @@ def test_no_detection_is_read_off_the_root(table_path):
         assert (r_max is None) == (snr_at_near_zero < threshold(chain, n_s, mode))
         absent += r_max is None
     assert absent > 0
-
-
-def test_sweep_ratio_values():
-    assert correlation_ratio(0.5) == pytest.approx(0.57735, abs=1e-5)
-    assert correlation_ratio(1e-4) == pytest.approx(9.9995e-3, rel=1e-4)
-    values = [correlation_ratio(n_s) for n_s in np.logspace(-3, 2, 50)]
-    assert all(b > a for a, b in zip(values, values[1:]))
 
 
 @pytest.mark.parametrize("n_s", [1e-310, 5e-324])
